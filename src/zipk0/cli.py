@@ -13,9 +13,10 @@ import json
 import sys
 from typing import Any, Optional, Sequence
 
-from .groebner import ResourceCapError, poly_to_string
+from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, poly_to_string
 from .invariants import (
     SimplyConnectedHypothesisError,
+    require_simply_connected,
     steinberg_candidate_weights,
     steinberg_freeness_check,
 )
@@ -24,7 +25,6 @@ from .rootdata import (
     RootDatum,
     RootDatumError,
     WeylSizeCapError,
-    fundamental_group,
     make_root_datum,
     preset,
     validate,
@@ -32,6 +32,7 @@ from .rootdata import (
 )
 from .zipk import (
     CocharacterDatum,
+    KZeroPresentation,
     compute_k0,
     compute_k0_torus,
     hecke_check,
@@ -107,6 +108,16 @@ def _parse_int_vector(value: Any, what: str) -> tuple[int, ...]:
         return tuple(int(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise JobParseError(f"cannot parse {what} from {value!r}") from exc
+
+
+def _parse_int(value: Any, what: str, minimum: Optional[int] = None) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        raise JobParseError(f"cannot parse {what} from {value!r}") from exc
+    if minimum is not None and n < minimum:
+        raise JobParseError(f"{what} must be at least {minimum}, got {n}")
+    return n
 
 
 def _parse_matrix(value: Any, what: str) -> tuple[tuple[int, ...], ...]:
@@ -231,10 +242,7 @@ def load_job(args: argparse.Namespace) -> JobSpec:
         )
 
     p_value = args.p if getattr(args, "p", None) is not None else data.get("p", 2)
-    try:
-        p = int(p_value)
-    except (TypeError, ValueError) as exc:
-        raise JobParseError(f"cannot parse prime from {p_value!r}") from exc
+    p = _parse_int(p_value, "prime")
 
     checks_value = args.checks if getattr(args, "checks", None) is not None else data.get("checks", [])
     if isinstance(checks_value, str):
@@ -245,7 +253,7 @@ def load_job(args: argparse.Namespace) -> JobSpec:
         raise JobParseError(f"unknown checks {bad}; valid: {list(VALID_CHECKS)}")
 
     window_value = args.window if getattr(args, "window", None) is not None else data.get("window")
-    window = int(window_value) if window_value is not None else None
+    window = _parse_int(window_value, "window", minimum=0) if window_value is not None else None
 
     fmt = args.format if getattr(args, "format", None) is not None else data.get("format", "json")
     if fmt not in ("json", "text"):
@@ -253,11 +261,14 @@ def load_job(args: argparse.Namespace) -> JobSpec:
 
     out = args.out if getattr(args, "out", None) is not None else data.get("out")
     max_degree_value = (
-        args.max_degree if getattr(args, "max_degree", None) is not None else data.get("max_degree", 60)
+        args.max_degree
+        if getattr(args, "max_degree", None) is not None
+        else data.get("max_degree", DEFAULT_MAX_DEGREE)
     )
+    max_degree = _parse_int(max_degree_value, "max_degree")
     module = args.module if getattr(args, "module", None) is not None else data.get("module", "Z/2")
     return JobSpec(
-        group_name, rd, mu, p, checks, window, fmt, out, int(max_degree_value), module, explicit
+        group_name, rd, mu, p, checks, window, fmt, out, max_degree, module, explicit
     )
 
 
@@ -290,12 +301,15 @@ def _levi_dict(levi) -> dict:
     }
 
 
-def _run_checks(job: JobSpec, datum: CocharacterDatum) -> dict:
+def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
     out: dict[str, Any] = {}
     window = job.window if job.window is not None else 3
+    torus = None  # (basis, report) of R(T)/IR(T), built by the first check needing it
     for check in job.checks:
+        if check in ("kunneth", "theta") and torus is None:
+            torus = compute_k0_torus(datum, job.max_degree)
         if check == "kunneth":
-            r = kunneth_rank_check(datum, job.max_degree)
+            r = kunneth_rank_check(kz, torus[1])
             out["kunneth"] = {
                 "status": r.status,
                 "torus_rank": r.torus_rank,
@@ -303,7 +317,7 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum) -> dict:
                 "levi_weyl_order": r.levi_weyl_order,
             }
         elif check == "theta":
-            r = theta_map_check(datum, max_degree=job.max_degree)
+            r = theta_map_check(datum, torus[0])
             out["theta"] = {
                 "generator_sanity": r.generator_sanity,
                 "invariant_directions": [_vec(v) for v in r.invariant_directions],
@@ -313,14 +327,7 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum) -> dict:
                 ],
             }
         elif check == "hecke":
-            r = hecke_check(datum, window)
-            out["hecke"] = {
-                "window": r.window,
-                "hecke_rank": r.hecke_rank,
-                "weyl_rank": r.weyl_rank,
-                "orbit_span_rank": r.orbit_span_rank,
-                "all_equal": r.all_equal,
-            }
+            out["hecke"] = _hecke_dict(hecke_check(datum, window))
         elif check == "steinberg":
             weyl = weyl_enumerate(datum.rd)
             cands = steinberg_candidate_weights(datum.rd, weyl)
@@ -335,6 +342,16 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum) -> dict:
             r = weyl_counterexample_demo(job.module)
             out["counterexample"] = _counterexample_dict(r)
     return out
+
+
+def _hecke_dict(r) -> dict:
+    return {
+        "window": r.window,
+        "hecke_rank": r.hecke_rank,
+        "weyl_rank": r.weyl_rank,
+        "orbit_span_rank": r.orbit_span_rank,
+        "all_equal": r.all_equal,
+    }
 
 
 def _counterexample_dict(r) -> dict:
@@ -355,10 +372,7 @@ def _counterexample_dict(r) -> dict:
 
 def cmd_validate(job: JobSpec) -> dict:
     validate(job.rd)
-    inv = fundamental_group(job.rd)
-    torsion = [d for d in inv if d > 1]
-    if torsion:
-        raise SimplyConnectedHypothesisError(inv)
+    inv = require_simply_connected(job.rd)
     if not is_prime(job.p):
         raise RootDatumError("invalid-prime", f"p = {job.p} is not prime")
     return {
@@ -396,7 +410,7 @@ def cmd_k0(job: JobSpec) -> dict:
             "experimental_twist": kz.experimental_twist,
             "one_nonzero": kz.one_nonzero,
         },
-        "checks": _run_checks(job, datum),
+        "checks": _run_checks(job, datum, kz),
     }
     return report
 
@@ -422,18 +436,11 @@ def cmd_hecke_check(job: JobSpec) -> dict:
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p, job.rd.twist)
     window = job.window if job.window is not None else 3
-    r = hecke_check(datum, window)
     return {
         "schema": SCHEMA_VERSION,
         "command": "hecke-check",
         "job": job.echo(),
-        "hecke": {
-            "window": r.window,
-            "hecke_rank": r.hecke_rank,
-            "weyl_rank": r.weyl_rank,
-            "orbit_span_rank": r.orbit_span_rank,
-            "all_equal": r.all_equal,
-        },
+        "hecke": _hecke_dict(hecke_check(datum, window)),
     }
 
 
@@ -531,7 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", help="exponent box radius for windowed checks")
         p.add_argument("--format", choices=("json", "text"), help="report format (default json)")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--max-degree", dest="max_degree", help="Groebner degree cap (default 60)")
+        p.add_argument(
+            "--max-degree", dest="max_degree",
+            help=f"Groebner degree cap (default {DEFAULT_MAX_DEGREE})",
+        )
         p.add_argument("--twist", help="finite-order unimodular matrix as JSON rows")
         p.add_argument("--module", help="module for the counterexample demo (Z or Z/<m>)")
     return parser

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -126,12 +127,6 @@ def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
@@ -222,7 +217,7 @@ def _spair(f: Poly, g: Poly, key) -> Poly:
     lmf, lcf = _leading(f, key)
     lmg, lcg = _leading(g, key)
     big = _monomial_lcm(lmf, lmg)
-    l = lcf * lcg // _gcd(lcf, lcg)
+    l = lcf * lcg // math.gcd(lcf, lcg)
     out: Poly = {}
     _sub_scaled_shifted(out, f, -(l // lcf), _monomial_sub(big, lmf))
     _sub_scaled_shifted(out, g, l // lcg, _monomial_sub(big, lmg))
@@ -501,9 +496,7 @@ def quotient_z_module(
             free.append(m)
         else:
             d = min(ds)
-            g = 0
-            for x in ds:
-                g = _gcd(g, x)
+            g = math.gcd(*ds)
             assert d == g, "strong basis violated: minimal lc does not divide the rest"
             if d > 1:
                 torsion_divs.append(d)

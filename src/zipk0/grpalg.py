@@ -20,6 +20,7 @@ from .rootdata import (
     mat_vec,
     pairing,
     reflection_matrix,
+    weights_dominant,
     weyl_orbit,
 )
 
@@ -276,7 +277,7 @@ def demazure_character(
 ) -> GroupAlgebraElement:
     """delta_{w0}(e^lambda) for dominant lambda: the character of the irreducible
     (in good cases) module of highest weight lambda."""
-    if not all(pairing(weight, cv) >= 0 for cv in rd.simple_coroots):
+    if not weights_dominant(weight, rd.simple_coroots):
         raise ValueError(f"weight {tuple(weight)} is not dominant")
     if weyl is None:
         from .rootdata import weyl_enumerate

@@ -27,6 +27,7 @@ from .rootdata import (
     mat_vec,
     pairing,
     positive_root_indices,
+    weights_dominant,
     weyl_enumerate,
     weyl_orbit,
     _canonical_preimage,
@@ -51,6 +52,15 @@ class SimplyConnectedHypothesisError(ValueError):
             + " x ".join(f"Z/{d}" for d in torsion)
         )
         self.torsion = torsion
+
+
+def require_simply_connected(rd: RootDatum) -> list[int]:
+    """The simply-connectedness gate: the invariants of the fundamental group,
+    or SimplyConnectedHypothesisError when it has torsion."""
+    inv = fundamental_group(rd)
+    if any(d > 1 for d in inv):
+        raise SimplyConnectedHypothesisError(inv)
+    return inv
 
 
 @dataclass(frozen=True)
@@ -195,7 +205,7 @@ def express_invariant(
         guard += 1
         assert guard < 10000, "descent failed to terminate: internal error"
         dominant_terms = [
-            e for e in work.terms if all(pairing(e, cv) >= 0 for cv in cosimples)
+            e for e in work.terms if weights_dominant(e, cosimples)
         ]
         assert dominant_terms, "invariant element with no dominant term: internal error"
         lead = max(dominant_terms, key=hkey)
@@ -231,7 +241,7 @@ def restrict_to_levi(
         seed = min(remaining)
         orb = set(weyl_orbit(levi.weyl_subgroup, seed))
         assert orb <= remaining
-        dominants = [nu for nu in orb if all(pairing(nu, cv) >= 0 for cv in cosimples)]
+        dominants = [nu for nu in orb if weights_dominant(nu, cosimples)]
         assert dominants, "Levi orbit without dominant representative"
         rep = min(dominants)
         pieces.append((rep, len(orb)))
@@ -264,9 +274,7 @@ def frobenius_ideal_generators(
     c d - phi(c d) = c (d - phi(d)) + phi(d)(c - phi(c)) reduces the full
     difference ideal to these finitely many generators).
     """
-    inv = fundamental_group(rd)
-    if any(d > 1 for d in inv):
-        raise SimplyConnectedHypothesisError(inv)
+    require_simply_connected(rd)
     weyl = weyl_enumerate(rd)
     gens = []
     prov = []
@@ -412,7 +420,7 @@ def steinberg_freeness_check(
         dominant_window = [
             nu
             for nu in window_box(rd.rank, box_r)
-            if all(pairing(nu, cv) >= 0 for cv in rd.simple_coroots)
+            if weights_dominant(nu, rd.simple_coroots)
         ]
         basis_elems = []
         labels = []

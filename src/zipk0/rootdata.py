@@ -11,6 +11,7 @@ characters as column vectors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -556,20 +557,12 @@ def _extreme_rays(ineq: list[list[int]], dim: int) -> list[tuple[int, ...]]:
         if len(ker) != 1:
             continue
         t = ker[0]
-        g = 0
-        for x in t:
-            g = abs(x) if g == 0 else _gcd(g, abs(x))
+        g = math.gcd(*t)
         t = tuple(x // g for x in t) if g else t
         for cand in (t, tuple(-x for x in t)):
             if all(sum(row[i] * cand[i] for i in range(dim)) >= 0 for row in ineq):
                 rays.add(cand)
     return sorted(rays)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:

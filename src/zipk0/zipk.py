@@ -3,13 +3,16 @@
 Given (root datum, cocharacter mu, prime p) with simply connected derived
 group, the Grothendieck ring of the associated stack of zips is R(L)/IR(L):
 L is the Levi centralising mu, I the ideal of Frobenius differences of R(G).
-The presentation is computed on the nose: R(L) by eliminating the torus
-variables from the graph ideal of its orbit-sum generators, the ideal I
-through its finitely many Hilbert-basis generators re-expressed in those
-generators, and the quotient's Z-module structure from a strong Groebner
-basis over Z.  Cross-checks mirror the structural facts the construction
-rests on (Kunneth/freeness rank factorisation, the untwisting identity,
-Hecke-versus-Weyl invariants, and the failure of naive Weyl descent).
+The presentation is computed on the nose: R(L) in closed form (with a
+simply connected derived group it is polynomial on the fundamental orbit
+sums tensored with a Laurent ring on the central characters, Steinberg, "On
+a theorem of Pittie", so its only syzygies are y_a*y_b - 1 over the +/-
+lineality pairs), the ideal I through its finitely many Hilbert-basis
+generators re-expressed in those generators, and the quotient's Z-module
+structure from a strong Groebner basis over Z.  Cross-checks mirror the
+structural facts the construction rests on (Kunneth/freeness rank
+factorisation, the untwisting identity, Hecke-versus-Weyl invariants, and
+the failure of naive Weyl descent).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groebner import (
+    DEFAULT_MAX_DEGREE,
     GroebnerBasis,
     Poly,
     PolyRingSpec,
@@ -38,11 +42,11 @@ from .grpalg import (
 )
 from .invariants import (
     InvariantRingPresentation,
-    SimplyConnectedHypothesisError,
     expand_generator_polynomial,
     express_invariant,
     frobenius_ideal_generators,
     invariant_ring,
+    require_simply_connected,
 )
 from .lattice import IntegerMatrix, hermite_row_basis, kernel_basis
 from .rootdata import (
@@ -51,14 +55,11 @@ from .rootdata import (
     Matrix,
     RootDatum,
     Vector,
-    fundamental_group,
     levi_from_cocharacter,
-    pairing,
     validate,
+    weights_dominant,
     weyl_enumerate,
 )
-
-DEFAULT_MAX_DEGREE = 60
 
 
 def is_prime(n: int) -> bool:
@@ -97,9 +98,7 @@ class CocharacterDatum:
 def validate_datum(datum: CocharacterDatum) -> None:
     """Root datum axioms plus the simply-connectedness gate."""
     validate(datum.rd)
-    inv = fundamental_group(datum.rd)
-    if any(d > 1 for d in inv):
-        raise SimplyConnectedHypothesisError(inv)
+    require_simply_connected(datum.rd)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +124,9 @@ def exponent_to_monomial(chi: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def to_poly(f: GroupAlgebraElement, offset_vars: int = 0, total_vars: Optional[int] = None) -> Poly:
+def to_poly(f: GroupAlgebraElement) -> Poly:
     """Character sum -> polynomial in the split positive/negative variables."""
-    width = 2 * f.rank
-    total = total_vars if total_vars is not None else width
-    out: Poly = {}
-    for chi, c in f.terms.items():
-        mono = exponent_to_monomial(chi)
-        full = (0,) * offset_vars + mono + (0,) * (total - offset_vars - width)
-        out[full] = c
-    return out
+    return {exponent_to_monomial(chi): c for chi, c in f.terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -182,45 +174,49 @@ class KZeroPresentation:
 
 
 def levi_presentation_ring(
-    rd: RootDatum, lpres: InvariantRingPresentation, max_degree: int = DEFAULT_MAX_DEGREE
+    lpres: InvariantRingPresentation,
 ) -> tuple[PolyRingSpec, tuple[Poly, ...]]:
-    """Present R(L) on one variable per generator: eliminate the torus block
-    from the graph ideal of the orbit-sum generators."""
-    n = rd.rank
-    k = len(lpres.generator_elements)
-    names = list(torus_ring_spec(n).names) + [f"y{j + 1}" for j in range(k)]
-    pairs = torus_ring_spec(n).inverse_pairs
-    big_spec = PolyRingSpec(
-        tuple(names),
-        pairs,
-        blocks=(tuple(range(2 * n)), tuple(range(2 * n, 2 * n + k))),
-    )
-    total = 2 * n + k
-    gens: list[Poly] = []
-    for j, el in enumerate(lpres.generator_elements):
-        g = to_poly(-el, 0, total)
-        yj = [0] * total
-        yj[2 * n + j] = 1
-        g[tuple(yj)] = g.get(tuple(yj), 0) + 1
-        gens.append({m: c for m, c in g.items() if c})
-    from .groebner import eliminate
+    """Present R(L) on one variable y_j per orbit-sum generator, in closed form.
 
-    gb_big = strong_groebner(gens, big_spec, max_degree=max_degree)
-    rel_gb = eliminate(gb_big, tuple(range(2 * n)))
-    return rel_gb.spec, tuple(rel_gb.as_dicts())
+    With a simply connected derived group, R(L) is a polynomial ring on the
+    fundamental orbit sums tensored with a Laurent ring on the central
+    characters (Steinberg, "On a theorem of Pittie").  The kernel of
+    Z[y] -> R(L) is therefore generated by y_a*y_b - 1, one for each a < b
+    with opposite generator weights, in that order.  The hypothesis is
+    checked: the generator weights left unpaired must be exactly as many as
+    the simple roots of L.
+    """
+    weights = lpres.generator_weights
+    k = len(weights)
+    pairs = [
+        (a, b)
+        for a in range(k)
+        for b in range(a + 1, k)
+        if weights[b] == tuple(-x for x in weights[a])
+    ]
+    unpaired = k - 2 * len(pairs)
+    if unpaired != len(lpres.dominance_coroots):
+        raise ValueError(
+            f"R(L) is not polynomial on its orbit-sum generators: {unpaired} unpaired "
+            f"generator weights for {len(lpres.dominance_coroots)} Levi simple roots"
+        )
+    constant = (0,) * k
+    syzygies = []
+    for a, b in pairs:
+        mono = tuple(1 if j in (a, b) else 0 for j in range(k))
+        syzygies.append({mono: 1, constant: -1})
+    return PolyRingSpec(tuple(f"y{j + 1}" for j in range(k))), tuple(syzygies)
 
 
 def compute_k0(
     datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE, bound: int = 12
 ) -> KZeroPresentation:
     """Presentation of R(L)/IR(L) for the Levi of the cocharacter."""
-    inv = fundamental_group(datum.rd)
-    if any(d > 1 for d in inv):
-        raise SimplyConnectedHypothesisError(inv)
+    require_simply_connected(datum.rd)
     rd = datum.rd
     levi = levi_from_cocharacter(rd, datum.mu)
     lpres = invariant_ring(rd, levi)
-    y_spec, syzygies = levi_presentation_ring(rd, lpres, max_degree)
+    y_spec, syzygies = levi_presentation_ring(lpres)
 
     fig = frobenius_ideal_generators(rd, levi, datum.p, datum.twist)
     frob_polys: list[Poly] = []
@@ -248,10 +244,9 @@ def compute_k0(
 
 
 def substitution_soundness(datum: CocharacterDatum, kz: KZeroPresentation,
-                           torus_gb: Optional[GroebnerBasis] = None) -> bool:
-    """Every relation, expanded back into Z[X*(T)], lies in the torus-side ideal."""
-    if torus_gb is None:
-        torus_gb, _ = compute_k0_torus(datum)
+                           torus_gb: GroebnerBasis) -> bool:
+    """Every relation, expanded back into Z[X*(T)], lies in the torus-side ideal
+    (torus_gb is the strong basis from compute_k0_torus of the same datum)."""
     for rel in kz.relations:
         expanded = expand_generator_polynomial(rel, kz.presentation_pres)
         if normal_form_gb(to_poly(expanded), torus_gb):
@@ -273,12 +268,11 @@ class KunnethReport:
     levi_finite: bool
 
 
-def kunneth_rank_check(
-    datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
-) -> KunnethReport:
-    """rank of R(T)/IR(T) must equal |W_L| times rank of R(L)/IR(L)."""
-    _, torus_report = compute_k0_torus(datum, max_degree)
-    kz = compute_k0(datum, max_degree)
+def kunneth_rank_check(kz: KZeroPresentation, torus_report: QuotientReport) -> KunnethReport:
+    """rank of R(T)/IR(T) must equal |W_L| times rank of R(L)/IR(L).
+
+    kz and torus_report are compute_k0 and compute_k0_torus of the same datum.
+    """
     wl = len(kz.levi.weyl_subgroup)
     if not (torus_report.finite and kz.module_report.finite):
         return KunnethReport(
@@ -329,32 +323,32 @@ def weyl_invariant_lattice(rd: RootDatum) -> list[Vector]:
 
 def theta_map_check(
     datum: CocharacterDatum,
+    torus_gb: GroebnerBasis,
     samples: int = 8,
     seed: int = 20250901,
-    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> ThetaReport:
     """The untwisting identity, concretely: e^chi = e^{p tau(chi)} holds in the
     torus-side quotient exactly for Weyl-invariant directions (where e^chi is a
-    class from R(G)), and generically fails otherwise."""
+    class from R(G)), and generically fails otherwise.  torus_gb is the strong
+    basis from compute_k0_torus of the same datum."""
     import random as _random
 
-    gb, _ = compute_k0_torus(datum, max_degree)
     rd = datum.rd
     fig = frobenius_ideal_generators(rd, None, datum.p, datum.twist)
-    gen_ok = all(not normal_form_gb(to_poly(g), gb) for g in fig.gens)
+    gen_ok = all(not normal_form_gb(to_poly(g), torus_gb) for g in fig.gens)
 
     invariant_dirs = weyl_invariant_lattice(rd)
     inv_vanish = []
     for chi in invariant_dirs:
         f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, datum.twist)
-        inv_vanish.append(not normal_form_gb(to_poly(f), gb))
+        inv_vanish.append(not normal_form_gb(to_poly(f), torus_gb))
 
     rng = _random.Random(seed)
     sample_results = []
     for _ in range(samples):
         chi = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
         f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, datum.twist)
-        sample_results.append((chi, not normal_form_gb(to_poly(f), gb)))
+        sample_results.append((chi, not normal_form_gb(to_poly(f), torus_gb)))
     return ThetaReport(
         gen_ok,
         tuple(invariant_dirs),
@@ -413,7 +407,7 @@ def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
     # Independent route 3: orbit sums entirely inside the window.
     dominant = []
     for lam in box:
-        if all(pairing(lam, cv) >= 0 for cv in rd.simple_coroots):
+        if weights_dominant(lam, rd.simple_coroots):
             orb = orbit_sum(weyl, lam)
             if all(e in idx for e in orb.terms):
                 dominant.append(orb)

@@ -25,6 +25,7 @@ from zipk0.rootdata import all_reduced_words, preset, weyl_enumerate
 from zipk0.zipk import (
     CocharacterDatum,
     compute_k0,
+    compute_k0_torus,
     hecke_check,
     kunneth_rank_check,
     to_poly,
@@ -77,7 +78,8 @@ def test_criterion_2_torus_golden():
 def test_criterion_3_kunneth_freeness_sl3():
     for p in (2, 3):
         datum = CocharacterDatum(preset("SL3"), (1, 2), p)
-        rep = kunneth_rank_check(datum)
+        _, torus_report = compute_k0_torus(datum)
+        rep = kunneth_rank_check(compute_k0(datum), torus_report)
         assert rep.levi_weyl_order == 2
         assert rep.torus_finite and rep.levi_finite
         assert rep.status == "PASS"

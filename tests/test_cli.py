@@ -45,6 +45,43 @@ def test_nonprime_p_rejected(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize(
+    "flags,job",
+    [
+        (["--window", "abc"], {}),
+        (["--max-degree", "abc"], {}),
+        (["--window", "-1"], {}),
+        ([], {"window": "abc"}),
+        ([], {"max_degree": "abc"}),
+        ([], {"window": -1}),
+    ],
+)
+def test_bad_integer_options_exit_2(capsys, tmp_path, flags, job):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"group": "SL2", "mu": [1], "p": 3, **job}))
+    code, out, err = run(capsys, "k0", str(job_file), *flags)
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err
+
+
+@pytest.mark.parametrize("checks,calls", [([], 1), (["--checks", "kunneth,theta"], 2)])
+def test_one_groebner_run_per_answer(capsys, monkeypatch, checks, calls):
+    import zipk0.zipk
+
+    seen = []
+    real = zipk0.zipk.strong_groebner
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zipk0.zipk, "strong_groebner", counting)
+    code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2", *checks)
+    assert code == 0
+    assert len(seen) == calls
+
+
 def test_k0_sl2_report_values(capsys):
     code, out, _ = run(capsys, "k0", "--group", "SL2", "--mu", "1", "--p", "3")
     assert code == 0

@@ -2,10 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from zipk0.groebner import eliminate, normal_form_gb, poly_to_string
+import itertools
+
+from zipk0.groebner import PolyRingSpec, eliminate, normal_form_gb, poly_to_string, strong_groebner
 from zipk0.grpalg import from_terms, monomial, one
-from zipk0.invariants import SimplyConnectedHypothesisError, express_invariant
-from zipk0.rootdata import RootDatum, preset
+from zipk0.invariants import (
+    InvariantRingPresentation,
+    SimplyConnectedHypothesisError,
+    express_invariant,
+    invariant_ring,
+)
+from zipk0.rootdata import PRESET_NAMES, RootDatum, fundamental_group, levi_from_cocharacter, preset
 from zipk0.zipk import (
     CocharacterDatum,
     compute_k0,
@@ -14,13 +21,20 @@ from zipk0.zipk import (
     hecke_check,
     is_prime,
     kunneth_rank_check,
+    levi_presentation_ring,
     substitution_soundness,
     theta_map_check,
     to_poly,
+    torus_ring_spec,
     validate_datum,
     weyl_counterexample_demo,
     weyl_invariant_lattice,
 )
+
+
+def kunneth(datum):
+    _, torus_report = compute_k0_torus(datum)
+    return kunneth_rank_check(compute_k0(datum), torus_report)
 
 
 def test_is_prime():
@@ -141,10 +155,69 @@ def test_levi_gr_presentation_l_equals_g():
     assert dict(kz.frobenius_relations[0]) == direct
 
 
+def eliminated_levi_presentation(rd: RootDatum, lpres: InvariantRingPresentation):
+    """Oracle for levi_presentation_ring: eliminate the torus block from the
+    graph ideal (y_j - generator_j) in Z[x, x^-1, y] under a block order."""
+    n = 2 * rd.rank
+    k = len(lpres.generator_elements)
+    tspec = torus_ring_spec(rd.rank)
+    big_spec = PolyRingSpec(
+        tspec.names + tuple(f"y{j + 1}" for j in range(k)),
+        tspec.inverse_pairs,
+        blocks=(tuple(range(n)), tuple(range(n, n + k))),
+    )
+    gens = []
+    for j, el in enumerate(lpres.generator_elements):
+        g = {m + (0,) * k: -c for m, c in to_poly(el).items()}
+        yj = (0,) * n + tuple(1 if i == j else 0 for i in range(k))
+        g[yj] = g.get(yj, 0) + 1
+        gens.append({m: c for m, c in g.items() if c})
+    rel_gb = eliminate(strong_groebner(gens, big_spec), tuple(range(n)))
+    return rel_gb.spec, tuple(rel_gb.as_dicts())
+
+
+def distinct_simply_connected_levis():
+    """(preset, Levi) for every simply connected preset and every distinct
+    Levi of a cocharacter in {-1, 0, 1}^rank."""
+    out = []
+    for name in PRESET_NAMES:
+        rd = preset(name)
+        if any(d > 1 for d in fundamental_group(rd)):
+            continue
+        seen = set()
+        for mu in itertools.product((-1, 0, 1), repeat=rd.rank):
+            levi = levi_from_cocharacter(rd, mu)
+            if levi.levi_root_indices not in seen:
+                seen.add(levi.levi_root_indices)
+                out.append((name, levi))
+    return out
+
+
+def test_levi_presentation_closed_form_matches_elimination():
+    cases = distinct_simply_connected_levis()
+    assert len(cases) == 33
+    for name, levi in cases:
+        lpres = invariant_ring(levi.parent, levi)
+        expected = eliminated_levi_presentation(levi.parent, lpres)
+        assert levi_presentation_ring(lpres) == expected, (name, levi.mu)
+
+
+def test_levi_presentation_rejects_unpaired_count_mismatch():
+    # Dropping the Levi simple coroot makes the unpaired SL2 weight
+    # unaccounted for: R(T) of SL2 is not polynomial on that generator.
+    lpres = invariant_ring(preset("SL2"))
+    broken = InvariantRingPresentation(
+        lpres.rank, lpres.generator_weights, lpres.generator_elements, lpres.weyl,
+        (), lpres.height_vector, lpres.augmentation_generators,
+    )
+    with pytest.raises(ValueError, match="not polynomial"):
+        levi_presentation_ring(broken)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_kunneth_sl3(p):
     datum = CocharacterDatum(preset("SL3"), (1, 2), p)
-    report = kunneth_rank_check(datum)
+    report = kunneth(datum)
     assert report.status == "PASS"
     assert report.levi_weyl_order == 2
     assert report.torus_rank == 2 * report.levi_rank
@@ -153,7 +226,7 @@ def test_kunneth_sl3(p):
 
 def test_kunneth_degenerate_levi_torus():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
-    report = kunneth_rank_check(datum)
+    report = kunneth(datum)
     assert report.status == "PASS"
     assert report.levi_weyl_order == 1
     assert report.torus_rank == report.levi_rank
@@ -161,14 +234,15 @@ def test_kunneth_degenerate_levi_torus():
 
 def test_kunneth_torus():
     datum = CocharacterDatum(preset("Gm"), (0,), 5)
-    report = kunneth_rank_check(datum)
+    report = kunneth(datum)
     assert report.status == "PASS" and report.levi_weyl_order == 1
 
 
 def test_substitution_soundness_sl3():
     datum = CocharacterDatum(preset("SL3"), (1, 2), 2)
     kz = compute_k0(datum)
-    assert substitution_soundness(datum, kz)
+    torus_gb, _ = compute_k0_torus(datum)
+    assert substitution_soundness(datum, kz, torus_gb)
 
 
 def test_one_nonzero_everywhere():
@@ -180,7 +254,7 @@ def test_one_nonzero_everywhere():
 
 def test_theta_check_torus_all_directions():
     datum = CocharacterDatum(preset("Gm"), (0,), 3)
-    rep = theta_map_check(datum)
+    rep = theta_map_check(datum, compute_k0_torus(datum)[0])
     assert rep.generator_sanity
     assert rep.invariant_directions == ((1,),)
     assert rep.all_invariant_pass
@@ -189,19 +263,19 @@ def test_theta_check_torus_all_directions():
 
 def test_theta_check_sl2():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
-    rep = theta_map_check(datum)
+    gb, _ = compute_k0_torus(datum)
+    rep = theta_map_check(datum, gb)
     assert rep.generator_sanity
     assert rep.invariant_directions == ()         # X*(T)^W = 0 for SL2
     assert rep.all_invariant_pass
     # x - x^3 is NOT in the ideal: x alone is not a class from R(G).
-    gb, _ = compute_k0_torus(datum)
     f = monomial(1, (1,)) - monomial(1, (3,))
     assert normal_form_gb(to_poly(f), gb) != {}
 
 
 def test_theta_check_gl2_center():
     datum = CocharacterDatum(preset("GL2"), (1, 0), 2)
-    rep = theta_map_check(datum)
+    rep = theta_map_check(datum, compute_k0_torus(datum)[0])
     # The center of GL2 gives the invariant direction (1, 1).
     assert rep.invariant_directions == ((1, 1),)
     assert rep.all_invariant_pass
@@ -266,13 +340,13 @@ def test_twisted_pipeline_runs_and_flags():
     kz = compute_k0(datum)
     assert kz.experimental_twist
     assert kz.module_report.finite
-    rep = kunneth_rank_check(datum)
+    rep = kunneth(datum)
     assert rep.status == "PASS"
 
 
 def test_sp4_levi_factorization():
     datum = CocharacterDatum(preset("Sp4"), (1, 1), 2)
-    rep = kunneth_rank_check(datum)
+    rep = kunneth(datum)
     assert rep.status == "PASS"
     assert rep.levi_weyl_order == 2
 
