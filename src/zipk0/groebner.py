@@ -8,14 +8,27 @@ lcm) and G-polynomials (coefficient gcd), so every ideal element has a
 leading term divisible -- monomial and coefficient -- by a basis leading
 term.  This strong property is what makes normal forms unique and lets the
 quotient's Z-module structure be read off the staircase.
+
+Reduction takes the terms of the remainder from a heap, largest monomial
+first, and reduces each one by the first entry of a reducer table: the basis
+elements sorted by (leading coefficient, leading monomial, position).  That
+first dividing entry is the smallest applicable leading coefficient, ties
+broken by the smaller leading monomial and then the earlier basis position,
+so every term meets the same reducer in the same order as a rescan of the
+remainder and of the whole basis would give, and the remainder is the same
+term for term.  strong_groebner keeps one table and inserts each new basis
+element into it; a finished GroebnerBasis builds its table once.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, le, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 Monomial = tuple[int, ...]
@@ -73,6 +86,22 @@ class PolyRingSpec:
             )
         return key
 
+    def heap_key(self) -> Callable[[Monomial], tuple]:
+        """Key that sorts monomials in descending monomial order, so that a
+        min-heap of (heap_key(m), m) pops the largest monomial first."""
+        if self.blocks is None:
+            def key(m: Monomial):
+                return (-sum(m), m[::-1])
+            return key
+        blocks = self.blocks
+
+        def key(m: Monomial):
+            return tuple(
+                (-sum(m[i] for i in blk), tuple(m[i] for i in reversed(blk)))
+                for blk in blocks
+            )
+        return key
+
     def unit_relations(self) -> list[Poly]:
         rels = []
         n = self.nvars
@@ -116,11 +145,11 @@ def poly_to_string(f: Poly, spec: PolyRingSpec) -> str:
 
 
 def _monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _monomial_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -147,6 +176,21 @@ def _sub_scaled_shifted(f: Poly, g: Poly, c: int, shift: Monomial) -> None:
             f.pop(key, None)
 
 
+# A reducer table entry is (lc, monomial_key(lm), position, lm, g) for a
+# nonzero basis element g with leading term lc*X^lm at `position` among the
+# nonzero elements.  Positions are distinct, so sorting never compares lm or g.
+ReducerEntry = tuple[int, tuple, int, Monomial, Poly]
+
+
+def _reducer_table(basis: Iterable[Poly], key) -> list[ReducerEntry]:
+    table = []
+    for position, g in enumerate(g for g in basis if g):
+        lm, lc = _leading(g, key)
+        table.append((lc, key(lm), position, lm, g))
+    table.sort()
+    return table
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     spec: PolyRingSpec
@@ -161,6 +205,10 @@ class GroebnerBasis:
 
     def to_strings(self) -> list[str]:
         return [poly_to_string(dict(t), self.spec) for t in self.polys]
+
+    @cached_property
+    def _reducers(self) -> list[ReducerEntry]:
+        return _reducer_table(self.as_dicts(), self.spec.monomial_key())
 
 
 def _leading(f: Poly, key) -> tuple[Monomial, int]:
@@ -177,45 +225,71 @@ def _normalize_sign(f: Poly, key) -> Poly:
     return f
 
 
-def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
-    """Unique remainder of f under strong (Euclidean) reduction by the basis.
-
-    Each term c*X^m is reduced modulo the smallest applicable leading
-    coefficient; with a reduced strong basis the result is canonical and
-    membership is `normal_form(f) == {}`.
-    """
-    key = spec.monomial_key()
-    prepped = []
-    for g in basis:
-        if g:
-            lm, lc = _leading(g, key)
-            prepped.append((lm, lc, g))
+def _reduce(f: Poly, table: Sequence[ReducerEntry], heap_key) -> Poly:
+    """Strong reduction of f by a sorted reducer table (see normal_form)."""
     work = dict(f)
+    heap = [(heap_key(m), m) for m in work]
+    heapq.heapify(heap)
     out: Poly = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        reducers = [(lc, key(lm), i) for i, (lm, lc, g) in enumerate(prepped)
-                    if _monomial_divides(lm, m)]
-        if not reducers:
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # stale entry: the term cancelled or was taken already
+        for lc, _, _, lm, g in table:
+            if all(map(le, lm, m)):
+                break
+        else:
             out[m] = c
             continue
-        lc, _, gi = min(reducers)
-        lm, _, g = prepped[gi]
         q, r = divmod(c, lc)
         if q:
-            work[m] = c
-            _sub_scaled_shifted(work, g, q, _monomial_sub(m, lm))
-            got = work.pop(m, 0)
-            assert got == r
+            # The other terms of the shifted reducer lie below m, so none has
+            # been taken from the heap yet.  Its leading term only turns c
+            # into r, so it is skipped.
+            shift = _monomial_sub(m, lm)
+            for gm, gc in g.items():
+                if gm == lm:
+                    continue
+                t = tuple(map(add, gm, shift))
+                old = work.get(t)
+                if old is None:
+                    work[t] = -q * gc
+                    heapq.heappush(heap, (heap_key(t), t))
+                elif old == q * gc:
+                    del work[t]
+                else:
+                    work[t] = old - q * gc
         if r:
             out[m] = r
     return out
 
 
-def _spair(f: Poly, g: Poly, key) -> Poly:
-    lmf, lcf = _leading(f, key)
-    lmg, lcg = _leading(g, key)
+def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
+    """Unique remainder of f under strong (Euclidean) reduction by the basis.
+
+    Terms are reduced largest monomial first.  Each term c*X^m is reduced
+    modulo the smallest leading coefficient among the basis elements whose
+    leading monomial divides m; ties go to the smaller leading monomial, then
+    to the earlier element.  The heap and the sorted reducer table pick the
+    same term and the same reducer at each step as rescanning the remainder
+    and the basis would, so the remainder is the same term for term.  With a
+    reduced strong basis the result is canonical and membership is
+    `normal_form(f) == {}`.
+    """
+    table = _reducer_table(basis, spec.monomial_key())
+    return _reduce(f, table, spec.heap_key())
+
+
+def normal_form_gb(f: Poly, gb: GroebnerBasis) -> Poly:
+    """normal_form by a finished basis, reusing the basis's reducer table."""
+    return _reduce(f, gb._reducers, gb.spec.heap_key())
+
+
+def _spair(
+    f: Poly, lt_f: tuple[Monomial, int], g: Poly, lt_g: tuple[Monomial, int]
+) -> Poly:
+    (lmf, lcf), (lmg, lcg) = lt_f, lt_g
     big = _monomial_lcm(lmf, lmg)
     l = lcf * lcg // math.gcd(lcf, lcg)
     out: Poly = {}
@@ -224,9 +298,10 @@ def _spair(f: Poly, g: Poly, key) -> Poly:
     return out
 
 
-def _gpair(f: Poly, g: Poly, key) -> Optional[Poly]:
-    lmf, lcf = _leading(f, key)
-    lmg, lcg = _leading(g, key)
+def _gpair(
+    f: Poly, lt_f: tuple[Monomial, int], g: Poly, lt_g: tuple[Monomial, int]
+) -> Optional[Poly]:
+    (lmf, lcf), (lmg, lcg) = lt_f, lt_g
     if lcg % lcf == 0 or lcf % lcg == 0:
         return None
     d, u, v = _xgcd(lcf, lcg)
@@ -245,14 +320,13 @@ def _interreduce(basis: list[Poly], spec: PolyRingSpec) -> list[Poly]:
         changed = False
         # Minimality: drop g whose leading term is strongly reducible by another's.
         basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1]))
+        leads = [_leading(g, key) for g in basis]
         kept: list[Poly] = []
-        for i, g in enumerate(basis):
-            lmg, lcg = _leading(g, key)
+        for i, (g, (lmg, lcg)) in enumerate(zip(basis, leads)):
             redundant = False
-            for j, h in enumerate(basis):
+            for j, (lmh, lch) in enumerate(leads):
                 if i == j:
                     continue
-                lmh, lch = _leading(h, key)
                 if _monomial_divides(lmh, lmg) and lcg % lch == 0:
                     if (key(lmh), lch) < (key(lmg), lcg) or j < i:
                         redundant = True
@@ -289,24 +363,35 @@ def strong_groebner(
     when the configured degree or size caps are hit.
     """
     key = spec.monomial_key()
+    heap_key = spec.heap_key()
     start: list[Poly] = [dict(g) for g in gens if g]
     start.extend(spec.unit_relations())
     start = [_normalize_sign(g, key) for g in start]
     start.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
     basis: list[Poly] = []
+    leads: list[tuple[Monomial, int]] = []  # leading term of each basis element
+    table: list[ReducerEntry] = []
+
+    def add(g: Poly) -> Monomial:
+        g = _normalize_sign(g, key)
+        lm, lc = _leading(g, key)
+        bisect.insort(table, (lc, key(lm), len(basis), lm, g))
+        basis.append(g)
+        leads.append((lm, lc))
+        return lm
+
     for g in start:
-        red = normal_form(g, basis, spec)
+        red = _reduce(g, table, heap_key)
         if red:
-            basis.append(_normalize_sign(red, key))
+            add(red)
 
     queue: list[tuple] = []  # (lcm key, kind, i, j)
     counter = itertools.count()
 
     def push_pairs(j: int):
-        lmj, _ = _leading(basis[j], key)
+        lmj = leads[j][0]
         for i in range(j):
-            lmi, _ = _leading(basis[i], key)
-            big = _monomial_lcm(lmi, lmj)
+            big = _monomial_lcm(leads[i][0], lmj)
             heapq.heappush(queue, (key(big), 0, i, j, next(counter)))
             heapq.heappush(queue, (key(big), 1, i, j, next(counter)))
 
@@ -315,51 +400,24 @@ def strong_groebner(
 
     while queue:
         _, kind, i, j, _ = heapq.heappop(queue)
-        f, g = basis[i], basis[j]
-        if not f or not g:
-            continue
-        cand = _spair(f, g, key) if kind == 0 else _gpair(f, g, key)
+        pair = _spair if kind == 0 else _gpair
+        cand = pair(basis[i], leads[i], basis[j], leads[j])
         if cand is None:
             continue
-        red = normal_form(cand, [b for b in basis if b], spec)
+        red = _reduce(cand, table, heap_key)
         if not red:
             continue
-        red = _normalize_sign(red, key)
-        lm, _ = _leading(red, key)
+        lm = add(red)
         if sum(lm) > max_degree:
             raise ResourceCapError(
                 f"leading monomial degree {sum(lm)} exceeds cap {max_degree}"
             )
-        basis.append(red)
         if len(basis) > max_basis:
             raise ResourceCapError(f"basis size exceeds cap {max_basis}")
         push_pairs(len(basis) - 1)
 
     reduced = _interreduce(basis, spec)
     return GroebnerBasis(spec, tuple(poly_canonical(g, key) for g in reduced), True)
-
-
-def verify_strong_groebner(gb: GroebnerBasis) -> bool:
-    """Re-check the Buchberger criterion: every S- and G-polynomial reduces to 0."""
-    key = gb.spec.monomial_key()
-    basis = gb.as_dicts()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = _spair(basis[i], basis[j], key)
-            if normal_form(s, basis, gb.spec):
-                return False
-            g = _gpair(basis[i], basis[j], key)
-            if g is not None and normal_form(g, basis, gb.spec):
-                return False
-    return True
-
-
-def normal_form_gb(f: Poly, gb: GroebnerBasis) -> Poly:
-    return normal_form(f, gb.as_dicts(), gb.spec)
-
-
-def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:
-    return not normal_form_gb(f, gb)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +555,8 @@ def quotient_z_module(
         else:
             d = min(ds)
             g = math.gcd(*ds)
-            assert d == g, "strong basis violated: minimal lc does not divide the rest"
+            if d != g:
+                raise RuntimeError("strong basis violated: minimal lc does not divide the rest")
             if d > 1:
                 torsion_divs.append(d)
     return QuotientReport(

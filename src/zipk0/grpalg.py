@@ -218,7 +218,8 @@ def _divide_by_one_minus_inverse_root(
     steps = 0
     while work:
         steps += 1
-        assert steps <= cap, "Demazure numerator was not divisible: internal error"
+        if steps > cap:
+            raise RuntimeError("Demazure numerator was not divisible: internal error")
         top = max(work, key=key)
         c = work.pop(top)
         quotient[top] = quotient.get(top, 0) + c

@@ -139,7 +139,8 @@ def _nonneg_combination(
     counts = [0] * len(weights)
     if s:
         dec = decompose(y)
-        assert dec is not None, f"dominant weight {target} not in the generator monoid"
+        if dec is None:
+            raise RuntimeError(f"dominant weight {target} not in the generator monoid")
         for k, gi in enumerate(pointed):
             counts[gi] = dec[k]
     remainder = tuple(
@@ -151,7 +152,8 @@ def _nonneg_combination(
         lin_weights = [weights[i] for i in lineal]
         m = IntegerMatrix.from_columns([list(w) for w in lin_weights], nrows=pres.rank)
         sol = solve_linear_diophantine(m, list(remainder))
-        assert sol is not None, f"remainder {remainder} outside the lineality lattice"
+        if sol is None:
+            raise RuntimeError(f"remainder {remainder} outside the lineality lattice")
         coeffs = list(sol[0])
         # Zero out negative coefficients using the opposite generator.
         neg_index = {}
@@ -203,18 +205,22 @@ def express_invariant(
     guard = 0
     while not work.is_zero():
         guard += 1
-        assert guard < 10000, "descent failed to terminate: internal error"
+        if guard >= 10000:
+            raise RuntimeError("descent failed to terminate: internal error")
         dominant_terms = [
             e for e in work.terms if weights_dominant(e, cosimples)
         ]
-        assert dominant_terms, "invariant element with no dominant term: internal error"
+        if not dominant_terms:
+            raise RuntimeError("invariant element with no dominant term: internal error")
         lead = max(dominant_terms, key=hkey)
         c = work.terms[lead]
         expt = _nonneg_combination(lead, pres)
         prod = expand_generator_polynomial({expt: 1}, pres)
-        assert prod.coefficient(lead) == 1, "leading coefficient not 1: internal error"
+        if prod.coefficient(lead) != 1:
+            raise RuntimeError("leading coefficient not 1: internal error")
         work = work - prod * c
-        assert work.coefficient(lead) == 0
+        if work.coefficient(lead) != 0:
+            raise RuntimeError("leading term survived the descent step: internal error")
         out[expt] = out.get(expt, 0) + c
     return {e: c for e, c in out.items() if c}
 
@@ -240,9 +246,11 @@ def restrict_to_levi(
     while remaining:
         seed = min(remaining)
         orb = set(weyl_orbit(levi.weyl_subgroup, seed))
-        assert orb <= remaining
+        if not orb <= remaining:
+            raise RuntimeError("Levi orbit leaves the Weyl orbit: internal error")
         dominants = [nu for nu in orb if weights_dominant(nu, cosimples)]
-        assert dominants, "Levi orbit without dominant representative"
+        if not dominants:
+            raise RuntimeError("Levi orbit without dominant representative")
         rep = min(dominants)
         pieces.append((rep, len(orb)))
         remaining -= orb
@@ -355,7 +363,8 @@ def _matrix_inverse_unimodular(w: Matrix) -> Matrix:
     for i in range(n):
         row = []
         for j in range(n):
-            assert inv[i][j].denominator == 1
+            if inv[i][j].denominator != 1:
+                raise RuntimeError("inverse of a unimodular matrix is not integral")
             row.append(int(inv[i][j]))
         out.append(tuple(row))
     return tuple(out)

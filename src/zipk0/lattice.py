@@ -250,7 +250,8 @@ def solve_linear_diophantine(
 def kernel_basis(m: IntegerMatrix) -> list[Vector]:
     """Z-basis of {x : m*x = 0}."""
     solved = solve_linear_diophantine(m, [0] * m.rows)
-    assert solved is not None
+    if solved is None:
+        raise RuntimeError("homogeneous system reported unsolvable: internal error")
     return solved[1]
 
 

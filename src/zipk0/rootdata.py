@@ -655,7 +655,8 @@ def dominant_hilbert_basis(rd: RootDatum, levi: Optional[LeviDatum] = None) -> l
         for t in sorted(hilbert):
             y = [sum(basis[i][k] * t[i] for i in range(r)) for k in range(s)]
             sol = solve_linear_diophantine(bmat, y)
-            assert sol is not None, "image point must lift to the weight lattice"
+            if sol is None:
+                raise RuntimeError("image point must lift to the weight lattice")
             out.append(_canonical_preimage(sol[0], lin))
     return sorted(set(out))
 

@@ -7,16 +7,21 @@ import pytest
 from zipk0.groebner import (
     PolyRingSpec,
     ResourceCapError,
+    _leading,
+    _monomial_divides,
+    _monomial_sub,
+    _sub_scaled_shifted,
     eliminate,
-    ideal_member,
     invariant_factors,
+    normal_form,
     normal_form_gb,
     poly_to_string,
     quotient_z_module,
     strong_groebner,
-    verify_strong_groebner,
 )
 from zipk0.lattice import IntegerMatrix, smith_normal_form, diagonal_of
+
+from oracles import ideal_member, verify_strong_groebner
 
 
 
@@ -210,6 +215,89 @@ def test_soundness_random_ideals(seed):
             lhs[m] = lhs.get(m, 0) + c
         lhs = {m: c for m, c in lhs.items() if c}
         assert normal_form_gb(lhs, gb) == normal_form_gb(h, gb)
+
+
+def reference_normal_form(f, basis, spec):
+    """The linear-scan strong reduction: rescan the remainder for its largest
+    term, and the whole basis for the smallest (lc, key(lm), position)."""
+    key = spec.monomial_key()
+    prepped = []
+    for g in basis:
+        if g:
+            lm, lc = _leading(g, key)
+            prepped.append((lm, lc, g))
+    work = dict(f)
+    out = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        reducers = [(lc, key(lm), i) for i, (lm, lc, g) in enumerate(prepped)
+                    if _monomial_divides(lm, m)]
+        if not reducers:
+            out[m] = c
+            continue
+        lc, _, gi = min(reducers)
+        lm, _, g = prepped[gi]
+        q, r = divmod(c, lc)
+        if q:
+            work[m] = c
+            _sub_scaled_shifted(work, g, q, _monomial_sub(m, lm))
+            got = work.pop(m, 0)
+            assert got == r
+        if r:
+            out[m] = r
+    return out
+
+
+REDUCTION_RINGS = {
+    "grevlex": PolyRingSpec(("x", "y", "z")),
+    "laurent": PolyRingSpec(("xbar", "x", "y"), inverse_pairs=((0, 1),)),
+    "block": PolyRingSpec(("t", "x", "y"), blocks=((0,), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(REDUCTION_RINGS))
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_form_matches_linear_scan(ring, seed):
+    # Random bases that are not Groebner bases: leading monomials and
+    # coefficients drawn from small pools, so several elements share them and
+    # the (lc, leading monomial, position) tie-break decides the reducer.
+    rng = random.Random(seed)
+    spec = REDUCTION_RINGS[ring]
+    key = spec.monomial_key()
+    n = spec.nvars
+
+    def rand_mono(deg):
+        return tuple(rng.randint(0, deg) for _ in range(n))
+
+    lm_pool = [rand_mono(2) for _ in range(4)]
+    for _ in range(25):
+        basis = []
+        for _ in range(rng.randint(1, 7)):
+            lm = rng.choice(lm_pool)
+            g = {lm: rng.choice((1, 2, 3, -2, 6))}
+            for _ in range(rng.randint(0, 3)):
+                m = rand_mono(2)
+                if key(m) < key(lm):
+                    g[m] = rng.randint(-5, 5) or 1
+            basis.append(g)
+        basis += spec.unit_relations()
+        rng.shuffle(basis)
+        if rng.random() < 0.3:
+            basis.insert(rng.randrange(len(basis) + 1), {})
+        f = {}
+        for _ in range(rng.randint(1, 8)):
+            f[rand_mono(4)] = rng.randint(-30, 30) or 7
+        assert normal_form(f, basis, spec) == reference_normal_form(f, basis, spec)
+
+
+def test_normal_form_gb_matches_linear_scan():
+    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
+    gb = strong_groebner([{(0, 1): 1, (1, 0): 1, (0, 5): -1, (5, 0): -1}], spec)
+    rng = random.Random(0)
+    for _ in range(20):
+        f = {(rng.randint(0, 9), rng.randint(0, 9)): rng.randint(-9, 9) or 1 for _ in range(6)}
+        assert normal_form_gb(f, gb) == reference_normal_form(f, gb.as_dicts(), spec)
 
 
 def test_determinism_repeat_runs():

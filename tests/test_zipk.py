@@ -31,6 +31,8 @@ from zipk0.zipk import (
     weyl_invariant_lattice,
 )
 
+from oracles import verify_strong_groebner
+
 
 def kunneth(datum):
     _, torus_report = compute_k0_torus(datum)
@@ -380,8 +382,6 @@ def test_datum_inherits_twist_from_root_datum():
 
 def test_pipeline_groebner_bases_are_strong():
     # Re-check the Buchberger criterion on actual pipeline outputs.
-    from zipk0.groebner import verify_strong_groebner
-
     for name, mu, p in [("SL2", (1,), 3), ("SL3", (1, 2), 2), ("Sp4", (1, 1), 2)]:
         datum = CocharacterDatum(preset(name), mu, p)
         gb, _ = compute_k0_torus(datum)
@@ -412,3 +412,27 @@ def test_rank_matches_semisimple_class_count(p):
         assert rep.finite, name
         assert rep.rank == w * p**s * (p - 1) ** z, (name, rep.rank)
         assert rep.torsion == (), name
+
+
+# The ten `quotient` ladder cases: (group, mu, p, |W|, s, z, |W_L|), with s
+# the semisimple rank, z = rank - s, and |W_L| the Weyl group of the Levi.
+QUOTIENT_LADDER = [
+    ("SL3", (1, 0), 3, 6, 2, 0, 1),
+    ("SL3", (1, 0), 5, 6, 2, 0, 1),
+    ("GL2", (1, 0), 7, 2, 1, 1, 1),
+    ("GL2", (1, 0), 11, 2, 1, 1, 1),
+    ("GL3", (2, 1, 0), 2, 6, 2, 1, 1),
+    ("GL3", (1, 0, 0), 5, 6, 2, 1, 2),
+    ("Sp4", (1, 1), 5, 8, 2, 0, 2),
+    ("Sp4", (2, 1), 3, 8, 2, 0, 1),
+    ("SL4", (1, 1, 0), 2, 24, 3, 0, 2),
+    ("SL2", (1,), 11, 2, 1, 0, 1),
+]
+
+
+@pytest.mark.parametrize("name,mu,p,w,s,z,wl", QUOTIENT_LADDER)
+def test_rank_matches_closed_form(name, mu, p, w, s, z, wl):
+    # rank R(L)/I R(L) = p^s (p-1)^z |W| / |W_L| for an untwisted datum.
+    kz = compute_k0(CocharacterDatum(preset(name), mu, p))
+    assert kz.module_report.finite
+    assert kz.module_report.rank == p**s * (p - 1) ** z * w // wl
