@@ -227,7 +227,7 @@ def _normalize_sign(f: Poly, key) -> Poly:
 
 def _reduce(f: Poly, table: Sequence[ReducerEntry], heap_key) -> Poly:
     """Strong reduction of f by a sorted reducer table (see normal_form)."""
-    work = dict(f)
+    work = {m: c for m, c in f.items() if c}
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
     out: Poly = {}
@@ -268,7 +268,8 @@ def _reduce(f: Poly, table: Sequence[ReducerEntry], heap_key) -> Poly:
 def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
     """Unique remainder of f under strong (Euclidean) reduction by the basis.
 
-    Terms are reduced largest monomial first.  Each term c*X^m is reduced
+    Zero coefficients of f are dropped, so the remainder holds none.  Terms
+    are reduced largest monomial first.  Each term c*X^m is reduced
     modulo the smallest leading coefficient among the basis elements whose
     leading monomial divides m; ties go to the smaller leading monomial, then
     to the earlier element.  The heap and the sorted reducer table pick the

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .grpalg import GroupAlgebraElement, frobenius, monomial, one, orbit_sum, weyl_act
-from .lattice import IntegerMatrix, solve_linear_diophantine
+from .lattice import IntegerMatrix, hermite_remainder, hermite_row_basis, solve_linear_diophantine
 from .rootdata import (
     LeviDatum,
     Matrix,
@@ -389,12 +389,14 @@ def steinberg_freeness_check(
     draws: int = 3,
     seed: int = 20250901,
 ) -> SteinbergReport:
-    """Independence via random unit specializations; spanning via window solves.
+    """Independence via random unit specializations; spanning via one Hermite basis.
 
     The |W| x |W| matrix (e^{v(lambda_w)}) is evaluated at random torus units
     over a large prime field: any nonzero determinant certifies linear
     independence over R(G).  Spanning evidence expresses every monomial e^mu
-    in a box as an R(G)-combination of the candidates.
+    in a box as an R(G)-combination of the candidates: e^mu passes when its
+    unit vector reduces to zero against one Hermite basis of the products
+    (orbit sum over a dominant window) * e^lambda.
     """
     weyl = weyl or weyl_enumerate(rd)
     cands = [tuple(int(x) for x in w) for w in candidate_weights]
@@ -423,7 +425,6 @@ def steinberg_freeness_check(
     if independent:
         from .grpalg import window_box
 
-        pres = invariant_ring(rd)
         maxc = max((max(abs(x) for x in lam) for lam in cands if any(lam)), default=0)
         box_r = spanning_radius + maxc + 2
         dominant_window = [
@@ -431,29 +432,28 @@ def steinberg_freeness_check(
             for nu in window_box(rd.rank, box_r)
             if weights_dominant(nu, rd.simple_coroots)
         ]
-        basis_elems = []
-        labels = []
-        for wi, lam in enumerate(cands):
-            for nu in dominant_window:
-                basis_elems.append(orbit_sum(weyl, nu) * monomial(rd.rank, lam))
-                labels.append((wi, nu))
-        for mu in window_box(rd.rank, spanning_radius):
-            target = monomial(rd.rank, mu)
-            support = sorted({e for el in basis_elems for e in el.terms} | set(target.terms))
-            idx = {e: i for i, e in enumerate(support)}
-            cols = []
-            for el in basis_elems:
-                col = [0] * len(support)
-                for e, c in el.terms.items():
-                    col[idx[e]] = c
-                cols.append(col)
-            mmat = IntegerMatrix.from_columns(cols, nrows=len(support))
-            b = [0] * len(support)
-            for e, c in target.terms.items():
-                b[idx[e]] = c
-            sol = solve_linear_diophantine(mmat, b)
-            spanning_tested.append(tuple(mu))
-            if sol is None:
+        basis_elems = [
+            orbit_sum(weyl, nu) * monomial(rd.rank, lam)
+            for lam in cands
+            for nu in dominant_window
+        ]
+        targets = window_box(rd.rank, spanning_radius)
+        # One index over every basis element and every target: rows that are
+        # zero in M and in b do not change whether M*x = b is solvable.
+        support = sorted({e for el in basis_elems for e in el.terms} | set(targets))
+        idx = {e: i for i, e in enumerate(support)}
+        cols = []
+        for el in basis_elems:
+            col = [0] * len(support)
+            for e, c in el.terms.items():
+                col[idx[e]] = c
+            cols.append(col)
+        span = hermite_row_basis(cols, len(support))
+        for mu in targets:
+            unit = [0] * len(support)
+            unit[idx[mu]] = 1
+            spanning_tested.append(mu)
+            if any(hermite_remainder(span, unit)):
                 spanning_ok = False
     return SteinbergReport(
         tuple(cands),

@@ -262,16 +262,18 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]], ncols: int) -> tuple[Vec
     """
     pivots: dict[int, list[int]] = {}  # leading column -> row with that pivot
 
-    def leading(w: list[int]) -> Optional[int]:
-        for k, x in enumerate(w):
-            if x != 0:
+    def leading(w: list[int], start: int) -> Optional[int]:
+        for k in range(start, len(w)):
+            if w[k] != 0:
                 return k
         return None
 
     for vec in vectors:
         w = list(vec)
+        j = 0
         while True:
-            j = leading(w)
+            # Reduction at column j leaves w zero up to j, so the scan resumes there.
+            j = leading(w, j)
             if j is None:
                 break
             if j not in pivots:
@@ -283,20 +285,33 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]], ncols: int) -> tuple[Vec
                     pivots[j], w = w, pivots[j]
                     piv = pivots[j]
                 q = w[j] // piv[j]
-                for k in range(j, ncols):
-                    w[k] -= q * piv[k]
-    basis = [pivots[j] for j in sorted(pivots)]
+                w[j:ncols] = [x - q * y for x, y in zip(w[j:ncols], piv[j:ncols])]
+    cols = sorted(pivots)
     # Normalize: positive pivots, entries above each pivot reduced into [0, pivot).
-    for idx, piv in enumerate(basis):
-        j = next(k for k, x in enumerate(piv) if x != 0)
-        if piv[j] < 0:
-            basis[idx] = [-x for x in piv]
+    basis = [pivots[j] if pivots[j][j] > 0 else [-x for x in pivots[j]] for j in cols]
     for idx in range(len(basis) - 1, -1, -1):
         piv = basis[idx]
-        j = next(k for k, x in enumerate(piv) if x != 0)
+        j = cols[idx]
         for above in basis[:idx]:
             q = above[j] // piv[j]
             if q:
-                for k in range(j, ncols):
-                    above[k] -= q * piv[k]
+                above[j:ncols] = [x - q * y for x, y in zip(above[j:ncols], piv[j:ncols])]
     return tuple(tuple(r) for r in basis)
+
+
+def hermite_remainder(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> Vector:
+    """Reduce `vector` by a hermite_row_basis, pivot by pivot.
+
+    Each row in turn is subtracted as often as floor division at its pivot
+    allows, so the remainder is zero exactly when `vector` lies in the span.
+    """
+    w = list(vector)
+    j = 0
+    for row in basis:
+        while not row[j]:  # pivots strictly increase down the rows
+            j += 1
+        q = w[j] // row[j]
+        if q:
+            w[j:] = [x - q * y for x, y in zip(w[j:], row[j:])]
+        j += 1
+    return tuple(w)

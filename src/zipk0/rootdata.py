@@ -400,11 +400,6 @@ def fundamental_group(rd: RootDatum) -> list[int]:
     return cokernel_invariants(m)
 
 
-def is_derived_simply_connected(rd: RootDatum) -> bool:
-    """True iff the fundamental group is torsion-free."""
-    return all(d in (0, 1) for d in fundamental_group(rd))
-
-
 def fundamental_weights(rd: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
     """Rational weights eta_i with <eta_i, alpha_j^vee> = delta_ij, in span(roots)."""
     simples = rd.simple_roots

@@ -230,6 +230,17 @@ def test_steinberg_check_via_cli(capsys):
     assert st["spanning_ok"] is True
 
 
+def test_steinberg_check_gl3_via_cli(capsys):
+    # GL3's window lattice is about 1000 x 1000; one Hermite basis decides all 27 targets.
+    code, out, _ = run(
+        capsys, "k0", "--group", "GL3", "--mu", "1,0,0", "--p", "5", "--checks", "steinberg"
+    )
+    assert code == 0
+    st = json.loads(out)["checks"]["steinberg"]
+    assert st["independent"] is True
+    assert st["spanning_ok"] is True
+
+
 def test_counterexample_check_inside_k0(capsys):
     code, out, _ = run(
         capsys,

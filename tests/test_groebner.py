@@ -60,7 +60,7 @@ def test_normal_form_membership_and_units():
     g = {(2,): 1, (0,): -5}
     gb = strong_groebner([g], spec)
     assert normal_form_gb(g, gb) == {}
-    assert ideal_member({(4,): 1, (2,): -5, (0,): 0}, gb) is False  # x^4 - 5x^2 = x^2 g: member
+    assert ideal_member({(4,): 1, (2,): -5, (0,): 0}, gb) is True  # x^4 - 5x^2 = x^2 g: member
     assert ideal_member({(4,): 1, (2,): -5}, gb)
     # 2 does not reduce 1 over Z.
     gb2 = strong_groebner([{(0,): 2}], spec)
@@ -226,7 +226,7 @@ def reference_normal_form(f, basis, spec):
         if g:
             lm, lc = _leading(g, key)
             prepped.append((lm, lc, g))
-    work = dict(f)
+    work = {m: c for m, c in f.items() if c}
     out = {}
     while work:
         m = max(work, key=key)
@@ -295,9 +295,13 @@ def test_normal_form_gb_matches_linear_scan():
     spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
     gb = strong_groebner([{(0, 1): 1, (1, 0): 1, (0, 5): -1, (5, 0): -1}], spec)
     rng = random.Random(0)
-    for _ in range(20):
-        f = {(rng.randint(0, 9), rng.randint(0, 9)): rng.randint(-9, 9) or 1 for _ in range(6)}
-        assert normal_form_gb(f, gb) == reference_normal_form(f, gb.as_dicts(), spec)
+    inputs = [{(rng.randint(0, 9), rng.randint(0, 9)): rng.randint(-9, 9) or 1 for _ in range(6)}
+              for _ in range(20)]
+    inputs.append({(0, 0): 0, (3, 1): 2})  # a zero coefficient on an irreducible term
+    for f in inputs:
+        nf = normal_form_gb(f, gb)
+        assert nf == reference_normal_form(f, gb.as_dicts(), spec)
+        assert 0 not in nf.values()
 
 
 def test_determinism_repeat_runs():

@@ -32,6 +32,8 @@ from zipk0.rootdata import (
     weyl_enumerate,
 )
 
+from oracles import steinberg_spanning_by_solves
+
 
 def x(k=1):
     return monomial(1, (k,))
@@ -249,3 +251,27 @@ def test_steinberg_check_sl3_recipe():
     report = steinberg_freeness_check(rd, cands, weyl, spanning_radius=1)
     assert report.independent
     assert report.spanning_ok
+
+
+@pytest.mark.parametrize("name", ["SL2", "GL2", "A1xA1", "SL3", "Sp4"])
+def test_steinberg_spanning_matches_per_target_solves(name):
+    rd = preset(name)
+    weyl = weyl_enumerate(rd)
+    cands = steinberg_candidate_weights(rd, weyl)
+    report = steinberg_freeness_check(rd, cands, weyl, spanning_radius=1)
+    assert report.independent
+    assert (report.spanning_ok, report.spanning_tested) == steinberg_spanning_by_solves(
+        rd, cands, weyl, 1
+    )
+
+
+def test_steinberg_check_independent_but_not_spanning():
+    # {1, e^2} is independent over R(SL2) but misses e^1: R(T) needs {1, e^1}.
+    rd = preset("SL2")
+    weyl = weyl_enumerate(rd)
+    report = steinberg_freeness_check(rd, [(0,), (2,)], weyl, spanning_radius=1)
+    assert report.independent
+    assert not report.spanning_ok
+    assert (report.spanning_ok, report.spanning_tested) == steinberg_spanning_by_solves(
+        rd, [(0,), (2,)], weyl, 1
+    )
