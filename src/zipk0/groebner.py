@@ -7,7 +7,10 @@ v*vbar - 1.  Reduction is Euclidean on coefficients (canonical residues in
 lcm) and G-polynomials (coefficient gcd), so every ideal element has a
 leading term divisible -- monomial and coefficient -- by a basis leading
 term.  This strong property is what makes normal forms unique and lets the
-quotient's Z-module structure be read off the staircase.
+quotient's Z-module structure be read from the staircase: its cells and one
+relation for each cell under a non-unit leading term (quotient_z_module).
+An S-pair is not reduced when the product criterion or the chain criterion
+proves it redundant; G-pairs are never pruned.
 
 Reduction takes the terms of the remainder from a heap, largest monomial
 first, and reduces each one by the first entry of a reducer table: the basis
@@ -30,6 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add, le, sub
 from typing import Callable, Iterable, Optional, Sequence
+
+from .lattice import cokernel_torsion
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
@@ -315,14 +320,18 @@ def _gpair(
 
 def _interreduce(basis: list[Poly], spec: PolyRingSpec) -> list[Poly]:
     key = spec.monomial_key()
+    heap_key = spec.heap_key()
     basis = [_normalize_sign(dict(g), key) for g in basis if g]
     changed = True
     while changed:
         changed = False
         # Minimality: drop g whose leading term is strongly reducible by another's.
-        basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1]))
         leads = [_leading(g, key) for g in basis]
+        order = sorted(range(len(basis)), key=lambda t: (key(leads[t][0]), leads[t][1]))
+        basis = [basis[t] for t in order]
+        leads = [leads[t] for t in order]
         kept: list[Poly] = []
+        kept_leads: list[tuple[Monomial, int]] = []
         for i, (g, (lmg, lcg)) in enumerate(zip(basis, leads)):
             redundant = False
             for j, (lmh, lch) in enumerate(leads):
@@ -334,21 +343,88 @@ def _interreduce(basis: list[Poly], spec: PolyRingSpec) -> list[Poly]:
                         break
             if not redundant:
                 kept.append(g)
+                kept_leads.append((lmg, lcg))
         if len(kept) != len(basis):
             changed = True
         basis = kept
-        # Full tail reduction of each element by the others.
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            red = normal_form(basis[i], others, spec)
-            red = _normalize_sign(red, key)
-            if red != basis[i]:
+        # Full tail reduction of each element by the others, in order, with
+        # one reducer table for the pass: element i leaves the table while it
+        # is reduced and returns in its reduced form.  Positions are the
+        # indices in `basis`, so the others keep the order they would have
+        # in a table built from basis[:i] + basis[i + 1:].
+        table = [(lc, key(lm), i, lm, g)
+                 for i, (g, (lm, lc)) in enumerate(zip(basis, kept_leads))]
+        table.sort()
+        for i, (g, (lm, lc)) in enumerate(zip(basis, kept_leads)):
+            del table[bisect.bisect_left(table, (lc, key(lm), i))]
+            red = _normalize_sign(_reduce(g, table, heap_key), key)
+            if red != g:
                 basis[i] = red
                 changed = True
+            if red:
+                lm, lc = _leading(red, key)
+                bisect.insort(table, (lc, key(lm), i, lm, red))
         basis = [g for g in basis if g]
     basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1],
                               poly_canonical(g, key)))
     return basis
+
+
+def _product_criterion(lt_f: tuple[Monomial, int], lt_g: tuple[Monomial, int]) -> bool:
+    """Buchberger's product criterion over Z: the S-polynomial of f and g
+    needs no reduction when their leading monomials are coprime and so are
+    their leading coefficients.
+
+    Then lcm(lc_f, lc_g) = lc_f*lc_g and the S-polynomial is
+    lt_g*f - lt_f*g = tail_f*g - tail_g*f.  The two products have different
+    leading monomials (lm_f | lm(tail_f)*lm_g would force lm_f | lm(tail_f)),
+    so this is a standard representation strictly below lm_f*lm_g: the
+    S-syzygy of the pair lifts.  Over a PID the S-syzygies generate the
+    syzygies of the leading terms, and a basis whose S-syzygies all lift is a
+    Groebner basis (the lifting theorem: Adams & Loustaunau, "An Introduction
+    to Groebner Bases", AMS 1994, Thm 4.2.3, and Section 4.5 for PIDs); the
+    G-polynomials, which are never pruned, then make it strong.  The criterion
+    for strong bases over principal ideal rings is in Eder & Hofmann,
+    "Efficient Groebner bases computation over principal ideal rings", JSC
+    2021.  Both conditions are needed: with a common factor of the
+    coefficients the S-polynomial of (2x + 1, 2y) is y, a new leading term.
+    """
+    (lmf, lcf), (lmg, lcg) = lt_f, lt_g
+    return math.gcd(lcf, lcg) == 1 and not any(map(min, lmf, lmg))
+
+
+def _chain_criterion(
+    lt_k: tuple[Monomial, int],
+    lt_i: tuple[Monomial, int],
+    lt_j: tuple[Monomial, int],
+    big: Monomial,
+) -> bool:
+    """Gebauer-Moeller chain criterion over Z: the S-pair (i, j), with
+    big = lcm(lm_i, lm_j), is redundant once element k is in the basis when
+    lm_k | big, lc_k | lcm(lc_i, lc_j), and neither lcm(lm_i, lm_k) nor
+    lcm(lm_j, lm_k) equals big.
+
+    With l = lcm(lc_i, lc_j), the first two conditions make lt_k divide
+    l*X^big, and the S-syzygy of (i, j) is then a sum of term multiples of
+    the S-syzygies of (i, k) and (k, j):
+    S_ij = (l/l_ik) X^(big - lcm(lm_i, lm_k)) S_ik
+         + (l/l_kj) X^(big - lcm(lm_k, lm_j)) S_kj.
+    So S_ij lifts whenever S_ik and S_kj do (the lifting theorem cited at
+    _product_criterion; Gebauer & Moeller, "On an installation of
+    Buchberger's algorithm", JSC 1988, for fields; Eder & Hofmann, JSC 2021,
+    for strong bases over principal ideal rings).  The strictness condition
+    makes both lcms proper divisors of big, hence smaller in the monomial
+    order, so induction on the lcm closes every chain: no pair is ever
+    dropped on the strength of a pair that was dropped on its strength.
+    """
+    lmk, lck = lt_k
+    (lmi, lci), (lmj, lcj) = lt_i, lt_j
+    return (
+        all(map(le, lmk, big))
+        and (lci * lcj // math.gcd(lci, lcj)) % lck == 0
+        and _monomial_lcm(lmi, lmk) != big
+        and _monomial_lcm(lmj, lmk) != big
+    )
 
 
 def strong_groebner(
@@ -360,8 +436,10 @@ def strong_groebner(
     """Buchberger completion with S- and G-polynomials over Z.
 
     Deterministic: fixed input normalization, normal (smallest-lcm-first)
-    selection, canonical interreduction at the end.  Raises ResourceCapError
-    when the configured degree or size caps are hit.
+    selection, canonical interreduction at the end.  S-pairs that the
+    product criterion or the chain criterion proves redundant are never
+    reduced; G-pairs are never pruned.  Raises ResourceCapError when the
+    configured degree or size caps are hit.
     """
     key = spec.monomial_key()
     heap_key = spec.heap_key()
@@ -386,26 +464,57 @@ def strong_groebner(
         if red:
             add(red)
 
-    queue: list[tuple] = []  # (lcm key, kind, i, j)
+    queue: list[tuple] = []  # (lcm key, kind, i, j, counter)
     counter = itertools.count()
+    # Queued S-pairs by their lcm; a pair the chain criterion drops leaves
+    # its set and is skipped when it is popped.
+    pending: dict[Monomial, set[tuple[int, int]]] = {}
 
     def push_pairs(j: int):
-        lmj = leads[j][0]
+        lt_j = leads[j]
+        lcj = lt_j[1]
         for i in range(j):
-            big = _monomial_lcm(leads[i][0], lmj)
-            heapq.heappush(queue, (key(big), 0, i, j, next(counter)))
-            heapq.heappush(queue, (key(big), 1, i, j, next(counter)))
+            lt_i = leads[i]
+            big = _monomial_lcm(lt_i[0], lt_j[0])
+            big_key = key(big)
+            if not _product_criterion(lt_i, lt_j):
+                pending.setdefault(big, set()).add((i, j))
+                heapq.heappush(queue, (big_key, 0, i, j, next(counter)))
+            lci = lt_i[1]
+            if lcj % lci and lci % lcj:  # otherwise _gpair has nothing to add
+                heapq.heappush(queue, (big_key, 1, i, j, next(counter)))
+
+    def drop_chained(k: int):
+        lt_k = leads[k]
+        lmk = lt_k[0]
+        emptied = []
+        for big, pairs in pending.items():
+            if all(map(le, lmk, big)):
+                pairs.difference_update([
+                    (i, j) for i, j in pairs
+                    if _chain_criterion(lt_k, leads[i], leads[j], big)
+                ])
+                if not pairs:
+                    emptied.append(big)
+        for big in emptied:
+            del pending[big]
 
     for j in range(len(basis)):
+        drop_chained(j)
         push_pairs(j)
 
     while queue:
         _, kind, i, j, _ = heapq.heappop(queue)
+        if kind == 0:
+            big = _monomial_lcm(leads[i][0], leads[j][0])
+            pairs = pending.get(big)
+            if pairs is None or (i, j) not in pairs:
+                continue  # dropped by the chain criterion
+            pairs.remove((i, j))
+            if not pairs:
+                del pending[big]
         pair = _spair if kind == 0 else _gpair
-        cand = pair(basis[i], leads[i], basis[j], leads[j])
-        if cand is None:
-            continue
-        red = _reduce(cand, table, heap_key)
+        red = _reduce(pair(basis[i], leads[i], basis[j], leads[j]), table, heap_key)
         if not red:
             continue
         lm = add(red)
@@ -415,6 +524,7 @@ def strong_groebner(
             )
         if len(basis) > max_basis:
             raise ResourceCapError(f"basis size exceeds cap {max_basis}")
+        drop_chained(len(basis) - 1)
         push_pairs(len(basis) - 1)
 
     reduced = _interreduce(basis, spec)
@@ -470,110 +580,87 @@ class QuotientReport:
     note: str = ""
 
 
-def invariant_factors(divisors: Iterable[int]) -> tuple[int, ...]:
-    """Invariant factor form of a direct sum of Z/d's (d > 1)."""
-    primes: dict[int, list[int]] = {}
-    for d in divisors:
-        dd = d
-        f = 2
-        while f * f <= dd:
-            e = 0
-            while dd % f == 0:
-                dd //= f
-                e += 1
-            if e:
-                primes.setdefault(f, []).append(e)
-            f += 1
-        if dd > 1:
-            primes.setdefault(dd, []).append(1)
-    if not primes:
-        return ()
-    depth = max(len(v) for v in primes.values())
-    factors = []
-    for pos in range(depth):
-        val = 1
-        for p, exps in primes.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if pos < len(exps_sorted):
-                val *= p ** exps_sorted[pos]
-        factors.append(val)
-    return tuple(sorted(factors))
+def quotient_z_module(gb: GroebnerBasis, bound: int = 12) -> QuotientReport:
+    """Rank and torsion of the quotient as a Z-module, exactly.
 
-
-def quotient_z_module(
-    gb: GroebnerBasis, spec: Optional[PolyRingSpec] = None, bound: int = 12
-) -> QuotientReport:
-    """Rank and torsion of the quotient as a Z-module.
+    The cells are the monomials that no unit-coefficient leading monomial
+    divides.  Reduction by the unit-leading elements U alone divides by
+    leading coefficient 1 and picks each reducer by the monomial only, so it
+    is Z-linear; it sends every polynomial to a combination of cells
+    congruent to it modulo (U), and the quotient is Z^cells modulo the image
+    of the ideal.  That image is spanned by one column per cell m that some
+    non-unit leading monomial divides: the U-reduction of X^(m - lm g)*g for
+    the element g that reduction would use at m (least leading coefficient
+    d_m).  Its leading term d_m*X^m survives, since m is a cell, and since
+    the basis is strong d_m divides the leading coefficient at m of every
+    image, so subtracting multiples of these echelon columns takes any image
+    to zero.  The columns are independent, so the rank is the number of
+    cells without a column: the standard monomials, which no leading
+    monomial divides.  The torsion is that of the cokernel of the cells x
+    columns matrix (lattice.cokernel_torsion), whose square block on the
+    pivot cells is triangular with determinant the product of the d_m.  A
+    carry such as 2x = 3y merges a cell into the free part, which reading
+    off Z/d_m per cell would miss.
 
     The quotient is module-finite iff every variable has a pure power among
-    the unit-coefficient leading monomials.  In the finite case the module is
-    the direct sum over staircase-complement monomials m of Z/d_m, where d_m
-    is the least leading coefficient among basis elements whose leading
-    monomial divides m (d_m = 0 when there is none: a free summand).
+    the unit leading monomials; then the cells are finite.  Otherwise the
+    cells and columns are those of total degree <= bound.  For a graded order
+    every column then lies on those cells, and the report is exactly the
+    rank and torsion of the submodule spanned by the monomials of degree
+    <= bound, as its note says; other orders raise ValueError.
     """
-    spec = spec or gb.spec
+    spec = gb.spec
+    heap_key = spec.heap_key()
     n = spec.nvars
-    lts = gb.leading_terms()
-    unit_lms = [m for m, c in lts if abs(c) == 1]
-    nonunit = [(m, abs(c)) for m, c in lts if abs(c) != 1]
+    unit = [e for e in gb._reducers if abs(e[0]) == 1]
+    nonunit = [e for e in gb._reducers if abs(e[0]) != 1]
+    unit_lms = [e[3] for e in unit]
+    if (0,) * n in unit_lms:
+        return QuotientReport(True, 0, (), (), 0, "unit ideal")
+    finite = all(
+        any(m[i] and sum(m) == m[i] for m in unit_lms) for i in range(n)
+    )
+    if not finite and spec.blocks is not None:
+        raise ValueError("a truncated module report needs a graded monomial order")
 
-    pure_bounds: list[Optional[int]] = [None] * n
-    for m in unit_lms:
-        supp = [i for i, e in enumerate(m) if e]
-        if len(supp) == 1:
-            i = supp[0]
-            if pure_bounds[i] is None or m[i] < pure_bounds[i]:
-                pure_bounds[i] = m[i]
-        elif len(supp) == 0:
-            # 1 is in the ideal: zero ring.
-            return QuotientReport(True, 0, (), (), 0, "unit ideal")
-    finite = all(b is not None for b in pure_bounds)
+    # The cells are closed under division, so each one is a cell of the
+    # previous degree times a variable.
+    cells: list[Monomial] = []
+    level = [(0,) * n]
+    while level and (finite or sum(level[0]) <= bound):
+        cells.extend(level)
+        step = {
+            tuple(e + (i == v) for i, e in enumerate(m))
+            for m in level for v in range(n)
+        }
+        level = sorted(m for m in step if not any(all(map(le, u, m)) for u in unit_lms))
+    index = {m: r for r, m in enumerate(cells)}
 
-    def not_divisible(m: Monomial) -> bool:
-        return not any(_monomial_divides(u, m) for u in unit_lms)
-
+    standard = []
+    columns = []
+    pivots = []
+    for m in cells:
+        under = [(lc, lm, g) for lc, _, _, lm, g in nonunit if all(map(le, lm, m))]
+        if not under:
+            standard.append(m)
+            continue
+        lc, lm, g = under[0]  # least leading coefficient: the reducer at m
+        if any(other % lc for other, _, _ in under):
+            raise RuntimeError("strong basis violated: minimal lc does not divide the rest")
+        shift = _monomial_sub(m, lm)
+        shifted = {tuple(map(add, gm, shift)): gc for gm, gc in g.items()}
+        col = [0] * len(cells)
+        for t, c in _reduce(shifted, unit, heap_key).items():
+            col[index[t]] = c
+        columns.append(col)
+        pivots.append(lc)
+    torsion = cokernel_torsion(columns, pivots)
     if finite:
-        ranges = [range(b) for b in pure_bounds]  # type: ignore[arg-type]
-        cells = [m for m in itertools.product(*ranges) if not_divisible(m)]
-        used_bound = max((sum(m) for m in cells), default=0)
+        used_bound = max(sum(m) for m in cells)
         note = ""
     else:
-        cells = []
-        # Enumerate the staircase complement by total degree, up to the bound.
-        for total in range(bound + 1):
-            for m in _monomials_of_degree(n, total):
-                if not_divisible(m):
-                    cells.append(m)
         used_bound = bound
-        note = f"not module-finite up to degree {bound}; truncated data"
-
-    free = []
-    torsion_divs = []
-    for m in cells:
-        ds = [c for lm, c in nonunit if _monomial_divides(lm, m)]
-        if not ds:
-            free.append(m)
-        else:
-            d = min(ds)
-            g = math.gcd(*ds)
-            if d != g:
-                raise RuntimeError("strong basis violated: minimal lc does not divide the rest")
-            if d > 1:
-                torsion_divs.append(d)
-    return QuotientReport(
-        finite,
-        len(free),
-        invariant_factors(torsion_divs),
-        tuple(sorted(free)),
-        used_bound,
-        note,
-    )
-
-
-def _monomials_of_degree(n: int, total: int) -> Iterable[Monomial]:
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _monomials_of_degree(n - 1, total - first):
-            yield (first,) + rest
+        note = (f"not module-finite; truncated to the submodule spanned by the "
+                f"monomials of degree <= {bound}")
+    return QuotientReport(finite, len(standard), torsion, tuple(sorted(standard)),
+                          used_bound, note)

@@ -8,6 +8,7 @@ value (ties broken by position), so the transforms U, V are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -214,6 +215,71 @@ def cokernel_invariants(m: IntegerMatrix) -> list[int]:
     divisors = [d for d in diagonal_of(s) if d != 0]
     free = m.rows - len(divisors)
     return divisors + [0] * free
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def cokernel_torsion(columns: Sequence[Sequence[int]], factors: Sequence[int]) -> tuple[int, ...]:
+    """Invariant factors > 1 of Z^n / (span of the columns), ascending, for
+    linearly independent columns, given nonzero `factors` whose product is
+    a multiple of every invariant factor (a nonzero maximal minor is one).
+
+    Each prime l of the factors is taken on its own, with a Smith form over
+    Z/l^K for the least l^K that does not divide their product.  There every
+    nonzero entry is a unit times a power of l, so the entry of least
+    valuation divides its row and its column, one elimination per pivot
+    suffices, and the entries stay below l^K however large the input is.
+    The l-parts are then put together into the divisibility chain.
+    """
+    multiple = math.prod(factors)
+    primes = sorted({ell for f in factors for ell in _prime_factors(abs(f))})
+    parts: list[list[int]] = []
+    for ell in primes:
+        mod = ell
+        while multiple % mod == 0:
+            mod *= ell
+        rows = [[x % mod for x in c] for c in columns]
+        valuations = []
+        while rows:
+            best = None
+            for i, row in enumerate(rows):
+                for j, x in enumerate(row):
+                    if x:
+                        v = 0
+                        while x % ell == 0:
+                            x //= ell
+                            v += 1
+                        if best is None or v < best[0]:
+                            best = (v, i, j, x)
+                if best is not None and best[0] == 0:
+                    break
+            if best is None:
+                raise ValueError("columns are dependent, or the factors miss an invariant factor")
+            v, i, j, unit = best
+            valuations.append(v)
+            pivot_row = rows.pop(i)
+            step = ell ** v
+            inverse = pow(unit, -1, mod)
+            for row in rows:
+                if row[j]:
+                    f = row[j] // step * inverse % mod
+                    row[:] = [(x - f * y) % mod for x, y in zip(row, pivot_row)]
+        parts.append(sorted((ell ** v for v in valuations if v), reverse=True))
+    depth = max((len(part) for part in parts), default=0)
+    chain = [math.prod(part[k] for part in parts if k < len(part)) for k in range(depth)]
+    return tuple(sorted(chain))
 
 
 def solve_linear_diophantine(

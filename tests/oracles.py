@@ -1,9 +1,23 @@
-"""Test oracles: independent re-checks of the Groebner engine and of the
-Steinberg spanning evidence that the library itself does not need."""
+"""Test oracles: independent re-checks of the Groebner engine, of the
+quotient module's invariants and of the Steinberg spanning evidence that the
+library itself does not need."""
 
 from __future__ import annotations
 
-from zipk0.groebner import GroebnerBasis, Poly, _gpair, _spair, normal_form, normal_form_gb
+from zipk0.groebner import (
+    GroebnerBasis,
+    Poly,
+    PolyRingSpec,
+    _gpair,
+    _leading,
+    _monomial_divides,
+    _normalize_sign,
+    _spair,
+    normal_form,
+    normal_form_gb,
+    poly_canonical,
+    strong_groebner,
+)
 from zipk0.grpalg import monomial, orbit_sum, window_box
 from zipk0.lattice import IntegerMatrix, solve_linear_diophantine
 from zipk0.rootdata import weights_dominant
@@ -26,6 +40,103 @@ def verify_strong_groebner(gb: GroebnerBasis) -> bool:
 
 def ideal_member(f: Poly, gb: GroebnerBasis) -> bool:
     return not normal_form_gb(f, gb)
+
+
+def interreduce_per_element(basis: list[Poly], spec: PolyRingSpec) -> list[Poly]:
+    """The interreduction with a fresh reducer table per element: drop the
+    elements whose leading term another's strongly divides, then reduce each
+    element by all the others through normal_form, until nothing changes."""
+    key = spec.monomial_key()
+    basis = [_normalize_sign(dict(g), key) for g in basis if g]
+    changed = True
+    while changed:
+        changed = False
+        basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1]))
+        leads = [_leading(g, key) for g in basis]
+        kept: list[Poly] = []
+        for i, (g, (lmg, lcg)) in enumerate(zip(basis, leads)):
+            redundant = False
+            for j, (lmh, lch) in enumerate(leads):
+                if i == j:
+                    continue
+                if _monomial_divides(lmh, lmg) and lcg % lch == 0:
+                    if (key(lmh), lch) < (key(lmg), lcg) or j < i:
+                        redundant = True
+                        break
+            if not redundant:
+                kept.append(g)
+        if len(kept) != len(basis):
+            changed = True
+        basis = kept
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1:]
+            red = _normalize_sign(normal_form(basis[i], others, spec), key)
+            if red != basis[i]:
+                basis[i] = red
+                changed = True
+        basis = [g for g in basis if g]
+    basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1],
+                              poly_canonical(g, key)))
+    return basis
+
+
+def invariant_factors(divisors) -> tuple[int, ...]:
+    """Invariant factor form of a direct sum of Z/d's (d > 1)."""
+    primes: dict[int, list[int]] = {}
+    for d in divisors:
+        dd = d
+        f = 2
+        while f * f <= dd:
+            e = 0
+            while dd % f == 0:
+                dd //= f
+                e += 1
+            if e:
+                primes.setdefault(f, []).append(e)
+            f += 1
+        if dd > 1:
+            primes.setdefault(dd, []).append(1)
+    if not primes:
+        return ()
+    depth = max(len(v) for v in primes.values())
+    factors = []
+    for pos in range(depth):
+        val = 1
+        for p, exps in primes.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if pos < len(exps_sorted):
+                val *= p ** exps_sorted[pos]
+        factors.append(val)
+    return tuple(sorted(factors))
+
+
+def mod_l_dimension(gb: GroebnerBasis, ell: int, limit: int) -> int:
+    """dim over F_l of Z[x]/(I, l), from a strong basis of I + (l) over Z;
+    limit + 1 when it exceeds `limit`.
+
+    Modulo l the quotient is a vector space on the monomials outside the
+    ideal of unit-coefficient leading monomials.  That set is closed under
+    division, so the count stops at the first degree without such a monomial.
+    """
+    n = gb.spec.nvars
+    gens = gb.as_dicts() + [{(0,) * n: ell}]
+    unit_lms = [m for m, c in strong_groebner(gens, gb.spec).leading_terms() if abs(c) == 1]
+    count = 0
+    level = [(0,) * n]
+    while level and count <= limit:
+        count += len(level)
+        level = sorted({
+            m for m in (tuple(e + (i == v) for i, e in enumerate(c)) for c in level for v in range(n))
+            if not any(_monomial_divides(u, m) for u in unit_lms)
+        })
+    return min(count, limit + 1)
+
+
+def mod_l_count_agrees(gb: GroebnerBasis, rank: int, torsion, ell: int) -> bool:
+    """dim_{F_l}(M / l M) = rank + #{invariant factors divisible by l}, for
+    M = Z[x]/I: each free summand and each l-primary part contributes one."""
+    want = rank + sum(1 for d in torsion if d % ell == 0)
+    return mod_l_dimension(gb, ell, want) == want
 
 
 def steinberg_spanning_by_solves(rd, cands, weyl, spanning_radius):

@@ -82,6 +82,25 @@ def test_one_groebner_run_per_answer(capsys, monkeypatch, checks, calls):
     assert len(seen) == calls
 
 
+def test_pair_pruning_bounds_reductions(capsys, monkeypatch):
+    # GL3 at mu = (2,1,0), p = 2 takes 1032 strong reductions with every
+    # pair reduced and 329 with the product and chain criteria; the bound
+    # fails if the pruning is lost.
+    import zipk0.groebner
+
+    calls = []
+    real = zipk0.groebner._reduce
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zipk0.groebner, "_reduce", counting)
+    code, _, _ = run(capsys, "k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2")
+    assert code == 0
+    assert len(calls) <= 400
+
+
 def test_k0_sl2_report_values(capsys):
     code, out, _ = run(capsys, "k0", "--group", "SL2", "--mu", "1", "--p", "3")
     assert code == 0

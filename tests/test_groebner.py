@@ -7,12 +7,13 @@ import pytest
 from zipk0.groebner import (
     PolyRingSpec,
     ResourceCapError,
+    _chain_criterion,
+    _interreduce,
     _leading,
     _monomial_divides,
     _monomial_sub,
     _sub_scaled_shifted,
     eliminate,
-    invariant_factors,
     normal_form,
     normal_form_gb,
     poly_to_string,
@@ -21,7 +22,13 @@ from zipk0.groebner import (
 )
 from zipk0.lattice import IntegerMatrix, smith_normal_form, diagonal_of
 
-from oracles import ideal_member, verify_strong_groebner
+from oracles import (
+    ideal_member,
+    interreduce_per_element,
+    invariant_factors,
+    mod_l_count_agrees,
+    verify_strong_groebner,
+)
 
 
 
@@ -160,6 +167,56 @@ def test_quotient_mixed_free_and_torsion():
     assert rep.torsion == (2,)
 
 
+def test_quotient_mixed_case_passes_mod_l_count():
+    # Z + Z/2: dim over F_2 is 2, over F_3 is 1; a report of Z alone or of
+    # Z + Z/4 + Z/2 would fail the count at l = 2.
+    spec = PolyRingSpec(("x",))
+    gb = strong_groebner([{(2,): 1, (0,): -1}, {(1,): 2, (0,): -2}], spec)
+    rep = quotient_z_module(gb)
+    for ell in (2, 3):
+        assert mod_l_count_agrees(gb, rep.rank, rep.torsion, ell)
+    assert not mod_l_count_agrees(gb, 1, (), 2)
+    assert not mod_l_count_agrees(gb, 1, (2, 4), 2)
+
+
+def test_quotient_torsion_carry_merges_into_free_part():
+    # (2x - 3y, x^2, xy, y^2) in Z[x, y]: the cells are 1, x, y and the one
+    # relation 2x = 3y has coprime coefficients, so the module is Z^2.  The
+    # cell x carries the leading coefficient 2, which reading Z/2 per cell
+    # would report as torsion.
+    spec = PolyRingSpec(("x", "y"))
+    gb = strong_groebner([{(1, 0): 2, (0, 1): -3}, {(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}], spec)
+    assert ((1, 0), 2) in gb.leading_terms()
+    rep = quotient_z_module(gb)
+    assert (rep.finite, rep.rank, rep.torsion) == (True, 2, ())
+    assert mod_l_count_agrees(gb, rep.rank, rep.torsion, 2)
+    assert not mod_l_count_agrees(gb, 2, (2,), 2)
+
+
+def test_product_criterion_needs_coprime_coefficients():
+    # x and y are coprime but 2 and 2 are not: the S-polynomial
+    # y*(2x + 1) - x*(2y) = y is a new leading term, not a redundant pair.
+    spec = PolyRingSpec(("x", "y"))
+    gb = strong_groebner([{(1, 0): 2, (0, 0): 1}, {(0, 1): 2}], spec)
+    assert ((0, 1), 1) in gb.leading_terms()
+    assert verify_strong_groebner(gb)
+
+
+def test_chain_criterion_conditions():
+    # S-pair (i, j) of x*y and y*z, big = x*y*z; k is tried against it.
+    lt_i, lt_j, big = ((1, 1, 0), 1), ((0, 1, 1), 1), (1, 1, 1)
+    assert _chain_criterion(((0, 1, 0), 1), lt_i, lt_j, big)
+    # lm_k must divide big.
+    assert not _chain_criterion(((0, 2, 0), 1), lt_i, lt_j, big)
+    # lc_k must divide lcm(lc_i, lc_j).
+    assert not _chain_criterion(((0, 1, 0), 2), lt_i, lt_j, big)
+    assert _chain_criterion(((0, 1, 0), 2), ((1, 1, 0), 2), ((0, 1, 1), 3), big)
+    # Strictness: lcm(lm_i, lm_k) = big or lcm(lm_j, lm_k) = big keeps the pair.
+    assert not _chain_criterion(((0, 0, 1), 1), lt_i, lt_j, big)
+    assert not _chain_criterion(((1, 0, 0), 1), lt_i, lt_j, big)
+    assert not _chain_criterion(((1, 1, 1), 1), lt_i, lt_j, big)
+
+
 def test_invariant_factors_merge():
     assert invariant_factors([2, 3]) == (6,)
     assert invariant_factors([2, 2]) == (2, 2)
@@ -215,6 +272,31 @@ def test_soundness_random_ideals(seed):
             lhs[m] = lhs.get(m, 0) + c
         lhs = {m: c for m, c in lhs.items() if c}
         assert normal_form_gb(lhs, gb) == normal_form_gb(h, gb)
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_pruned_completion_is_strong_on_random_rings(chunk):
+    # Ideals in Z[x, y] and Z[x, y, z] whose coefficients share factors, so
+    # that the coefficient conditions of the product and chain criteria
+    # decide: pruning a pair that either criterion does not cover leaves a
+    # basis with an S- or G-polynomial that does not reduce to zero.  The
+    # rare ideal whose basis grows past 40 elements is skipped.
+    rings = (PolyRingSpec(("x", "y")), PolyRingSpec(("x", "y", "z")))
+    for seed in range(30 * chunk, 30 * chunk + 30):
+        rng = random.Random(seed)
+        spec = rng.choice(rings)
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            g = {}
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 2) for _ in range(spec.nvars))
+                g[m] = g.get(m, 0) + rng.choice((2, 3, 4, 6, -2, -3, 1, 5))
+            gens.append({m: c for m, c in g.items() if c})
+        try:
+            gb = strong_groebner(gens, spec, max_basis=40)
+        except ResourceCapError:
+            continue
+        assert verify_strong_groebner(gb), gens
 
 
 def reference_normal_form(f, basis, spec):
@@ -289,6 +371,37 @@ def test_normal_form_matches_linear_scan(ring, seed):
         for _ in range(rng.randint(1, 8)):
             f[rand_mono(4)] = rng.randint(-30, 30) or 7
         assert normal_form(f, basis, spec) == reference_normal_form(f, basis, spec)
+
+
+@pytest.mark.parametrize("ring", sorted(REDUCTION_RINGS))
+@pytest.mark.parametrize("seed", range(4))
+def test_interreduce_matches_per_element_tables(ring, seed):
+    # One reducer table per pass, updated as elements change, against a
+    # fresh table per element: the same bases, term for term.  The inputs
+    # are random sets with shared leading monomials and coefficients, and
+    # the same sets with some of their interreduced elements mixed back in.
+    rng = random.Random(seed)
+    spec = REDUCTION_RINGS[ring]
+    key = spec.monomial_key()
+    n = spec.nvars
+
+    def rand_poly(lm_pool):
+        lm = rng.choice(lm_pool)
+        g = {lm: rng.choice((1, 2, 3, -2, 6))}
+        for _ in range(rng.randint(0, 3)):
+            m = tuple(rng.randint(0, 2) for _ in range(n))
+            if key(m) < key(lm):
+                g[m] = rng.randint(-5, 5) or 1
+        return g
+
+    lm_pool = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(4)]
+    for _ in range(10):
+        basis = [rand_poly(lm_pool) for _ in range(rng.randint(1, 6))] + spec.unit_relations()
+        rng.shuffle(basis)
+        assert _interreduce(basis, spec) == interreduce_per_element(basis, spec)
+        grown = basis + [p for p in _interreduce(basis, spec) if rng.random() < 0.5]
+        rng.shuffle(grown)
+        assert _interreduce(grown, spec) == interreduce_per_element(grown, spec)
 
 
 def test_normal_form_gb_matches_linear_scan():

@@ -7,6 +7,7 @@ import pytest
 from zipk0.lattice import (
     IntegerMatrix,
     cokernel_invariants,
+    cokernel_torsion,
     diagonal_of,
     hermite_row_basis,
     kernel_basis,
@@ -83,6 +84,47 @@ def test_cokernel_independent_of_generating_set():
             extra.append([sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)])
         again = cokernel_invariants(IntegerMatrix.from_columns(extra, nrows=n))
         assert base == again
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cokernel_torsion_matches_smith_form(seed):
+    # Independent columns: random ones, with the nonzero Smith invariants
+    # (and extra primes) as factors, and echelon ones with small pivots and
+    # large entries below them, as the quotient module builds, with the
+    # pivots as factors.
+    rng = random.Random(seed)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        if rng.random() < 0.5:
+            cols = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+            invariants = cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
+            factors = [d for d in invariants if d]
+            if len(factors) < k:
+                continue
+            factors.append(rng.choice((1, 6, 25, 49 * 11)))
+        else:
+            rows = sorted(rng.sample(range(n), k))
+            factors = [rng.choice((2, 3, 4, 6, 9, 10)) for _ in rows]
+            cols = []
+            for r, d in zip(rows, factors):
+                col = [0] * n
+                col[r] = d
+                for below in range(r + 1, n):
+                    col[below] = rng.randint(-9, 9) * rng.choice((1, 10 ** 15))
+                cols.append(col)
+            invariants = cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
+        want = tuple(sorted(d for d in invariants if d > 1))
+        assert cokernel_torsion(cols, factors) == want
+
+
+def test_cokernel_torsion_examples():
+    assert cokernel_torsion([], []) == ()
+    assert cokernel_torsion([[2, -3, 0]], [2]) == ()               # 2x = 3y: Z^2
+    assert cokernel_torsion([[4, 0], [0, 6]], [4, 6]) == (2, 12)
+    assert cokernel_torsion([[3, 0, 0], [1, 3, 0]], [3, 3]) == (9,)
+    with pytest.raises(ValueError):
+        cokernel_torsion([[1, 2], [2, 4]], [5])                    # dependent
 
 
 def test_diophantine_examples():

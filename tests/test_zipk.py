@@ -31,7 +31,7 @@ from zipk0.zipk import (
     weyl_invariant_lattice,
 )
 
-from oracles import verify_strong_groebner
+from oracles import mod_l_count_agrees, verify_strong_groebner
 
 
 def kunneth(datum):
@@ -436,3 +436,24 @@ def test_rank_matches_closed_form(name, mu, p, w, s, z, wl):
     kz = compute_k0(CocharacterDatum(preset(name), mu, p))
     assert kz.module_report.finite
     assert kz.module_report.rank == p**s * (p - 1) ** z * w // wl
+
+
+@pytest.mark.parametrize("name,mu,p,w,s,z,wl", QUOTIENT_LADDER)
+def test_quotient_ladder_bases_are_strong(name, mu, p, w, s, z, wl):
+    # Every S- and G-polynomial of the pruned completion's basis reduces to
+    # zero: a criterion that drops a needed pair fails here.
+    kz = compute_k0(CocharacterDatum(preset(name), mu, p))
+    assert verify_strong_groebner(kz.groebner)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sp4_central_mu_is_free(p):
+    # K0 for Sp4 at mu = 0 is free of rank p^2, although its staircase has
+    # cells whose least leading coefficient is p or a multiple of it.
+    kz = compute_k0(CocharacterDatum(preset("Sp4"), (0, 0), p))
+    report = kz.module_report
+    assert (report.finite, report.rank, report.torsion) == (True, p * p, ())
+    for ell in sorted({2, 3, p}):
+        assert mod_l_count_agrees(kz.groebner, report.rank, report.torsion, ell)
+    # The torsion the cell-by-cell reading used to report is refuted.
+    assert not mod_l_count_agrees(kz.groebner, report.rank, (p, p), p)
