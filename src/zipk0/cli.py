@@ -28,7 +28,6 @@ from .rootdata import (
     make_root_datum,
     preset,
     validate,
-    weyl_enumerate,
 )
 from .zipk import (
     CocharacterDatum,
@@ -329,9 +328,8 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) ->
         elif check == "hecke":
             out["hecke"] = _hecke_dict(hecke_check(datum, window))
         elif check == "steinberg":
-            weyl = weyl_enumerate(datum.rd)
-            cands = steinberg_candidate_weights(datum.rd, weyl)
-            r = steinberg_freeness_check(datum.rd, cands, weyl, spanning_radius=1)
+            cands = steinberg_candidate_weights(datum.rd, datum.weyl)
+            r = steinberg_freeness_check(datum.rd, cands, datum.weyl, spanning_radius=1)
             out["steinberg"] = {
                 "candidates": [_vec(c) for c in r.candidates],
                 "independent": r.independent,

@@ -200,7 +200,6 @@ def _reducer_table(basis: Iterable[Poly], key) -> list[ReducerEntry]:
 class GroebnerBasis:
     spec: PolyRingSpec
     polys: tuple[tuple[tuple[Monomial, int], ...], ...]  # canonical term lists
-    reduced: bool = True
 
     def as_dicts(self) -> list[Poly]:
         return [dict(terms) for terms in self.polys]
@@ -528,7 +527,7 @@ def strong_groebner(
         push_pairs(len(basis) - 1)
 
     reduced = _interreduce(basis, spec)
-    return GroebnerBasis(spec, tuple(poly_canonical(g, key) for g in reduced), True)
+    return GroebnerBasis(spec, tuple(poly_canonical(g, key) for g in reduced))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +560,7 @@ def eliminate(gb: GroebnerBasis, block: Sequence[int]) -> GroebnerBasis:
             out.append({tuple(m[i] for i in keep): c for m, c in terms})
     key = new_spec.monomial_key()
     out.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
-    return GroebnerBasis(new_spec, tuple(poly_canonical(g, key) for g in out), True)
+    return GroebnerBasis(new_spec, tuple(poly_canonical(g, key) for g in out))
 
 
 # ---------------------------------------------------------------------------

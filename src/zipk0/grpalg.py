@@ -111,16 +111,6 @@ class GroupAlgebraElement:
         """Specialize every torus variable to 1 (the virtual rank)."""
         return sum(self.terms.values())
 
-    def evaluate_units(self, units: Sequence[int], modulus: int) -> int:
-        """Evaluate at x_i = units[i] modulo `modulus` (units invertible there)."""
-        total = 0
-        for e, c in self.terms.items():
-            v = c % modulus
-            for x, k in zip(units, e):
-                v = (v * pow(x, k, modulus)) % modulus
-            total = (total + v) % modulus
-        return total
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

@@ -3,9 +3,8 @@
 Generators are orbit sums of the dominant Hilbert basis; expressing an
 invariant in them walks down the dominance order (the leading dominant term
 of a product of orbit sums is the sum of the highest weights, with
-coefficient one).  Also here: restriction of orbit sums to a Levi, the
-Frobenius-difference ideal generators, and the empirical Steinberg-basis
-freeness certificate.
+coefficient one).  Also here: restriction of orbit sums to a Levi and the
+empirical Steinberg-basis freeness certificate.
 """
 
 from __future__ import annotations
@@ -14,24 +13,23 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .grpalg import GroupAlgebraElement, frobenius, monomial, one, orbit_sum, weyl_act
+from .grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
 from .lattice import IntegerMatrix, hermite_remainder, hermite_row_basis, solve_linear_diophantine
-from .rootdata import (
+from .rootdata import (  # noqa: F401  (re-exports the simply-connectedness gate)
     LeviDatum,
-    Matrix,
     RootDatum,
+    SimplyConnectedHypothesisError,
     Vector,
     WeylGroup,
     dominant_hilbert_basis,
-    fundamental_group,
+    fundamental_weight_lift,
     mat_vec,
     pairing,
     positive_root_indices,
+    require_simply_connected,
     weights_dominant,
     weyl_enumerate,
     weyl_orbit,
-    _canonical_preimage,
-    kernel_basis,
 )
 
 GeneratorExponent = tuple[int, ...]
@@ -40,27 +38,6 @@ GeneratorPolynomial = dict[GeneratorExponent, int]
 
 class NotInvariantError(ValueError):
     pass
-
-
-class SimplyConnectedHypothesisError(ValueError):
-    """The construction requires a simply connected derived group."""
-
-    def __init__(self, invariants):
-        torsion = [d for d in invariants if d > 1]
-        super().__init__(
-            "derived group is not simply connected: fundamental group has torsion "
-            + " x ".join(f"Z/{d}" for d in torsion)
-        )
-        self.torsion = torsion
-
-
-def require_simply_connected(rd: RootDatum) -> list[int]:
-    """The simply-connectedness gate: the invariants of the fundamental group,
-    or SimplyConnectedHypothesisError when it has torsion."""
-    inv = fundamental_group(rd)
-    if any(d > 1 for d in inv):
-        raise SimplyConnectedHypothesisError(inv)
-    return inv
 
 
 @dataclass(frozen=True)
@@ -107,42 +84,21 @@ def _nonneg_combination(
 ) -> GeneratorExponent:
     """Write a dominant weight as an N-combination of the generator weights.
 
-    Images under the dominance pairings are decomposed by backtracking over
-    the pointed generators; what remains lies in the lineality lattice and is
-    expressed through the +/- generator pairs.
+    Each pointed generator is a fundamental weight, whose image under the
+    dominance pairings is a unit vector e_j, so it is taken
+    <target, alpha_j^vee> times; what remains lies in the lineality lattice
+    and is expressed through the +/- generator pairs.
     """
     cosimples = pres.dominance_coroots
     weights = pres.generator_weights
-    s = len(cosimples)
     imgs = [tuple(pairing(w, cv) for cv in cosimples) for w in weights]
-    pointed = [i for i, im in enumerate(imgs) if any(im)]
     lineal = [i for i, im in enumerate(imgs) if not any(im)]
-    y = tuple(pairing(target, cv) for cv in cosimples)
-    memo: dict[Vector, Optional[tuple[int, ...]]] = {}
-
-    def decompose(v: Vector) -> Optional[tuple[int, ...]]:
-        if not any(v):
-            return (0,) * len(pointed)
-        if v in memo:
-            return memo[v]
-        memo[v] = None
-        for k, gi in enumerate(pointed):
-            im = imgs[gi]
-            if all(a >= b for a, b in zip(v, im)):
-                sub = decompose(tuple(a - b for a, b in zip(v, im)))
-                if sub is not None:
-                    result = tuple(c + (1 if t == k else 0) for t, c in enumerate(sub))
-                    memo[v] = result
-                    return result
-        return memo[v]
-
     counts = [0] * len(weights)
-    if s:
-        dec = decompose(y)
-        if dec is None:
-            raise RuntimeError(f"dominant weight {target} not in the generator monoid")
-        for k, gi in enumerate(pointed):
-            counts[gi] = dec[k]
+    for i, im in enumerate(imgs):
+        if any(im):
+            counts[i] = pairing(target, cosimples[im.index(1)])
+            if counts[i] < 0:
+                raise RuntimeError(f"dominant weight {target} not in the generator monoid")
     remainder = tuple(
         t - sum(counts[i] * weights[i][j] for i in range(len(weights)))
         for j, t in enumerate(target)
@@ -259,42 +215,6 @@ def restrict_to_levi(
 
 
 # ---------------------------------------------------------------------------
-# Frobenius-difference ideal generators
-
-
-@dataclass(frozen=True)
-class FrobeniusIdealGens:
-    """Generators m_lambda - phi(m_lambda) over the Hilbert basis of G."""
-
-    gens: tuple[GroupAlgebraElement, ...]
-    provenance: tuple[tuple[Vector, GroupAlgebraElement, GroupAlgebraElement], ...]
-
-
-def frobenius_ideal_generators(
-    rd: RootDatum,
-    levi: Optional[LeviDatum],
-    p: int,
-    twist: Optional[Matrix] = None,
-) -> FrobeniusIdealGens:
-    """One generator per G-Hilbert-basis weight; they generate I R(L).
-
-    Requires the derived group to be simply connected (the Leibniz identity
-    c d - phi(c d) = c (d - phi(d)) + phi(d)(c - phi(c)) reduces the full
-    difference ideal to these finitely many generators).
-    """
-    require_simply_connected(rd)
-    weyl = weyl_enumerate(rd)
-    gens = []
-    prov = []
-    for lam in dominant_hilbert_basis(rd):
-        m = orbit_sum(weyl, lam)
-        fm = frobenius(m, p, twist)
-        gens.append(m - fm)
-        prov.append((lam, m, fm))
-    return FrobeniusIdealGens(tuple(gens), tuple(prov))
-
-
-# ---------------------------------------------------------------------------
 # Steinberg basis candidates and freeness evidence
 
 
@@ -307,18 +227,7 @@ def integral_fundamental_weights(rd: RootDatum) -> tuple[Vector, ...]:
     These exist exactly when the derived group is simply connected; chosen
     canonically small modulo the coweight-orthogonal lattice.
     """
-    cosimples = rd.simple_coroots
-    k = len(cosimples)
-    m = IntegerMatrix.from_rows([list(cv) for cv in cosimples])
-    lin = kernel_basis(m)
-    etas = []
-    for t in range(k):
-        target = [1 if i == t else 0 for i in range(k)]
-        sol = solve_linear_diophantine(m, target)
-        if sol is None:
-            raise SimplyConnectedHypothesisError(fundamental_group(rd))
-        etas.append(_canonical_preimage(sol[0], lin))
-    return tuple(etas)
+    return fundamental_weight_lift(rd.rank, rd.simple_coroots)[1]
 
 
 def steinberg_candidate_weights(rd: RootDatum, weyl: Optional[WeylGroup] = None) -> list[Vector]:
@@ -331,43 +240,15 @@ def steinberg_candidate_weights(rd: RootDatum, weyl: Optional[WeylGroup] = None)
     etas = integral_fundamental_weights(rd)
     pos = frozenset(rd.roots[i] for i in positive_root_indices(rd))
     out = []
-    for w in weyl.elements:
-        winv = _matrix_inverse_unimodular(w)
+    for word in weyl.reduced_words:
+        # Simple reflections are involutions: the reversed word gives w^{-1}.
+        winv = weyl.word_matrix(word[::-1])
         total = (0,) * rd.rank
         for i, alpha in enumerate(rd.simple_roots):
             if mat_vec(winv, alpha) not in pos:
                 total = tuple(a + b for a, b in zip(total, etas[i]))
         out.append(mat_vec(winv, total))
     return out
-
-
-def _matrix_inverse_unimodular(w: Matrix) -> Matrix:
-    from fractions import Fraction
-
-    n = len(w)
-    a = [[Fraction(w[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        prow = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[prow] = a[prow], a[col]
-        inv[col], inv[prow] = inv[prow], inv[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if inv[i][j].denominator != 1:
-                raise RuntimeError("inverse of a unimodular matrix is not integral")
-            row.append(int(inv[i][j]))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

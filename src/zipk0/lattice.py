@@ -51,15 +51,8 @@ class IntegerMatrix:
     def identity(n: int) -> "IntegerMatrix":
         return IntegerMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             tuple(self.column(j) for j in range(self.cols)))
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:

@@ -11,7 +11,6 @@ characters as column vectors.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -400,35 +399,25 @@ def fundamental_group(rd: RootDatum) -> list[int]:
     return cokernel_invariants(m)
 
 
-def fundamental_weights(rd: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
-    """Rational weights eta_i with <eta_i, alpha_j^vee> = delta_ij, in span(roots)."""
-    simples = rd.simple_roots
-    cosimples = rd.simple_coroots
-    k = len(simples)
-    cartan = [[Fraction(pairing(simples[j], cosimples[i])) for j in range(k)] for i in range(k)]
-    # Invert the Cartan matrix over Q (it is invertible for finite type).
-    inv = [[Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
-    a = [row[:] for row in cartan]
-    for col in range(k):
-        prow = next(r for r in range(col, k) if a[r][col] != 0)
-        a[col], a[prow] = a[prow], a[col]
-        inv[col], inv[prow] = inv[prow], inv[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    etas = []
-    for t in range(k):
-        # eta_t = sum_j inv[j][t] * simple_j lies in the span of the roots.
-        eta = tuple(
-            sum(inv[j][t] * simples[j][i] for j in range(k)) for i in range(rd.rank)
+class SimplyConnectedHypothesisError(ValueError):
+    """The construction requires a simply connected derived group."""
+
+    def __init__(self, invariants):
+        torsion = [d for d in invariants if d > 1]
+        super().__init__(
+            "derived group is not simply connected: fundamental group has torsion "
+            + " x ".join(f"Z/{d}" for d in torsion)
         )
-        etas.append(eta)
-    return tuple(etas)
+        self.torsion = torsion
+
+
+def require_simply_connected(rd: RootDatum) -> list[int]:
+    """The simply-connectedness gate: the invariants of the fundamental group,
+    or SimplyConnectedHypothesisError when it has torsion."""
+    inv = fundamental_group(rd)
+    if any(d > 1 for d in inv):
+        raise SimplyConnectedHypothesisError(inv)
+    return inv
 
 
 @dataclass(frozen=True)
@@ -536,30 +525,6 @@ def levi_sub_datum(levi: LeviDatum) -> RootDatum:
 # Dominant monoids
 
 
-def _extreme_rays(ineq: list[list[int]], dim: int) -> list[tuple[int, ...]]:
-    """Extreme rays of {t in R^dim : ineq * t >= 0}, primitive integer vectors.
-
-    The cone must be pointed.  Rays are found as one-dimensional kernels of
-    (dim-1)-subsets of the constraint rows.
-    """
-    if dim == 0:
-        return []
-    rays: set[tuple[int, ...]] = set()
-    rows = list(range(len(ineq)))
-    for subset in itertools.combinations(rows, dim - 1):
-        m = IntegerMatrix.from_rows([ineq[r] for r in subset] or [[0] * dim])
-        ker = kernel_basis(m)
-        if len(ker) != 1:
-            continue
-        t = ker[0]
-        g = math.gcd(*t)
-        t = tuple(x // g for x in t) if g else t
-        for cand in (t, tuple(-x for x in t)):
-            if all(sum(row[i] * cand[i] for i in range(dim)) >= 0 for row in ineq):
-                rays.add(cand)
-    return sorted(rays)
-
-
 def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
     """Deterministic small representative of v modulo the lineality lattice."""
     if not lineality:
@@ -597,63 +562,46 @@ def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
     return best
 
 
-def dominant_hilbert_basis(rd: RootDatum, levi: Optional[LeviDatum] = None) -> list[Vector]:
-    """Generators of the monoid of (Levi-)dominant weights.
+def fundamental_weight_lift(
+    rank: int, cosimples: Sequence[Vector]
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """(lin, etas) for a simple system with the given simple coroots.
 
-    Directions on which all simple coroots vanish are lattice lines; their
-    basis vectors appear with both signs.  The pointed part is computed by
-    enumerating lattice points in the box spanned by the extreme rays and
-    filtering to indecomposables.
+    lin is the Hermite basis of the lineality lattice (the characters pairing
+    to zero with every simple coroot); etas[k] is an integral fundamental
+    weight, <eta_k, alpha_j^vee> = delta_kj, chosen canonically small modulo
+    lin.  They exist exactly when chi -> (<chi, alpha_j^vee>)_j maps X*(T)
+    onto Z^s, that is when the derived group is simply connected; otherwise
+    SimplyConnectedHypothesisError is raised.
+    """
+    s = len(cosimples)
+    a = IntegerMatrix(s, rank, tuple(tuple(c) for c in cosimples))
+    lin = hermite_row_basis(kernel_basis(a), rank)
+    etas = []
+    for k in range(s):
+        sol = solve_linear_diophantine(a, [1 if j == k else 0 for j in range(s)])
+        if sol is None:
+            raise SimplyConnectedHypothesisError(
+                cokernel_invariants(IntegerMatrix.from_columns(cosimples, nrows=rank))
+            )
+        etas.append(_canonical_preimage(sol[0], lin))
+    return lin, tuple(etas)
+
+
+def dominant_hilbert_basis(rd: RootDatum, levi: Optional[LeviDatum] = None) -> list[Vector]:
+    """Generators of the monoid of (Levi-)dominant weights, in closed form.
+
+    With a simply connected derived group (which Levis inherit),
+    chi -> (<chi, alpha_k^vee>)_k maps X*(T) onto Z^s, so in those
+    coordinates the dominant cone is the orthant plus the lineality lattice.
+    The monoid is generated by one integral fundamental weight per simple
+    coroot and +/- a basis of the lineality lattice (Steinberg, "On a theorem
+    of Pittie", 1975).  Raises SimplyConnectedHypothesisError without the
+    hypothesis.
     """
     cosimples = levi.levi_simple_coroots if levi is not None else rd.simple_coroots
-    n = rd.rank
-    a_rows = [list(c) for c in cosimples]
-    a = IntegerMatrix(len(a_rows), n, tuple(tuple(r) for r in a_rows))
-    lin = hermite_row_basis(kernel_basis(a), n)
-    out: list[Vector] = []
-    for z in lin:
-        out.append(z)
-        out.append(tuple(-x for x in z))
-    s = len(a_rows)
-    if s == 0:
-        return sorted(set(out))
-    # Image lattice P = A * Z^n inside Z^s, with basis rows b_1..b_r.
-    cols = [a.column(j) for j in range(n)]
-    basis = hermite_row_basis(cols, s)
-    r = len(basis)
-    if r > 0:
-        # Inequalities in P-coordinates: N[k][i] = basis_i[k].
-        ineq = [[basis[i][k] for i in range(r)] for k in range(s)]
-        rays = _extreme_rays(ineq, r)
-        lo = [sum(min(0, t[j]) for t in rays) for j in range(r)]
-        hi = [sum(max(0, t[j]) for t in rays) for j in range(r)]
-        cands = []
-        for point in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(r)]):
-            if all(x == 0 for x in point):
-                continue
-            if all(sum(row[i] * point[i] for i in range(r)) >= 0 for row in ineq):
-                cands.append(point)
-
-        def in_monoid(t):
-            return all(sum(row[i] * t[i] for i in range(r)) >= 0 for row in ineq)
-
-        hilbert = []
-        for c in cands:
-            decomposable = any(
-                other != c and in_monoid(tuple(x - y for x, y in zip(c, other)))
-                for other in cands
-            )
-            if not decomposable:
-                hilbert.append(c)
-        # Pull each generator back to the weight lattice along a fixed section.
-        bmat = IntegerMatrix.from_rows(a_rows)
-        for t in sorted(hilbert):
-            y = [sum(basis[i][k] * t[i] for i in range(r)) for k in range(s)]
-            sol = solve_linear_diophantine(bmat, y)
-            if sol is None:
-                raise RuntimeError("image point must lift to the weight lattice")
-            out.append(_canonical_preimage(sol[0], lin))
-    return sorted(set(out))
+    lin, etas = fundamental_weight_lift(rd.rank, cosimples)
+    return sorted(set(lin) | {tuple(-x for x in z) for z in lin} | set(etas))
 
 
 def weights_dominant(weight: Sequence[int], cosimples: Sequence[Vector]) -> bool:

@@ -18,6 +18,7 @@ the failure of naive Weyl descent).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .groebner import (
@@ -44,18 +45,19 @@ from .invariants import (
     InvariantRingPresentation,
     expand_generator_polynomial,
     express_invariant,
-    frobenius_ideal_generators,
     invariant_ring,
-    require_simply_connected,
 )
-from .lattice import IntegerMatrix, hermite_row_basis, kernel_basis
+from .lattice import IntegerMatrix, _prime_factors, hermite_row_basis, kernel_basis
 from .rootdata import (
     Cocharacter,
     LeviDatum,
     Matrix,
     RootDatum,
     Vector,
+    WeylGroup,
+    dominant_hilbert_basis,
     levi_from_cocharacter,
+    require_simply_connected,
     validate,
     weights_dominant,
     weyl_enumerate,
@@ -63,14 +65,7 @@ from .rootdata import (
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,27 @@ class CocharacterDatum:
             object.__setattr__(self, "twist", self.rd.twist)
         elif self.twist is not None and self.rd.twist is not None and self.twist != self.rd.twist:
             raise ValueError("datum twist differs from the root datum's twist")
+
+    @cached_property
+    def weyl(self) -> WeylGroup:
+        """The Weyl group of G, enumerated once per datum."""
+        return weyl_enumerate(self.rd)
+
+    @cached_property
+    def frobenius_gens(self) -> tuple[GroupAlgebraElement, ...]:
+        """m_lambda - phi(m_lambda), one per dominant Hilbert-basis weight of G;
+        they generate I R(L) for every Levi L.
+
+        Requires the derived group to be simply connected (the Leibniz identity
+        c d - phi(c d) = c (d - phi(d)) + phi(d)(c - phi(c)) reduces the full
+        difference ideal to these finitely many generators).
+        """
+        require_simply_connected(self.rd)
+        gens = []
+        for lam in dominant_hilbert_basis(self.rd):
+            m = orbit_sum(self.weyl, lam)
+            gens.append(m - frobenius(m, self.p, self.twist))
+        return tuple(gens)
 
 
 def validate_datum(datum: CocharacterDatum) -> None:
@@ -137,9 +153,8 @@ def compute_k0_torus(
     datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE, bound: int = 12
 ) -> tuple[GroebnerBasis, QuotientReport]:
     """Strong basis and Z-module report for R(T) modulo the Frobenius differences."""
-    fig = frobenius_ideal_generators(datum.rd, None, datum.p, datum.twist)
     spec = torus_ring_spec(datum.rd.rank)
-    polys = [to_poly(g) for g in fig.gens]
+    polys = [to_poly(g) for g in datum.frobenius_gens]
     gb = strong_groebner(polys, spec, max_degree=max_degree)
     report = quotient_z_module(gb, bound=bound)
     return gb, report
@@ -212,17 +227,11 @@ def compute_k0(
     datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE, bound: int = 12
 ) -> KZeroPresentation:
     """Presentation of R(L)/IR(L) for the Levi of the cocharacter."""
-    require_simply_connected(datum.rd)
-    rd = datum.rd
-    levi = levi_from_cocharacter(rd, datum.mu)
-    lpres = invariant_ring(rd, levi)
+    frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
+    levi = levi_from_cocharacter(datum.rd, datum.mu)
+    lpres = invariant_ring(datum.rd, levi)
     y_spec, syzygies = levi_presentation_ring(lpres)
-
-    fig = frobenius_ideal_generators(rd, levi, datum.p, datum.twist)
-    frob_polys: list[Poly] = []
-    for g in fig.gens:
-        gen_poly = express_invariant(g, lpres)
-        frob_polys.append(dict(gen_poly))
+    frob_polys = [express_invariant(g, lpres) for g in frobenius_gens]
 
     gb = strong_groebner(list(syzygies) + frob_polys, y_spec, max_degree=max_degree)
     report = quotient_z_module(gb, bound=bound)
@@ -334,8 +343,7 @@ def theta_map_check(
     import random as _random
 
     rd = datum.rd
-    fig = frobenius_ideal_generators(rd, None, datum.p, datum.twist)
-    gen_ok = all(not normal_form_gb(to_poly(g), torus_gb) for g in fig.gens)
+    gen_ok = all(not normal_form_gb(to_poly(g), torus_gb) for g in datum.frobenius_gens)
 
     invariant_dirs = weyl_invariant_lattice(rd)
     inv_vanish = []
@@ -372,7 +380,7 @@ def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
     the Demazure/Hecke conditions, plain Weyl invariance, and the span of
     whole orbit sums inside the window."""
     rd = datum.rd
-    weyl = weyl_enumerate(rd)
+    weyl = datum.weyl
     box = window_box(rd.rank, window)
     idx = {e: i for i, e in enumerate(box)}
 

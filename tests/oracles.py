@@ -1,8 +1,11 @@
 """Test oracles: independent re-checks of the Groebner engine, of the
-quotient module's invariants and of the Steinberg spanning evidence that the
-library itself does not need."""
+quotient module's invariants, of the Steinberg spanning evidence and of the
+closed-form dominant Hilbert basis that the library itself does not need."""
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from zipk0.groebner import (
     GroebnerBasis,
@@ -19,8 +22,8 @@ from zipk0.groebner import (
     strong_groebner,
 )
 from zipk0.grpalg import monomial, orbit_sum, window_box
-from zipk0.lattice import IntegerMatrix, solve_linear_diophantine
-from zipk0.rootdata import weights_dominant
+from zipk0.lattice import IntegerMatrix, hermite_row_basis, kernel_basis, solve_linear_diophantine
+from zipk0.rootdata import _canonical_preimage, weights_dominant
 
 
 def verify_strong_groebner(gb: GroebnerBasis) -> bool:
@@ -169,3 +172,87 @@ def steinberg_spanning_by_solves(rd, cands, weyl, spanning_radius):
         if solve_linear_diophantine(IntegerMatrix.from_columns(cols, nrows=len(support)), b) is None:
             ok = False
     return ok, tuple(tested)
+
+
+def _extreme_rays(ineq: list[list[int]], dim: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {t in R^dim : ineq * t >= 0}, primitive integer vectors.
+
+    The cone must be pointed.  Rays are found as one-dimensional kernels of
+    (dim-1)-subsets of the constraint rows.
+    """
+    if dim == 0:
+        return []
+    rays: set[tuple[int, ...]] = set()
+    rows = list(range(len(ineq)))
+    for subset in itertools.combinations(rows, dim - 1):
+        m = IntegerMatrix.from_rows([ineq[r] for r in subset] or [[0] * dim])
+        ker = kernel_basis(m)
+        if len(ker) != 1:
+            continue
+        t = ker[0]
+        g = math.gcd(*t)
+        t = tuple(x // g for x in t) if g else t
+        for cand in (t, tuple(-x for x in t)):
+            if all(sum(row[i] * cand[i] for i in range(dim)) >= 0 for row in ineq):
+                rays.add(cand)
+    return sorted(rays)
+
+
+def general_dominant_hilbert_basis(rd, levi=None):
+    """Generators of the monoid of (Levi-)dominant weights, by a general search
+    that does not assume a simply connected derived group.
+
+    Directions on which all simple coroots vanish are lattice lines; their
+    basis vectors appear with both signs.  The pointed part is computed by
+    enumerating lattice points in the box spanned by the extreme rays and
+    filtering to indecomposables.
+    """
+    cosimples = levi.levi_simple_coroots if levi is not None else rd.simple_coroots
+    n = rd.rank
+    a_rows = [list(c) for c in cosimples]
+    a = IntegerMatrix(len(a_rows), n, tuple(tuple(r) for r in a_rows))
+    lin = hermite_row_basis(kernel_basis(a), n)
+    out = []
+    for z in lin:
+        out.append(z)
+        out.append(tuple(-x for x in z))
+    s = len(a_rows)
+    if s == 0:
+        return sorted(set(out))
+    # Image lattice P = A * Z^n inside Z^s, with basis rows b_1..b_r.
+    cols = [a.column(j) for j in range(n)]
+    basis = hermite_row_basis(cols, s)
+    r = len(basis)
+    if r > 0:
+        # Inequalities in P-coordinates: N[k][i] = basis_i[k].
+        ineq = [[basis[i][k] for i in range(r)] for k in range(s)]
+        rays = _extreme_rays(ineq, r)
+        lo = [sum(min(0, t[j]) for t in rays) for j in range(r)]
+        hi = [sum(max(0, t[j]) for t in rays) for j in range(r)]
+        cands = []
+        for point in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(r)]):
+            if all(x == 0 for x in point):
+                continue
+            if all(sum(row[i] * point[i] for i in range(r)) >= 0 for row in ineq):
+                cands.append(point)
+
+        def in_monoid(t):
+            return all(sum(row[i] * t[i] for i in range(r)) >= 0 for row in ineq)
+
+        hilbert = []
+        for c in cands:
+            decomposable = any(
+                other != c and in_monoid(tuple(x - y for x, y in zip(c, other)))
+                for other in cands
+            )
+            if not decomposable:
+                hilbert.append(c)
+        # Pull each generator back to the weight lattice along a fixed section.
+        bmat = IntegerMatrix.from_rows(a_rows)
+        for t in sorted(hilbert):
+            y = [sum(basis[i][k] * t[i] for i in range(r)) for k in range(s)]
+            sol = solve_linear_diophantine(bmat, y)
+            if sol is None:
+                raise RuntimeError("image point must lift to the weight lattice")
+            out.append(_canonical_preimage(sol[0], lin))
+    return sorted(set(out))

@@ -17,7 +17,6 @@ from zipk0.groebner import PolyRingSpec, eliminate, strong_groebner, quotient_z_
 from zipk0.grpalg import monomial, one
 from zipk0.invariants import (
     SimplyConnectedHypothesisError,
-    frobenius_ideal_generators,
     steinberg_candidate_weights,
     steinberg_freeness_check,
 )
@@ -166,7 +165,8 @@ def test_criterion_8_counterexample_reproduction():
 
 def test_criterion_9_simply_connectedness_gate():
     for name in ("SL2", "SL3", "SL4", "Sp4", "GL2", "GL3"):
-        frobenius_ideal_generators(preset(name), None, 2)  # must not raise
+        rd = preset(name)
+        CocharacterDatum(rd, (0,) * rd.rank, 2).frobenius_gens  # must not raise
     with pytest.raises(SimplyConnectedHypothesisError) as exc:
         compute_k0(CocharacterDatum(preset("PGL2"), (1,), 2))
     assert exc.value.torsion == [2]

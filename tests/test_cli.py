@@ -101,6 +101,39 @@ def test_pair_pruning_bounds_reductions(capsys, monkeypatch):
     assert len(calls) <= 400
 
 
+def test_one_weyl_group_per_job(capsys, monkeypatch):
+    # An all-checks job enumerates G's Weyl group once and the Levi's once,
+    # and runs the simply-connectedness gate once.
+    import zipk0.rootdata
+
+    calls = {"weyl": 0, "pi1": 0}
+    real_weyl = zipk0.rootdata.enumerate_weyl_group
+    real_pi1 = zipk0.rootdata.fundamental_group
+
+    def counting_weyl(*args, **kwargs):
+        calls["weyl"] += 1
+        return real_weyl(*args, **kwargs)
+
+    def counting_pi1(*args, **kwargs):
+        calls["pi1"] += 1
+        return real_pi1(*args, **kwargs)
+
+    monkeypatch.setattr(zipk0.rootdata, "enumerate_weyl_group", counting_weyl)
+    monkeypatch.setattr(zipk0.rootdata, "fundamental_group", counting_pi1)
+    code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2",
+                     "--checks", "kunneth,theta,hecke,steinberg")
+    assert code == 0
+    assert calls == {"weyl": 2, "pi1": 1}
+
+
+def test_hecke_check_runs_on_pgl2(capsys):
+    # The Hecke comparison does not need a simply connected derived group,
+    # unlike the dominant Hilbert basis.
+    code, out, _ = run(capsys, "hecke-check", "--group", "PGL2")
+    assert code == 0
+    assert json.loads(out)["hecke"]["all_equal"] is True
+
+
 def test_k0_sl2_report_values(capsys):
     code, out, _ = run(capsys, "k0", "--group", "SL2", "--mu", "1", "--p", "3")
     assert code == 0

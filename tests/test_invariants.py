@@ -18,7 +18,6 @@ from zipk0.invariants import (
     SimplyConnectedHypothesisError,
     expand_generator_polynomial,
     express_invariant,
-    frobenius_ideal_generators,
     integral_fundamental_weights,
     invariant_ring,
     restrict_to_levi,
@@ -31,6 +30,7 @@ from zipk0.rootdata import (
     preset,
     weyl_enumerate,
 )
+from zipk0.zipk import CocharacterDatum
 
 from oracles import steinberg_spanning_by_solves
 
@@ -156,37 +156,35 @@ def test_restriction_partitions_orbit():
 
 def test_frobenius_ideal_generators_sl2():
     rd = preset("SL2")
-    levi = levi_from_cocharacter(rd, (1,))
     for p in (2, 3, 5):
-        fig = frobenius_ideal_generators(rd, levi, p)
-        assert len(fig.gens) == 1
+        gens = CocharacterDatum(rd, (1,), p).frobenius_gens
+        assert len(gens) == 1
         expected = x(1) + x(-1) - x(p) - x(-p)
-        assert fig.gens[0] == expected
+        assert gens[0] == expected
 
 
 def test_frobenius_ideal_generators_torus():
     rd = preset("Gm")
-    fig = frobenius_ideal_generators(rd, None, 3)
-    assert set(fig.gens) == {x(1) - x(3), x(-1) - x(-3)}
+    gens = CocharacterDatum(rd, (0,), 3).frobenius_gens
+    assert set(gens) == {x(1) - x(3), x(-1) - x(-3)}
 
 
 def test_frobenius_ideal_generators_gl2():
     rd = preset("GL2")
-    fig = frobenius_ideal_generators(rd, None, 2)
+    gens = CocharacterDatum(rd, (0, 0), 2).frobenius_gens
     expected = {
         from_terms(2, [((1, 0), 1), ((0, 1), 1), ((2, 0), -1), ((0, 2), -1)]),
         from_terms(2, [((1, 1), 1), ((2, 2), -1)]),
         from_terms(2, [((-1, -1), 1), ((-2, -2), -1)]),
     }
-    assert set(fig.gens) == expected
+    assert set(gens) == expected
 
 
 def test_frobenius_ideal_generators_are_levi_invariant():
     rd = preset("Sp4")
     for mu in [(0, 0), (1, 0), (2, 1)]:
         levi = levi_from_cocharacter(rd, mu)
-        fig = frobenius_ideal_generators(rd, levi, 3)
-        for g in fig.gens:
+        for g in CocharacterDatum(rd, mu, 3).frobenius_gens:
             for w in levi.weyl_subgroup.generators:
                 assert weyl_act(w, g) == g
 
@@ -194,7 +192,7 @@ def test_frobenius_ideal_generators_are_levi_invariant():
 def test_frobenius_ideal_rejects_pgl2():
     rd = preset("PGL2")
     with pytest.raises(SimplyConnectedHypothesisError) as exc:
-        frobenius_ideal_generators(rd, None, 2)
+        CocharacterDatum(rd, (0,), 2).frobenius_gens
     assert exc.value.torsion == [2]
 
 

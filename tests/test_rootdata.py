@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
-from zipk0.invariants import SimplyConnectedHypothesisError, require_simply_connected
+from zipk0.invariants import (
+    SimplyConnectedHypothesisError,
+    integral_fundamental_weights,
+    require_simply_connected,
+)
 from zipk0.rootdata import (
     RootDatum,
     RootDatumError,
     all_reduced_words,
     dominant_hilbert_basis,
     fundamental_group,
-    fundamental_weights,
     levi_from_cocharacter,
     levi_sub_datum,
     make_root_datum,
@@ -28,6 +30,8 @@ from zipk0.rootdata import (
     weyl_lengths,
     weyl_orbit,
 )
+
+from oracles import general_dominant_hilbert_basis
 
 
 ALL_PRESETS = ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "PGL2", "Gm", "Gm^2", "A1xA1"]
@@ -124,18 +128,11 @@ def test_simply_connected_gate():
 @pytest.mark.parametrize("name", ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "A1xA1"])
 def test_fundamental_weights_pairing(name):
     rd = preset(name)
-    etas = fundamental_weights(rd)
+    etas = integral_fundamental_weights(rd)
     for i, eta in enumerate(etas):
         for j, cv in enumerate(rd.simple_coroots):
             val = sum(e * c for e, c in zip(eta, cv))
             assert val == (1 if i == j else 0)
-
-
-def test_fundamental_weights_values():
-    assert fundamental_weights(preset("SL2")) == ((Fraction(1),),)
-    assert fundamental_weights(preset("GL2")) == ((Fraction(1, 2), Fraction(-1, 2)),)
-    etas = fundamental_weights(preset("A1xA1"))
-    assert etas == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def test_levi_sl2_generic_mu_is_torus():
@@ -207,6 +204,41 @@ def test_hilbert_basis_levi_torus():
 
 def test_hilbert_basis_sl3():
     assert sorted(dominant_hilbert_basis(preset("SL3"))) == sorted([(1, 0), (0, 1)])
+
+
+def group_and_levis(rd):
+    """None (for G itself) and each distinct Levi of a cocharacter in [-2, 2]^rank."""
+    levis = {}
+    for mu in itertools.product(range(-2, 3), repeat=rd.rank):
+        levi = levi_from_cocharacter(rd, mu)
+        levis.setdefault(levi.levi_simple_indices, levi)
+    return [None, *levis.values()]
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_PRESETS if n != "PGL2"])
+def test_hilbert_basis_matches_general_search(name):
+    # The closed form (fundamental weights and +/- a lineality basis) equals
+    # the extreme-ray and box search on G and on each of its Levis.
+    rd = preset(name)
+    for levi in group_and_levis(rd):
+        assert dominant_hilbert_basis(rd, levi) == general_dominant_hilbert_basis(rd, levi)
+
+
+def test_hilbert_basis_matches_general_search_explicit_datum():
+    # GL2 x Gm with a skewed root: the lineality lattice is not spanned by
+    # coordinate vectors.
+    rd = make_root_datum(3, [(1, -1, 1), (-1, 1, -1)], [(1, -1, 0), (-1, 1, 0)], [(1, -1, 1)])
+    validate(rd)
+    require_simply_connected(rd)
+    assert dominant_hilbert_basis(rd) == [(-1, -1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
+    for levi in group_and_levis(rd):
+        assert dominant_hilbert_basis(rd, levi) == general_dominant_hilbert_basis(rd, levi)
+
+
+def test_hilbert_basis_rejects_pgl2():
+    with pytest.raises(SimplyConnectedHypothesisError) as exc:
+        dominant_hilbert_basis(preset("PGL2"))
+    assert exc.value.torsion == [2]
 
 
 @pytest.mark.parametrize("name", ["SL2", "SL3", "GL2", "GL3", "Sp4", "A1xA1", "Gm"])

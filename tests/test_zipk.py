@@ -149,11 +149,8 @@ def test_levi_gr_presentation_l_equals_g():
     assert len(kz.frobenius_relations) == 1
     assert kz.module_report.rank == 3
     # Direct construction through the full invariant ring.
-    from zipk0.invariants import frobenius_ideal_generators, invariant_ring
-
     pres = invariant_ring(preset("SL2"))
-    fig = frobenius_ideal_generators(preset("SL2"), None, 3)
-    direct = express_invariant(fig.gens[0], pres)
+    direct = express_invariant(CocharacterDatum(preset("SL2"), (0,), 3).frobenius_gens[0], pres)
     assert dict(kz.frobenius_relations[0]) == direct
 
 
