@@ -230,7 +230,19 @@ def _normalize_sign(f: Poly, key) -> Poly:
 
 
 def _reduce(f: Poly, table: Sequence[ReducerEntry], heap_key) -> Poly:
-    """Strong reduction of f by a sorted reducer table (see normal_form)."""
+    """Unique remainder of f under strong (Euclidean) reduction by the basis
+    whose sorted reducer table (_reducer_table) is given.
+
+    Zero coefficients of f are dropped, so the remainder holds none.  Terms
+    are reduced largest monomial first.  Each term c*X^m is reduced
+    modulo the smallest leading coefficient among the basis elements whose
+    leading monomial divides m; ties go to the smaller leading monomial, then
+    to the earlier element.  The heap and the sorted reducer table pick the
+    same term and the same reducer at each step as rescanning the remainder
+    and the basis would, so the remainder is the same term for term.  With a
+    reduced strong basis the result is canonical and membership is a zero
+    remainder.
+    """
     work = {m: c for m, c in f.items() if c}
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
@@ -269,25 +281,8 @@ def _reduce(f: Poly, table: Sequence[ReducerEntry], heap_key) -> Poly:
     return out
 
 
-def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
-    """Unique remainder of f under strong (Euclidean) reduction by the basis.
-
-    Zero coefficients of f are dropped, so the remainder holds none.  Terms
-    are reduced largest monomial first.  Each term c*X^m is reduced
-    modulo the smallest leading coefficient among the basis elements whose
-    leading monomial divides m; ties go to the smaller leading monomial, then
-    to the earlier element.  The heap and the sorted reducer table pick the
-    same term and the same reducer at each step as rescanning the remainder
-    and the basis would, so the remainder is the same term for term.  With a
-    reduced strong basis the result is canonical and membership is
-    `normal_form(f) == {}`.
-    """
-    table = _reducer_table(basis, spec.monomial_key())
-    return _reduce(f, table, spec.heap_key())
-
-
 def normal_form_gb(f: Poly, gb: GroebnerBasis) -> Poly:
-    """normal_form by a finished basis, reusing the basis's reducer table."""
+    """Strong reduction of f by a finished basis, reusing its reducer table."""
     return _reduce(f, gb._reducers, gb.spec.heap_key())
 
 
@@ -532,35 +527,6 @@ def strong_groebner(
 
 # ---------------------------------------------------------------------------
 # Elimination
-
-
-def eliminate(gb: GroebnerBasis, block: Sequence[int]) -> GroebnerBasis:
-    """Strong basis of the elimination ideal: intersect with the subring in
-    the variables outside `block` (which must be the leading order block)."""
-    spec = gb.spec
-    if spec.blocks is None or tuple(sorted(spec.blocks[0])) != tuple(sorted(block)):
-        raise ValueError("order is not an elimination order with the given block first")
-    drop = set(block)
-    keep = [i for i in range(spec.nvars) if i not in drop]
-    keep_pos = {v: k for k, v in enumerate(keep)}
-    new_pairs = tuple(
-        (keep_pos[a], keep_pos[b])
-        for a, b in spec.inverse_pairs
-        if a in keep_pos and b in keep_pos
-    )
-    rest_blocks = tuple(tuple(keep_pos[i] for i in blk) for blk in spec.blocks[1:])
-    new_spec = PolyRingSpec(
-        tuple(spec.names[i] for i in keep),
-        new_pairs,
-        rest_blocks if len(rest_blocks) > 1 else None,
-    )
-    out = []
-    for terms in gb.polys:
-        if all(all(m[i] == 0 for i in drop) for m, _ in terms):
-            out.append({tuple(m[i] for i in keep): c for m, c in terms})
-    key = new_spec.monomial_key()
-    out.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
-    return GroebnerBasis(new_spec, tuple(poly_canonical(g, key) for g in out))
 
 
 # ---------------------------------------------------------------------------

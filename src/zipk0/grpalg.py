@@ -9,9 +9,9 @@ ring for everything downstream.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .lattice import hermite_row_basis, kernel_basis, IntegerMatrix
+from .lattice import kernel_basis
 from .rootdata import (
     Matrix,
     RootDatum,
@@ -20,7 +20,6 @@ from .rootdata import (
     mat_vec,
     pairing,
     reflection_matrix,
-    weights_dominant,
     weyl_orbit,
 )
 
@@ -107,10 +106,6 @@ class GroupAlgebraElement:
     def coefficient(self, exponent: Sequence[int]) -> int:
         return self.terms.get(tuple(exponent), 0)
 
-    def evaluate_at_one(self) -> int:
-        """Specialize every torus variable to 1 (the virtual rank)."""
-        return sum(self.terms.values())
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -133,20 +128,12 @@ class GroupAlgebraElement:
         return "".join(bits)
 
 
-def zero(rank: int) -> GroupAlgebraElement:
-    return GroupAlgebraElement(rank, {})
-
-
 def one(rank: int) -> GroupAlgebraElement:
     return GroupAlgebraElement(rank, {(0,) * rank: 1})
 
 
 def monomial(rank: int, exponent: Sequence[int], coeff: int = 1) -> GroupAlgebraElement:
     return GroupAlgebraElement(rank, {tuple(int(x) for x in exponent): coeff})
-
-
-def from_terms(rank: int, items: Iterable[tuple[Sequence[int], int]]) -> GroupAlgebraElement:
-    return GroupAlgebraElement(rank, {tuple(e): c for e, c in items})
 
 
 # ---------------------------------------------------------------------------
@@ -238,46 +225,6 @@ def demazure(rd: RootDatum, simple_index: int, f: GroupAlgebraElement) -> GroupA
     return _divide_by_one_minus_inverse_root(f - shifted, alpha, coroot)
 
 
-def _word_is_reduced(rd: RootDatum, word: Sequence[int]) -> bool:
-    from .rootdata import mat_mul, identity_matrix, positive_root_indices
-
-    m = identity_matrix(rd.rank)
-    for i in word:
-        idx = rd.simple_indices[i]
-        m = mat_mul(m, reflection_matrix(rd.roots[idx], rd.coroots[idx]))
-    pos = [rd.roots[i] for i in positive_root_indices(rd)]
-    pos_set = frozenset(pos)
-    inv = sum(1 for a in pos if mat_vec(m, a) not in pos_set)
-    return inv == len(word)
-
-
-def demazure_word(
-    rd: RootDatum, word: Sequence[int], f: GroupAlgebraElement
-) -> GroupAlgebraElement:
-    """Composition along a reduced word (rightmost letter applied first)."""
-    if not _word_is_reduced(rd, word):
-        raise ValueError(f"word {tuple(word)} is not reduced")
-    out = f
-    for i in reversed(word):
-        out = demazure(rd, i, out)
-    return out
-
-
-def demazure_character(
-    rd: RootDatum, weight: Sequence[int], weyl: Optional[WeylGroup] = None
-) -> GroupAlgebraElement:
-    """delta_{w0}(e^lambda) for dominant lambda: the character of the irreducible
-    (in good cases) module of highest weight lambda."""
-    if not weights_dominant(weight, rd.simple_coroots):
-        raise ValueError(f"weight {tuple(weight)} is not dominant")
-    if weyl is None:
-        from .rootdata import weyl_enumerate
-
-        weyl = weyl_enumerate(rd)
-    word = weyl.reduced_words[weyl.longest_element]
-    return demazure_word(rd, word, monomial(rd.rank, weight))
-
-
 # ---------------------------------------------------------------------------
 # Windowed Hecke invariants
 
@@ -297,7 +244,6 @@ def hecke_invariants_window(
     with genuine invariants is property-tested elsewhere.
     """
     box = window_box(rd.rank, radius)
-    index = {e: i for i, e in enumerate(box)}
     rows: list[list[int]] = []
 
     def add_condition(images: list[GroupAlgebraElement]):
@@ -320,15 +266,7 @@ def hecke_invariants_window(
         add_condition(s_images)
         add_condition(d_images)
 
-    if not rows:
-        coeff_vectors = [
-            tuple(1 if j == i else 0 for j in range(len(box))) for i in range(len(box))
-        ]
-    else:
-        m = IntegerMatrix.from_rows(rows)
-        coeff_vectors = kernel_basis(m)
-    canon = hermite_row_basis(coeff_vectors, len(box))
     return [
         GroupAlgebraElement(rd.rank, {box[i]: c for i, c in enumerate(v) if c})
-        for v in canon
+        for v in kernel_basis(rows, len(box))
     ]

@@ -3,8 +3,8 @@
 Generators are orbit sums of the dominant Hilbert basis; expressing an
 invariant in them walks down the dominance order (the leading dominant term
 of a product of orbit sums is the sum of the highest weights, with
-coefficient one).  Also here: restriction of orbit sums to a Levi and the
-empirical Steinberg-basis freeness certificate.
+coefficient one).  Also here: the empirical Steinberg-basis freeness
+certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
-from .lattice import IntegerMatrix, hermite_remainder, hermite_row_basis, solve_linear_diophantine
+from .lattice import hermite_remainder, hermite_row_basis, solve_linear_diophantine
 from .rootdata import (  # noqa: F401  (re-exports the simply-connectedness gate)
     LeviDatum,
     RootDatum,
@@ -29,7 +29,6 @@ from .rootdata import (  # noqa: F401  (re-exports the simply-connectedness gate
     require_simply_connected,
     weights_dominant,
     weyl_enumerate,
-    weyl_orbit,
 )
 
 GeneratorExponent = tuple[int, ...]
@@ -106,11 +105,10 @@ def _nonneg_combination(
     if any(remainder):
         # Express the lineality remainder over the +/- generator pairs.
         lin_weights = [weights[i] for i in lineal]
-        m = IntegerMatrix.from_columns([list(w) for w in lin_weights], nrows=pres.rank)
-        sol = solve_linear_diophantine(m, list(remainder))
-        if sol is None:
+        rows = [[w[j] for w in lin_weights] for j in range(pres.rank)]
+        coeffs = solve_linear_diophantine(rows, remainder, len(lin_weights))
+        if coeffs is None:
             raise RuntimeError(f"remainder {remainder} outside the lineality lattice")
-        coeffs = list(sol[0])
         # Zero out negative coefficients using the opposite generator.
         neg_index = {}
         for a in lineal:
@@ -179,39 +177,6 @@ def express_invariant(
             raise RuntimeError("leading term survived the descent step: internal error")
         out[expt] = out.get(expt, 0) + c
     return {e: c for e, c in out.items() if c}
-
-
-# ---------------------------------------------------------------------------
-# Restriction to a Levi
-
-
-def restrict_to_levi(
-    rd: RootDatum, weight: Sequence[int], levi: LeviDatum, weyl: Optional[WeylGroup] = None
-) -> tuple[GroupAlgebraElement, list[tuple[Vector, int]]]:
-    """Decompose the full orbit sum m_lambda into Levi orbit sums.
-
-    Returns the element of Z[X*(T)] together with the list of
-    (Levi-dominant representative, orbit size) pieces.
-    """
-    weyl = weyl or weyl_enumerate(rd)
-    full_orbit = set(weyl_orbit(weyl, weight))
-    element = GroupAlgebraElement(rd.rank, {nu: 1 for nu in full_orbit})
-    pieces: list[tuple[Vector, int]] = []
-    remaining = set(full_orbit)
-    cosimples = levi.levi_simple_coroots
-    while remaining:
-        seed = min(remaining)
-        orb = set(weyl_orbit(levi.weyl_subgroup, seed))
-        if not orb <= remaining:
-            raise RuntimeError("Levi orbit leaves the Weyl orbit: internal error")
-        dominants = [nu for nu in orb if weights_dominant(nu, cosimples)]
-        if not dominants:
-            raise RuntimeError("Levi orbit without dominant representative")
-        rep = min(dominants)
-        pieces.append((rep, len(orb)))
-        remaining -= orb
-    pieces.sort()
-    return element, pieces
 
 
 # ---------------------------------------------------------------------------

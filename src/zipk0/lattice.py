@@ -1,213 +1,46 @@
-"""Exact integer linear algebra: Smith normal form, cokernels, Diophantine systems.
+"""Exact integer linear algebra by Hermite echelon forms: canonical lattice
+bases, kernels, Diophantine solves and cokernel invariants.
 
-All matrices are immutable tuples of tuples of Python ints (arbitrary
-precision, row-major).  Everything here is pure and deterministic: the
-Smith reduction always pivots on the entry of smallest nonzero absolute
-value (ties broken by position), so the transforms U, V are reproducible.
+Vectors are tuples of Python ints (arbitrary precision) and a matrix is the
+list of its rows.  Every kernel, solve and cokernel here comes from one
+routine, hermite_row_basis, and its reduction hermite_remainder: the kernel
+and the image of A both sit in one Hermite basis of the rows
+(column j of A | e_j) (Cohen, "A Course in Computational Algebraic Number
+Theory", GTM 138, section 2.4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Dense integer matrix; entries row-major, exact arithmetic only."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError(f"expected {self.cols} cols, got {len(r)}")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        ents = tuple(tuple(int(x) for x in r) for r in rows)
-        nrows = len(ents)
-        ncols = len(ents[0]) if ents else 0
-        return IntegerMatrix(nrows, ncols, ents)
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntegerMatrix":
-        if cols:
-            nrows = len(cols[0]) if nrows is None else nrows
-        elif nrows is None:
-            raise ValueError("empty column list needs an explicit row count")
-        rows = [[int(c[i]) for c in cols] for i in range(nrows)]
-        return IntegerMatrix(nrows, len(cols), tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)))
-            out.append(tuple(row))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
-
-    def mul_vector(self, v: Sequence[int]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(self.entries[i][k] * v[k] for k in range(self.cols)) for i in range(self.rows))
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square matrix by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of non-square matrix")
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-
-def _smallest_pivot(a: list[list[int]], start: int) -> Optional[tuple[int, int]]:
-    """Position of the nonzero entry of least |value| in the trailing block."""
-    best = None
-    best_abs = None
-    for i in range(start, len(a)):
-        for j in range(start, len(a[0])):
-            v = a[i][j]
-            if v != 0 and (best_abs is None or abs(v) < best_abs):
-                best, best_abs = (i, j), abs(v)
-                if best_abs == 1:
-                    return best
-    return best
-
-
-def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return (S, U, V) with U*M*V = S, U and V unimodular, S = diag(d1|d2|...) >= 0."""
-    nr, nc = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, c):
-        # row_dst += c * row_src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while True:
-        piv = _smallest_pivot(a, t)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # Clear row and column t, restarting whenever a remainder shrinks the pivot.
-        while True:
-            p = a[t][t]
-            done = True
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:  # remainder strictly smaller than |p|
-                        swap_rows(t, i)
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-                        break
-            if done:
-                break
-        # Pivot must divide every remaining entry; if not, fold the offender in.
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % p != 0:
-                    offender = i
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
                     break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        if p < 0:
-            negate_row(t)
-        t += 1
-
-    s = IntegerMatrix.from_rows(a)
-    return s, IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(v)
-
-
-def diagonal_of(m: IntegerMatrix) -> list[int]:
-    return [m.entries[i][i] for i in range(min(m.rows, m.cols))]
-
-
-def cokernel_invariants(m: IntegerMatrix) -> list[int]:
-    """Elementary divisors of Z^rows / (column span of m), free parts as 0.
-
-    The result is divisibility-ordered: d1 | d2 | ... | dr followed by one 0
-    per free summand.  Trivial factors (1) are kept so the list always has
-    `rows` entries.
-    """
-    s, _, _ = smith_normal_form(m)
-    divisors = [d for d in diagonal_of(s) if d != 0]
-    free = m.rows - len(divisors)
-    return divisors + [0] * free
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -275,45 +108,6 @@ def cokernel_torsion(columns: Sequence[Sequence[int]], factors: Sequence[int]) -
     return tuple(sorted(chain))
 
 
-def solve_linear_diophantine(
-    m: IntegerMatrix, b: Sequence[int]
-) -> Optional[tuple[Vector, list[Vector]]]:
-    """Solve m*x = b over Z.
-
-    Returns (particular solution, basis of ker m) or None when unsolvable.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    s, u, v = smith_normal_form(m)
-    c = u.mul_vector(b)
-    r = min(m.rows, m.cols)
-    y = [0] * m.cols
-    for i in range(r):
-        d = s.entries[i][i]
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    for i in range(r, m.rows):
-        if c[i] != 0:
-            return None
-    x = v.mul_vector(y)
-    kernel = [v.column(j) for j in range(m.cols)
-              if j >= r or s.entries[j][j] == 0]
-    return x, kernel
-
-
-def kernel_basis(m: IntegerMatrix) -> list[Vector]:
-    """Z-basis of {x : m*x = 0}."""
-    solved = solve_linear_diophantine(m, [0] * m.rows)
-    if solved is None:
-        raise RuntimeError("homogeneous system reported unsolvable: internal error")
-    return solved[1]
-
-
 def hermite_row_basis(vectors: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
     """Canonical (row-style Hermite) basis of the Z-span of the given vectors.
 
@@ -348,9 +142,10 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]], ncols: int) -> tuple[Vec
     cols = sorted(pivots)
     # Normalize: positive pivots, entries above each pivot reduced into [0, pivot).
     basis = [pivots[j] if pivots[j][j] > 0 else [-x for x in pivots[j]] for j in cols]
-    for idx in range(len(basis) - 1, -1, -1):
+    # Ascending pivots: row idx is zero left of its pivot, so reducing the rows
+    # above by it leaves the columns of the earlier, already reduced pivots alone.
+    for idx, j in enumerate(cols):
         piv = basis[idx]
-        j = cols[idx]
         for above in basis[:idx]:
             q = above[j] // piv[j]
             if q:
@@ -374,3 +169,52 @@ def hermite_remainder(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> 
             w[j:] = [x - q * y for x, y in zip(w[j:], row[j:])]
         j += 1
     return tuple(w)
+
+
+def _augmented_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
+    """Hermite basis of the rows (column j of A | e_j), j < ncols, for the
+    matrix A with the given rows.  Each of its rows is (A x | x) for some x."""
+    aug = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
+    return hermite_row_basis(aug, len(rows) + ncols)
+
+
+def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
+    """Hermite basis of {x in Z^ncols : A x = 0}, for the matrix A with the
+    given rows; with no rows it is the identity basis.
+
+    The rows (A x | x) of the augmented basis whose A-part is zero come last,
+    and their x-parts are the kernel's own Hermite basis.
+    """
+    nrows = len(rows)
+    return tuple(r[nrows:] for r in _augmented_basis(rows, ncols) if not any(r[:nrows]))
+
+
+def solve_linear_diophantine(
+    rows: Sequence[Sequence[int]], b: Sequence[int], ncols: int
+) -> Optional[Vector]:
+    """One x in Z^ncols with A x = b, for the matrix A with the given rows, or
+    None when there is none.
+
+    Reducing (b | 0) by the augmented basis leaves (b - A y | -y).  Its A-part
+    is zero exactly when b lies in the image of A, and then x = y.
+    """
+    if len(b) != len(rows):
+        raise ValueError("right-hand side length does not match row count")
+    nrows = len(rows)
+    rem = hermite_remainder(_augmented_basis(rows, ncols), tuple(b) + (0,) * ncols)
+    if any(rem[:nrows]):
+        return None
+    return tuple(-x for x in rem[nrows:])
+
+
+def cokernel_invariants(columns: Sequence[Sequence[int]], nrows: int) -> list[int]:
+    """Invariant factors of Z^nrows / (span of the columns), free parts as 0.
+
+    The result is divisibility-ordered: d1 | d2 | ... | dr followed by one 0
+    per free summand.  Trivial factors (1) are kept so the list always has
+    `nrows` entries.  The Hermite basis of the columns is independent and its
+    pivots multiply to a nonzero maximal minor, so cokernel_torsion applies.
+    """
+    h = hermite_row_basis(columns, nrows)
+    torsion = cokernel_torsion(h, [next(x for x in row if x) for row in h])
+    return [1] * (len(h) - len(torsion)) + list(torsion) + [0] * (nrows - len(h))

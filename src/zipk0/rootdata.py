@@ -11,11 +11,11 @@ characters as column vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import IntegerMatrix, cokernel_invariants, kernel_basis, hermite_row_basis, solve_linear_diophantine
+from .lattice import cokernel_invariants, determinant, kernel_basis, solve_linear_diophantine
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -121,8 +121,7 @@ def _principal_minors_positive(c: Sequence[Sequence[int]]) -> bool:
     n = len(c)
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
-            sub = IntegerMatrix.from_rows([[c[i][j] for j in subset] for i in subset])
-            if sub.determinant() <= 0:
+            if determinant([[c[i][j] for j in subset] for i in subset]) <= 0:
                 return False
     return True
 
@@ -211,7 +210,7 @@ def _validate_twist(rd: RootDatum) -> None:
     n = rd.rank
     if len(tau) != n or any(len(row) != n for row in tau):
         raise RootDatumError("twist-not-preserving-simple-roots", "twist has wrong shape")
-    det = IntegerMatrix.from_rows(tau).determinant()
+    det = determinant(tau)
     if det not in (1, -1):
         raise RootDatumError(
             "twist-not-preserving-simple-roots", f"twist determinant {det} not unimodular"
@@ -264,9 +263,6 @@ class WeylGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, m: Matrix) -> int:
-        return self.elements.index(m)
-
     def word_matrix(self, word: Sequence[int]) -> Matrix:
         m = identity_matrix(self.rank)
         for i in word:
@@ -316,42 +312,11 @@ def weyl_orbit(weyl: WeylGroup, weight: Sequence[int]) -> tuple[Vector, ...]:
     return tuple(sorted({mat_vec(m, v) for m in weyl.elements}))
 
 
-def root_coefficients(root: Vector, simple_roots: Sequence[Vector]) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients of `root` over the simple system, or None if outside its span."""
+def root_coefficients(root: Vector, simple_roots: Sequence[Vector]) -> Optional[Vector]:
+    """Integer coefficients of `root` over the simple system, or None if there are none."""
     if not simple_roots:
         return None
-    n = len(root)
-    k = len(simple_roots)
-    # Solve sum_j c_j simple[j] = root by Gaussian elimination over Q.
-    aug = [[Fraction(simple_roots[j][i]) for j in range(k)] + [Fraction(root[i])] for i in range(n)]
-    row = 0
-    piv_cols = []
-    for col in range(k):
-        prow = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if prow is None:
-            continue
-        aug[row], aug[prow] = aug[prow], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-        if row == n:
-            break
-    coeffs = [Fraction(0)] * k
-    for r, col in enumerate(piv_cols):
-        coeffs[col] = aug[r][k]
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None
-    # Verify (the system may be underdetermined only if simple roots were dependent).
-    for i in range(n):
-        if sum(coeffs[j] * simple_roots[j][i] for j in range(k)) != root[i]:
-            return None
-    return tuple(coeffs)
+    return solve_linear_diophantine(list(zip(*simple_roots)), root, len(simple_roots))
 
 
 def positive_root_indices(rd: RootDatum) -> tuple[int, ...]:
@@ -364,39 +329,9 @@ def positive_root_indices(rd: RootDatum) -> tuple[int, ...]:
     return tuple(out)
 
 
-def inversion_length(w: Matrix, positive_roots: Sequence[Vector], positive_set: frozenset) -> int:
-    return sum(1 for a in positive_roots if mat_vec(w, a) not in positive_set)
-
-
-def weyl_lengths(rd: RootDatum, weyl: WeylGroup) -> tuple[int, ...]:
-    """l(w) as inversion counts; should match reduced word lengths."""
-    pos = [rd.roots[i] for i in positive_root_indices(rd)]
-    pos_set = frozenset(pos)
-    return tuple(inversion_length(w, pos, pos_set) for w in weyl.elements)
-
-
-def all_reduced_words(weyl: WeylGroup, index: int, lengths: Sequence[int]) -> list[tuple[int, ...]]:
-    """Every reduced word of the element, by left-descent recursion."""
-    elem_index = {m: k for k, m in enumerate(weyl.elements)}
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, prefix: tuple[int, ...]):
-        if lengths[idx] == 0:
-            out.append(prefix)
-            return
-        for i, g in enumerate(weyl.generators):
-            nidx = elem_index[mat_mul(g, weyl.elements[idx])]
-            if lengths[nidx] == lengths[idx] - 1:
-                rec(nidx, prefix + (i,))
-
-    rec(index, ())
-    return out
-
-
 def fundamental_group(rd: RootDatum) -> list[int]:
     """Invariants of X_*(T) / (coroot lattice), 0 per free summand."""
-    m = IntegerMatrix.from_columns([list(c) for c in rd.coroots], nrows=rd.rank)
-    return cokernel_invariants(m)
+    return cokernel_invariants(rd.coroots, rd.rank)
 
 
 class SimplyConnectedHypothesisError(ValueError):
@@ -508,19 +443,6 @@ def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int], size_cap: int = 10**
     return datum
 
 
-def levi_sub_datum(levi: LeviDatum) -> RootDatum:
-    """The Levi as a root datum on the same lattice (for structural checks)."""
-    rd = levi.parent
-    return RootDatum(
-        rd.rank,
-        tuple(rd.roots[i] for i in levi.levi_root_indices),
-        tuple(rd.coroots[i] for i in levi.levi_root_indices),
-        tuple(levi.levi_root_indices.index(i) for i in levi.levi_simple_indices),
-        rd.twist,
-        name=(rd.name + ":levi") if rd.name else "levi",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Dominant monoids
 
@@ -575,16 +497,13 @@ def fundamental_weight_lift(
     SimplyConnectedHypothesisError is raised.
     """
     s = len(cosimples)
-    a = IntegerMatrix(s, rank, tuple(tuple(c) for c in cosimples))
-    lin = hermite_row_basis(kernel_basis(a), rank)
+    lin = kernel_basis(cosimples, rank)
     etas = []
     for k in range(s):
-        sol = solve_linear_diophantine(a, [1 if j == k else 0 for j in range(s)])
-        if sol is None:
-            raise SimplyConnectedHypothesisError(
-                cokernel_invariants(IntegerMatrix.from_columns(cosimples, nrows=rank))
-            )
-        etas.append(_canonical_preimage(sol[0], lin))
+        x = solve_linear_diophantine(cosimples, [1 if j == k else 0 for j in range(s)], rank)
+        if x is None:
+            raise SimplyConnectedHypothesisError(cokernel_invariants(cosimples, rank))
+        etas.append(_canonical_preimage(x, lin))
     return lin, tuple(etas)
 
 

@@ -43,11 +43,10 @@ from .grpalg import (
 )
 from .invariants import (
     InvariantRingPresentation,
-    expand_generator_polynomial,
     express_invariant,
     invariant_ring,
 )
-from .lattice import IntegerMatrix, _prime_factors, hermite_row_basis, kernel_basis
+from .lattice import _prime_factors, hermite_row_basis, kernel_basis
 from .rootdata import (
     Cocharacter,
     LeviDatum,
@@ -58,7 +57,6 @@ from .rootdata import (
     dominant_hilbert_basis,
     levi_from_cocharacter,
     require_simply_connected,
-    validate,
     weights_dominant,
     weyl_enumerate,
 )
@@ -109,12 +107,6 @@ class CocharacterDatum:
             m = orbit_sum(self.weyl, lam)
             gens.append(m - frobenius(m, self.p, self.twist))
         return tuple(gens)
-
-
-def validate_datum(datum: CocharacterDatum) -> None:
-    """Root datum axioms plus the simply-connectedness gate."""
-    validate(datum.rd)
-    require_simply_connected(datum.rd)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +244,6 @@ def compute_k0(
     )
 
 
-def substitution_soundness(datum: CocharacterDatum, kz: KZeroPresentation,
-                           torus_gb: GroebnerBasis) -> bool:
-    """Every relation, expanded back into Z[X*(T)], lies in the torus-side ideal
-    (torus_gb is the strong basis from compute_k0_torus of the same datum)."""
-    for rel in kz.relations:
-        expanded = expand_generator_polynomial(rel, kz.presentation_pres)
-        if normal_form_gb(to_poly(expanded), torus_gb):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Cross-checks
 
@@ -323,11 +304,7 @@ def weyl_invariant_lattice(rd: RootDatum) -> list[Vector]:
             row = [s[r][c] - (1 if r == c else 0) for c in range(rd.rank)]
             if any(row):
                 rows.append(row)
-    if not rows:
-        m = IntegerMatrix(0, rd.rank, ())
-    else:
-        m = IntegerMatrix.from_rows(rows)
-    return [tuple(v) for v in kernel_basis(m)]
+    return list(kernel_basis(rows, rd.rank))
 
 
 def theta_map_check(
@@ -407,10 +384,7 @@ def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
             row = [img.terms.get(e, 0) for img in images]
             if any(row):
                 rows.append(row)
-    if rows:
-        weyl_kernel = kernel_basis(IntegerMatrix.from_rows(rows))
-    else:
-        weyl_kernel = [tuple(1 if j == i else 0 for j in range(len(box))) for i in range(len(box))]
+    span_weyl = kernel_basis(rows, len(box))
 
     # Independent route 3: orbit sums entirely inside the window.
     dominant = []
@@ -421,7 +395,6 @@ def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
                 dominant.append(orb)
 
     span_hecke = hermite_row_basis(rows_of(hecke_basis), len(box))
-    span_weyl = hermite_row_basis([tuple(v) for v in weyl_kernel], len(box))
     span_orbit = hermite_row_basis(rows_of(dominant), len(box))
     return HeckeReport(
         window,
@@ -479,14 +452,3 @@ def weyl_counterexample_demo(module: str = "Z/2") -> CounterexampleReport:
         structure,
         invariant_count > m,
     )
-
-
-def counterexample_brute_force(m: int) -> tuple[int, int]:
-    """Enumerate M + Mx for M = Z/m and count fixed points of the reflection."""
-    fixed = 0
-    for a in range(m):
-        for b in range(m):
-            sa = ((a + 2 * b) % m, (-b) % m)
-            if sa == (a, b):
-                fixed += 1
-    return fixed, m

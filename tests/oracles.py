@@ -1,11 +1,15 @@
 """Test oracles: independent re-checks of the Groebner engine, of the
 quotient module's invariants, of the Steinberg spanning evidence and of the
-closed-form dominant Hilbert basis that the library itself does not need."""
+closed-form dominant Hilbert basis, and the general code that the library
+itself does not need: the Smith normal form with its transforms, elimination
+ideals, Demazure characters, Levi restrictions and reduced-word counts."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from zipk0.groebner import (
     GroebnerBasis,
@@ -15,15 +19,300 @@ from zipk0.groebner import (
     _leading,
     _monomial_divides,
     _normalize_sign,
+    _reduce,
+    _reducer_table,
     _spair,
-    normal_form,
     normal_form_gb,
     poly_canonical,
     strong_groebner,
 )
-from zipk0.grpalg import monomial, orbit_sum, window_box
-from zipk0.lattice import IntegerMatrix, hermite_row_basis, kernel_basis, solve_linear_diophantine
-from zipk0.rootdata import _canonical_preimage, weights_dominant
+from zipk0.grpalg import GroupAlgebraElement, demazure, monomial, orbit_sum, window_box
+from zipk0.invariants import expand_generator_polynomial
+from zipk0.lattice import determinant, hermite_row_basis
+from zipk0.rootdata import (
+    LeviDatum,
+    Matrix,
+    RootDatum,
+    Vector,
+    WeylGroup,
+    _canonical_preimage,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    positive_root_indices,
+    reflection_matrix,
+    weights_dominant,
+    weyl_enumerate,
+    weyl_orbit,
+)
+from zipk0.zipk import CocharacterDatum, KZeroPresentation, to_poly
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form with both transforms, and the cokernel, solve and kernel
+# built on it
+
+
+@dataclass(frozen=True)
+class IntegerMatrix:
+    """Dense integer matrix; entries row-major, exact arithmetic only."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.entries) != self.rows:
+            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
+        for r in self.entries:
+            if len(r) != self.cols:
+                raise ValueError(f"expected {self.cols} cols, got {len(r)}")
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
+        ents = tuple(tuple(int(x) for x in r) for r in rows)
+        nrows = len(ents)
+        ncols = len(ents[0]) if ents else 0
+        return IntegerMatrix(nrows, ncols, ents)
+
+    @staticmethod
+    def from_columns(cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntegerMatrix":
+        if cols:
+            nrows = len(cols[0]) if nrows is None else nrows
+        elif nrows is None:
+            raise ValueError("empty column list needs an explicit row count")
+        rows = [[int(c[i]) for c in cols] for i in range(nrows)]
+        return IntegerMatrix(nrows, len(cols), tuple(tuple(r) for r in rows))
+
+    @staticmethod
+    def identity(n: int) -> "IntegerMatrix":
+        return IntegerMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+    def column(self, j: int) -> Vector:
+        return tuple(self.entries[i][j] for i in range(self.rows))
+
+    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch in matrix product")
+        out = []
+        for i in range(self.rows):
+            row = []
+            for j in range(other.cols):
+                row.append(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)))
+            out.append(tuple(row))
+        return IntegerMatrix(self.rows, other.cols, tuple(out))
+
+    def mul_vector(self, v: Sequence[int]) -> Vector:
+        if len(v) != self.cols:
+            raise ValueError("dimension mismatch in matrix-vector product")
+        return tuple(sum(self.entries[i][k] * v[k] for k in range(self.cols)) for i in range(self.rows))
+
+    def determinant(self) -> int:
+        return determinant(self.entries)
+
+
+def _smallest_pivot(a: list[list[int]], start: int) -> Optional[tuple[int, int]]:
+    """Position of the nonzero entry of least |value| in the trailing block."""
+    best = None
+    best_abs = None
+    for i in range(start, len(a)):
+        for j in range(start, len(a[0])):
+            v = a[i][j]
+            if v != 0 and (best_abs is None or abs(v) < best_abs):
+                best, best_abs = (i, j), abs(v)
+                if best_abs == 1:
+                    return best
+    return best
+
+
+def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+    """Return (S, U, V) with U*M*V = S, U and V unimodular, S = diag(d1|d2|...) >= 0."""
+    nr, nc = m.rows, m.cols
+    a = [list(r) for r in m.entries]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, c):
+        # row_dst += c * row_src
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, c):
+        for r in a:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while True:
+        piv = _smallest_pivot(a, t)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        # Clear row and column t, restarting whenever a remainder shrinks the pivot.
+        while True:
+            p = a[t][t]
+            done = True
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    q = a[i][t] // p
+                    add_row(t, i, -q)
+                    if a[i][t] != 0:  # remainder strictly smaller than |p|
+                        swap_rows(t, i)
+                        done = False
+                        break
+            if not done:
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    q = a[t][j] // p
+                    add_col(t, j, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        done = False
+                        break
+            if done:
+                break
+        # Pivot must divide every remaining entry; if not, fold the offender in.
+        p = a[t][t]
+        offender = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % p != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        if p < 0:
+            negate_row(t)
+        t += 1
+
+    s = IntegerMatrix.from_rows(a)
+    return s, IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(v)
+
+
+def diagonal_of(m: IntegerMatrix) -> list[int]:
+    return [m.entries[i][i] for i in range(min(m.rows, m.cols))]
+
+
+def smith_cokernel_invariants(m: IntegerMatrix) -> list[int]:
+    """Elementary divisors of Z^rows / (column span of m), free parts as 0.
+
+    The result is divisibility-ordered: d1 | d2 | ... | dr followed by one 0
+    per free summand.  Trivial factors (1) are kept so the list always has
+    `rows` entries.
+    """
+    s, _, _ = smith_normal_form(m)
+    divisors = [d for d in diagonal_of(s) if d != 0]
+    free = m.rows - len(divisors)
+    return divisors + [0] * free
+
+
+def smith_solve(
+    m: IntegerMatrix, b: Sequence[int]
+) -> Optional[tuple[Vector, list[Vector]]]:
+    """Solve m*x = b over Z.
+
+    Returns (particular solution, basis of ker m) or None when unsolvable.
+    """
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length does not match row count")
+    s, u, v = smith_normal_form(m)
+    c = u.mul_vector(b)
+    r = min(m.rows, m.cols)
+    y = [0] * m.cols
+    for i in range(r):
+        d = s.entries[i][i]
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    for i in range(r, m.rows):
+        if c[i] != 0:
+            return None
+    x = v.mul_vector(y)
+    kernel = [v.column(j) for j in range(m.cols)
+              if j >= r or s.entries[j][j] == 0]
+    return x, kernel
+
+
+def smith_kernel_basis(m: IntegerMatrix) -> list[Vector]:
+    """Z-basis of {x : m*x = 0}."""
+    solved = smith_solve(m, [0] * m.rows)
+    if solved is None:
+        raise RuntimeError("homogeneous system reported unsolvable: internal error")
+    return solved[1]
+
+
+# ---------------------------------------------------------------------------
+# Groebner engine
+
+
+def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
+    """Unique remainder of f under strong (Euclidean) reduction by the basis.
+
+    Zero coefficients of f are dropped, so the remainder holds none.  Terms
+    are reduced largest monomial first.  Each term c*X^m is reduced
+    modulo the smallest leading coefficient among the basis elements whose
+    leading monomial divides m; ties go to the smaller leading monomial, then
+    to the earlier element.  The heap and the sorted reducer table pick the
+    same term and the same reducer at each step as rescanning the remainder
+    and the basis would, so the remainder is the same term for term.  With a
+    reduced strong basis the result is canonical and membership is
+    `normal_form(f) == {}`.
+    """
+    table = _reducer_table(basis, spec.monomial_key())
+    return _reduce(f, table, spec.heap_key())
+
+
+def eliminate(gb: GroebnerBasis, block: Sequence[int]) -> GroebnerBasis:
+    """Strong basis of the elimination ideal: intersect with the subring in
+    the variables outside `block` (which must be the leading order block)."""
+    spec = gb.spec
+    if spec.blocks is None or tuple(sorted(spec.blocks[0])) != tuple(sorted(block)):
+        raise ValueError("order is not an elimination order with the given block first")
+    drop = set(block)
+    keep = [i for i in range(spec.nvars) if i not in drop]
+    keep_pos = {v: k for k, v in enumerate(keep)}
+    new_pairs = tuple(
+        (keep_pos[a], keep_pos[b])
+        for a, b in spec.inverse_pairs
+        if a in keep_pos and b in keep_pos
+    )
+    rest_blocks = tuple(tuple(keep_pos[i] for i in blk) for blk in spec.blocks[1:])
+    new_spec = PolyRingSpec(
+        tuple(spec.names[i] for i in keep),
+        new_pairs,
+        rest_blocks if len(rest_blocks) > 1 else None,
+    )
+    out = []
+    for terms in gb.polys:
+        if all(all(m[i] == 0 for i in drop) for m, _ in terms):
+            out.append({tuple(m[i] for i in keep): c for m, c in terms})
+    key = new_spec.monomial_key()
+    out.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
+    return GroebnerBasis(new_spec, tuple(poly_canonical(g, key) for g in out))
 
 
 def verify_strong_groebner(gb: GroebnerBasis) -> bool:
@@ -169,7 +458,7 @@ def steinberg_spanning_by_solves(rd, cands, weyl, spanning_radius):
         for e, c in target.terms.items():
             b[idx[e]] = c
         tested.append(tuple(mu))
-        if solve_linear_diophantine(IntegerMatrix.from_columns(cols, nrows=len(support)), b) is None:
+        if smith_solve(IntegerMatrix.from_columns(cols, nrows=len(support)), b) is None:
             ok = False
     return ok, tuple(tested)
 
@@ -186,7 +475,7 @@ def _extreme_rays(ineq: list[list[int]], dim: int) -> list[tuple[int, ...]]:
     rows = list(range(len(ineq)))
     for subset in itertools.combinations(rows, dim - 1):
         m = IntegerMatrix.from_rows([ineq[r] for r in subset] or [[0] * dim])
-        ker = kernel_basis(m)
+        ker = smith_kernel_basis(m)
         if len(ker) != 1:
             continue
         t = ker[0]
@@ -211,7 +500,7 @@ def general_dominant_hilbert_basis(rd, levi=None):
     n = rd.rank
     a_rows = [list(c) for c in cosimples]
     a = IntegerMatrix(len(a_rows), n, tuple(tuple(r) for r in a_rows))
-    lin = hermite_row_basis(kernel_basis(a), n)
+    lin = hermite_row_basis(smith_kernel_basis(a), n)
     out = []
     for z in lin:
         out.append(z)
@@ -251,8 +540,147 @@ def general_dominant_hilbert_basis(rd, levi=None):
         bmat = IntegerMatrix.from_rows(a_rows)
         for t in sorted(hilbert):
             y = [sum(basis[i][k] * t[i] for i in range(r)) for k in range(s)]
-            sol = solve_linear_diophantine(bmat, y)
+            sol = smith_solve(bmat, y)
             if sol is None:
                 raise RuntimeError("image point must lift to the weight lattice")
             out.append(_canonical_preimage(sol[0], lin))
     return sorted(set(out))
+
+
+# ---------------------------------------------------------------------------
+# Group algebra, Weyl groups and Levis
+
+
+def from_terms(rank: int, items: Iterable[tuple[Sequence[int], int]]) -> GroupAlgebraElement:
+    return GroupAlgebraElement(rank, {tuple(e): c for e, c in items})
+
+
+def _word_is_reduced(rd: RootDatum, word: Sequence[int]) -> bool:
+    m = identity_matrix(rd.rank)
+    for i in word:
+        idx = rd.simple_indices[i]
+        m = mat_mul(m, reflection_matrix(rd.roots[idx], rd.coroots[idx]))
+    pos = [rd.roots[i] for i in positive_root_indices(rd)]
+    return inversion_length(m, pos, frozenset(pos)) == len(word)
+
+
+def demazure_word(
+    rd: RootDatum, word: Sequence[int], f: GroupAlgebraElement
+) -> GroupAlgebraElement:
+    """Composition along a reduced word (rightmost letter applied first)."""
+    if not _word_is_reduced(rd, word):
+        raise ValueError(f"word {tuple(word)} is not reduced")
+    out = f
+    for i in reversed(word):
+        out = demazure(rd, i, out)
+    return out
+
+
+def demazure_character(
+    rd: RootDatum, weight: Sequence[int], weyl: Optional[WeylGroup] = None
+) -> GroupAlgebraElement:
+    """delta_{w0}(e^lambda) for dominant lambda: the character of the irreducible
+    (in good cases) module of highest weight lambda."""
+    if not weights_dominant(weight, rd.simple_coroots):
+        raise ValueError(f"weight {tuple(weight)} is not dominant")
+    if weyl is None:
+        weyl = weyl_enumerate(rd)
+    word = weyl.reduced_words[weyl.longest_element]
+    return demazure_word(rd, word, monomial(rd.rank, weight))
+
+
+def inversion_length(w: Matrix, positive_roots: Sequence[Vector], positive_set: frozenset) -> int:
+    return sum(1 for a in positive_roots if mat_vec(w, a) not in positive_set)
+
+
+def weyl_lengths(rd: RootDatum, weyl: WeylGroup) -> tuple[int, ...]:
+    """l(w) as inversion counts; should match reduced word lengths."""
+    pos = [rd.roots[i] for i in positive_root_indices(rd)]
+    pos_set = frozenset(pos)
+    return tuple(inversion_length(w, pos, pos_set) for w in weyl.elements)
+
+
+def all_reduced_words(weyl: WeylGroup, index: int, lengths: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every reduced word of the element, by left-descent recursion."""
+    elem_index = {m: k for k, m in enumerate(weyl.elements)}
+    out: list[tuple[int, ...]] = []
+
+    def rec(idx: int, prefix: tuple[int, ...]):
+        if lengths[idx] == 0:
+            out.append(prefix)
+            return
+        for i, g in enumerate(weyl.generators):
+            nidx = elem_index[mat_mul(g, weyl.elements[idx])]
+            if lengths[nidx] == lengths[idx] - 1:
+                rec(nidx, prefix + (i,))
+
+    rec(index, ())
+    return out
+
+
+def levi_sub_datum(levi: LeviDatum) -> RootDatum:
+    """The Levi as a root datum on the same lattice (for structural checks)."""
+    rd = levi.parent
+    return RootDatum(
+        rd.rank,
+        tuple(rd.roots[i] for i in levi.levi_root_indices),
+        tuple(rd.coroots[i] for i in levi.levi_root_indices),
+        tuple(levi.levi_root_indices.index(i) for i in levi.levi_simple_indices),
+        rd.twist,
+        name=(rd.name + ":levi") if rd.name else "levi",
+    )
+
+
+def restrict_to_levi(
+    rd: RootDatum, weight: Sequence[int], levi: LeviDatum, weyl: Optional[WeylGroup] = None
+) -> tuple[GroupAlgebraElement, list[tuple[Vector, int]]]:
+    """Decompose the full orbit sum m_lambda into Levi orbit sums.
+
+    Returns the element of Z[X*(T)] together with the list of
+    (Levi-dominant representative, orbit size) pieces.
+    """
+    weyl = weyl or weyl_enumerate(rd)
+    full_orbit = set(weyl_orbit(weyl, weight))
+    element = GroupAlgebraElement(rd.rank, {nu: 1 for nu in full_orbit})
+    pieces: list[tuple[Vector, int]] = []
+    remaining = set(full_orbit)
+    cosimples = levi.levi_simple_coroots
+    while remaining:
+        seed = min(remaining)
+        orb = set(weyl_orbit(levi.weyl_subgroup, seed))
+        if not orb <= remaining:
+            raise RuntimeError("Levi orbit leaves the Weyl orbit: internal error")
+        dominants = [nu for nu in orb if weights_dominant(nu, cosimples)]
+        if not dominants:
+            raise RuntimeError("Levi orbit without dominant representative")
+        rep = min(dominants)
+        pieces.append((rep, len(orb)))
+        remaining -= orb
+    pieces.sort()
+    return element, pieces
+
+
+# ---------------------------------------------------------------------------
+# Pipeline
+
+
+def substitution_soundness(datum: CocharacterDatum, kz: KZeroPresentation,
+                           torus_gb: GroebnerBasis) -> bool:
+    """Every relation, expanded back into Z[X*(T)], lies in the torus-side ideal
+    (torus_gb is the strong basis from compute_k0_torus of the same datum)."""
+    for rel in kz.relations:
+        expanded = expand_generator_polynomial(rel, kz.presentation_pres)
+        if normal_form_gb(to_poly(expanded), torus_gb):
+            return False
+    return True
+
+
+def counterexample_brute_force(m: int) -> tuple[int, int]:
+    """Enumerate M + Mx for M = Z/m and count fixed points of the reflection."""
+    fixed = 0
+    for a in range(m):
+        for b in range(m):
+            sa = ((a + 2 * b) % m, (-b) % m)
+            if sa == (a, b):
+                fixed += 1
+    return fixed, m

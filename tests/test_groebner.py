@@ -13,20 +13,22 @@ from zipk0.groebner import (
     _monomial_divides,
     _monomial_sub,
     _sub_scaled_shifted,
-    eliminate,
-    normal_form,
     normal_form_gb,
     poly_to_string,
     quotient_z_module,
     strong_groebner,
 )
-from zipk0.lattice import IntegerMatrix, smith_normal_form, diagonal_of
 
 from oracles import (
+    IntegerMatrix,
+    diagonal_of,
+    eliminate,
     ideal_member,
     interreduce_per_element,
     invariant_factors,
     mod_l_count_agrees,
+    normal_form,
+    smith_normal_form,
     verify_strong_groebner,
 )
 

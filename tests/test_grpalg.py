@@ -8,27 +8,24 @@ import pytest
 from zipk0.grpalg import (
     GroupAlgebraElement,
     demazure,
-    demazure_character,
-    demazure_word,
     frobenius,
-    from_terms,
     hecke_invariants_window,
     monomial,
     one,
     orbit_sum,
     weyl_act,
     window_box,
-    zero,
 )
 from zipk0.lattice import hermite_row_basis
 from zipk0.rootdata import (
-    all_reduced_words,
     pairing,
     positive_root_indices,
     preset,
     reflection_matrix,
     weyl_enumerate,
 )
+
+from oracles import all_reduced_words, demazure_character, demazure_word, from_terms
 
 
 def sl2_x(k=1):
@@ -48,7 +45,7 @@ def delta_oracle(rd, i, f):
     idx = rd.simple_indices[i]
     alpha = rd.roots[idx]
     coroot = rd.coroots[idx]
-    out = zero(rd.rank)
+    out = GroupAlgebraElement(rd.rank, {})
     for e, c in f.terms.items():
         m = pairing(e, coroot)
         if m >= 0:
@@ -111,7 +108,7 @@ def test_weyl_act_sl2():
 def test_weyl_act_identity():
     rd = preset("SL3")
     weyl = weyl_enumerate(rd)
-    ident = weyl.elements[weyl.index_of(weyl.word_matrix(()))]
+    ident = weyl.elements[weyl.elements.index(weyl.word_matrix(()))]
     f = from_terms(2, [((1, 2), 3), ((0, -1), -2)])
     assert weyl_act(ident, f) == f
 
@@ -275,7 +272,7 @@ def test_demazure_character_sl2_adjointish():
     rd = preset("SL2")
     ch = demazure_character(rd, (2,))
     assert ch == from_terms(1, [((2,), 1), ((0,), 1), ((-2,), 1)])
-    assert ch.evaluate_at_one() == 3 == weyl_dimension(rd, (2,))
+    assert sum(ch.terms.values()) == 3 == weyl_dimension(rd, (2,))
 
 
 def test_demazure_character_sl3_minuscule():
@@ -283,7 +280,7 @@ def test_demazure_character_sl3_minuscule():
     weyl = weyl_enumerate(rd)
     ch = demazure_character(rd, (1, 0))
     assert ch == orbit_sum(weyl, (1, 0))
-    assert ch.evaluate_at_one() == 3
+    assert sum(ch.terms.values()) == 3
 
 
 def test_demazure_character_rejects_nondominant():
@@ -299,7 +296,7 @@ def test_demazure_character_dimensions_sl3():
     assert len(weights) == 10
     for lam in weights:
         ch = demazure_character(rd, lam)
-        assert ch.evaluate_at_one() == weyl_dimension(rd, lam), lam
+        assert sum(ch.terms.values()) == weyl_dimension(rd, lam), lam
 
 
 def test_demazure_character_invariant_under_weyl():

@@ -7,7 +7,6 @@ import pytest
 from zipk0.grpalg import (
     GroupAlgebraElement,
     frobenius,
-    from_terms,
     monomial,
     one,
     orbit_sum,
@@ -20,7 +19,6 @@ from zipk0.invariants import (
     express_invariant,
     integral_fundamental_weights,
     invariant_ring,
-    restrict_to_levi,
     steinberg_candidate_weights,
     steinberg_freeness_check,
 )
@@ -32,7 +30,7 @@ from zipk0.rootdata import (
 )
 from zipk0.zipk import CocharacterDatum
 
-from oracles import steinberg_spanning_by_solves
+from oracles import from_terms, restrict_to_levi, steinberg_spanning_by_solves
 
 
 def x(k=1):
@@ -66,7 +64,7 @@ def test_invariant_ring_gl2():
 def test_augmentation_generators_vanish_at_one():
     pres = invariant_ring(preset("GL2"))
     for g in pres.augmentation_generators:
-        assert g.evaluate_at_one() == 0
+        assert sum(g.terms.values()) == 0
 
 
 def test_express_invariant_square():

@@ -5,14 +5,21 @@ import random
 import pytest
 
 from zipk0.lattice import (
-    IntegerMatrix,
     cokernel_invariants,
     cokernel_torsion,
-    diagonal_of,
+    hermite_remainder,
     hermite_row_basis,
     kernel_basis,
-    smith_normal_form,
     solve_linear_diophantine,
+)
+
+from oracles import (
+    IntegerMatrix,
+    diagonal_of,
+    smith_cokernel_invariants,
+    smith_kernel_basis,
+    smith_normal_form,
+    smith_solve,
 )
 
 
@@ -64,10 +71,10 @@ def test_snf_random_matrices(seed):
 
 
 def test_cokernel_examples():
-    assert cokernel_invariants(IntegerMatrix.from_columns([[2]])) == [2]
-    assert cokernel_invariants(IntegerMatrix.from_columns([[1, 0]])) == [1, 0]
+    assert cokernel_invariants([[2]], 1) == [2]
+    assert cokernel_invariants([[1, 0]], 2) == [1, 0]
     # SL2 coroot (1) inside Z: trivial fundamental group.
-    assert cokernel_invariants(IntegerMatrix.from_columns([[1]])) == [1]
+    assert cokernel_invariants([[1]], 1) == [1]
 
 
 def test_cokernel_independent_of_generating_set():
@@ -76,13 +83,13 @@ def test_cokernel_independent_of_generating_set():
         n = rng.randint(1, 4)
         k = rng.randint(1, 4)
         cols = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
-        base = cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
+        base = cokernel_invariants(cols, n)
         # Append Z-combinations of existing columns: same span, same answer.
         extra = list(cols)
         for _ in range(rng.randint(1, 3)):
             coeffs = [rng.randint(-3, 3) for _ in cols]
             extra.append([sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)])
-        again = cokernel_invariants(IntegerMatrix.from_columns(extra, nrows=n))
+        again = cokernel_invariants(extra, n)
         assert base == again
 
 
@@ -98,7 +105,7 @@ def test_cokernel_torsion_matches_smith_form(seed):
         k = rng.randint(1, n)
         if rng.random() < 0.5:
             cols = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
-            invariants = cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
+            invariants = smith_cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
             factors = [d for d in invariants if d]
             if len(factors) < k:
                 continue
@@ -113,7 +120,7 @@ def test_cokernel_torsion_matches_smith_form(seed):
                 for below in range(r + 1, n):
                     col[below] = rng.randint(-9, 9) * rng.choice((1, 10 ** 15))
                 cols.append(col)
-            invariants = cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
+            invariants = smith_cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
         want = tuple(sorted(d for d in invariants if d > 1))
         assert cokernel_torsion(cols, factors) == want
 
@@ -128,20 +135,13 @@ def test_cokernel_torsion_examples():
 
 
 def test_diophantine_examples():
-    m = IntegerMatrix.from_rows([[2]])
-    sol = solve_linear_diophantine(m, [4])
-    assert sol is not None
-    x, ker = sol
-    assert x == (2,)
-    assert ker == []
+    assert solve_linear_diophantine([[2]], [4], 1) == (2,)
+    assert kernel_basis([[2]], 1) == ()
 
-    assert solve_linear_diophantine(m, [3]) is None
+    assert solve_linear_diophantine([[2]], [3], 1) is None
 
-    m = IntegerMatrix.from_rows([[1, 1]])
-    sol = solve_linear_diophantine(m, [0])
-    assert sol is not None
-    x, ker = sol
-    assert x == (0, 0)
+    assert solve_linear_diophantine([[1, 1]], [0], 2) == (0, 0)
+    ker = kernel_basis([[1, 1]], 2)
     assert len(ker) == 1
     assert ker[0] in ((1, -1), (-1, 1))
 
@@ -151,16 +151,15 @@ def test_diophantine_random(seed):
     rng = random.Random(100 + seed)
     nr = rng.randint(1, 4)
     nc = rng.randint(1, 4)
-    m = IntegerMatrix.from_rows(
-        [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
-    )
+    rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+    m = IntegerMatrix.from_rows(rows)
     # Solvable by construction: b = m * (random integer vector).
     x0 = [rng.randint(-4, 4) for _ in range(nc)]
     b = m.mul_vector(x0)
-    sol = solve_linear_diophantine(m, b)
-    assert sol is not None
-    x, ker = sol
+    x = solve_linear_diophantine(rows, b, nc)
+    assert x is not None
     assert m.mul_vector(x) == b
+    ker = kernel_basis(rows, nc)
     for v in ker:
         assert m.mul_vector(v) == (0,) * nr
     # Kernel rank is nc - rank(m).
@@ -171,7 +170,7 @@ def test_diophantine_random(seed):
 
 def test_kernel_basis_spans_kernel():
     m = IntegerMatrix.from_rows([[1, 2, 3]])
-    ker = kernel_basis(m)
+    ker = kernel_basis(m.entries, 3)
     assert len(ker) == 2
     for v in ker:
         assert m.mul_vector(v) == (0,)
@@ -183,3 +182,116 @@ def test_hermite_row_basis_canonical():
     assert a == b == ((2, 0), (0, 3))
     # Span comparison distinguishes index-2 sublattice from the full lattice.
     assert hermite_row_basis([(1, 0), (0, 1)], 2) != hermite_row_basis([(1, 0), (0, 2)], 2)
+
+
+# ---------------------------------------------------------------------------
+# The Hermite layer against the Smith-form oracle
+
+
+def assert_hermite_form(h, ncols):
+    """Echelon rows, positive pivots, entries above each pivot in [0, pivot)."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    assert pivots == sorted(set(pivots))
+    for idx, j in enumerate(pivots):
+        assert h[idx][j] > 0
+        assert all(0 <= above[j] < h[idx][j] for above in h[:idx])
+    assert all(len(row) == ncols for row in h)
+
+
+def test_hermite_row_basis_canonical_example():
+    # Two bases of one sublattice of Z^5.  Reducing above the pivots from the
+    # last pivot up gave them different first rows.
+    a = hermite_row_basis([(1, -2, -1, 0, 0), (0, 2, 1, 1, 0), (0, -1, 1, 0, 1)], 5)
+    b = hermite_row_basis([(1, 0, 6, 3, 4), (0, 1, 2, 1, 1), (0, 0, 3, 1, 2)], 5)
+    assert a == b == ((1, 0, 0, 1, 0), (0, 1, 2, 1, 1), (0, 0, 3, 1, 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hermite_row_basis_invariant_under_unimodular_mixing(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        h = hermite_row_basis(rows, n)
+        assert_hermite_form(h, n)
+        assert not any(any(hermite_remainder(h, r)) for r in rows)
+        # Mix: add multiples of one row to another, negate, append
+        # combinations and zero rows, then shuffle.
+        mixed = [list(r) for r in rows]
+        for _ in range(rng.randint(1, 8)):
+            i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
+            if i != j:
+                c = rng.randint(-3, 3)
+                mixed[i] = [x + c * y for x, y in zip(mixed[i], mixed[j])]
+            else:
+                mixed[i] = [-x for x in mixed[i]]
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        mixed.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)])
+        mixed.append([0] * n)
+        rng.shuffle(mixed)
+        assert hermite_row_basis(mixed, n) == h
+
+
+def random_matrix(rng):
+    """Rows of a random matrix with at least one column; some columns zero,
+    some combinations of others, and sometimes no rows at all."""
+    nr = rng.randint(0, 4)
+    nc = rng.randint(1, 5)
+    cols = []
+    for _ in range(nc):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append([0] * nr)
+        elif kind < 0.35 and cols:
+            a, b = rng.choice(cols), rng.choice(cols)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            cols.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            cols.append([rng.randint(-6, 6) for _ in range(nr)])
+    return [[c[i] for c in cols] for i in range(nr)], nc
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_basis_matches_smith_kernel(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(80):
+        rows, nc = random_matrix(rng)
+        ker = kernel_basis(rows, nc)
+        assert_hermite_form(ker, nc)
+        oracle = smith_kernel_basis(IntegerMatrix(len(rows), nc, tuple(map(tuple, rows))))
+        assert ker == hermite_row_basis(oracle, nc)
+
+
+def test_kernel_basis_without_rows_is_the_identity():
+    assert kernel_basis([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solve_matches_smith_solve(seed):
+    rng = random.Random(2000 + seed)
+    for _ in range(80):
+        rows, nc = random_matrix(rng)
+        m = IntegerMatrix(len(rows), nc, tuple(map(tuple, rows)))
+        solvable = list(m.mul_vector([rng.randint(-4, 4) for _ in range(nc)]))
+        arbitrary = [rng.randint(-6, 6) for _ in rows]
+        for b in (solvable, arbitrary):
+            x = solve_linear_diophantine(rows, b, nc)
+            assert (x is None) == (smith_solve(m, b) is None)
+            if x is not None:
+                assert list(m.mul_vector(x)) == b
+    with pytest.raises(ValueError):
+        solve_linear_diophantine([[1, 2]], [1, 2], 2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cokernel_invariants_match_smith_form(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(80):
+        rows, nc = random_matrix(rng)
+        n = rng.randint(1, 5)
+        # Read the random matrix's rows as columns in Z^n, zero-padded or cut.
+        cols = [(list(r) + [0] * n)[:n] for r in rows]
+        got = cokernel_invariants(cols, n)
+        assert got == smith_cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
+        assert len(got) == n
+    assert cokernel_invariants([], 2) == [0, 0]

@@ -1,5 +1,6 @@
-"""Every public function of the library is referenced: a name that `src/`,
-`tests/` and `perfbench/` never use is dead code."""
+"""Every public function of the library is referenced by the library or the
+benchmark: a name that `src/` and `perfbench/` never use is dead code, or, if
+only tests call it, a test oracle that belongs in `tests/oracles.py`."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ def test_every_public_function_is_referenced():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
     used = set()
-    for folder in ("src", "tests", "perfbench"):
+    for folder in ("src", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Name):

@@ -12,11 +12,9 @@ from zipk0.invariants import (
 from zipk0.rootdata import (
     RootDatum,
     RootDatumError,
-    all_reduced_words,
     dominant_hilbert_basis,
     fundamental_group,
     levi_from_cocharacter,
-    levi_sub_datum,
     make_root_datum,
     mat_mul,
     mat_vec,
@@ -27,11 +25,10 @@ from zipk0.rootdata import (
     validate,
     weights_dominant,
     weyl_enumerate,
-    weyl_lengths,
     weyl_orbit,
 )
 
-from oracles import general_dominant_hilbert_basis
+from oracles import all_reduced_words, general_dominant_hilbert_basis, levi_sub_datum, weyl_lengths
 
 
 ALL_PRESETS = ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "PGL2", "Gm", "Gm^2", "A1xA1"]

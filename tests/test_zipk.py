@@ -4,34 +4,46 @@ import pytest
 
 import itertools
 
-from zipk0.groebner import PolyRingSpec, eliminate, normal_form_gb, poly_to_string, strong_groebner
-from zipk0.grpalg import from_terms, monomial, one
+from zipk0.groebner import PolyRingSpec, normal_form_gb, poly_to_string, strong_groebner
+from zipk0.grpalg import monomial, one
 from zipk0.invariants import (
     InvariantRingPresentation,
     SimplyConnectedHypothesisError,
     express_invariant,
     invariant_ring,
 )
-from zipk0.rootdata import PRESET_NAMES, RootDatum, fundamental_group, levi_from_cocharacter, preset
+from zipk0.rootdata import (
+    PRESET_NAMES,
+    RootDatum,
+    fundamental_group,
+    levi_from_cocharacter,
+    preset,
+    require_simply_connected,
+    validate,
+)
 from zipk0.zipk import (
     CocharacterDatum,
     compute_k0,
     compute_k0_torus,
-    counterexample_brute_force,
     hecke_check,
     is_prime,
     kunneth_rank_check,
     levi_presentation_ring,
-    substitution_soundness,
     theta_map_check,
     to_poly,
     torus_ring_spec,
-    validate_datum,
     weyl_counterexample_demo,
     weyl_invariant_lattice,
 )
 
-from oracles import mod_l_count_agrees, verify_strong_groebner
+from oracles import (
+    counterexample_brute_force,
+    eliminate,
+    from_terms,
+    mod_l_count_agrees,
+    substitution_soundness,
+    verify_strong_groebner,
+)
 
 
 def kunneth(datum):
@@ -49,8 +61,12 @@ def test_datum_validation():
     with pytest.raises(ValueError):
         CocharacterDatum(preset("SL2"), (1, 0), 3)
     with pytest.raises(SimplyConnectedHypothesisError):
-        validate_datum(CocharacterDatum(preset("PGL2"), (1,), 2))
-    validate_datum(CocharacterDatum(preset("SL3"), (0, 0), 2))
+        pgl2 = CocharacterDatum(preset("PGL2"), (1,), 2).rd
+        validate(pgl2)
+        require_simply_connected(pgl2)
+    sl3 = CocharacterDatum(preset("SL3"), (0, 0), 2).rd
+    validate(sl3)
+    require_simply_connected(sl3)
 
 
 @pytest.mark.parametrize("p,rank", [(2, 4), (3, 6), (5, 10)])
