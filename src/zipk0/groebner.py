@@ -1,14 +1,15 @@
 """Strong Groebner bases over the integers.
 
-Polynomials are dicts {exponent tuple: nonzero int} in N^m.  Laurent
-behaviour comes from explicit inverse variables with unit relations
-v*vbar - 1.  Reduction is Euclidean on coefficients (canonical residues in
-[0, lc)), and the basis is completed with both S-polynomials (coefficient
-lcm) and G-polynomials (coefficient gcd), so every ideal element has a
-leading term divisible -- monomial and coefficient -- by a basis leading
-term.  This strong property is what makes normal forms unique and lets the
-quotient's Z-module structure be read from the staircase: its cells and one
-relation for each cell under a non-unit leading term (quotient_z_module).
+Polynomials are dicts {exponent tuple: nonzero int} in N^m, ordered by
+grevlex.  Laurent behaviour comes from explicit inverse variables, whose
+unit relations v*vbar - 1 the caller passes among the generators.
+Reduction is Euclidean on coefficients (canonical residues in [0, lc)), and
+the basis is completed with both S-polynomials (coefficient lcm) and
+G-polynomials (coefficient gcd), so every ideal element has a leading term
+divisible -- monomial and coefficient -- by a basis leading term.  This
+strong property is what makes normal forms unique and lets the quotient's
+Z-module structure be read from the staircase: its cells and one relation
+for each cell under a non-unit leading term (quotient_z_module).
 An S-pair is not reduced when the product criterion or the chain criterion
 proves it redundant; G-pairs are never pruned.
 
@@ -46,76 +47,31 @@ class ResourceCapError(RuntimeError):
 
 DEFAULT_MAX_DEGREE = 60
 DEFAULT_MAX_BASIS = 20000
+TRUNCATION_BOUND = 12  # degree cap of a quotient report that is not module-finite
 
 
 @dataclass(frozen=True)
 class PolyRingSpec:
-    """Variable names, optional inverse pairs, and the monomial order.
-
-    blocks = None gives graded reverse lexicographic order on all variables;
-    otherwise blocks is an ordered partition of the variable indices and the
-    order is block-wise grevlex (an elimination order for the leading blocks).
-    """
+    """Variable names of Z[x_1..x_n], ordered by graded reverse lexicographic
+    order."""
 
     names: tuple[str, ...]
-    inverse_pairs: tuple[tuple[int, int], ...] = ()
-    blocks: Optional[tuple[tuple[int, ...], ...]] = None
-
-    def __post_init__(self):
-        seen = set()
-        for a, b in self.inverse_pairs:
-            if a in seen or b in seen or a == b:
-                raise ValueError("inverse pairs must be disjoint")
-            seen.add(a)
-            seen.add(b)
-        if self.blocks is not None:
-            flat = [i for blk in self.blocks for i in blk]
-            if sorted(flat) != list(range(len(self.names))):
-                raise ValueError("blocks must partition the variables")
 
     @property
     def nvars(self) -> int:
         return len(self.names)
 
     def monomial_key(self) -> Callable[[Monomial], tuple]:
-        if self.blocks is None:
-            def key(m: Monomial):
-                return (sum(m), tuple(-e for e in reversed(m)))
-            return key
-        blocks = self.blocks
-
         def key(m: Monomial):
-            return tuple(
-                (sum(m[i] for i in blk), tuple(-m[i] for i in reversed(blk)))
-                for blk in blocks
-            )
+            return (sum(m), tuple(-e for e in reversed(m)))
         return key
 
     def heap_key(self) -> Callable[[Monomial], tuple]:
         """Key that sorts monomials in descending monomial order, so that a
         min-heap of (heap_key(m), m) pops the largest monomial first."""
-        if self.blocks is None:
-            def key(m: Monomial):
-                return (-sum(m), m[::-1])
-            return key
-        blocks = self.blocks
-
         def key(m: Monomial):
-            return tuple(
-                (-sum(m[i] for i in blk), tuple(m[i] for i in reversed(blk)))
-                for blk in blocks
-            )
+            return (-sum(m), m[::-1])
         return key
-
-    def unit_relations(self) -> list[Poly]:
-        rels = []
-        n = self.nvars
-        for a, b in self.inverse_pairs:
-            e = [0] * n
-            e[a] = 1
-            e[b] = 1
-            rels.append({tuple(e): 1, (0,) * n: -1})
-        return rels
 
 
 def poly_canonical(f: Poly, key) -> tuple[tuple[Monomial, int], ...]:
@@ -395,51 +351,47 @@ def _chain_criterion(
 ) -> bool:
     """Gebauer-Moeller chain criterion over Z: the S-pair (i, j), with
     big = lcm(lm_i, lm_j), is redundant once element k is in the basis when
-    lm_k | big, lc_k | lcm(lc_i, lc_j), and neither lcm(lm_i, lm_k) nor
-    lcm(lm_j, lm_k) equals big.
+    lm_k | big and lc_k | lcm(lc_i, lc_j).
 
-    With l = lcm(lc_i, lc_j), the first two conditions make lt_k divide
-    l*X^big, and the S-syzygy of (i, j) is then a sum of term multiples of
-    the S-syzygies of (i, k) and (k, j):
+    With l = lcm(lc_i, lc_j), the two conditions make lt_k divide l*X^big,
+    and the S-syzygy of (i, j) is then a sum of term multiples of the
+    S-syzygies of (i, k) and (k, j):
     S_ij = (l/l_ik) X^(big - lcm(lm_i, lm_k)) S_ik
          + (l/l_kj) X^(big - lcm(lm_k, lm_j)) S_kj.
     So S_ij lifts whenever S_ik and S_kj do (the lifting theorem cited at
     _product_criterion; Gebauer & Moeller, "On an installation of
     Buchberger's algorithm", JSC 1988, for fields; Eder & Hofmann, JSC 2021,
-    for strong bases over principal ideal rings).  The strictness condition
-    makes both lcms proper divisors of big, hence smaller in the monomial
-    order, so induction on the lcm closes every chain: no pair is ever
-    dropped on the strength of a pair that was dropped on its strength.
+    for strong bases over principal ideal rings).  strong_groebner tries k
+    only when k is the newest element, before the pairs of k are queued, so
+    a pair is dropped only on the strength of pairs (i, k) and (j, k) with a
+    newer element, which in turn only a still newer element can drop.
+    Induction from the newest element down closes every chain, with no
+    condition on the lcms: no pair is ever dropped on the strength of a pair
+    that was dropped on its strength.
     """
     lmk, lck = lt_k
-    (lmi, lci), (lmj, lcj) = lt_i, lt_j
-    return (
-        all(map(le, lmk, big))
-        and (lci * lcj // math.gcd(lci, lcj)) % lck == 0
-        and _monomial_lcm(lmi, lmk) != big
-        and _monomial_lcm(lmj, lmk) != big
-    )
+    (_, lci), (_, lcj) = lt_i, lt_j
+    return all(map(le, lmk, big)) and (lci * lcj // math.gcd(lci, lcj)) % lck == 0
 
 
 def strong_groebner(
     gens: Iterable[Poly],
     spec: PolyRingSpec,
     max_degree: int = DEFAULT_MAX_DEGREE,
-    max_basis: int = DEFAULT_MAX_BASIS,
 ) -> GroebnerBasis:
     """Buchberger completion with S- and G-polynomials over Z.
 
     Deterministic: fixed input normalization, normal (smallest-lcm-first)
     selection, canonical interreduction at the end.  S-pairs that the
     product criterion or the chain criterion proves redundant are never
-    reduced; G-pairs are never pruned.  Raises ResourceCapError when the
-    configured degree or size caps are hit.
+    reduced; G-pairs are never pruned.  The generators are taken in the
+    order of (leading monomial, terms), so the basis does not depend on the
+    order they come in.  Raises ResourceCapError when a leading monomial
+    exceeds max_degree or the basis exceeds DEFAULT_MAX_BASIS elements.
     """
     key = spec.monomial_key()
     heap_key = spec.heap_key()
-    start: list[Poly] = [dict(g) for g in gens if g]
-    start.extend(spec.unit_relations())
-    start = [_normalize_sign(g, key) for g in start]
+    start = [_normalize_sign(dict(g), key) for g in gens if g]
     start.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
     basis: list[Poly] = []
     leads: list[tuple[Monomial, int]] = []  # leading term of each basis element
@@ -516,17 +468,13 @@ def strong_groebner(
             raise ResourceCapError(
                 f"leading monomial degree {sum(lm)} exceeds cap {max_degree}"
             )
-        if len(basis) > max_basis:
-            raise ResourceCapError(f"basis size exceeds cap {max_basis}")
+        if len(basis) > DEFAULT_MAX_BASIS:
+            raise ResourceCapError(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
         drop_chained(len(basis) - 1)
         push_pairs(len(basis) - 1)
 
     reduced = _interreduce(basis, spec)
     return GroebnerBasis(spec, tuple(poly_canonical(g, key) for g in reduced))
-
-
-# ---------------------------------------------------------------------------
-# Elimination
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +493,7 @@ class QuotientReport:
     note: str = ""
 
 
-def quotient_z_module(gb: GroebnerBasis, bound: int = 12) -> QuotientReport:
+def quotient_z_module(gb: GroebnerBasis) -> QuotientReport:
     """Rank and torsion of the quotient as a Z-module, exactly.
 
     The cells are the monomials that no unit-coefficient leading monomial
@@ -569,10 +517,10 @@ def quotient_z_module(gb: GroebnerBasis, bound: int = 12) -> QuotientReport:
 
     The quotient is module-finite iff every variable has a pure power among
     the unit leading monomials; then the cells are finite.  Otherwise the
-    cells and columns are those of total degree <= bound.  For a graded order
-    every column then lies on those cells, and the report is exactly the
-    rank and torsion of the submodule spanned by the monomials of degree
-    <= bound, as its note says; other orders raise ValueError.
+    cells and columns are those of total degree <= TRUNCATION_BOUND.  The
+    order is graded, so every column then lies on those cells, and the report
+    is exactly the rank and torsion of the submodule spanned by the monomials
+    of degree <= TRUNCATION_BOUND, as its note says.
     """
     spec = gb.spec
     heap_key = spec.heap_key()
@@ -585,13 +533,12 @@ def quotient_z_module(gb: GroebnerBasis, bound: int = 12) -> QuotientReport:
     finite = all(
         any(m[i] and sum(m) == m[i] for m in unit_lms) for i in range(n)
     )
-    if not finite and spec.blocks is not None:
-        raise ValueError("a truncated module report needs a graded monomial order")
 
     # The cells are closed under division, so each one is a cell of the
     # previous degree times a variable.
     cells: list[Monomial] = []
     level = [(0,) * n]
+    bound = TRUNCATION_BOUND
     while level and (finite or sum(level[0]) <= bound):
         cells.extend(level)
         step = {

@@ -73,18 +73,6 @@ class GroupAlgebraElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "GroupAlgebraElement":
-        if k < 0:
-            raise ValueError("negative powers: invert exponents explicitly instead")
-        result = one(self.rank)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupAlgebraElement)
@@ -99,9 +87,6 @@ class GroupAlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> list[Vector]:
-        return sorted(self.terms)
 
     def coefficient(self, exponent: Sequence[int]) -> int:
         return self.terms.get(tuple(exponent), 0)
@@ -132,8 +117,8 @@ def one(rank: int) -> GroupAlgebraElement:
     return GroupAlgebraElement(rank, {(0,) * rank: 1})
 
 
-def monomial(rank: int, exponent: Sequence[int], coeff: int = 1) -> GroupAlgebraElement:
-    return GroupAlgebraElement(rank, {tuple(int(x) for x in exponent): coeff})
+def monomial(rank: int, exponent: Sequence[int]) -> GroupAlgebraElement:
+    return GroupAlgebraElement(rank, {tuple(int(x) for x in exponent): 1})
 
 
 # ---------------------------------------------------------------------------

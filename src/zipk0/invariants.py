@@ -49,7 +49,6 @@ class InvariantRingPresentation:
     weyl: WeylGroup
     dominance_coroots: tuple[Vector, ...]   # simple coroots cutting the dominant cone
     height_vector: Vector                   # sum of positive coroots: H(chi) > 0 on them
-    augmentation_generators: tuple[GroupAlgebraElement, ...]
 
 
 def invariant_ring(rd: RootDatum, levi: Optional[LeviDatum] = None) -> InvariantRingPresentation:
@@ -66,11 +65,8 @@ def invariant_ring(rd: RootDatum, levi: Optional[LeviDatum] = None) -> Invariant
     weights = dominant_hilbert_basis(rd, levi)
     elements = tuple(orbit_sum(weyl, w) for w in weights)
     height = tuple(sum(cv[i] for cv in pos_coroots) for i in range(rd.rank)) if pos_coroots else (0,) * rd.rank
-    aug = tuple(
-        el - one(rd.rank) * len(el.terms) for el in elements
-    )
     return InvariantRingPresentation(
-        rd.rank, tuple(weights), elements, weyl, tuple(cosimples), height, aug
+        rd.rank, tuple(weights), elements, weyl, tuple(cosimples), height
     )
 
 
@@ -184,6 +180,12 @@ def express_invariant(
 
 
 _SPECIALIZATION_PRIME = (1 << 61) - 1  # Mersenne prime; huge unit group
+# steinberg_freeness_check: how many random specializations test independence
+# (the same ones every run), and the radius of the box of monomials tested
+# for spanning.
+STEINBERG_DRAWS = 3
+STEINBERG_SEED = 20250901
+STEINBERG_SPANNING_RADIUS = 1
 
 
 def integral_fundamental_weights(rd: RootDatum) -> tuple[Vector, ...]:
@@ -195,13 +197,12 @@ def integral_fundamental_weights(rd: RootDatum) -> tuple[Vector, ...]:
     return fundamental_weight_lift(rd.rank, rd.simple_coroots)[1]
 
 
-def steinberg_candidate_weights(rd: RootDatum, weyl: Optional[WeylGroup] = None) -> list[Vector]:
+def steinberg_candidate_weights(rd: RootDatum, weyl: WeylGroup) -> list[Vector]:
     """lambda_w = w^{-1}(sum of eta_alpha over simple alpha with w^{-1} alpha < 0).
 
     Candidate free basis of R(T) over R(G), one weight per Weyl element;
     validated empirically by steinberg_freeness_check.
     """
-    weyl = weyl or weyl_enumerate(rd)
     etas = integral_fundamental_weights(rd)
     pos = frozenset(rd.roots[i] for i in positive_root_indices(rd))
     out = []
@@ -224,16 +225,12 @@ class SteinbergReport:
     independent: bool
     spanning_tested: tuple[Vector, ...]
     spanning_ok: bool
-    note: str = "empirical certificate: candidates validated numerically, not by construction"
 
 
 def steinberg_freeness_check(
     rd: RootDatum,
     candidate_weights: Sequence[Sequence[int]],
-    weyl: Optional[WeylGroup] = None,
-    spanning_radius: int = 2,
-    draws: int = 3,
-    seed: int = 20250901,
+    weyl: WeylGroup,
 ) -> SteinbergReport:
     """Independence via random unit specializations; spanning via one Hermite basis.
 
@@ -244,14 +241,13 @@ def steinberg_freeness_check(
     unit vector reduces to zero against one Hermite basis of the products
     (orbit sum over a dominant window) * e^lambda.
     """
-    weyl = weyl or weyl_enumerate(rd)
     cands = [tuple(int(x) for x in w) for w in candidate_weights]
     distinct = len(set(cands)) == len(cands) and len(cands) == len(weyl)
     q = _SPECIALIZATION_PRIME
-    rng = random.Random(seed)
+    rng = random.Random(STEINBERG_SEED)
     det_draws = []
     if distinct:
-        for _ in range(draws):
+        for _ in range(STEINBERG_DRAWS):
             units = [rng.randrange(2, q - 1) for _ in range(rd.rank)]
             mat = []
             for v in weyl.elements:
@@ -272,7 +268,7 @@ def steinberg_freeness_check(
         from .grpalg import window_box
 
         maxc = max((max(abs(x) for x in lam) for lam in cands if any(lam)), default=0)
-        box_r = spanning_radius + maxc + 2
+        box_r = STEINBERG_SPANNING_RADIUS + maxc + 2
         dominant_window = [
             nu
             for nu in window_box(rd.rank, box_r)
@@ -283,7 +279,7 @@ def steinberg_freeness_check(
             for lam in cands
             for nu in dominant_window
         ]
-        targets = window_box(rd.rank, spanning_radius)
+        targets = window_box(rd.rank, STEINBERG_SPANNING_RADIUS)
         # One index over every basis element and every target: rows that are
         # zero in M and in b do not change whether M*x = b is solvable.
         support = sorted({e for el in basis_elems for e in el.terms} | set(targets))

@@ -31,7 +31,10 @@ class RootDatumError(ValueError):
 
 
 class WeylSizeCapError(RuntimeError):
-    """Weyl group enumeration exceeded the configured size cap."""
+    """Weyl group enumeration exceeded WEYL_SIZE_CAP elements."""
+
+
+WEYL_SIZE_CAP = 10**6
 
 
 def pairing(chi: Sequence[int], cochar: Sequence[int]) -> int:
@@ -258,7 +261,6 @@ class WeylGroup:
     generators: tuple[Matrix, ...]          # simple reflections, in simple-root order
     elements: tuple[Matrix, ...]
     reduced_words: tuple[tuple[int, ...], ...]
-    longest_element: int
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -274,7 +276,6 @@ def enumerate_weyl_group(
     rank: int,
     simple_roots: Sequence[Vector],
     simple_coroots: Sequence[Vector],
-    size_cap: int = 10**6,
 ) -> WeylGroup:
     """BFS closure of the simple reflections; BFS depth gives reduced words."""
     gens = tuple(reflection_matrix(a, av) for a, av in zip(simple_roots, simple_coroots))
@@ -293,17 +294,16 @@ def enumerate_weyl_group(
                     elements.append(m)
                     words.append(words[idx] + (i,))
                     nxt.append(seen[m])
-                    if len(elements) > size_cap:
+                    if len(elements) > WEYL_SIZE_CAP:
                         raise WeylSizeCapError(
-                            f"Weyl group larger than cap {size_cap}"
+                            f"Weyl group larger than cap {WEYL_SIZE_CAP}"
                         )
         frontier = nxt
-    longest = max(range(len(elements)), key=lambda k: (len(words[k]), k))
-    return WeylGroup(rank, gens, tuple(elements), tuple(words), longest)
+    return WeylGroup(rank, gens, tuple(elements), tuple(words))
 
 
-def weyl_enumerate(rd: RootDatum, size_cap: int = 10**6) -> WeylGroup:
-    return enumerate_weyl_group(rd.rank, rd.simple_roots, rd.simple_coroots, size_cap)
+def weyl_enumerate(rd: RootDatum) -> WeylGroup:
+    return enumerate_weyl_group(rd.rank, rd.simple_roots, rd.simple_coroots)
 
 
 def weyl_orbit(weyl: WeylGroup, weight: Sequence[int]) -> tuple[Vector, ...]:
@@ -395,7 +395,7 @@ def _lex_positive(v: Vector) -> bool:
     return False
 
 
-def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int], size_cap: int = 10**6) -> LeviDatum:
+def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int]) -> LeviDatum:
     """Levi centralising the cocharacter: roots with <alpha, mu> = 0.
 
     The Levi's simple system is the set of indecomposable lex-positive Levi
@@ -423,7 +423,6 @@ def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int], size_cap: int = 10**
         rd.rank,
         [rd.roots[i] for i in simple_idx],
         [rd.coroots[i] for i in simple_idx],
-        size_cap,
     )
     datum = LeviDatum(rd, mu, levi, simple_idx, wl, nonpos, nonneg)
     # Sanity: every Levi root is a +-N-combination of the chosen simple system.

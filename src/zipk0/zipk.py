@@ -17,6 +17,7 @@ the failure of naive Weyl descent).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -62,18 +63,22 @@ from .rootdata import (
 )
 
 
+# theta_map_check tests this many random directions, the same ones every run.
+THETA_SAMPLES = 8
+THETA_SEED = 20250901
+
+
 def is_prime(n: int) -> bool:
     return n > 1 and _prime_factors(n) == [n]
 
 
 @dataclass(frozen=True)
 class CocharacterDatum:
-    """Input to the pipeline: root datum, cocharacter, prime, optional twist."""
+    """Input to the pipeline: root datum, cocharacter and prime."""
 
     rd: RootDatum
     mu: Cocharacter
     p: int
-    twist: Optional[Matrix] = None
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -82,10 +87,11 @@ class CocharacterDatum:
             raise ValueError(
                 f"cocharacter length {len(self.mu)} does not match rank {self.rd.rank}"
             )
-        if self.twist is None and self.rd.twist is not None:
-            object.__setattr__(self, "twist", self.rd.twist)
-        elif self.twist is not None and self.rd.twist is not None and self.twist != self.rd.twist:
-            raise ValueError("datum twist differs from the root datum's twist")
+
+    @property
+    def twist(self) -> Optional[Matrix]:
+        """The Frobenius twist, which is the root datum's."""
+        return self.rd.twist
 
     @cached_property
     def weyl(self) -> WeylGroup:
@@ -113,15 +119,24 @@ class CocharacterDatum:
 # Group algebra <-> Laurent polynomial ring
 
 
-def torus_ring_spec(rank: int) -> PolyRingSpec:
-    """Z[x1..xn, inverses]: inverse variables sort first so they reduce away."""
+def unit_relations(pairs: Sequence[tuple[int, int]], nvars: int) -> list[Poly]:
+    """y_a*y_b - 1 for each pair (a, b) of variable indices, in that order."""
+    constant = (0,) * nvars
+    return [
+        {tuple(1 if j in pair else 0 for j in range(nvars)): 1, constant: -1}
+        for pair in pairs
+    ]
+
+
+def torus_ring_spec(rank: int) -> tuple[PolyRingSpec, list[Poly]]:
+    """Z[x1..xn, inverses] and its relations x_ib*x_i - 1: inverse variables
+    sort first so they reduce away."""
     names = []
-    pairs = []
     for i in range(rank):
         names.append(f"x{i + 1}b")
         names.append(f"x{i + 1}")
-        pairs.append((2 * i, 2 * i + 1))
-    return PolyRingSpec(tuple(names), tuple(pairs))
+    pairs = [(2 * i, 2 * i + 1) for i in range(rank)]
+    return PolyRingSpec(tuple(names)), unit_relations(pairs, 2 * rank)
 
 
 def exponent_to_monomial(chi: Sequence[int]) -> tuple[int, ...]:
@@ -142,14 +157,13 @@ def to_poly(f: GroupAlgebraElement) -> Poly:
 
 
 def compute_k0_torus(
-    datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE, bound: int = 12
+    datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> tuple[GroebnerBasis, QuotientReport]:
     """Strong basis and Z-module report for R(T) modulo the Frobenius differences."""
-    spec = torus_ring_spec(datum.rd.rank)
-    polys = [to_poly(g) for g in datum.frobenius_gens]
+    spec, units = torus_ring_spec(datum.rd.rank)
+    polys = units + [to_poly(g) for g in datum.frobenius_gens]
     gb = strong_groebner(polys, spec, max_degree=max_degree)
-    report = quotient_z_module(gb, bound=bound)
-    return gb, report
+    return gb, quotient_z_module(gb)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +221,11 @@ def levi_presentation_ring(
             f"R(L) is not polynomial on its orbit-sum generators: {unpaired} unpaired "
             f"generator weights for {len(lpres.dominance_coroots)} Levi simple roots"
         )
-    constant = (0,) * k
-    syzygies = []
-    for a, b in pairs:
-        mono = tuple(1 if j in (a, b) else 0 for j in range(k))
-        syzygies.append({mono: 1, constant: -1})
-    return PolyRingSpec(tuple(f"y{j + 1}" for j in range(k))), tuple(syzygies)
+    return PolyRingSpec(tuple(f"y{j + 1}" for j in range(k))), tuple(unit_relations(pairs, k))
 
 
 def compute_k0(
-    datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE, bound: int = 12
+    datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> KZeroPresentation:
     """Presentation of R(L)/IR(L) for the Levi of the cocharacter."""
     frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
@@ -226,7 +235,7 @@ def compute_k0(
     frob_polys = [express_invariant(g, lpres) for g in frobenius_gens]
 
     gb = strong_groebner(list(syzygies) + frob_polys, y_spec, max_degree=max_degree)
-    report = quotient_z_module(gb, bound=bound)
+    report = quotient_z_module(gb)
     one_mono = (0,) * y_spec.nvars
     one_nz = normal_form_gb({one_mono: 1}, gb) != {}
     return KZeroPresentation(
@@ -294,31 +303,19 @@ class ThetaReport:
 
 
 def weyl_invariant_lattice(rd: RootDatum) -> list[Vector]:
-    """Basis of the characters fixed by the whole Weyl group."""
-    from .rootdata import reflection_matrix
+    """Basis of the characters fixed by the whole Weyl group.
 
-    rows: list[list[int]] = []
-    for i in rd.simple_indices:
-        s = reflection_matrix(rd.roots[i], rd.coroots[i])
-        for r in range(rd.rank):
-            row = [s[r][c] - (1 if r == c else 0) for c in range(rd.rank)]
-            if any(row):
-                rows.append(row)
-    return list(kernel_basis(rows, rd.rank))
+    s_alpha(chi) = chi - <chi, alpha^vee> alpha fixes chi exactly when
+    <chi, alpha^vee> = 0, so these are the kernel of the simple coroots.
+    """
+    return list(kernel_basis(rd.simple_coroots, rd.rank))
 
 
-def theta_map_check(
-    datum: CocharacterDatum,
-    torus_gb: GroebnerBasis,
-    samples: int = 8,
-    seed: int = 20250901,
-) -> ThetaReport:
+def theta_map_check(datum: CocharacterDatum, torus_gb: GroebnerBasis) -> ThetaReport:
     """The untwisting identity, concretely: e^chi = e^{p tau(chi)} holds in the
     torus-side quotient exactly for Weyl-invariant directions (where e^chi is a
     class from R(G)), and generically fails otherwise.  torus_gb is the strong
     basis from compute_k0_torus of the same datum."""
-    import random as _random
-
     rd = datum.rd
     gen_ok = all(not normal_form_gb(to_poly(g), torus_gb) for g in datum.frobenius_gens)
 
@@ -328,9 +325,9 @@ def theta_map_check(
         f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, datum.twist)
         inv_vanish.append(not normal_form_gb(to_poly(f), torus_gb))
 
-    rng = _random.Random(seed)
+    rng = random.Random(THETA_SEED)
     sample_results = []
-    for _ in range(samples):
+    for _ in range(THETA_SAMPLES):
         chi = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
         f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, datum.twist)
         sample_results.append((chi, not normal_form_gb(to_poly(f), torus_gb)))

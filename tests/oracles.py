@@ -1,8 +1,9 @@
 """Test oracles: independent re-checks of the Groebner engine, of the
 quotient module's invariants, of the Steinberg spanning evidence and of the
 closed-form dominant Hilbert basis, and the general code that the library
-itself does not need: the Smith normal form with its transforms, elimination
-ideals, Demazure characters, Levi restrictions and reduced-word counts."""
+itself does not need: the Smith normal form with its transforms, block
+elimination orders and elimination ideals, Demazure characters, Levi
+restrictions and reduced-word counts."""
 
 from __future__ import annotations
 
@@ -286,26 +287,51 @@ def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
     return _reduce(f, table, spec.heap_key())
 
 
+@dataclass(frozen=True)
+class BlockRingSpec(PolyRingSpec):
+    """Block-wise grevlex: blocks is an ordered partition of the variable
+    indices, and the order is an elimination order for the leading blocks."""
+
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        flat = [i for blk in self.blocks for i in blk]
+        if sorted(flat) != list(range(len(self.names))):
+            raise ValueError("blocks must partition the variables")
+
+    def monomial_key(self):
+        blocks = self.blocks
+
+        def key(m):
+            return tuple(
+                (sum(m[i] for i in blk), tuple(-m[i] for i in reversed(blk)))
+                for blk in blocks
+            )
+        return key
+
+    def heap_key(self):
+        blocks = self.blocks
+
+        def key(m):
+            return tuple(
+                (-sum(m[i] for i in blk), tuple(m[i] for i in reversed(blk)))
+                for blk in blocks
+            )
+        return key
+
+
 def eliminate(gb: GroebnerBasis, block: Sequence[int]) -> GroebnerBasis:
     """Strong basis of the elimination ideal: intersect with the subring in
     the variables outside `block` (which must be the leading order block)."""
     spec = gb.spec
-    if spec.blocks is None or tuple(sorted(spec.blocks[0])) != tuple(sorted(block)):
+    if not isinstance(spec, BlockRingSpec) or sorted(spec.blocks[0]) != sorted(block):
         raise ValueError("order is not an elimination order with the given block first")
     drop = set(block)
     keep = [i for i in range(spec.nvars) if i not in drop]
     keep_pos = {v: k for k, v in enumerate(keep)}
-    new_pairs = tuple(
-        (keep_pos[a], keep_pos[b])
-        for a, b in spec.inverse_pairs
-        if a in keep_pos and b in keep_pos
-    )
+    names = tuple(spec.names[i] for i in keep)
     rest_blocks = tuple(tuple(keep_pos[i] for i in blk) for blk in spec.blocks[1:])
-    new_spec = PolyRingSpec(
-        tuple(spec.names[i] for i in keep),
-        new_pairs,
-        rest_blocks if len(rest_blocks) > 1 else None,
-    )
+    new_spec = BlockRingSpec(names, rest_blocks) if len(rest_blocks) > 1 else PolyRingSpec(names)
     out = []
     for terms in gb.polys:
         if all(all(m[i] == 0 for i in drop) for m, _ in terms):
@@ -585,7 +611,7 @@ def demazure_character(
         raise ValueError(f"weight {tuple(weight)} is not dominant")
     if weyl is None:
         weyl = weyl_enumerate(rd)
-    word = weyl.reduced_words[weyl.longest_element]
+    word = max(weyl.reduced_words, key=len)  # the longest element's
     return demazure_word(rd, word, monomial(rd.rank, weight))
 
 

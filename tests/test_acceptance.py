@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from zipk0 import invariants
 from zipk0.cli import main
 from zipk0.groebner import PolyRingSpec, strong_groebner, quotient_z_module
 from zipk0.grpalg import monomial, one
@@ -28,10 +29,11 @@ from zipk0.zipk import (
     hecke_check,
     kunneth_rank_check,
     to_poly,
+    unit_relations,
     weyl_counterexample_demo,
 )
 
-from oracles import all_reduced_words, demazure_character, demazure_word, eliminate
+from oracles import BlockRingSpec, all_reduced_words, demazure_character, demazure_word, eliminate
 from test_groebner import laurent_box_invariants
 from test_grpalg import random_element, weyl_dimension
 
@@ -50,11 +52,11 @@ def test_criterion_1_sl2_golden():
         assert kz.module_report.rank == 2 * p
         assert kz.module_report.torsion == ()
 
-        spec = PolyRingSpec(("xb", "x"), inverse_pairs=((0, 1),), blocks=((0,), (1,)))
+        spec = BlockRingSpec(("xb", "x"), ((0,), (1,)))
         f = to_poly(
             monomial(1, (1,)) + monomial(1, (-1,)) - monomial(1, (p,)) - monomial(1, (-p,))
         )
-        egb = eliminate(strong_groebner([f], spec), (0,))
+        egb = eliminate(strong_groebner([f] + unit_relations([(0, 1)], 2), spec), (0,))
         polys = egb.as_dicts()
         assert len(polys) == 1
         oracle = (monomial(1, (p + 1,)) - one(1)) * (monomial(1, (p - 1,)) - one(1))
@@ -90,7 +92,7 @@ def test_criterion_3_kunneth_freeness_sl3():
 def test_criterion_4_quotient_oracle_equivalence():
     # Windowed linear-algebra brute force vs the Groebner route, on every
     # rank-one-lattice ideal used in the suite.
-    spec = PolyRingSpec(("xb", "x"), inverse_pairs=((0, 1),))
+    spec = PolyRingSpec(("xb", "x"))
     cases = []
     for p in (2, 3, 5):
         cases.append(([{1: 1, -1: 1, p: -1, -p: -1}], 3 * p))      # SL2 T-side
@@ -104,7 +106,7 @@ def test_criterion_4_quotient_oracle_equivalence():
         return out
 
     for gens, radius in cases:
-        gb = strong_groebner([laurent_to_poly(g) for g in gens], spec)
+        gb = strong_groebner([laurent_to_poly(g) for g in gens] + unit_relations([(0, 1)], 2), spec)
         rep = quotient_z_module(gb)
         free, torsion = laurent_box_invariants(gens, radius)
         assert rep.finite
@@ -172,12 +174,15 @@ def test_criterion_9_simply_connectedness_gate():
 
 
 def test_criterion_10_steinberg_freeness_evidence():
-    rep_sl2 = steinberg_freeness_check(preset("SL2"), [(0,), (1,)], spanning_radius=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "STEINBERG_SPANNING_RADIUS", 4)
+        rd = preset("SL2")
+        rep_sl2 = steinberg_freeness_check(rd, [(0,), (1,)], weyl_enumerate(rd))
     assert rep_sl2.independent and rep_sl2.spanning_ok
     rd = preset("SL3")
     weyl = weyl_enumerate(rd)
     cands = steinberg_candidate_weights(rd, weyl)
-    rep_sl3 = steinberg_freeness_check(rd, cands, weyl, spanning_radius=1)
+    rep_sl3 = steinberg_freeness_check(rd, cands, weyl)
     assert rep_sl3.independent and rep_sl3.spanning_ok
     report(10, "SL2 basis {1, x} certified; SL3 recipe passes determinant and spanning checks")
 

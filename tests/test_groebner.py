@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zipk0 import groebner
 from zipk0.groebner import (
     PolyRingSpec,
     ResourceCapError,
@@ -18,8 +19,10 @@ from zipk0.groebner import (
     quotient_z_module,
     strong_groebner,
 )
+from zipk0.zipk import unit_relations
 
 from oracles import (
+    BlockRingSpec,
     IntegerMatrix,
     diagonal_of,
     eliminate,
@@ -44,8 +47,8 @@ def test_coefficient_gcd_combination():
 
 def test_laurent_pair_rank_two():
     # (x^2 - 1, x*xbar - 1): normal forms {1, x} span; rank 2, no torsion.
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
-    gb = strong_groebner([{(0, 2): 1, (0, 0): -1}], spec)
+    spec = PolyRingSpec(("xbar", "x"))
+    gb = strong_groebner([{(0, 2): 1, (0, 0): -1}] + unit_relations([(0, 1)], 2), spec)
     assert verify_strong_groebner(gb)
     report = quotient_z_module(gb)
     assert report.finite
@@ -56,9 +59,9 @@ def test_laurent_pair_rank_two():
 
 def test_laurent_frobenius_difference_rank_six():
     # x + x^-1 - x^3 - x^-3 with unit relation: rank 2p = 6 for p = 3.
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
+    spec = PolyRingSpec(("xbar", "x"))
     f = {(0, 1): 1, (1, 0): 1, (0, 3): -1, (3, 0): -1}
-    gb = strong_groebner([f], spec)
+    gb = strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
     assert verify_strong_groebner(gb)
     report = quotient_z_module(gb)
     assert report.finite and report.rank == 6 and report.torsion == ()
@@ -85,7 +88,7 @@ def test_normal_form_of_generator_is_zero():
 
 def test_eliminate_substitution():
     # (y - x^2, x - t), eliminate x: get y - t^2.
-    spec = PolyRingSpec(("x", "y", "t"), blocks=((0,), (1, 2)))
+    spec = BlockRingSpec(("x", "y", "t"), ((0,), (1, 2)))
     gb = strong_groebner(
         [{(0, 1, 0): 1, (2, 0, 0): -1}, {(1, 0, 0): 1, (0, 0, 1): -1}], spec
     )
@@ -100,11 +103,7 @@ def test_eliminate_gl2_graph_ideal():
     # Graph of the GL2 invariant generators: only relation is y2*y3 = 1.
     # Variables: x1bar, x1, x2bar, x2 | y1, y2, y3.
     names = ("x1bar", "x1", "x2bar", "x2", "y1", "y2", "y3")
-    spec = PolyRingSpec(
-        names,
-        inverse_pairs=((0, 1), (2, 3)),
-        blocks=((0, 1, 2, 3), (4, 5, 6)),
-    )
+    spec = BlockRingSpec(names, ((0, 1, 2, 3), (4, 5, 6)))
 
     def mono(**kw):
         e = [0] * 7
@@ -117,7 +116,7 @@ def test_eliminate_gl2_graph_ideal():
         {mono(y2=1): 1, mono(x1=1, x2=1): -1},                       # y2 - x1 x2
         {mono(y3=1, x1=1, x2=1): 1, mono(): -1},                     # y3 x1 x2 - 1
     ]
-    gb = strong_groebner(gens, spec)
+    gb = strong_groebner(gens + unit_relations([(0, 1), (2, 3)], 7), spec)
     egb = eliminate(gb, (0, 1, 2, 3))
     assert egb.spec.names == ("y1", "y2", "y3")
     assert [poly_to_string(g, egb.spec) for g in egb.as_dicts()] == ["y2*y3 - 1"]
@@ -126,9 +125,9 @@ def test_eliminate_gl2_graph_ideal():
 def test_eliminate_sl2_graph_no_relation():
     # R(G) for SL2 is a free polynomial ring: no relation among y.
     names = ("xbar", "x", "y")
-    spec = PolyRingSpec(names, inverse_pairs=((0, 1),), blocks=((0, 1), (2,)))
+    spec = BlockRingSpec(names, ((0, 1), (2,)))
     gens = [{(0, 0, 1): 1, (0, 1, 0): -1, (1, 0, 0): -1}]  # y - (x + xbar)
-    gb = strong_groebner(gens, spec)
+    gb = strong_groebner(gens + unit_relations([(0, 1)], 3), spec)
     egb = eliminate(gb, (0, 1))
     assert egb.as_dicts() == []
 
@@ -136,22 +135,23 @@ def test_eliminate_sl2_graph_no_relation():
 def test_quotient_frobenius_rewriting_rank():
     # (x - x^p, xbar - xbar^p, x*xbar - 1) for p = 3: exponents collapse
     # mod p - 1 = 2 with x invertible: free of rank 2.
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
+    spec = PolyRingSpec(("xbar", "x"))
     p = 3
     gens = [
         {(0, 1): 1, (0, p): -1},
         {(1, 0): 1, (p, 0): -1},
     ]
-    gb = strong_groebner(gens, spec)
+    gb = strong_groebner(gens + unit_relations([(0, 1)], 2), spec)
     rep = quotient_z_module(gb)
     assert rep.finite and rep.rank == 2 and rep.torsion == ()
 
 
-def test_quotient_not_module_finite():
+def test_quotient_not_module_finite(monkeypatch):
     # Ideal (2) in Z[x]: every monomial survives with Z/2 coefficients.
     spec = PolyRingSpec(("x",))
     gb = strong_groebner([{(0,): 2}], spec)
-    rep = quotient_z_module(gb, bound=6)
+    monkeypatch.setattr(groebner, "TRUNCATION_BOUND", 6)
+    rep = quotient_z_module(gb)
     assert not rep.finite
     assert rep.rank == 0
     # One Z/2 per surviving monomial up to the bound.
@@ -213,10 +213,11 @@ def test_chain_criterion_conditions():
     # lc_k must divide lcm(lc_i, lc_j).
     assert not _chain_criterion(((0, 1, 0), 2), lt_i, lt_j, big)
     assert _chain_criterion(((0, 1, 0), 2), ((1, 1, 0), 2), ((0, 1, 1), 3), big)
-    # Strictness: lcm(lm_i, lm_k) = big or lcm(lm_j, lm_k) = big keeps the pair.
-    assert not _chain_criterion(((0, 0, 1), 1), lt_i, lt_j, big)
-    assert not _chain_criterion(((1, 0, 0), 1), lt_i, lt_j, big)
-    assert not _chain_criterion(((1, 1, 1), 1), lt_i, lt_j, big)
+    # No strictness: lcm(lm_i, lm_k) = big or lcm(lm_j, lm_k) = big drops
+    # the pair too, since only a newer element k is ever tried.
+    assert _chain_criterion(((0, 0, 1), 1), lt_i, lt_j, big)
+    assert _chain_criterion(((1, 0, 0), 1), lt_i, lt_j, big)
+    assert _chain_criterion(((1, 1, 1), 1), lt_i, lt_j, big)
 
 
 def test_invariant_factors_merge():
@@ -230,9 +231,9 @@ def test_laurent_saturation_recovery():
     # Adjoining an inverse and eliminating it saturates at the variable:
     # (v*y - v) with v invertible gives (y - 1).
     names = ("vbar", "v", "y")
-    spec = PolyRingSpec(names, inverse_pairs=((0, 1),), blocks=((0,), (1, 2)))
+    spec = BlockRingSpec(names, ((0,), (1, 2)))
     gens = [{(0, 1, 1): 1, (0, 1, 0): -1}]  # v y - v
-    gb = strong_groebner(gens, spec)
+    gb = strong_groebner(gens + unit_relations([(0, 1)], 3), spec)
     egb = eliminate(gb, (0,))
     # The elimination ideal in Z[v, y] contains y - 1.
     polys = egb.as_dicts()
@@ -277,13 +278,14 @@ def test_soundness_random_ideals(seed):
 
 
 @pytest.mark.parametrize("chunk", range(5))
-def test_pruned_completion_is_strong_on_random_rings(chunk):
+def test_pruned_completion_is_strong_on_random_rings(chunk, monkeypatch):
     # Ideals in Z[x, y] and Z[x, y, z] whose coefficients share factors, so
     # that the coefficient conditions of the product and chain criteria
     # decide: pruning a pair that either criterion does not cover leaves a
     # basis with an S- or G-polynomial that does not reduce to zero.  The
     # rare ideal whose basis grows past 40 elements is skipped.
     rings = (PolyRingSpec(("x", "y")), PolyRingSpec(("x", "y", "z")))
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 40)
     for seed in range(30 * chunk, 30 * chunk + 30):
         rng = random.Random(seed)
         spec = rng.choice(rings)
@@ -295,7 +297,7 @@ def test_pruned_completion_is_strong_on_random_rings(chunk):
                 g[m] = g.get(m, 0) + rng.choice((2, 3, 4, 6, -2, -3, 1, 5))
             gens.append({m: c for m, c in g.items() if c})
         try:
-            gb = strong_groebner(gens, spec, max_basis=40)
+            gb = strong_groebner(gens, spec)
         except ResourceCapError:
             continue
         assert verify_strong_groebner(gb), gens
@@ -333,10 +335,11 @@ def reference_normal_form(f, basis, spec):
     return out
 
 
+# Ring and the inverse pairs whose unit relations join every basis.
 REDUCTION_RINGS = {
-    "grevlex": PolyRingSpec(("x", "y", "z")),
-    "laurent": PolyRingSpec(("xbar", "x", "y"), inverse_pairs=((0, 1),)),
-    "block": PolyRingSpec(("t", "x", "y"), blocks=((0,), (1, 2))),
+    "grevlex": (PolyRingSpec(("x", "y", "z")), []),
+    "laurent": (PolyRingSpec(("xbar", "x", "y")), [(0, 1)]),
+    "block": (BlockRingSpec(("t", "x", "y"), ((0,), (1, 2))), []),
 }
 
 
@@ -347,7 +350,7 @@ def test_normal_form_matches_linear_scan(ring, seed):
     # coefficients drawn from small pools, so several elements share them and
     # the (lc, leading monomial, position) tie-break decides the reducer.
     rng = random.Random(seed)
-    spec = REDUCTION_RINGS[ring]
+    spec, pairs = REDUCTION_RINGS[ring]
     key = spec.monomial_key()
     n = spec.nvars
 
@@ -365,7 +368,7 @@ def test_normal_form_matches_linear_scan(ring, seed):
                 if key(m) < key(lm):
                     g[m] = rng.randint(-5, 5) or 1
             basis.append(g)
-        basis += spec.unit_relations()
+        basis += unit_relations(pairs, n)
         rng.shuffle(basis)
         if rng.random() < 0.3:
             basis.insert(rng.randrange(len(basis) + 1), {})
@@ -383,7 +386,7 @@ def test_interreduce_matches_per_element_tables(ring, seed):
     # are random sets with shared leading monomials and coefficients, and
     # the same sets with some of their interreduced elements mixed back in.
     rng = random.Random(seed)
-    spec = REDUCTION_RINGS[ring]
+    spec, pairs = REDUCTION_RINGS[ring]
     key = spec.monomial_key()
     n = spec.nvars
 
@@ -398,7 +401,7 @@ def test_interreduce_matches_per_element_tables(ring, seed):
 
     lm_pool = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(4)]
     for _ in range(10):
-        basis = [rand_poly(lm_pool) for _ in range(rng.randint(1, 6))] + spec.unit_relations()
+        basis = [rand_poly(lm_pool) for _ in range(rng.randint(1, 6))] + unit_relations(pairs, n)
         rng.shuffle(basis)
         assert _interreduce(basis, spec) == interreduce_per_element(basis, spec)
         grown = basis + [p for p in _interreduce(basis, spec) if rng.random() < 0.5]
@@ -407,8 +410,9 @@ def test_interreduce_matches_per_element_tables(ring, seed):
 
 
 def test_normal_form_gb_matches_linear_scan():
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
-    gb = strong_groebner([{(0, 1): 1, (1, 0): 1, (0, 5): -1, (5, 0): -1}], spec)
+    spec = PolyRingSpec(("xbar", "x"))
+    gen = {(0, 1): 1, (1, 0): 1, (0, 5): -1, (5, 0): -1}
+    gb = strong_groebner([gen] + unit_relations([(0, 1)], 2), spec)
     rng = random.Random(0)
     inputs = [{(rng.randint(0, 9), rng.randint(0, 9)): rng.randint(-9, 9) or 1 for _ in range(6)}
               for _ in range(20)]
@@ -420,21 +424,22 @@ def test_normal_form_gb_matches_linear_scan():
 
 
 def test_determinism_repeat_runs():
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
+    spec = PolyRingSpec(("xbar", "x"))
     f = {(0, 1): 1, (1, 0): 1, (0, 3): -1, (3, 0): -1}
-    a = strong_groebner([f], spec)
-    b = strong_groebner([f], spec)
+    a = strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
+    b = strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
     assert a.polys == b.polys
     assert a.to_strings() == b.to_strings()
 
 
-def test_resource_cap_raises():
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
-    f = {(0, 1): 1, (1, 0): 1, (0, 3): -1, (3, 0): -1}
+def test_resource_cap_raises(monkeypatch):
+    spec = PolyRingSpec(("xbar", "x"))
+    gens = [{(0, 1): 1, (1, 0): 1, (0, 3): -1, (3, 0): -1}] + unit_relations([(0, 1)], 2)
     with pytest.raises(ResourceCapError):
-        strong_groebner([f], spec, max_degree=3)
+        strong_groebner(gens, spec, max_degree=3)
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 2)
     with pytest.raises(ResourceCapError):
-        strong_groebner([f], spec, max_basis=2)
+        strong_groebner(gens, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +478,9 @@ def laurent_box_invariants(gens_exponents, box_radius):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_oracle_matches_quotient_gm(p):
     # x - x^p in the Laurent ring: rank p - 1.
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
+    spec = PolyRingSpec(("xbar", "x"))
     gens = [{(0, 1): 1, (0, p): -1}, {(1, 0): 1, (p, 0): -1}]
-    gb = strong_groebner(gens, spec)
+    gb = strong_groebner(gens + unit_relations([(0, 1)], 2), spec)
     rep = quotient_z_module(gb)
     free, torsion = laurent_box_invariants([{1: 1, p: -1}], box_radius=3 * p)
     assert rep.finite
@@ -484,9 +489,9 @@ def test_oracle_matches_quotient_gm(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_oracle_matches_quotient_sl2_tside(p):
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
+    spec = PolyRingSpec(("xbar", "x"))
     f = {(0, 1): 1, (1, 0): 1, (0, p): -1, (p, 0): -1}
-    gb = strong_groebner([f], spec)
+    gb = strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
     rep = quotient_z_module(gb)
     free, torsion = laurent_box_invariants(
         [{1: 1, -1: 1, p: -1, -p: -1}], box_radius=3 * p
@@ -497,9 +502,9 @@ def test_oracle_matches_quotient_sl2_tside(p):
 
 def test_oracle_matches_mixed_torsion_case():
     # (x^2 - 1, 2x - 2) as a Laurent ideal: x invertible, so Z[x,xbar]/I = Z + Z/2.
-    spec = PolyRingSpec(("xbar", "x"), inverse_pairs=((0, 1),))
+    spec = PolyRingSpec(("xbar", "x"))
     gens = [{(0, 2): 1, (0, 0): -1}, {(0, 1): 2, (0, 0): -2}]
-    gb = strong_groebner(gens, spec)
+    gb = strong_groebner(gens + unit_relations([(0, 1)], 2), spec)
     rep = quotient_z_module(gb)
     free, torsion = laurent_box_invariants([{2: 1, 0: -1}, {1: 2, 0: -2}], box_radius=8)
     assert (rep.rank, rep.torsion) == (free, torsion) == (1, (2,))

@@ -50,12 +50,12 @@ def delta_oracle(rd, i, f):
         m = pairing(e, coroot)
         if m >= 0:
             for j in range(m + 1):
-                out = out + monomial(rd.rank, tuple(a - j * b for a, b in zip(e, alpha)), c)
+                out = out + monomial(rd.rank, tuple(a - j * b for a, b in zip(e, alpha))) * c
         elif m == -1:
             pass
         else:
             for j in range(1, -m):
-                out = out - monomial(rd.rank, tuple(a + j * b for a, b in zip(e, alpha)), c)
+                out = out - monomial(rd.rank, tuple(a + j * b for a, b in zip(e, alpha))) * c
     return out
 
 
@@ -361,7 +361,7 @@ def test_hecke_window_sl3():
         lam
         for lam in box
         if all(pairing(lam, cv) >= 0 for cv in rd.simple_coroots)
-        and all(max(abs(x) for x in nu) <= 2 for nu in [tuple(r) for r in orbit_sum(weyl, lam).support()])
+        and all(max(abs(x) for x in nu) <= 2 for nu in orbit_sum(weyl, lam).terms)
     ]
     span_orbit = hermite_row_basis([coeff_row(orbit_sum(weyl, lam)) for lam in dominant], len(box))
     span_hecke = hermite_row_basis([coeff_row(f) for f in basis], len(box))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zipk0 import invariants
 from zipk0.grpalg import (
     GroupAlgebraElement,
     frobenius,
@@ -63,7 +64,8 @@ def test_invariant_ring_gl2():
 
 def test_augmentation_generators_vanish_at_one():
     pres = invariant_ring(preset("GL2"))
-    for g in pres.augmentation_generators:
+    for el in pres.generator_elements:
+        g = el - one(pres.rank) * len(el.terms)
         assert sum(g.terms.values()) == 0
 
 
@@ -224,9 +226,10 @@ def test_steinberg_candidates_distinct():
         assert len(set(cands)) == len(weyl), name
 
 
-def test_steinberg_check_sl2_explicit_basis():
+def test_steinberg_check_sl2_explicit_basis(monkeypatch):
     rd = preset("SL2")
-    report = steinberg_freeness_check(rd, [(0,), (1,)], spanning_radius=4)
+    monkeypatch.setattr(invariants, "STEINBERG_SPANNING_RADIUS", 4)
+    report = steinberg_freeness_check(rd, [(0,), (1,)], weyl_enumerate(rd))
     assert report.distinct
     assert report.independent
     assert report.spanning_ok
@@ -235,7 +238,7 @@ def test_steinberg_check_sl2_explicit_basis():
 
 def test_steinberg_check_rejects_duplicates():
     rd = preset("SL2")
-    report = steinberg_freeness_check(rd, [(0,), (0,)])
+    report = steinberg_freeness_check(rd, [(0,), (0,)], weyl_enumerate(rd))
     assert not report.distinct
     assert not report.independent
 
@@ -244,7 +247,7 @@ def test_steinberg_check_sl3_recipe():
     rd = preset("SL3")
     weyl = weyl_enumerate(rd)
     cands = steinberg_candidate_weights(rd, weyl)
-    report = steinberg_freeness_check(rd, cands, weyl, spanning_radius=1)
+    report = steinberg_freeness_check(rd, cands, weyl)
     assert report.independent
     assert report.spanning_ok
 
@@ -254,7 +257,7 @@ def test_steinberg_spanning_matches_per_target_solves(name):
     rd = preset(name)
     weyl = weyl_enumerate(rd)
     cands = steinberg_candidate_weights(rd, weyl)
-    report = steinberg_freeness_check(rd, cands, weyl, spanning_radius=1)
+    report = steinberg_freeness_check(rd, cands, weyl)
     assert report.independent
     assert (report.spanning_ok, report.spanning_tested) == steinberg_spanning_by_solves(
         rd, cands, weyl, 1
@@ -265,7 +268,7 @@ def test_steinberg_check_independent_but_not_spanning():
     # {1, e^2} is independent over R(SL2) but misses e^1: R(T) needs {1, e^1}.
     rd = preset("SL2")
     weyl = weyl_enumerate(rd)
-    report = steinberg_freeness_check(rd, [(0,), (2,)], weyl, spanning_radius=1)
+    report = steinberg_freeness_check(rd, [(0,), (2,)], weyl)
     assert report.independent
     assert not report.spanning_ok
     assert (report.spanning_ok, report.spanning_tested) == steinberg_spanning_by_solves(

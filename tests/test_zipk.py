@@ -4,7 +4,7 @@ import pytest
 
 import itertools
 
-from zipk0.groebner import PolyRingSpec, normal_form_gb, poly_to_string, strong_groebner
+from zipk0.groebner import normal_form_gb, poly_to_string, strong_groebner
 from zipk0.grpalg import monomial, one
 from zipk0.invariants import (
     InvariantRingPresentation,
@@ -12,6 +12,7 @@ from zipk0.invariants import (
     express_invariant,
     invariant_ring,
 )
+from zipk0.lattice import _prime_factors
 from zipk0.rootdata import (
     PRESET_NAMES,
     RootDatum,
@@ -32,11 +33,13 @@ from zipk0.zipk import (
     theta_map_check,
     to_poly,
     torus_ring_spec,
+    unit_relations,
     weyl_counterexample_demo,
     weyl_invariant_lattice,
 )
 
 from oracles import (
+    BlockRingSpec,
     counterexample_brute_force,
     eliminate,
     from_terms,
@@ -82,14 +85,12 @@ def test_torus_side_sl2(p, rank):
 def test_torus_side_ideal_is_principal_product(p):
     # Eliminating the inverse variable leaves the ideal generated by an
     # associate of (x^{p+1} - 1)(x^{p-1} - 1).
-    from zipk0.groebner import PolyRingSpec, strong_groebner
-
     datum = CocharacterDatum(preset("SL2"), (1,), p)
-    spec = PolyRingSpec(("xb", "x"), inverse_pairs=((0, 1),), blocks=((0,), (1,)))
+    spec = BlockRingSpec(("xb", "x"), ((0,), (1,)))
     f = to_poly(
         from_terms(1, [((1,), 1), ((-1,), 1), ((p,), -1), ((-p,), -1)])
     )
-    gb = strong_groebner([f], spec)
+    gb = strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
     egb = eliminate(gb, (0,))
     polys = egb.as_dicts()
     assert len(polys) == 1
@@ -175,13 +176,12 @@ def eliminated_levi_presentation(rd: RootDatum, lpres: InvariantRingPresentation
     graph ideal (y_j - generator_j) in Z[x, x^-1, y] under a block order."""
     n = 2 * rd.rank
     k = len(lpres.generator_elements)
-    tspec = torus_ring_spec(rd.rank)
-    big_spec = PolyRingSpec(
+    tspec, units = torus_ring_spec(rd.rank)
+    big_spec = BlockRingSpec(
         tspec.names + tuple(f"y{j + 1}" for j in range(k)),
-        tspec.inverse_pairs,
-        blocks=(tuple(range(n)), tuple(range(n, n + k))),
+        (tuple(range(n)), tuple(range(n, n + k))),
     )
-    gens = []
+    gens = [{m + (0,) * k: c for m, c in u.items()} for u in units]
     for j, el in enumerate(lpres.generator_elements):
         g = {m + (0,) * k: -c for m, c in to_poly(el).items()}
         yj = (0,) * n + tuple(1 if i == j else 0 for i in range(k))
@@ -223,7 +223,7 @@ def test_levi_presentation_rejects_unpaired_count_mismatch():
     lpres = invariant_ring(preset("SL2"))
     broken = InvariantRingPresentation(
         lpres.rank, lpres.generator_weights, lpres.generator_elements, lpres.weyl,
-        (), lpres.height_vector, lpres.augmentation_generators,
+        (), lpres.height_vector,
     )
     with pytest.raises(ValueError, match="not polynomial"):
         levi_presentation_ring(broken)
@@ -351,7 +351,7 @@ def test_twisted_pipeline_runs_and_flags():
     rd0 = preset("A1xA1")
     tau = ((0, 1), (1, 0))
     rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name="A1xA1.swap")
-    datum = CocharacterDatum(rd, (0, 0), 2, twist=tau)
+    datum = CocharacterDatum(rd, (0, 0), 2)
     kz = compute_k0(datum)
     assert kz.experimental_twist
     assert kz.module_report.finite
@@ -389,8 +389,6 @@ def test_datum_inherits_twist_from_root_datum():
     rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau)
     datum = CocharacterDatum(rd, (0, 0), 2)
     assert datum.twist == tau
-    with pytest.raises(ValueError):
-        CocharacterDatum(rd, (0, 0), 2, twist=((1, 0), (0, 1)))
 
 
 def test_pipeline_groebner_bases_are_strong():
@@ -470,3 +468,29 @@ def test_sp4_central_mu_is_free(p):
         assert mod_l_count_agrees(kz.groebner, report.rank, report.torsion, ell)
     # The torsion the cell-by-cell reading used to report is refuted.
     assert not mod_l_count_agrees(kz.groebner, report.rank, (p, p), p)
+
+
+# The nine `levi` ladder cases: (group, mu, p), all at central mu.
+LEVI_LADDER = [
+    ("GL3", (0, 0, 0), 2),
+    ("GL3", (0, 0, 0), 5),
+    ("SL4", (0, 0, 0), 2),
+    ("SL4", (0, 0, 0), 5),
+    ("SL3", (0, 0), 5),
+    ("Sp4", (0, 0), 3),
+    ("Sp4", (0, 0), 5),
+    ("Sp4", (0, 0), 7),
+    ("GL2", (0, 0), 7),
+]
+
+
+@pytest.mark.parametrize("name,mu,p", [case[:3] for case in QUOTIENT_LADDER] + LEVI_LADDER)
+def test_ladder_torsion_agrees_mod_l(name, mu, p):
+    # The mod-l dimension count confirms the reported rank and torsion at
+    # every prime where torsion could hide: each prime of a non-unit leading
+    # coefficient of the basis and of a reported invariant factor.
+    kz = compute_k0(CocharacterDatum(preset(name), mu, p))
+    report = kz.module_report
+    suspects = [c for _, c in kz.groebner.leading_terms() if c != 1] + list(report.torsion)
+    for ell in sorted({q for d in suspects for q in _prime_factors(d)}):
+        assert mod_l_count_agrees(kz.groebner, report.rank, report.torsion, ell), ell
