@@ -30,11 +30,11 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, le, sub
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import record
 from .lattice import cokernel_torsion
 
 Monomial = tuple[int, ...]
@@ -50,7 +50,7 @@ DEFAULT_MAX_BASIS = 20000
 TRUNCATION_BOUND = 12  # degree cap of a quotient report that is not module-finite
 
 
-@dataclass(frozen=True)
+@record
 class PolyRingSpec:
     """Variable names of Z[x_1..x_n], ordered by graded reverse lexicographic
     order."""
@@ -152,7 +152,7 @@ def _reducer_table(basis: Iterable[Poly], key) -> list[ReducerEntry]:
     return table
 
 
-@dataclass(frozen=True)
+@record
 class GroebnerBasis:
     spec: PolyRingSpec
     polys: tuple[tuple[tuple[Monomial, int], ...], ...]  # canonical term lists
@@ -481,7 +481,7 @@ def strong_groebner(
 # Z-module structure of the quotient
 
 
-@dataclass(frozen=True)
+@record
 class QuotientReport:
     """Z-module shape of Z[x]/I read from a strong Groebner basis."""
 

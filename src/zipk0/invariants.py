@@ -10,9 +10,9 @@ certificate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import record
 from .grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
 from .lattice import hermite_remainder, hermite_row_basis, solve_linear_diophantine
 from .rootdata import (  # noqa: F401  (re-exports the simply-connectedness gate)
@@ -39,7 +39,7 @@ class NotInvariantError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class InvariantRingPresentation:
     """R(T)^W presented by orbit-sum generators over Hilbert-basis weights."""
 
@@ -217,7 +217,7 @@ def steinberg_candidate_weights(rd: RootDatum, weyl: WeylGroup) -> list[Vector]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class SteinbergReport:
     candidates: tuple[Vector, ...]
     distinct: bool

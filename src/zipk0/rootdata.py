@@ -11,10 +11,9 @@ characters as column vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import record
 from .lattice import cokernel_invariants, determinant, kernel_basis, solve_linear_diophantine
 
 Vector = tuple[int, ...]
@@ -72,7 +71,7 @@ def reflection_matrix(root: Vector, coroot: Vector) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
+@record
 class RootDatum:
     """Root datum (X*(T), roots, X_*(T), coroots) with a chosen simple system."""
 
@@ -253,7 +252,7 @@ def _validate_twist(rd: RootDatum) -> None:
             )
 
 
-@dataclass(frozen=True)
+@record
 class WeylGroup:
     """Finite Weyl group as explicit matrices with one reduced word each."""
 
@@ -355,7 +354,7 @@ def require_simply_connected(rd: RootDatum) -> list[int]:
     return inv
 
 
-@dataclass(frozen=True)
+@record
 class LeviDatum:
     """Levi subgroup data: roots pairing to zero with the cocharacter."""
 
@@ -446,6 +445,15 @@ def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int]) -> LeviDatum:
 # Dominant monoids
 
 
+def _round_div(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, ties to even, for den > 0,
+    in integer arithmetic."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
+
+
 def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
     """Deterministic small representative of v modulo the lineality lattice."""
     if not lineality:
@@ -459,7 +467,7 @@ def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
             if zz == 0:
                 continue
             num = sum(a * b for a, b in zip(cur, z))
-            q = int(round(Fraction(num, zz)))
+            q = _round_div(num, zz)
             if q:
                 cur = [a - q * b for a, b in zip(cur, z)]
                 changed = True

@@ -18,10 +18,10 @@ the failure of naive Weyl descent).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+from ._record import record
 from .groebner import (
     DEFAULT_MAX_DEGREE,
     GroebnerBasis,
@@ -72,7 +72,7 @@ def is_prime(n: int) -> bool:
     return n > 1 and _prime_factors(n) == [n]
 
 
-@dataclass(frozen=True)
+@record
 class CocharacterDatum:
     """Input to the pipeline: root datum, cocharacter and prime."""
 
@@ -170,7 +170,7 @@ def compute_k0_torus(
 # The main presentation R(L)/IR(L)
 
 
-@dataclass(frozen=True)
+@record
 class KZeroPresentation:
     """Finitely presented ring isomorphic to the Grothendieck ring of the stack."""
 
@@ -257,7 +257,7 @@ def compute_k0(
 # Cross-checks
 
 
-@dataclass(frozen=True)
+@record
 class KunnethReport:
     status: str                  # "PASS", "FAIL", or "INCONCLUSIVE"
     torus_rank: Optional[int]
@@ -293,7 +293,7 @@ def kunneth_rank_check(kz: KZeroPresentation, torus_report: QuotientReport) -> K
     )
 
 
-@dataclass(frozen=True)
+@record
 class ThetaReport:
     generator_sanity: bool
     invariant_directions: tuple[Vector, ...]
@@ -340,7 +340,7 @@ def theta_map_check(datum: CocharacterDatum, torus_gb: GroebnerBasis) -> ThetaRe
     )
 
 
-@dataclass(frozen=True)
+@record
 class HeckeReport:
     window: int
     hecke_rank: int
@@ -406,7 +406,7 @@ def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
 # The Weyl-invariants counterexample (torsion module demo)
 
 
-@dataclass(frozen=True)
+@record
 class CounterexampleReport:
     module: str
     image_order: str           # order of the image of M, as a string ("infinite" for Z)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from zipk0._record import record
 from zipk0.groebner import (
     GroebnerBasis,
     Poly,
@@ -54,7 +54,7 @@ from zipk0.zipk import CocharacterDatum, KZeroPresentation, to_poly
 # built on it
 
 
-@dataclass(frozen=True)
+@record
 class IntegerMatrix:
     """Dense integer matrix; entries row-major, exact arithmetic only."""
 
@@ -287,7 +287,7 @@ def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
     return _reduce(f, table, spec.heap_key())
 
 
-@dataclass(frozen=True)
+@record
 class BlockRingSpec(PolyRingSpec):
     """Block-wise grevlex: blocks is an ordered partition of the variable
     indices, and the order is an elimination order for the leading blocks."""

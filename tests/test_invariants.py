@@ -24,7 +24,9 @@ from zipk0.invariants import (
     steinberg_freeness_check,
 )
 from zipk0.rootdata import (
+    PRESET_NAMES,
     levi_from_cocharacter,
+    mat_vec,
     pairing,
     preset,
     weyl_enumerate,
@@ -62,11 +64,26 @@ def test_invariant_ring_gl2():
     assert set(pres.generator_elements) == expected
 
 
-def test_augmentation_generators_vanish_at_one():
-    pres = invariant_ring(preset("GL2"))
-    for el in pres.generator_elements:
-        g = el - one(pres.rank) * len(el.terms)
-        assert sum(g.terms.values()) == 0
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "PGL2"])
+def test_generators_are_orbit_sums(name):
+    # Generator i is m_lambda for lambda = generator_weights[i]: coefficient 1
+    # on exactly the closure of lambda under the simple reflections, with
+    # |W| / |Stab_W(lambda)| terms, the stabiliser counted over weyl.elements.
+    pres = invariant_ring(preset(name))
+    weyl = pres.weyl
+    for lam, el in zip(pres.generator_weights, pres.generator_elements):
+        orbit, frontier = {lam}, [lam]
+        while frontier:
+            v = frontier.pop()
+            for s in weyl.generators:
+                nu = mat_vec(s, v)
+                if nu not in orbit:
+                    orbit.add(nu)
+                    frontier.append(nu)
+        assert el.terms == {nu: 1 for nu in orbit}
+        stabiliser = sum(1 for w in weyl.elements if mat_vec(w, lam) == lam)
+        assert len(weyl.elements) % stabiliser == 0
+        assert len(el.terms) == len(weyl.elements) // stabiliser
 
 
 def test_express_invariant_square():

@@ -1,7 +1,7 @@
 """Every public function of the library is referenced by the library or the
 benchmark: a name that `src/` and `perfbench/` never use is dead code, or, if
 only tests call it, a test oracle that belongs in `tests/oracles.py`.  And
-every default of a public parameter or dataclass field is overridden by some
+every default of a public parameter or value-class field is overridden by some
 call there: a value nothing overrides is a constant."""
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ def test_every_public_function_is_referenced():
     assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used) == []
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _is_value_class(node: ast.ClassDef) -> bool:
+    """Decorated with `record`, the library's frozen value classes, or with
+    `dataclass`: either way the constructor takes the annotated fields."""
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Name) and target.id == "dataclass":
+        if isinstance(target, ast.Name) and target.id in ("record", "dataclass"):
             return True
     return False
 
@@ -46,14 +48,14 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 def _defaulted_knobs():
     """(callable name, position, parameter name, location) of every defaulted
     parameter of a public function or method, and of every defaulted field of
-    a library dataclass (whose constructor is called by the class name)."""
+    a library value class (whose constructor is called by the class name)."""
     knobs = []
     for path in sorted((ROOT / "src" / "zipk0").glob("*.py")):
         tree = _parse(path)
         defs = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
             defs += [(node, 1) for node in cls.body if isinstance(node, ast.FunctionDef)]
-            if _is_dataclass(cls):
+            if _is_value_class(cls):
                 fields = [node for node in cls.body
                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
                 for pos, node in enumerate(fields):

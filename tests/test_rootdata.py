@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from zipk0.invariants import (
 from zipk0.rootdata import (
     RootDatum,
     RootDatumError,
+    _round_div,
     dominant_hilbert_basis,
     fundamental_group,
     levi_from_cocharacter,
@@ -220,6 +222,13 @@ def test_hilbert_basis_matches_general_search(name):
     rd = preset(name)
     for levi in group_and_levis(rd):
         assert dominant_hilbert_basis(rd, levi) == general_dominant_hilbert_basis(rd, levi)
+
+
+def test_round_div_matches_fraction_rounding():
+    # Every tie of both parities occurs: num / den = k + 1/2 for even den.
+    for den in range(1, 13):
+        for num in range(-60, 61):
+            assert _round_div(num, den) == round(Fraction(num, den)), (num, den)
 
 
 def test_hilbert_basis_matches_general_search_explicit_datum():
