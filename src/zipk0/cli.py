@@ -103,13 +103,15 @@ def _parse_int_vector(value: Any, what: str) -> tuple[int, ...]:
         else:
             value = [v for v in value.split(",") if v.strip() != ""]
     try:
-        return tuple(int(v) for v in value)
+        return tuple(_parse_int(v, what) for v in value)
     except (TypeError, ValueError) as exc:
         raise JobParseError(f"cannot parse {what} from {value!r}") from exc
 
 
 def _parse_int(value: Any, what: str, minimum: Optional[int] = None) -> int:
-    try:
+    try:  # an int or a string of one: a bool or a float is refused, not truncated
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise TypeError(value)
         n = int(value)
     except (TypeError, ValueError) as exc:
         raise JobParseError(f"cannot parse {what} from {value!r}") from exc
@@ -125,7 +127,7 @@ def _parse_matrix(value: Any, what: str) -> tuple[tuple[int, ...], ...]:
         except json.JSONDecodeError as exc:
             raise JobParseError(f"cannot parse {what}: {exc}") from exc
     try:
-        return tuple(tuple(int(x) for x in row) for row in value)
+        return tuple(tuple(_parse_int(x, what) for x in row) for row in value)
     except (TypeError, ValueError) as exc:
         raise JobParseError(f"cannot parse {what} from {value!r}") from exc
 
@@ -179,7 +181,7 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[str, RootDatum, 
     if isinstance(spec_value, dict):
         explicit = spec_value
         try:
-            rank = int(spec_value["rank"])
+            rank = _parse_int(spec_value["rank"], "rank")
             roots = [_parse_int_vector(r, "root") for r in spec_value.get("roots", [])]
             coroots = [_parse_int_vector(r, "coroot") for r in spec_value.get("coroots", [])]
             simples = [_parse_int_vector(r, "simple root") for r in spec_value.get("simple_roots", [])]
@@ -263,7 +265,7 @@ def load_job(args: argparse.Namespace) -> JobSpec:
         if getattr(args, "max_degree", None) is not None
         else data.get("max_degree", DEFAULT_MAX_DEGREE)
     )
-    max_degree = _parse_int(max_degree_value, "max_degree")
+    max_degree = _parse_int(max_degree_value, "max_degree", minimum=0)
     module = args.module if getattr(args, "module", None) is not None else data.get("module", "Z/2")
     return JobSpec(
         group_name, rd, mu, p, checks, window, fmt, out, max_degree, module, explicit

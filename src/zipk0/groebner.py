@@ -13,25 +13,29 @@ for each cell under a non-unit leading term (quotient_z_module).
 An S-pair is not reduced when the product criterion or the chain criterion
 proves it redundant; G-pairs are never pruned.
 
-Reduction takes the terms of the remainder from a heap, largest monomial
-first, and reduces each one by the first entry of a reducer table: the basis
-elements sorted by (leading coefficient, leading monomial, position).  That
-first dividing entry is the smallest applicable leading coefficient, ties
-broken by the smaller leading monomial and then the earlier basis position,
-so every term meets the same reducer in the same order as a rescan of the
-remainder and of the whole basis would give, and the remainder is the same
-term for term.  strong_groebner keeps one table and inserts each new basis
-element into it; a finished GroebnerBasis builds its table once.
+Inside the engine a monomial is one int (_Packing): exponent i in the field
+at bit i*width, the total degree in the top field, each field topped by a
+guard bit.  A shift X^(m - lm)*g is one addition per term, lm | m one
+addition and a mask test, and the grevlex key one int, so heap entries and
+reducer-table keys are ints.  strong_groebner, normal_form_gb and
+quotient_z_module take and return tuple-keyed polynomials.
+
+The width holds every degree formed, so no field carries into the next.
+The order is graded, so a reduction step adds X^(m - lm)*(tail of g) below
+m and never raises the degree; only pair lcms do.  In strong_groebner every
+element that enters a pair has leading degree at most D = max(max_degree,
+highest input degree), since an element above max_degree raises
+ResourceCapError before it joins, so no monomial exceeds 2*D.
+normal_form_gb forms none above the input's or the basis's degree, and
+quotient_z_module none above its last cell level plus one.  Packing a
+monomial beyond the bound raises OverflowError.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
-import itertools
+from heapq import heapify, heappop, heappush
 import math
-from functools import cached_property
-from operator import add, le, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import record
@@ -39,6 +43,7 @@ from .lattice import cokernel_torsion
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
+Packed = dict[int, int]  # {packed monomial: nonzero int}
 
 
 class ResourceCapError(RuntimeError):
@@ -48,6 +53,7 @@ class ResourceCapError(RuntimeError):
 DEFAULT_MAX_DEGREE = 60
 DEFAULT_MAX_BASIS = 20000
 TRUNCATION_BOUND = 12  # degree cap of a quotient report that is not module-finite
+MIN_FIELD_BITS = 8  # so that every degree up to 127 shares one width and one table
 
 
 @record
@@ -64,13 +70,6 @@ class PolyRingSpec:
     def monomial_key(self) -> Callable[[Monomial], tuple]:
         def key(m: Monomial):
             return (sum(m), tuple(-e for e in reversed(m)))
-        return key
-
-    def heap_key(self) -> Callable[[Monomial], tuple]:
-        """Key that sorts monomials in descending monomial order, so that a
-        min-heap of (heap_key(m), m) pops the largest monomial first."""
-        def key(m: Monomial):
-            return (-sum(m), m[::-1])
         return key
 
 
@@ -105,16 +104,50 @@ def poly_to_string(f: Poly, spec: PolyRingSpec) -> str:
     return out
 
 
-def _monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
+class _Packing:
+    """Monomials of degree <= bound in nvars variables as ints: a field holds
+    0..self.bound in its low width - 1 bits, and its top bit is the guard."""
 
+    def __init__(self, nvars: int, bound: int):
+        self.width = width = max(MIN_FIELD_BITS, bound.bit_length() + 1)
+        self.bound = (1 << (width - 1)) - 1
+        self.shifts = range(0, nvars * width, width)
+        self.top = nvars * width  # bit of the degree field
+        self.field = (1 << width) - 1
+        self.guard = sum(1 << (s + width - 1) for s in range(0, self.top + 1, width))
+        self.ones = sum(1 << (s + width) for s in self.shifts)
+        self.low_mask = (1 << self.top) - 1
+        self.degree_mask = self.field << self.top
 
-def _monomial_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
+    def pack(self, m: Monomial) -> int:
+        degree = sum(m)
+        if degree > self.bound or min(m, default=0) < 0:
+            raise OverflowError(f"monomial {m} does not fit fields bounded by {self.bound}")
+        return sum(e << s for e, s in zip(m, self.shifts)) + (degree << self.top)
 
+    def unpack(self, p: int) -> Monomial:
+        return tuple((p >> s) & self.field for s in self.shifts)
 
-def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    def pack_poly(self, f: Poly) -> Packed:
+        return {self.pack(m): c for m, c in f.items()}
+
+    def unpack_poly(self, f: Packed) -> Poly:
+        return {self.unpack(m): c for m, c in f.items()}
+
+    def key(self, p: int) -> int:
+        """Grevlex as an int: the degree, then minus the fields read from the
+        last variable down, which is the reverse lexicographic tie-break."""
+        return ((p >> self.top) << (self.top + 1)) - p
+
+    def divides(self, a: int, b: int) -> bool:
+        return (b + self.guard - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        # The guard bits of a + guard - b mark the fields where a >= b, and
+        # one product sums the exponent fields into the degree field.
+        wins = (((a + self.guard - b) & self.guard) >> (self.width - 1)) * self.field
+        low = ((a & wins) | (b & ~wins)) & self.low_mask
+        return low + ((low * self.ones) & self.degree_mask)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -126,30 +159,20 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _sub_scaled_shifted(f: Poly, g: Poly, c: int, shift: Monomial) -> None:
-    """f -= c * X^shift * g, in place."""
-    for m, cc in g.items():
-        key = tuple(a + b for a, b in zip(m, shift))
-        val = f.get(key, 0) - c * cc
-        if val:
-            f[key] = val
-        else:
-            f.pop(key, None)
+# A reducer table entry is (lc, key(lm), position, guard - lm, tail) for a
+# nonzero packed basis element with leading term lc*X^lm at `position` among
+# the nonzero elements, and tail its other terms as (monomial, coefficient)
+# pairs.  Positions are distinct, so sorting never compares the last two.
+ReducerEntry = tuple[int, int, int, int, tuple]
 
 
-# A reducer table entry is (lc, monomial_key(lm), position, lm, g) for a
-# nonzero basis element g with leading term lc*X^lm at `position` among the
-# nonzero elements.  Positions are distinct, so sorting never compares lm or g.
-ReducerEntry = tuple[int, tuple, int, Monomial, Poly]
+def _entry(g: Packed, position: int, pk: _Packing) -> ReducerEntry:
+    lm, lc = _leading(g, pk.key)
+    return (lc, pk.key(lm), position, pk.guard - lm, tuple(t for t in g.items() if t[0] != lm))
 
 
-def _reducer_table(basis: Iterable[Poly], key) -> list[ReducerEntry]:
-    table = []
-    for position, g in enumerate(g for g in basis if g):
-        lm, lc = _leading(g, key)
-        table.append((lc, key(lm), position, lm, g))
-    table.sort()
-    return table
+def _reducer_table(basis: Iterable[Packed], pk: _Packing) -> list[ReducerEntry]:
+    return sorted(_entry(g, position, pk) for position, g in enumerate(g for g in basis if g))
 
 
 @record
@@ -166,26 +189,26 @@ class GroebnerBasis:
     def to_strings(self) -> list[str]:
         return [poly_to_string(dict(t), self.spec) for t in self.polys]
 
-    @cached_property
-    def _reducers(self) -> list[ReducerEntry]:
-        return _reducer_table(self.as_dicts(), self.spec.monomial_key())
+    def _table(self, pk: _Packing) -> list[ReducerEntry]:
+        """The reducer table of the basis packed by pk, built once per width."""
+        tables = vars(self).setdefault("_tables", {})
+        if pk.width not in tables:
+            tables[pk.width] = _reducer_table(map(pk.pack_poly, self.as_dicts()), pk)
+        return tables[pk.width]
 
 
-def _leading(f: Poly, key) -> tuple[Monomial, int]:
+def _leading(f: dict, key) -> tuple:
     m = max(f, key=key)
     return m, f[m]
 
 
-def _normalize_sign(f: Poly, key) -> Poly:
-    if not f:
-        return f
-    _, c = _leading(f, key)
-    if c < 0:
-        return {m: -cc for m, cc in f.items()}
+def _normalize_sign(f: dict, key) -> dict:
+    if f and _leading(f, key)[1] < 0:
+        return {m: -c for m, c in f.items()}
     return f
 
 
-def _reduce(f: Poly, table: Sequence[ReducerEntry], heap_key) -> Poly:
+def _reduce(f: Packed, table: Sequence[ReducerEntry], pk: _Packing) -> Packed:
     """Unique remainder of f under strong (Euclidean) reduction by the basis
     whose sorted reducer table (_reducer_table) is given.
 
@@ -199,35 +222,37 @@ def _reduce(f: Poly, table: Sequence[ReducerEntry], heap_key) -> Poly:
     reduced strong basis the result is canonical and membership is a zero
     remainder.
     """
+    # The heap holds -key(m) = m - (deg(m) << (top + 1)); the same map sends
+    # it back to m.
+    top, top1, guard = pk.top, pk.top + 1, pk.guard
     work = {m: c for m, c in f.items() if c}
-    heap = [(heap_key(m), m) for m in work]
-    heapq.heapify(heap)
-    out: Poly = {}
+    heap = [m - ((m >> top) << top1) for m in work]
+    heapify(heap)
+    out: Packed = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        h = heappop(heap)
+        m = h - ((h >> top) << top1)
         c = work.pop(m, None)
         if c is None:
             continue  # stale entry: the term cancelled or was taken already
-        for lc, _, _, lm, g in table:
-            if all(map(le, lm, m)):
+        for lc, _, _, neg, tail in table:
+            shift = m + neg
+            if shift & guard == guard:
                 break
         else:
             out[m] = c
             continue
         q, r = divmod(c, lc)
         if q:
-            # The other terms of the shifted reducer lie below m, so none has
-            # been taken from the heap yet.  Its leading term only turns c
-            # into r, so it is skipped.
-            shift = _monomial_sub(m, lm)
-            for gm, gc in g.items():
-                if gm == lm:
-                    continue
-                t = tuple(map(add, gm, shift))
+            # The tail of the shifted reducer lies below m, so none of it has
+            # been taken from the heap yet; its leading term turns c into r.
+            shift -= guard
+            for gm, gc in tail:
+                t = gm + shift
                 old = work.get(t)
                 if old is None:
                     work[t] = -q * gc
-                    heapq.heappush(heap, (heap_key(t), t))
+                    heappush(heap, t - ((t >> top) << top1))
                 elif old == q * gc:
                     del work[t]
                 else:
@@ -239,91 +264,76 @@ def _reduce(f: Poly, table: Sequence[ReducerEntry], heap_key) -> Poly:
 
 def normal_form_gb(f: Poly, gb: GroebnerBasis) -> Poly:
     """Strong reduction of f by a finished basis, reusing its reducer table."""
-    return _reduce(f, gb._reducers, gb.spec.heap_key())
+    degrees = [sum(m) for m in f] + [sum(m) for m, _ in gb.leading_terms()]
+    pk = _Packing(gb.spec.nvars, max(degrees, default=0))
+    return pk.unpack_poly(_reduce(pk.pack_poly(f), gb._table(pk), pk))
 
 
-def _spair(
-    f: Poly, lt_f: tuple[Monomial, int], g: Poly, lt_g: tuple[Monomial, int]
-) -> Poly:
+def _pair(kind: int, f: Packed, lt_f: tuple[int, int], g: Packed, lt_g: tuple[int, int],
+          big: int) -> Packed:
+    """a*X^(big - lm_f)*f + b*X^(big - lm_g)*g: the S-polynomial (kind 0,
+    the leading terms cancel) or the G-polynomial (kind 1, leading
+    coefficient gcd(lc_f, lc_g) = a*lc_f + b*lc_g)."""
     (lmf, lcf), (lmg, lcg) = lt_f, lt_g
-    big = _monomial_lcm(lmf, lmg)
-    l = lcf * lcg // math.gcd(lcf, lcg)
-    out: Poly = {}
-    _sub_scaled_shifted(out, f, -(l // lcf), _monomial_sub(big, lmf))
-    _sub_scaled_shifted(out, g, l // lcg, _monomial_sub(big, lmg))
+    if kind == 0:
+        l = lcf * lcg // math.gcd(lcf, lcg)
+        a, b = l // lcf, -(l // lcg)
+    else:
+        _, a, b = _xgcd(lcf, lcg)
+    out: Packed = {}
+    for h, c, shift in ((f, a, big - lmf), (g, b, big - lmg)):
+        for m, hc in h.items():
+            val = out.get(m + shift, 0) + c * hc
+            if val:
+                out[m + shift] = val
+            else:
+                out.pop(m + shift, None)
     return out
 
 
-def _gpair(
-    f: Poly, lt_f: tuple[Monomial, int], g: Poly, lt_g: tuple[Monomial, int]
-) -> Optional[Poly]:
-    (lmf, lcf), (lmg, lcg) = lt_f, lt_g
-    if lcg % lcf == 0 or lcf % lcg == 0:
-        return None
-    d, u, v = _xgcd(lcf, lcg)
-    big = _monomial_lcm(lmf, lmg)
-    out: Poly = {}
-    _sub_scaled_shifted(out, f, -u, _monomial_sub(big, lmf))
-    _sub_scaled_shifted(out, g, -v, _monomial_sub(big, lmg))
-    return out
-
-
-def _interreduce(basis: list[Poly], spec: PolyRingSpec) -> list[Poly]:
-    key = spec.monomial_key()
-    heap_key = spec.heap_key()
+def _interreduce(basis: list[Packed], pk: _Packing) -> list[Packed]:
+    key = pk.key
     basis = [_normalize_sign(dict(g), key) for g in basis if g]
     changed = True
     while changed:
         changed = False
-        # Minimality: drop g whose leading term is strongly reducible by another's.
+        # Minimality: drop g whose leading term an earlier element's strongly
+        # divides.  In (leading monomial, lc) order a later element's
+        # leading term can divide g's only when the two are equal, and then
+        # the earlier one is kept.
         leads = [_leading(g, key) for g in basis]
         order = sorted(range(len(basis)), key=lambda t: (key(leads[t][0]), leads[t][1]))
-        basis = [basis[t] for t in order]
-        leads = [leads[t] for t in order]
-        kept: list[Poly] = []
-        kept_leads: list[tuple[Monomial, int]] = []
-        for i, (g, (lmg, lcg)) in enumerate(zip(basis, leads)):
-            redundant = False
-            for j, (lmh, lch) in enumerate(leads):
-                if i == j:
-                    continue
-                if _monomial_divides(lmh, lmg) and lcg % lch == 0:
-                    if (key(lmh), lch) < (key(lmg), lcg) or j < i:
-                        redundant = True
-                        break
-            if not redundant:
-                kept.append(g)
-                kept_leads.append((lmg, lcg))
+        kept = [t for i, t in enumerate(order) if not any(
+            pk.divides(leads[s][0], leads[t][0]) and leads[t][1] % leads[s][1] == 0
+            for s in order[:i])]
         if len(kept) != len(basis):
             changed = True
-        basis = kept
+        basis = [basis[t] for t in kept]
+        kept_leads = [leads[t] for t in kept]
         # Full tail reduction of each element by the others, in order, with
         # one reducer table for the pass: element i leaves the table while it
         # is reduced and returns in its reduced form.  Positions are the
         # indices in `basis`, so the others keep the order they would have
         # in a table built from basis[:i] + basis[i + 1:].
-        table = [(lc, key(lm), i, lm, g)
-                 for i, (g, (lm, lc)) in enumerate(zip(basis, kept_leads))]
-        table.sort()
+        table = sorted(_entry(g, i, pk) for i, g in enumerate(basis))
         for i, (g, (lm, lc)) in enumerate(zip(basis, kept_leads)):
             del table[bisect.bisect_left(table, (lc, key(lm), i))]
-            red = _normalize_sign(_reduce(g, table, heap_key), key)
+            red = _normalize_sign(_reduce(g, table, pk), key)
             if red != g:
                 basis[i] = red
                 changed = True
             if red:
-                lm, lc = _leading(red, key)
-                bisect.insort(table, (lc, key(lm), i, lm, red))
+                bisect.insort(table, _entry(red, i, pk))
         basis = [g for g in basis if g]
-    basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1],
-                              poly_canonical(g, key)))
+    # The last pass kept every element, so no two share (lm, lc).
+    basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1]))
     return basis
 
 
-def _product_criterion(lt_f: tuple[Monomial, int], lt_g: tuple[Monomial, int]) -> bool:
+def _product_criterion(lt_f: tuple[int, int], lt_g: tuple[int, int], big: int) -> bool:
     """Buchberger's product criterion over Z: the S-polynomial of f and g
-    needs no reduction when their leading monomials are coprime and so are
-    their leading coefficients.
+    needs no reduction when their leading monomials are coprime (their lcm
+    `big` is their product) and so are their leading coefficients.
 
     Then lcm(lc_f, lc_g) = lc_f*lc_g and the S-polynomial is
     lt_g*f - lt_f*g = tail_f*g - tail_g*f.  The two products have different
@@ -340,14 +350,15 @@ def _product_criterion(lt_f: tuple[Monomial, int], lt_g: tuple[Monomial, int]) -
     coefficients the S-polynomial of (2x + 1, 2y) is y, a new leading term.
     """
     (lmf, lcf), (lmg, lcg) = lt_f, lt_g
-    return math.gcd(lcf, lcg) == 1 and not any(map(min, lmf, lmg))
+    return math.gcd(lcf, lcg) == 1 and big == lmf + lmg
 
 
 def _chain_criterion(
-    lt_k: tuple[Monomial, int],
-    lt_i: tuple[Monomial, int],
-    lt_j: tuple[Monomial, int],
-    big: Monomial,
+    lt_k: tuple[int, int],
+    lt_i: tuple[int, int],
+    lt_j: tuple[int, int],
+    big: int,
+    pk: _Packing,
 ) -> bool:
     """Gebauer-Moeller chain criterion over Z: the S-pair (i, j), with
     big = lcm(lm_i, lm_j), is redundant once element k is in the basis when
@@ -371,7 +382,7 @@ def _chain_criterion(
     """
     lmk, lck = lt_k
     (_, lci), (_, lcj) = lt_i, lt_j
-    return all(map(le, lmk, big)) and (lci * lcj // math.gcd(lci, lcj)) % lck == 0
+    return pk.divides(lmk, big) and (lci * lcj // math.gcd(lci, lcj)) % lck == 0
 
 
 def strong_groebner(
@@ -390,91 +401,79 @@ def strong_groebner(
     exceeds max_degree or the basis exceeds DEFAULT_MAX_BASIS elements.
     """
     key = spec.monomial_key()
-    heap_key = spec.heap_key()
     start = [_normalize_sign(dict(g), key) for g in gens if g]
     start.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
-    basis: list[Poly] = []
-    leads: list[tuple[Monomial, int]] = []  # leading term of each basis element
+    pk = _Packing(spec.nvars, 2 * max([max_degree, *(sum(m) for g in start for m in g)]))
+    basis: list[Packed] = []
+    leads: list[tuple[int, int]] = []  # leading term of each basis element
     table: list[ReducerEntry] = []
-
-    def add(g: Poly) -> Monomial:
-        g = _normalize_sign(g, key)
-        lm, lc = _leading(g, key)
-        bisect.insort(table, (lc, key(lm), len(basis), lm, g))
-        basis.append(g)
-        leads.append((lm, lc))
-        return lm
-
-    for g in start:
-        red = _reduce(g, table, heap_key)
-        if red:
-            add(red)
-
-    queue: list[tuple] = []  # (lcm key, kind, i, j, counter)
-    counter = itertools.count()
+    queue: list[tuple[int, int, int, int]] = []  # (lcm key, kind, i, j), each once
     # Queued S-pairs by their lcm; a pair the chain criterion drops leaves
     # its set and is skipped when it is popped.
-    pending: dict[Monomial, set[tuple[int, int]]] = {}
+    pending: dict[int, set[tuple[int, int]]] = {}
 
-    def push_pairs(j: int):
-        lt_j = leads[j]
-        lcj = lt_j[1]
-        for i in range(j):
-            lt_i = leads[i]
-            big = _monomial_lcm(lt_i[0], lt_j[0])
-            big_key = key(big)
-            if not _product_criterion(lt_i, lt_j):
-                pending.setdefault(big, set()).add((i, j))
-                heapq.heappush(queue, (big_key, 0, i, j, next(counter)))
-            lci = lt_i[1]
-            if lcj % lci and lci % lcj:  # otherwise _gpair has nothing to add
-                heapq.heappush(queue, (big_key, 1, i, j, next(counter)))
-
-    def drop_chained(k: int):
-        lt_k = leads[k]
-        lmk = lt_k[0]
+    def add(g: Packed) -> None:
+        """Append g as element k, drop the queued S-pairs that k chains, then
+        queue the pairs of k."""
+        g = _normalize_sign(g, pk.key)
+        entry = _entry(g, len(basis), pk)
+        bisect.insort(table, entry)
+        lt_k = (lmk, lck) = (pk.guard - entry[3], entry[0])
         emptied = []
         for big, pairs in pending.items():
-            if all(map(le, lmk, big)):
+            if pk.divides(lmk, big):
                 pairs.difference_update([
                     (i, j) for i, j in pairs
-                    if _chain_criterion(lt_k, leads[i], leads[j], big)
+                    if _chain_criterion(lt_k, leads[i], leads[j], big, pk)
                 ])
                 if not pairs:
                     emptied.append(big)
         for big in emptied:
             del pending[big]
+        k = len(basis)
+        for i, lt_i in enumerate(leads):
+            big = pk.lcm(lt_i[0], lmk)
+            big_key = pk.key(big)
+            if not _product_criterion(lt_i, lt_k, big):
+                pending.setdefault(big, set()).add((i, k))
+                heappush(queue, (big_key, 0, i, k))
+            lci = lt_i[1]
+            if lck % lci and lci % lck:  # otherwise the G-polynomial adds nothing
+                heappush(queue, (big_key, 1, i, k))
+        basis.append(g)
+        leads.append(lt_k)
 
-    for j in range(len(basis)):
-        drop_chained(j)
-        push_pairs(j)
+    for g in start:
+        red = _reduce(pk.pack_poly(g), table, pk)
+        if red:
+            add(red)
 
     while queue:
-        _, kind, i, j, _ = heapq.heappop(queue)
+        _, kind, i, j = heappop(queue)
+        big = pk.lcm(leads[i][0], leads[j][0])
         if kind == 0:
-            big = _monomial_lcm(leads[i][0], leads[j][0])
             pairs = pending.get(big)
             if pairs is None or (i, j) not in pairs:
                 continue  # dropped by the chain criterion
             pairs.remove((i, j))
             if not pairs:
                 del pending[big]
-        pair = _spair if kind == 0 else _gpair
-        red = _reduce(pair(basis[i], leads[i], basis[j], leads[j]), table, heap_key)
+        red = _reduce(_pair(kind, basis[i], leads[i], basis[j], leads[j], big), table, pk)
         if not red:
             continue
-        lm = add(red)
-        if sum(lm) > max_degree:
-            raise ResourceCapError(
-                f"leading monomial degree {sum(lm)} exceeds cap {max_degree}"
-            )
-        if len(basis) > DEFAULT_MAX_BASIS:
+        degree = max(red) >> pk.top  # the degree field is the top one
+        if degree > max_degree:
+            raise ResourceCapError(f"leading monomial degree {degree} exceeds cap {max_degree}")
+        if len(basis) >= DEFAULT_MAX_BASIS:
             raise ResourceCapError(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
-        drop_chained(len(basis) - 1)
-        push_pairs(len(basis) - 1)
+        add(red)
 
-    reduced = _interreduce(basis, spec)
-    return GroebnerBasis(spec, tuple(poly_canonical(g, key) for g in reduced))
+    reduced = _interreduce(basis, pk)
+    gb = GroebnerBasis(spec, tuple(
+        tuple((pk.unpack(m), g[m]) for m in sorted(g, key=pk.key, reverse=True)) for g in reduced
+    ))
+    vars(gb)["_tables"] = {pk.width: _reducer_table(reduced, pk)}
+    return gb
 
 
 # ---------------------------------------------------------------------------
@@ -522,53 +521,52 @@ def quotient_z_module(gb: GroebnerBasis) -> QuotientReport:
     is exactly the rank and torsion of the submodule spanned by the monomials
     of degree <= TRUNCATION_BOUND, as its note says.
     """
-    spec = gb.spec
-    heap_key = spec.heap_key()
-    n = spec.nvars
-    unit = [e for e in gb._reducers if abs(e[0]) == 1]
-    nonunit = [e for e in gb._reducers if abs(e[0]) != 1]
-    unit_lms = [e[3] for e in unit]
+    n = gb.spec.nvars
+    unit_lms = [m for m, c in gb.leading_terms() if abs(c) == 1]
     if (0,) * n in unit_lms:
         return QuotientReport(True, 0, (), (), 0, "unit ideal")
-    finite = all(
-        any(m[i] and sum(m) == m[i] for m in unit_lms) for i in range(n)
-    )
+    powers = [[m[i] for m in unit_lms if m[i] and sum(m) == m[i]] for i in range(n)]
+    finite = all(powers)
+    bound = TRUNCATION_BOUND
+    # A cell has exponent i below the least pure power of variable i, so the
+    # walk's last level, all of it outside the cells, has degree at most:
+    reach = sum(min(pw) - 1 for pw in powers) + 1 if finite else bound + 1
+    pk = _Packing(n, max([reach] + [sum(m) for m, _ in gb.leading_terms()]))
+    top, guard = pk.top, pk.guard
+    unit = [e for e in gb._table(pk) if abs(e[0]) == 1]
+    nonunit = [e for e in gb._table(pk) if abs(e[0]) != 1]
+    variables = [(1 << s) + (1 << top) for s in pk.shifts]
 
     # The cells are closed under division, so each one is a cell of the
     # previous degree times a variable.
-    cells: list[Monomial] = []
-    level = [(0,) * n]
-    bound = TRUNCATION_BOUND
-    while level and (finite or sum(level[0]) <= bound):
+    cells: list[int] = []
+    level = [0]
+    while level and (finite or level[0] >> top <= bound):
         cells.extend(level)
-        step = {
-            tuple(e + (i == v) for i, e in enumerate(m))
-            for m in level for v in range(n)
-        }
-        level = sorted(m for m in step if not any(all(map(le, u, m)) for u in unit_lms))
+        step = {m + x for m in level for x in variables}
+        level = sorted(m for m in step if not any((m + e[3]) & guard == guard for e in unit))
     index = {m: r for r, m in enumerate(cells)}
 
-    standard = []
-    columns = []
-    pivots = []
+    standard, columns, pivots = [], [], []
     for m in cells:
-        under = [(lc, lm, g) for lc, _, _, lm, g in nonunit if all(map(le, lm, m))]
+        under = [e for e in nonunit if (m + e[3]) & guard == guard]
         if not under:
-            standard.append(m)
+            standard.append(pk.unpack(m))
             continue
-        lc, lm, g = under[0]  # least leading coefficient: the reducer at m
-        if any(other % lc for other, _, _ in under):
+        lc, _, _, neg, tail = under[0]  # least leading coefficient: the reducer at m
+        if any(e[0] % lc for e in under):
             raise RuntimeError("strong basis violated: minimal lc does not divide the rest")
-        shift = _monomial_sub(m, lm)
-        shifted = {tuple(map(add, gm, shift)): gc for gm, gc in g.items()}
+        shift = m + neg - guard
+        shifted = {gm + shift: gc for gm, gc in tail}
+        shifted[m] = lc
         col = [0] * len(cells)
-        for t, c in _reduce(shifted, unit, heap_key).items():
+        for t, c in _reduce(shifted, unit, pk).items():
             col[index[t]] = c
         columns.append(col)
         pivots.append(lc)
     torsion = cokernel_torsion(columns, pivots)
     if finite:
-        used_bound = max(sum(m) for m in cells)
+        used_bound = max(m >> top for m in cells)
         note = ""
     else:
         used_bound = bound

@@ -1,5 +1,6 @@
-"""Test oracles: independent re-checks of the Groebner engine, of the
-quotient module's invariants, of the Steinberg spanning evidence and of the
+"""Test oracles: the reference Groebner engine on exponent tuples,
+independent re-checks of the packed engine, of the quotient module's
+invariants, of the Steinberg spanning evidence and of the
 closed-form dominant Hilbert basis, and the general code that the library
 itself does not need: the Smith normal form with its transforms, block
 elimination orders and elimination ideals, Demazure characters, Levi
@@ -7,22 +8,24 @@ restrictions and reduced-word counts."""
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import math
+from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
+from zipk0 import groebner
 from zipk0._record import record
 from zipk0.groebner import (
+    DEFAULT_MAX_DEGREE,
     GroebnerBasis,
+    Monomial,
     Poly,
     PolyRingSpec,
-    _gpair,
+    ResourceCapError,
     _leading,
-    _monomial_divides,
     _normalize_sign,
-    _reduce,
-    _reducer_table,
-    _spair,
     normal_form_gb,
     poly_canonical,
     strong_groebner,
@@ -267,7 +270,91 @@ def smith_kernel_basis(m: IntegerMatrix) -> list[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# Groebner engine
+# Reference Groebner engine: monomials as exponent tuples
+#
+# The engine of zipk0.groebner as it was before its monomials were packed
+# into ints, step for step, with the monomial order taken from the ring spec:
+# grevlex for a PolyRingSpec, the block order of a BlockRingSpec.  The packed
+# engine must return the same bases and the same remainders, term for term.
+
+
+def _monomial_divides(a: Monomial, b: Monomial) -> bool:
+    return all(map(le, a, b))
+
+
+def _monomial_sub(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(sub, a, b))
+
+
+def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _sub_scaled_shifted(f: Poly, g: Poly, c: int, shift: Monomial) -> None:
+    """f -= c * X^shift * g, in place."""
+    for m, cc in g.items():
+        key = tuple(a + b for a, b in zip(m, shift))
+        val = f.get(key, 0) - c * cc
+        if val:
+            f[key] = val
+        else:
+            f.pop(key, None)
+
+
+def heap_key(spec: PolyRingSpec):
+    """Key that sorts monomials in descending order of the spec's monomial
+    order, so that a min-heap of (heap_key(m), m) pops the largest first."""
+    if isinstance(spec, BlockRingSpec):
+        return spec.heap_key()
+    return lambda m: (-sum(m), m[::-1])
+
+
+def _reducer_table(basis: Iterable[Poly], key) -> list[tuple]:
+    """(lc, key(lm), position, lm, g) for each nonzero element, sorted."""
+    table = []
+    for position, g in enumerate(g for g in basis if g):
+        lm, lc = _leading(g, key)
+        table.append((lc, key(lm), position, lm, g))
+    table.sort()
+    return table
+
+
+def _reduce(f: Poly, table: Sequence[tuple], heap_key) -> Poly:
+    """Strong reduction of f by a sorted reducer table: zipk0.groebner._reduce
+    on exponent tuples."""
+    work = {m: c for m, c in f.items() if c}
+    heap = [(heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    out: Poly = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lc, _, _, lm, g in table:
+            if all(map(le, lm, m)):
+                break
+        else:
+            out[m] = c
+            continue
+        q, r = divmod(c, lc)
+        if q:
+            shift = _monomial_sub(m, lm)
+            for gm, gc in g.items():
+                if gm == lm:
+                    continue
+                t = tuple(map(add, gm, shift))
+                old = work.get(t)
+                if old is None:
+                    work[t] = -q * gc
+                    heapq.heappush(heap, (heap_key(t), t))
+                elif old == q * gc:
+                    del work[t]
+                else:
+                    work[t] = old - q * gc
+        if r:
+            out[m] = r
+    return out
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
@@ -277,14 +364,195 @@ def normal_form(f: Poly, basis: Sequence[Poly], spec: PolyRingSpec) -> Poly:
     are reduced largest monomial first.  Each term c*X^m is reduced
     modulo the smallest leading coefficient among the basis elements whose
     leading monomial divides m; ties go to the smaller leading monomial, then
-    to the earlier element.  The heap and the sorted reducer table pick the
-    same term and the same reducer at each step as rescanning the remainder
-    and the basis would, so the remainder is the same term for term.  With a
-    reduced strong basis the result is canonical and membership is
-    `normal_form(f) == {}`.
+    to the earlier element.  With a reduced strong basis the result is
+    canonical and membership is `normal_form(f) == {}`.
     """
-    table = _reducer_table(basis, spec.monomial_key())
-    return _reduce(f, table, spec.heap_key())
+    return _reduce(f, _reducer_table(basis, spec.monomial_key()), heap_key(spec))
+
+
+def reference_normal_form_gb(f: Poly, gb: GroebnerBasis) -> Poly:
+    return normal_form(f, gb.as_dicts(), gb.spec)
+
+
+def _spair(f: Poly, lt_f, g: Poly, lt_g) -> Poly:
+    (lmf, lcf), (lmg, lcg) = lt_f, lt_g
+    big = _monomial_lcm(lmf, lmg)
+    l = lcf * lcg // math.gcd(lcf, lcg)
+    out: Poly = {}
+    _sub_scaled_shifted(out, f, -(l // lcf), _monomial_sub(big, lmf))
+    _sub_scaled_shifted(out, g, l // lcg, _monomial_sub(big, lmg))
+    return out
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _gpair(f: Poly, lt_f, g: Poly, lt_g) -> Optional[Poly]:
+    (lmf, lcf), (lmg, lcg) = lt_f, lt_g
+    if lcg % lcf == 0 or lcf % lcg == 0:
+        return None
+    d, u, v = _xgcd(lcf, lcg)
+    big = _monomial_lcm(lmf, lmg)
+    out: Poly = {}
+    _sub_scaled_shifted(out, f, -u, _monomial_sub(big, lmf))
+    _sub_scaled_shifted(out, g, -v, _monomial_sub(big, lmg))
+    return out
+
+
+def reference_interreduce(basis: list[Poly], spec: PolyRingSpec) -> list[Poly]:
+    """zipk0.groebner._interreduce on exponent tuples: one reducer table per
+    pass, updated as elements change."""
+    key = spec.monomial_key()
+    hkey = heap_key(spec)
+    basis = [_normalize_sign(dict(g), key) for g in basis if g]
+    changed = True
+    while changed:
+        changed = False
+        leads = [_leading(g, key) for g in basis]
+        order = sorted(range(len(basis)), key=lambda t: (key(leads[t][0]), leads[t][1]))
+        basis = [basis[t] for t in order]
+        leads = [leads[t] for t in order]
+        kept: list[Poly] = []
+        kept_leads: list[tuple[Monomial, int]] = []
+        for i, (g, (lmg, lcg)) in enumerate(zip(basis, leads)):
+            redundant = False
+            for j, (lmh, lch) in enumerate(leads):
+                if i == j:
+                    continue
+                if _monomial_divides(lmh, lmg) and lcg % lch == 0:
+                    if (key(lmh), lch) < (key(lmg), lcg) or j < i:
+                        redundant = True
+                        break
+            if not redundant:
+                kept.append(g)
+                kept_leads.append((lmg, lcg))
+        if len(kept) != len(basis):
+            changed = True
+        basis = kept
+        table = [(lc, key(lm), i, lm, g)
+                 for i, (g, (lm, lc)) in enumerate(zip(basis, kept_leads))]
+        table.sort()
+        for i, (g, (lm, lc)) in enumerate(zip(basis, kept_leads)):
+            del table[bisect.bisect_left(table, (lc, key(lm), i))]
+            red = _normalize_sign(_reduce(g, table, hkey), key)
+            if red != g:
+                basis[i] = red
+                changed = True
+            if red:
+                lm, lc = _leading(red, key)
+                bisect.insort(table, (lc, key(lm), i, lm, red))
+        basis = [g for g in basis if g]
+    basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1],
+                              poly_canonical(g, key)))
+    return basis
+
+
+def _product_criterion(lt_f, lt_g) -> bool:
+    """zipk0.groebner._product_criterion: coprime leading monomials and
+    coprime leading coefficients."""
+    (lmf, lcf), (lmg, lcg) = lt_f, lt_g
+    return math.gcd(lcf, lcg) == 1 and not any(map(min, lmf, lmg))
+
+
+def _chain_criterion(lt_k, lt_i, lt_j, big: Monomial) -> bool:
+    """zipk0.groebner._chain_criterion: lm_k | big and lc_k | lcm(lc_i, lc_j)."""
+    lmk, lck = lt_k
+    (_, lci), (_, lcj) = lt_i, lt_j
+    return all(map(le, lmk, big)) and (lci * lcj // math.gcd(lci, lcj)) % lck == 0
+
+
+def reference_strong_groebner(
+    gens: Iterable[Poly], spec: PolyRingSpec, max_degree: int = DEFAULT_MAX_DEGREE
+) -> GroebnerBasis:
+    """zipk0.groebner.strong_groebner on exponent tuples, in the spec's order:
+    the same pairs, criteria, selection, caps and interreduction."""
+    key = spec.monomial_key()
+    hkey = heap_key(spec)
+    start = [_normalize_sign(dict(g), key) for g in gens if g]
+    start.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
+    basis: list[Poly] = []
+    leads: list[tuple[Monomial, int]] = []
+    table: list[tuple] = []
+
+    def add(g: Poly) -> Monomial:
+        g = _normalize_sign(g, key)
+        lm, lc = _leading(g, key)
+        bisect.insort(table, (lc, key(lm), len(basis), lm, g))
+        basis.append(g)
+        leads.append((lm, lc))
+        return lm
+
+    for g in start:
+        red = _reduce(g, table, hkey)
+        if red:
+            add(red)
+
+    queue: list[tuple] = []
+    counter = itertools.count()
+    pending: dict[Monomial, set[tuple[int, int]]] = {}
+
+    def push_pairs(j: int):
+        lt_j = leads[j]
+        lcj = lt_j[1]
+        for i in range(j):
+            lt_i = leads[i]
+            big = _monomial_lcm(lt_i[0], lt_j[0])
+            big_key = key(big)
+            if not _product_criterion(lt_i, lt_j):
+                pending.setdefault(big, set()).add((i, j))
+                heapq.heappush(queue, (big_key, 0, i, j, next(counter)))
+            lci = lt_i[1]
+            if lcj % lci and lci % lcj:
+                heapq.heappush(queue, (big_key, 1, i, j, next(counter)))
+
+    def drop_chained(k: int):
+        lt_k = leads[k]
+        emptied = []
+        for big, pairs in pending.items():
+            if all(map(le, lt_k[0], big)):
+                pairs.difference_update([
+                    (i, j) for i, j in pairs
+                    if _chain_criterion(lt_k, leads[i], leads[j], big)
+                ])
+                if not pairs:
+                    emptied.append(big)
+        for big in emptied:
+            del pending[big]
+
+    for j in range(len(basis)):
+        drop_chained(j)
+        push_pairs(j)
+
+    while queue:
+        _, kind, i, j, _ = heapq.heappop(queue)
+        if kind == 0:
+            big = _monomial_lcm(leads[i][0], leads[j][0])
+            pairs = pending.get(big)
+            if pairs is None or (i, j) not in pairs:
+                continue
+            pairs.remove((i, j))
+            if not pairs:
+                del pending[big]
+        pair = _spair if kind == 0 else _gpair
+        red = _reduce(pair(basis[i], leads[i], basis[j], leads[j]), table, hkey)
+        if not red:
+            continue
+        lm = add(red)
+        if sum(lm) > max_degree:
+            raise ResourceCapError(f"leading monomial degree {sum(lm)} exceeds cap {max_degree}")
+        if len(basis) > groebner.DEFAULT_MAX_BASIS:
+            raise ResourceCapError(f"basis size exceeds cap {groebner.DEFAULT_MAX_BASIS}")
+        drop_chained(len(basis) - 1)
+        push_pairs(len(basis) - 1)
+
+    reduced = reference_interreduce(basis, spec)
+    return GroebnerBasis(spec, tuple(poly_canonical(g, key) for g in reduced))
 
 
 @record
@@ -322,7 +590,9 @@ class BlockRingSpec(PolyRingSpec):
 
 def eliminate(gb: GroebnerBasis, block: Sequence[int]) -> GroebnerBasis:
     """Strong basis of the elimination ideal: intersect with the subring in
-    the variables outside `block` (which must be the leading order block)."""
+    the variables outside `block` (which must be the leading order block).
+    gb comes from reference_strong_groebner, since the library's engine has
+    grevlex only."""
     spec = gb.spec
     if not isinstance(spec, BlockRingSpec) or sorted(spec.blocks[0]) != sorted(block):
         raise ValueError("order is not an elimination order with the given block first")

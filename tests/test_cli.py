@@ -54,6 +54,20 @@ def test_nonprime_p_rejected(capsys):
         ([], {"window": "abc"}),
         ([], {"max_degree": "abc"}),
         ([], {"window": -1}),
+        # Non-integers are refused, not truncated.
+        (["--mu", "[1.5]"], {}),
+        (["--mu", "[true]"], {}),
+        ([], {"mu": [True]}),
+        ([], {"p": 3.7}),
+        ([], {"p": True}),
+        ([], {"window": 1.5}),
+        ([], {"max_degree": 2.5}),
+        (["--twist", "[[1.5]]"], {}),
+        ([], {"group": {"rank": 1.5, "roots": [[2], [-2]], "coroots": [[1], [-1]],
+                        "simple_roots": [[2]]}}),
+        # A negative degree cap is a parse error, not a cap exceeded.
+        (["--max-degree", "-5"], {}),
+        ([], {"max_degree": -1}),
     ],
 )
 def test_bad_integer_options_exit_2(capsys, tmp_path, flags, job):

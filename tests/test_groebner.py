@@ -11,9 +11,9 @@ from zipk0.groebner import (
     _chain_criterion,
     _interreduce,
     _leading,
-    _monomial_divides,
-    _monomial_sub,
-    _sub_scaled_shifted,
+    _Packing,
+    _reduce,
+    _reducer_table,
     normal_form_gb,
     poly_to_string,
     quotient_z_module,
@@ -24,6 +24,9 @@ from zipk0.zipk import unit_relations
 from oracles import (
     BlockRingSpec,
     IntegerMatrix,
+    _monomial_divides,
+    _monomial_sub,
+    _sub_scaled_shifted,
     diagonal_of,
     eliminate,
     ideal_member,
@@ -31,11 +34,12 @@ from oracles import (
     invariant_factors,
     mod_l_count_agrees,
     normal_form,
+    reference_interreduce,
+    reference_normal_form_gb,
+    reference_strong_groebner,
     smith_normal_form,
     verify_strong_groebner,
 )
-
-
 
 
 def test_coefficient_gcd_combination():
@@ -89,7 +93,7 @@ def test_normal_form_of_generator_is_zero():
 def test_eliminate_substitution():
     # (y - x^2, x - t), eliminate x: get y - t^2.
     spec = BlockRingSpec(("x", "y", "t"), ((0,), (1, 2)))
-    gb = strong_groebner(
+    gb = reference_strong_groebner(
         [{(0, 1, 0): 1, (2, 0, 0): -1}, {(1, 0, 0): 1, (0, 0, 1): -1}], spec
     )
     egb = eliminate(gb, (0,))
@@ -116,7 +120,7 @@ def test_eliminate_gl2_graph_ideal():
         {mono(y2=1): 1, mono(x1=1, x2=1): -1},                       # y2 - x1 x2
         {mono(y3=1, x1=1, x2=1): 1, mono(): -1},                     # y3 x1 x2 - 1
     ]
-    gb = strong_groebner(gens + unit_relations([(0, 1), (2, 3)], 7), spec)
+    gb = reference_strong_groebner(gens + unit_relations([(0, 1), (2, 3)], 7), spec)
     egb = eliminate(gb, (0, 1, 2, 3))
     assert egb.spec.names == ("y1", "y2", "y3")
     assert [poly_to_string(g, egb.spec) for g in egb.as_dicts()] == ["y2*y3 - 1"]
@@ -127,7 +131,7 @@ def test_eliminate_sl2_graph_no_relation():
     names = ("xbar", "x", "y")
     spec = BlockRingSpec(names, ((0, 1), (2,)))
     gens = [{(0, 0, 1): 1, (0, 1, 0): -1, (1, 0, 0): -1}]  # y - (x + xbar)
-    gb = strong_groebner(gens + unit_relations([(0, 1)], 3), spec)
+    gb = reference_strong_groebner(gens + unit_relations([(0, 1)], 3), spec)
     egb = eliminate(gb, (0, 1))
     assert egb.as_dicts() == []
 
@@ -206,18 +210,59 @@ def test_product_criterion_needs_coprime_coefficients():
 
 def test_chain_criterion_conditions():
     # S-pair (i, j) of x*y and y*z, big = x*y*z; k is tried against it.
-    lt_i, lt_j, big = ((1, 1, 0), 1), ((0, 1, 1), 1), (1, 1, 1)
-    assert _chain_criterion(((0, 1, 0), 1), lt_i, lt_j, big)
+    pk = _Packing(3, 6)
+
+    def lt(m, c):
+        return pk.pack(m), c
+
+    def chain(lt_k, lt_i, lt_j):
+        return _chain_criterion(lt_k, lt_i, lt_j, pk.lcm(lt_i[0], lt_j[0]), pk)
+
+    lt_i, lt_j = lt((1, 1, 0), 1), lt((0, 1, 1), 1)
+    assert pk.lcm(lt_i[0], lt_j[0]) == pk.pack((1, 1, 1))
+    assert chain(lt((0, 1, 0), 1), lt_i, lt_j)
     # lm_k must divide big.
-    assert not _chain_criterion(((0, 2, 0), 1), lt_i, lt_j, big)
+    assert not chain(lt((0, 2, 0), 1), lt_i, lt_j)
     # lc_k must divide lcm(lc_i, lc_j).
-    assert not _chain_criterion(((0, 1, 0), 2), lt_i, lt_j, big)
-    assert _chain_criterion(((0, 1, 0), 2), ((1, 1, 0), 2), ((0, 1, 1), 3), big)
+    assert not chain(lt((0, 1, 0), 2), lt_i, lt_j)
+    assert chain(lt((0, 1, 0), 2), lt((1, 1, 0), 2), lt((0, 1, 1), 3))
     # No strictness: lcm(lm_i, lm_k) = big or lcm(lm_j, lm_k) = big drops
     # the pair too, since only a newer element k is ever tried.
-    assert _chain_criterion(((0, 0, 1), 1), lt_i, lt_j, big)
-    assert _chain_criterion(((1, 0, 0), 1), lt_i, lt_j, big)
-    assert _chain_criterion(((1, 1, 1), 1), lt_i, lt_j, big)
+    assert chain(lt((0, 0, 1), 1), lt_i, lt_j)
+    assert chain(lt((1, 0, 0), 1), lt_i, lt_j)
+    assert chain(lt((1, 1, 1), 1), lt_i, lt_j)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packing_round_trip_order_divisibility_and_lcm(seed):
+    # Packed keys sort as grevlex, the guard-bit test is divisibility, and
+    # the packed lcm is the lcm with its degree, on random exponent vectors
+    # up to the packing's bound.
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    pk = _Packing(n, rng.choice((4, 60, 200)))
+    key = PolyRingSpec(tuple(f"x{i}" for i in range(n))).monomial_key()
+    half = pk.bound // (2 * n)
+    for _ in range(200):
+        a = tuple(rng.randint(0, half) for _ in range(n))
+        b = tuple(rng.choice((e, rng.randint(0, half))) for e in a)
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a
+        assert (pk.key(pa) < pk.key(pb)) == (key(a) < key(b))
+        assert pk.divides(pa, pb) == _monomial_divides(a, b)
+        assert pk.unpack(pk.lcm(pa, pb)) == tuple(map(max, a, b))
+        assert pk.lcm(pa, pb) >> pk.top == sum(map(max, a, b))
+
+
+def test_packing_rejects_monomials_beyond_its_bound():
+    pk = _Packing(2, 10)
+    assert pk.bound == 127  # fields are at least MIN_FIELD_BITS wide
+    pk.pack((100, 27))
+    with pytest.raises(OverflowError):
+        pk.pack((100, 28))
+    with pytest.raises(OverflowError):
+        pk.pack((3, -1))
+    assert _Packing(2, 200).bound == 255
 
 
 def test_invariant_factors_merge():
@@ -233,7 +278,7 @@ def test_laurent_saturation_recovery():
     names = ("vbar", "v", "y")
     spec = BlockRingSpec(names, ((0,), (1, 2)))
     gens = [{(0, 1, 1): 1, (0, 1, 0): -1}]  # v y - v
-    gb = strong_groebner(gens + unit_relations([(0, 1)], 3), spec)
+    gb = reference_strong_groebner(gens + unit_relations([(0, 1)], 3), spec)
     egb = eliminate(gb, (0,))
     # The elimination ideal in Z[v, y] contains y - 1.
     polys = egb.as_dicts()
@@ -335,6 +380,25 @@ def reference_normal_form(f, basis, spec):
     return out
 
 
+def engine_normal_form(f, basis, spec):
+    """Reduction of f by any basis through the library's packed _reduce; the
+    block order, which the library does not have, through the reference
+    engine."""
+    if isinstance(spec, BlockRingSpec):
+        return normal_form(f, basis, spec)
+    pk = _Packing(spec.nvars, max(sum(m) for g in [f, *basis] for m in g))
+    return pk.unpack_poly(_reduce(pk.pack_poly(f), _reducer_table(map(pk.pack_poly, basis), pk), pk))
+
+
+def engine_interreduce(basis, spec):
+    """The library's packed _interreduce, or for the block order the
+    reference engine's."""
+    if isinstance(spec, BlockRingSpec):
+        return reference_interreduce(basis, spec)
+    pk = _Packing(spec.nvars, max(sum(m) for g in basis for m in g))
+    return [pk.unpack_poly(g) for g in _interreduce(list(map(pk.pack_poly, basis)), pk)]
+
+
 # Ring and the inverse pairs whose unit relations join every basis.
 REDUCTION_RINGS = {
     "grevlex": (PolyRingSpec(("x", "y", "z")), []),
@@ -375,7 +439,7 @@ def test_normal_form_matches_linear_scan(ring, seed):
         f = {}
         for _ in range(rng.randint(1, 8)):
             f[rand_mono(4)] = rng.randint(-30, 30) or 7
-        assert normal_form(f, basis, spec) == reference_normal_form(f, basis, spec)
+        assert engine_normal_form(f, basis, spec) == reference_normal_form(f, basis, spec)
 
 
 @pytest.mark.parametrize("ring", sorted(REDUCTION_RINGS))
@@ -403,10 +467,61 @@ def test_interreduce_matches_per_element_tables(ring, seed):
     for _ in range(10):
         basis = [rand_poly(lm_pool) for _ in range(rng.randint(1, 6))] + unit_relations(pairs, n)
         rng.shuffle(basis)
-        assert _interreduce(basis, spec) == interreduce_per_element(basis, spec)
-        grown = basis + [p for p in _interreduce(basis, spec) if rng.random() < 0.5]
+        assert engine_interreduce(basis, spec) == interreduce_per_element(basis, spec)
+        grown = basis + [p for p in engine_interreduce(basis, spec) if rng.random() < 0.5]
         rng.shuffle(grown)
-        assert _interreduce(grown, spec) == interreduce_per_element(grown, spec)
+        assert engine_interreduce(grown, spec) == interreduce_per_element(grown, spec)
+
+
+@pytest.mark.parametrize("ring", sorted(REDUCTION_RINGS))
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_engine_matches_reference_on_random_rings(ring, seed, monkeypatch):
+    # Random small ideals on each ring's variables, with its unit relations:
+    # the packed engine and the reference engine on exponent tuples give the
+    # same basis and the same remainders, term for term.  The library has
+    # one order, so the block ring's variables are taken under grevlex.
+    rng = random.Random(100 + seed)
+    spec = PolyRingSpec(REDUCTION_RINGS[ring][0].names)
+    pairs = REDUCTION_RINGS[ring][1]
+    n = spec.nvars
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 40)
+    compared = 0
+    for _ in range(8):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = {}
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 2) for _ in range(n))
+                g[m] = g.get(m, 0) + rng.choice((1, 2, 3, 4, 6, -2, -3, 5))
+            gens.append({m: c for m, c in g.items() if c})
+        gens += unit_relations(pairs, n)
+        try:
+            want = reference_strong_groebner(gens, spec)
+        except ResourceCapError:
+            with pytest.raises(ResourceCapError):
+                strong_groebner(gens, spec)
+            continue
+        gb = strong_groebner(gens, spec)
+        assert gb == want, gens
+        compared += 1
+        for _ in range(5):
+            f = {tuple(rng.randint(0, 4) for _ in range(n)): rng.randint(-9, 9) for _ in range(4)}
+            assert normal_form_gb(f, gb) == reference_normal_form_gb(f, gb)
+    assert compared
+
+
+def test_normal_form_of_degree_200_monomial():
+    # Monomials of degree 200 modulo a basis of degree <= 4 need fields wider
+    # than the completion's: x^200 = (x^4)^50 = 2^50 exactly, and a mixed
+    # monomial of degree 200 reduces as the reference engine reduces it.
+    spec = PolyRingSpec(("x", "y", "z"))
+    gens = [{(4, 0, 0): 1, (0, 0, 0): -2}, {(0, 2, 0): 1, (1, 0, 0): -1, (0, 0, 0): -1},
+            {(0, 0, 3): 1, (0, 1, 1): -1, (0, 0, 0): 5}]
+    gb = strong_groebner(gens, spec)
+    assert max(sum(terms[0][0]) for terms in gb.polys) <= 4
+    assert normal_form_gb({(200, 0, 0): 1}, gb) == {(0, 0, 0): 2**50}
+    f = {(120, 50, 30): 1, (3, 2, 1): -7}
+    assert normal_form_gb(f, gb) == reference_normal_form_gb(f, gb)
 
 
 def test_normal_form_gb_matches_linear_scan():

@@ -3,8 +3,10 @@ stdout and stderr and their exit codes must equal the recorded values.
 
 The jobs cover the report fields that the lattice layer feeds: `validate`'s
 `fundamental_group`, theta's `invariant_directions` and the generator weights
-in `k0` with every check, `hecke-check`, and an explicit datum.  A change that
-moves a report on purpose records the new digests here and says why.
+in `k0` with every check, `hecke-check`, and an explicit datum.  The ten
+`quotient` and nine `levi` benchmark jobs of seed 1 cover the Groebner
+engine's bases and quotient modules.  A change that moves a report on purpose
+records the new digests here and says why.
 """
 
 from __future__ import annotations
@@ -61,6 +63,65 @@ RECORDED = [
      EMPTY),
     (("k0-torus", "--group", "GL2", "--p", "2"),
      0, "cf9dd4dcb8a5879157c05242481532c36289756e960a3b2971862209bb374876",
+     EMPTY),
+    # The `quotient` ladder, seed 1.
+    (("k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2"),
+     0, "8e0edacb783f5eaa1d3e98141eba309425f4d9c8d935af2734198f4175e9d96b",
+     EMPTY),
+    (("k0", "--group", "SL4", "--mu", "3,3,0", "--p", "2"),
+     0, "5ec028a246e03be74dcdbefbaa7f2cc7cd445cb0645aa84af7b88d2be89a94ac",
+     EMPTY),
+    (("k0", "--group", "GL2", "--mu", "1,0", "--p", "7"),
+     0, "6974016a3fc18b2ca4b891d603d786564b549a53d0710eda8cfb550eb65c6cb6",
+     EMPTY),
+    (("k0", "--group", "Sp4", "--mu", "2,2", "--p", "5"),
+     0, "41f040dfa59447707271f13201413d2d87a4c3a087f554eb140aa695ca4c5f08",
+     EMPTY),
+    (("k0", "--group", "GL3", "--mu", "2,0,0", "--p", "5"),
+     0, "ff53c126466d2f72dd72cee5a0907034cb4eb5cf6e43ef42a345d9762c6aa4a0",
+     EMPTY),
+    (("k0", "--group", "SL2", "--mu", "2", "--p", "11"),
+     0, "78af457e9d8aab41f5ad9f3b0617e2c9fd87d44d4f44d1ea1b54709b564bdb8f",
+     EMPTY),
+    (("k0", "--group", "SL3", "--mu", "1,0", "--p", "3"),
+     0, "7f57ad1decf0585b93b014486fc318b7746b6fc9f156a0e6665dadf21673fb6a",
+     EMPTY),
+    (("k0", "--group", "Sp4", "--mu", "4,2", "--p", "3"),
+     0, "53c5372ca8d619cd74acdd8a69bc1ebb8970e7de4a9111f6caa766832fdf8940",
+     EMPTY),
+    (("k0", "--group", "SL3", "--mu", "3,0", "--p", "5"),
+     0, "586e646abcb04ae01636ec29c5a6e89715386ef530310479fb4fc8317c4e72db",
+     EMPTY),
+    (("k0", "--group", "GL2", "--mu", "2,0", "--p", "11"),
+     0, "a229735781f03451997113fdc308728149d85de2aa977ee631794d1cb86b60e5",
+     EMPTY),
+    # The `levi` ladder, seed 1.
+    (("k0", "--group", "Sp4", "--mu", "0,0", "--p", "3"),
+     0, "e9115a2fe81c65da0f8a621e45b3893af85799cfefa55e464ef5d680b6c5fa7e",
+     EMPTY),
+    (("k0", "--group", "Sp4", "--mu", "0,0", "--p", "5"),
+     0, "42fb6b37fef1f5f3064efbd572cbddbf1873e9abb9abde7b0cdff80e8ed57949",
+     EMPTY),
+    (("k0", "--group", "Sp4", "--mu", "0,0", "--p", "7"),
+     0, "5fe9b42ea85715b48efe98587deefedc7c99f07de74fa88587f5f08b73b55ab8",
+     EMPTY),
+    (("k0", "--group", "SL3", "--mu", "0,0", "--p", "5"),
+     0, "9464c65dbc79fa8b06db414812d0c81e727610f668f3a43448da983d5eaf8f57",
+     EMPTY),
+    (("k0", "--group", "SL4", "--mu", "0,0,0", "--p", "5"),
+     0, "941c5170b48876309c79ade85ee50203c716f6c0193eb4161fa3f1ade921d7b1",
+     EMPTY),
+    (("k0", "--group", "GL3", "--mu", "0,0,0", "--p", "2"),
+     0, "4ea5a7889788d4493b2de1a90ea4f2926da05dd0b12da245f9307bc638d70b45",
+     EMPTY),
+    (("k0", "--group", "GL2", "--mu", "0,0", "--p", "7"),
+     0, "697704626ba80469d9153192e79e79437082de71860315d5d47d4a5b57f206df",
+     EMPTY),
+    (("k0", "--group", "GL3", "--mu", "0,0,0", "--p", "5"),
+     0, "d0f80890e1abfda6cd4060228f49f8b4bde1b562ba71ce27c0fd323f43f8acb2",
+     EMPTY),
+    (("k0", "--group", "SL4", "--mu", "0,0,0", "--p", "2"),
+     0, "24b6036f771f2b6518d5b20c1678d59ef6c7f6f45a79a0defb975d3197e19f38",
      EMPTY),
 ]
 

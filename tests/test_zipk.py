@@ -44,6 +44,8 @@ from oracles import (
     eliminate,
     from_terms,
     mod_l_count_agrees,
+    reference_normal_form_gb,
+    reference_strong_groebner,
     substitution_soundness,
     verify_strong_groebner,
 )
@@ -90,7 +92,7 @@ def test_torus_side_ideal_is_principal_product(p):
     f = to_poly(
         from_terms(1, [((1,), 1), ((-1,), 1), ((p,), -1), ((-p,), -1)])
     )
-    gb = strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
+    gb = reference_strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
     egb = eliminate(gb, (0,))
     polys = egb.as_dicts()
     assert len(polys) == 1
@@ -187,7 +189,7 @@ def eliminated_levi_presentation(rd: RootDatum, lpres: InvariantRingPresentation
         yj = (0,) * n + tuple(1 if i == j else 0 for i in range(k))
         g[yj] = g.get(yj, 0) + 1
         gens.append({m: c for m, c in g.items() if c})
-    rel_gb = eliminate(strong_groebner(gens, big_spec), tuple(range(n)))
+    rel_gb = eliminate(reference_strong_groebner(gens, big_spec), tuple(range(n)))
     return rel_gb.spec, tuple(rel_gb.as_dicts())
 
 
@@ -494,3 +496,52 @@ def test_ladder_torsion_agrees_mod_l(name, mu, p):
     suspects = [c for _, c in kz.groebner.leading_terms() if c != 1] + list(report.torsion)
     for ell in sorted({q for d in suspects for q in _prime_factors(d)}):
         assert mod_l_count_agrees(kz.groebner, report.rank, report.torsion, ell), ell
+
+
+# The six `checks` ladder cases: (group, mu, p), run with every check.
+CHECKS_LADDER = [
+    ("SL3", (1, 2), 3),
+    ("SL3", (1, 2), 5),
+    ("Sp4", (1, 0), 3),
+    ("GL2", (1, 0), 3),
+    ("A1xA1", (1, 0), 3),
+    ("SL2", (1,), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "name,mu,p,checks",
+    [(*case[:3], False) for case in QUOTIENT_LADDER]
+    + [(*case, False) for case in LEVI_LADDER]
+    + [(*case, True) for case in CHECKS_LADDER],
+)
+def test_packed_engine_matches_reference_on_ladder(monkeypatch, capsys, name, mu, p, checks):
+    # Every completion and every membership read of a ladder job gives the
+    # same basis and the same remainder as the reference engine on exponent
+    # tuples, term for term.
+    import zipk0.zipk
+    from zipk0.cli import main
+
+    real_groebner, real_normal_form = zipk0.zipk.strong_groebner, zipk0.zipk.normal_form_gb
+    compared = []
+
+    def checked_groebner(gens, spec, max_degree):
+        gens = list(gens)
+        gb = real_groebner(gens, spec, max_degree=max_degree)
+        assert gb == reference_strong_groebner(gens, spec, max_degree)
+        compared.append(gb)
+        return gb
+
+    def checked_normal_form(f, gb):
+        nf = real_normal_form(f, gb)
+        assert nf == reference_normal_form_gb(f, gb)
+        return nf
+
+    monkeypatch.setattr(zipk0.zipk, "strong_groebner", checked_groebner)
+    monkeypatch.setattr(zipk0.zipk, "normal_form_gb", checked_normal_form)
+    argv = ["k0", "--group", name, "--mu", ",".join(map(str, mu)), "--p", str(p)]
+    if checks:
+        argv += ["--checks", "kunneth,theta,hecke,steinberg"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert compared
