@@ -25,6 +25,7 @@ from .rootdata import (
     RootDatumError,
     WeylSizeCapError,
     make_root_datum,
+    pairing,
     preset,
     validate,
 )
@@ -42,6 +43,7 @@ from .zipk import (
 
 SCHEMA_VERSION = 1
 VALID_CHECKS = ("kunneth", "theta", "hecke", "steinberg", "counterexample")
+DEFAULT_WINDOW = 3  # exponent box radius of the Hecke check when the job sets none
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -291,19 +293,23 @@ def _module_dict(report) -> dict:
     }
 
 
-def _levi_dict(levi) -> dict:
+def _levi_dict(datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
+    """The Levi's roots and Weyl order, and the roots of the parabolics
+    P^- (<alpha, mu> <= 0) and P^+ (<alpha, mu> >= 0)."""
+    rd = datum.rd
+    heights = [pairing(a, datum.mu) for a in rd.roots]
     return {
-        "roots": [_vec(r) for r in levi.levi_roots],
-        "simple_roots": [_vec(r) for r in levi.levi_simple_roots],
-        "weyl_order": len(levi.weyl_subgroup),
-        "parabolic_nonpositive": [_vec(levi.parent.roots[i]) for i in levi.nonpositive_root_indices],
-        "parabolic_nonnegative": [_vec(levi.parent.roots[i]) for i in levi.nonnegative_root_indices],
+        "roots": [_vec(r) for r in kz.levi.roots],
+        "simple_roots": [_vec(r) for r in kz.levi.simple_roots],
+        "weyl_order": len(kz.presentation_pres.weyl),
+        "parabolic_nonpositive": [_vec(a) for a, h in zip(rd.roots, heights) if h <= 0],
+        "parabolic_nonnegative": [_vec(a) for a, h in zip(rd.roots, heights) if h >= 0],
     }
 
 
 def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
     out: dict[str, Any] = {}
-    window = job.window if job.window is not None else 3
+    window = job.window if job.window is not None else DEFAULT_WINDOW
     torus = None  # (basis, report) of R(T)/IR(T), built by the first check needing it
     for check in job.checks:
         if check in ("kunneth", "theta") and torus is None:
@@ -393,7 +399,7 @@ def cmd_k0(job: JobSpec) -> dict:
         "schema": SCHEMA_VERSION,
         "command": "k0",
         "job": job.echo(),
-        "levi": _levi_dict(kz.levi),
+        "levi": _levi_dict(datum, kz),
         "presentation": {
             "variables": list(kz.variables),
             "generator_weights": [_vec(w) for w in kz.generator_weights],
@@ -435,7 +441,7 @@ def cmd_k0_torus(job: JobSpec) -> dict:
 def cmd_hecke_check(job: JobSpec) -> dict:
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
-    window = job.window if job.window is not None else 3
+    window = job.window if job.window is not None else DEFAULT_WINDOW
     return {
         "schema": SCHEMA_VERSION,
         "command": "hecke-check",
@@ -535,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", help="cocharacter, e.g. 1,0 or [1,0]")
         p.add_argument("--p", help="prime")
         p.add_argument("--checks", help=f"comma list from {','.join(VALID_CHECKS)}")
-        p.add_argument("--window", help="exponent box radius for windowed checks")
+        p.add_argument(
+            "--window", help=f"exponent box radius for windowed checks (default {DEFAULT_WINDOW})"
+        )
         p.add_argument("--format", choices=("json", "text"), help="report format (default json)")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument(

@@ -397,9 +397,13 @@ def strong_groebner(
     product criterion or the chain criterion proves redundant are never
     reduced; G-pairs are never pruned.  The generators are taken in the
     order of (leading monomial, terms), so the basis does not depend on the
-    order they come in.  Raises ResourceCapError when a leading monomial
-    exceeds max_degree or the basis exceeds DEFAULT_MAX_BASIS elements.
+    order they come in.  Raises ResourceCapError when an element joining
+    the basis, a reduced generator included, has a leading monomial above
+    max_degree or the basis exceeds DEFAULT_MAX_BASIS elements, and
+    TypeError for a spec of another order than PolyRingSpec's grevlex.
     """
+    if type(spec) is not PolyRingSpec:
+        raise TypeError(f"the engine has grevlex only, not the order of a {type(spec).__name__}")
     key = spec.monomial_key()
     start = [_normalize_sign(dict(g), key) for g in gens if g]
     start.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
@@ -414,7 +418,13 @@ def strong_groebner(
 
     def add(g: Packed) -> None:
         """Append g as element k, drop the queued S-pairs that k chains, then
-        queue the pairs of k."""
+        queue the pairs of k.  The caps apply here, to every element that
+        joins, reduced generators included."""
+        degree = max(g) >> pk.top  # the degree field is the top one
+        if degree > max_degree:
+            raise ResourceCapError(f"leading monomial degree {degree} exceeds cap {max_degree}")
+        if len(basis) >= DEFAULT_MAX_BASIS:
+            raise ResourceCapError(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
         g = _normalize_sign(g, pk.key)
         entry = _entry(g, len(basis), pk)
         bisect.insort(table, entry)
@@ -459,14 +469,8 @@ def strong_groebner(
             if not pairs:
                 del pending[big]
         red = _reduce(_pair(kind, basis[i], leads[i], basis[j], leads[j], big), table, pk)
-        if not red:
-            continue
-        degree = max(red) >> pk.top  # the degree field is the top one
-        if degree > max_degree:
-            raise ResourceCapError(f"leading monomial degree {degree} exceeds cap {max_degree}")
-        if len(basis) >= DEFAULT_MAX_BASIS:
-            raise ResourceCapError(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
-        add(red)
+        if red:
+            add(red)
 
     reduced = _interreduce(basis, pk)
     gb = GroebnerBasis(spec, tuple(

@@ -152,62 +152,28 @@ def frobenius(
 # Demazure operators
 
 
-def _alpha_key(coroot: Vector):
-    def key(exponent: Vector):
-        return (pairing(exponent, coroot), exponent)
-
-    return key
-
-
-def _divide_by_one_minus_inverse_root(
-    numerator: GroupAlgebraElement, alpha: Vector, coroot: Vector
-) -> GroupAlgebraElement:
-    """Exact division by (1 - e^{-alpha}).
-
-    Pseudo-division along the alpha direction: repeatedly peel the term
-    maximal for the (alpha-height, lex) order, which is a translation
-    invariant total order with leading term 1 for the divisor.  Failure to
-    terminate means the division was not exact, which is an internal bug.
-    """
-    if numerator.is_zero():
-        return numerator
-    key = _alpha_key(coroot)
-    heights = [pairing(e, coroot) for e in numerator.terms]
-    span = (max(heights) - min(heights)) // 2 + 1
-    cap = len(numerator.terms) * (span + 1) + 16
-    quotient: dict[Vector, int] = {}
-    work = dict(numerator.terms)
-    steps = 0
-    while work:
-        steps += 1
-        if steps > cap:
-            raise RuntimeError("Demazure numerator was not divisible: internal error")
-        top = max(work, key=key)
-        c = work.pop(top)
-        quotient[top] = quotient.get(top, 0) + c
-        lower = tuple(a - b for a, b in zip(top, alpha))
-        val = work.get(lower, 0) + c
-        if val:
-            work[lower] = val
-        elif lower in work:
-            del work[lower]
-    return GroupAlgebraElement(numerator.rank, quotient)
-
-
 def demazure(rd: RootDatum, simple_index: int, f: GroupAlgebraElement) -> GroupAlgebraElement:
     """delta_alpha(f) = (f - e^{-alpha} s_alpha(f)) / (1 - e^{-alpha}).
 
     Normalized so delta_alpha(1) = 1; the divided difference attached to the
-    simple root alpha.
+    simple root alpha.  On a monomial the quotient is a geometric series in
+    e^{-alpha}: with n = <lambda, alpha^vee>, delta_alpha(e^lambda) is
+    sum_{k=0..n} e^{lambda - k alpha} for n >= 0, 0 for n = -1 and
+    -sum_{k=1..-n-1} e^{lambda + k alpha} for n <= -2; it extends Z-linearly.
     """
     if simple_index not in range(len(rd.simple_indices)):
         raise ValueError(f"no simple root with index {simple_index}")
     root_idx = rd.simple_indices[simple_index]
     alpha = rd.roots[root_idx]
     coroot = rd.coroots[root_idx]
-    s = reflection_matrix(alpha, coroot)
-    shifted = monomial(f.rank, tuple(-x for x in alpha)) * weyl_act(s, f)
-    return _divide_by_one_minus_inverse_root(f - shifted, alpha, coroot)
+    out: dict[Vector, int] = {}
+    for e, c in f.terms.items():
+        n = pairing(e, coroot)
+        ks, sign = (range(-n, 1), c) if n >= 0 else (range(1, -n), -c)
+        for k in ks:
+            term = tuple(a + k * b for a, b in zip(e, alpha))
+            out[term] = out.get(term, 0) + sign
+    return GroupAlgebraElement(f.rank, out)
 
 
 # ---------------------------------------------------------------------------

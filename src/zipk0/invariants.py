@@ -10,13 +10,12 @@ certificate.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._record import record
 from .grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
 from .lattice import hermite_remainder, hermite_row_basis, solve_linear_diophantine
 from .rootdata import (  # noqa: F401  (re-exports the simply-connectedness gate)
-    LeviDatum,
     RootDatum,
     SimplyConnectedHypothesisError,
     Vector,
@@ -51,22 +50,16 @@ class InvariantRingPresentation:
     height_vector: Vector                   # sum of positive coroots: H(chi) > 0 on them
 
 
-def invariant_ring(rd: RootDatum, levi: Optional[LeviDatum] = None) -> InvariantRingPresentation:
-    """Presentation of R(G) (levi=None) or R(L) by dominant orbit sums."""
-    if levi is None:
-        weyl = weyl_enumerate(rd)
-        cosimples = rd.simple_coroots
-        pos = positive_root_indices(rd)
-        pos_coroots = [rd.coroots[i] for i in pos]
-    else:
-        weyl = levi.weyl_subgroup
-        cosimples = levi.levi_simple_coroots
-        pos_coroots = [rd.coroots[i] for i in levi.positive_levi_root_indices()]
-    weights = dominant_hilbert_basis(rd, levi)
+def invariant_ring(rd: RootDatum) -> InvariantRingPresentation:
+    """Presentation of R(T)^W by dominant orbit sums; for the Levi of a
+    cocharacter, pass its root datum (levi_from_cocharacter) to get R(L)."""
+    pos_coroots = [rd.coroots[i] for i in positive_root_indices(rd)]
+    weyl = weyl_enumerate(rd)
+    weights = dominant_hilbert_basis(rd)
     elements = tuple(orbit_sum(weyl, w) for w in weights)
-    height = tuple(sum(cv[i] for cv in pos_coroots) for i in range(rd.rank)) if pos_coroots else (0,) * rd.rank
+    height = tuple(sum(cv[i] for cv in pos_coroots) for i in range(rd.rank))
     return InvariantRingPresentation(
-        rd.rank, tuple(weights), elements, weyl, tuple(cosimples), height
+        rd.rank, tuple(weights), elements, weyl, rd.simple_coroots, height
     )
 
 
@@ -194,7 +187,7 @@ def integral_fundamental_weights(rd: RootDatum) -> tuple[Vector, ...]:
     These exist exactly when the derived group is simply connected; chosen
     canonically small modulo the coweight-orthogonal lattice.
     """
-    return fundamental_weight_lift(rd.rank, rd.simple_coroots)[1]
+    return fundamental_weight_lift(rd)[1]
 
 
 def steinberg_candidate_weights(rd: RootDatum, weyl: WeylGroup) -> list[Vector]:

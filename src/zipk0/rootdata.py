@@ -354,39 +354,6 @@ def require_simply_connected(rd: RootDatum) -> list[int]:
     return inv
 
 
-@record
-class LeviDatum:
-    """Levi subgroup data: roots pairing to zero with the cocharacter."""
-
-    parent: RootDatum
-    mu: Cocharacter
-    levi_root_indices: tuple[int, ...]
-    levi_simple_indices: tuple[int, ...]
-    weyl_subgroup: WeylGroup
-    nonpositive_root_indices: tuple[int, ...]   # <alpha, mu> <= 0   (parabolic P^-)
-    nonnegative_root_indices: tuple[int, ...]   # <alpha, mu> >= 0   (parabolic P^+)
-
-    @property
-    def levi_roots(self) -> tuple[Vector, ...]:
-        return tuple(self.parent.roots[i] for i in self.levi_root_indices)
-
-    @property
-    def levi_simple_roots(self) -> tuple[Vector, ...]:
-        return tuple(self.parent.roots[i] for i in self.levi_simple_indices)
-
-    @property
-    def levi_simple_coroots(self) -> tuple[Vector, ...]:
-        return tuple(self.parent.coroots[i] for i in self.levi_simple_indices)
-
-    def positive_levi_root_indices(self) -> tuple[int, ...]:
-        out = []
-        for i in self.levi_root_indices:
-            coeffs = root_coefficients(self.parent.roots[i], self.levi_simple_roots)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                out.append(i)
-        return tuple(out)
-
-
 def _lex_positive(v: Vector) -> bool:
     for x in v:
         if x != 0:
@@ -394,51 +361,36 @@ def _lex_positive(v: Vector) -> bool:
     return False
 
 
-def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int]) -> LeviDatum:
-    """Levi centralising the cocharacter: roots with <alpha, mu> = 0.
+def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int]) -> RootDatum:
+    """The Levi centralising the cocharacter, as a root datum on the same lattice.
 
-    The Levi's simple system is the set of indecomposable lex-positive Levi
-    roots (positivity by the sign of the first nonzero coordinate); when mu is
-    dominant this recovers a subset of any ambient-positive system.
+    Its roots are the roots with <alpha, mu> = 0, in their order in rd, each
+    with its coroot.  Its simple system is the set of indecomposable
+    lex-positive Levi roots (positivity by the sign of the first nonzero
+    coordinate); when mu is dominant this recovers a subset of any
+    ambient-positive system.
     """
     mu = tuple(int(x) for x in mu)
     if len(mu) != rd.rank:
         raise RootDatumError("pairing-violation", f"cocharacter {mu} does not have rank {rd.rank}")
-    levi = tuple(i for i, a in enumerate(rd.roots) if pairing(a, mu) == 0)
-    nonpos = tuple(i for i, a in enumerate(rd.roots) if pairing(a, mu) <= 0)
-    nonneg = tuple(i for i, a in enumerate(rd.roots) if pairing(a, mu) >= 0)
-    levi_roots = [rd.roots[i] for i in levi]
-    pos = [r for r in levi_roots if _lex_positive(r)]
+    kept = [i for i, a in enumerate(rd.roots) if pairing(a, mu) == 0]
+    roots = tuple(rd.roots[i] for i in kept)
+    pos = [r for r in roots if _lex_positive(r)]
     pos_set = set(pos)
-    simples = []
-    for r in pos:
-        decomposable = any(
-            tuple(x - y for x, y in zip(r, b)) in pos_set for b in pos if b != r
-        )
-        if not decomposable:
-            simples.append(r)
-    simple_idx = tuple(rd.roots.index(r) for r in simples)
-    wl = enumerate_weyl_group(
-        rd.rank,
-        [rd.roots[i] for i in simple_idx],
-        [rd.coroots[i] for i in simple_idx],
+    simples = tuple(
+        roots.index(r)
+        for r in pos
+        if not any(tuple(x - y for x, y in zip(r, b)) in pos_set for b in pos if b != r)
     )
-    datum = LeviDatum(rd, mu, levi, simple_idx, wl, nonpos, nonneg)
-    # Sanity: every Levi root is a +-N-combination of the chosen simple system.
-    for r in levi_roots:
-        coeffs = root_coefficients(r, datum.levi_simple_roots) if simples else None
-        if simples:
-            ok = coeffs is not None and (
-                all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
-            )
-        else:
-            ok = not any(levi_roots)
-        if not ok:
-            raise RootDatumError(
-                "reflection-not-permuting",
-                f"Levi root {r} is not a signed combination of the Levi simple system",
-            )
-    return datum
+    levi = RootDatum(rd.rank, roots, tuple(rd.coroots[i] for i in kept), simples)
+    # Sanity: the Levi roots are closed under negation, so they are a
+    # +-N-combination of the simple system exactly when half are positive.
+    if 2 * len(positive_root_indices(levi)) != len(roots):
+        raise RootDatumError(
+            "reflection-not-permuting",
+            "Levi roots are not signed combinations of the Levi simple system",
+        )
+    return levi
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +443,8 @@ def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
     return best
 
 
-def fundamental_weight_lift(
-    rank: int, cosimples: Sequence[Vector]
-) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """(lin, etas) for a simple system with the given simple coroots.
+def fundamental_weight_lift(rd: RootDatum) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """(lin, etas) for the simple system of rd.
 
     lin is the Hermite basis of the lineality lattice (the characters pairing
     to zero with every simple coroot); etas[k] is an integral fundamental
@@ -503,19 +453,20 @@ def fundamental_weight_lift(
     onto Z^s, that is when the derived group is simply connected; otherwise
     SimplyConnectedHypothesisError is raised.
     """
+    cosimples = rd.simple_coroots
     s = len(cosimples)
-    lin = kernel_basis(cosimples, rank)
+    lin = kernel_basis(cosimples, rd.rank)
     etas = []
     for k in range(s):
-        x = solve_linear_diophantine(cosimples, [1 if j == k else 0 for j in range(s)], rank)
+        x = solve_linear_diophantine(cosimples, [1 if j == k else 0 for j in range(s)], rd.rank)
         if x is None:
-            raise SimplyConnectedHypothesisError(cokernel_invariants(cosimples, rank))
+            raise SimplyConnectedHypothesisError(cokernel_invariants(cosimples, rd.rank))
         etas.append(_canonical_preimage(x, lin))
     return lin, tuple(etas)
 
 
-def dominant_hilbert_basis(rd: RootDatum, levi: Optional[LeviDatum] = None) -> list[Vector]:
-    """Generators of the monoid of (Levi-)dominant weights, in closed form.
+def dominant_hilbert_basis(rd: RootDatum) -> list[Vector]:
+    """Generators of the monoid of dominant weights, in closed form.
 
     With a simply connected derived group (which Levis inherit),
     chi -> (<chi, alpha_k^vee>)_k maps X*(T) onto Z^s, so in those
@@ -525,8 +476,7 @@ def dominant_hilbert_basis(rd: RootDatum, levi: Optional[LeviDatum] = None) -> l
     of Pittie", 1975).  Raises SimplyConnectedHypothesisError without the
     hypothesis.
     """
-    cosimples = levi.levi_simple_coroots if levi is not None else rd.simple_coroots
-    lin, etas = fundamental_weight_lift(rd.rank, cosimples)
+    lin, etas = fundamental_weight_lift(rd)
     return sorted(set(lin) | {tuple(-x for x in z) for z in lin} | set(etas))
 
 

@@ -50,7 +50,6 @@ from .invariants import (
 from .lattice import _prime_factors, hermite_row_basis, kernel_basis
 from .rootdata import (
     Cocharacter,
-    LeviDatum,
     Matrix,
     RootDatum,
     Vector,
@@ -181,8 +180,8 @@ class KZeroPresentation:
     ring_spec: PolyRingSpec
     groebner: GroebnerBasis
     module_report: QuotientReport
-    levi: LeviDatum
-    presentation_pres: InvariantRingPresentation
+    levi: RootDatum
+    presentation_pres: InvariantRingPresentation   # R(L); its weyl is W_L
     one_nonzero: bool
     experimental_twist: bool
 
@@ -230,7 +229,7 @@ def compute_k0(
     """Presentation of R(L)/IR(L) for the Levi of the cocharacter."""
     frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
     levi = levi_from_cocharacter(datum.rd, datum.mu)
-    lpres = invariant_ring(datum.rd, levi)
+    lpres = invariant_ring(levi)
     y_spec, syzygies = levi_presentation_ring(lpres)
     frob_polys = [express_invariant(g, lpres) for g in frobenius_gens]
 
@@ -272,7 +271,7 @@ def kunneth_rank_check(kz: KZeroPresentation, torus_report: QuotientReport) -> K
 
     kz and torus_report are compute_k0 and compute_k0_torus of the same datum.
     """
-    wl = len(kz.levi.weyl_subgroup)
+    wl = len(kz.presentation_pres.weyl)
     if not (torus_report.finite and kz.module_report.finite):
         return KunnethReport(
             "INCONCLUSIVE",

@@ -3,8 +3,9 @@ independent re-checks of the packed engine, of the quotient module's
 invariants, of the Steinberg spanning evidence and of the
 closed-form dominant Hilbert basis, and the general code that the library
 itself does not need: the Smith normal form with its transforms, block
-elimination orders and elimination ideals, Demazure characters, Levi
-restrictions and reduced-word counts."""
+elimination orders and elimination ideals, the Demazure operator by
+pseudo-division, Demazure characters, Levi restrictions and reduced-word
+counts."""
 
 from __future__ import annotations
 
@@ -30,11 +31,10 @@ from zipk0.groebner import (
     poly_canonical,
     strong_groebner,
 )
-from zipk0.grpalg import GroupAlgebraElement, demazure, monomial, orbit_sum, window_box
+from zipk0.grpalg import GroupAlgebraElement, demazure, monomial, orbit_sum, weyl_act, window_box
 from zipk0.invariants import expand_generator_polynomial
 from zipk0.lattice import determinant, hermite_row_basis
 from zipk0.rootdata import (
-    LeviDatum,
     Matrix,
     RootDatum,
     Vector,
@@ -43,6 +43,7 @@ from zipk0.rootdata import (
     identity_matrix,
     mat_mul,
     mat_vec,
+    pairing,
     positive_root_indices,
     reflection_matrix,
     weights_dominant,
@@ -480,13 +481,16 @@ def reference_strong_groebner(
     leads: list[tuple[Monomial, int]] = []
     table: list[tuple] = []
 
-    def add(g: Poly) -> Monomial:
+    def add(g: Poly) -> None:
         g = _normalize_sign(g, key)
         lm, lc = _leading(g, key)
+        if sum(lm) > max_degree:
+            raise ResourceCapError(f"leading monomial degree {sum(lm)} exceeds cap {max_degree}")
+        if len(basis) >= groebner.DEFAULT_MAX_BASIS:
+            raise ResourceCapError(f"basis size exceeds cap {groebner.DEFAULT_MAX_BASIS}")
         bisect.insort(table, (lc, key(lm), len(basis), lm, g))
         basis.append(g)
         leads.append((lm, lc))
-        return lm
 
     for g in start:
         red = _reduce(g, table, hkey)
@@ -543,11 +547,7 @@ def reference_strong_groebner(
         red = _reduce(pair(basis[i], leads[i], basis[j], leads[j]), table, hkey)
         if not red:
             continue
-        lm = add(red)
-        if sum(lm) > max_degree:
-            raise ResourceCapError(f"leading monomial degree {sum(lm)} exceeds cap {max_degree}")
-        if len(basis) > groebner.DEFAULT_MAX_BASIS:
-            raise ResourceCapError(f"basis size exceeds cap {groebner.DEFAULT_MAX_BASIS}")
+        add(red)
         drop_chained(len(basis) - 1)
         push_pairs(len(basis) - 1)
 
@@ -783,18 +783,18 @@ def _extreme_rays(ineq: list[list[int]], dim: int) -> list[tuple[int, ...]]:
     return sorted(rays)
 
 
-def general_dominant_hilbert_basis(rd, levi=None):
-    """Generators of the monoid of (Levi-)dominant weights, by a general search
-    that does not assume a simply connected derived group.
+def general_dominant_hilbert_basis(rd):
+    """Generators of the monoid of dominant weights, by a general search that
+    does not assume a simply connected derived group.  For a Levi, pass its
+    root datum (levi_from_cocharacter).
 
     Directions on which all simple coroots vanish are lattice lines; their
     basis vectors appear with both signs.  The pointed part is computed by
     enumerating lattice points in the box spanned by the extreme rays and
     filtering to indecomposables.
     """
-    cosimples = levi.levi_simple_coroots if levi is not None else rd.simple_coroots
     n = rd.rank
-    a_rows = [list(c) for c in cosimples]
+    a_rows = [list(c) for c in rd.simple_coroots]
     a = IntegerMatrix(len(a_rows), n, tuple(tuple(r) for r in a_rows))
     lin = hermite_row_basis(smith_kernel_basis(a), n)
     out = []
@@ -860,6 +860,46 @@ def _word_is_reduced(rd: RootDatum, word: Sequence[int]) -> bool:
     return inversion_length(m, pos, frozenset(pos)) == len(word)
 
 
+def demazure_by_division(
+    rd: RootDatum, simple_index: int, f: GroupAlgebraElement
+) -> GroupAlgebraElement:
+    """delta_alpha(f) = (f - e^{-alpha} s_alpha(f)) / (1 - e^{-alpha}), with the
+    quotient found by pseudo-division: repeatedly peel the term maximal for
+    the (alpha-height, lex) order, a translation-invariant total order in
+    which the divisor's leading term is 1.  Failure to terminate means the
+    division was not exact."""
+    root_idx = rd.simple_indices[simple_index]
+    alpha = rd.roots[root_idx]
+    coroot = rd.coroots[root_idx]
+    s = reflection_matrix(alpha, coroot)
+    numerator = f - monomial(f.rank, tuple(-x for x in alpha)) * weyl_act(s, f)
+    if numerator.is_zero():
+        return numerator
+
+    def key(exponent: Vector):
+        return (pairing(exponent, coroot), exponent)
+
+    heights = [pairing(e, coroot) for e in numerator.terms]
+    cap = len(numerator.terms) * ((max(heights) - min(heights)) // 2 + 2) + 16
+    quotient: dict[Vector, int] = {}
+    work = dict(numerator.terms)
+    for _ in range(cap):
+        if not work:
+            break
+        top = max(work, key=key)
+        c = work.pop(top)
+        quotient[top] = quotient.get(top, 0) + c
+        lower = tuple(a - b for a, b in zip(top, alpha))
+        val = work.get(lower, 0) + c
+        if val:
+            work[lower] = val
+        else:
+            work.pop(lower, None)
+    if work:
+        raise RuntimeError("Demazure numerator was not divisible")
+    return GroupAlgebraElement(numerator.rank, quotient)
+
+
 def demazure_word(
     rd: RootDatum, word: Sequence[int], f: GroupAlgebraElement
 ) -> GroupAlgebraElement:
@@ -914,39 +954,27 @@ def all_reduced_words(weyl: WeylGroup, index: int, lengths: Sequence[int]) -> li
     return out
 
 
-def levi_sub_datum(levi: LeviDatum) -> RootDatum:
-    """The Levi as a root datum on the same lattice (for structural checks)."""
-    rd = levi.parent
-    return RootDatum(
-        rd.rank,
-        tuple(rd.roots[i] for i in levi.levi_root_indices),
-        tuple(rd.coroots[i] for i in levi.levi_root_indices),
-        tuple(levi.levi_root_indices.index(i) for i in levi.levi_simple_indices),
-        rd.twist,
-        name=(rd.name + ":levi") if rd.name else "levi",
-    )
-
-
 def restrict_to_levi(
-    rd: RootDatum, weight: Sequence[int], levi: LeviDatum, weyl: Optional[WeylGroup] = None
+    rd: RootDatum, weight: Sequence[int], levi: RootDatum, weyl: Optional[WeylGroup] = None
 ) -> tuple[GroupAlgebraElement, list[tuple[Vector, int]]]:
-    """Decompose the full orbit sum m_lambda into Levi orbit sums.
+    """Decompose the full orbit sum m_lambda into Levi orbit sums; levi is the
+    root datum from levi_from_cocharacter.
 
     Returns the element of Z[X*(T)] together with the list of
     (Levi-dominant representative, orbit size) pieces.
     """
     weyl = weyl or weyl_enumerate(rd)
+    levi_weyl = weyl_enumerate(levi)
     full_orbit = set(weyl_orbit(weyl, weight))
     element = GroupAlgebraElement(rd.rank, {nu: 1 for nu in full_orbit})
     pieces: list[tuple[Vector, int]] = []
     remaining = set(full_orbit)
-    cosimples = levi.levi_simple_coroots
     while remaining:
         seed = min(remaining)
-        orb = set(weyl_orbit(levi.weyl_subgroup, seed))
+        orb = set(weyl_orbit(levi_weyl, seed))
         if not orb <= remaining:
             raise RuntimeError("Levi orbit leaves the Weyl orbit: internal error")
-        dominants = [nu for nu in orb if weights_dominant(nu, cosimples)]
+        dominants = [nu for nu in orb if weights_dominant(nu, levi.simple_coroots)]
         if not dominants:
             raise RuntimeError("Levi orbit without dominant representative")
         rep = min(dominants)

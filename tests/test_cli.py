@@ -274,6 +274,20 @@ def test_resource_cap_exit_code(capsys):
     assert "resource cap" in err
 
 
+def test_resource_cap_on_a_generator(capsys):
+    # SL2 at mu = 0, p = 3 has the one-element basis y1^3 - 4*y1: a cap below
+    # its degree must stop the job although no pair is ever reduced.
+    code, out, err = run(
+        capsys, "k0", "--group", "SL2", "--mu", "0", "--p", "3", "--max-degree", "0"
+    )
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "resource-cap"
+    assert "partial" in rep["note"]
+    assert "exceeds cap 0" in rep["detail"]
+    assert "resource cap" in err
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(

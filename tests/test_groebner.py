@@ -557,6 +557,25 @@ def test_resource_cap_raises(monkeypatch):
         strong_groebner(gens, spec)
 
 
+@pytest.mark.parametrize("engine", [strong_groebner, reference_strong_groebner])
+def test_degree_cap_applies_to_reduced_generators(engine):
+    # y^3 - 4y (SL2 at mu = 0, p = 3) is already a basis: no pair adds an
+    # element, so only the check on the generators themselves can see the cap.
+    spec = PolyRingSpec(("y1",))
+    gen = {(3,): 1, (1,): -4}
+    assert engine([gen], spec, max_degree=3).polys == (((((3,), 1), ((1,), -4))),)
+    with pytest.raises(ResourceCapError, match="degree 3 exceeds cap 2"):
+        engine([gen], spec, max_degree=2)
+
+
+def test_strong_groebner_rejects_other_orders():
+    # The engine completes in grevlex only; a block order must not be
+    # completed in grevlex silently.
+    spec = BlockRingSpec(("t", "x"), ((0,), (1,)))
+    with pytest.raises(TypeError, match="BlockRingSpec"):
+        strong_groebner([{(1, 0): 1, (0, 1): -1}], spec)
+
+
 # ---------------------------------------------------------------------------
 # Windowed brute-force oracle for Laurent quotient modules (rank-1 lattice)
 

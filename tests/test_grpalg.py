@@ -25,7 +25,13 @@ from zipk0.rootdata import (
     weyl_enumerate,
 )
 
-from oracles import all_reduced_words, demazure_character, demazure_word, from_terms
+from oracles import (
+    all_reduced_words,
+    demazure_by_division,
+    demazure_character,
+    demazure_word,
+    from_terms,
+)
 
 
 def sl2_x(k=1):
@@ -185,6 +191,19 @@ def test_demazure_matches_geometric_series_oracle(name):
         f = random_element(rng, rd.rank)
         for i in range(len(rd.simple_indices)):
             assert demazure(rd, i, f) == delta_oracle(rd, i, f)
+
+
+@pytest.mark.parametrize(
+    "name", ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "PGL2", "Gm", "Gm^2", "A1xA1"]
+)
+def test_demazure_closed_form_matches_division(name):
+    # The closed form against pseudo-division by 1 - e^{-alpha}, for every
+    # simple root and every lambda in [-3, 3]^rank.
+    rd = preset(name)
+    for i in range(len(rd.simple_indices)):
+        for lam in window_box(rd.rank, 3):
+            f = monomial(rd.rank, lam)
+            assert demazure(rd, i, f) == demazure_by_division(rd, i, f), (i, lam)
 
 
 @pytest.mark.parametrize("name", ["SL2", "SL3"])

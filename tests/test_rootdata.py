@@ -30,7 +30,7 @@ from zipk0.rootdata import (
     weyl_orbit,
 )
 
-from oracles import all_reduced_words, general_dominant_hilbert_basis, levi_sub_datum, weyl_lengths
+from oracles import all_reduced_words, general_dominant_hilbert_basis, weyl_lengths
 
 
 ALL_PRESETS = ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "PGL2", "Gm", "Gm^2", "A1xA1"]
@@ -137,17 +137,18 @@ def test_fundamental_weights_pairing(name):
 
 def test_levi_sl2_generic_mu_is_torus():
     levi = levi_from_cocharacter(preset("SL2"), (1,))
-    assert levi.levi_root_indices == ()
-    assert len(levi.weyl_subgroup) == 1
+    assert levi.roots == ()
+    assert len(weyl_enumerate(levi)) == 1
 
 
 def test_levi_gl3_block():
-    levi = levi_from_cocharacter(preset("GL3"), (1, 1, 0))
-    assert set(levi.levi_roots) == {(1, -1, 0), (-1, 1, 0)}
-    assert len(levi.weyl_subgroup) == 2
-    # Parabolic root sets are exposed for reporting.
-    assert set(levi.levi_root_indices) <= set(levi.nonpositive_root_indices)
-    assert set(levi.levi_root_indices) <= set(levi.nonnegative_root_indices)
+    rd, mu = preset("GL3"), (1, 1, 0)
+    levi = levi_from_cocharacter(rd, mu)
+    assert set(levi.roots) == {(1, -1, 0), (-1, 1, 0)}
+    assert len(weyl_enumerate(levi)) == 2
+    # The Levi lies in both parabolics P^- and P^+, as the report lists them.
+    assert set(levi.roots) <= {a for a in rd.roots if pairing(a, mu) <= 0}
+    assert set(levi.roots) <= {a for a in rd.roots if pairing(a, mu) >= 0}
 
 
 def test_levi_sl3_alpha1():
@@ -156,36 +157,50 @@ def test_levi_sl3_alpha1():
     mu = (1, 2)
     assert pairing((2, -1), mu) == 0 and pairing((-1, 2), mu) != 0
     levi = levi_from_cocharacter(rd, mu)
-    assert levi.levi_simple_roots == ((2, -1),)
-    assert len(levi.weyl_subgroup) == 2
+    assert levi.simple_roots == ((2, -1),)
+    assert len(weyl_enumerate(levi)) == 2
 
 
 def test_levi_mu_zero_is_whole_group():
     rd = preset("SL3")
     levi = levi_from_cocharacter(rd, (0, 0))
-    assert len(levi.levi_root_indices) == len(rd.roots)
-    assert len(levi.weyl_subgroup) == 6
+    assert len(levi.roots) == len(rd.roots)
+    assert len(weyl_enumerate(levi)) == 6
 
 
 def test_levi_roots_weyl_stable():
     rd = preset("Sp4")
     for mu in [(0, 0), (1, 0), (1, 1), (2, 1)]:
         levi = levi_from_cocharacter(rd, mu)
-        roots = set(levi.levi_roots)
-        for w in levi.weyl_subgroup.elements:
+        roots = set(levi.roots)
+        for w in weyl_enumerate(levi).elements:
             assert {mat_vec(w, r) for r in roots} == roots
 
 
-@pytest.mark.parametrize("name", ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "A1xA1", "Gm"])
+SC_PRESETS = [n for n in ALL_PRESETS if n != "PGL2"]
+
+
+@pytest.mark.parametrize("name", SC_PRESETS)
+def test_levi_is_the_root_datum_of_mu(name):
+    # The Levi is a valid root datum: the roots orthogonal to mu, in their
+    # order in rd, each with its coroot.
+    rd = preset(name)
+    for mu in itertools.product(range(-2, 3), repeat=rd.rank):
+        levi = levi_from_cocharacter(rd, mu)
+        validate(levi)
+        kept = [i for i, a in enumerate(rd.roots) if pairing(a, mu) == 0]
+        assert levi.roots == tuple(rd.roots[i] for i in kept), (name, mu)
+        assert levi.coroots == tuple(rd.coroots[i] for i in kept), (name, mu)
+
+
+@pytest.mark.parametrize("name", SC_PRESETS)
 def test_levi_of_sc_datum_has_sc_derived_group(name):
     # Levi subgroups inherit the torsion-free fundamental group.
     rd = preset(name)
     require_simply_connected(rd)
-    grid = list(itertools.product([-1, 0, 1, 2], repeat=rd.rank))
-    for mu in grid:
+    for mu in itertools.product(range(-2, 3), repeat=rd.rank):
         levi = levi_from_cocharacter(rd, mu)
-        sub = levi_sub_datum(levi)
-        assert all(d in (0, 1) for d in fundamental_group(sub)), (name, mu)
+        assert all(d in (0, 1) for d in fundamental_group(levi)), (name, mu)
 
 
 def test_hilbert_basis_sl2():
@@ -199,7 +214,7 @@ def test_hilbert_basis_gl2():
 def test_hilbert_basis_levi_torus():
     rd = preset("GL2")
     levi = levi_from_cocharacter(rd, (1, 0))  # generic: L = T
-    assert sorted(dominant_hilbert_basis(rd, levi)) == sorted([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    assert sorted(dominant_hilbert_basis(levi)) == sorted([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
 def test_hilbert_basis_sl3():
@@ -207,21 +222,21 @@ def test_hilbert_basis_sl3():
 
 
 def group_and_levis(rd):
-    """None (for G itself) and each distinct Levi of a cocharacter in [-2, 2]^rank."""
+    """G itself and each distinct Levi of a cocharacter in [-2, 2]^rank."""
     levis = {}
     for mu in itertools.product(range(-2, 3), repeat=rd.rank):
         levi = levi_from_cocharacter(rd, mu)
-        levis.setdefault(levi.levi_simple_indices, levi)
-    return [None, *levis.values()]
+        levis.setdefault(levi.simple_roots, levi)
+    return [rd, *levis.values()]
 
 
-@pytest.mark.parametrize("name", [n for n in ALL_PRESETS if n != "PGL2"])
+@pytest.mark.parametrize("name", SC_PRESETS)
 def test_hilbert_basis_matches_general_search(name):
     # The closed form (fundamental weights and +/- a lineality basis) equals
     # the extreme-ray and box search on G and on each of its Levis.
     rd = preset(name)
-    for levi in group_and_levis(rd):
-        assert dominant_hilbert_basis(rd, levi) == general_dominant_hilbert_basis(rd, levi)
+    for datum in group_and_levis(rd):
+        assert dominant_hilbert_basis(datum) == general_dominant_hilbert_basis(datum)
 
 
 def test_round_div_matches_fraction_rounding():
@@ -238,8 +253,8 @@ def test_hilbert_basis_matches_general_search_explicit_datum():
     validate(rd)
     require_simply_connected(rd)
     assert dominant_hilbert_basis(rd) == [(-1, -1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
-    for levi in group_and_levis(rd):
-        assert dominant_hilbert_basis(rd, levi) == general_dominant_hilbert_basis(rd, levi)
+    for datum in group_and_levis(rd):
+        assert dominant_hilbert_basis(datum) == general_dominant_hilbert_basis(datum)
 
 
 def test_hilbert_basis_rejects_pgl2():

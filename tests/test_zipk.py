@@ -128,7 +128,7 @@ def test_sl2_levi_torus_matches_torus_side():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     torus_gb, torus_report = compute_k0_torus(datum)
     kz = compute_k0(datum)
-    assert len(kz.levi.weyl_subgroup) == 1
+    assert len(kz.presentation_pres.weyl) == 1
     assert kz.module_report.rank == torus_report.rank == 6
     assert kz.module_report.torsion == torus_report.torsion == ()
     # Mutual containment of the ideals under the renaming y <-> monomials.
@@ -194,7 +194,7 @@ def eliminated_levi_presentation(rd: RootDatum, lpres: InvariantRingPresentation
 
 
 def distinct_simply_connected_levis():
-    """(preset, Levi) for every simply connected preset and every distinct
+    """(preset, mu, Levi) for every simply connected preset and every distinct
     Levi of a cocharacter in {-1, 0, 1}^rank."""
     out = []
     for name in PRESET_NAMES:
@@ -204,19 +204,19 @@ def distinct_simply_connected_levis():
         seen = set()
         for mu in itertools.product((-1, 0, 1), repeat=rd.rank):
             levi = levi_from_cocharacter(rd, mu)
-            if levi.levi_root_indices not in seen:
-                seen.add(levi.levi_root_indices)
-                out.append((name, levi))
+            if levi.roots not in seen:
+                seen.add(levi.roots)
+                out.append((name, mu, levi))
     return out
 
 
 def test_levi_presentation_closed_form_matches_elimination():
     cases = distinct_simply_connected_levis()
     assert len(cases) == 33
-    for name, levi in cases:
-        lpres = invariant_ring(levi.parent, levi)
-        expected = eliminated_levi_presentation(levi.parent, lpres)
-        assert levi_presentation_ring(lpres) == expected, (name, levi.mu)
+    for name, mu, levi in cases:
+        lpres = invariant_ring(levi)
+        expected = eliminated_levi_presentation(levi, lpres)
+        assert levi_presentation_ring(lpres) == expected, (name, mu)
 
 
 def test_levi_presentation_rejects_unpaired_count_mismatch():
