@@ -2,13 +2,15 @@
 
 Elements are finite maps from exponent vectors (characters) to nonzero
 integers.  This is the representation ring of the torus; the Weyl action,
-Frobenius endomorphism and Demazure operators below make it the workhorse
-ring for everything downstream.
+Frobenius endomorphism and the Demazure operators' closed form below make it
+the workhorse ring for everything downstream.  The windowed Hecke conditions
+are built on exponent tuples, as sparse rows, without element arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .lattice import kernel_basis
@@ -19,7 +21,6 @@ from .rootdata import (
     WeylGroup,
     mat_vec,
     pairing,
-    reflection_matrix,
     weyl_orbit,
 )
 
@@ -41,6 +42,16 @@ class GroupAlgebraElement:
         self.terms = {e: c for e, c in cleaned.items() if c}
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, rank: int, terms: Mapping[Vector, int]) -> "GroupAlgebraElement":
+        """An element from terms this module built: distinct exponent tuples of
+        length `rank`, so only the zero coefficients need dropping."""
+        self = object.__new__(cls)
+        self.rank = rank
+        self.terms = {e: c for e, c in terms.items() if c}
+        self._hash = None
+        return self
+
     # -- basic ring structure ------------------------------------------------
 
     def _check(self, other: "GroupAlgebraElement") -> None:
@@ -52,24 +63,28 @@ class GroupAlgebraElement:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return GroupAlgebraElement(self.rank, out)
+        return GroupAlgebraElement._trusted(self.rank, out)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) - c
+        return GroupAlgebraElement._trusted(self.rank, out)
 
     def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.rank, {e: -c for e, c in self.terms.items()})
+        return GroupAlgebraElement._trusted(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupAlgebraElement(self.rank, {e: c * other for e, c in self.terms.items()})
+            return GroupAlgebraElement._trusted(self.rank, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out: dict[Vector, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return GroupAlgebraElement(self.rank, out)
+        return GroupAlgebraElement._trusted(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -114,7 +129,7 @@ class GroupAlgebraElement:
 
 
 def one(rank: int) -> GroupAlgebraElement:
-    return GroupAlgebraElement(rank, {(0,) * rank: 1})
+    return GroupAlgebraElement._trusted(rank, {(0,) * rank: 1})
 
 
 def monomial(rank: int, exponent: Sequence[int]) -> GroupAlgebraElement:
@@ -127,13 +142,13 @@ def monomial(rank: int, exponent: Sequence[int]) -> GroupAlgebraElement:
 
 def weyl_act(w: Matrix, f: GroupAlgebraElement) -> GroupAlgebraElement:
     """e^chi -> e^{w chi}, extended Z-linearly; a ring automorphism."""
-    return GroupAlgebraElement(f.rank, {mat_vec(w, e): c for e, c in f.terms.items()})
+    return GroupAlgebraElement._trusted(f.rank, {mat_vec(w, e): c for e, c in f.terms.items()})
 
 
 def orbit_sum(weyl: WeylGroup, weight: Sequence[int]) -> GroupAlgebraElement:
     """m_lambda: the sum of e^nu over the orbit (each orbit element once)."""
     rank = len(weight)
-    return GroupAlgebraElement(rank, {nu: 1 for nu in weyl_orbit(weyl, weight)})
+    return GroupAlgebraElement._trusted(rank, {nu: 1 for nu in weyl_orbit(weyl, weight)})
 
 
 def frobenius(
@@ -145,35 +160,26 @@ def frobenius(
         img = mat_vec(twist, e) if twist is not None else e
         key = tuple(p * x for x in img)
         out[key] = out.get(key, 0) + c
-    return GroupAlgebraElement(f.rank, out)
+    return GroupAlgebraElement._trusted(f.rank, out)
 
 
 # ---------------------------------------------------------------------------
 # Demazure operators
 
 
-def demazure(rd: RootDatum, simple_index: int, f: GroupAlgebraElement) -> GroupAlgebraElement:
-    """delta_alpha(f) = (f - e^{-alpha} s_alpha(f)) / (1 - e^{-alpha}).
+def _demazure_series(exponent: Vector, alpha: Vector, n: int) -> tuple[list[Vector], int]:
+    """delta_alpha(e^lambda) in closed form, as its terms and their common sign.
 
-    Normalized so delta_alpha(1) = 1; the divided difference attached to the
-    simple root alpha.  On a monomial the quotient is a geometric series in
+    delta_alpha(f) = (f - e^{-alpha} s_alpha(f)) / (1 - e^{-alpha}), the
+    divided difference attached to the simple root alpha, normalized so
+    delta_alpha(1) = 1.  On a monomial the quotient is a geometric series in
     e^{-alpha}: with n = <lambda, alpha^vee>, delta_alpha(e^lambda) is
     sum_{k=0..n} e^{lambda - k alpha} for n >= 0, 0 for n = -1 and
     -sum_{k=1..-n-1} e^{lambda + k alpha} for n <= -2; it extends Z-linearly.
+    The terms are distinct for alpha nonzero.
     """
-    if simple_index not in range(len(rd.simple_indices)):
-        raise ValueError(f"no simple root with index {simple_index}")
-    root_idx = rd.simple_indices[simple_index]
-    alpha = rd.roots[root_idx]
-    coroot = rd.coroots[root_idx]
-    out: dict[Vector, int] = {}
-    for e, c in f.terms.items():
-        n = pairing(e, coroot)
-        ks, sign = (range(-n, 1), c) if n >= 0 else (range(1, -n), -c)
-        for k in ks:
-            term = tuple(a + k * b for a, b in zip(e, alpha))
-            out[term] = out.get(term, 0) + sign
-    return GroupAlgebraElement(f.rank, out)
+    ks, sign = (range(-n, 1), 1) if n >= 0 else (range(1, -n), -1)
+    return [tuple(a + k * b for a, b in zip(exponent, alpha)) for k in ks], sign
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +189,39 @@ def demazure(rd: RootDatum, simple_index: int, f: GroupAlgebraElement) -> GroupA
 def window_box(rank: int, radius: int) -> list[Vector]:
     """All exponents with every coordinate in [-radius, radius], sorted."""
     return sorted(itertools.product(range(-radius, radius + 1), repeat=rank))
+
+
+def _condition_rows(images: Sequence[dict[Vector, int]]) -> list[dict[int, int]]:
+    """The sparse rows of the conditions image_i = 0 on box monomials: one row
+    per exponent in the images' support, in sorted order, holding the
+    coefficient of that exponent in each image i as its column i."""
+    by_exponent: dict[Vector, dict[int, int]] = {}
+    for i, img in enumerate(images):
+        for e, c in img.items():
+            if c:
+                by_exponent.setdefault(e, {})[i] = c
+    return [by_exponent[e] for e in sorted(by_exponent)]
+
+
+def _hecke_rows(rd: RootDatum, box: Sequence[Vector]) -> list[dict[int, int]]:
+    """For each simple root alpha, the rows of (s_alpha - 1) e^x = 0 and then
+    of (delta_alpha - 1) e^x = 0 over the box monomials e^x."""
+    rows: list[dict[int, int]] = []
+    for idx in rd.simple_indices:
+        alpha, coroot = rd.roots[idx], rd.coroots[idx]
+        s_images = []
+        d_images = []
+        for x in box:
+            n = pairing(x, coroot)
+            sx = tuple(a - n * b for a, b in zip(x, alpha))
+            s_images.append({sx: 1, x: -1} if n else {})
+            terms, sign = _demazure_series(x, alpha, n)
+            img = dict.fromkeys(terms, sign)
+            img[x] = img.get(x, 0) - 1
+            d_images.append(img)
+        rows += _condition_rows(s_images)
+        rows += _condition_rows(d_images)
+    return rows
 
 
 def hecke_invariants_window(
@@ -195,29 +234,7 @@ def hecke_invariants_window(
     with genuine invariants is property-tested elsewhere.
     """
     box = window_box(rd.rank, radius)
-    rows: list[list[int]] = []
-
-    def add_condition(images: list[GroupAlgebraElement]):
-        # images[i] = (operator - identity) applied to basis monomial i.
-        support = sorted({e for img in images for e in img.terms})
-        for e in support:
-            row = [img.terms.get(e, 0) for img in images]
-            if any(row):
-                rows.append(row)
-
-    for i in range(len(rd.simple_indices)):
-        idx = rd.simple_indices[i]
-        s = reflection_matrix(rd.roots[idx], rd.coroots[idx])
-        s_images = []
-        d_images = []
-        for e in box:
-            mono = monomial(rd.rank, e)
-            s_images.append(weyl_act(s, mono) - mono)
-            d_images.append(demazure(rd, i, mono) - mono)
-        add_condition(s_images)
-        add_condition(d_images)
-
     return [
-        GroupAlgebraElement(rd.rank, {box[i]: c for i, c in enumerate(v) if c})
-        for v in kernel_basis(rows, len(box))
+        GroupAlgebraElement._trusted(rd.rank, {box[i]: c for i, c in enumerate(v)})
+        for v in kernel_basis(_hecke_rows(rd, box), len(box))
     ]

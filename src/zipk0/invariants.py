@@ -13,8 +13,8 @@ import random
 from typing import Sequence
 
 from ._record import record
-from .grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
-from .lattice import hermite_remainder, hermite_row_basis, solve_linear_diophantine
+from .grpalg import GroupAlgebraElement, one, orbit_sum, weyl_act, window_box
+from .lattice import solve_linear_diophantine, span_members
 from .rootdata import (  # noqa: F401  (re-exports the simply-connectedness gate)
     RootDatum,
     SimplyConnectedHypothesisError,
@@ -28,6 +28,7 @@ from .rootdata import (  # noqa: F401  (re-exports the simply-connectedness gate
     require_simply_connected,
     weights_dominant,
     weyl_enumerate,
+    weyl_orbit,
 )
 
 GeneratorExponent = tuple[int, ...]
@@ -67,10 +68,9 @@ def is_invariant(f: GroupAlgebraElement, pres: InvariantRingPresentation) -> boo
     return all(weyl_act(g, f) == f for g in pres.weyl.generators)
 
 
-def _nonneg_combination(
-    target: Vector, pres: InvariantRingPresentation
-) -> GeneratorExponent:
-    """Write a dominant weight as an N-combination of the generator weights.
+def _nonneg_combinations(pres: InvariantRingPresentation):
+    """The function that writes a dominant weight as an N-combination of the
+    generator weights, with the generators' pairings computed once.
 
     Each pointed generator is a fundamental weight, whose image under the
     dominance pairings is a unit vector e_j, so it is taken
@@ -80,51 +80,41 @@ def _nonneg_combination(
     cosimples = pres.dominance_coroots
     weights = pres.generator_weights
     imgs = [tuple(pairing(w, cv) for cv in cosimples) for w in weights]
+    pointed = [(i, cosimples[im.index(1)]) for i, im in enumerate(imgs) if any(im)]
     lineal = [i for i, im in enumerate(imgs) if not any(im)]
-    counts = [0] * len(weights)
-    for i, im in enumerate(imgs):
-        if any(im):
-            counts[i] = pairing(target, cosimples[im.index(1)])
+    lin_rows = [[weights[i][j] for i in lineal] for j in range(pres.rank)]
+    # The opposite generator of each lineality generator.
+    neg_index = {}
+    for a in lineal:
+        for b in lineal:
+            if tuple(-x for x in weights[a]) == weights[b]:
+                neg_index[a] = b
+
+    def combination(target: Vector) -> GeneratorExponent:
+        counts = [0] * len(weights)
+        for i, cv in pointed:
+            counts[i] = pairing(target, cv)
             if counts[i] < 0:
                 raise RuntimeError(f"dominant weight {target} not in the generator monoid")
-    remainder = tuple(
-        t - sum(counts[i] * weights[i][j] for i in range(len(weights)))
-        for j, t in enumerate(target)
-    )
-    if any(remainder):
-        # Express the lineality remainder over the +/- generator pairs.
-        lin_weights = [weights[i] for i in lineal]
-        rows = [[w[j] for w in lin_weights] for j in range(pres.rank)]
-        coeffs = solve_linear_diophantine(rows, remainder, len(lin_weights))
-        if coeffs is None:
-            raise RuntimeError(f"remainder {remainder} outside the lineality lattice")
-        # Zero out negative coefficients using the opposite generator.
-        neg_index = {}
-        for a in lineal:
-            for b in lineal:
-                if tuple(-x for x in weights[a]) == weights[b]:
-                    neg_index[a] = b
-        for pos_k, i in enumerate(lineal):
-            c = coeffs[pos_k]
-            if c >= 0:
-                counts[i] += c
-            else:
-                counts[neg_index[i]] += -c
-    return tuple(counts)
+        remainder = tuple(
+            t - sum(counts[i] * weights[i][j] for i in range(len(weights)))
+            for j, t in enumerate(target)
+        )
+        if any(remainder):
+            # Express the lineality remainder over the +/- generator pairs.
+            coeffs = solve_linear_diophantine(lin_rows, remainder, len(lineal))
+            if coeffs is None:
+                raise RuntimeError(f"remainder {remainder} outside the lineality lattice")
+            # Zero out negative coefficients using the opposite generator.
+            for pos_k, i in enumerate(lineal):
+                c = coeffs[pos_k]
+                if c >= 0:
+                    counts[i] += c
+                else:
+                    counts[neg_index[i]] += -c
+        return tuple(counts)
 
-
-def expand_generator_polynomial(
-    poly: GeneratorPolynomial, pres: InvariantRingPresentation
-) -> GroupAlgebraElement:
-    """Substitute the orbit-sum generators into a polynomial in them."""
-    total = GroupAlgebraElement(pres.rank, {})
-    for expt, c in poly.items():
-        term = one(pres.rank) * c
-        for g, e in zip(pres.generator_elements, expt):
-            for _ in range(e):
-                term = term * g
-        total = total + term
-    return total
+    return combination
 
 
 def express_invariant(
@@ -134,15 +124,33 @@ def express_invariant(
 
     Dominance-triangular descent: the leading dominant term of the matched
     generator product has coefficient one, so each step eliminates it exactly.
+    The generator products and the dominance of each term are kept for the
+    call: each new exponent costs one multiplication of a known product by
+    one generator.
     """
     if not is_invariant(f, pres):
         raise NotInvariantError("element is not invariant under the given Weyl group")
     cosimples = pres.dominance_coroots
     hv = pres.height_vector
+    gens = pres.generator_elements
+    combination = _nonneg_combinations(pres)
+    products = {(0,) * len(gens): one(pres.rank)}
+
+    def product(expt: GeneratorExponent) -> GroupAlgebraElement:
+        chain = []  # (exponent, generator index) down to a known product
+        while expt not in products:
+            i = max(k for k, e in enumerate(expt) if e)
+            chain.append((expt, i))
+            expt = expt[:i] + (expt[i] - 1,) + expt[i + 1:]
+        prod = products[expt]
+        for expt, i in reversed(chain):
+            prod = products[expt] = prod * gens[i]
+        return prod
 
     def hkey(e: Vector):
         return (pairing(e, hv), e)
 
+    dominance: dict[Vector, bool] = {}  # terms recur from step to step
     work = f
     out: GeneratorPolynomial = {}
     guard = 0
@@ -150,15 +158,16 @@ def express_invariant(
         guard += 1
         if guard >= 10000:
             raise RuntimeError("descent failed to terminate: internal error")
-        dominant_terms = [
-            e for e in work.terms if weights_dominant(e, cosimples)
-        ]
+        for e in work.terms:
+            if e not in dominance:
+                dominance[e] = weights_dominant(e, cosimples)
+        dominant_terms = [e for e in work.terms if dominance[e]]
         if not dominant_terms:
             raise RuntimeError("invariant element with no dominant term: internal error")
         lead = max(dominant_terms, key=hkey)
         c = work.terms[lead]
-        expt = _nonneg_combination(lead, pres)
-        prod = expand_generator_polynomial({expt: 1}, pres)
+        expt = combination(lead)
+        prod = product(expt)
         if prod.coefficient(lead) != 1:
             raise RuntimeError("leading coefficient not 1: internal error")
         work = work - prod * c
@@ -258,8 +267,6 @@ def steinberg_freeness_check(
     spanning_tested: list[Vector] = []
     spanning_ok = True
     if independent:
-        from .grpalg import window_box
-
         maxc = max((max(abs(x) for x in lam) for lam in cands if any(lam)), default=0)
         box_r = STEINBERG_SPANNING_RADIUS + maxc + 2
         dominant_window = [
@@ -267,29 +274,10 @@ def steinberg_freeness_check(
             for nu in window_box(rd.rank, box_r)
             if weights_dominant(nu, rd.simple_coroots)
         ]
-        basis_elems = [
-            orbit_sum(weyl, nu) * monomial(rd.rank, lam)
-            for lam in cands
-            for nu in dominant_window
-        ]
         targets = window_box(rd.rank, STEINBERG_SPANNING_RADIUS)
-        # One index over every basis element and every target: rows that are
-        # zero in M and in b do not change whether M*x = b is solvable.
-        support = sorted({e for el in basis_elems for e in el.terms} | set(targets))
-        idx = {e: i for i, e in enumerate(support)}
-        cols = []
-        for el in basis_elems:
-            col = [0] * len(support)
-            for e, c in el.terms.items():
-                col[idx[e]] = c
-            cols.append(col)
-        span = hermite_row_basis(cols, len(support))
-        for mu in targets:
-            unit = [0] * len(support)
-            unit[idx[mu]] = 1
-            spanning_tested.append(mu)
-            if any(hermite_remainder(span, unit)):
-                spanning_ok = False
+        idx, cols = _steinberg_columns(weyl, cands, dominant_window, targets)
+        spanning_tested = targets
+        spanning_ok = all(span_members(cols, [{idx[mu]: 1} for mu in targets]))
     return SteinbergReport(
         tuple(cands),
         distinct,
@@ -298,6 +286,32 @@ def steinberg_freeness_check(
         tuple(spanning_tested),
         spanning_ok,
     )
+
+
+def _steinberg_columns(
+    weyl: WeylGroup,
+    cands: Sequence[Vector],
+    dominant_window: Sequence[Vector],
+    targets: Sequence[Vector],
+) -> tuple[dict[Vector, int], list[dict[int, int]]]:
+    """The products (orbit sum m_nu) * e^lambda, for lambda in the candidates
+    and then nu in the dominant window, as sparse columns over one sorted
+    support that also holds the targets, with the support's index.  Rows
+    that are zero in every column and in every target do not change whether
+    a target lies in the span.
+
+    Each orbit is computed once and shifted by lambda on exponents; a shift
+    is injective, so every coefficient is one.
+    """
+    orbits = [weyl_orbit(weyl, nu) for nu in dominant_window]
+    shifted = [
+        [tuple(a + b for a, b in zip(e, lam)) for e in orbit]
+        for lam in cands
+        for orbit in orbits
+    ]
+    support = sorted({e for col in shifted for e in col} | set(targets))
+    idx = {e: i for i, e in enumerate(support)}
+    return idx, [{idx[e]: 1 for e in col} for col in shifted]
 
 
 def _det_mod_p(mat: list[list[int]], q: int) -> int:

@@ -2,20 +2,23 @@
 bases, kernels, Diophantine solves and cokernel invariants.
 
 Vectors are tuples of Python ints (arbitrary precision) and a matrix is the
-list of its rows.  Every kernel, solve and cokernel here comes from one
-routine, hermite_row_basis, and its reduction hermite_remainder: the kernel
-and the image of A both sit in one Hermite basis of the rows
-(column j of A | e_j) (Cohen, "A Course in Computational Algebraic Number
-Theory", GTM 138, section 2.4).
+list of its rows.  A row may also be given sparse, as a dict from column to
+nonzero entry; results are dense.  Every kernel, solve, span membership and
+cokernel here comes from one elimination on sparse rows, _hermite, and its
+reduction _reduce: the kernel and the image of A both sit in one Hermite
+basis of the rows (column j of A | e_j) (Cohen, "A Course in Computational
+Algebraic Number Theory", GTM 138, section 2.4).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 
 Vector = tuple[int, ...]
+SparseRow = dict[int, int]          # column -> nonzero entry
+Row = Union[Sequence[int], SparseRow]
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -108,92 +111,136 @@ def cokernel_torsion(columns: Sequence[Sequence[int]], factors: Sequence[int]) -
     return tuple(sorted(chain))
 
 
-def hermite_row_basis(vectors: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
-    """Canonical (row-style Hermite) basis of the Z-span of the given vectors.
+def _sparse(row: Row) -> SparseRow:
+    """The nonzero entries of a dense or sparse row, as a new dict."""
+    if isinstance(row, dict):
+        return {j: x for j, x in row.items() if x}
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(row: SparseRow, ncols: int) -> Vector:
+    out = [0] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _add_multiple(w: SparseRow, q: int, v: SparseRow) -> None:
+    """w += q * v in place, dropping the entries that cancel."""
+    for j, y in v.items():
+        x = w.get(j, 0) + q * y
+        if x:
+            w[j] = x
+        else:
+            w.pop(j, None)
+
+
+def _reduce(w: SparseRow, basis: dict[int, SparseRow], start: int) -> None:
+    """Reduce w in place by the rows of a Hermite basis whose pivot columns
+    lie right of `start`, in ascending order, each subtracted as often as
+    floor division at its pivot allows.  A row changes no column left of its
+    pivot, so each such entry of w ends in [0, pivot)."""
+    j = start
+    while True:
+        later = [k for k in w if k > j and k in basis]
+        if not later:
+            return
+        j = min(later)
+        piv = basis[j]
+        q = w[j] // piv[j]
+        if q:
+            _add_multiple(w, -q, piv)
+
+
+def _hermite(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Row-style Hermite basis of the Z-span of sparse rows, which it consumes,
+    keyed by pivot (leading) column in ascending order.
+
+    Each pivot is positive and the entries above it are reduced into
+    [0, pivot).  That form of a lattice is unique, so it serves to compare
+    sublattices, and _reduce by it leaves zero exactly when a vector lies in
+    the span: the remainder's leading entry would be a multiple of its pivot
+    in [0, pivot).
+    """
+    pivots: dict[int, SparseRow] = {}  # leading column -> row with that pivot
+    for w in rows:
+        while w:
+            j = min(w)
+            piv = pivots.get(j)
+            if piv is None:
+                pivots[j] = w
+                break
+            while j in w:
+                if abs(w[j]) < abs(piv[j]):
+                    pivots[j], w = w, piv
+                    piv = pivots[j]
+                _add_multiple(w, -(w[j] // piv[j]), piv)
+    basis = {}
+    for j in sorted(pivots):
+        row = pivots[j]
+        basis[j] = row if row[j] > 0 else {k: -x for k, x in row.items()}
+    # Bottom up: the rows below are reduced already, and reducing by one of
+    # them leaves the columns left of its pivot alone.
+    for j in reversed(basis):
+        _reduce(basis[j], basis, j)
+    return basis
+
+
+def hermite_row_basis(vectors: Sequence[Row], ncols: int) -> tuple[Vector, ...]:
+    """Canonical (row-style Hermite) basis of the Z-span of the given vectors,
+    dense or sparse, as dense rows in ascending order of their pivots.
 
     Used to compare sublattices of Z^ncols for equality.
     """
-    pivots: dict[int, list[int]] = {}  # leading column -> row with that pivot
-
-    def leading(w: list[int], start: int) -> Optional[int]:
-        for k in range(start, len(w)):
-            if w[k] != 0:
-                return k
-        return None
-
-    for vec in vectors:
-        w = list(vec)
-        j = 0
-        while True:
-            # Reduction at column j leaves w zero up to j, so the scan resumes there.
-            j = leading(w, j)
-            if j is None:
-                break
-            if j not in pivots:
-                pivots[j] = w
-                break
-            piv = pivots[j]
-            while w[j] != 0:
-                if abs(w[j]) < abs(piv[j]):
-                    pivots[j], w = w, pivots[j]
-                    piv = pivots[j]
-                q = w[j] // piv[j]
-                w[j:ncols] = [x - q * y for x, y in zip(w[j:ncols], piv[j:ncols])]
-    cols = sorted(pivots)
-    # Normalize: positive pivots, entries above each pivot reduced into [0, pivot).
-    basis = [pivots[j] if pivots[j][j] > 0 else [-x for x in pivots[j]] for j in cols]
-    # Ascending pivots: row idx is zero left of its pivot, so reducing the rows
-    # above by it leaves the columns of the earlier, already reduced pivots alone.
-    for idx, j in enumerate(cols):
-        piv = basis[idx]
-        for above in basis[:idx]:
-            q = above[j] // piv[j]
-            if q:
-                above[j:ncols] = [x - q * y for x, y in zip(above[j:ncols], piv[j:ncols])]
-    return tuple(tuple(r) for r in basis)
+    return tuple(_dense(r, ncols) for r in _hermite(_sparse(v) for v in vectors).values())
 
 
-def hermite_remainder(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> Vector:
-    """Reduce `vector` by a hermite_row_basis, pivot by pivot.
-
-    Each row in turn is subtracted as often as floor division at its pivot
-    allows, so the remainder is zero exactly when `vector` lies in the span.
-    """
-    w = list(vector)
-    j = 0
-    for row in basis:
-        while not row[j]:  # pivots strictly increase down the rows
-            j += 1
-        q = w[j] // row[j]
-        if q:
-            w[j:] = [x - q * y for x, y in zip(w[j:], row[j:])]
-        j += 1
-    return tuple(w)
+def span_members(vectors: Sequence[Row], targets: Sequence[Row]) -> list[bool]:
+    """Whether each target lies in the Z-span of the vectors, all given dense
+    or sparse, by reduction against one Hermite basis."""
+    basis = _hermite(_sparse(v) for v in vectors)
+    members = []
+    for t in targets:
+        w = _sparse(t)
+        _reduce(w, basis, -1)
+        members.append(not w)
+    return members
 
 
-def _augmented_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
-    """Hermite basis of the rows (column j of A | e_j), j < ncols, for the
-    matrix A with the given rows.  Each of its rows is (A x | x) for some x."""
-    aug = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
-    return hermite_row_basis(aug, len(rows) + ncols)
+def _augmented_basis(rows: Sequence[Row], ncols: int) -> dict[int, SparseRow]:
+    """Sparse Hermite basis of the rows (column j of A | e_j), j < ncols, for
+    the matrix A with the given dense or sparse rows.  Each of its rows is
+    (A x | x) for some x."""
+    nrows = len(rows)
+    aug: list[SparseRow] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in _sparse(row).items():
+            aug[j][i] = x
+    for j, r in enumerate(aug):
+        r[nrows + j] = 1
+    return _hermite(aug)
 
 
-def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
+def kernel_basis(rows: Sequence[Row], ncols: int) -> tuple[Vector, ...]:
     """Hermite basis of {x in Z^ncols : A x = 0}, for the matrix A with the
-    given rows; with no rows it is the identity basis.
+    given dense or sparse rows; with no rows it is the identity basis.
 
     The rows (A x | x) of the augmented basis whose A-part is zero come last,
     and their x-parts are the kernel's own Hermite basis.
     """
     nrows = len(rows)
-    return tuple(r[nrows:] for r in _augmented_basis(rows, ncols) if not any(r[:nrows]))
+    return tuple(
+        _dense({k - nrows: x for k, x in r.items()}, ncols)
+        for j, r in _augmented_basis(rows, ncols).items()
+        if j >= nrows
+    )
 
 
 def solve_linear_diophantine(
-    rows: Sequence[Sequence[int]], b: Sequence[int], ncols: int
+    rows: Sequence[Row], b: Sequence[int], ncols: int
 ) -> Optional[Vector]:
-    """One x in Z^ncols with A x = b, for the matrix A with the given rows, or
-    None when there is none.
+    """One x in Z^ncols with A x = b, for the matrix A with the given dense
+    or sparse rows, or None when there is none.
 
     Reducing (b | 0) by the augmented basis leaves (b - A y | -y).  Its A-part
     is zero exactly when b lies in the image of A, and then x = y.
@@ -201,10 +248,11 @@ def solve_linear_diophantine(
     if len(b) != len(rows):
         raise ValueError("right-hand side length does not match row count")
     nrows = len(rows)
-    rem = hermite_remainder(_augmented_basis(rows, ncols), tuple(b) + (0,) * ncols)
-    if any(rem[:nrows]):
+    rem = _sparse(b)
+    _reduce(rem, _augmented_basis(rows, ncols), -1)
+    if any(k < nrows for k in rem):
         return None
-    return tuple(-x for x in rem[nrows:])
+    return tuple(-rem.get(nrows + j, 0) for j in range(ncols))
 
 
 def cokernel_invariants(columns: Sequence[Sequence[int]], nrows: int) -> list[int]:

@@ -17,6 +17,7 @@ the failure of naive Weyl descent).
 
 from __future__ import annotations
 
+import math
 import random
 from functools import cached_property
 from typing import Optional, Sequence
@@ -35,11 +36,11 @@ from .groebner import (
 )
 from .grpalg import (
     GroupAlgebraElement,
+    _condition_rows,
     frobenius,
     hecke_invariants_window,
     monomial,
     orbit_sum,
-    weyl_act,
     window_box,
 )
 from .invariants import (
@@ -56,9 +57,11 @@ from .rootdata import (
     WeylGroup,
     dominant_hilbert_basis,
     levi_from_cocharacter,
+    mat_vec,
     require_simply_connected,
     weights_dominant,
     weyl_enumerate,
+    weyl_orbit,
 )
 
 
@@ -348,6 +351,19 @@ class HeckeReport:
     all_equal: bool
 
 
+def _weyl_rows(weyl: WeylGroup, box: Sequence[Vector]) -> list[dict[int, int]]:
+    """For each Weyl element w in turn, the rows of (w - 1) e^x = 0 over the
+    box monomials e^x."""
+    rows: list[dict[int, int]] = []
+    for w in weyl.elements:
+        images = []
+        for x in box:
+            wx = mat_vec(w, x)
+            images.append({wx: 1, x: -1} if wx != x else {})
+        rows += _condition_rows(images)
+    return rows
+
+
 def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
     """At a point, three independent computations of the invariants agree:
     the Demazure/Hecke conditions, plain Weyl invariance, and the span of
@@ -357,41 +373,23 @@ def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
     box = window_box(rd.rank, window)
     idx = {e: i for i, e in enumerate(box)}
 
-    def rows_of(elements: Sequence[GroupAlgebraElement]):
-        out = []
-        for f in elements:
-            row = [0] * len(box)
-            for e, c in f.terms.items():
-                row[idx[e]] = c
-            out.append(row)
-        return out
-
     hecke_basis = hecke_invariants_window(rd, window)
 
     # Independent route 2: kernel of the full Weyl permutation action.
-    rows = []
-    for w in weyl.elements:
-        images = []
-        for e in box:
-            m = monomial(rd.rank, e)
-            images.append(weyl_act(w, m) - m)
-        support = sorted({e for img in images for e in img.terms})
-        for e in support:
-            row = [img.terms.get(e, 0) for img in images]
-            if any(row):
-                rows.append(row)
-    span_weyl = kernel_basis(rows, len(box))
+    span_weyl = kernel_basis(_weyl_rows(weyl, box), len(box))
 
     # Independent route 3: orbit sums entirely inside the window.
     dominant = []
     for lam in box:
         if weights_dominant(lam, rd.simple_coroots):
-            orb = orbit_sum(weyl, lam)
-            if all(e in idx for e in orb.terms):
-                dominant.append(orb)
+            orb = weyl_orbit(weyl, lam)
+            if all(e in idx for e in orb):
+                dominant.append({idx[e]: 1 for e in orb})
 
-    span_hecke = hermite_row_basis(rows_of(hecke_basis), len(box))
-    span_orbit = hermite_row_basis(rows_of(dominant), len(box))
+    span_hecke = hermite_row_basis(
+        [{idx[e]: c for e, c in f.terms.items()} for f in hecke_basis], len(box)
+    )
+    span_orbit = hermite_row_basis(dominant, len(box))
     return HeckeReport(
         window,
         len(span_hecke),
@@ -430,12 +428,9 @@ def weyl_counterexample_demo(module: str = "Z/2") -> CounterexampleReport:
     m = int(name[2:])
     if m <= 0:
         raise ValueError("modulus must be positive")
-    # Brute force over M + M x.
-    invariant_count = 0
-    ann2 = 0
-    for b in range(m):
-        if (2 * b) % m == 0:
-            ann2 += 1
+    # a is free and b ranges over the 2-torsion of Z/m, which has gcd(2, m)
+    # elements.
+    ann2 = math.gcd(2, m)
     invariant_count = m * ann2
     structure_parts = [f"Z/{m}"] if m > 1 else []
     if ann2 > 1:

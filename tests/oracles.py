@@ -1,11 +1,13 @@
-"""Test oracles: the reference Groebner engine on exponent tuples,
-independent re-checks of the packed engine, of the quotient module's
-invariants, of the Steinberg spanning evidence and of the
-closed-form dominant Hilbert basis, and the general code that the library
-itself does not need: the Smith normal form with its transforms, block
-elimination orders and elimination ideals, the Demazure operator by
-pseudo-division, Demazure characters, Levi restrictions and reduced-word
-counts."""
+"""Test oracles: the reference Groebner engine on exponent tuples, the dense
+Hermite elimination and the element-arithmetic builders of the check rows
+that the sparse ones must match, independent re-checks of the packed
+engine, of the quotient module's invariants, of the Steinberg spanning
+evidence and of the closed-form dominant Hilbert basis, and the general code
+that the library itself does not need: the Smith normal form with its
+transforms, block elimination orders and elimination ideals, the Demazure
+operator on elements and by pseudo-division, Demazure characters, the
+substitution of generators into a polynomial, Levi restrictions and
+reduced-word counts."""
 
 from __future__ import annotations
 
@@ -31,10 +33,19 @@ from zipk0.groebner import (
     poly_canonical,
     strong_groebner,
 )
-from zipk0.grpalg import GroupAlgebraElement, demazure, monomial, orbit_sum, weyl_act, window_box
-from zipk0.invariants import expand_generator_polynomial
+from zipk0.grpalg import (
+    GroupAlgebraElement,
+    _demazure_series,
+    monomial,
+    one,
+    orbit_sum,
+    weyl_act,
+    window_box,
+)
+from zipk0.invariants import InvariantRingPresentation
 from zipk0.lattice import determinant, hermite_row_basis
 from zipk0.rootdata import (
+    PRESET_NAMES,
     Matrix,
     RootDatum,
     Vector,
@@ -45,6 +56,7 @@ from zipk0.rootdata import (
     mat_vec,
     pairing,
     positive_root_indices,
+    preset,
     reflection_matrix,
     weights_dominant,
     weyl_enumerate,
@@ -268,6 +280,102 @@ def smith_kernel_basis(m: IntegerMatrix) -> list[Vector]:
     if solved is None:
         raise RuntimeError("homogeneous system reported unsolvable: internal error")
     return solved[1]
+
+
+# ---------------------------------------------------------------------------
+# Dense Hermite elimination: the library's routine before its rows went sparse
+
+
+def dense_hermite_row_basis(vectors: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
+    """Canonical (row-style Hermite) basis of the Z-span of the given vectors.
+
+    Used to compare sublattices of Z^ncols for equality.
+    """
+    pivots: dict[int, list[int]] = {}  # leading column -> row with that pivot
+
+    def leading(w: list[int], start: int) -> Optional[int]:
+        for k in range(start, len(w)):
+            if w[k] != 0:
+                return k
+        return None
+
+    for vec in vectors:
+        w = list(vec)
+        j = 0
+        while True:
+            # Reduction at column j leaves w zero up to j, so the scan resumes there.
+            j = leading(w, j)
+            if j is None:
+                break
+            if j not in pivots:
+                pivots[j] = w
+                break
+            piv = pivots[j]
+            while w[j] != 0:
+                if abs(w[j]) < abs(piv[j]):
+                    pivots[j], w = w, pivots[j]
+                    piv = pivots[j]
+                q = w[j] // piv[j]
+                w[j:ncols] = [x - q * y for x, y in zip(w[j:ncols], piv[j:ncols])]
+    cols = sorted(pivots)
+    # Normalize: positive pivots, entries above each pivot reduced into [0, pivot).
+    basis = [pivots[j] if pivots[j][j] > 0 else [-x for x in pivots[j]] for j in cols]
+    # Ascending pivots: row idx is zero left of its pivot, so reducing the rows
+    # above by it leaves the columns of the earlier, already reduced pivots alone.
+    for idx, j in enumerate(cols):
+        piv = basis[idx]
+        for above in basis[:idx]:
+            q = above[j] // piv[j]
+            if q:
+                above[j:ncols] = [x - q * y for x, y in zip(above[j:ncols], piv[j:ncols])]
+    return tuple(tuple(r) for r in basis)
+
+
+def hermite_remainder(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> Vector:
+    """Reduce `vector` by a hermite_row_basis, pivot by pivot.
+
+    Each row in turn is subtracted as often as floor division at its pivot
+    allows, so the remainder is zero exactly when `vector` lies in the span.
+    """
+    w = list(vector)
+    j = 0
+    for row in basis:
+        while not row[j]:  # pivots strictly increase down the rows
+            j += 1
+        q = w[j] // row[j]
+        if q:
+            w[j:] = [x - q * y for x, y in zip(w[j:], row[j:])]
+        j += 1
+    return tuple(w)
+
+
+def densify(rows: Sequence, ncols: int) -> list[Vector]:
+    """Dense copies of rows given dense or as {column: entry} dicts."""
+    return [tuple(r.get(j, 0) for j in range(ncols)) if isinstance(r, dict) else tuple(r)
+            for r in rows]
+
+
+def _dense_augmented_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
+    aug = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
+    return dense_hermite_row_basis(aug, len(rows) + ncols)
+
+
+def dense_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
+    """lattice.kernel_basis on the dense elimination: the x-parts of the rows
+    (A x | x) of the augmented basis whose A-part is zero."""
+    nrows = len(rows)
+    return tuple(r[nrows:] for r in _dense_augmented_basis(rows, ncols) if not any(r[:nrows]))
+
+
+def dense_solve_linear_diophantine(
+    rows: Sequence[Sequence[int]], b: Sequence[int], ncols: int
+) -> Optional[Vector]:
+    """lattice.solve_linear_diophantine on the dense elimination."""
+    nrows = len(rows)
+    rem = hermite_remainder(_dense_augmented_basis(rows, ncols), tuple(b) + (0,) * ncols)
+    if any(rem[:nrows]):
+        return None
+    return tuple(-x for x in rem[nrows:])
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +1008,22 @@ def demazure_by_division(
     return GroupAlgebraElement(numerator.rank, quotient)
 
 
+def demazure(rd: RootDatum, simple_index: int, f: GroupAlgebraElement) -> GroupAlgebraElement:
+    """delta_alpha(f), the closed form of grpalg._demazure_series extended
+    Z-linearly."""
+    if simple_index not in range(len(rd.simple_indices)):
+        raise ValueError(f"no simple root with index {simple_index}")
+    root_idx = rd.simple_indices[simple_index]
+    alpha = rd.roots[root_idx]
+    coroot = rd.coroots[root_idx]
+    out: dict[Vector, int] = {}
+    for e, c in f.terms.items():
+        terms, sign = _demazure_series(e, alpha, pairing(e, coroot))
+        for term in terms:
+            out[term] = out.get(term, 0) + sign * c
+    return GroupAlgebraElement(f.rank, out)
+
+
 def demazure_word(
     rd: RootDatum, word: Sequence[int], f: GroupAlgebraElement
 ) -> GroupAlgebraElement:
@@ -923,6 +1047,89 @@ def demazure_character(
         weyl = weyl_enumerate(rd)
     word = max(weyl.reduced_words, key=len)  # the longest element's
     return demazure_word(rd, word, monomial(rd.rank, weight))
+
+
+def expand_generator_polynomial(
+    poly: dict[tuple[int, ...], int], pres: InvariantRingPresentation
+) -> GroupAlgebraElement:
+    """Substitute the orbit-sum generators into a polynomial in them."""
+    total = GroupAlgebraElement(pres.rank, {})
+    for expt, c in poly.items():
+        term = one(pres.rank) * c
+        for g, e in zip(pres.generator_elements, expt):
+            for _ in range(e):
+                term = term * g
+        total = total + term
+    return total
+
+
+def all_presets() -> list[RootDatum]:
+    """Every named preset, and A1xA1 with its factors swapped by the twist."""
+    out = [preset(name) for name in PRESET_NAMES]
+    rd = preset("A1xA1")
+    out.append(RootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices, ((0, 1), (1, 0)),
+                         name="A1xA1.swap"))
+    return out
+
+
+# The check rows built from GroupAlgebraElement arithmetic, as the library
+# built them before it worked on exponent tuples: dense rows, one per
+# exponent of the images' support, in sorted order.
+
+
+def _element_condition_rows(images: Sequence[GroupAlgebraElement]) -> list[list[int]]:
+    rows = []
+    support = sorted({e for img in images for e in img.terms})
+    for e in support:
+        row = [img.terms.get(e, 0) for img in images]
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def hecke_rows_by_elements(rd: RootDatum, box: Sequence[Vector]) -> list[list[int]]:
+    """The rows of grpalg._hecke_rows: (s_alpha - 1) e^x and (delta_alpha - 1) e^x."""
+    rows: list[list[int]] = []
+    for i in range(len(rd.simple_indices)):
+        idx = rd.simple_indices[i]
+        s = reflection_matrix(rd.roots[idx], rd.coroots[idx])
+        s_images = []
+        d_images = []
+        for e in box:
+            mono = monomial(rd.rank, e)
+            s_images.append(weyl_act(s, mono) - mono)
+            d_images.append(demazure(rd, i, mono) - mono)
+        rows += _element_condition_rows(s_images)
+        rows += _element_condition_rows(d_images)
+    return rows
+
+
+def weyl_rows_by_elements(weyl: WeylGroup, rank: int, box: Sequence[Vector]) -> list[list[int]]:
+    """The rows of zipk._weyl_rows: (w - 1) e^x for every Weyl element w."""
+    rows: list[list[int]] = []
+    for w in weyl.elements:
+        images = []
+        for e in box:
+            m = monomial(rank, e)
+            images.append(weyl_act(w, m) - m)
+        rows += _element_condition_rows(images)
+    return rows
+
+
+def steinberg_columns_by_elements(weyl, rank, cands, dominant_window, targets):
+    """The support and dense columns of invariants._steinberg_columns, from
+    one orbit sum times one monomial per (lambda, nu)."""
+    basis_elems = [orbit_sum(weyl, nu) * monomial(rank, lam)
+                   for lam in cands for nu in dominant_window]
+    support = sorted({e for el in basis_elems for e in el.terms} | set(targets))
+    idx = {e: i for i, e in enumerate(support)}
+    cols = []
+    for el in basis_elems:
+        col = [0] * len(support)
+        for e, c in el.terms.items():
+            col[idx[e]] = c
+        cols.append(col)
+    return support, cols
 
 
 def inversion_length(w: Matrix, positive_roots: Sequence[Vector], positive_set: frozenset) -> int:

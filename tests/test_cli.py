@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +258,24 @@ def test_demo_counterexample_no_excess(capsys, module):
     assert code == 0
     rep = json.loads(out)
     assert rep["counterexample"]["verdict"] == "no excess invariants"
+
+
+@pytest.mark.parametrize("m", [10**19 + 1, 10**19 + 2])
+def test_demo_counterexample_huge_modulus(capsys, m):
+    # The invariant count is m * gcd(2, m) in closed form; a 20-digit modulus
+    # once meant a loop over every residue.  The subprocess bounds the wait.
+    argv = ["demo-counterexample", "--module", f"Z/{m}"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "zipk0.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, done.stdout)
+    rep = json.loads(out)["counterexample"]
+    assert rep["invariant_order"] == str(m * (2 - m % 2))
+    assert rep["strictly_larger"] is (m % 2 == 0)
 
 
 def test_hecke_check_command(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from zipk0.grpalg import (
     GroupAlgebraElement,
-    demazure,
+    _hecke_rows,
     frobenius,
     hecke_invariants_window,
     monomial,
@@ -16,7 +16,7 @@ from zipk0.grpalg import (
     weyl_act,
     window_box,
 )
-from zipk0.lattice import hermite_row_basis
+from zipk0.lattice import hermite_row_basis, kernel_basis
 from zipk0.rootdata import (
     pairing,
     positive_root_indices,
@@ -26,11 +26,16 @@ from zipk0.rootdata import (
 )
 
 from oracles import (
+    all_presets,
     all_reduced_words,
+    demazure,
     demazure_by_division,
     demazure_character,
     demazure_word,
+    dense_kernel_basis,
+    densify,
     from_terms,
+    hecke_rows_by_elements,
 )
 
 
@@ -426,3 +431,19 @@ def test_orbit_sum_product_dominance_triangular():
             for e in prod.terms:
                 if e != top and all(pairing(e, cv) >= 0 for cv in rd.simple_coroots):
                     assert pairing(e, height) < h_top
+
+
+@pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)
+def test_hecke_rows_match_element_builder(rd):
+    # The exponent-level rows are the rows that GroupAlgebraElement arithmetic
+    # gives, in the same order, so the Hecke kernels agree; on the smaller
+    # boxes the dense elimination agrees too.
+    for radius in range(4):
+        box = window_box(rd.rank, radius)
+        rows = _hecke_rows(rd, box)
+        old = hecke_rows_by_elements(rd, box)
+        assert densify(rows, len(box)) == [tuple(r) for r in old]
+        kernel = kernel_basis(rows, len(box))
+        assert kernel == kernel_basis(old, len(box))
+        if len(box) <= 49:
+            assert kernel == dense_kernel_basis(old, len(box))

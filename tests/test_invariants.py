@@ -15,25 +15,38 @@ from zipk0.grpalg import (
 )
 from zipk0.invariants import (
     NotInvariantError,
+    _steinberg_columns,
     SimplyConnectedHypothesisError,
-    expand_generator_polynomial,
     express_invariant,
     integral_fundamental_weights,
     invariant_ring,
     steinberg_candidate_weights,
     steinberg_freeness_check,
 )
+from zipk0.grpalg import window_box
+from zipk0.lattice import hermite_row_basis, span_members
 from zipk0.rootdata import (
     PRESET_NAMES,
     levi_from_cocharacter,
     mat_vec,
     pairing,
     preset,
+    weights_dominant,
     weyl_enumerate,
 )
 from zipk0.zipk import CocharacterDatum
 
-from oracles import from_terms, restrict_to_levi, steinberg_spanning_by_solves
+from oracles import (
+    all_presets,
+    dense_hermite_row_basis,
+    densify,
+    expand_generator_polynomial,
+    from_terms,
+    hermite_remainder,
+    restrict_to_levi,
+    steinberg_columns_by_elements,
+    steinberg_spanning_by_solves,
+)
 
 
 def x(k=1):
@@ -290,3 +303,26 @@ def test_steinberg_check_independent_but_not_spanning():
     assert (report.spanning_ok, report.spanning_tested) == steinberg_spanning_by_solves(
         rd, [(0,), (2,)], weyl, 1
     )
+
+
+@pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)
+def test_steinberg_columns_match_element_builder(rd):
+    # The shifted-orbit columns are those of (orbit sum) * (monomial) products,
+    # over the same support, so the spans and the memberships of the targets
+    # agree; on the smaller supports the dense elimination agrees too.
+    weyl = weyl_enumerate(rd)
+    cands = window_box(rd.rank, 1)[:4]
+    targets = window_box(rd.rank, 1)
+    for radius in range(4):
+        window = [nu for nu in window_box(rd.rank, radius) if weights_dominant(nu, rd.simple_coroots)]
+        idx, cols = _steinberg_columns(weyl, cands, window, targets)
+        support, old = steinberg_columns_by_elements(weyl, rd.rank, cands, window, targets)
+        assert list(idx) == support
+        assert densify(cols, len(support)) == [tuple(c) for c in old]
+        units = [{idx[mu]: 1} for mu in targets]
+        assert hermite_row_basis(cols, len(support)) == hermite_row_basis(old, len(support))
+        members = span_members(cols, units)
+        assert members == span_members(old, units)
+        if len(support) <= 200:
+            h = dense_hermite_row_basis(old, len(support))
+            assert members == [not any(hermite_remainder(h, u)) for u in densify(units, len(support))]

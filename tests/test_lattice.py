@@ -7,15 +7,19 @@ import pytest
 from zipk0.lattice import (
     cokernel_invariants,
     cokernel_torsion,
-    hermite_remainder,
     hermite_row_basis,
     kernel_basis,
     solve_linear_diophantine,
+    span_members,
 )
 
 from oracles import (
     IntegerMatrix,
+    dense_hermite_row_basis,
+    dense_kernel_basis,
+    dense_solve_linear_diophantine,
     diagonal_of,
+    hermite_remainder,
     smith_cokernel_invariants,
     smith_kernel_basis,
     smith_normal_form,
@@ -295,3 +299,45 @@ def test_cokernel_invariants_match_smith_form(seed):
         assert got == smith_cokernel_invariants(IntegerMatrix.from_columns(cols, nrows=n))
         assert len(got) == n
     assert cokernel_invariants([], 2) == [0, 0]
+
+
+def sparse_test_matrix(rng):
+    """Rows of a mostly-zero random matrix with zero rows, duplicate and
+    negated rows, leading entries of either sign, and some entries of 2^64
+    and beyond."""
+    nc = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * nc)
+        elif kind < 0.3 and rows:
+            rows.append([rng.choice((1, -1)) * x for x in rng.choice(rows)])
+        else:
+            scale = 2 ** rng.randint(64, 80) if rng.random() < 0.2 else 1
+            rows.append([rng.randint(-7, 7) * scale if rng.random() < 0.3 else 0 for _ in range(nc)])
+    return rows, nc
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sparse_elimination_matches_dense_oracle(seed):
+    # The same Hermite bases, kernels, solves and memberships as the dense
+    # elimination, whether the rows come dense or as {column: entry} dicts.
+    rng = random.Random(4000 + seed)
+    for _ in range(150):
+        rows, nc = sparse_test_matrix(rng)
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        h = dense_hermite_row_basis(rows, nc)
+        assert hermite_row_basis(rows, nc) == hermite_row_basis(sparse, nc) == h
+        ker = dense_kernel_basis(rows, nc)
+        assert kernel_basis(rows, nc) == kernel_basis(sparse, nc) == ker
+        x = [rng.randint(-3, 3) for _ in range(nc)]
+        solvable = [sum(a * b for a, b in zip(r, x)) for r in rows]
+        arbitrary = [rng.randint(-5, 5) * 2 ** rng.choice((0, 64)) for _ in rows]
+        for b in (solvable, arbitrary):
+            want = dense_solve_linear_diophantine(rows, b, nc)
+            assert solve_linear_diophantine(rows, b, nc) == solve_linear_diophantine(sparse, b, nc) == want
+        targets = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(3)] + rows[:2]
+        members = [not any(hermite_remainder(h, t)) for t in targets]
+        assert span_members(sparse, targets) == span_members(rows, targets) == members
+        assert all(members[3:])

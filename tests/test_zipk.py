@@ -5,14 +5,14 @@ import pytest
 import itertools
 
 from zipk0.groebner import normal_form_gb, poly_to_string, strong_groebner
-from zipk0.grpalg import monomial, one
+from zipk0.grpalg import monomial, one, window_box
 from zipk0.invariants import (
     InvariantRingPresentation,
     SimplyConnectedHypothesisError,
     express_invariant,
     invariant_ring,
 )
-from zipk0.lattice import _prime_factors
+from zipk0.lattice import _prime_factors, kernel_basis
 from zipk0.rootdata import (
     PRESET_NAMES,
     RootDatum,
@@ -21,6 +21,7 @@ from zipk0.rootdata import (
     preset,
     require_simply_connected,
     validate,
+    weyl_enumerate,
 )
 from zipk0.zipk import (
     CocharacterDatum,
@@ -34,20 +35,28 @@ from zipk0.zipk import (
     to_poly,
     torus_ring_spec,
     unit_relations,
+    _weyl_rows,
     weyl_counterexample_demo,
     weyl_invariant_lattice,
 )
 
 from oracles import (
     BlockRingSpec,
+    all_presets,
     counterexample_brute_force,
+    dense_hermite_row_basis,
+    dense_kernel_basis,
+    dense_solve_linear_diophantine,
+    densify,
     eliminate,
     from_terms,
+    hermite_remainder,
     mod_l_count_agrees,
     reference_normal_form_gb,
     reference_strong_groebner,
     substitution_soundness,
     verify_strong_groebner,
+    weyl_rows_by_elements,
 )
 
 
@@ -343,7 +352,7 @@ def test_counterexample_no_excess():
 
 
 def test_counterexample_matches_brute_force():
-    for m in (2, 3, 4, 5, 6, 8):
+    for m in range(1, 61):
         rep = weyl_counterexample_demo(f"Z/{m}")
         fixed, _ = counterexample_brute_force(m)
         assert int(rep.invariant_order) == fixed
@@ -545,3 +554,75 @@ def test_packed_engine_matches_reference_on_ladder(monkeypatch, capsys, name, mu
     assert main(argv) == 0
     capsys.readouterr()
     assert compared
+
+
+def _dense_span_members(vectors, targets):
+    columns = [j for r in [*vectors, *targets] for j in (r if isinstance(r, dict) else range(len(r)))]
+    ncols = max(columns, default=-1) + 1
+    basis = dense_hermite_row_basis(densify(vectors, ncols), ncols)
+    return [not any(hermite_remainder(basis, t)) for t in densify(targets, ncols)]
+
+
+# Each public elimination of the lattice layer, and its dense oracle on the
+# same arguments, rows made dense.
+LATTICE_ORACLES = {
+    "hermite_row_basis": lambda vectors, ncols: dense_hermite_row_basis(densify(vectors, ncols), ncols),
+    "kernel_basis": lambda rows, ncols: dense_kernel_basis(densify(rows, ncols), ncols),
+    "solve_linear_diophantine":
+        lambda rows, b, ncols: dense_solve_linear_diophantine(densify(rows, ncols), b, ncols),
+    "span_members": _dense_span_members,
+}
+
+
+@pytest.mark.parametrize(
+    "name,mu,p,checks",
+    [(*case[:3], False) for case in QUOTIENT_LADDER]
+    + [(*case, False) for case in LEVI_LADDER]
+    + [(*case, True) for case in CHECKS_LADDER],
+)
+def test_sparse_lattice_matches_dense_oracle_on_ladder(monkeypatch, capsys, name, mu, p, checks):
+    # Every Hermite basis, kernel, solve and span membership of a ladder job
+    # equals the dense elimination's, wherever the library calls it from.
+    import sys
+
+    from zipk0 import lattice
+    from zipk0.cli import main
+
+    seen = set()
+    for fname, oracle in LATTICE_ORACLES.items():
+        real = getattr(lattice, fname)
+
+        def checked(*args, _real=real, _oracle=oracle, _name=fname):
+            got = _real(*args)
+            assert got == _oracle(*args), _name
+            seen.add(_name)
+            return got
+
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "zipk0" and getattr(module, fname, None) is real:
+                monkeypatch.setattr(module, fname, checked)
+    argv = ["k0", "--group", name, "--mu", ",".join(map(str, mu)), "--p", str(p)]
+    if checks:
+        argv += ["--checks", "kunneth,theta,hecke,steinberg"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert "kernel_basis" in seen
+    if checks:
+        assert seen == set(LATTICE_ORACLES)
+
+
+@pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)
+def test_weyl_rows_match_element_builder(rd):
+    # hecke_check's route 2 rows are those of GroupAlgebraElement arithmetic,
+    # in the same order, so the Weyl-invariant kernels agree; on the smaller
+    # boxes the dense elimination agrees too.
+    weyl = weyl_enumerate(rd)
+    for radius in range(4):
+        box = window_box(rd.rank, radius)
+        rows = _weyl_rows(weyl, box)
+        old = weyl_rows_by_elements(weyl, rd.rank, box)
+        assert densify(rows, len(box)) == [tuple(r) for r in old]
+        kernel = kernel_basis(rows, len(box))
+        assert kernel == kernel_basis(old, len(box))
+        if len(box) <= 49:
+            assert kernel == dense_kernel_basis(old, len(box))
