@@ -13,12 +13,9 @@ import json
 import sys
 from typing import Any, Optional, Sequence
 
+from ._record import record
 from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, poly_to_string
-from .invariants import (
-    require_simply_connected,
-    steinberg_candidate_weights,
-    steinberg_freeness_check,
-)
+from .invariants import steinberg_candidate_weights, steinberg_freeness_check
 from .rootdata import (
     PRESET_NAMES,
     RootDatum,
@@ -27,6 +24,7 @@ from .rootdata import (
     make_root_datum,
     pairing,
     preset,
+    require_simply_connected,
     validate,
 )
 from .zipk import (
@@ -55,39 +53,25 @@ class JobParseError(ValueError):
     pass
 
 
+@record
 class JobSpec:
     """Resolved job: group datum plus pipeline parameters."""
 
-    def __init__(
-        self,
-        group_name: str,
-        rd: RootDatum,
-        mu: tuple[int, ...],
-        p: int,
-        checks: tuple[str, ...],
-        window: Optional[int],
-        fmt: str,
-        out: Optional[str],
-        max_degree: int,
-        module: str,
-        group_explicit: Optional[dict] = None,
-    ):
-        self.group_name = group_name
-        self.rd = rd
-        self.mu = mu
-        self.p = p
-        self.checks = checks
-        self.window = window
-        self.fmt = fmt
-        self.out = out
-        self.max_degree = max_degree
-        self.module = module
-        self.group_explicit = group_explicit
+    group: Any                 # the preset's name, or the explicit datum as given
+    rd: RootDatum
+    mu: tuple[int, ...]
+    p: int
+    checks: tuple[str, ...]
+    window: Optional[int]      # None: the job sets none
+    fmt: str
+    out: Optional[str]
+    max_degree: int
+    module: str
 
     def echo(self) -> dict:
         twist = self.rd.twist
         return {
-            "group": self.group_explicit if self.group_explicit is not None else self.group_name,
+            "group": self.group,
             "mu": list(self.mu),
             "p": self.p,
             "checks": sorted(self.checks),
@@ -175,13 +159,12 @@ def _parse_toml(text: str, path: str) -> dict:
         raise JobParseError(f"invalid TOML in {path}: {exc}") from exc
 
 
-def _build_group(spec_value: Any, twist_override: Any) -> tuple[str, RootDatum, Optional[dict]]:
-    """Preset name or explicit {rank, roots, coroots, simple_roots, twist}."""
-    explicit: Optional[dict] = None
+def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
+    """Preset name or explicit {rank, roots, coroots, simple_roots, twist}, as
+    (the preset's name or the explicit dict, root datum)."""
     if isinstance(spec_value, str) and spec_value.strip().startswith("{"):
         spec_value = json.loads(spec_value)
     if isinstance(spec_value, dict):
-        explicit = spec_value
         try:
             rank = _parse_int(spec_value["rank"], "rank")
             roots = [_parse_int_vector(r, "root") for r in spec_value.get("roots", [])]
@@ -200,7 +183,7 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[str, RootDatum, 
             rd = make_root_datum(rank, roots, coroots, simples, tw, name="explicit")
         except RootDatumError as exc:
             raise JobParseError(str(exc)) from exc
-        return "explicit", rd, explicit
+        return spec_value, rd
     if not isinstance(spec_value, str):
         raise JobParseError(f"group must be a preset name or an object, got {spec_value!r}")
     name = spec_value.strip()
@@ -211,13 +194,16 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[str, RootDatum, 
     if twist_override is not None:
         tw = _parse_matrix(twist_override, "twist")
         rd = RootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices, tw, rd.name)
-    return rd.name, rd, None
+    return rd.name, rd
+
+
+def _resolve(flag: Any, data: dict, key: str, default: Any = None) -> Any:
+    """The flag's value, else the job file's under key, else the default."""
+    return flag if flag is not None else data.get(key, default)
 
 
 def load_job(args: argparse.Namespace) -> JobSpec:
-    data: dict = {}
-    if getattr(args, "job_file", None):
-        data = _load_job_file(args.job_file)
+    data: dict = _load_job_file(args.job_file) if args.job_file else {}
     unknown = set(data) - {
         "group", "mu", "p", "checks", "window", "format", "out", "max_degree",
         "twist", "module", "cocharacter",
@@ -225,28 +211,24 @@ def load_job(args: argparse.Namespace) -> JobSpec:
     if unknown:
         raise JobParseError(f"unknown job file keys: {sorted(unknown)}")
 
-    group_value = args.group if args.group is not None else data.get("group")
+    group_value = _resolve(args.group, data, "group")
+    if group_value is None and args.command == "demo-counterexample":
+        group_value = "SL2"  # the demo lives over the rank-one datum
     if group_value is None:
-        if getattr(args, "command", None) == "demo-counterexample":
-            group_value = "SL2"  # the demo lives over the rank-one datum
-        else:
-            raise JobParseError("no group given (preset name or explicit datum)")
-    twist_value = args.twist if getattr(args, "twist", None) is not None else data.get("twist")
-    group_name, rd, explicit = _build_group(group_value, twist_value)
+        raise JobParseError("no group given (preset name or explicit datum)")
+    group, rd = _build_group(group_value, _resolve(args.twist, data, "twist"))
 
-    mu_value = args.mu if getattr(args, "mu", None) is not None else data.get(
-        "cocharacter", data.get("mu")
-    )
+    # "cocharacter" is the job file's alias of "mu", and wins over it.
+    mu_value = _resolve(args.mu, data, "cocharacter", data.get("mu"))
     mu = _parse_int_vector(mu_value, "cocharacter") if mu_value is not None else (0,) * rd.rank
     if len(mu) != rd.rank:
         raise JobParseError(
             f"cocharacter {list(mu)} has length {len(mu)}, expected rank {rd.rank}"
         )
 
-    p_value = args.p if getattr(args, "p", None) is not None else data.get("p", 2)
-    p = _parse_int(p_value, "prime")
+    p = _parse_int(_resolve(args.p, data, "p", 2), "prime")
 
-    checks_value = args.checks if getattr(args, "checks", None) is not None else data.get("checks", [])
+    checks_value = _resolve(args.checks, data, "checks", [])
     if isinstance(checks_value, str):
         checks_value = [c for c in checks_value.split(",") if c.strip()]
     checks = tuple(sorted({c.strip() for c in checks_value}))
@@ -254,23 +236,19 @@ def load_job(args: argparse.Namespace) -> JobSpec:
     if bad:
         raise JobParseError(f"unknown checks {bad}; valid: {list(VALID_CHECKS)}")
 
-    window_value = args.window if getattr(args, "window", None) is not None else data.get("window")
+    window_value = _resolve(args.window, data, "window")
     window = _parse_int(window_value, "window", minimum=0) if window_value is not None else None
 
-    fmt = args.format if getattr(args, "format", None) is not None else data.get("format", "json")
+    fmt = _resolve(args.format, data, "format", "json")
     if fmt not in ("json", "text"):
         raise JobParseError(f"format must be json or text, got {fmt!r}")
 
-    out = args.out if getattr(args, "out", None) is not None else data.get("out")
-    max_degree_value = (
-        args.max_degree
-        if getattr(args, "max_degree", None) is not None
-        else data.get("max_degree", DEFAULT_MAX_DEGREE)
+    max_degree = _parse_int(
+        _resolve(args.max_degree, data, "max_degree", DEFAULT_MAX_DEGREE), "max_degree", minimum=0
     )
-    max_degree = _parse_int(max_degree_value, "max_degree", minimum=0)
-    module = args.module if getattr(args, "module", None) is not None else data.get("module", "Z/2")
     return JobSpec(
-        group_name, rd, mu, p, checks, window, fmt, out, max_degree, module, explicit
+        group, rd, mu, p, checks, window, fmt, _resolve(args.out, data, "out"), max_degree,
+        _resolve(args.module, data, "module", "Z/2"),
     )
 
 
@@ -297,11 +275,12 @@ def _levi_dict(datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
     """The Levi's roots and Weyl order, and the roots of the parabolics
     P^- (<alpha, mu> <= 0) and P^+ (<alpha, mu> >= 0)."""
     rd = datum.rd
+    levi = kz.presentation_pres.rd
     heights = [pairing(a, datum.mu) for a in rd.roots]
     return {
-        "roots": [_vec(r) for r in kz.levi.roots],
-        "simple_roots": [_vec(r) for r in kz.levi.simple_roots],
-        "weyl_order": len(kz.presentation_pres.weyl),
+        "roots": [_vec(r) for r in levi.roots],
+        "simple_roots": [_vec(r) for r in levi.simple_roots],
+        "weyl_order": len(levi.weyl),
         "parabolic_nonpositive": [_vec(a) for a, h in zip(rd.roots, heights) if h <= 0],
         "parabolic_nonnegative": [_vec(a) for a, h in zip(rd.roots, heights) if h >= 0],
     }
@@ -335,8 +314,7 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) ->
         elif check == "hecke":
             out["hecke"] = _hecke_dict(hecke_check(datum, window))
         elif check == "steinberg":
-            cands = steinberg_candidate_weights(datum.rd, datum.weyl)
-            r = steinberg_freeness_check(datum.rd, cands, datum.weyl)
+            r = steinberg_freeness_check(datum.rd, steinberg_candidate_weights(datum.rd))
             out["steinberg"] = {
                 "candidates": [_vec(c) for c in r.candidates],
                 "independent": r.independent,
@@ -395,25 +373,28 @@ def cmd_k0(job: JobSpec) -> dict:
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
     kz = compute_k0(datum, job.max_degree)
+    spec = kz.groebner.spec
+    syzygies = [poly_to_string(r, spec) for r in kz.syzygy_relations]
+    frobenius = [poly_to_string(r, spec) for r in kz.frobenius_relations]
     report = {
         "schema": SCHEMA_VERSION,
         "command": "k0",
         "job": job.echo(),
         "levi": _levi_dict(datum, kz),
         "presentation": {
-            "variables": list(kz.variables),
-            "generator_weights": [_vec(w) for w in kz.generator_weights],
-            "relations": kz.relation_strings(),
-            "syzygy_relations": [poly_to_string(r, kz.ring_spec) for r in kz.syzygy_relations],
-            "frobenius_relations": [poly_to_string(r, kz.ring_spec) for r in kz.frobenius_relations],
+            "variables": list(spec.names),
+            "generator_weights": [_vec(w) for w in kz.presentation_pres.generator_weights],
+            "relations": syzygies + frobenius,
+            "syzygy_relations": syzygies,
+            "frobenius_relations": frobenius,
         },
         "groebner": {
-            "variables": list(kz.ring_spec.names),
+            "variables": list(spec.names),
             "basis": kz.groebner.to_strings(),
         },
         "module": _module_dict(kz.module_report),
         "flags": {
-            "experimental_twist": kz.experimental_twist,
+            "experimental_twist": job.rd.twist is not None,
             "one_nonzero": kz.one_nonzero,
         },
         "checks": _run_checks(job, datum, kz),
@@ -434,7 +415,7 @@ def cmd_k0_torus(job: JobSpec) -> dict:
             "basis": gb.to_strings(),
         },
         "module": _module_dict(module_report),
-        "flags": {"experimental_twist": datum.twist is not None},
+        "flags": {"experimental_twist": job.rd.twist is not None},
     }
 
 
@@ -581,10 +562,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         report = COMMANDS[args.command](job)
     # RootDatumError and SimplyConnectedHypothesisError are ValueErrors.
-    except (ValueError, WeylSizeCapError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ResourceCapError as exc:
+    except (ResourceCapError, WeylSizeCapError) as exc:
         partial = {
             "schema": SCHEMA_VERSION,
             "command": args.command,

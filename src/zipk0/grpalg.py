@@ -225,15 +225,15 @@ def _hecke_rows(rd: RootDatum, box: Sequence[Vector]) -> list[dict[int, int]]:
 
 
 def hecke_invariants_window(
-    rd: RootDatum, radius: int
+    rd: RootDatum, box: Sequence[Vector]
 ) -> list[GroupAlgebraElement]:
-    """Z-basis of {f supported in the box: delta_alpha f = f and s_alpha f = f}.
+    """Z-basis of {f supported on the box monomials: delta_alpha f = f and
+    s_alpha f = f}; box is a window_box.
 
     The conditions generate the annihilator of the augmentation left ideal in
     its finite presentation {delta_alpha - 1} plus Weyl invariance; equality
     with genuine invariants is property-tested elsewhere.
     """
-    box = window_box(rd.rank, radius)
     return [
         GroupAlgebraElement._trusted(rd.rank, {box[i]: c for i, c in enumerate(v)})
         for v in kernel_basis(_hecke_rows(rd, box), len(box))

@@ -15,19 +15,14 @@ from typing import Sequence
 from ._record import record
 from .grpalg import GroupAlgebraElement, one, orbit_sum, weyl_act, window_box
 from .lattice import solve_linear_diophantine, span_members
-from .rootdata import (  # noqa: F401  (re-exports the simply-connectedness gate)
+from .rootdata import (
     RootDatum,
-    SimplyConnectedHypothesisError,
     Vector,
     WeylGroup,
     dominant_hilbert_basis,
-    fundamental_weight_lift,
     mat_vec,
     pairing,
-    positive_root_indices,
-    require_simply_connected,
     weights_dominant,
-    weyl_enumerate,
     weyl_orbit,
 )
 
@@ -41,31 +36,27 @@ class NotInvariantError(ValueError):
 
 @record
 class InvariantRingPresentation:
-    """R(T)^W presented by orbit-sum generators over Hilbert-basis weights."""
+    """R(T)^W presented by orbit-sum generators over Hilbert-basis weights;
+    the simple coroots of rd cut the dominant cone."""
 
-    rank: int
+    rd: RootDatum
     generator_weights: tuple[Vector, ...]
     generator_elements: tuple[GroupAlgebraElement, ...]
-    weyl: WeylGroup
-    dominance_coroots: tuple[Vector, ...]   # simple coroots cutting the dominant cone
     height_vector: Vector                   # sum of positive coroots: H(chi) > 0 on them
 
 
 def invariant_ring(rd: RootDatum) -> InvariantRingPresentation:
     """Presentation of R(T)^W by dominant orbit sums; for the Levi of a
     cocharacter, pass its root datum (levi_from_cocharacter) to get R(L)."""
-    pos_coroots = [rd.coroots[i] for i in positive_root_indices(rd)]
-    weyl = weyl_enumerate(rd)
     weights = dominant_hilbert_basis(rd)
-    elements = tuple(orbit_sum(weyl, w) for w in weights)
+    elements = tuple(orbit_sum(rd.weyl, w) for w in weights)
+    pos_coroots = [rd.coroots[i] for i in rd.positive_indices]
     height = tuple(sum(cv[i] for cv in pos_coroots) for i in range(rd.rank))
-    return InvariantRingPresentation(
-        rd.rank, tuple(weights), elements, weyl, rd.simple_coroots, height
-    )
+    return InvariantRingPresentation(rd, tuple(weights), elements, height)
 
 
 def is_invariant(f: GroupAlgebraElement, pres: InvariantRingPresentation) -> bool:
-    return all(weyl_act(g, f) == f for g in pres.weyl.generators)
+    return all(weyl_act(g, f) == f for g in pres.rd.weyl.generators)
 
 
 def _nonneg_combinations(pres: InvariantRingPresentation):
@@ -77,12 +68,12 @@ def _nonneg_combinations(pres: InvariantRingPresentation):
     <target, alpha_j^vee> times; what remains lies in the lineality lattice
     and is expressed through the +/- generator pairs.
     """
-    cosimples = pres.dominance_coroots
+    cosimples = pres.rd.simple_coroots
     weights = pres.generator_weights
     imgs = [tuple(pairing(w, cv) for cv in cosimples) for w in weights]
     pointed = [(i, cosimples[im.index(1)]) for i, im in enumerate(imgs) if any(im)]
     lineal = [i for i, im in enumerate(imgs) if not any(im)]
-    lin_rows = [[weights[i][j] for i in lineal] for j in range(pres.rank)]
+    lin_rows = [[weights[i][j] for i in lineal] for j in range(pres.rd.rank)]
     # The opposite generator of each lineality generator.
     neg_index = {}
     for a in lineal:
@@ -130,11 +121,11 @@ def express_invariant(
     """
     if not is_invariant(f, pres):
         raise NotInvariantError("element is not invariant under the given Weyl group")
-    cosimples = pres.dominance_coroots
+    cosimples = pres.rd.simple_coroots
     hv = pres.height_vector
     gens = pres.generator_elements
     combination = _nonneg_combinations(pres)
-    products = {(0,) * len(gens): one(pres.rank)}
+    products = {(0,) * len(gens): one(pres.rd.rank)}
 
     def product(expt: GeneratorExponent) -> GroupAlgebraElement:
         chain = []  # (exponent, generator index) down to a known product
@@ -190,23 +181,16 @@ STEINBERG_SEED = 20250901
 STEINBERG_SPANNING_RADIUS = 1
 
 
-def integral_fundamental_weights(rd: RootDatum) -> tuple[Vector, ...]:
-    """Integral weights eta_i with <eta_i, alpha_j^vee> = delta_ij.
-
-    These exist exactly when the derived group is simply connected; chosen
-    canonically small modulo the coweight-orthogonal lattice.
-    """
-    return fundamental_weight_lift(rd)[1]
-
-
-def steinberg_candidate_weights(rd: RootDatum, weyl: WeylGroup) -> list[Vector]:
-    """lambda_w = w^{-1}(sum of eta_alpha over simple alpha with w^{-1} alpha < 0).
+def steinberg_candidate_weights(rd: RootDatum) -> list[Vector]:
+    """lambda_w = w^{-1}(sum of eta_alpha over simple alpha with w^{-1} alpha < 0),
+    with eta_alpha the integral fundamental weights of rd.weight_lift.
 
     Candidate free basis of R(T) over R(G), one weight per Weyl element;
     validated empirically by steinberg_freeness_check.
     """
-    etas = integral_fundamental_weights(rd)
-    pos = frozenset(rd.roots[i] for i in positive_root_indices(rd))
+    etas = rd.weight_lift[1]
+    pos = frozenset(rd.roots[i] for i in rd.positive_indices)
+    weyl = rd.weyl
     out = []
     for word in weyl.reduced_words:
         # Simple reflections are involutions: the reversed word gives w^{-1}.
@@ -222,32 +206,29 @@ def steinberg_candidate_weights(rd: RootDatum, weyl: WeylGroup) -> list[Vector]:
 @record
 class SteinbergReport:
     candidates: tuple[Vector, ...]
-    distinct: bool
-    determinant_draws: tuple[bool, ...]   # nonzero at each random specialization
     independent: bool
-    spanning_tested: tuple[Vector, ...]
-    spanning_ok: bool
+    spanning_ok: bool    # vacuously true when independence fails
 
 
 def steinberg_freeness_check(
-    rd: RootDatum,
-    candidate_weights: Sequence[Sequence[int]],
-    weyl: WeylGroup,
+    rd: RootDatum, candidate_weights: Sequence[Sequence[int]]
 ) -> SteinbergReport:
     """Independence via random unit specializations; spanning via one Hermite basis.
 
     The |W| x |W| matrix (e^{v(lambda_w)}) is evaluated at random torus units
     over a large prime field: any nonzero determinant certifies linear
     independence over R(G).  Spanning evidence expresses every monomial e^mu
-    in a box as an R(G)-combination of the candidates: e^mu passes when its
-    unit vector reduces to zero against one Hermite basis of the products
-    (orbit sum over a dominant window) * e^lambda.
+    in the box of radius STEINBERG_SPANNING_RADIUS as an R(G)-combination of
+    the candidates: e^mu passes when its unit vector reduces to zero against
+    one Hermite basis of the products (orbit sum over a dominant window) *
+    e^lambda.
     """
+    weyl = rd.weyl
     cands = [tuple(int(x) for x in w) for w in candidate_weights]
     distinct = len(set(cands)) == len(cands) and len(cands) == len(weyl)
     q = _SPECIALIZATION_PRIME
     rng = random.Random(STEINBERG_SEED)
-    det_draws = []
+    independent = False
     if distinct:
         for _ in range(STEINBERG_DRAWS):
             units = [rng.randrange(2, q - 1) for _ in range(rd.rank)]
@@ -261,10 +242,10 @@ def steinberg_freeness_check(
                         val = (val * pow(x, e, q)) % q
                     row.append(val)
                 mat.append(row)
-            det_draws.append(_det_mod_p(mat, q) != 0)
-    independent = distinct and any(det_draws)
+            if _det_mod_p(mat, q):
+                independent = True
+                break
 
-    spanning_tested: list[Vector] = []
     spanning_ok = True
     if independent:
         maxc = max((max(abs(x) for x in lam) for lam in cands if any(lam)), default=0)
@@ -276,16 +257,8 @@ def steinberg_freeness_check(
         ]
         targets = window_box(rd.rank, STEINBERG_SPANNING_RADIUS)
         idx, cols = _steinberg_columns(weyl, cands, dominant_window, targets)
-        spanning_tested = targets
         spanning_ok = all(span_members(cols, [{idx[mu]: 1} for mu in targets]))
-    return SteinbergReport(
-        tuple(cands),
-        distinct,
-        tuple(det_draws),
-        independent,
-        tuple(spanning_tested),
-        spanning_ok,
-    )
+    return SteinbergReport(tuple(cands), independent, spanning_ok)
 
 
 def _steinberg_columns(

@@ -11,6 +11,7 @@ characters as column vectors.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ._record import record
@@ -73,7 +74,12 @@ def reflection_matrix(root: Vector, coroot: Vector) -> Matrix:
 
 @record
 class RootDatum:
-    """Root datum (X*(T), roots, X_*(T), coroots) with a chosen simple system."""
+    """Root datum (X*(T), roots, X_*(T), coroots) with a chosen simple system.
+
+    What the datum determines and the pipeline reads more than once, its Weyl
+    group, positive roots and fundamental-weight lift, is computed on first
+    use and kept on the instance.
+    """
 
     rank: int
     roots: tuple[Vector, ...]
@@ -96,6 +102,21 @@ class RootDatum:
             tuple(pairing(self.roots[j], self.coroots[i]) for j in self.simple_indices)
             for i in self.simple_indices
         )
+
+    @cached_property
+    def weyl(self) -> WeylGroup:
+        return weyl_enumerate(self)
+
+    @cached_property
+    def positive_indices(self) -> tuple[int, ...]:
+        return positive_root_indices(self)
+
+    @cached_property
+    def weight_lift(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+        """(lineality basis, integral fundamental weights): see
+        fundamental_weight_lift.  Raises SimplyConnectedHypothesisError
+        without a simply connected derived group."""
+        return fundamental_weight_lift(self)
 
 
 def make_root_datum(
@@ -385,7 +406,7 @@ def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int]) -> RootDatum:
     levi = RootDatum(rd.rank, roots, tuple(rd.coroots[i] for i in kept), simples)
     # Sanity: the Levi roots are closed under negation, so they are a
     # +-N-combination of the simple system exactly when half are positive.
-    if 2 * len(positive_root_indices(levi)) != len(roots):
+    if 2 * len(levi.positive_indices) != len(roots):
         raise RootDatumError(
             "reflection-not-permuting",
             "Levi roots are not signed combinations of the Levi simple system",
@@ -476,7 +497,7 @@ def dominant_hilbert_basis(rd: RootDatum) -> list[Vector]:
     of Pittie", 1975).  Raises SimplyConnectedHypothesisError without the
     hypothesis.
     """
-    lin, etas = fundamental_weight_lift(rd)
+    lin, etas = rd.weight_lift
     return sorted(set(lin) | {tuple(-x for x in z) for z in lin} | set(etas))
 
 

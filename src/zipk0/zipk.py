@@ -28,8 +28,8 @@ from .groebner import (
     GroebnerBasis,
     Poly,
     PolyRingSpec,
+    ResourceCapError,
     normal_form_gb,
-    poly_to_string,
     quotient_z_module,
     QuotientReport,
     strong_groebner,
@@ -51,16 +51,13 @@ from .invariants import (
 from .lattice import _prime_factors, hermite_row_basis, kernel_basis
 from .rootdata import (
     Cocharacter,
-    Matrix,
     RootDatum,
     Vector,
     WeylGroup,
     dominant_hilbert_basis,
     levi_from_cocharacter,
     mat_vec,
-    require_simply_connected,
     weights_dominant,
-    weyl_enumerate,
     weyl_orbit,
 )
 
@@ -68,6 +65,10 @@ from .rootdata import (
 # theta_map_check tests this many random directions, the same ones every run.
 THETA_SAMPLES = 8
 THETA_SEED = 20250901
+# hecke_check refuses a window whose exponent box holds more monomials.  The
+# kernel work grows faster than the box: on a 2-vCPU host SL2's window of
+# 2001 monomials takes about 3 s, its window of 4001 about 11 s.
+HECKE_WINDOW_CAP = 2048
 
 
 def is_prime(n: int) -> bool:
@@ -90,30 +91,22 @@ class CocharacterDatum:
                 f"cocharacter length {len(self.mu)} does not match rank {self.rd.rank}"
             )
 
-    @property
-    def twist(self) -> Optional[Matrix]:
-        """The Frobenius twist, which is the root datum's."""
-        return self.rd.twist
-
-    @cached_property
-    def weyl(self) -> WeylGroup:
-        """The Weyl group of G, enumerated once per datum."""
-        return weyl_enumerate(self.rd)
-
     @cached_property
     def frobenius_gens(self) -> tuple[GroupAlgebraElement, ...]:
         """m_lambda - phi(m_lambda), one per dominant Hilbert-basis weight of G;
-        they generate I R(L) for every Levi L.
+        they generate I R(L) for every Levi L.  The Frobenius twist is the
+        root datum's.
 
         Requires the derived group to be simply connected (the Leibniz identity
         c d - phi(c d) = c (d - phi(d)) + phi(d)(c - phi(c)) reduces the full
-        difference ideal to these finitely many generators).
+        difference ideal to these finitely many generators): the Hilbert basis
+        raises SimplyConnectedHypothesisError, before any Weyl group is built.
         """
-        require_simply_connected(self.rd)
+        rd = self.rd
         gens = []
-        for lam in dominant_hilbert_basis(self.rd):
-            m = orbit_sum(self.weyl, lam)
-            gens.append(m - frobenius(m, self.p, self.twist))
+        for lam in dominant_hilbert_basis(rd):
+            m = orbit_sum(rd.weyl, lam)
+            gens.append(m - frobenius(m, self.p, rd.twist))
         return tuple(gens)
 
 
@@ -174,26 +167,16 @@ def compute_k0_torus(
 
 @record
 class KZeroPresentation:
-    """Finitely presented ring isomorphic to the Grothendieck ring of the stack."""
+    """Finitely presented ring isomorphic to the Grothendieck ring of the stack:
+    Z[y] on the ring of groebner.spec, one y_j per generator of
+    presentation_pres, modulo the syzygy and then the Frobenius relations."""
 
-    variables: tuple[str, ...]
-    generator_weights: tuple[Vector, ...]
     syzygy_relations: tuple[Poly, ...]       # kernel of Z[y] -> R(L)
     frobenius_relations: tuple[Poly, ...]    # images of the ideal generators
-    ring_spec: PolyRingSpec
     groebner: GroebnerBasis
     module_report: QuotientReport
-    levi: RootDatum
-    presentation_pres: InvariantRingPresentation   # R(L); its weyl is W_L
+    presentation_pres: InvariantRingPresentation   # R(L); its rd is the Levi
     one_nonzero: bool
-    experimental_twist: bool
-
-    @property
-    def relations(self) -> tuple[Poly, ...]:
-        return self.syzygy_relations + self.frobenius_relations
-
-    def relation_strings(self) -> list[str]:
-        return [poly_to_string(r, self.ring_spec) for r in self.relations]
 
 
 def levi_presentation_ring(
@@ -218,10 +201,10 @@ def levi_presentation_ring(
         if weights[b] == tuple(-x for x in weights[a])
     ]
     unpaired = k - 2 * len(pairs)
-    if unpaired != len(lpres.dominance_coroots):
+    if unpaired != len(lpres.rd.simple_indices):
         raise ValueError(
             f"R(L) is not polynomial on its orbit-sum generators: {unpaired} unpaired "
-            f"generator weights for {len(lpres.dominance_coroots)} Levi simple roots"
+            f"generator weights for {len(lpres.rd.simple_indices)} Levi simple roots"
         )
     return PolyRingSpec(tuple(f"y{j + 1}" for j in range(k))), tuple(unit_relations(pairs, k))
 
@@ -231,8 +214,7 @@ def compute_k0(
 ) -> KZeroPresentation:
     """Presentation of R(L)/IR(L) for the Levi of the cocharacter."""
     frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
-    levi = levi_from_cocharacter(datum.rd, datum.mu)
-    lpres = invariant_ring(levi)
+    lpres = invariant_ring(levi_from_cocharacter(datum.rd, datum.mu))
     y_spec, syzygies = levi_presentation_ring(lpres)
     frob_polys = [express_invariant(g, lpres) for g in frobenius_gens]
 
@@ -240,19 +222,7 @@ def compute_k0(
     report = quotient_z_module(gb)
     one_mono = (0,) * y_spec.nvars
     one_nz = normal_form_gb({one_mono: 1}, gb) != {}
-    return KZeroPresentation(
-        y_spec.names,
-        lpres.generator_weights,
-        tuple(syzygies),
-        tuple(frob_polys),
-        y_spec,
-        gb,
-        report,
-        levi,
-        lpres,
-        one_nz,
-        experimental_twist=datum.twist is not None,
-    )
+    return KZeroPresentation(tuple(syzygies), tuple(frob_polys), gb, report, lpres, one_nz)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +232,9 @@ def compute_k0(
 @record
 class KunnethReport:
     status: str                  # "PASS", "FAIL", or "INCONCLUSIVE"
-    torus_rank: Optional[int]
+    torus_rank: Optional[int]    # None when that quotient is not module-finite
     levi_rank: Optional[int]
     levi_weyl_order: int
-    torus_finite: bool
-    levi_finite: bool
 
 
 def kunneth_rank_check(kz: KZeroPresentation, torus_report: QuotientReport) -> KunnethReport:
@@ -274,72 +242,48 @@ def kunneth_rank_check(kz: KZeroPresentation, torus_report: QuotientReport) -> K
 
     kz and torus_report are compute_k0 and compute_k0_torus of the same datum.
     """
-    wl = len(kz.presentation_pres.weyl)
-    if not (torus_report.finite and kz.module_report.finite):
-        return KunnethReport(
-            "INCONCLUSIVE",
-            torus_report.rank if torus_report.finite else None,
-            kz.module_report.rank if kz.module_report.finite else None,
-            wl,
-            torus_report.finite,
-            kz.module_report.finite,
-        )
-    ok = torus_report.rank == wl * kz.module_report.rank
-    return KunnethReport(
-        "PASS" if ok else "FAIL",
-        torus_report.rank,
-        kz.module_report.rank,
-        wl,
-        True,
-        True,
-    )
+    wl = len(kz.presentation_pres.rd.weyl)
+    torus_rank = torus_report.rank if torus_report.finite else None
+    levi_rank = kz.module_report.rank if kz.module_report.finite else None
+    if torus_rank is None or levi_rank is None:
+        status = "INCONCLUSIVE"
+    else:
+        status = "PASS" if torus_rank == wl * levi_rank else "FAIL"
+    return KunnethReport(status, torus_rank, levi_rank, wl)
 
 
 @record
 class ThetaReport:
     generator_sanity: bool
     invariant_directions: tuple[Vector, ...]
-    invariant_vanishing: tuple[bool, ...]
     all_invariant_pass: bool
     samples: tuple[tuple[Vector, bool], ...]
-
-
-def weyl_invariant_lattice(rd: RootDatum) -> list[Vector]:
-    """Basis of the characters fixed by the whole Weyl group.
-
-    s_alpha(chi) = chi - <chi, alpha^vee> alpha fixes chi exactly when
-    <chi, alpha^vee> = 0, so these are the kernel of the simple coroots.
-    """
-    return list(kernel_basis(rd.simple_coroots, rd.rank))
 
 
 def theta_map_check(datum: CocharacterDatum, torus_gb: GroebnerBasis) -> ThetaReport:
     """The untwisting identity, concretely: e^chi = e^{p tau(chi)} holds in the
     torus-side quotient exactly for Weyl-invariant directions (where e^chi is a
     class from R(G)), and generically fails otherwise.  torus_gb is the strong
-    basis from compute_k0_torus of the same datum."""
+    basis from compute_k0_torus of the same datum.
+
+    s_alpha(chi) = chi - <chi, alpha^vee> alpha fixes chi exactly when
+    <chi, alpha^vee> = 0, so the Weyl-invariant directions are the lineality
+    basis of the datum's weight lift."""
     rd = datum.rd
+
+    def vanishes(chi: Vector) -> bool:
+        f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, rd.twist)
+        return not normal_form_gb(to_poly(f), torus_gb)
+
     gen_ok = all(not normal_form_gb(to_poly(g), torus_gb) for g in datum.frobenius_gens)
-
-    invariant_dirs = weyl_invariant_lattice(rd)
-    inv_vanish = []
-    for chi in invariant_dirs:
-        f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, datum.twist)
-        inv_vanish.append(not normal_form_gb(to_poly(f), torus_gb))
-
+    invariant_dirs = rd.weight_lift[0]
+    all_invariant_pass = gen_ok and all(vanishes(chi) for chi in invariant_dirs)
     rng = random.Random(THETA_SEED)
-    sample_results = []
+    samples = []
     for _ in range(THETA_SAMPLES):
         chi = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
-        f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, datum.twist)
-        sample_results.append((chi, not normal_form_gb(to_poly(f), torus_gb)))
-    return ThetaReport(
-        gen_ok,
-        tuple(invariant_dirs),
-        tuple(inv_vanish),
-        gen_ok and all(inv_vanish),
-        tuple(sample_results),
-    )
+        samples.append((chi, vanishes(chi)))
+    return ThetaReport(gen_ok, invariant_dirs, all_invariant_pass, tuple(samples))
 
 
 @record
@@ -367,13 +311,19 @@ def _weyl_rows(weyl: WeylGroup, box: Sequence[Vector]) -> list[dict[int, int]]:
 def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
     """At a point, three independent computations of the invariants agree:
     the Demazure/Hecke conditions, plain Weyl invariance, and the span of
-    whole orbit sums inside the window."""
+    whole orbit sums inside the window.  A window whose box holds more than
+    HECKE_WINDOW_CAP monomials raises ResourceCapError."""
     rd = datum.rd
-    weyl = datum.weyl
+    size = (2 * window + 1) ** rd.rank
+    if size > HECKE_WINDOW_CAP:
+        raise ResourceCapError(
+            f"Hecke window {window} spans {size} monomials, over the cap {HECKE_WINDOW_CAP}"
+        )
+    weyl = rd.weyl
     box = window_box(rd.rank, window)
     idx = {e: i for i, e in enumerate(box)}
 
-    hecke_basis = hecke_invariants_window(rd, window)
+    hecke_basis = hecke_invariants_window(rd, box)
 
     # Independent route 2: kernel of the full Weyl permutation action.
     span_weyl = kernel_basis(_weyl_rows(weyl, box), len(box))

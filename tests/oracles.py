@@ -836,7 +836,7 @@ def mod_l_count_agrees(gb: GroebnerBasis, rank: int, torsion, ell: int) -> bool:
 
 
 def steinberg_spanning_by_solves(rd, cands, weyl, spanning_radius):
-    """(spanning_ok, spanning_tested) by one Smith-form solve per target: for
+    """spanning_ok by one Smith-form solve per target: for
     each e^mu in the box, rebuild the matrix of the products (orbit sum over
     the dominant window) * e^lambda on their support plus mu, and solve
     M*x = e^mu over Z."""
@@ -846,7 +846,6 @@ def steinberg_spanning_by_solves(rd, cands, weyl, spanning_radius):
                        if weights_dominant(nu, rd.simple_coroots)]
     basis_elems = [orbit_sum(weyl, nu) * monomial(rd.rank, lam)
                    for lam in cands for nu in dominant_window]
-    tested = []
     ok = True
     for mu in window_box(rd.rank, spanning_radius):
         target = monomial(rd.rank, mu)
@@ -861,10 +860,9 @@ def steinberg_spanning_by_solves(rd, cands, weyl, spanning_radius):
         b = [0] * len(support)
         for e, c in target.terms.items():
             b[idx[e]] = c
-        tested.append(tuple(mu))
         if smith_solve(IntegerMatrix.from_columns(cols, nrows=len(support)), b) is None:
             ok = False
-    return ok, tuple(tested)
+    return ok
 
 
 def _extreme_rays(ineq: list[list[int]], dim: int) -> list[tuple[int, ...]]:
@@ -1053,9 +1051,9 @@ def expand_generator_polynomial(
     poly: dict[tuple[int, ...], int], pres: InvariantRingPresentation
 ) -> GroupAlgebraElement:
     """Substitute the orbit-sum generators into a polynomial in them."""
-    total = GroupAlgebraElement(pres.rank, {})
+    total = GroupAlgebraElement(pres.rd.rank, {})
     for expt, c in poly.items():
-        term = one(pres.rank) * c
+        term = one(pres.rd.rank) * c
         for g, e in zip(pres.generator_elements, expt):
             for _ in range(e):
                 term = term * g
@@ -1199,7 +1197,7 @@ def substitution_soundness(datum: CocharacterDatum, kz: KZeroPresentation,
                            torus_gb: GroebnerBasis) -> bool:
     """Every relation, expanded back into Z[X*(T)], lies in the torus-side ideal
     (torus_gb is the strong basis from compute_k0_torus of the same datum)."""
-    for rel in kz.relations:
+    for rel in kz.syzygy_relations + kz.frobenius_relations:
         expanded = expand_generator_polynomial(rel, kz.presentation_pres)
         if normal_form_gb(to_poly(expanded), torus_gb):
             return False

@@ -16,12 +16,8 @@ from zipk0 import invariants
 from zipk0.cli import main
 from zipk0.groebner import PolyRingSpec, strong_groebner, quotient_z_module
 from zipk0.grpalg import monomial, one
-from zipk0.invariants import (
-    SimplyConnectedHypothesisError,
-    steinberg_candidate_weights,
-    steinberg_freeness_check,
-)
-from zipk0.rootdata import preset, weyl_enumerate
+from zipk0.invariants import steinberg_candidate_weights, steinberg_freeness_check
+from zipk0.rootdata import SimplyConnectedHypothesisError, preset, weyl_enumerate
 from zipk0.zipk import (
     CocharacterDatum,
     compute_k0,
@@ -90,7 +86,6 @@ def test_criterion_3_kunneth_freeness_sl3():
         _, torus_report = compute_k0_torus(datum)
         rep = kunneth_rank_check(compute_k0(datum), torus_report)
         assert rep.levi_weyl_order == 2
-        assert rep.torus_finite and rep.levi_finite
         assert rep.status == "PASS"
         assert rep.torus_rank == 2 * rep.levi_rank
     report(3, "SL3 with |W_L| = 2: rank_T = 2 * rank_L exactly for p in {2,3}")
@@ -184,12 +179,10 @@ def test_criterion_10_steinberg_freeness_evidence():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invariants, "STEINBERG_SPANNING_RADIUS", 4)
         rd = preset("SL2")
-        rep_sl2 = steinberg_freeness_check(rd, [(0,), (1,)], weyl_enumerate(rd))
+        rep_sl2 = steinberg_freeness_check(rd, [(0,), (1,)])
     assert rep_sl2.independent and rep_sl2.spanning_ok
     rd = preset("SL3")
-    weyl = weyl_enumerate(rd)
-    cands = steinberg_candidate_weights(rd, weyl)
-    rep_sl3 = steinberg_freeness_check(rd, cands, weyl)
+    rep_sl3 = steinberg_freeness_check(rd, steinberg_candidate_weights(rd))
     assert rep_sl3.independent and rep_sl3.spanning_ok
     report(10, "SL2 basis {1, x} certified; SL3 recipe passes determinant and spanning checks")
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from zipk0.cli import main, render_text
+from zipk0.rootdata import levi_from_cocharacter, preset
 
 
 def run(capsys, *argv):
@@ -121,28 +122,35 @@ def test_pair_pruning_bounds_reductions(capsys, monkeypatch):
 
 
 def test_one_weyl_group_per_job(capsys, monkeypatch):
-    # An all-checks job enumerates G's Weyl group once and the Levi's once,
-    # and runs the simply-connectedness gate once.
-    import zipk0.rootdata
+    # An all-checks job computes each root datum's Weyl group, positive roots
+    # and weight lift once: G's and the Levi's, two each.  The
+    # simply-connectedness gate runs in the weight lift, which needs the
+    # fundamental group only to name the torsion of a failing datum.
+    import zipk0.rootdata as rootdata
 
-    calls = {"weyl": 0, "pi1": 0}
-    real_weyl = zipk0.rootdata.enumerate_weyl_group
-    real_pi1 = zipk0.rootdata.fundamental_group
+    g = preset("SL3")
+    levi = levi_from_cocharacter(g, (1, 2))
+    counted = ("weyl_enumerate", "positive_root_indices", "fundamental_weight_lift",
+               "fundamental_group")
+    calls = {name: [] for name in counted}
 
-    def counting_weyl(*args, **kwargs):
-        calls["weyl"] += 1
-        return real_weyl(*args, **kwargs)
+    def counting(name):
+        real = getattr(rootdata, name)
 
-    def counting_pi1(*args, **kwargs):
-        calls["pi1"] += 1
-        return real_pi1(*args, **kwargs)
+        def wrapper(rd):
+            calls[name].append(rd)
+            return real(rd)
 
-    monkeypatch.setattr(zipk0.rootdata, "enumerate_weyl_group", counting_weyl)
-    monkeypatch.setattr(zipk0.rootdata, "fundamental_group", counting_pi1)
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(rootdata, name, counting(name))
     code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2",
                      "--checks", "kunneth,theta,hecke,steinberg")
     assert code == 0
-    assert calls == {"weyl": 2, "pi1": 1}
+    for name in counted[:3]:
+        assert sorted(calls[name], key=repr) == sorted([g, levi], key=repr), name
+    assert calls["fundamental_group"] == []
 
 
 def test_hecke_check_runs_on_pgl2(capsys):
@@ -295,6 +303,46 @@ def test_resource_cap_exit_code(capsys):
     assert rep["error"] == "resource-cap"
     assert "partial" in rep["note"]
     assert "resource cap" in err
+
+
+def test_weyl_size_cap_exits_4(capsys, monkeypatch):
+    from zipk0 import rootdata
+    monkeypatch.setattr(rootdata, "WEYL_SIZE_CAP", 5)
+    code, out, err = run(capsys, "k0", "--group", "SL3", "--mu", "1,0", "--p", "3")
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "resource-cap"
+    assert "partial" in rep["note"]
+    assert "cap 5" in rep["detail"]
+    assert "resource cap" in err
+
+
+def test_hecke_window_cap_exits_4(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hecke-check", "--group", "SL2", "--window", "10000")
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "resource-cap"
+    assert rep["job"]["window"] == 10000
+    assert "window 10000" in rep["detail"] and "20001 monomials" in rep["detail"]
+    assert "resource cap" in err
+
+
+@pytest.mark.parametrize("window,code", [(3, 0), (4, 4)])
+def test_k0_hecke_window_cap(capsys, monkeypatch, window, code):
+    # SL3's window 3 box holds 7^2 = 49 monomials: at the cap, it runs.
+    import zipk0.zipk
+    monkeypatch.setattr(zipk0.zipk, "HECKE_WINDOW_CAP", 49)
+    got, out, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2",
+                      "--checks", "hecke", "--window", str(window))
+    assert got == code
+    rep = json.loads(out)
+    if code == 0:
+        assert rep["checks"]["hecke"]["all_equal"] is True
+    else:
+        assert rep["error"] == "resource-cap"
+        assert "81 monomials" in rep["detail"]
 
 
 def test_resource_cap_on_a_generator(capsys):

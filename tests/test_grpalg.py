@@ -337,11 +337,11 @@ def test_demazure_character_invariant_under_weyl():
 def test_hecke_window_sl2():
     rd = preset("SL2")
     weyl = weyl_enumerate(rd)
-    basis = hecke_invariants_window(rd, 3)
+    box = window_box(1, 3)
+    basis = hecke_invariants_window(rd, box)
     assert len(basis) == 4
     # The span equals the span of the orbit sums m_0..m_3 (equivalently the
     # irreducible characters chi_0..chi_3) inside the window.
-    box = window_box(1, 3)
     idx = {e: i for i, e in enumerate(box)}
 
     def coeff_row(f):
@@ -362,7 +362,7 @@ def test_hecke_window_sl2():
 
 def test_hecke_window_trivial():
     rd = preset("SL2")
-    basis = hecke_invariants_window(rd, 0)
+    basis = hecke_invariants_window(rd, window_box(rd.rank, 0))
     assert len(basis) == 1
     assert basis[0] == one(1)
 
@@ -370,8 +370,8 @@ def test_hecke_window_trivial():
 def test_hecke_window_sl3():
     rd = preset("SL3")
     weyl = weyl_enumerate(rd)
-    basis = hecke_invariants_window(rd, 2)
     box = window_box(2, 2)
+    basis = hecke_invariants_window(rd, box)
     idx = {e: i for i, e in enumerate(box)}
 
     def coeff_row(f):

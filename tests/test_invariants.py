@@ -16,9 +16,7 @@ from zipk0.grpalg import (
 from zipk0.invariants import (
     NotInvariantError,
     _steinberg_columns,
-    SimplyConnectedHypothesisError,
     express_invariant,
-    integral_fundamental_weights,
     invariant_ring,
     steinberg_candidate_weights,
     steinberg_freeness_check,
@@ -27,6 +25,7 @@ from zipk0.grpalg import window_box
 from zipk0.lattice import hermite_row_basis, span_members
 from zipk0.rootdata import (
     PRESET_NAMES,
+    SimplyConnectedHypothesisError,
     levi_from_cocharacter,
     mat_vec,
     pairing,
@@ -83,7 +82,7 @@ def test_generators_are_orbit_sums(name):
     # on exactly the closure of lambda under the simple reflections, with
     # |W| / |Stab_W(lambda)| terms, the stabiliser counted over weyl.elements.
     pres = invariant_ring(preset(name))
-    weyl = pres.weyl
+    weyl = pres.rd.weyl
     for lam, el in zip(pres.generator_weights, pres.generator_elements):
         orbit, frontier = {lam}, [lam]
         while frontier:
@@ -135,7 +134,7 @@ def test_express_invariant_rejects_noninvariant():
 def test_express_invariant_roundtrip_random(name, mu):
     rd = preset(name)
     pres = invariant_ring(levi_from_cocharacter(rd, mu) if mu is not None else rd)
-    weyl = pres.weyl
+    weyl = pres.rd.weyl
     rng = random.Random(f"{name}{mu}".__hash__() % 2**32)
     for _ in range(100):
         f = GroupAlgebraElement(rd.rank, {})
@@ -240,43 +239,39 @@ def test_leibniz_identity_random():
 
 
 def test_integral_fundamental_weights():
-    assert integral_fundamental_weights(preset("SL2")) == ((1,),)
-    (eta,) = integral_fundamental_weights(preset("GL2"))
+    assert preset("SL2").weight_lift[1] == ((1,),)
+    (eta,) = preset("GL2").weight_lift[1]
     assert pairing(eta, (1, -1)) == 1
     with pytest.raises(SimplyConnectedHypothesisError):
-        integral_fundamental_weights(preset("PGL2"))
+        preset("PGL2").weight_lift
 
 
 def test_steinberg_candidates_distinct():
     for name in ("SL2", "SL3", "GL2", "Sp4"):
         rd = preset(name)
-        weyl = weyl_enumerate(rd)
-        cands = steinberg_candidate_weights(rd, weyl)
-        assert len(set(cands)) == len(weyl), name
+        cands = steinberg_candidate_weights(rd)
+        assert len(set(cands)) == len(rd.weyl), name
 
 
 def test_steinberg_check_sl2_explicit_basis(monkeypatch):
+    # The radius-4 box of 9 monomials lies in the span.
     rd = preset("SL2")
     monkeypatch.setattr(invariants, "STEINBERG_SPANNING_RADIUS", 4)
-    report = steinberg_freeness_check(rd, [(0,), (1,)], weyl_enumerate(rd))
-    assert report.distinct
+    report = steinberg_freeness_check(rd, [(0,), (1,)])
     assert report.independent
     assert report.spanning_ok
-    assert len(report.spanning_tested) == 9
+    assert report.spanning_ok == steinberg_spanning_by_solves(rd, [(0,), (1,)], rd.weyl, 4)
 
 
 def test_steinberg_check_rejects_duplicates():
     rd = preset("SL2")
-    report = steinberg_freeness_check(rd, [(0,), (0,)], weyl_enumerate(rd))
-    assert not report.distinct
+    report = steinberg_freeness_check(rd, [(0,), (0,)])
     assert not report.independent
 
 
 def test_steinberg_check_sl3_recipe():
     rd = preset("SL3")
-    weyl = weyl_enumerate(rd)
-    cands = steinberg_candidate_weights(rd, weyl)
-    report = steinberg_freeness_check(rd, cands, weyl)
+    report = steinberg_freeness_check(rd, steinberg_candidate_weights(rd))
     assert report.independent
     assert report.spanning_ok
 
@@ -284,25 +279,19 @@ def test_steinberg_check_sl3_recipe():
 @pytest.mark.parametrize("name", ["SL2", "GL2", "A1xA1", "SL3", "Sp4"])
 def test_steinberg_spanning_matches_per_target_solves(name):
     rd = preset(name)
-    weyl = weyl_enumerate(rd)
-    cands = steinberg_candidate_weights(rd, weyl)
-    report = steinberg_freeness_check(rd, cands, weyl)
+    cands = steinberg_candidate_weights(rd)
+    report = steinberg_freeness_check(rd, cands)
     assert report.independent
-    assert (report.spanning_ok, report.spanning_tested) == steinberg_spanning_by_solves(
-        rd, cands, weyl, 1
-    )
+    assert report.spanning_ok == steinberg_spanning_by_solves(rd, cands, rd.weyl, 1)
 
 
 def test_steinberg_check_independent_but_not_spanning():
     # {1, e^2} is independent over R(SL2) but misses e^1: R(T) needs {1, e^1}.
     rd = preset("SL2")
-    weyl = weyl_enumerate(rd)
-    report = steinberg_freeness_check(rd, [(0,), (2,)], weyl)
+    report = steinberg_freeness_check(rd, [(0,), (2,)])
     assert report.independent
     assert not report.spanning_ok
-    assert (report.spanning_ok, report.spanning_tested) == steinberg_spanning_by_solves(
-        rd, [(0,), (2,)], weyl, 1
-    )
+    assert report.spanning_ok == steinberg_spanning_by_solves(rd, [(0,), (2,)], rd.weyl, 1)
 
 
 @pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)

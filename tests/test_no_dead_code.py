@@ -1,8 +1,10 @@
 """Every public function of the library is referenced by the library or the
 benchmark: a name that `src/` and `perfbench/` never use is dead code, or, if
-only tests call it, a test oracle that belongs in `tests/oracles.py`.  And
-every default of a public parameter or value-class field is overridden by some
-call there: a value nothing overrides is a constant."""
+only tests call it, a test oracle that belongs in `tests/oracles.py`.  Every
+field of a library value class is read there too: a field that nothing reads
+is dead weight on every instance.  And every default of a public parameter or
+value-class field is overridden by some call there: a value nothing overrides
+is a constant."""
 
 from __future__ import annotations
 
@@ -33,6 +35,23 @@ def test_every_public_function_is_referenced():
                 elif isinstance(node, ast.alias):
                     used.add(node.name.rsplit(".", 1)[-1])
     assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used) == []
+
+
+def test_every_record_field_is_read():
+    fields = {}
+    for path in sorted((ROOT / "src" / "zipk0").glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if isinstance(cls, ast.ClassDef) and _is_value_class(cls):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        fields[f"{path.name}:{node.lineno} {cls.name}.{node.target.id}"] = node.target.id
+    read = set()
+    for folder in ("src", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    assert sorted(loc for loc, name in fields.items() if name not in read) == []
 
 
 def _is_value_class(node: ast.ClassDef) -> bool:

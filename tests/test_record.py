@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from zipk0 import zipk
+from zipk0 import rootdata
 from zipk0.groebner import PolyRingSpec, QuotientReport
 from zipk0.rootdata import RootDatum, preset
 from zipk0.zipk import CocharacterDatum
@@ -71,12 +71,15 @@ def test_weyl_group_is_computed_once(monkeypatch):
         calls.append(rd)
         return real(rd)
 
-    real = zipk.weyl_enumerate
-    monkeypatch.setattr(zipk, "weyl_enumerate", counting)
-    datum = CocharacterDatum(preset("SL3"), (1, 0), 2)
-    first = datum.weyl
-    assert datum.weyl is first and len(first) == 6
+    real = rootdata.weyl_enumerate
+    monkeypatch.setattr(rootdata, "weyl_enumerate", counting)
+    rd = preset("SL3")
+    first = rd.weyl
+    assert rd.weyl is first and len(first) == 6
     assert len(calls) == 1
+    # The cache is no field: the datum still equals and hashes as a fresh one.
+    assert rd == preset("SL3") and hash(rd) == hash(preset("SL3"))
+    assert "weyl" not in repr(rd)
 
 
 def test_subclass_adds_its_fields_after_the_base_fields():

@@ -5,14 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from zipk0.invariants import (
-    SimplyConnectedHypothesisError,
-    integral_fundamental_weights,
-    require_simply_connected,
-)
 from zipk0.rootdata import (
     RootDatum,
     RootDatumError,
+    SimplyConnectedHypothesisError,
     _round_div,
     dominant_hilbert_basis,
     fundamental_group,
@@ -24,6 +20,7 @@ from zipk0.rootdata import (
     positive_root_indices,
     preset,
     reflection_matrix,
+    require_simply_connected,
     validate,
     weights_dominant,
     weyl_enumerate,
@@ -128,7 +125,7 @@ def test_simply_connected_gate():
 @pytest.mark.parametrize("name", ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "A1xA1"])
 def test_fundamental_weights_pairing(name):
     rd = preset(name)
-    etas = integral_fundamental_weights(rd)
+    etas = rd.weight_lift[1]
     for i, eta in enumerate(etas):
         for j, cv in enumerate(rd.simple_coroots):
             val = sum(e * c for e, c in zip(eta, cv))
@@ -298,6 +295,7 @@ def test_positive_roots():
     rd = preset("SL3")
     pos = positive_root_indices(rd)
     assert sorted(rd.roots[i] for i in pos) == sorted([(2, -1), (-1, 2), (1, 1)])
+    assert rd.positive_indices == pos
 
 
 def test_twist_validation_swap_a1xa1():

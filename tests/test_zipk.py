@@ -8,7 +8,6 @@ from zipk0.groebner import normal_form_gb, poly_to_string, strong_groebner
 from zipk0.grpalg import monomial, one, window_box
 from zipk0.invariants import (
     InvariantRingPresentation,
-    SimplyConnectedHypothesisError,
     express_invariant,
     invariant_ring,
 )
@@ -16,6 +15,7 @@ from zipk0.lattice import _prime_factors, kernel_basis
 from zipk0.rootdata import (
     PRESET_NAMES,
     RootDatum,
+    SimplyConnectedHypothesisError,
     fundamental_group,
     levi_from_cocharacter,
     preset,
@@ -37,7 +37,6 @@ from zipk0.zipk import (
     unit_relations,
     _weyl_rows,
     weyl_counterexample_demo,
-    weyl_invariant_lattice,
 )
 
 from oracles import (
@@ -137,7 +136,7 @@ def test_sl2_levi_torus_matches_torus_side():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     torus_gb, torus_report = compute_k0_torus(datum)
     kz = compute_k0(datum)
-    assert len(kz.presentation_pres.weyl) == 1
+    assert len(kz.presentation_pres.rd.weyl) == 1
     assert kz.module_report.rank == torus_report.rank == 6
     assert kz.module_report.torsion == torus_report.torsion == ()
     # Mutual containment of the ideals under the renaming y <-> monomials.
@@ -160,12 +159,11 @@ def test_compute_k0_rejects_pgl2():
 def test_presentation_fields_sl2():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     kz = compute_k0(datum)
-    assert kz.variables == ("y1", "y2")
-    assert kz.generator_weights == ((-1,), (1,))
-    assert ["y1*y2 - 1"] == [poly_to_string(r, kz.ring_spec) for r in kz.syzygy_relations]
+    assert kz.groebner.spec.names == ("y1", "y2")
+    assert kz.presentation_pres.generator_weights == ((-1,), (1,))
+    assert ["y1*y2 - 1"] == [poly_to_string(r, kz.groebner.spec) for r in kz.syzygy_relations]
     assert len(kz.frobenius_relations) == 1
     assert kz.one_nonzero
-    assert not kz.experimental_twist
 
 
 def test_levi_gr_presentation_l_equals_g():
@@ -231,10 +229,11 @@ def test_levi_presentation_closed_form_matches_elimination():
 def test_levi_presentation_rejects_unpaired_count_mismatch():
     # Dropping the Levi simple coroot makes the unpaired SL2 weight
     # unaccounted for: R(T) of SL2 is not polynomial on that generator.
-    lpres = invariant_ring(preset("SL2"))
+    rd = preset("SL2")
+    lpres = invariant_ring(rd)
     broken = InvariantRingPresentation(
-        lpres.rank, lpres.generator_weights, lpres.generator_elements, lpres.weyl,
-        (), lpres.height_vector,
+        RootDatum(rd.rank, rd.roots, rd.coroots, ()), lpres.generator_weights,
+        lpres.generator_elements, lpres.height_vector,
     )
     with pytest.raises(ValueError, match="not polynomial"):
         levi_presentation_ring(broken)
@@ -247,7 +246,6 @@ def test_kunneth_sl3(p):
     assert report.status == "PASS"
     assert report.levi_weyl_order == 2
     assert report.torus_rank == 2 * report.levi_rank
-    assert report.torus_finite and report.levi_finite
 
 
 def test_kunneth_degenerate_levi_torus():
@@ -308,9 +306,20 @@ def test_theta_check_gl2_center():
 
 
 def test_weyl_invariant_lattice():
-    assert weyl_invariant_lattice(preset("SL2")) == []
-    assert weyl_invariant_lattice(preset("GL2")) == [(1, 1)]
-    assert weyl_invariant_lattice(preset("Gm^2")) == [(1, 0), (0, 1)]
+    # theta's invariant directions, the lineality basis of the weight lift,
+    # are a basis of the characters fixed by the whole Weyl group.
+    assert preset("SL2").weight_lift[0] == ()
+    assert preset("GL2").weight_lift[0] == ((1, 1),)
+    assert preset("Gm^2").weight_lift[0] == ((1, 0), (0, 1))
+    for rd in all_presets():
+        if rd.name == "PGL2":
+            continue
+        fixed = kernel_basis(
+            [tuple(w[i][j] - (i == j) for j in range(rd.rank))
+             for w in rd.weyl.elements for i in range(rd.rank)],
+            rd.rank,
+        )
+        assert rd.weight_lift[0] == fixed, rd.name
 
 
 def test_hecke_check_sl2():
@@ -364,7 +373,6 @@ def test_twisted_pipeline_runs_and_flags():
     rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name="A1xA1.swap")
     datum = CocharacterDatum(rd, (0, 0), 2)
     kz = compute_k0(datum)
-    assert kz.experimental_twist
     assert kz.module_report.finite
     rep = kunneth(datum)
     assert rep.status == "PASS"
@@ -399,7 +407,9 @@ def test_datum_inherits_twist_from_root_datum():
     tau = ((0, 1), (1, 0))
     rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau)
     datum = CocharacterDatum(rd, (0, 0), 2)
-    assert datum.twist == tau
+    # m_(1,0) - phi(m_(1,0)), with phi(e^chi) = e^{2 tau(chi)}.
+    swapped = from_terms(2, [((1, 0), 1), ((-1, 0), 1), ((0, 2), -1), ((0, -2), -1)])
+    assert swapped in datum.frobenius_gens
 
 
 def test_pipeline_groebner_bases_are_strong():
