@@ -4,7 +4,8 @@ Given a root datum with simply connected derived group, a cocharacter and a
 prime, the pipeline in :mod:`zipk0.zipk` produces a finitely presented ring
 isomorphic to R(L)/IR(L), where L is the Levi centralising the cocharacter
 and I is the Frobenius-difference ideal of R(G), together with its
-Z-module invariants and a battery of structural cross-checks.
+Z-module invariants; :mod:`zipk0.checks` holds a battery of structural
+cross-checks.
 """
 
 __version__ = "0.1.0"
@@ -18,12 +19,4 @@ from .rootdata import (  # noqa: F401
     validate,
     weyl_enumerate,
 )
-from .zipk import (  # noqa: F401
-    CocharacterDatum,
-    compute_k0,
-    compute_k0_torus,
-    hecke_check,
-    kunneth_rank_check,
-    theta_map_check,
-    weyl_counterexample_demo,
-)
+from .zipk import CocharacterDatum, compute_k0  # noqa: F401

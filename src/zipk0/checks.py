@@ -1,0 +1,558 @@
+"""Cross-checks of the pipeline: supporting evidence, not the answer.
+
+The answer is zipk.compute_k0, the presentation of R(L)/IR(L).  The checks
+here mirror the structural facts the construction rests on: the torus-side
+quotient R(T)/IR(T) and the Kunneth/freeness rank factorisation, the
+untwisting identity, Hecke-versus-Weyl invariants in a window, the empirical
+Steinberg-basis freeness certificate, and the failure of naive Weyl descent
+on a torsion module.  The CLI imports this module only for a job that runs a
+check or one of the k0-torus, hecke-check and demo-counterexample commands,
+so a plain k0 or validate job does not compile it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from typing import TYPE_CHECKING, Any, Optional, Sequence
+
+from ._record import record
+from .groebner import (
+    DEFAULT_MAX_DEGREE,
+    GroebnerBasis,
+    Poly,
+    PolyRingSpec,
+    QuotientReport,
+    ResourceCapError,
+    normal_form_gb,
+    quotient_z_module,
+    strong_groebner,
+)
+from .grpalg import GroupAlgebraElement, frobenius, monomial
+from .lattice import hermite_row_basis, kernel_basis, span_members
+from .rootdata import (
+    RootDatum,
+    Vector,
+    WeylGroup,
+    mat_vec,
+    pairing,
+    weights_dominant,
+    weyl_orbit,
+)
+from .zipk import CocharacterDatum, KZeroPresentation, unit_relations
+
+if TYPE_CHECKING:
+    from .cli import JobSpec
+
+
+# theta_map_check tests this many random directions, the same ones every run.
+THETA_SAMPLES = 8
+THETA_SEED = 20250901
+# hecke_check refuses a window whose exponent box holds more monomials.  The
+# kernel work grows faster than the box: on a 2-vCPU host SL2's window of
+# 2001 monomials takes about 3 s, its window of 4001 about 11 s.
+HECKE_WINDOW_CAP = 2048
+_SPECIALIZATION_PRIME = (1 << 61) - 1  # Mersenne prime; huge unit group
+# steinberg_freeness_check: how many random specializations test independence
+# (the same ones every run), and the radius of the box of monomials tested
+# for spanning.
+STEINBERG_DRAWS = 3
+STEINBERG_SEED = 20250901
+STEINBERG_SPANNING_RADIUS = 1
+
+
+# ---------------------------------------------------------------------------
+# Group algebra <-> Laurent polynomial ring
+
+
+def torus_ring_spec(rank: int) -> tuple[PolyRingSpec, list[Poly]]:
+    """Z[x1..xn, inverses] and its relations x_ib*x_i - 1: inverse variables
+    sort first so they reduce away."""
+    names = []
+    for i in range(rank):
+        names.append(f"x{i + 1}b")
+        names.append(f"x{i + 1}")
+    pairs = [(2 * i, 2 * i + 1) for i in range(rank)]
+    return PolyRingSpec(tuple(names)), unit_relations(pairs, 2 * rank)
+
+
+def exponent_to_monomial(chi: Sequence[int]) -> tuple[int, ...]:
+    out = []
+    for c in chi:
+        out.append(-c if c < 0 else 0)
+        out.append(c if c > 0 else 0)
+    return tuple(out)
+
+
+def to_poly(f: GroupAlgebraElement) -> Poly:
+    """Character sum -> polynomial in the split positive/negative variables."""
+    return {exponent_to_monomial(chi): c for chi, c in f.terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# The torus-side quotient R(T)/IR(T)
+
+
+def compute_k0_torus(
+    datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
+) -> tuple[GroebnerBasis, QuotientReport]:
+    """Strong basis and Z-module report for R(T) modulo the Frobenius differences."""
+    spec, units = torus_ring_spec(datum.rd.rank)
+    polys = units + [to_poly(g) for g in datum.frobenius_gens]
+    gb = strong_groebner(polys, spec, max_degree=max_degree)
+    return gb, quotient_z_module(gb)
+
+
+# ---------------------------------------------------------------------------
+# Kunneth rank factorisation and the untwisting identity
+
+
+@record
+class KunnethReport:
+    status: str                  # "PASS", "FAIL", or "INCONCLUSIVE"
+    torus_rank: Optional[int]    # None when that quotient is not module-finite
+    levi_rank: Optional[int]
+    levi_weyl_order: int
+
+
+def kunneth_rank_check(kz: KZeroPresentation, torus_report: QuotientReport) -> KunnethReport:
+    """rank of R(T)/IR(T) must equal |W_L| times rank of R(L)/IR(L).
+
+    kz and torus_report are compute_k0 and compute_k0_torus of the same datum.
+    """
+    wl = len(kz.presentation_pres.rd.weyl)
+    torus_rank = torus_report.rank if torus_report.finite else None
+    levi_rank = kz.module_report.rank if kz.module_report.finite else None
+    if torus_rank is None or levi_rank is None:
+        status = "INCONCLUSIVE"
+    else:
+        status = "PASS" if torus_rank == wl * levi_rank else "FAIL"
+    return KunnethReport(status, torus_rank, levi_rank, wl)
+
+
+@record
+class ThetaReport:
+    generator_sanity: bool
+    invariant_directions: tuple[Vector, ...]
+    all_invariant_pass: bool
+    samples: tuple[tuple[Vector, bool], ...]
+
+
+def theta_map_check(datum: CocharacterDatum, torus_gb: GroebnerBasis) -> ThetaReport:
+    """The untwisting identity, concretely: e^chi = e^{p tau(chi)} holds in the
+    torus-side quotient exactly for Weyl-invariant directions (where e^chi is a
+    class from R(G)), and generically fails otherwise.  torus_gb is the strong
+    basis from compute_k0_torus of the same datum.
+
+    s_alpha(chi) = chi - <chi, alpha^vee> alpha fixes chi exactly when
+    <chi, alpha^vee> = 0, so the Weyl-invariant directions are the lineality
+    basis of the datum's weight lift."""
+    rd = datum.rd
+
+    def vanishes(chi: Vector) -> bool:
+        f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, rd.twist)
+        return not normal_form_gb(to_poly(f), torus_gb)
+
+    gen_ok = all(not normal_form_gb(to_poly(g), torus_gb) for g in datum.frobenius_gens)
+    invariant_dirs = rd.weight_lift[0]
+    all_invariant_pass = gen_ok and all(vanishes(chi) for chi in invariant_dirs)
+    rng = random.Random(THETA_SEED)
+    samples = []
+    for _ in range(THETA_SAMPLES):
+        chi = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
+        samples.append((chi, vanishes(chi)))
+    return ThetaReport(gen_ok, invariant_dirs, all_invariant_pass, tuple(samples))
+
+
+# ---------------------------------------------------------------------------
+# Demazure operators and windowed Hecke invariants.  The conditions are built
+# on exponent tuples, as sparse rows, without element arithmetic.
+
+
+def _demazure_series(exponent: Vector, alpha: Vector, n: int) -> tuple[list[Vector], int]:
+    """delta_alpha(e^lambda) in closed form, as its terms and their common sign.
+
+    delta_alpha(f) = (f - e^{-alpha} s_alpha(f)) / (1 - e^{-alpha}), the
+    divided difference attached to the simple root alpha, normalized so
+    delta_alpha(1) = 1.  On a monomial the quotient is a geometric series in
+    e^{-alpha}: with n = <lambda, alpha^vee>, delta_alpha(e^lambda) is
+    sum_{k=0..n} e^{lambda - k alpha} for n >= 0, 0 for n = -1 and
+    -sum_{k=1..-n-1} e^{lambda + k alpha} for n <= -2; it extends Z-linearly.
+    The terms are distinct for alpha nonzero.
+    """
+    ks, sign = (range(-n, 1), 1) if n >= 0 else (range(1, -n), -1)
+    return [tuple(a + k * b for a, b in zip(exponent, alpha)) for k in ks], sign
+
+
+def window_box(rank: int, radius: int) -> list[Vector]:
+    """All exponents with every coordinate in [-radius, radius], sorted."""
+    return sorted(itertools.product(range(-radius, radius + 1), repeat=rank))
+
+
+def _condition_rows(images: Sequence[dict[Vector, int]]) -> list[dict[int, int]]:
+    """The sparse rows of the conditions image_i = 0 on box monomials: one row
+    per exponent in the images' support, in sorted order, holding the
+    coefficient of that exponent in each image i as its column i."""
+    by_exponent: dict[Vector, dict[int, int]] = {}
+    for i, img in enumerate(images):
+        for e, c in img.items():
+            if c:
+                by_exponent.setdefault(e, {})[i] = c
+    return [by_exponent[e] for e in sorted(by_exponent)]
+
+
+def _hecke_rows(rd: RootDatum, box: Sequence[Vector]) -> list[dict[int, int]]:
+    """For each simple root alpha, the rows of (s_alpha - 1) e^x = 0 and then
+    of (delta_alpha - 1) e^x = 0 over the box monomials e^x."""
+    rows: list[dict[int, int]] = []
+    for idx in rd.simple_indices:
+        alpha, coroot = rd.roots[idx], rd.coroots[idx]
+        s_images = []
+        d_images = []
+        for x in box:
+            n = pairing(x, coroot)
+            sx = tuple(a - n * b for a, b in zip(x, alpha))
+            s_images.append({sx: 1, x: -1} if n else {})
+            terms, sign = _demazure_series(x, alpha, n)
+            img = dict.fromkeys(terms, sign)
+            img[x] = img.get(x, 0) - 1
+            d_images.append(img)
+        rows += _condition_rows(s_images)
+        rows += _condition_rows(d_images)
+    return rows
+
+
+def hecke_invariants_window(
+    rd: RootDatum, box: Sequence[Vector]
+) -> list[GroupAlgebraElement]:
+    """Z-basis of {f supported on the box monomials: delta_alpha f = f and
+    s_alpha f = f}; box is a window_box.
+
+    The conditions generate the annihilator of the augmentation left ideal in
+    its finite presentation {delta_alpha - 1} plus Weyl invariance; equality
+    with genuine invariants is property-tested elsewhere.
+    """
+    return [
+        GroupAlgebraElement._trusted(rd.rank, {box[i]: c for i, c in enumerate(v)})
+        for v in kernel_basis(_hecke_rows(rd, box), len(box))
+    ]
+
+
+@record
+class HeckeReport:
+    window: int
+    hecke_rank: int
+    weyl_rank: int
+    orbit_span_rank: int
+    all_equal: bool
+
+
+def _weyl_rows(weyl: WeylGroup, box: Sequence[Vector]) -> list[dict[int, int]]:
+    """For each Weyl element w in turn, the rows of (w - 1) e^x = 0 over the
+    box monomials e^x."""
+    rows: list[dict[int, int]] = []
+    for w in weyl.elements:
+        images = []
+        for x in box:
+            wx = mat_vec(w, x)
+            images.append({wx: 1, x: -1} if wx != x else {})
+        rows += _condition_rows(images)
+    return rows
+
+
+def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
+    """At a point, three independent computations of the invariants agree:
+    the Demazure/Hecke conditions, plain Weyl invariance, and the span of
+    whole orbit sums inside the window.  A window whose box holds more than
+    HECKE_WINDOW_CAP monomials raises ResourceCapError."""
+    rd = datum.rd
+    size = (2 * window + 1) ** rd.rank
+    if size > HECKE_WINDOW_CAP:
+        raise ResourceCapError(
+            f"Hecke window {window} spans {size} monomials, over the cap {HECKE_WINDOW_CAP}"
+        )
+    weyl = rd.weyl
+    box = window_box(rd.rank, window)
+    idx = {e: i for i, e in enumerate(box)}
+
+    hecke_basis = hecke_invariants_window(rd, box)
+
+    # Independent route 2: kernel of the full Weyl permutation action.
+    span_weyl = kernel_basis(_weyl_rows(weyl, box), len(box))
+
+    # Independent route 3: orbit sums entirely inside the window.
+    dominant = []
+    for lam in box:
+        if weights_dominant(lam, rd.simple_coroots):
+            orb = weyl_orbit(weyl, lam)
+            if all(e in idx for e in orb):
+                dominant.append({idx[e]: 1 for e in orb})
+
+    span_hecke = hermite_row_basis(
+        [{idx[e]: c for e, c in f.terms.items()} for f in hecke_basis], len(box)
+    )
+    span_orbit = hermite_row_basis(dominant, len(box))
+    return HeckeReport(
+        window,
+        len(span_hecke),
+        len(span_weyl),
+        len(span_orbit),
+        span_hecke == span_weyl == span_orbit,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Steinberg basis candidates and freeness evidence
+
+
+def steinberg_candidate_weights(rd: RootDatum) -> list[Vector]:
+    """lambda_w = w^{-1}(sum of eta_alpha over simple alpha with w^{-1} alpha < 0),
+    with eta_alpha the integral fundamental weights of rd.weight_lift.
+
+    Candidate free basis of R(T) over R(G), one weight per Weyl element;
+    validated empirically by steinberg_freeness_check.
+    """
+    etas = rd.weight_lift[1]
+    pos = frozenset(rd.roots[i] for i in rd.positive_indices)
+    weyl = rd.weyl
+    out = []
+    for word in weyl.reduced_words:
+        # Simple reflections are involutions: the reversed word gives w^{-1}.
+        winv = weyl.word_matrix(word[::-1])
+        total = (0,) * rd.rank
+        for i, alpha in enumerate(rd.simple_roots):
+            if mat_vec(winv, alpha) not in pos:
+                total = tuple(a + b for a, b in zip(total, etas[i]))
+        out.append(mat_vec(winv, total))
+    return out
+
+
+@record
+class SteinbergReport:
+    candidates: tuple[Vector, ...]
+    independent: bool
+    spanning_ok: bool    # vacuously true when independence fails
+
+
+def steinberg_freeness_check(
+    rd: RootDatum, candidate_weights: Sequence[Sequence[int]]
+) -> SteinbergReport:
+    """Independence via random unit specializations; spanning via one echelon basis.
+
+    The |W| x |W| matrix (e^{v(lambda_w)}) is evaluated at random torus units
+    over a large prime field: any nonzero determinant certifies linear
+    independence over R(G).  Spanning evidence expresses every monomial e^mu
+    in the box of radius STEINBERG_SPANNING_RADIUS as an R(G)-combination of
+    the candidates: e^mu passes when its unit vector reduces to zero against
+    one echelon basis of the products (orbit sum over a dominant window) *
+    e^lambda.
+    """
+    weyl = rd.weyl
+    cands = [tuple(int(x) for x in w) for w in candidate_weights]
+    distinct = len(set(cands)) == len(cands) and len(cands) == len(weyl)
+    q = _SPECIALIZATION_PRIME
+    rng = random.Random(STEINBERG_SEED)
+    independent = False
+    if distinct:
+        for _ in range(STEINBERG_DRAWS):
+            units = [rng.randrange(2, q - 1) for _ in range(rd.rank)]
+            mat = []
+            for v in weyl.elements:
+                row = []
+                for lam in cands:
+                    img = mat_vec(v, lam)
+                    val = 1
+                    for x, e in zip(units, img):
+                        val = (val * pow(x, e, q)) % q
+                    row.append(val)
+                mat.append(row)
+            if _det_mod_p(mat, q):
+                independent = True
+                break
+
+    spanning_ok = True
+    if independent:
+        maxc = max((max(abs(x) for x in lam) for lam in cands if any(lam)), default=0)
+        box_r = STEINBERG_SPANNING_RADIUS + maxc + 2
+        dominant_window = [
+            nu
+            for nu in window_box(rd.rank, box_r)
+            if weights_dominant(nu, rd.simple_coroots)
+        ]
+        targets = window_box(rd.rank, STEINBERG_SPANNING_RADIUS)
+        idx, cols = _steinberg_columns(weyl, cands, dominant_window, targets)
+        spanning_ok = all(span_members(cols, [{idx[mu]: 1} for mu in targets]))
+    return SteinbergReport(tuple(cands), independent, spanning_ok)
+
+
+def _steinberg_columns(
+    weyl: WeylGroup,
+    cands: Sequence[Vector],
+    dominant_window: Sequence[Vector],
+    targets: Sequence[Vector],
+) -> tuple[dict[Vector, int], list[dict[int, int]]]:
+    """The products (orbit sum m_nu) * e^lambda, for lambda in the candidates
+    and then nu in the dominant window, as sparse columns over one sorted
+    support that also holds the targets, with the support's index.  Rows
+    that are zero in every column and in every target do not change whether
+    a target lies in the span.
+
+    Each orbit is computed once and shifted by lambda on exponents; a shift
+    is injective, so every coefficient is one.
+    """
+    orbits = [weyl_orbit(weyl, nu) for nu in dominant_window]
+    shifted = [
+        [tuple(a + b for a, b in zip(e, lam)) for e in orbit]
+        for lam in cands
+        for orbit in orbits
+    ]
+    support = sorted({e for col in shifted for e in col} | set(targets))
+    idx = {e: i for i, e in enumerate(support)}
+    return idx, [{idx[e]: 1 for e in col} for col in shifted]
+
+
+def _det_mod_p(mat: list[list[int]], q: int) -> int:
+    n = len(mat)
+    a = [row[:] for row in mat]
+    det = 1
+    for col in range(n):
+        prow = next((r for r in range(col, n) if a[r][col] % q), None)
+        if prow is None:
+            return 0
+        if prow != col:
+            a[col], a[prow] = a[prow], a[col]
+            det = -det
+        pv = a[col][col] % q
+        det = (det * pv) % q
+        inv = pow(pv, -1, q)
+        for r in range(col + 1, n):
+            f = (a[r][col] * inv) % q
+            if f:
+                for c in range(col, n):
+                    a[r][c] = (a[r][c] - f * a[col][c]) % q
+    return det % q
+
+
+# ---------------------------------------------------------------------------
+# The Weyl-invariants counterexample (torsion module demo)
+
+
+@record
+class CounterexampleReport:
+    module: str
+    image_order: str           # order of the image of M, as a string ("infinite" for Z)
+    invariant_order: str
+    invariant_structure: str
+    strictly_larger: bool
+
+
+def weyl_counterexample_demo(module: str = "Z/2") -> CounterexampleReport:
+    """The rank-one zip-adjacent module demo: for M with 2-torsion the Weyl
+    invariants of M + M x strictly contain M.
+
+    The reflection acts by s(a + b x) = (a + 2b) - b x since s(x) = x^{-1} =
+    (x + x^{-1}) - x acts through the augmentation value 2 on M.  Invariance
+    is exactly 2b = 0 (equivalently (x + x^{-1}) b = 0).
+    """
+    name = module.strip()
+    if name == "Z":
+        return CounterexampleReport("Z", "infinite", "infinite", "Z", False)
+    if not name.startswith("Z/"):
+        raise ValueError(f"unsupported module {module!r}; use Z or Z/<m>")
+    m = int(name[2:])
+    if m <= 0:
+        raise ValueError("modulus must be positive")
+    # a is free and b ranges over the 2-torsion of Z/m, which has gcd(2, m)
+    # elements.
+    ann2 = math.gcd(2, m)
+    invariant_count = m * ann2
+    structure_parts = [f"Z/{m}"] if m > 1 else []
+    if ann2 > 1:
+        structure_parts.append(f"Z/{ann2}")
+    structure = " + ".join(structure_parts) if structure_parts else "0"
+    return CounterexampleReport(
+        f"Z/{m}",
+        str(m),
+        str(invariant_count),
+        structure,
+        invariant_count > m,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Report sections
+
+
+def _vec(v) -> list:
+    return [int(x) for x in v]
+
+
+def check_sections(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation,
+                   window: int) -> dict:
+    """The `checks` section of a k0 report: one entry per check the job
+    lists, the Hecke check over the given window."""
+    out: dict[str, Any] = {}
+    torus = None  # (basis, report) of R(T)/IR(T), built by the first check needing it
+    for check in job.checks:
+        if check in ("kunneth", "theta") and torus is None:
+            torus = compute_k0_torus(datum, job.max_degree)
+        if check == "kunneth":
+            r = kunneth_rank_check(kz, torus[1])
+            out["kunneth"] = {
+                "status": r.status,
+                "torus_rank": r.torus_rank,
+                "levi_rank": r.levi_rank,
+                "levi_weyl_order": r.levi_weyl_order,
+            }
+        elif check == "theta":
+            r = theta_map_check(datum, torus[0])
+            out["theta"] = {
+                "generator_sanity": r.generator_sanity,
+                "invariant_directions": [_vec(v) for v in r.invariant_directions],
+                "all_invariant_pass": r.all_invariant_pass,
+                "samples": [
+                    {"chi": _vec(chi), "vanishes": ok} for chi, ok in r.samples
+                ],
+            }
+        elif check == "hecke":
+            out["hecke"] = hecke_dict(hecke_check(datum, window))
+        elif check == "steinberg":
+            r = steinberg_freeness_check(datum.rd, steinberg_candidate_weights(datum.rd))
+            out["steinberg"] = {
+                "candidates": [_vec(c) for c in r.candidates],
+                "independent": r.independent,
+                "spanning_ok": r.spanning_ok,
+                "note": ("empirical certificate: candidates validated numerically, "
+                         "not by construction"),
+            }
+        elif check == "counterexample":
+            r = weyl_counterexample_demo(job.module)
+            out["counterexample"] = counterexample_dict(r)
+    return out
+
+
+def hecke_dict(r: HeckeReport) -> dict:
+    return {
+        "window": r.window,
+        "hecke_rank": r.hecke_rank,
+        "weyl_rank": r.weyl_rank,
+        "orbit_span_rank": r.orbit_span_rank,
+        "all_equal": r.all_equal,
+    }
+
+
+def counterexample_dict(r: CounterexampleReport) -> dict:
+    verdict = (
+        f"invariants {r.invariant_structure} strictly contain image {r.module}"
+        if r.strictly_larger
+        else "no excess invariants"
+    )
+    return {
+        "module": r.module,
+        "image_order": r.image_order,
+        "invariant_order": r.invariant_order,
+        "invariant_structure": r.invariant_structure,
+        "strictly_larger": r.strictly_larger,
+        "verdict": verdict,
+    }

@@ -3,19 +3,20 @@
 Commands: validate, k0, k0-torus, hecke-check, demo-counterexample.
 A job is described by a JSON or TOML file plus flag overrides; reports are
 emitted as JSON (schema 1) or as a text rendering of the same data.  Exit
-codes: 0 ok, 2 parse error, 3 validation failure, 4 resource cap.
+codes: 0 ok, 2 parse or output error, 3 validation failure, 4 resource cap.
+The cross-checks (zipk0.checks) are imported only by a job that runs them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Optional, Sequence
 
 from ._record import record
 from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, poly_to_string
-from .invariants import steinberg_candidate_weights, steinberg_freeness_check
 from .rootdata import (
     PRESET_NAMES,
     RootDatum,
@@ -27,17 +28,7 @@ from .rootdata import (
     require_simply_connected,
     validate,
 )
-from .zipk import (
-    CocharacterDatum,
-    KZeroPresentation,
-    compute_k0,
-    compute_k0_torus,
-    hecke_check,
-    is_prime,
-    kunneth_rank_check,
-    theta_map_check,
-    weyl_counterexample_demo,
-)
+from .zipk import CocharacterDatum, KZeroPresentation, compute_k0, is_prime
 
 SCHEMA_VERSION = 1
 VALID_CHECKS = ("kunneth", "theta", "hecke", "steinberg", "counterexample")
@@ -45,6 +36,7 @@ DEFAULT_WINDOW = 3  # exponent box radius of the Hecke check when the job sets n
 
 EXIT_OK = 0
 EXIT_PARSE = 2
+EXIT_OUTPUT = 2  # the report could not be written
 EXIT_VALIDATION = 3
 EXIT_RESOURCE = 4
 
@@ -286,72 +278,16 @@ def _levi_dict(datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
     }
 
 
+def _window(job: JobSpec) -> int:
+    return job.window if job.window is not None else DEFAULT_WINDOW
+
+
 def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
-    out: dict[str, Any] = {}
-    window = job.window if job.window is not None else DEFAULT_WINDOW
-    torus = None  # (basis, report) of R(T)/IR(T), built by the first check needing it
-    for check in job.checks:
-        if check in ("kunneth", "theta") and torus is None:
-            torus = compute_k0_torus(datum, job.max_degree)
-        if check == "kunneth":
-            r = kunneth_rank_check(kz, torus[1])
-            out["kunneth"] = {
-                "status": r.status,
-                "torus_rank": r.torus_rank,
-                "levi_rank": r.levi_rank,
-                "levi_weyl_order": r.levi_weyl_order,
-            }
-        elif check == "theta":
-            r = theta_map_check(datum, torus[0])
-            out["theta"] = {
-                "generator_sanity": r.generator_sanity,
-                "invariant_directions": [_vec(v) for v in r.invariant_directions],
-                "all_invariant_pass": r.all_invariant_pass,
-                "samples": [
-                    {"chi": _vec(chi), "vanishes": ok} for chi, ok in r.samples
-                ],
-            }
-        elif check == "hecke":
-            out["hecke"] = _hecke_dict(hecke_check(datum, window))
-        elif check == "steinberg":
-            r = steinberg_freeness_check(datum.rd, steinberg_candidate_weights(datum.rd))
-            out["steinberg"] = {
-                "candidates": [_vec(c) for c in r.candidates],
-                "independent": r.independent,
-                "spanning_ok": r.spanning_ok,
-                "note": ("empirical certificate: candidates validated numerically, "
-                         "not by construction"),
-            }
-        elif check == "counterexample":
-            r = weyl_counterexample_demo(job.module)
-            out["counterexample"] = _counterexample_dict(r)
-    return out
+    if not job.checks:
+        return {}
+    from .checks import check_sections
 
-
-def _hecke_dict(r) -> dict:
-    return {
-        "window": r.window,
-        "hecke_rank": r.hecke_rank,
-        "weyl_rank": r.weyl_rank,
-        "orbit_span_rank": r.orbit_span_rank,
-        "all_equal": r.all_equal,
-    }
-
-
-def _counterexample_dict(r) -> dict:
-    verdict = (
-        f"invariants {r.invariant_structure} strictly contain image {r.module}"
-        if r.strictly_larger
-        else "no excess invariants"
-    )
-    return {
-        "module": r.module,
-        "image_order": r.image_order,
-        "invariant_order": r.invariant_order,
-        "invariant_structure": r.invariant_structure,
-        "strictly_larger": r.strictly_larger,
-        "verdict": verdict,
-    }
+    return check_sections(job, datum, kz, _window(job))
 
 
 def cmd_validate(job: JobSpec) -> dict:
@@ -403,6 +339,8 @@ def cmd_k0(job: JobSpec) -> dict:
 
 
 def cmd_k0_torus(job: JobSpec) -> dict:
+    from .checks import compute_k0_torus
+
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
     gb, module_report = compute_k0_torus(datum, job.max_degree)
@@ -420,24 +358,27 @@ def cmd_k0_torus(job: JobSpec) -> dict:
 
 
 def cmd_hecke_check(job: JobSpec) -> dict:
+    from .checks import hecke_check, hecke_dict
+
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
-    window = job.window if job.window is not None else DEFAULT_WINDOW
     return {
         "schema": SCHEMA_VERSION,
         "command": "hecke-check",
         "job": job.echo(),
-        "hecke": _hecke_dict(hecke_check(datum, window)),
+        "hecke": hecke_dict(hecke_check(datum, _window(job))),
     }
 
 
 def cmd_demo_counterexample(job: JobSpec) -> dict:
+    from .checks import counterexample_dict, weyl_counterexample_demo
+
     r = weyl_counterexample_demo(job.module)
     return {
         "schema": SCHEMA_VERSION,
         "command": "demo-counterexample",
         "module": r.module,
-        "counterexample": _counterexample_dict(r),
+        "counterexample": counterexample_dict(r),
     }
 
 
@@ -488,12 +429,20 @@ def render_text(report: dict) -> str:
 
 
 def emit(report: dict, job: JobSpec) -> None:
+    """Write the report to the job's --out file, else to stdout and flush it;
+    a failed write raises OSError."""
     text = render_json(report) if job.fmt == "json" else render_text(report)
     if job.out:
         with open(job.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
+
+
+def _output_error(exc: OSError) -> int:
+    print(f"output error: {exc}", file=sys.stderr)
+    return EXIT_OUTPUT
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +508,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    capped = None
     try:
         report = COMMANDS[args.command](job)
     # RootDatumError and SimplyConnectedHypothesisError are ValueErrors.
@@ -566,7 +516,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ResourceCapError, WeylSizeCapError) as exc:
-        partial = {
+        capped = exc
+        report = {
             "schema": SCHEMA_VERSION,
             "command": args.command,
             "job": job.echo(),
@@ -574,12 +525,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "detail": str(exc),
             "note": "partial report: computation aborted at the configured cap",
         }
-        emit(partial, job)
-        print(f"resource cap: {exc}", file=sys.stderr)
+    try:
+        emit(report, job)
+    except OSError as exc:
+        return _output_error(exc)
+    if capped is not None:
+        print(f"resource cap: {capped}", file=sys.stderr)
         return EXIT_RESOURCE
-    emit(report, job)
     return EXIT_OK
 
 
+def console_entry() -> None:
+    """The process entry point (`python -m zipk0.cli` and the `zipk0`
+    script): run main(), flush the standard streams and end the process with
+    main's code, skipping the interpreter's teardown of a finished job."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_OUTPUT:  # else main has reported this failed write
+            code = _output_error(exc)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = EXIT_OUTPUT
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

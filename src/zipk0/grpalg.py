@@ -1,28 +1,17 @@
 """The group algebra Z[X*(T)]: Laurent characters with exact integer coefficients.
 
 Elements are finite maps from exponent vectors (characters) to nonzero
-integers.  This is the representation ring of the torus; the Weyl action,
-Frobenius endomorphism and the Demazure operators' closed form below make it
-the workhorse ring for everything downstream.  The windowed Hecke conditions
-are built on exponent tuples, as sparse rows, without element arithmetic.
+integers.  This is the representation ring of the torus; the Weyl action
+and the Frobenius endomorphism below make it the workhorse ring for
+everything downstream.
 """
 
 from __future__ import annotations
 
-import itertools
 from operator import add
 from typing import Mapping, Optional, Sequence
 
-from .lattice import kernel_basis
-from .rootdata import (
-    Matrix,
-    RootDatum,
-    Vector,
-    WeylGroup,
-    mat_vec,
-    pairing,
-    weyl_orbit,
-)
+from .rootdata import Matrix, Vector, WeylGroup, mat_vec, weyl_orbit
 
 
 class GroupAlgebraElement:
@@ -161,80 +150,3 @@ def frobenius(
         key = tuple(p * x for x in img)
         out[key] = out.get(key, 0) + c
     return GroupAlgebraElement._trusted(f.rank, out)
-
-
-# ---------------------------------------------------------------------------
-# Demazure operators
-
-
-def _demazure_series(exponent: Vector, alpha: Vector, n: int) -> tuple[list[Vector], int]:
-    """delta_alpha(e^lambda) in closed form, as its terms and their common sign.
-
-    delta_alpha(f) = (f - e^{-alpha} s_alpha(f)) / (1 - e^{-alpha}), the
-    divided difference attached to the simple root alpha, normalized so
-    delta_alpha(1) = 1.  On a monomial the quotient is a geometric series in
-    e^{-alpha}: with n = <lambda, alpha^vee>, delta_alpha(e^lambda) is
-    sum_{k=0..n} e^{lambda - k alpha} for n >= 0, 0 for n = -1 and
-    -sum_{k=1..-n-1} e^{lambda + k alpha} for n <= -2; it extends Z-linearly.
-    The terms are distinct for alpha nonzero.
-    """
-    ks, sign = (range(-n, 1), 1) if n >= 0 else (range(1, -n), -1)
-    return [tuple(a + k * b for a, b in zip(exponent, alpha)) for k in ks], sign
-
-
-# ---------------------------------------------------------------------------
-# Windowed Hecke invariants
-
-
-def window_box(rank: int, radius: int) -> list[Vector]:
-    """All exponents with every coordinate in [-radius, radius], sorted."""
-    return sorted(itertools.product(range(-radius, radius + 1), repeat=rank))
-
-
-def _condition_rows(images: Sequence[dict[Vector, int]]) -> list[dict[int, int]]:
-    """The sparse rows of the conditions image_i = 0 on box monomials: one row
-    per exponent in the images' support, in sorted order, holding the
-    coefficient of that exponent in each image i as its column i."""
-    by_exponent: dict[Vector, dict[int, int]] = {}
-    for i, img in enumerate(images):
-        for e, c in img.items():
-            if c:
-                by_exponent.setdefault(e, {})[i] = c
-    return [by_exponent[e] for e in sorted(by_exponent)]
-
-
-def _hecke_rows(rd: RootDatum, box: Sequence[Vector]) -> list[dict[int, int]]:
-    """For each simple root alpha, the rows of (s_alpha - 1) e^x = 0 and then
-    of (delta_alpha - 1) e^x = 0 over the box monomials e^x."""
-    rows: list[dict[int, int]] = []
-    for idx in rd.simple_indices:
-        alpha, coroot = rd.roots[idx], rd.coroots[idx]
-        s_images = []
-        d_images = []
-        for x in box:
-            n = pairing(x, coroot)
-            sx = tuple(a - n * b for a, b in zip(x, alpha))
-            s_images.append({sx: 1, x: -1} if n else {})
-            terms, sign = _demazure_series(x, alpha, n)
-            img = dict.fromkeys(terms, sign)
-            img[x] = img.get(x, 0) - 1
-            d_images.append(img)
-        rows += _condition_rows(s_images)
-        rows += _condition_rows(d_images)
-    return rows
-
-
-def hecke_invariants_window(
-    rd: RootDatum, box: Sequence[Vector]
-) -> list[GroupAlgebraElement]:
-    """Z-basis of {f supported on the box monomials: delta_alpha f = f and
-    s_alpha f = f}; box is a window_box.
-
-    The conditions generate the annihilator of the augmentation left ideal in
-    its finite presentation {delta_alpha - 1} plus Weyl invariance; equality
-    with genuine invariants is property-tested elsewhere.
-    """
-    return [
-        GroupAlgebraElement._trusted(rd.rank, {box[i]: c for i, c in enumerate(v)})
-        for v in kernel_basis(_hecke_rows(rd, box), len(box))
-    ]

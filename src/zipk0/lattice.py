@@ -4,10 +4,10 @@ bases, kernels, Diophantine solves and cokernel invariants.
 Vectors are tuples of Python ints (arbitrary precision) and a matrix is the
 list of its rows.  A row may also be given sparse, as a dict from column to
 nonzero entry; results are dense.  Every kernel, solve, span membership and
-cokernel here comes from one elimination on sparse rows, _hermite, and its
-reduction _reduce: the kernel and the image of A both sit in one Hermite
-basis of the rows (column j of A | e_j) (Cohen, "A Course in Computational
-Algebraic Number Theory", GTM 138, section 2.4).
+cokernel here comes from one elimination on sparse rows, _echelon, its
+canonical form _hermite and the reduction _reduce: the kernel and the image
+of A both sit in one Hermite basis of the rows (column j of A | e_j) (Cohen,
+"A Course in Computational Algebraic Number Theory", GTM 138, section 2.4).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _add_multiple(w: SparseRow, q: int, v: SparseRow) -> None:
 
 
 def _reduce(w: SparseRow, basis: dict[int, SparseRow], start: int) -> None:
-    """Reduce w in place by the rows of a Hermite basis whose pivot columns
+    """Reduce w in place by the rows of an echelon basis whose pivot columns
     lie right of `start`, in ascending order, each subtracted as often as
     floor division at its pivot allows.  A row changes no column left of its
     pivot, so each such entry of w ends in [0, pivot)."""
@@ -152,15 +152,13 @@ def _reduce(w: SparseRow, basis: dict[int, SparseRow], start: int) -> None:
             _add_multiple(w, -q, piv)
 
 
-def _hermite(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Row-style Hermite basis of the Z-span of sparse rows, which it consumes,
-    keyed by pivot (leading) column in ascending order.
+def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Row echelon basis of the Z-span of sparse rows, which it consumes,
+    keyed by pivot (leading) column in ascending order, each pivot positive.
 
-    Each pivot is positive and the entries above it are reduced into
-    [0, pivot).  That form of a lattice is unique, so it serves to compare
-    sublattices, and _reduce by it leaves zero exactly when a vector lies in
-    the span: the remainder's leading entry would be a multiple of its pivot
-    in [0, pivot).
+    Any such basis decides membership: _reduce by it leaves zero exactly when
+    a vector lies in the span, since the remainder's leading entry would be a
+    nonzero multiple of its pivot in [0, pivot).
     """
     pivots: dict[int, SparseRow] = {}  # leading column -> row with that pivot
     for w in rows:
@@ -179,6 +177,16 @@ def _hermite(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     for j in sorted(pivots):
         row = pivots[j]
         basis[j] = row if row[j] > 0 else {k: -x for k, x in row.items()}
+    return basis
+
+
+def _hermite(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Row-style Hermite basis of the Z-span of sparse rows, which it consumes,
+    keyed by pivot column in ascending order: the echelon basis with the
+    entries above each pivot reduced into [0, pivot).  That form of a lattice
+    is unique, so it serves to compare sublattices.
+    """
+    basis = _echelon(rows)
     # Bottom up: the rows below are reduced already, and reducing by one of
     # them leaves the columns left of its pivot alone.
     for j in reversed(basis):
@@ -197,8 +205,8 @@ def hermite_row_basis(vectors: Sequence[Row], ncols: int) -> tuple[Vector, ...]:
 
 def span_members(vectors: Sequence[Row], targets: Sequence[Row]) -> list[bool]:
     """Whether each target lies in the Z-span of the vectors, all given dense
-    or sparse, by reduction against one Hermite basis."""
-    basis = _hermite(_sparse(v) for v in vectors)
+    or sparse, by reduction against one echelon basis."""
+    basis = _echelon(_sparse(v) for v in vectors)
     members = []
     for t in targets:
         w = _sparse(t)

@@ -33,15 +33,8 @@ from zipk0.groebner import (
     poly_canonical,
     strong_groebner,
 )
-from zipk0.grpalg import (
-    GroupAlgebraElement,
-    _demazure_series,
-    monomial,
-    one,
-    orbit_sum,
-    weyl_act,
-    window_box,
-)
+from zipk0.checks import _demazure_series, to_poly, window_box
+from zipk0.grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
 from zipk0.invariants import InvariantRingPresentation
 from zipk0.lattice import determinant, hermite_row_basis
 from zipk0.rootdata import (
@@ -62,7 +55,7 @@ from zipk0.rootdata import (
     weyl_enumerate,
     weyl_orbit,
 )
-from zipk0.zipk import CocharacterDatum, KZeroPresentation, to_poly
+from zipk0.zipk import CocharacterDatum, KZeroPresentation
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1000,7 @@ def demazure_by_division(
 
 
 def demazure(rd: RootDatum, simple_index: int, f: GroupAlgebraElement) -> GroupAlgebraElement:
-    """delta_alpha(f), the closed form of grpalg._demazure_series extended
+    """delta_alpha(f), the closed form of checks._demazure_series extended
     Z-linearly."""
     if simple_index not in range(len(rd.simple_indices)):
         raise ValueError(f"no simple root with index {simple_index}")
@@ -1086,7 +1079,7 @@ def _element_condition_rows(images: Sequence[GroupAlgebraElement]) -> list[list[
 
 
 def hecke_rows_by_elements(rd: RootDatum, box: Sequence[Vector]) -> list[list[int]]:
-    """The rows of grpalg._hecke_rows: (s_alpha - 1) e^x and (delta_alpha - 1) e^x."""
+    """The rows of checks._hecke_rows: (s_alpha - 1) e^x and (delta_alpha - 1) e^x."""
     rows: list[list[int]] = []
     for i in range(len(rd.simple_indices)):
         idx = rd.simple_indices[i]
@@ -1103,7 +1096,7 @@ def hecke_rows_by_elements(rd: RootDatum, box: Sequence[Vector]) -> list[list[in
 
 
 def weyl_rows_by_elements(weyl: WeylGroup, rank: int, box: Sequence[Vector]) -> list[list[int]]:
-    """The rows of zipk._weyl_rows: (w - 1) e^x for every Weyl element w."""
+    """The rows of checks._weyl_rows: (w - 1) e^x for every Weyl element w."""
     rows: list[list[int]] = []
     for w in weyl.elements:
         images = []
@@ -1115,7 +1108,7 @@ def weyl_rows_by_elements(weyl: WeylGroup, rank: int, box: Sequence[Vector]) -> 
 
 
 def steinberg_columns_by_elements(weyl, rank, cands, dominant_window, targets):
-    """The support and dense columns of invariants._steinberg_columns, from
+    """The support and dense columns of checks._steinberg_columns, from
     one orbit sum times one monomial per (lambda, nu)."""
     basis_elems = [orbit_sum(weyl, nu) * monomial(rank, lam)
                    for lam in cands for nu in dominant_window]

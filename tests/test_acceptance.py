@@ -12,22 +12,21 @@ import random
 
 import pytest
 
-from zipk0 import invariants
-from zipk0.cli import main
-from zipk0.groebner import PolyRingSpec, strong_groebner, quotient_z_module
-from zipk0.grpalg import monomial, one
-from zipk0.invariants import steinberg_candidate_weights, steinberg_freeness_check
-from zipk0.rootdata import SimplyConnectedHypothesisError, preset, weyl_enumerate
-from zipk0.zipk import (
-    CocharacterDatum,
-    compute_k0,
+from zipk0 import checks
+from zipk0.checks import (
     compute_k0_torus,
     hecke_check,
     kunneth_rank_check,
+    steinberg_candidate_weights,
+    steinberg_freeness_check,
     to_poly,
-    unit_relations,
     weyl_counterexample_demo,
 )
+from zipk0.cli import main
+from zipk0.groebner import PolyRingSpec, strong_groebner, quotient_z_module
+from zipk0.grpalg import monomial, one
+from zipk0.rootdata import SimplyConnectedHypothesisError, preset, weyl_enumerate
+from zipk0.zipk import CocharacterDatum, compute_k0, unit_relations
 
 from oracles import (
     BlockRingSpec,
@@ -177,7 +176,7 @@ def test_criterion_9_simply_connectedness_gate():
 
 def test_criterion_10_steinberg_freeness_evidence():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invariants, "STEINBERG_SPANNING_RADIUS", 4)
+        mp.setattr(checks, "STEINBERG_SPANNING_RADIUS", 4)
         rd = preset("SL2")
         rep_sl2 = steinberg_freeness_check(rd, [(0,), (1,)])
     assert rep_sl2.independent and rep_sl2.spanning_ok

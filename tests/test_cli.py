@@ -87,6 +87,8 @@ def test_bad_integer_options_exit_2(capsys, tmp_path, flags, job):
 
 @pytest.mark.parametrize("checks,calls", [([], 1), (["--checks", "kunneth,theta"], 2)])
 def test_one_groebner_run_per_answer(capsys, monkeypatch, checks, calls):
+    # The answer's completion runs in zipk, the torus side's in checks.
+    import zipk0.checks
     import zipk0.zipk
 
     seen = []
@@ -96,7 +98,8 @@ def test_one_groebner_run_per_answer(capsys, monkeypatch, checks, calls):
         seen.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(zipk0.zipk, "strong_groebner", counting)
+    for module in (zipk0.zipk, zipk0.checks):
+        monkeypatch.setattr(module, "strong_groebner", counting)
     code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2", *checks)
     assert code == 0
     assert len(seen) == calls
@@ -286,6 +289,28 @@ def test_demo_counterexample_huge_modulus(capsys, m):
     assert rep["strictly_larger"] is (m % 2 == 0)
 
 
+def test_huge_prime_is_decided_at_once():
+    # 10^18 + 3 is prime; trial division once ran past a 10 s kill on it.
+    # The subprocess bounds the wait.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "zipk0.cli", "validate", "--group", "SL2",
+                           "--p", "1000000000000000003"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["valid"] is True
+
+
+@pytest.mark.parametrize("command", [["validate"], ["k0", "--mu", "1"]])
+def test_prime_at_the_primality_bound_exits_4(capsys, command):
+    from zipk0.zipk import MILLER_RABIN_BOUND
+    code, out, err = run(capsys, *command, "--group", "SL2", "--p", str(MILLER_RABIN_BOUND))
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "resource-cap"
+    assert f"at or above {MILLER_RABIN_BOUND}" in rep["detail"]
+    assert "resource cap" in err
+
+
 def test_hecke_check_command(capsys):
     code, out, _ = run(capsys, "hecke-check", "--group", "SL2", "--window", "6")
     assert code == 0
@@ -332,8 +357,8 @@ def test_hecke_window_cap_exits_4(capsys):
 @pytest.mark.parametrize("window,code", [(3, 0), (4, 4)])
 def test_k0_hecke_window_cap(capsys, monkeypatch, window, code):
     # SL3's window 3 box holds 7^2 = 49 monomials: at the cap, it runs.
-    import zipk0.zipk
-    monkeypatch.setattr(zipk0.zipk, "HECKE_WINDOW_CAP", 49)
+    import zipk0.checks
+    monkeypatch.setattr(zipk0.checks, "HECKE_WINDOW_CAP", 49)
     got, out, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2",
                       "--checks", "hecke", "--window", str(window))
     assert got == code

@@ -5,16 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from zipk0.checks import _hecke_rows, hecke_invariants_window, window_box
 from zipk0.grpalg import (
     GroupAlgebraElement,
-    _hecke_rows,
     frobenius,
-    hecke_invariants_window,
     monomial,
     one,
     orbit_sum,
     weyl_act,
-    window_box,
 )
 from zipk0.lattice import hermite_row_basis, kernel_basis
 from zipk0.rootdata import (

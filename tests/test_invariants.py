@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from zipk0 import invariants
+from zipk0 import checks
+from zipk0.checks import (
+    _steinberg_columns,
+    steinberg_candidate_weights,
+    steinberg_freeness_check,
+    window_box,
+)
 from zipk0.grpalg import (
     GroupAlgebraElement,
     frobenius,
@@ -15,13 +21,9 @@ from zipk0.grpalg import (
 )
 from zipk0.invariants import (
     NotInvariantError,
-    _steinberg_columns,
     express_invariant,
     invariant_ring,
-    steinberg_candidate_weights,
-    steinberg_freeness_check,
 )
-from zipk0.grpalg import window_box
 from zipk0.lattice import hermite_row_basis, span_members
 from zipk0.rootdata import (
     PRESET_NAMES,
@@ -256,7 +258,7 @@ def test_steinberg_candidates_distinct():
 def test_steinberg_check_sl2_explicit_basis(monkeypatch):
     # The radius-4 box of 9 monomials lies in the span.
     rd = preset("SL2")
-    monkeypatch.setattr(invariants, "STEINBERG_SPANNING_RADIUS", 4)
+    monkeypatch.setattr(checks, "STEINBERG_SPANNING_RADIUS", 4)
     report = steinberg_freeness_check(rd, [(0,), (1,)])
     assert report.independent
     assert report.spanning_ok

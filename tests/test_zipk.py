@@ -3,9 +3,21 @@ from __future__ import annotations
 import pytest
 
 import itertools
+import random
 
-from zipk0.groebner import normal_form_gb, poly_to_string, strong_groebner
-from zipk0.grpalg import monomial, one, window_box
+from zipk0.groebner import ResourceCapError, normal_form_gb, poly_to_string, strong_groebner
+from zipk0.checks import (
+    _weyl_rows,
+    compute_k0_torus,
+    hecke_check,
+    kunneth_rank_check,
+    theta_map_check,
+    to_poly,
+    torus_ring_spec,
+    weyl_counterexample_demo,
+    window_box,
+)
+from zipk0.grpalg import monomial, one
 from zipk0.invariants import (
     InvariantRingPresentation,
     express_invariant,
@@ -24,19 +36,12 @@ from zipk0.rootdata import (
     weyl_enumerate,
 )
 from zipk0.zipk import (
+    MILLER_RABIN_BOUND,
     CocharacterDatum,
     compute_k0,
-    compute_k0_torus,
-    hecke_check,
     is_prime,
-    kunneth_rank_check,
     levi_presentation_ring,
-    theta_map_check,
-    to_poly,
-    torus_ring_spec,
     unit_relations,
-    _weyl_rows,
-    weyl_counterexample_demo,
 )
 
 from oracles import (
@@ -66,6 +71,42 @@ def kunneth(datum):
 
 def test_is_prime():
     assert [n for n in range(14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(2, 10**5) if is_prime(n)] == list(sympy.primerange(2, 10**5))
+    rng = random.Random(20261018)
+    for bits in (64, 80):
+        for _ in range(300):
+            n = rng.getrandbits(bits) | 1
+            assert is_prime(n) == sympy.isprime(n), n
+        # Random primes, found by trial over odd candidates.
+        n = rng.getrandbits(bits) | 1
+        while not sympy.isprime(n):
+            n += 2
+        assert is_prime(n)
+    near = range(MILLER_RABIN_BOUND - 200, MILLER_RABIN_BOUND)
+    assert [n for n in near if is_prime(n)] == [n for n in near if sympy.isprime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    2047,                    # strong pseudoprime to base 2
+    3215031751,              # ... to bases 2, 3, 5, 7
+    3825123056546413051,     # ... to the prime bases up to 31
+    318665857834031151167461,  # ... to the prime bases up to 37
+    1000000007 * 998244353,
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [MILLER_RABIN_BOUND, 2**89 - 1])
+def test_is_prime_refuses_the_bound(n):
+    # The bound is the least strong pseudoprime to every base tested, so it
+    # and all above it are refused rather than misjudged.
+    with pytest.raises(ResourceCapError, match=str(MILLER_RABIN_BOUND)):
+        is_prime(n)
 
 
 def test_datum_validation():
@@ -538,6 +579,7 @@ def test_packed_engine_matches_reference_on_ladder(monkeypatch, capsys, name, mu
     # Every completion and every membership read of a ladder job gives the
     # same basis and the same remainder as the reference engine on exponent
     # tuples, term for term.
+    import zipk0.checks
     import zipk0.zipk
     from zipk0.cli import main
 
@@ -556,8 +598,9 @@ def test_packed_engine_matches_reference_on_ladder(monkeypatch, capsys, name, mu
         assert nf == reference_normal_form_gb(f, gb)
         return nf
 
-    monkeypatch.setattr(zipk0.zipk, "strong_groebner", checked_groebner)
-    monkeypatch.setattr(zipk0.zipk, "normal_form_gb", checked_normal_form)
+    for module in (zipk0.zipk, zipk0.checks):  # the answer's calls, and the checks'
+        monkeypatch.setattr(module, "strong_groebner", checked_groebner)
+        monkeypatch.setattr(module, "normal_form_gb", checked_normal_form)
     argv = ["k0", "--group", name, "--mu", ",".join(map(str, mu)), "--p", str(p)]
     if checks:
         argv += ["--checks", "kunneth,theta,hecke,steinberg"]
