@@ -18,18 +18,9 @@ import random
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ._record import record
-from .groebner import (
-    DEFAULT_MAX_DEGREE,
-    GroebnerBasis,
-    Poly,
-    PolyRingSpec,
-    QuotientReport,
-    ResourceCapError,
-    normal_form_gb,
-    quotient_z_module,
-    strong_groebner,
-)
+from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, normal_form_gb
 from .grpalg import GroupAlgebraElement, frobenius, monomial
+from .invariants import _nonneg_combinations
 from .lattice import hermite_row_basis, kernel_basis, span_members
 from .rootdata import (
     RootDatum,
@@ -40,7 +31,7 @@ from .rootdata import (
     weights_dominant,
     weyl_orbit,
 )
-from .zipk import CocharacterDatum, KZeroPresentation, unit_relations
+from .zipk import CocharacterDatum, KZeroPresentation, compute_k0
 
 if TYPE_CHECKING:
     from .cli import JobSpec
@@ -63,45 +54,16 @@ STEINBERG_SPANNING_RADIUS = 1
 
 
 # ---------------------------------------------------------------------------
-# Group algebra <-> Laurent polynomial ring
-
-
-def torus_ring_spec(rank: int) -> tuple[PolyRingSpec, list[Poly]]:
-    """Z[x1..xn, inverses] and its relations x_ib*x_i - 1: inverse variables
-    sort first so they reduce away."""
-    names = []
-    for i in range(rank):
-        names.append(f"x{i + 1}b")
-        names.append(f"x{i + 1}")
-    pairs = [(2 * i, 2 * i + 1) for i in range(rank)]
-    return PolyRingSpec(tuple(names)), unit_relations(pairs, 2 * rank)
-
-
-def exponent_to_monomial(chi: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for c in chi:
-        out.append(-c if c < 0 else 0)
-        out.append(c if c > 0 else 0)
-    return tuple(out)
-
-
-def to_poly(f: GroupAlgebraElement) -> Poly:
-    """Character sum -> polynomial in the split positive/negative variables."""
-    return {exponent_to_monomial(chi): c for chi, c in f.terms.items()}
-
-
-# ---------------------------------------------------------------------------
 # The torus-side quotient R(T)/IR(T)
 
 
 def compute_k0_torus(
     datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
-) -> tuple[GroebnerBasis, QuotientReport]:
-    """Strong basis and Z-module report for R(T) modulo the Frobenius differences."""
-    spec, units = torus_ring_spec(datum.rd.rank)
-    polys = units + [to_poly(g) for g in datum.frobenius_gens]
-    gb = strong_groebner(polys, spec, max_degree=max_degree)
-    return gb, quotient_z_module(gb)
+) -> KZeroPresentation:
+    """R(T)/IR(T) as compute_k0 at the sum of the positive coroots: that
+    cocharacter is regular, so its Levi is T."""
+    rd = datum.rd
+    return compute_k0(CocharacterDatum(rd, rd.coroot_sum, datum.p), max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +78,13 @@ class KunnethReport:
     levi_weyl_order: int
 
 
-def kunneth_rank_check(kz: KZeroPresentation, torus_report: QuotientReport) -> KunnethReport:
+def kunneth_rank_check(kz: KZeroPresentation, torus: KZeroPresentation) -> KunnethReport:
     """rank of R(T)/IR(T) must equal |W_L| times rank of R(L)/IR(L).
 
-    kz and torus_report are compute_k0 and compute_k0_torus of the same datum.
+    kz and torus are compute_k0 and compute_k0_torus of the same datum.
     """
     wl = len(kz.presentation_pres.rd.weyl)
+    torus_report = torus.module_report
     torus_rank = torus_report.rank if torus_report.finite else None
     levi_rank = kz.module_report.rank if kz.module_report.finite else None
     if torus_rank is None or levi_rank is None:
@@ -139,22 +102,26 @@ class ThetaReport:
     samples: tuple[tuple[Vector, bool], ...]
 
 
-def theta_map_check(datum: CocharacterDatum, torus_gb: GroebnerBasis) -> ThetaReport:
+def theta_map_check(datum: CocharacterDatum, torus: KZeroPresentation) -> ThetaReport:
     """The untwisting identity, concretely: e^chi = e^{p tau(chi)} holds in the
     torus-side quotient exactly for Weyl-invariant directions (where e^chi is a
-    class from R(G)), and generically fails otherwise.  torus_gb is the strong
-    basis from compute_k0_torus of the same datum.
+    class from R(G)), and generically fails otherwise.  torus is
+    compute_k0_torus of the same datum.
 
     s_alpha(chi) = chi - <chi, alpha^vee> alpha fixes chi exactly when
     <chi, alpha^vee> = 0, so the Weyl-invariant directions are the lineality
-    basis of the datum's weight lift."""
+    basis of the datum's weight lift.  On T every character is dominant and
+    its own orbit sum, so e^chi is the monomial y^a with a the generator
+    combination of chi."""
     rd = datum.rd
+    combination = _nonneg_combinations(torus.presentation_pres)
 
     def vanishes(chi: Vector) -> bool:
         f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, rd.twist)
-        return not normal_form_gb(to_poly(f), torus_gb)
+        poly = {combination(e): c for e, c in f.terms.items()}
+        return not normal_form_gb(poly, torus.groebner)
 
-    gen_ok = all(not normal_form_gb(to_poly(g), torus_gb) for g in datum.frobenius_gens)
+    gen_ok = all(not normal_form_gb(r, torus.groebner) for r in torus.frobenius_relations)
     invariant_dirs = rd.weight_lift[0]
     all_invariant_pass = gen_ok and all(vanishes(chi) for chi in invariant_dirs)
     rng = random.Random(THETA_SEED)
@@ -493,12 +460,14 @@ def check_sections(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation,
     """The `checks` section of a k0 report: one entry per check the job
     lists, the Hecke check over the given window."""
     out: dict[str, Any] = {}
-    torus = None  # (basis, report) of R(T)/IR(T), built by the first check needing it
+    torus = None  # R(T)/IR(T), built by the first check needing it
     for check in job.checks:
         if check in ("kunneth", "theta") and torus is None:
-            torus = compute_k0_torus(datum, job.max_degree)
+            # A Levi without roots is T, and kz is already that quotient.
+            levi_is_torus = not kz.presentation_pres.rd.roots
+            torus = kz if levi_is_torus else compute_k0_torus(datum, job.max_degree)
         if check == "kunneth":
-            r = kunneth_rank_check(kz, torus[1])
+            r = kunneth_rank_check(kz, torus)
             out["kunneth"] = {
                 "status": r.status,
                 "torus_rank": r.torus_rank,
@@ -506,7 +475,7 @@ def check_sections(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation,
                 "levi_weyl_order": r.levi_weyl_order,
             }
         elif check == "theta":
-            r = theta_map_check(datum, torus[0])
+            r = theta_map_check(datum, torus)
             out["theta"] = {
                 "generator_sanity": r.generator_sanity,
                 "invariant_directions": [_vec(v) for v in r.invariant_directions],

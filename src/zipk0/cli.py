@@ -343,16 +343,16 @@ def cmd_k0_torus(job: JobSpec) -> dict:
 
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
-    gb, module_report = compute_k0_torus(datum, job.max_degree)
+    torus = compute_k0_torus(datum, job.max_degree)
     return {
         "schema": SCHEMA_VERSION,
         "command": "k0-torus",
         "job": job.echo(),
         "groebner": {
-            "variables": list(gb.spec.names),
-            "basis": gb.to_strings(),
+            "variables": list(torus.groebner.spec.names),
+            "basis": torus.groebner.to_strings(),
         },
-        "module": _module_dict(module_report),
+        "module": _module_dict(torus.module_report),
         "flags": {"experimental_twist": job.rd.twist is not None},
     }
 

@@ -9,6 +9,7 @@ coefficient one).
 from __future__ import annotations
 
 from ._record import record
+from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError
 from .grpalg import GroupAlgebraElement, one, orbit_sum, weyl_act
 from .lattice import solve_linear_diophantine
 from .rootdata import (
@@ -35,7 +36,6 @@ class InvariantRingPresentation:
     rd: RootDatum
     generator_weights: tuple[Vector, ...]
     generator_elements: tuple[GroupAlgebraElement, ...]
-    height_vector: Vector                   # sum of positive coroots: H(chi) > 0 on them
 
 
 def invariant_ring(rd: RootDatum) -> InvariantRingPresentation:
@@ -43,9 +43,7 @@ def invariant_ring(rd: RootDatum) -> InvariantRingPresentation:
     cocharacter, pass its root datum (levi_from_cocharacter) to get R(L)."""
     weights = dominant_hilbert_basis(rd)
     elements = tuple(orbit_sum(rd.weyl, w) for w in weights)
-    pos_coroots = [rd.coroots[i] for i in rd.positive_indices]
-    height = tuple(sum(cv[i] for cv in pos_coroots) for i in range(rd.rank))
-    return InvariantRingPresentation(rd, tuple(weights), elements, height)
+    return InvariantRingPresentation(rd, tuple(weights), elements)
 
 
 def is_invariant(f: GroupAlgebraElement, pres: InvariantRingPresentation) -> bool:
@@ -102,7 +100,9 @@ def _nonneg_combinations(pres: InvariantRingPresentation):
 
 
 def express_invariant(
-    f: GroupAlgebraElement, pres: InvariantRingPresentation
+    f: GroupAlgebraElement,
+    pres: InvariantRingPresentation,
+    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> GeneratorPolynomial:
     """Integer polynomial in the generators expanding to f.
 
@@ -110,17 +110,24 @@ def express_invariant(
     generator product has coefficient one, so each step eliminates it exactly.
     The generator products and the dominance of each term are kept for the
     call: each new exponent costs one multiplication of a known product by
-    one generator.
+    one generator.  Each step's product is a term of the result, so a step
+    whose product has total degree above max_degree raises ResourceCapError
+    before that product is built.
     """
     if not is_invariant(f, pres):
         raise NotInvariantError("element is not invariant under the given Weyl group")
     cosimples = pres.rd.simple_coroots
-    hv = pres.height_vector
+    hv = pres.rd.coroot_sum
     gens = pres.generator_elements
     combination = _nonneg_combinations(pres)
     products = {(0,) * len(gens): one(pres.rd.rank)}
 
     def product(expt: GeneratorExponent) -> GroupAlgebraElement:
+        degree = sum(expt)
+        if degree > max_degree:
+            raise ResourceCapError(
+                f"generator product degree {degree} exceeds cap {max_degree}"
+            )
         chain = []  # (exponent, generator index) down to a known product
         while expt not in products:
             i = max(k for k, e in enumerate(expt) if e)

@@ -77,8 +77,8 @@ class RootDatum:
     """Root datum (X*(T), roots, X_*(T), coroots) with a chosen simple system.
 
     What the datum determines and the pipeline reads more than once, its Weyl
-    group, positive roots and fundamental-weight lift, is computed on first
-    use and kept on the instance.
+    group, positive roots, positive-coroot sum and fundamental-weight lift,
+    is computed on first use and kept on the instance.
     """
 
     rank: int
@@ -110,6 +110,13 @@ class RootDatum:
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
         return positive_root_indices(self)
+
+    @cached_property
+    def coroot_sum(self) -> Vector:
+        """The sum of the positive coroots, 2 rho^vee: it pairs with each
+        positive root to twice its height, so it is a regular cocharacter."""
+        pos = [self.coroots[i] for i in self.positive_indices]
+        return tuple(sum(cv[i] for cv in pos) for i in range(self.rank))
 
     @cached_property
     def weight_lift(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:

@@ -184,7 +184,7 @@ def compute_k0(
     frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
     lpres = invariant_ring(levi_from_cocharacter(datum.rd, datum.mu))
     y_spec, syzygies = levi_presentation_ring(lpres)
-    frob_polys = [express_invariant(g, lpres) for g in frobenius_gens]
+    frob_polys = [express_invariant(g, lpres, max_degree) for g in frobenius_gens]
 
     gb = strong_groebner(list(syzygies) + frob_polys, y_spec, max_degree=max_degree)
     report = quotient_z_module(gb)

@@ -26,14 +26,16 @@ from zipk0.groebner import (
     Monomial,
     Poly,
     PolyRingSpec,
+    QuotientReport,
     ResourceCapError,
     _leading,
     _normalize_sign,
     normal_form_gb,
     poly_canonical,
+    quotient_z_module,
     strong_groebner,
 )
-from zipk0.checks import _demazure_series, to_poly, window_box
+from zipk0.checks import _demazure_series, window_box
 from zipk0.grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
 from zipk0.invariants import InvariantRingPresentation
 from zipk0.lattice import determinant, hermite_row_basis
@@ -55,7 +57,7 @@ from zipk0.rootdata import (
     weyl_enumerate,
     weyl_orbit,
 )
-from zipk0.zipk import CocharacterDatum, KZeroPresentation
+from zipk0.zipk import CocharacterDatum, KZeroPresentation, unit_relations
 
 
 # ---------------------------------------------------------------------------
@@ -1183,13 +1185,82 @@ def restrict_to_levi(
 
 
 # ---------------------------------------------------------------------------
+# The reference torus ring: R(T) as Z[x1b, x1, ..., xnb, xn], each character
+# coordinate split into an inverse and a plain variable side by side, modulo
+# x_ib*x_i - 1.  The library builds R(T)/IR(T) as compute_k0 at a regular
+# cocharacter instead, on one variable per generator weight +-e_i.
+
+
+def torus_ring_spec(rank: int) -> tuple[PolyRingSpec, list[Poly]]:
+    """Z[x1..xn, inverses] and its relations x_ib*x_i - 1: inverse variables
+    sort first so they reduce away."""
+    names = []
+    for i in range(rank):
+        names.append(f"x{i + 1}b")
+        names.append(f"x{i + 1}")
+    pairs = [(2 * i, 2 * i + 1) for i in range(rank)]
+    return PolyRingSpec(tuple(names)), unit_relations(pairs, 2 * rank)
+
+
+def exponent_to_monomial(chi: Sequence[int]) -> tuple[int, ...]:
+    out = []
+    for c in chi:
+        out.append(-c if c < 0 else 0)
+        out.append(c if c > 0 else 0)
+    return tuple(out)
+
+
+def to_poly(f: GroupAlgebraElement) -> Poly:
+    """Character sum -> polynomial in the split positive/negative variables."""
+    return {exponent_to_monomial(chi): c for chi, c in f.terms.items()}
+
+
+def reference_k0_torus(
+    datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
+) -> tuple[GroebnerBasis, QuotientReport]:
+    """Strong basis and Z-module report of R(T) modulo the Frobenius
+    differences, in the reference torus ring."""
+    spec, units = torus_ring_spec(datum.rd.rank)
+    polys = units + [to_poly(g) for g in datum.frobenius_gens]
+    gb = strong_groebner(polys, spec, max_degree=max_degree)
+    return gb, quotient_z_module(gb)
+
+
+def torus_variable_renaming(torus: KZeroPresentation) -> tuple[int, ...]:
+    """For each variable y_j of compute_k0_torus, the index of its reference
+    variable: y(-e_i) is x_ib, y(e_i) is x_i.  Raises ValueError when the
+    generator weights are not exactly the +-e_i."""
+    rank = torus.presentation_pres.rd.rank
+    index = {}
+    for i in range(rank):
+        unit = tuple(1 if j == i else 0 for j in range(rank))
+        index[tuple(-x for x in unit)] = 2 * i
+        index[unit] = 2 * i + 1
+    weights = torus.presentation_pres.generator_weights
+    if sorted(weights) != sorted(index):
+        raise ValueError(f"torus generator weights {weights} are not the +-e_i")
+    return tuple(index[w] for w in weights)
+
+
+def rename_variables(f: Poly, target: Sequence[int]) -> Poly:
+    """f with variable j renamed to variable target[j] (a permutation)."""
+    out = {}
+    for m, c in f.items():
+        renamed = [0] * len(target)
+        for j, e in enumerate(m):
+            renamed[target[j]] = e
+        out[tuple(renamed)] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Pipeline
 
 
 def substitution_soundness(datum: CocharacterDatum, kz: KZeroPresentation,
                            torus_gb: GroebnerBasis) -> bool:
     """Every relation, expanded back into Z[X*(T)], lies in the torus-side ideal
-    (torus_gb is the strong basis from compute_k0_torus of the same datum)."""
+    (torus_gb is the strong basis from reference_k0_torus of the same datum)."""
     for rel in kz.syzygy_relations + kz.frobenius_relations:
         expanded = expand_generator_polynomial(rel, kz.presentation_pres)
         if normal_form_gb(to_poly(expanded), torus_gb):

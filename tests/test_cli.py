@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from zipk0.cli import main, render_text
+from zipk0.groebner import DEFAULT_MAX_DEGREE
 from zipk0.rootdata import levi_from_cocharacter, preset
 
 
@@ -85,10 +86,13 @@ def test_bad_integer_options_exit_2(capsys, tmp_path, flags, job):
     assert "parse error" in err
 
 
-@pytest.mark.parametrize("checks,calls", [([], 1), (["--checks", "kunneth,theta"], 2)])
-def test_one_groebner_run_per_answer(capsys, monkeypatch, checks, calls):
-    # The answer's completion runs in zipk, the torus side's in checks.
-    import zipk0.checks
+ALL_CHECKS = "kunneth,theta,hecke,steinberg,counterexample"
+
+
+def count_completions(capsys, monkeypatch, *argv):
+    """The exit code of a job and its number of strong_groebner calls, all
+    of which run in zipk: the answer's, and the torus quotient's when the
+    job's Levi has roots."""
     import zipk0.zipk
 
     seen = []
@@ -98,11 +102,27 @@ def test_one_groebner_run_per_answer(capsys, monkeypatch, checks, calls):
         seen.append(1)
         return real(*args, **kwargs)
 
-    for module in (zipk0.zipk, zipk0.checks):
-        monkeypatch.setattr(module, "strong_groebner", counting)
-    code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2", *checks)
-    assert code == 0
-    assert len(seen) == calls
+    monkeypatch.setattr(zipk0.zipk, "strong_groebner", counting)
+    code, _, _ = run(capsys, *argv)
+    return code, len(seen)
+
+
+@pytest.mark.parametrize("checks,calls", [
+    ([], 1), (["--checks", "kunneth,theta"], 2), (["--checks", ALL_CHECKS], 2),
+])
+def test_one_groebner_run_per_answer(capsys, monkeypatch, checks, calls):
+    assert count_completions(
+        capsys, monkeypatch, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2", *checks
+    ) == (0, calls)
+
+
+@pytest.mark.parametrize("group,mu", [("GL2", "1,0"), ("SL2", "1")])
+def test_a_job_whose_levi_is_t_completes_once(capsys, monkeypatch, group, mu):
+    # The Levi of a regular mu is T, so the answer is the torus quotient.
+    assert count_completions(
+        capsys, monkeypatch, "k0", "--group", group, "--mu", mu, "--p", "3",
+        "--checks", ALL_CHECKS,
+    ) == (0, 1)
 
 
 def test_pair_pruning_bounds_reductions(capsys, monkeypatch):
@@ -126,13 +146,14 @@ def test_pair_pruning_bounds_reductions(capsys, monkeypatch):
 
 def test_one_weyl_group_per_job(capsys, monkeypatch):
     # An all-checks job computes each root datum's Weyl group, positive roots
-    # and weight lift once: G's and the Levi's, two each.  The
+    # and weight lift once: G's, the Levi's and T's, three each.  The
     # simply-connectedness gate runs in the weight lift, which needs the
     # fundamental group only to name the torsion of a failing datum.
     import zipk0.rootdata as rootdata
 
     g = preset("SL3")
     levi = levi_from_cocharacter(g, (1, 2))
+    torus = levi_from_cocharacter(g, g.coroot_sum)
     counted = ("weyl_enumerate", "positive_root_indices", "fundamental_weight_lift",
                "fundamental_group")
     calls = {name: [] for name in counted}
@@ -152,7 +173,7 @@ def test_one_weyl_group_per_job(capsys, monkeypatch):
                      "--checks", "kunneth,theta,hecke,steinberg")
     assert code == 0
     for name in counted[:3]:
-        assert sorted(calls[name], key=repr) == sorted([g, levi], key=repr), name
+        assert sorted(calls[name], key=repr) == sorted([g, levi, torus], key=repr), name
     assert calls["fundamental_group"] == []
 
 
@@ -181,6 +202,9 @@ def test_k0_torus_gm_rank(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["module"]["rank"] == 4
+    # One variable per generator weight of R(T), -e1 then e1.
+    assert rep["groebner"]["variables"] == ["y1", "y2"]
+    assert rep["groebner"]["basis"] == ["y1*y2 - 1", "y1^2 - y2^2", "y2^3 - y1"]
 
 
 def test_k0_sl3_kunneth_pass(capsys):
@@ -308,6 +332,22 @@ def test_prime_at_the_primality_bound_exits_4(capsys, command):
     rep = json.loads(out)
     assert rep["error"] == "resource-cap"
     assert f"at or above {MILLER_RABIN_BOUND}" in rep["detail"]
+    assert "resource cap" in err
+
+
+@pytest.mark.parametrize("p", ["100003", "1000000000000000003"])
+@pytest.mark.parametrize("command", [["k0", "--mu", "1"], ["k0-torus"]])
+def test_frobenius_degree_over_the_cap_exits_4_at_once(capsys, command, p):
+    # SL2's Frobenius relation has degree p in the Levi's variables.  Its
+    # expression stops at the degree cap, before it builds a chain of about p
+    # generator products.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--group", "SL2", "--p", p)
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "resource-cap"
+    assert f"degree {p} exceeds cap {DEFAULT_MAX_DEGREE}" in rep["detail"]
     assert "resource cap" in err
 
 

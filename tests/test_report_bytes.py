@@ -61,8 +61,10 @@ RECORDED = [
     (("k0", "--group", GL2_DATUM, "--mu", "1,0", "--p", "3"),
      0, "c5c899f5211b1fa174ad1dd4742355a29c5d5d76ca5bad6d6a1ee327296ab60c",
      EMPTY),
+    # R(T)/IR(T) is compute_k0 at the coroot sum: variables y1..y4 on the
+    # weights -e1, -e2, e2, e1.
     (("k0-torus", "--group", "GL2", "--p", "2"),
-     0, "cf9dd4dcb8a5879157c05242481532c36289756e960a3b2971862209bb374876",
+     0, "713e54198b99449d40395884f1f90c290c7b27cd1dd4d85f926155a48d67621b",
      EMPTY),
     # The `quotient` ladder, seed 1.
     (("k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2"),

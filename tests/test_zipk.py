@@ -12,8 +12,6 @@ from zipk0.checks import (
     hecke_check,
     kunneth_rank_check,
     theta_map_check,
-    to_poly,
-    torus_ring_spec,
     weyl_counterexample_demo,
     window_box,
 )
@@ -30,8 +28,10 @@ from zipk0.rootdata import (
     SimplyConnectedHypothesisError,
     fundamental_group,
     levi_from_cocharacter,
+    pairing,
     preset,
     require_simply_connected,
+    root_coefficients,
     validate,
     weyl_enumerate,
 )
@@ -56,17 +56,21 @@ from oracles import (
     from_terms,
     hermite_remainder,
     mod_l_count_agrees,
+    reference_k0_torus,
     reference_normal_form_gb,
     reference_strong_groebner,
+    rename_variables,
     substitution_soundness,
+    to_poly,
+    torus_ring_spec,
+    torus_variable_renaming,
     verify_strong_groebner,
     weyl_rows_by_elements,
 )
 
 
 def kunneth(datum):
-    _, torus_report = compute_k0_torus(datum)
-    return kunneth_rank_check(compute_k0(datum), torus_report)
+    return kunneth_rank_check(compute_k0(datum), compute_k0_torus(datum))
 
 
 def test_is_prime():
@@ -126,7 +130,7 @@ def test_datum_validation():
 @pytest.mark.parametrize("p,rank", [(2, 4), (3, 6), (5, 10)])
 def test_torus_side_sl2(p, rank):
     datum = CocharacterDatum(preset("SL2"), (1,), p)
-    gb, report = compute_k0_torus(datum)
+    report = compute_k0_torus(datum).module_report
     assert report.finite
     assert report.rank == rank
     assert report.torsion == ()
@@ -156,7 +160,7 @@ def test_torus_side_ideal_is_principal_product(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_torus_golden_gm(p):
     datum = CocharacterDatum(preset("Gm"), (0,), p)
-    _, report = compute_k0_torus(datum)
+    report = compute_k0_torus(datum).module_report
     assert report.finite and report.rank == p - 1 and report.torsion == ()
     kz = compute_k0(datum)
     assert kz.module_report.rank == p - 1
@@ -173,9 +177,9 @@ def test_torus_golden_gm2(p):
 
 
 def test_sl2_levi_torus_matches_torus_side():
-    # For L = T the Levi presentation agrees with the torus-side quotient.
+    # For L = T the Levi presentation agrees with the reference torus ring.
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
-    torus_gb, torus_report = compute_k0_torus(datum)
+    torus_gb, torus_report = reference_k0_torus(datum)
     kz = compute_k0(datum)
     assert len(kz.presentation_pres.rd.weyl) == 1
     assert kz.module_report.rank == torus_report.rank == 6
@@ -274,7 +278,7 @@ def test_levi_presentation_rejects_unpaired_count_mismatch():
     lpres = invariant_ring(rd)
     broken = InvariantRingPresentation(
         RootDatum(rd.rank, rd.roots, rd.coroots, ()), lpres.generator_weights,
-        lpres.generator_elements, lpres.height_vector,
+        lpres.generator_elements,
     )
     with pytest.raises(ValueError, match="not polynomial"):
         levi_presentation_ring(broken)
@@ -306,7 +310,7 @@ def test_kunneth_torus():
 def test_substitution_soundness_sl3():
     datum = CocharacterDatum(preset("SL3"), (1, 2), 2)
     kz = compute_k0(datum)
-    torus_gb, _ = compute_k0_torus(datum)
+    torus_gb, _ = reference_k0_torus(datum)
     assert substitution_soundness(datum, kz, torus_gb)
 
 
@@ -319,7 +323,7 @@ def test_one_nonzero_everywhere():
 
 def test_theta_check_torus_all_directions():
     datum = CocharacterDatum(preset("Gm"), (0,), 3)
-    rep = theta_map_check(datum, compute_k0_torus(datum)[0])
+    rep = theta_map_check(datum, compute_k0_torus(datum))
     assert rep.generator_sanity
     assert rep.invariant_directions == ((1,),)
     assert rep.all_invariant_pass
@@ -328,19 +332,19 @@ def test_theta_check_torus_all_directions():
 
 def test_theta_check_sl2():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
-    gb, _ = compute_k0_torus(datum)
-    rep = theta_map_check(datum, gb)
+    torus = compute_k0_torus(datum)
+    rep = theta_map_check(datum, torus)
     assert rep.generator_sanity
     assert rep.invariant_directions == ()         # X*(T)^W = 0 for SL2
     assert rep.all_invariant_pass
     # x - x^3 is NOT in the ideal: x alone is not a class from R(G).
     f = monomial(1, (1,)) - monomial(1, (3,))
-    assert normal_form_gb(to_poly(f), gb) != {}
+    assert normal_form_gb(express_invariant(f, torus.presentation_pres), torus.groebner) != {}
 
 
 def test_theta_check_gl2_center():
     datum = CocharacterDatum(preset("GL2"), (1, 0), 2)
-    rep = theta_map_check(datum, compute_k0_torus(datum)[0])
+    rep = theta_map_check(datum, compute_k0_torus(datum))
     # The center of GL2 gives the invariant direction (1, 1).
     assert rep.invariant_directions == ((1, 1),)
     assert rep.all_invariant_pass
@@ -430,16 +434,17 @@ def test_normal_form_lands_in_standard_monomials():
     # Reducing x^5 against the SL2 p=3 torus-side basis gives a Z-combination
     # of the six standard monomials.
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
-    gb, report = compute_k0_torus(datum)
-    nf = normal_form_gb(to_poly(monomial(1, (5,))), gb)
+    torus = compute_k0_torus(datum)
+    nf = normal_form_gb(express_invariant(monomial(1, (5,)), torus.presentation_pres),
+                        torus.groebner)
     assert nf != {}
-    assert set(nf) <= set(report.standard_monomials)
+    assert set(nf) <= set(torus.module_report.standard_monomials)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_torus_side_gm2(p):
     datum = CocharacterDatum(preset("Gm^2"), (0, 0), p)
-    _, report = compute_k0_torus(datum)
+    report = compute_k0_torus(datum).module_report
     assert report.finite and report.rank == (p - 1) ** 2 and report.torsion == ()
 
 
@@ -457,8 +462,7 @@ def test_pipeline_groebner_bases_are_strong():
     # Re-check the Buchberger criterion on actual pipeline outputs.
     for name, mu, p in [("SL2", (1,), 3), ("SL3", (1, 2), 2), ("Sp4", (1, 1), 2)]:
         datum = CocharacterDatum(preset(name), mu, p)
-        gb, _ = compute_k0_torus(datum)
-        assert verify_strong_groebner(gb), (name, "torus")
+        assert verify_strong_groebner(compute_k0_torus(datum).groebner), (name, "torus")
         kz = compute_k0(datum)
         assert verify_strong_groebner(kz.groebner), (name, "levi")
 
@@ -481,10 +485,75 @@ def test_rank_matches_semisimple_class_count(p):
     for name, (w, s, z) in cases.items():
         rd = preset(name)
         datum = CocharacterDatum(rd, (0,) * rd.rank, p)
-        _, rep = compute_k0_torus(datum)
+        rep = compute_k0_torus(datum).module_report
         assert rep.finite, name
         assert rep.rank == w * p**s * (p - 1) ** z, (name, rep.rank)
         assert rep.torsion == (), name
+
+
+# The torus quotient's presets with (|W|, s, z): every simply connected
+# preset but SL4, whose torus quotient takes seconds at p=2.
+TORUS_CASES = {
+    "SL2": (2, 1, 0),
+    "GL2": (2, 1, 1),
+    "A1xA1": (4, 2, 0),
+    "SL3": (6, 2, 0),
+    "Sp4": (8, 2, 0),
+    "GL3": (6, 2, 1),
+    "Gm": (1, 0, 1),
+    "Gm^2": (1, 0, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "name,p",
+    [(name, p) for name in TORUS_CASES for p in (2, 3, 5) if (name, p) != ("GL3", 5)],
+)
+def test_torus_quotient_matches_reference_torus_ring(name, p):
+    # R(T)/IR(T) as compute_k0 at the coroot sum equals the quotient of the
+    # reference torus ring: the same module, of rank p^s (p-1)^z |W|, and
+    # the same ideal under the renaming y(-e_i) <-> x_ib, y(e_i) <-> x_i.
+    w, s, z = TORUS_CASES[name]
+    rd = preset(name)
+    datum = CocharacterDatum(rd, (0,) * rd.rank, p)
+    torus = compute_k0_torus(datum)
+    ref_gb, ref = reference_k0_torus(datum)
+    got = torus.module_report
+    assert (got.finite, got.rank, got.torsion) == (ref.finite, ref.rank, ref.torsion)
+    assert got.finite and got.rank == p**s * (p - 1) ** z * w
+    target = torus_variable_renaming(torus)
+    back = tuple(target.index(i) for i in range(len(target)))
+    for g in torus.groebner.as_dicts():
+        assert normal_form_gb(rename_variables(g, target), ref_gb) == {}
+    for g in ref_gb.as_dicts():
+        assert normal_form_gb(rename_variables(g, back), torus.groebner) == {}
+
+
+@pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)
+def test_coroot_sum_is_regular(rd):
+    # The sum of the positive coroots pairs with each positive root to twice
+    # its height, so the Levi it centralises is T.
+    for i in rd.positive_indices:
+        height = sum(root_coefficients(rd.roots[i], rd.simple_roots))
+        assert pairing(rd.roots[i], rd.coroot_sum) == 2 * height
+    assert levi_from_cocharacter(rd, rd.coroot_sum).roots == ()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kunneth_torsion_and_rank_on_every_levi(p):
+    # On every distinct Levi of the torus presets, K0 and R(T)/IR(T) are
+    # both torsion-free and the torus rank is |W_L| times the Levi rank.
+    tori = {}
+    for name, mu, levi in distinct_simply_connected_levis():
+        if name not in TORUS_CASES:
+            continue
+        datum = CocharacterDatum(preset(name), mu, p)
+        if name not in tori:
+            tori[name] = compute_k0_torus(datum)
+        torus, kz = tori[name].module_report, compute_k0(datum).module_report
+        assert torus.finite and kz.finite, (name, mu)
+        assert torus.torsion == kz.torsion == (), (name, mu)
+        assert torus.rank == len(levi.weyl) * kz.rank, (name, mu)
 
 
 # The ten `quotient` ladder cases: (group, mu, p, |W|, s, z, |W_L|), with s
@@ -598,8 +667,9 @@ def test_packed_engine_matches_reference_on_ladder(monkeypatch, capsys, name, mu
         assert nf == reference_normal_form_gb(f, gb)
         return nf
 
-    for module in (zipk0.zipk, zipk0.checks):  # the answer's calls, and the checks'
-        monkeypatch.setattr(module, "strong_groebner", checked_groebner)
+    # Every completion runs in zipk; the checks' membership reads run in checks.
+    monkeypatch.setattr(zipk0.zipk, "strong_groebner", checked_groebner)
+    for module in (zipk0.zipk, zipk0.checks):
         monkeypatch.setattr(module, "normal_form_gb", checked_normal_form)
     argv = ["k0", "--group", name, "--mu", ",".join(map(str, mu)), "--p", str(p)]
     if checks:
