@@ -21,7 +21,7 @@ from ._record import record
 from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, normal_form_gb
 from .grpalg import GroupAlgebraElement, frobenius, monomial
 from .invariants import _nonneg_combinations
-from .lattice import hermite_row_basis, kernel_basis, span_members
+from .lattice import determinant, hermite_row_basis, kernel_basis, span_members
 from .rootdata import (
     RootDatum,
     Vector,
@@ -334,7 +334,7 @@ def steinberg_freeness_check(
                         val = (val * pow(x, e, q)) % q
                     row.append(val)
                 mat.append(row)
-            if _det_mod_p(mat, q):
+            if determinant(mat) % q:
                 independent = True
                 break
 
@@ -377,28 +377,6 @@ def _steinberg_columns(
     support = sorted({e for col in shifted for e in col} | set(targets))
     idx = {e: i for i, e in enumerate(support)}
     return idx, [{idx[e]: 1 for e in col} for col in shifted]
-
-
-def _det_mod_p(mat: list[list[int]], q: int) -> int:
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = 1
-    for col in range(n):
-        prow = next((r for r in range(col, n) if a[r][col] % q), None)
-        if prow is None:
-            return 0
-        if prow != col:
-            a[col], a[prow] = a[prow], a[col]
-            det = -det
-        pv = a[col][col] % q
-        det = (det * pv) % q
-        inv = pow(pv, -1, q)
-        for r in range(col + 1, n):
-            f = (a[r][col] * inv) % q
-            if f:
-                for c in range(col, n):
-                    a[r][c] = (a[r][c] - f * a[col][c]) % q
-    return det % q
 
 
 # ---------------------------------------------------------------------------

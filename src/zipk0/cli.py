@@ -22,10 +22,10 @@ from .rootdata import (
     RootDatum,
     RootDatumError,
     WeylSizeCapError,
+    fundamental_group,
     make_root_datum,
     pairing,
     preset,
-    require_simply_connected,
     validate,
 )
 from .zipk import CocharacterDatum, KZeroPresentation, compute_k0, is_prime
@@ -292,7 +292,7 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) ->
 
 def cmd_validate(job: JobSpec) -> dict:
     validate(job.rd)
-    inv = require_simply_connected(job.rd)
+    job.rd.weight_lift  # the simply-connectedness gate, as in k0
     if not is_prime(job.p):
         raise RootDatumError("invalid-prime", f"p = {job.p} is not prime")
     return {
@@ -300,7 +300,7 @@ def cmd_validate(job: JobSpec) -> dict:
         "command": "validate",
         "job": job.echo(),
         "valid": True,
-        "fundamental_group": inv,
+        "fundamental_group": fundamental_group(job.rd),
         "derived_simply_connected": True,
     }
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from ._record import record
 from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError
 from .grpalg import GroupAlgebraElement, one, orbit_sum, weyl_act
-from .lattice import solve_linear_diophantine
 from .rootdata import (
     RootDatum,
     Vector,
@@ -52,48 +51,40 @@ def is_invariant(f: GroupAlgebraElement, pres: InvariantRingPresentation) -> boo
 
 def _nonneg_combinations(pres: InvariantRingPresentation):
     """The function that writes a dominant weight as an N-combination of the
-    generator weights, with the generators' pairings computed once.
+    generator weights, read off the datum's weight lift.
 
-    Each pointed generator is a fundamental weight, whose image under the
-    dominance pairings is a unit vector e_j, so it is taken
-    <target, alpha_j^vee> times; what remains lies in the lineality lattice
-    and is expressed through the +/- generator pairs.
+    The fundamental weight eta_k pairs to delta_kj with the simple coroots,
+    so a dominant target takes <target, alpha_k^vee> copies of it.  What
+    remains lies in the lineality lattice, whose Hermite basis row z_j is
+    the only row from j down that is nonzero at its pivot column: working
+    down from the top row, the coefficient on z_j is read there, and a
+    negative one goes on -z_j.
     """
-    cosimples = pres.rd.simple_coroots
-    weights = pres.generator_weights
-    imgs = [tuple(pairing(w, cv) for cv in cosimples) for w in weights]
-    pointed = [(i, cosimples[im.index(1)]) for i, im in enumerate(imgs) if any(im)]
-    lineal = [i for i, im in enumerate(imgs) if not any(im)]
-    lin_rows = [[weights[i][j] for i in lineal] for j in range(pres.rd.rank)]
-    # The opposite generator of each lineality generator.
-    neg_index = {}
-    for a in lineal:
-        for b in lineal:
-            if tuple(-x for x in weights[a]) == weights[b]:
-                neg_index[a] = b
+    rd = pres.rd
+    lin, etas = rd.weight_lift
+    index = {w: i for i, w in enumerate(pres.generator_weights)}
+    pointed = [(index[eta], eta, cv) for eta, cv in zip(etas, rd.simple_coroots)]
+    lineal = [
+        (z, next(j for j, x in enumerate(z) if x), index[z], index[tuple(-x for x in z)])
+        for z in lin
+    ]
 
     def combination(target: Vector) -> GeneratorExponent:
-        counts = [0] * len(weights)
-        for i, cv in pointed:
-            counts[i] = pairing(target, cv)
-            if counts[i] < 0:
+        counts = [0] * len(index)
+        remainder = list(target)
+        for i, eta, cv in pointed:
+            c = counts[i] = pairing(target, cv)
+            if c < 0:
                 raise RuntimeError(f"dominant weight {target} not in the generator monoid")
-        remainder = tuple(
-            t - sum(counts[i] * weights[i][j] for i in range(len(weights)))
-            for j, t in enumerate(target)
-        )
+            remainder = [t - c * x for t, x in zip(remainder, eta)]
+        for z, pivot, plus, minus in lineal:
+            c, r = divmod(remainder[pivot], z[pivot])
+            if r:
+                break
+            remainder = [t - c * x for t, x in zip(remainder, z)]
+            counts[plus if c >= 0 else minus] += abs(c)
         if any(remainder):
-            # Express the lineality remainder over the +/- generator pairs.
-            coeffs = solve_linear_diophantine(lin_rows, remainder, len(lineal))
-            if coeffs is None:
-                raise RuntimeError(f"remainder {remainder} outside the lineality lattice")
-            # Zero out negative coefficients using the opposite generator.
-            for pos_k, i in enumerate(lineal):
-                c = coeffs[pos_k]
-                if c >= 0:
-                    counts[i] += c
-                else:
-                    counts[neg_index[i]] += -c
+            raise RuntimeError(f"remainder {tuple(remainder)} outside the lineality lattice")
         return tuple(counts)
 
     return combination

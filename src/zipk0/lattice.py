@@ -268,9 +268,19 @@ def cokernel_invariants(columns: Sequence[Sequence[int]], nrows: int) -> list[in
 
     The result is divisibility-ordered: d1 | d2 | ... | dr followed by one 0
     per free summand.  Trivial factors (1) are kept so the list always has
-    `nrows` entries.  The Hermite basis of the columns is independent and its
-    pivots multiply to a nonzero maximal minor, so cokernel_torsion applies.
+    `nrows` entries.  The Hermite basis of the columns is independent, and
+    the torsion's order is its index in its saturation, the lattice
+    orthogonal to its orthogonal: both bases are echelon on the same pivot
+    columns, so that index is the ratio of their pivot products.  Only that
+    order is factored for cokernel_torsion, never a pivot, which may be huge
+    where the torsion is trivial.
     """
     h = hermite_row_basis(columns, nrows)
-    torsion = cokernel_torsion(h, [next(x for x in row if x) for row in h])
+    saturation = kernel_basis(kernel_basis(h, nrows), nrows)
+    order = math.prod(_pivots(h)) // math.prod(_pivots(saturation))
+    torsion = cokernel_torsion(h, [order])
     return [1] * (len(h) - len(torsion)) + list(torsion) + [0] * (nrows - len(h))
+
+
+def _pivots(basis: Sequence[Vector]) -> list[int]:
+    return [next(x for x in row if x) for row in basis]

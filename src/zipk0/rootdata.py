@@ -339,21 +339,26 @@ def weyl_orbit(weyl: WeylGroup, weight: Sequence[int]) -> tuple[Vector, ...]:
     return tuple(sorted({mat_vec(m, v) for m in weyl.elements}))
 
 
-def root_coefficients(root: Vector, simple_roots: Sequence[Vector]) -> Optional[Vector]:
-    """Integer coefficients of `root` over the simple system, or None if there are none."""
-    if not simple_roots:
-        return None
-    return solve_linear_diophantine(list(zip(*simple_roots)), root, len(simple_roots))
-
-
 def positive_root_indices(rd: RootDatum) -> tuple[int, ...]:
-    """Indices of roots that are nonnegative combinations of the simple system."""
-    out = []
-    for i, r in enumerate(rd.roots):
-        coeffs = root_coefficients(r, rd.simple_roots)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            out.append(i)
-    return tuple(out)
+    """Indices of the roots that are nonnegative combinations of the simple system.
+
+    Every positive root is a simple root plus a positive root or zero
+    (Humphreys, Lie algebras, section 10.2), so adding simple roots to the
+    simple roots while the sum is a root reaches every positive root.
+    """
+    index = {r: i for i, r in enumerate(rd.roots)}
+    found = set(rd.simple_indices)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for a in rd.simple_roots:
+                k = index.get(tuple(x + y for x, y in zip(rd.roots[i], a)))
+                if k is not None and k not in found:
+                    found.add(k)
+                    nxt.append(k)
+        frontier = nxt
+    return tuple(sorted(found))
 
 
 def fundamental_group(rd: RootDatum) -> list[int]:
@@ -371,15 +376,6 @@ class SimplyConnectedHypothesisError(ValueError):
             + " x ".join(f"Z/{d}" for d in torsion)
         )
         self.torsion = torsion
-
-
-def require_simply_connected(rd: RootDatum) -> list[int]:
-    """The simply-connectedness gate: the invariants of the fundamental group,
-    or SimplyConnectedHypothesisError when it has torsion."""
-    inv = fundamental_group(rd)
-    if any(d > 1 for d in inv):
-        raise SimplyConnectedHypothesisError(inv)
-    return inv
 
 
 def _lex_positive(v: Vector) -> bool:

@@ -2,7 +2,8 @@
 Hermite elimination and the element-arithmetic builders of the check rows
 that the sparse ones must match, independent re-checks of the packed
 engine, of the quotient module's invariants, of the Steinberg spanning
-evidence and of the closed-form dominant Hilbert basis, and the general code
+evidence, of the closed-form dominant Hilbert basis and of the positive
+roots and generator combinations read off the root datum, and the general code
 that the library itself does not need: the Smith normal form with its
 transforms, block elimination orders and elimination ideals, the Demazure
 operator on elements and by pseudo-division, Demazure characters, the
@@ -38,7 +39,7 @@ from zipk0.groebner import (
 from zipk0.checks import _demazure_series, window_box
 from zipk0.grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
 from zipk0.invariants import InvariantRingPresentation
-from zipk0.lattice import determinant, hermite_row_basis
+from zipk0.lattice import determinant, hermite_row_basis, solve_linear_diophantine
 from zipk0.rootdata import (
     PRESET_NAMES,
     Matrix,
@@ -942,6 +943,74 @@ def general_dominant_hilbert_basis(rd):
                 raise RuntimeError("image point must lift to the weight lattice")
             out.append(_canonical_preimage(sol[0], lin))
     return sorted(set(out))
+
+
+def root_coefficients(root: Vector, simple_roots: Sequence[Vector]) -> Optional[Vector]:
+    """Integer coefficients of `root` over the simple system, or None if there are none."""
+    if not simple_roots:
+        return None
+    return solve_linear_diophantine(list(zip(*simple_roots)), root, len(simple_roots))
+
+
+def reference_positive_root_indices(rd: RootDatum) -> tuple[int, ...]:
+    """rootdata.positive_root_indices by one Diophantine solve per root:
+    indices of roots that are nonnegative combinations of the simple system."""
+    out = []
+    for i, r in enumerate(rd.roots):
+        coeffs = root_coefficients(r, rd.simple_roots)
+        if coeffs is not None and all(c >= 0 for c in coeffs):
+            out.append(i)
+    return tuple(out)
+
+
+def reference_nonneg_combinations(pres: InvariantRingPresentation):
+    """invariants._nonneg_combinations by a Diophantine solve per target: the
+    function that writes a dominant weight as an N-combination of the
+    generator weights, with the generators' pairings computed once.
+
+    Each pointed generator is a fundamental weight, whose image under the
+    dominance pairings is a unit vector e_j, so it is taken
+    <target, alpha_j^vee> times; what remains lies in the lineality lattice
+    and is expressed through the +/- generator pairs.
+    """
+    cosimples = pres.rd.simple_coroots
+    weights = pres.generator_weights
+    imgs = [tuple(pairing(w, cv) for cv in cosimples) for w in weights]
+    pointed = [(i, cosimples[im.index(1)]) for i, im in enumerate(imgs) if any(im)]
+    lineal = [i for i, im in enumerate(imgs) if not any(im)]
+    lin_rows = [[weights[i][j] for i in lineal] for j in range(pres.rd.rank)]
+    # The opposite generator of each lineality generator.
+    neg_index = {}
+    for a in lineal:
+        for b in lineal:
+            if tuple(-x for x in weights[a]) == weights[b]:
+                neg_index[a] = b
+
+    def combination(target: Vector) -> tuple[int, ...]:
+        counts = [0] * len(weights)
+        for i, cv in pointed:
+            counts[i] = pairing(target, cv)
+            if counts[i] < 0:
+                raise RuntimeError(f"dominant weight {target} not in the generator monoid")
+        remainder = tuple(
+            t - sum(counts[i] * weights[i][j] for i in range(len(weights)))
+            for j, t in enumerate(target)
+        )
+        if any(remainder):
+            # Express the lineality remainder over the +/- generator pairs.
+            coeffs = solve_linear_diophantine(lin_rows, remainder, len(lineal))
+            if coeffs is None:
+                raise RuntimeError(f"remainder {remainder} outside the lineality lattice")
+            # Zero out negative coefficients using the opposite generator.
+            for pos_k, i in enumerate(lineal):
+                c = coeffs[pos_k]
+                if c >= 0:
+                    counts[i] += c
+                else:
+                    counts[neg_index[i]] += -c
+        return tuple(counts)
+
+    return combination
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,23 @@ def test_validate_pgl2_rejected(capsys):
     assert "Z/2" in err
 
 
+def test_validate_factors_no_huge_pivot():
+    # The coroot lattice of this datum has the Hermite pivot N = 10^30 + 57
+    # and no torsion; trial division of N once ran past a 20 s kill.  The
+    # subprocess bounds the wait.
+    n = 10**30 + 57
+    datum = {"rank": 2, "roots": [[0, 1], [0, -1]], "coroots": [[n, 2], [-n, -2]],
+             "simple_roots": [[0, 1]]}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "zipk0.cli", "validate", "--group",
+                           json.dumps(datum)], env=env, capture_output=True, text=True,
+                          timeout=20)
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["fundamental_group"] == [1, 0]
+
+
 def test_malformed_vector_length(capsys):
     code, _, err = run(capsys, "k0", "--group", "SL2", "--mu", "1,0", "--p", "3")
     assert code == 2
@@ -175,6 +192,29 @@ def test_one_weyl_group_per_job(capsys, monkeypatch):
     for name in counted[:3]:
         assert sorted(calls[name], key=repr) == sorted([g, levi, torus], key=repr), name
     assert calls["fundamental_group"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "SL3", "--mu", "1,2", "--p", "2", "--checks", ALL_CHECKS),
+    ("--group", "GL3", "--mu", "2,1,0", "--p", "2"),
+])
+def test_only_the_weight_lift_solves(capsys, monkeypatch, argv):
+    # Positive roots and generator combinations are read off the root datum;
+    # the integral fundamental weights are the only Diophantine solves.
+    import zipk0.checks  # noqa: F401  (load every module that could hold the solve)
+
+    callers = []
+    for name, module in list(sys.modules.items()):
+        real = getattr(module, "solve_linear_diophantine", None)
+        if name.startswith("zipk0") and real is not None:
+            def counting(*args, real=real):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return real(*args)
+
+            monkeypatch.setattr(module, "solve_linear_diophantine", counting)
+    code, _, _ = run(capsys, "k0", *argv)
+    assert code == 0
+    assert callers and set(callers) == {"fundamental_weight_lift"}
 
 
 def test_hecke_check_runs_on_pgl2(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from zipk0.grpalg import (
 )
 from zipk0.invariants import (
     NotInvariantError,
+    _nonneg_combinations,
     express_invariant,
     invariant_ring,
 )
@@ -28,6 +30,7 @@ from zipk0.lattice import hermite_row_basis, span_members
 from zipk0.rootdata import (
     PRESET_NAMES,
     SimplyConnectedHypothesisError,
+    fundamental_group,
     levi_from_cocharacter,
     mat_vec,
     pairing,
@@ -44,6 +47,7 @@ from oracles import (
     expand_generator_polynomial,
     from_terms,
     hermite_remainder,
+    reference_nonneg_combinations,
     restrict_to_levi,
     steinberg_columns_by_elements,
     steinberg_spanning_by_solves,
@@ -238,6 +242,31 @@ def test_leibniz_identity_random():
         lhs = c * d - frobenius(c * d, p)
         rhs = c * (d - frobenius(d, p)) + frobenius(d, p) * (c - frobenius(c, p))
         assert lhs == rhs
+
+
+def test_combination_matches_reference_solve():
+    # Reading the counts off the weight lift gives the exponent that a
+    # Diophantine solve per target gives, on every distinct Levi of every
+    # simply connected preset and each dominant target in a box.
+    targets = 0
+    for name in PRESET_NAMES:
+        rd = preset(name)
+        if any(d > 1 for d in fundamental_group(rd)):
+            continue
+        seen = set()
+        for mu in itertools.product((-1, 0, 1), repeat=rd.rank):
+            levi = levi_from_cocharacter(rd, mu)
+            if levi.roots in seen:
+                continue
+            seen.add(levi.roots)
+            pres = invariant_ring(levi)
+            combination = _nonneg_combinations(pres)
+            reference = reference_nonneg_combinations(pres)
+            for target in itertools.product(range(-3, 4), repeat=rd.rank):
+                if weights_dominant(target, levi.simple_coroots):
+                    targets += 1
+                    assert combination(target) == reference(target), (name, mu, target)
+    assert targets == 3180
 
 
 def test_integral_fundamental_weights():

@@ -20,14 +20,18 @@ from zipk0.rootdata import (
     positive_root_indices,
     preset,
     reflection_matrix,
-    require_simply_connected,
     validate,
     weights_dominant,
     weyl_enumerate,
     weyl_orbit,
 )
 
-from oracles import all_reduced_words, general_dominant_hilbert_basis, weyl_lengths
+from oracles import (
+    all_reduced_words,
+    general_dominant_hilbert_basis,
+    reference_positive_root_indices,
+    weyl_lengths,
+)
 
 
 ALL_PRESETS = ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "PGL2", "Gm", "Gm^2", "A1xA1"]
@@ -117,9 +121,9 @@ def test_fundamental_group_examples():
 
 def test_simply_connected_gate():
     for name in ("SL3", "SL4", "Sp4", "GL2"):
-        require_simply_connected(preset(name))
+        preset(name).weight_lift
     with pytest.raises(SimplyConnectedHypothesisError):
-        require_simply_connected(preset("PGL2"))
+        preset("PGL2").weight_lift
 
 
 @pytest.mark.parametrize("name", ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "A1xA1"])
@@ -194,7 +198,7 @@ def test_levi_is_the_root_datum_of_mu(name):
 def test_levi_of_sc_datum_has_sc_derived_group(name):
     # Levi subgroups inherit the torsion-free fundamental group.
     rd = preset(name)
-    require_simply_connected(rd)
+    rd.weight_lift
     for mu in itertools.product(range(-2, 3), repeat=rd.rank):
         levi = levi_from_cocharacter(rd, mu)
         assert all(d in (0, 1) for d in fundamental_group(levi)), (name, mu)
@@ -248,7 +252,7 @@ def test_hilbert_basis_matches_general_search_explicit_datum():
     # coordinate vectors.
     rd = make_root_datum(3, [(1, -1, 1), (-1, 1, -1)], [(1, -1, 0), (-1, 1, 0)], [(1, -1, 1)])
     validate(rd)
-    require_simply_connected(rd)
+    rd.weight_lift
     assert dominant_hilbert_basis(rd) == [(-1, -1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
     for datum in group_and_levis(rd):
         assert dominant_hilbert_basis(datum) == general_dominant_hilbert_basis(datum)
@@ -296,6 +300,17 @@ def test_positive_roots():
     pos = positive_root_indices(rd)
     assert sorted(rd.roots[i] for i in pos) == sorted([(2, -1), (-1, 2), (1, 1)])
     assert rd.positive_indices == pos
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_positive_roots_match_reference(name):
+    # Adding simple roots reaches the roots that one Diophantine solve each
+    # finds nonnegative on the simple system, on G and every Levi.
+    rd = preset(name)
+    for mu in itertools.product(range(-3, 4), repeat=rd.rank):
+        levi = levi_from_cocharacter(rd, mu)
+        assert positive_root_indices(levi) == reference_positive_root_indices(levi), (name, mu)
+    assert positive_root_indices(rd) == reference_positive_root_indices(rd)
 
 
 def test_twist_validation_swap_a1xa1():
