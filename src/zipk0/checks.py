@@ -5,9 +5,11 @@ here mirror the structural facts the construction rests on: the torus-side
 quotient R(T)/IR(T) and the Kunneth/freeness rank factorisation, the
 untwisting identity, Hecke-versus-Weyl invariants in a window, the empirical
 Steinberg-basis freeness certificate, and the failure of naive Weyl descent
-on a torsion module.  The CLI imports this module only for a job that runs a
-check or one of the k0-torus, hecke-check and demo-counterexample commands,
-so a plain k0 or validate job does not compile it.
+on a torsion module.  Each check returns its own report section: a dict of
+lists, ints, bools and strings.  The CLI imports this module only for a job
+that runs a check or one of the k0-torus, hecke-check and
+demo-counterexample commands, so a plain k0 or validate job does not compile
+it.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from ._record import record
 from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, normal_form_gb
-from .grpalg import GroupAlgebraElement, frobenius, monomial
+from .grpalg import frobenius, monomial
 from .invariants import _nonneg_combinations
 from .lattice import determinant, hermite_row_basis, kernel_basis, span_members
 from .rootdata import (
@@ -70,18 +71,12 @@ def compute_k0_torus(
 # Kunneth rank factorisation and the untwisting identity
 
 
-@record
-class KunnethReport:
-    status: str                  # "PASS", "FAIL", or "INCONCLUSIVE"
-    torus_rank: Optional[int]    # None when that quotient is not module-finite
-    levi_rank: Optional[int]
-    levi_weyl_order: int
-
-
-def kunneth_rank_check(kz: KZeroPresentation, torus: KZeroPresentation) -> KunnethReport:
+def kunneth_rank_check(kz: KZeroPresentation, torus: KZeroPresentation) -> dict:
     """rank of R(T)/IR(T) must equal |W_L| times rank of R(L)/IR(L).
 
-    kz and torus are compute_k0 and compute_k0_torus of the same datum.
+    kz and torus are compute_k0 and compute_k0_torus of the same datum.  The
+    status is PASS, FAIL, or INCONCLUSIVE when a rank is None: that quotient
+    is not module-finite.
     """
     wl = len(kz.presentation_pres.rd.weyl)
     torus_report = torus.module_report
@@ -91,18 +86,15 @@ def kunneth_rank_check(kz: KZeroPresentation, torus: KZeroPresentation) -> Kunne
         status = "INCONCLUSIVE"
     else:
         status = "PASS" if torus_rank == wl * levi_rank else "FAIL"
-    return KunnethReport(status, torus_rank, levi_rank, wl)
+    return {
+        "status": status,
+        "torus_rank": torus_rank,
+        "levi_rank": levi_rank,
+        "levi_weyl_order": wl,
+    }
 
 
-@record
-class ThetaReport:
-    generator_sanity: bool
-    invariant_directions: tuple[Vector, ...]
-    all_invariant_pass: bool
-    samples: tuple[tuple[Vector, bool], ...]
-
-
-def theta_map_check(datum: CocharacterDatum, torus: KZeroPresentation) -> ThetaReport:
+def theta_map_check(datum: CocharacterDatum, torus: KZeroPresentation) -> dict:
     """The untwisting identity, concretely: e^chi = e^{p tau(chi)} holds in the
     torus-side quotient exactly for Weyl-invariant directions (where e^chi is a
     class from R(G)), and generically fails otherwise.  torus is
@@ -128,8 +120,13 @@ def theta_map_check(datum: CocharacterDatum, torus: KZeroPresentation) -> ThetaR
     samples = []
     for _ in range(THETA_SAMPLES):
         chi = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
-        samples.append((chi, vanishes(chi)))
-    return ThetaReport(gen_ok, invariant_dirs, all_invariant_pass, tuple(samples))
+        samples.append({"chi": list(chi), "vanishes": vanishes(chi)})
+    return {
+        "generator_sanity": gen_ok,
+        "invariant_directions": [list(v) for v in invariant_dirs],
+        "all_invariant_pass": all_invariant_pass,
+        "samples": samples,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -190,31 +187,6 @@ def _hecke_rows(rd: RootDatum, box: Sequence[Vector]) -> list[dict[int, int]]:
     return rows
 
 
-def hecke_invariants_window(
-    rd: RootDatum, box: Sequence[Vector]
-) -> list[GroupAlgebraElement]:
-    """Z-basis of {f supported on the box monomials: delta_alpha f = f and
-    s_alpha f = f}; box is a window_box.
-
-    The conditions generate the annihilator of the augmentation left ideal in
-    its finite presentation {delta_alpha - 1} plus Weyl invariance; equality
-    with genuine invariants is property-tested elsewhere.
-    """
-    return [
-        GroupAlgebraElement._trusted(rd.rank, {box[i]: c for i, c in enumerate(v)})
-        for v in kernel_basis(_hecke_rows(rd, box), len(box))
-    ]
-
-
-@record
-class HeckeReport:
-    window: int
-    hecke_rank: int
-    weyl_rank: int
-    orbit_span_rank: int
-    all_equal: bool
-
-
 def _weyl_rows(weyl: WeylGroup, box: Sequence[Vector]) -> list[dict[int, int]]:
     """For each Weyl element w in turn, the rows of (w - 1) e^x = 0 over the
     box monomials e^x."""
@@ -228,11 +200,16 @@ def _weyl_rows(weyl: WeylGroup, box: Sequence[Vector]) -> list[dict[int, int]]:
     return rows
 
 
-def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
+def hecke_check(datum: CocharacterDatum, window: int) -> dict:
     """At a point, three independent computations of the invariants agree:
     the Demazure/Hecke conditions, plain Weyl invariance, and the span of
     whole orbit sums inside the window.  A window whose box holds more than
-    HECKE_WINDOW_CAP monomials raises ResourceCapError."""
+    HECKE_WINDOW_CAP monomials raises ResourceCapError.
+
+    The Hecke conditions generate the annihilator of the augmentation left
+    ideal in its finite presentation {delta_alpha - 1} plus Weyl invariance.
+    Each span is a Hermite basis, kernel_basis's own or hermite_row_basis's,
+    so equal lattices give equal bases."""
     rd = datum.rd
     size = (2 * window + 1) ** rd.rank
     if size > HECKE_WINDOW_CAP:
@@ -243,7 +220,7 @@ def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
     box = window_box(rd.rank, window)
     idx = {e: i for i, e in enumerate(box)}
 
-    hecke_basis = hecke_invariants_window(rd, box)
+    span_hecke = kernel_basis(_hecke_rows(rd, box), len(box))
 
     # Independent route 2: kernel of the full Weyl permutation action.
     span_weyl = kernel_basis(_weyl_rows(weyl, box), len(box))
@@ -256,17 +233,14 @@ def hecke_check(datum: CocharacterDatum, window: int) -> HeckeReport:
             if all(e in idx for e in orb):
                 dominant.append({idx[e]: 1 for e in orb})
 
-    span_hecke = hermite_row_basis(
-        [{idx[e]: c for e, c in f.terms.items()} for f in hecke_basis], len(box)
-    )
     span_orbit = hermite_row_basis(dominant, len(box))
-    return HeckeReport(
-        window,
-        len(span_hecke),
-        len(span_weyl),
-        len(span_orbit),
-        span_hecke == span_weyl == span_orbit,
-    )
+    return {
+        "window": window,
+        "hecke_rank": len(span_hecke),
+        "weyl_rank": len(span_weyl),
+        "orbit_span_rank": len(span_orbit),
+        "all_equal": span_hecke == span_weyl == span_orbit,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +269,9 @@ def steinberg_candidate_weights(rd: RootDatum) -> list[Vector]:
     return out
 
 
-@record
-class SteinbergReport:
-    candidates: tuple[Vector, ...]
-    independent: bool
-    spanning_ok: bool    # vacuously true when independence fails
-
-
 def steinberg_freeness_check(
     rd: RootDatum, candidate_weights: Sequence[Sequence[int]]
-) -> SteinbergReport:
+) -> dict:
     """Independence via random unit specializations; spanning via one echelon basis.
 
     The |W| x |W| matrix (e^{v(lambda_w)}) is evaluated at random torus units
@@ -313,7 +280,7 @@ def steinberg_freeness_check(
     in the box of radius STEINBERG_SPANNING_RADIUS as an R(G)-combination of
     the candidates: e^mu passes when its unit vector reduces to zero against
     one echelon basis of the products (orbit sum over a dominant window) *
-    e^lambda.
+    e^lambda.  Spanning holds vacuously when independence fails.
     """
     weyl = rd.weyl
     cands = [tuple(int(x) for x in w) for w in candidate_weights]
@@ -350,7 +317,12 @@ def steinberg_freeness_check(
         targets = window_box(rd.rank, STEINBERG_SPANNING_RADIUS)
         idx, cols = _steinberg_columns(weyl, cands, dominant_window, targets)
         spanning_ok = all(span_members(cols, [{idx[mu]: 1} for mu in targets]))
-    return SteinbergReport(tuple(cands), independent, spanning_ok)
+    return {
+        "candidates": [list(c) for c in cands],
+        "independent": independent,
+        "spanning_ok": spanning_ok,
+        "note": "empirical certificate: candidates validated numerically, not by construction",
+    }
 
 
 def _steinberg_columns(
@@ -383,54 +355,49 @@ def _steinberg_columns(
 # The Weyl-invariants counterexample (torsion module demo)
 
 
-@record
-class CounterexampleReport:
-    module: str
-    image_order: str           # order of the image of M, as a string ("infinite" for Z)
-    invariant_order: str
-    invariant_structure: str
-    strictly_larger: bool
-
-
-def weyl_counterexample_demo(module: str = "Z/2") -> CounterexampleReport:
+def weyl_counterexample_demo(module: str = "Z/2") -> dict:
     """The rank-one zip-adjacent module demo: for M with 2-torsion the Weyl
     invariants of M + M x strictly contain M.
 
     The reflection acts by s(a + b x) = (a + 2b) - b x since s(x) = x^{-1} =
     (x + x^{-1}) - x acts through the augmentation value 2 on M.  Invariance
-    is exactly 2b = 0 (equivalently (x + x^{-1}) b = 0).
+    is exactly 2b = 0 (equivalently (x + x^{-1}) b = 0).  The orders are
+    strings, "infinite" for Z.
     """
     name = module.strip()
     if name == "Z":
-        return CounterexampleReport("Z", "infinite", "infinite", "Z", False)
-    if not name.startswith("Z/"):
-        raise ValueError(f"unsupported module {module!r}; use Z or Z/<m>")
-    m = int(name[2:])
-    if m <= 0:
-        raise ValueError("modulus must be positive")
-    # a is free and b ranges over the 2-torsion of Z/m, which has gcd(2, m)
-    # elements.
-    ann2 = math.gcd(2, m)
-    invariant_count = m * ann2
-    structure_parts = [f"Z/{m}"] if m > 1 else []
-    if ann2 > 1:
-        structure_parts.append(f"Z/{ann2}")
-    structure = " + ".join(structure_parts) if structure_parts else "0"
-    return CounterexampleReport(
-        f"Z/{m}",
-        str(m),
-        str(invariant_count),
-        structure,
-        invariant_count > m,
-    )
+        image_order = invariant_order = "infinite"
+        structure = "Z"
+        strictly_larger = False
+    else:
+        if not name.startswith("Z/"):
+            raise ValueError(f"unsupported module {module!r}; use Z or Z/<m>")
+        m = int(name[2:])
+        if m <= 0:
+            raise ValueError("modulus must be positive")
+        # a is free and b ranges over the 2-torsion of Z/m, which has
+        # gcd(2, m) elements.
+        ann2 = math.gcd(2, m)
+        name = f"Z/{m}"
+        image_order, invariant_order = str(m), str(m * ann2)
+        structure_parts = [name] if m > 1 else []
+        if ann2 > 1:
+            structure_parts.append(f"Z/{ann2}")
+        structure = " + ".join(structure_parts) if structure_parts else "0"
+        strictly_larger = ann2 > 1
+    return {
+        "module": name,
+        "image_order": image_order,
+        "invariant_order": invariant_order,
+        "invariant_structure": structure,
+        "strictly_larger": strictly_larger,
+        "verdict": (f"invariants {structure} strictly contain image {name}"
+                    if strictly_larger else "no excess invariants"),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Report sections
-
-
-def _vec(v) -> list:
-    return [int(x) for x in v]
 
 
 def check_sections(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation,
@@ -445,61 +412,13 @@ def check_sections(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation,
             levi_is_torus = not kz.presentation_pres.rd.roots
             torus = kz if levi_is_torus else compute_k0_torus(datum, job.max_degree)
         if check == "kunneth":
-            r = kunneth_rank_check(kz, torus)
-            out["kunneth"] = {
-                "status": r.status,
-                "torus_rank": r.torus_rank,
-                "levi_rank": r.levi_rank,
-                "levi_weyl_order": r.levi_weyl_order,
-            }
+            out[check] = kunneth_rank_check(kz, torus)
         elif check == "theta":
-            r = theta_map_check(datum, torus)
-            out["theta"] = {
-                "generator_sanity": r.generator_sanity,
-                "invariant_directions": [_vec(v) for v in r.invariant_directions],
-                "all_invariant_pass": r.all_invariant_pass,
-                "samples": [
-                    {"chi": _vec(chi), "vanishes": ok} for chi, ok in r.samples
-                ],
-            }
+            out[check] = theta_map_check(datum, torus)
         elif check == "hecke":
-            out["hecke"] = hecke_dict(hecke_check(datum, window))
+            out[check] = hecke_check(datum, window)
         elif check == "steinberg":
-            r = steinberg_freeness_check(datum.rd, steinberg_candidate_weights(datum.rd))
-            out["steinberg"] = {
-                "candidates": [_vec(c) for c in r.candidates],
-                "independent": r.independent,
-                "spanning_ok": r.spanning_ok,
-                "note": ("empirical certificate: candidates validated numerically, "
-                         "not by construction"),
-            }
+            out[check] = steinberg_freeness_check(datum.rd, steinberg_candidate_weights(datum.rd))
         elif check == "counterexample":
-            r = weyl_counterexample_demo(job.module)
-            out["counterexample"] = counterexample_dict(r)
+            out[check] = weyl_counterexample_demo(job.module)
     return out
-
-
-def hecke_dict(r: HeckeReport) -> dict:
-    return {
-        "window": r.window,
-        "hecke_rank": r.hecke_rank,
-        "weyl_rank": r.weyl_rank,
-        "orbit_span_rank": r.orbit_span_rank,
-        "all_equal": r.all_equal,
-    }
-
-
-def counterexample_dict(r: CounterexampleReport) -> dict:
-    verdict = (
-        f"invariants {r.invariant_structure} strictly contain image {r.module}"
-        if r.strictly_larger
-        else "no excess invariants"
-    )
-    return {
-        "module": r.module,
-        "image_order": r.image_order,
-        "invariant_order": r.invariant_order,
-        "invariant_structure": r.invariant_structure,
-        "strictly_larger": r.strictly_larger,
-        "verdict": verdict,
-    }

@@ -28,7 +28,7 @@ from .rootdata import (
     preset,
     validate,
 )
-from .zipk import CocharacterDatum, KZeroPresentation, compute_k0, is_prime
+from .zipk import CocharacterDatum, KZeroPresentation, compute_k0
 
 SCHEMA_VERSION = 1
 VALID_CHECKS = ("kunneth", "theta", "hecke", "steinberg", "counterexample")
@@ -223,6 +223,8 @@ def load_job(args: argparse.Namespace) -> JobSpec:
     checks_value = _resolve(args.checks, data, "checks", [])
     if isinstance(checks_value, str):
         checks_value = [c for c in checks_value.split(",") if c.strip()]
+    if not isinstance(checks_value, list) or not all(isinstance(c, str) for c in checks_value):
+        raise JobParseError(f"checks must be a list of names or a comma list, got {checks_value!r}")
     checks = tuple(sorted({c.strip() for c in checks_value}))
     bad = [c for c in checks if c not in VALID_CHECKS]
     if bad:
@@ -238,10 +240,13 @@ def load_job(args: argparse.Namespace) -> JobSpec:
     max_degree = _parse_int(
         _resolve(args.max_degree, data, "max_degree", DEFAULT_MAX_DEGREE), "max_degree", minimum=0
     )
-    return JobSpec(
-        group, rd, mu, p, checks, window, fmt, _resolve(args.out, data, "out"), max_degree,
-        _resolve(args.module, data, "module", "Z/2"),
-    )
+    out = _resolve(args.out, data, "out")
+    if out is not None and not isinstance(out, str):
+        raise JobParseError(f"out must be a path, got {out!r}")
+    module = _resolve(args.module, data, "module", "Z/2")
+    if not isinstance(module, str):
+        raise JobParseError(f"module must be Z or Z/<m>, got {module!r}")
+    return JobSpec(group, rd, mu, p, checks, window, fmt, out, max_degree, module)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +298,7 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) ->
 def cmd_validate(job: JobSpec) -> dict:
     validate(job.rd)
     job.rd.weight_lift  # the simply-connectedness gate, as in k0
-    if not is_prime(job.p):
-        raise RootDatumError("invalid-prime", f"p = {job.p} is not prime")
+    CocharacterDatum(job.rd, job.mu, job.p)  # the primality gate, as in k0
     return {
         "schema": SCHEMA_VERSION,
         "command": "validate",
@@ -358,7 +362,7 @@ def cmd_k0_torus(job: JobSpec) -> dict:
 
 
 def cmd_hecke_check(job: JobSpec) -> dict:
-    from .checks import hecke_check, hecke_dict
+    from .checks import hecke_check
 
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
@@ -366,19 +370,19 @@ def cmd_hecke_check(job: JobSpec) -> dict:
         "schema": SCHEMA_VERSION,
         "command": "hecke-check",
         "job": job.echo(),
-        "hecke": hecke_dict(hecke_check(datum, _window(job))),
+        "hecke": hecke_check(datum, _window(job)),
     }
 
 
 def cmd_demo_counterexample(job: JobSpec) -> dict:
-    from .checks import counterexample_dict, weyl_counterexample_demo
+    from .checks import weyl_counterexample_demo
 
-    r = weyl_counterexample_demo(job.module)
+    section = weyl_counterexample_demo(job.module)
     return {
         "schema": SCHEMA_VERSION,
         "command": "demo-counterexample",
-        "module": r.module,
-        "counterexample": counterexample_dict(r),
+        "module": section["module"],
+        "counterexample": section,
     }
 
 

@@ -36,10 +36,10 @@ from zipk0.groebner import (
     quotient_z_module,
     strong_groebner,
 )
-from zipk0.checks import _demazure_series, window_box
+from zipk0.checks import _demazure_series, _hecke_rows, window_box
 from zipk0.grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
 from zipk0.invariants import InvariantRingPresentation
-from zipk0.lattice import determinant, hermite_row_basis, solve_linear_diophantine
+from zipk0.lattice import determinant, hermite_row_basis, kernel_basis, solve_linear_diophantine
 from zipk0.rootdata import (
     PRESET_NAMES,
     Matrix,
@@ -1132,6 +1132,22 @@ def all_presets() -> list[RootDatum]:
     out.append(RootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices, ((0, 1), (1, 0)),
                          name="A1xA1.swap"))
     return out
+
+
+def hecke_invariants_window(
+    rd: RootDatum, box: Sequence[Vector]
+) -> list[GroupAlgebraElement]:
+    """Z-basis of {f supported on the box monomials: delta_alpha f = f and
+    s_alpha f = f}; box is a window_box.
+
+    The conditions generate the annihilator of the augmentation left ideal in
+    its finite presentation {delta_alpha - 1} plus Weyl invariance; equality
+    with genuine invariants is property-tested elsewhere.
+    """
+    return [
+        GroupAlgebraElement._trusted(rd.rank, {box[i]: c for i, c in enumerate(v)})
+        for v in kernel_basis(_hecke_rows(rd, box), len(box))
+    ]
 
 
 # The check rows built from GroupAlgebraElement arithmetic, as the library

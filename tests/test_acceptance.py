@@ -83,9 +83,9 @@ def test_criterion_3_kunneth_freeness_sl3():
     for p in (2, 3):
         datum = CocharacterDatum(preset("SL3"), (1, 2), p)
         rep = kunneth_rank_check(compute_k0(datum), compute_k0_torus(datum))
-        assert rep.levi_weyl_order == 2
-        assert rep.status == "PASS"
-        assert rep.torus_rank == 2 * rep.levi_rank
+        assert rep["levi_weyl_order"] == 2
+        assert rep["status"] == "PASS"
+        assert rep["torus_rank"] == 2 * rep["levi_rank"]
     report(3, "SL3 with |W_L| = 2: rank_T = 2 * rank_L exactly for p in {2,3}")
 
 
@@ -146,19 +146,19 @@ def test_criterion_6_demazure_characters_dimension():
 
 def test_criterion_7_hecke_invariants_at_point():
     rep2 = hecke_check(CocharacterDatum(preset("SL2"), (1,), 2), 6)
-    assert rep2.all_equal and rep2.hecke_rank == 7
+    assert rep2["all_equal"] and rep2["hecke_rank"] == 7
     rep3 = hecke_check(CocharacterDatum(preset("SL3"), (1, 2), 2), 2)
-    assert rep3.all_equal and rep3.hecke_rank == 6
+    assert rep3["all_equal"] and rep3["hecke_rank"] == 6
     report(7, "Hecke, Weyl and orbit-span invariants coincide (SL2 window 6, SL3 window 2)")
 
 
 def test_criterion_8_counterexample_reproduction():
     rep = weyl_counterexample_demo("Z/2")
-    assert rep.strictly_larger
-    assert rep.invariant_order == "4"
-    assert rep.image_order == "2"
-    assert not weyl_counterexample_demo("Z").strictly_larger
-    assert not weyl_counterexample_demo("Z/3").strictly_larger
+    assert rep["strictly_larger"]
+    assert rep["invariant_order"] == "4"
+    assert rep["image_order"] == "2"
+    assert not weyl_counterexample_demo("Z")["strictly_larger"]
+    assert not weyl_counterexample_demo("Z/3")["strictly_larger"]
     report(8, "invariants of order 4 strictly contain the order-2 image; no excess for Z, Z/3")
 
 
@@ -178,10 +178,10 @@ def test_criterion_10_steinberg_freeness_evidence():
         mp.setattr(checks, "STEINBERG_SPANNING_RADIUS", 4)
         rd = preset("SL2")
         rep_sl2 = steinberg_freeness_check(rd, [(0,), (1,)])
-    assert rep_sl2.independent and rep_sl2.spanning_ok
+    assert rep_sl2["independent"] and rep_sl2["spanning_ok"]
     rd = preset("SL3")
     rep_sl3 = steinberg_freeness_check(rd, steinberg_candidate_weights(rd))
-    assert rep_sl3.independent and rep_sl3.spanning_ok
+    assert rep_sl3["independent"] and rep_sl3["spanning_ok"]
     report(10, "SL2 basis {1, x} certified; SL3 recipe passes determinant and spanning checks")
 
 

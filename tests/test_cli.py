@@ -69,6 +69,12 @@ def test_nonprime_p_rejected(capsys):
     assert "prime" in err
 
 
+def test_validate_and_k0_share_the_primality_gate(capsys):
+    validated = run(capsys, "validate", "--group", "SL3", "--p", "4")
+    computed = run(capsys, "k0", "--group", "SL3", "--p", "4")
+    assert validated == computed == (3, "", "validation error: p = 4 is not prime\n")
+
+
 @pytest.mark.parametrize(
     "flags,job",
     [
@@ -101,6 +107,29 @@ def test_bad_integer_options_exit_2(capsys, tmp_path, flags, job):
     assert code == 2
     assert out == ""
     assert "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"checks": 5},
+        {"checks": [1]},
+        {"checks": {"kunneth": True}},
+        {"module": 5, "checks": ["counterexample"]},
+        {"module": None, "checks": ["counterexample"]},
+        {"out": ["x"]},
+        # An integer is not a file descriptor to write to.
+        {"out": 1},
+        {"out": 7},
+    ],
+)
+def test_job_file_field_types_exit_2(capsys, tmp_path, job):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"group": "SL2", "mu": [1], "p": 3, **job}))
+    code, out, err = run(capsys, "k0", str(job_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
 
 
 ALL_CHECKS = "kunneth,theta,hecke,steinberg,counterexample"
@@ -265,8 +294,21 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_json_roundtrip_to_text(capsys, tmp_path):
-    args = ("k0", "--group", "SL2", "--mu", "1", "--p", "2")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("k0", "--group", "SL2", "--mu", "1", "--p", "2"),
+        # GL2 at mu = 0 has the theta invariant direction (1, 1), so every
+        # list of vectors in the check sections is nonempty.
+        ("k0", "--group", "GL2", "--mu", "0,0", "--p", "3", "--checks", ALL_CHECKS),
+        ("hecke-check", "--group", "Sp4"),
+        ("demo-counterexample", "--module", "Z/6"),
+    ],
+    ids=["k0-plain", "k0-all-checks", "hecke-check", "demo-counterexample"],
+)
+def test_json_roundtrip_to_text(capsys, args):
+    # A tuple in a report section renders as (1, 2) in text but as [1, 2] in
+    # JSON, so the two renderings would differ.
     code, json_out, _ = run(capsys, *args)
     assert code == 0
     code, text_out, _ = run(capsys, *args, "--format", "text")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from zipk0.checks import _hecke_rows, hecke_invariants_window, window_box
+from zipk0.checks import _hecke_rows, window_box
 from zipk0.grpalg import (
     GroupAlgebraElement,
     frobenius,
@@ -33,6 +33,7 @@ from oracles import (
     dense_kernel_basis,
     densify,
     from_terms,
+    hecke_invariants_window,
     hecke_rows_by_elements,
 )
 

@@ -289,22 +289,22 @@ def test_steinberg_check_sl2_explicit_basis(monkeypatch):
     rd = preset("SL2")
     monkeypatch.setattr(checks, "STEINBERG_SPANNING_RADIUS", 4)
     report = steinberg_freeness_check(rd, [(0,), (1,)])
-    assert report.independent
-    assert report.spanning_ok
-    assert report.spanning_ok == steinberg_spanning_by_solves(rd, [(0,), (1,)], rd.weyl, 4)
+    assert report["independent"]
+    assert report["spanning_ok"]
+    assert report["spanning_ok"] == steinberg_spanning_by_solves(rd, [(0,), (1,)], rd.weyl, 4)
 
 
 def test_steinberg_check_rejects_duplicates():
     rd = preset("SL2")
     report = steinberg_freeness_check(rd, [(0,), (0,)])
-    assert not report.independent
+    assert not report["independent"]
 
 
 def test_steinberg_check_sl3_recipe():
     rd = preset("SL3")
     report = steinberg_freeness_check(rd, steinberg_candidate_weights(rd))
-    assert report.independent
-    assert report.spanning_ok
+    assert report["independent"]
+    assert report["spanning_ok"]
 
 
 @pytest.mark.parametrize("name", ["SL2", "GL2", "A1xA1", "SL3", "Sp4"])
@@ -312,17 +312,17 @@ def test_steinberg_spanning_matches_per_target_solves(name):
     rd = preset(name)
     cands = steinberg_candidate_weights(rd)
     report = steinberg_freeness_check(rd, cands)
-    assert report.independent
-    assert report.spanning_ok == steinberg_spanning_by_solves(rd, cands, rd.weyl, 1)
+    assert report["independent"]
+    assert report["spanning_ok"] == steinberg_spanning_by_solves(rd, cands, rd.weyl, 1)
 
 
 def test_steinberg_check_independent_but_not_spanning():
     # {1, e^2} is independent over R(SL2) but misses e^1: R(T) needs {1, e^1}.
     rd = preset("SL2")
     report = steinberg_freeness_check(rd, [(0,), (2,)])
-    assert report.independent
-    assert not report.spanning_ok
-    assert report.spanning_ok == steinberg_spanning_by_solves(rd, [(0,), (2,)], rd.weyl, 1)
+    assert report["independent"]
+    assert not report["spanning_ok"]
+    assert report["spanning_ok"] == steinberg_spanning_by_solves(rd, [(0,), (2,)], rd.weyl, 1)
 
 
 @pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)

@@ -3,7 +3,8 @@ stdout and stderr and their exit codes must equal the recorded values.
 
 The jobs cover the report fields that the lattice layer feeds: `validate`'s
 `fundamental_group`, theta's `invariant_directions` and the generator weights
-in `k0` with every check, `hecke-check`, and an explicit datum.  The ten
+in `k0` with every check, `hecke-check`, `demo-counterexample`, and an explicit
+datum; the check sections are pinned in text as well as JSON.  The ten
 `quotient` and nine `levi` benchmark jobs of seed 1 cover the Groebner
 engine's bases and quotient modules.  A change that moves a report on purpose
 records the new digests here and says why.
@@ -65,6 +66,21 @@ RECORDED = [
     # weights -e1, -e2, e2, e1.
     (("k0-torus", "--group", "GL2", "--p", "2"),
      0, "713e54198b99449d40395884f1f90c290c7b27cd1dd4d85f926155a48d67621b",
+     EMPTY),
+    # Every check's section in text, and the counterexample demo, which no
+    # other job renders.
+    (("k0", "--group", "SL3", "--mu", "1,0", "--p", "2", "--checks", CHECKS + ",counterexample",
+      "--format", "text"),
+     0, "7e112864d59118184fb9d6e8007a9a6ed9b23c2170d06a3675d0e451615c0f4e",
+     EMPTY),
+    (("hecke-check", "--group", "Sp4", "--format", "text"),
+     0, "d9df79b9685d4f462ad5fdae01763ac5d6986e9e02741f4434f167426d9a9edc",
+     EMPTY),
+    (("demo-counterexample", "--module", "Z/6", "--format", "text"),
+     0, "2c8351fa7e3d7069ed4731db2dd6f6130bc5d1d44eef7b09510b7d6e813ac3ef",
+     EMPTY),
+    (("demo-counterexample", "--module", "Z"),
+     0, "ad51f24856dc4296463a0eec96689c908bacc6df18d01aca7e4371eb129b1c76",
      EMPTY),
     # The `quotient` ladder, seed 1.
     (("k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2"),

@@ -287,23 +287,23 @@ def test_levi_presentation_rejects_unpaired_count_mismatch():
 def test_kunneth_sl3(p):
     datum = CocharacterDatum(preset("SL3"), (1, 2), p)
     report = kunneth(datum)
-    assert report.status == "PASS"
-    assert report.levi_weyl_order == 2
-    assert report.torus_rank == 2 * report.levi_rank
+    assert report["status"] == "PASS"
+    assert report["levi_weyl_order"] == 2
+    assert report["torus_rank"] == 2 * report["levi_rank"]
 
 
 def test_kunneth_degenerate_levi_torus():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     report = kunneth(datum)
-    assert report.status == "PASS"
-    assert report.levi_weyl_order == 1
-    assert report.torus_rank == report.levi_rank
+    assert report["status"] == "PASS"
+    assert report["levi_weyl_order"] == 1
+    assert report["torus_rank"] == report["levi_rank"]
 
 
 def test_kunneth_torus():
     datum = CocharacterDatum(preset("Gm"), (0,), 5)
     report = kunneth(datum)
-    assert report.status == "PASS" and report.levi_weyl_order == 1
+    assert report["status"] == "PASS" and report["levi_weyl_order"] == 1
 
 
 def test_substitution_soundness_sl3():
@@ -323,19 +323,19 @@ def test_one_nonzero_everywhere():
 def test_theta_check_torus_all_directions():
     datum = CocharacterDatum(preset("Gm"), (0,), 3)
     rep = theta_map_check(datum, compute_k0_torus(datum))
-    assert rep.generator_sanity
-    assert rep.invariant_directions == ((1,),)
-    assert rep.all_invariant_pass
-    assert all(v for _, v in rep.samples)
+    assert rep["generator_sanity"]
+    assert rep["invariant_directions"] == [[1]]
+    assert rep["all_invariant_pass"]
+    assert all(s["vanishes"] for s in rep["samples"])
 
 
 def test_theta_check_sl2():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     torus = compute_k0_torus(datum)
     rep = theta_map_check(datum, torus)
-    assert rep.generator_sanity
-    assert rep.invariant_directions == ()         # X*(T)^W = 0 for SL2
-    assert rep.all_invariant_pass
+    assert rep["generator_sanity"]
+    assert rep["invariant_directions"] == []      # X*(T)^W = 0 for SL2
+    assert rep["all_invariant_pass"]
     # x - x^3 is NOT in the ideal: x alone is not a class from R(G).
     f = monomial(1, (1,)) - monomial(1, (3,))
     assert normal_form_gb(express_invariant(f, torus.presentation_pres), torus.groebner) != {}
@@ -345,8 +345,8 @@ def test_theta_check_gl2_center():
     datum = CocharacterDatum(preset("GL2"), (1, 0), 2)
     rep = theta_map_check(datum, compute_k0_torus(datum))
     # The center of GL2 gives the invariant direction (1, 1).
-    assert rep.invariant_directions == ((1, 1),)
-    assert rep.all_invariant_pass
+    assert rep["invariant_directions"] == [[1, 1]]
+    assert rep["all_invariant_pass"]
 
 
 def test_weyl_invariant_lattice():
@@ -369,38 +369,38 @@ def test_weyl_invariant_lattice():
 def test_hecke_check_sl2():
     datum = CocharacterDatum(preset("SL2"), (1,), 2)
     rep = hecke_check(datum, 6)
-    assert rep.all_equal
-    assert rep.hecke_rank == rep.weyl_rank == rep.orbit_span_rank == 7
+    assert rep["all_equal"]
+    assert rep["hecke_rank"] == rep["weyl_rank"] == rep["orbit_span_rank"] == 7
 
 
 def test_hecke_check_window_zero():
     datum = CocharacterDatum(preset("SL2"), (1,), 2)
     rep = hecke_check(datum, 0)
-    assert rep.all_equal and rep.hecke_rank == 1
+    assert rep["all_equal"] and rep["hecke_rank"] == 1
 
 
 def test_hecke_check_sl3():
     datum = CocharacterDatum(preset("SL3"), (1, 2), 2)
     rep = hecke_check(datum, 2)
-    assert rep.all_equal
-    assert rep.hecke_rank == 6
+    assert rep["all_equal"]
+    assert rep["hecke_rank"] == 6
 
 
 def test_counterexample_z2():
     rep = weyl_counterexample_demo("Z/2")
-    assert rep.strictly_larger
-    assert rep.invariant_order == "4"
-    assert rep.image_order == "2"
-    assert rep.invariant_structure == "Z/2 + Z/2"
+    assert rep["strictly_larger"]
+    assert rep["invariant_order"] == "4"
+    assert rep["image_order"] == "2"
+    assert rep["invariant_structure"] == "Z/2 + Z/2"
     fixed, m = counterexample_brute_force(2)
     assert fixed == 4 and m == 2
 
 
 def test_counterexample_no_excess():
-    assert not weyl_counterexample_demo("Z").strictly_larger
+    assert not weyl_counterexample_demo("Z")["strictly_larger"]
     rep3 = weyl_counterexample_demo("Z/3")
-    assert not rep3.strictly_larger
-    assert rep3.invariant_order == rep3.image_order == "3"
+    assert not rep3["strictly_larger"]
+    assert rep3["invariant_order"] == rep3["image_order"] == "3"
     assert counterexample_brute_force(3) == (3, 3)
 
 
@@ -408,7 +408,7 @@ def test_counterexample_matches_brute_force():
     for m in range(1, 61):
         rep = weyl_counterexample_demo(f"Z/{m}")
         fixed, _ = counterexample_brute_force(m)
-        assert int(rep.invariant_order) == fixed
+        assert int(rep["invariant_order"]) == fixed
 
 
 def test_twisted_pipeline_runs_and_flags():
@@ -419,14 +419,14 @@ def test_twisted_pipeline_runs_and_flags():
     kz = compute_k0(datum)
     assert kz.module_report.finite
     rep = kunneth(datum)
-    assert rep.status == "PASS"
+    assert rep["status"] == "PASS"
 
 
 def test_sp4_levi_factorization():
     datum = CocharacterDatum(preset("Sp4"), (1, 1), 2)
     rep = kunneth(datum)
-    assert rep.status == "PASS"
-    assert rep.levi_weyl_order == 2
+    assert rep["status"] == "PASS"
+    assert rep["levi_weyl_order"] == 2
 
 
 def test_normal_form_lands_in_standard_monomials():
