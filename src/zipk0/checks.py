@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, normal_form_gb
 from .grpalg import frobenius, monomial
-from .invariants import _nonneg_combinations
+from .invariants import InvariantRingPresentation
 from .lattice import determinant, hermite_row_basis, kernel_basis, span_members
 from .rootdata import (
     RootDatum,
@@ -32,7 +32,7 @@ from .rootdata import (
     weights_dominant,
     weyl_orbit,
 )
-from .zipk import CocharacterDatum, KZeroPresentation, compute_k0
+from .zipk import CocharacterDatum, KZeroPresentation, k0_of_levi
 
 if TYPE_CHECKING:
     from .cli import JobSpec
@@ -61,10 +61,10 @@ STEINBERG_SPANNING_RADIUS = 1
 def compute_k0_torus(
     datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> KZeroPresentation:
-    """R(T)/IR(T) as compute_k0 at the sum of the positive coroots: that
-    cocharacter is regular, so its Levi is T."""
+    """R(T)/IR(T): the datum's Frobenius generators over T, the root datum
+    on the same lattice without roots (the Levi of a regular cocharacter)."""
     rd = datum.rd
-    return compute_k0(CocharacterDatum(rd, rd.coroot_sum, datum.p), max_degree)
+    return k0_of_levi(datum, InvariantRingPresentation(RootDatum(rd.rank, (), (), ())), max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +104,13 @@ def theta_map_check(datum: CocharacterDatum, torus: KZeroPresentation) -> dict:
     <chi, alpha^vee> = 0, so the Weyl-invariant directions are the lineality
     basis of the datum's weight lift.  On T every character is dominant and
     its own orbit sum, so e^chi is the monomial y^a with a the generator
-    combination of chi."""
+    coordinates of chi."""
     rd = datum.rd
-    combination = _nonneg_combinations(torus.presentation_pres)
+    coordinates = torus.presentation_pres.coordinates
 
     def vanishes(chi: Vector) -> bool:
         f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, rd.twist)
-        poly = {combination(e): c for e, c in f.terms.items()}
+        poly = {coordinates(e): c for e, c in f.terms.items()}
         return not normal_form_gb(poly, torus.groebner)
 
     gen_ok = all(not normal_form_gb(r, torus.groebner) for r in torus.frobenius_relations)
@@ -355,26 +355,20 @@ def _steinberg_columns(
 # The Weyl-invariants counterexample (torsion module demo)
 
 
-def weyl_counterexample_demo(module: str = "Z/2") -> dict:
+def weyl_counterexample_demo(m: int) -> dict:
     """The rank-one zip-adjacent module demo: for M with 2-torsion the Weyl
-    invariants of M + M x strictly contain M.
+    invariants of M + M x strictly contain M.  M is Z/m, and Z for m = 0.
 
     The reflection acts by s(a + b x) = (a + 2b) - b x since s(x) = x^{-1} =
     (x + x^{-1}) - x acts through the augmentation value 2 on M.  Invariance
     is exactly 2b = 0 (equivalently (x + x^{-1}) b = 0).  The orders are
     strings, "infinite" for Z.
     """
-    name = module.strip()
-    if name == "Z":
+    if m == 0:
         image_order = invariant_order = "infinite"
-        structure = "Z"
+        name = structure = "Z"
         strictly_larger = False
     else:
-        if not name.startswith("Z/"):
-            raise ValueError(f"unsupported module {module!r}; use Z or Z/<m>")
-        m = int(name[2:])
-        if m <= 0:
-            raise ValueError("modulus must be positive")
         # a is free and b ranges over the 2-torsion of Z/m, which has
         # gcd(2, m) elements.
         ann2 = math.gcd(2, m)

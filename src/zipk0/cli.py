@@ -58,7 +58,7 @@ class JobSpec:
     fmt: str
     out: Optional[str]
     max_degree: int
-    module: str
+    module: int                # m of the demo's module Z/m; 0 for Z
 
     def echo(self) -> dict:
         twist = self.rd.twist
@@ -243,9 +243,11 @@ def load_job(args: argparse.Namespace) -> JobSpec:
     out = _resolve(args.out, data, "out")
     if out is not None and not isinstance(out, str):
         raise JobParseError(f"out must be a path, got {out!r}")
-    module = _resolve(args.module, data, "module", "Z/2")
-    if not isinstance(module, str):
-        raise JobParseError(f"module must be Z or Z/<m>, got {module!r}")
+    module_value = _resolve(args.module, data, "module", "Z/2")
+    name = module_value.strip() if isinstance(module_value, str) else ""
+    if name != "Z" and not name.startswith("Z/"):
+        raise JobParseError(f"module must be Z or Z/<m>, got {module_value!r}")
+    module = 0 if name == "Z" else _parse_int(name[2:], "module modulus", minimum=1)
     return JobSpec(group, rd, mu, p, checks, window, fmt, out, max_degree, module)
 
 
@@ -335,7 +337,7 @@ def cmd_k0(job: JobSpec) -> dict:
         "module": _module_dict(kz.module_report),
         "flags": {
             "experimental_twist": job.rd.twist is not None,
-            "one_nonzero": kz.one_nonzero,
+            "one_nonzero": kz.module_report.rank > 0 or bool(kz.module_report.torsion),
         },
         "checks": _run_checks(job, datum, kz),
     }

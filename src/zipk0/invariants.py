@@ -8,6 +8,8 @@ coefficient one).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ._record import record
 from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError
 from .grpalg import GroupAlgebraElement, one, orbit_sum, weyl_act
@@ -29,65 +31,76 @@ class NotInvariantError(ValueError):
 
 @record
 class InvariantRingPresentation:
-    """R(T)^W presented by orbit-sum generators over Hilbert-basis weights;
-    the simple coroots of rd cut the dominant cone."""
+    """R(T)^W presented by orbit sums over the dominant Hilbert basis of rd,
+    the Levi's datum (levi_from_cocharacter) for R(L).  The basis is the
+    lineality rows z, their negatives and the fundamental weights of
+    rd.weight_lift, so rd fixes the generators, their +/- pairs and each
+    weight's coordinates: each is computed on first use and kept."""
 
     rd: RootDatum
-    generator_weights: tuple[Vector, ...]
-    generator_elements: tuple[GroupAlgebraElement, ...]
 
+    @cached_property
+    def generator_weights(self) -> tuple[Vector, ...]:
+        return tuple(dominant_hilbert_basis(self.rd))
 
-def invariant_ring(rd: RootDatum) -> InvariantRingPresentation:
-    """Presentation of R(T)^W by dominant orbit sums; for the Levi of a
-    cocharacter, pass its root datum (levi_from_cocharacter) to get R(L)."""
-    weights = dominant_hilbert_basis(rd)
-    elements = tuple(orbit_sum(rd.weyl, w) for w in weights)
-    return InvariantRingPresentation(rd, tuple(weights), elements)
+    @cached_property
+    def generator_elements(self) -> tuple[GroupAlgebraElement, ...]:
+        return tuple(orbit_sum(self.rd.weyl, w) for w in self.generator_weights)
+
+    @cached_property
+    def laurent_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(index of z, index of -z) among the generator weights, one pair per
+        lineality row z: the generators that are units, each pair inverse."""
+        weights = self.generator_weights
+        return tuple(
+            (weights.index(z), weights.index(tuple(-x for x in z)))
+            for z in self.rd.weight_lift[0]
+        )
+
+    @cached_property
+    def coordinates(self):
+        """The map from a dominant weight to its generator coordinates, the
+        exponents that write it as an N-combination of the generator weights.
+
+        The fundamental weight eta_k pairs to delta_kj with the simple
+        coroots, so a dominant target takes <target, alpha_k^vee> copies of
+        it.  What remains lies in the lineality lattice, whose Hermite basis
+        row z_j is the only row from j down that is nonzero at its pivot
+        column: working down from the top row, the coefficient on z_j is read
+        there, and a negative one goes on -z_j.
+        """
+        rd = self.rd
+        lin, etas = rd.weight_lift
+        weights = self.generator_weights
+        pointed = [(weights.index(eta), eta, cv) for eta, cv in zip(etas, rd.simple_coroots)]
+        lineal = [
+            (z, next(j for j, x in enumerate(z) if x), plus, minus)
+            for z, (plus, minus) in zip(lin, self.laurent_pairs)
+        ]
+
+        def coordinates(target: Vector) -> GeneratorExponent:
+            counts = [0] * len(weights)
+            remainder = list(target)
+            for i, eta, cv in pointed:
+                c = counts[i] = pairing(target, cv)
+                if c < 0:
+                    raise RuntimeError(f"dominant weight {target} not in the generator monoid")
+                remainder = [t - c * x for t, x in zip(remainder, eta)]
+            for z, pivot, plus, minus in lineal:
+                c, r = divmod(remainder[pivot], z[pivot])
+                if r:
+                    break
+                remainder = [t - c * x for t, x in zip(remainder, z)]
+                counts[plus if c >= 0 else minus] += abs(c)
+            if any(remainder):
+                raise RuntimeError(f"remainder {tuple(remainder)} outside the lineality lattice")
+            return tuple(counts)
+
+        return coordinates
 
 
 def is_invariant(f: GroupAlgebraElement, pres: InvariantRingPresentation) -> bool:
     return all(weyl_act(g, f) == f for g in pres.rd.weyl.generators)
-
-
-def _nonneg_combinations(pres: InvariantRingPresentation):
-    """The function that writes a dominant weight as an N-combination of the
-    generator weights, read off the datum's weight lift.
-
-    The fundamental weight eta_k pairs to delta_kj with the simple coroots,
-    so a dominant target takes <target, alpha_k^vee> copies of it.  What
-    remains lies in the lineality lattice, whose Hermite basis row z_j is
-    the only row from j down that is nonzero at its pivot column: working
-    down from the top row, the coefficient on z_j is read there, and a
-    negative one goes on -z_j.
-    """
-    rd = pres.rd
-    lin, etas = rd.weight_lift
-    index = {w: i for i, w in enumerate(pres.generator_weights)}
-    pointed = [(index[eta], eta, cv) for eta, cv in zip(etas, rd.simple_coroots)]
-    lineal = [
-        (z, next(j for j, x in enumerate(z) if x), index[z], index[tuple(-x for x in z)])
-        for z in lin
-    ]
-
-    def combination(target: Vector) -> GeneratorExponent:
-        counts = [0] * len(index)
-        remainder = list(target)
-        for i, eta, cv in pointed:
-            c = counts[i] = pairing(target, cv)
-            if c < 0:
-                raise RuntimeError(f"dominant weight {target} not in the generator monoid")
-            remainder = [t - c * x for t, x in zip(remainder, eta)]
-        for z, pivot, plus, minus in lineal:
-            c, r = divmod(remainder[pivot], z[pivot])
-            if r:
-                break
-            remainder = [t - c * x for t, x in zip(remainder, z)]
-            counts[plus if c >= 0 else minus] += abs(c)
-        if any(remainder):
-            raise RuntimeError(f"remainder {tuple(remainder)} outside the lineality lattice")
-        return tuple(counts)
-
-    return combination
 
 
 def express_invariant(
@@ -110,7 +123,7 @@ def express_invariant(
     cosimples = pres.rd.simple_coroots
     hv = pres.rd.coroot_sum
     gens = pres.generator_elements
-    combination = _nonneg_combinations(pres)
+    coordinates = pres.coordinates
     products = {(0,) * len(gens): one(pres.rd.rank)}
 
     def product(expt: GeneratorExponent) -> GroupAlgebraElement:
@@ -148,7 +161,7 @@ def express_invariant(
             raise RuntimeError("invariant element with no dominant term: internal error")
         lead = max(dominant_terms, key=hkey)
         c = work.terms[lead]
-        expt = combination(lead)
+        expt = coordinates(lead)
         prod = product(expt)
         if prod.coefficient(lead) != 1:
             raise RuntimeError("leading coefficient not 1: internal error")

@@ -25,17 +25,12 @@ from .groebner import (
     Poly,
     PolyRingSpec,
     ResourceCapError,
-    normal_form_gb,
     quotient_z_module,
     QuotientReport,
     strong_groebner,
 )
 from .grpalg import GroupAlgebraElement, frobenius, orbit_sum
-from .invariants import (
-    InvariantRingPresentation,
-    express_invariant,
-    invariant_ring,
-)
+from .invariants import InvariantRingPresentation, express_invariant
 from .rootdata import (
     Cocharacter,
     RootDatum,
@@ -92,10 +87,6 @@ class CocharacterDatum:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
-        if len(self.mu) != self.rd.rank:
-            raise ValueError(
-                f"cocharacter length {len(self.mu)} does not match rank {self.rd.rank}"
-            )
 
     @cached_property
     def frobenius_gens(self) -> tuple[GroupAlgebraElement, ...]:
@@ -137,14 +128,14 @@ def unit_relations(pairs: Sequence[tuple[int, int]], nvars: int) -> list[Poly]:
 class KZeroPresentation:
     """Finitely presented ring isomorphic to the Grothendieck ring of the stack:
     Z[y] on the ring of groebner.spec, one y_j per generator of
-    presentation_pres, modulo the syzygy and then the Frobenius relations."""
+    presentation_pres, modulo the syzygy and then the Frobenius relations.
+    The ring is nonzero exactly when module_report has rank or torsion."""
 
     syzygy_relations: tuple[Poly, ...]       # kernel of Z[y] -> R(L)
     frobenius_relations: tuple[Poly, ...]    # images of the ideal generators
     groebner: GroebnerBasis
     module_report: QuotientReport
     presentation_pres: InvariantRingPresentation   # R(L); its rd is the Levi
-    one_nonzero: bool
 
 
 def levi_presentation_ring(
@@ -155,25 +146,11 @@ def levi_presentation_ring(
     With a simply connected derived group, R(L) is a polynomial ring on the
     fundamental orbit sums tensored with a Laurent ring on the central
     characters (Steinberg, "On a theorem of Pittie").  The kernel of
-    Z[y] -> R(L) is therefore generated by y_a*y_b - 1, one for each a < b
-    with opposite generator weights, in that order.  The hypothesis is
-    checked: the generator weights left unpaired must be exactly as many as
-    the simple roots of L.
+    Z[y] -> R(L) is therefore generated by y_a*y_b - 1, one for each Laurent
+    pair (a, b) of lpres taken with a < b, in that order.
     """
-    weights = lpres.generator_weights
-    k = len(weights)
-    pairs = [
-        (a, b)
-        for a in range(k)
-        for b in range(a + 1, k)
-        if weights[b] == tuple(-x for x in weights[a])
-    ]
-    unpaired = k - 2 * len(pairs)
-    if unpaired != len(lpres.rd.simple_indices):
-        raise ValueError(
-            f"R(L) is not polynomial on its orbit-sum generators: {unpaired} unpaired "
-            f"generator weights for {len(lpres.rd.simple_indices)} Levi simple roots"
-        )
+    k = len(lpres.generator_weights)
+    pairs = sorted(tuple(sorted(pair)) for pair in lpres.laurent_pairs)
     return PolyRingSpec(tuple(f"y{j + 1}" for j in range(k))), tuple(unit_relations(pairs, k))
 
 
@@ -181,13 +158,19 @@ def compute_k0(
     datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> KZeroPresentation:
     """Presentation of R(L)/IR(L) for the Levi of the cocharacter."""
+    lpres = InvariantRingPresentation(levi_from_cocharacter(datum.rd, datum.mu))
+    return k0_of_levi(datum, lpres, max_degree)
+
+
+def k0_of_levi(
+    datum: CocharacterDatum, lpres: InvariantRingPresentation, max_degree: int
+) -> KZeroPresentation:
+    """Presentation of R(L)/IR(L) for the Levi presentation lpres, a Levi
+    of datum's group: its Frobenius generators written in lpres, completed to
+    a strong Groebner basis together with the syzygies."""
     frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
-    lpres = invariant_ring(levi_from_cocharacter(datum.rd, datum.mu))
     y_spec, syzygies = levi_presentation_ring(lpres)
     frob_polys = [express_invariant(g, lpres, max_degree) for g in frobenius_gens]
 
     gb = strong_groebner(list(syzygies) + frob_polys, y_spec, max_degree=max_degree)
-    report = quotient_z_module(gb)
-    one_mono = (0,) * y_spec.nvars
-    one_nz = normal_form_gb({one_mono: 1}, gb) != {}
-    return KZeroPresentation(tuple(syzygies), tuple(frob_polys), gb, report, lpres, one_nz)
+    return KZeroPresentation(syzygies, tuple(frob_polys), gb, quotient_z_module(gb), lpres)

@@ -964,7 +964,7 @@ def reference_positive_root_indices(rd: RootDatum) -> tuple[int, ...]:
 
 
 def reference_nonneg_combinations(pres: InvariantRingPresentation):
-    """invariants._nonneg_combinations by a Diophantine solve per target: the
+    """InvariantRingPresentation.coordinates by a Diophantine solve per target: the
     function that writes a dominant weight as an N-combination of the
     generator weights, with the generators' pairings computed once.
 

@@ -153,12 +153,12 @@ def test_criterion_7_hecke_invariants_at_point():
 
 
 def test_criterion_8_counterexample_reproduction():
-    rep = weyl_counterexample_demo("Z/2")
+    rep = weyl_counterexample_demo(2)
     assert rep["strictly_larger"]
     assert rep["invariant_order"] == "4"
     assert rep["image_order"] == "2"
-    assert not weyl_counterexample_demo("Z")["strictly_larger"]
-    assert not weyl_counterexample_demo("Z/3")["strictly_larger"]
+    assert not weyl_counterexample_demo(0)["strictly_larger"]
+    assert not weyl_counterexample_demo(3)["strictly_larger"]
     report(8, "invariants of order 4 strictly contain the order-2 image; no excess for Z, Z/3")
 
 

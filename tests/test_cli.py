@@ -132,6 +132,22 @@ def test_job_file_field_types_exit_2(capsys, tmp_path, job):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("demo-counterexample", "--module", "Z/x"),
+        ("demo-counterexample", "--module", "Z/0"),
+        # A job parses its module whether or not it runs the demo.
+        ("k0", "--group", "SL2", "--module", "Q"),
+    ],
+)
+def test_bad_module_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
 ALL_CHECKS = "kunneth,theta,hecke,steinberg,counterexample"
 
 
@@ -221,6 +237,31 @@ def test_one_weyl_group_per_job(capsys, monkeypatch):
     for name in counted[:3]:
         assert sorted(calls[name], key=repr) == sorted([g, levi, torus], key=repr), name
     assert calls["fundamental_group"] == []
+
+
+def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
+    # The coordinate map is built once per presentation, the Levi's and T's,
+    # and T's quotient is completed from the job's own datum, so the
+    # Frobenius generators are built once.
+    from functools import cached_property
+
+    from zipk0.invariants import InvariantRingPresentation
+    from zipk0.zipk import CocharacterDatum
+
+    builds = {"coordinates": 0, "frobenius_gens": 0}
+    for cls, name in ((InvariantRingPresentation, "coordinates"),
+                      (CocharacterDatum, "frobenius_gens")):
+        def counting(self, real=vars(cls)[name].func, name=name):
+            builds[name] += 1
+            return real(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "3",
+                     "--checks", "kunneth,theta")
+    assert code == 0
+    assert builds == {"coordinates": 2, "frobenius_gens": 1}
 
 
 @pytest.mark.parametrize("argv", [

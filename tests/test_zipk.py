@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import itertools
+import json
 import random
 
 from zipk0.groebner import ResourceCapError, normal_form_gb, poly_to_string, strong_groebner
@@ -16,11 +17,7 @@ from zipk0.checks import (
     window_box,
 )
 from zipk0.grpalg import monomial, one
-from zipk0.invariants import (
-    InvariantRingPresentation,
-    express_invariant,
-    invariant_ring,
-)
+from zipk0.invariants import InvariantRingPresentation, express_invariant
 from zipk0.lattice import _prime_factors, kernel_basis
 from zipk0.rootdata import (
     PRESET_NAMES,
@@ -116,7 +113,7 @@ def test_datum_validation():
     with pytest.raises(ValueError):
         CocharacterDatum(preset("SL2"), (1,), 4)
     with pytest.raises(ValueError):
-        CocharacterDatum(preset("SL2"), (1, 0), 3)
+        compute_k0(CocharacterDatum(preset("SL2"), (1, 0), 3))
     with pytest.raises(SimplyConnectedHypothesisError):
         pgl2 = CocharacterDatum(preset("PGL2"), (1,), 2).rd
         validate(pgl2)
@@ -207,7 +204,7 @@ def test_presentation_fields_sl2():
     assert kz.presentation_pres.generator_weights == ((-1,), (1,))
     assert ["y1*y2 - 1"] == [poly_to_string(r, kz.groebner.spec) for r in kz.syzygy_relations]
     assert len(kz.frobenius_relations) == 1
-    assert kz.one_nonzero
+    assert normal_form_gb({(0, 0): 1}, kz.groebner)
 
 
 def test_levi_gr_presentation_l_equals_g():
@@ -219,7 +216,7 @@ def test_levi_gr_presentation_l_equals_g():
     assert len(kz.frobenius_relations) == 1
     assert kz.module_report.rank == 3
     # Direct construction through the full invariant ring.
-    pres = invariant_ring(preset("SL2"))
+    pres = InvariantRingPresentation(preset("SL2"))
     direct = express_invariant(CocharacterDatum(preset("SL2"), (0,), 3).frobenius_gens[0], pres)
     assert dict(kz.frobenius_relations[0]) == direct
 
@@ -265,22 +262,9 @@ def test_levi_presentation_closed_form_matches_elimination():
     cases = distinct_simply_connected_levis()
     assert len(cases) == 33
     for name, mu, levi in cases:
-        lpres = invariant_ring(levi)
+        lpres = InvariantRingPresentation(levi)
         expected = eliminated_levi_presentation(levi, lpres)
         assert levi_presentation_ring(lpres) == expected, (name, mu)
-
-
-def test_levi_presentation_rejects_unpaired_count_mismatch():
-    # Dropping the Levi simple coroot makes the unpaired SL2 weight
-    # unaccounted for: R(T) of SL2 is not polynomial on that generator.
-    rd = preset("SL2")
-    lpres = invariant_ring(rd)
-    broken = InvariantRingPresentation(
-        RootDatum(rd.rank, rd.roots, rd.coroots, ()), lpres.generator_weights,
-        lpres.generator_elements,
-    )
-    with pytest.raises(ValueError, match="not polynomial"):
-        levi_presentation_ring(broken)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -313,11 +297,16 @@ def test_substitution_soundness_sl3():
     assert substitution_soundness(datum, kz, torus_gb)
 
 
-def test_one_nonzero_everywhere():
+def test_one_nonzero_everywhere(capsys):
+    # The report's flag, read off the module's rank and torsion, agrees with
+    # the normal form of 1.
+    from zipk0.cli import main
+
     for name, mu, p in [("SL2", (1,), 2), ("SL3", (1, 2), 2), ("Sp4", (1, 1), 2)]:
-        datum = CocharacterDatum(preset(name), mu, p)
-        kz = compute_k0(datum)
-        assert kz.one_nonzero
+        kz = compute_k0(CocharacterDatum(preset(name), mu, p))
+        assert normal_form_gb({(0,) * kz.groebner.spec.nvars: 1}, kz.groebner)
+        assert main(["k0", "--group", name, "--mu", ",".join(map(str, mu)), "--p", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["flags"]["one_nonzero"] is True
 
 
 def test_theta_check_torus_all_directions():
@@ -387,7 +376,7 @@ def test_hecke_check_sl3():
 
 
 def test_counterexample_z2():
-    rep = weyl_counterexample_demo("Z/2")
+    rep = weyl_counterexample_demo(2)
     assert rep["strictly_larger"]
     assert rep["invariant_order"] == "4"
     assert rep["image_order"] == "2"
@@ -397,8 +386,8 @@ def test_counterexample_z2():
 
 
 def test_counterexample_no_excess():
-    assert not weyl_counterexample_demo("Z")["strictly_larger"]
-    rep3 = weyl_counterexample_demo("Z/3")
+    assert not weyl_counterexample_demo(0)["strictly_larger"]
+    rep3 = weyl_counterexample_demo(3)
     assert not rep3["strictly_larger"]
     assert rep3["invariant_order"] == rep3["image_order"] == "3"
     assert counterexample_brute_force(3) == (3, 3)
@@ -406,7 +395,7 @@ def test_counterexample_no_excess():
 
 def test_counterexample_matches_brute_force():
     for m in range(1, 61):
-        rep = weyl_counterexample_demo(f"Z/{m}")
+        rep = weyl_counterexample_demo(m)
         fixed, _ = counterexample_brute_force(m)
         assert int(rep["invariant_order"]) == fixed
 
@@ -651,7 +640,7 @@ def test_packed_engine_matches_reference_on_ladder(monkeypatch, capsys, name, mu
     import zipk0.zipk
     from zipk0.cli import main
 
-    real_groebner, real_normal_form = zipk0.zipk.strong_groebner, zipk0.zipk.normal_form_gb
+    real_groebner, real_normal_form = zipk0.zipk.strong_groebner, zipk0.checks.normal_form_gb
     compared = []
 
     def checked_groebner(gens, spec, max_degree):
@@ -666,10 +655,9 @@ def test_packed_engine_matches_reference_on_ladder(monkeypatch, capsys, name, mu
         assert nf == reference_normal_form_gb(f, gb)
         return nf
 
-    # Every completion runs in zipk; the checks' membership reads run in checks.
+    # Every completion runs in zipk; every membership read runs in checks.
     monkeypatch.setattr(zipk0.zipk, "strong_groebner", checked_groebner)
-    for module in (zipk0.zipk, zipk0.checks):
-        monkeypatch.setattr(module, "normal_form_gb", checked_normal_form)
+    monkeypatch.setattr(zipk0.checks, "normal_form_gb", checked_normal_form)
     argv = ["k0", "--group", name, "--mu", ",".join(map(str, mu)), "--p", str(p)]
     if checks:
         argv += ["--checks", "kunneth,theta,hecke,steinberg"]
