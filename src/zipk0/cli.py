@@ -474,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("job_file", nargs="?", help="JSON or TOML job description")
         p.add_argument("--group", help=f"preset ({', '.join(PRESET_NAMES)}) or inline JSON datum")
-        p.add_argument("--mu", help="cocharacter, e.g. 1,0 or [1,0]")
+        p.add_argument("--mu", help='cocharacter, e.g. 1,0 or [1,0]; a negative first entry '
+                       'as --mu=-1,2 or --mu "[-1,2]"')
         p.add_argument("--p", help="prime")
         p.add_argument("--checks", help=f"comma list from {','.join(VALID_CHECKS)}")
         p.add_argument(

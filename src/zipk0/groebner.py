@@ -10,8 +10,8 @@ divisible -- monomial and coefficient -- by a basis leading term.  This
 strong property is what makes normal forms unique and lets the quotient's
 Z-module structure be read from the staircase: its cells and one relation
 for each cell under a non-unit leading term (quotient_z_module).
-An S-pair is not reduced when the product criterion or the chain criterion
-proves it redundant; G-pairs are never pruned.
+An S-pair is not reduced when the product criterion or the Gebauer-Moeller
+update (_update) proves it redundant; G-pairs are never pruned.
 
 Inside the engine a monomial is one int (_Packing): exponent i in the field
 at bit i*width, the total degree in the top field, each field topped by a
@@ -44,6 +44,7 @@ from .lattice import cokernel_torsion
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
 Packed = dict[int, int]  # {packed monomial: nonzero int}
+Term = tuple[int, int]  # (packed monomial, coefficient): a leading or an lcm term
 
 
 class ResourceCapError(RuntimeError):
@@ -269,8 +270,7 @@ def normal_form_gb(f: Poly, gb: GroebnerBasis) -> Poly:
     return pk.unpack_poly(_reduce(pk.pack_poly(f), gb._table(pk), pk))
 
 
-def _pair(kind: int, f: Packed, lt_f: tuple[int, int], g: Packed, lt_g: tuple[int, int],
-          big: int) -> Packed:
+def _pair(kind: int, f: Packed, lt_f: Term, g: Packed, lt_g: Term, big: int) -> Packed:
     """a*X^(big - lm_f)*f + b*X^(big - lm_g)*g: the S-polynomial (kind 0,
     the leading terms cancel) or the G-polynomial (kind 1, leading
     coefficient gcd(lc_f, lc_g) = a*lc_f + b*lc_g)."""
@@ -330,7 +330,7 @@ def _interreduce(basis: list[Packed], pk: _Packing) -> list[Packed]:
     return basis
 
 
-def _product_criterion(lt_f: tuple[int, int], lt_g: tuple[int, int], big: int) -> bool:
+def _product_criterion(lt_f: Term, lt_g: Term, big: int) -> bool:
     """Buchberger's product criterion over Z: the S-polynomial of f and g
     needs no reduction when their leading monomials are coprime (their lcm
     `big` is their product) and so are their leading coefficients.
@@ -353,36 +353,54 @@ def _product_criterion(lt_f: tuple[int, int], lt_g: tuple[int, int], big: int) -
     return math.gcd(lcf, lcg) == 1 and big == lmf + lmg
 
 
-def _chain_criterion(
-    lt_k: tuple[int, int],
-    lt_i: tuple[int, int],
-    lt_j: tuple[int, int],
-    big: int,
-    pk: _Packing,
-) -> bool:
-    """Gebauer-Moeller chain criterion over Z: the S-pair (i, j), with
-    big = lcm(lm_i, lm_j), is redundant once element k is in the basis when
-    lm_k | big and lc_k | lcm(lc_i, lc_j).
+def _term_divides(s: Term, t: Term, pk: _Packing) -> bool:
+    """The term s = (monomial, coefficient) divides t: monomial and coefficient."""
+    return pk.divides(s[0], t[0]) and t[1] % s[1] == 0
 
-    With l = lcm(lc_i, lc_j), the two conditions make lt_k divide l*X^big,
-    and the S-syzygy of (i, j) is then a sum of term multiples of the
-    S-syzygies of (i, k) and (k, j):
-    S_ij = (l/l_ik) X^(big - lcm(lm_i, lm_k)) S_ik
-         + (l/l_kj) X^(big - lcm(lm_k, lm_j)) S_kj.
-    So S_ij lifts whenever S_ik and S_kj do (the lifting theorem cited at
-    _product_criterion; Gebauer & Moeller, "On an installation of
-    Buchberger's algorithm", JSC 1988, for fields; Eder & Hofmann, JSC 2021,
-    for strong bases over principal ideal rings).  strong_groebner tries k
-    only when k is the newest element, before the pairs of k are queued, so
-    a pair is dropped only on the strength of pairs (i, k) and (j, k) with a
-    newer element, which in turn only a still newer element can drop.
-    Induction from the newest element down closes every chain, with no
-    condition on the lcms: no pair is ever dropped on the strength of a pair
-    that was dropped on its strength.
+
+def _update(live: dict[tuple[int, int], Term], leads: Sequence[Term], lt_k: Term,
+            pk: _Packing) -> list[tuple[int, Term]]:
+    """Gebauer-Moeller update as element k = len(leads), with leading term
+    lt_k, joins: drop from `live` ({(i, j): L_ij}) the queued S-pairs that k
+    makes redundant, and return the pairs (i, L_ik) of k to queue.
+
+    L_ij = (lcm(lm_i, lm_j), lcm(lc_i, lc_j)) is the pair's lcm term.  The
+    criteria are Gebauer & Moeller's ("On an installation of Buchberger's
+    algorithm", JSC 1988; Becker & Weispfenning, "Groebner Bases", GTM 141,
+    Section 5.5, UPDATE) on lcm terms, as for strong bases over a principal
+    ideal ring (Eder & Hofmann, cited at _product_criterion):
+    - B_k drops a live (i, j) when lt_k | L_ij and L_ij is neither L_ik nor L_jk;
+    - M queues no (i, k) when some L_jk properly divides L_ik;
+    - F queues one pair of k per equal L, the least i, and none when one of
+      them passes _product_criterion.
+    When lt_k | L_ij, then S_ij = (L_ij/L_ik) S_ik + (L_ij/L_kj) S_kj for the
+    S-syzygies, so S_ij lifts when S_ik and S_kj do (the lifting theorem
+    cited at _product_criterion).  Order the pairs by (L, larger index,
+    smaller index), L by (grevlex key, coefficient), which refines term
+    divisibility.  Each drop rests on two pairs below it: B_k's on (i, k) and
+    (j, k), whose L strictly divide L_ij; M's on (j, k), strictly smaller,
+    and the pair of i and j, whose L divides L_ik and whose larger index is
+    below k; F's on the pair of k that stays or passes the product criterion
+    (which lifts by itself) and a pair of two older elements.  By induction up
+    this order every S-syzygy lifts once the queue is empty, whatever became
+    of the pairs a drop rests on.  Without B_k's lcm condition, M could drop
+    (i, k) on a pair (i, j) that B_k dropped on (i, k).
     """
     lmk, lck = lt_k
-    (_, lci), (_, lcj) = lt_i, lt_j
-    return pk.divides(lmk, big) and (lci * lcj // math.gcd(lci, lcj)) % lck == 0
+    terms = [(pk.lcm(lm, lmk), math.lcm(lc, lck)) for lm, lc in leads]
+    for (i, j), big in list(live.items()):
+        if _term_divides(lt_k, big, pk) and big != terms[i] and big != terms[j]:
+            del live[i, j]  # B_k
+    classes: dict[Term, list[int]] = {}
+    for i, big in enumerate(terms):
+        classes.setdefault(big, []).append(i)
+    minimal, new = [], []  # L kept by M so far (a dropped L has a kept divisor); pairs to queue
+    for big in sorted(classes, key=lambda t: (pk.key(t[0]), t[1])):
+        if not any(_term_divides(t, big, pk) for t in minimal):  # M
+            minimal.append(big)
+            if not any(_product_criterion(leads[i], lt_k, big[0]) for i in classes[big]):
+                new.append((classes[big][0], big))  # F
+    return new
 
 
 def strong_groebner(
@@ -393,13 +411,14 @@ def strong_groebner(
     """Buchberger completion with S- and G-polynomials over Z.
 
     Deterministic: fixed input normalization, normal (smallest-lcm-first)
-    selection, canonical interreduction at the end.  S-pairs that the
-    product criterion or the chain criterion proves redundant are never
-    reduced; G-pairs are never pruned.  The generators are taken in the
-    order of (leading monomial, terms), so the basis does not depend on the
-    order they come in.  Raises ResourceCapError when an element joining
-    the basis, a reduced generator included, has a leading monomial above
-    max_degree or the basis exceeds DEFAULT_MAX_BASIS elements, and
+    selection, canonical interreduction at the end.  As each element joins,
+    one Gebauer-Moeller update on lcm terms (_update) drops the queued
+    S-pairs it makes redundant and queues the pairs of the new element that
+    no criterion prunes; G-pairs are never pruned.  The generators are taken
+    in the order of (leading monomial, terms), so the basis does not depend
+    on the order they come in.  Raises ResourceCapError when an element
+    joining the basis, a reduced generator included, has a leading monomial
+    above max_degree or the basis exceeds DEFAULT_MAX_BASIS elements, and
     TypeError for a spec of another order than PolyRingSpec's grevlex.
     """
     if type(spec) is not PolyRingSpec:
@@ -409,47 +428,30 @@ def strong_groebner(
     start.sort(key=lambda g: (key(_leading(g, key)[0]), poly_canonical(g, key)))
     pk = _Packing(spec.nvars, 2 * max([max_degree, *(sum(m) for g in start for m in g)]))
     basis: list[Packed] = []
-    leads: list[tuple[int, int]] = []  # leading term of each basis element
+    leads: list[Term] = []  # leading term of each basis element
     table: list[ReducerEntry] = []
     queue: list[tuple[int, int, int, int]] = []  # (lcm key, kind, i, j), each once
-    # Queued S-pairs by their lcm; a pair the chain criterion drops leaves
-    # its set and is skipped when it is popped.
-    pending: dict[int, set[tuple[int, int]]] = {}
+    live: dict[tuple[int, int], Term] = {}  # queued S-pair: its lcm term
 
     def add(g: Packed) -> None:
-        """Append g as element k, drop the queued S-pairs that k chains, then
-        queue the pairs of k.  The caps apply here, to every element that
-        joins, reduced generators included."""
+        """Append g as element k, update the S-pairs (B_k, then M and F
+        among the pairs of k) and queue the G-pairs of k.  The caps apply
+        here, to every element that joins, reduced generators included."""
         degree = max(g) >> pk.top  # the degree field is the top one
         if degree > max_degree:
             raise ResourceCapError(f"leading monomial degree {degree} exceeds cap {max_degree}")
         if len(basis) >= DEFAULT_MAX_BASIS:
             raise ResourceCapError(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
-        g = _normalize_sign(g, pk.key)
-        entry = _entry(g, len(basis), pk)
+        g, k = _normalize_sign(g, pk.key), len(basis)
+        entry = _entry(g, k, pk)
         bisect.insort(table, entry)
         lt_k = (lmk, lck) = (pk.guard - entry[3], entry[0])
-        emptied = []
-        for big, pairs in pending.items():
-            if pk.divides(lmk, big):
-                pairs.difference_update([
-                    (i, j) for i, j in pairs
-                    if _chain_criterion(lt_k, leads[i], leads[j], big, pk)
-                ])
-                if not pairs:
-                    emptied.append(big)
-        for big in emptied:
-            del pending[big]
-        k = len(basis)
-        for i, lt_i in enumerate(leads):
-            big = pk.lcm(lt_i[0], lmk)
-            big_key = pk.key(big)
-            if not _product_criterion(lt_i, lt_k, big):
-                pending.setdefault(big, set()).add((i, k))
-                heappush(queue, (big_key, 0, i, k))
-            lci = lt_i[1]
+        for i, big in _update(live, leads, lt_k, pk):
+            live[i, k] = big
+            heappush(queue, (pk.key(big[0]), 0, i, k))
+        for i, (lmi, lci) in enumerate(leads):
             if lck % lci and lci % lck:  # otherwise the G-polynomial adds nothing
-                heappush(queue, (big_key, 1, i, k))
+                heappush(queue, (pk.key(pk.lcm(lmi, lmk)), 1, i, k))
         basis.append(g)
         leads.append(lt_k)
 
@@ -460,14 +462,9 @@ def strong_groebner(
 
     while queue:
         _, kind, i, j = heappop(queue)
+        if kind == 0 and live.pop((i, j), None) is None:
+            continue  # dropped by B_k after it was queued
         big = pk.lcm(leads[i][0], leads[j][0])
-        if kind == 0:
-            pairs = pending.get(big)
-            if pairs is None or (i, j) not in pairs:
-                continue  # dropped by the chain criterion
-            pairs.remove((i, j))
-            if not pairs:
-                del pending[big]
         red = _reduce(_pair(kind, basis[i], leads[i], basis[j], leads[j], big), table, pk)
         if red:
             add(red)

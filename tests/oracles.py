@@ -3,7 +3,9 @@ Hermite elimination and the element-arithmetic builders of the check rows
 that the sparse ones must match, independent re-checks of the packed
 engine, of the quotient module's invariants, of the Steinberg spanning
 evidence, of the closed-form dominant Hilbert basis and of the positive
-roots and generator combinations read off the root datum, and the general code
+roots and generator combinations read off the root datum, the rank counted
+from the Weyl group (twisted_point_count) and from sympy's Groebner bases over
+QQ and GF(p) (sympy_quotient_dimension), and the general code
 that the library itself does not need: the Smith normal form with its
 transforms, block elimination orders and elimination ideals, the Demazure
 operator on elements and by pseudo-division, Demazure characters, the
@@ -566,7 +568,7 @@ def _product_criterion(lt_f, lt_g) -> bool:
 
 
 def _chain_criterion(lt_k, lt_i, lt_j, big: Monomial) -> bool:
-    """zipk0.groebner._chain_criterion: lm_k | big and lc_k | lcm(lc_i, lc_j)."""
+    """The update-only chain criterion: lm_k | big and lc_k | lcm(lc_i, lc_j)."""
     lmk, lck = lt_k
     (_, lci), (_, lcj) = lt_i, lt_j
     return all(map(le, lmk, big)) and (lci * lcj // math.gcd(lci, lcj)) % lck == 0
@@ -575,8 +577,16 @@ def _chain_criterion(lt_k, lt_i, lt_j, big: Monomial) -> bool:
 def reference_strong_groebner(
     gens: Iterable[Poly], spec: PolyRingSpec, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> GroebnerBasis:
-    """zipk0.groebner.strong_groebner on exponent tuples, in the spec's order:
-    the same pairs, criteria, selection, caps and interreduction."""
+    """zipk0.groebner.strong_groebner on exponent tuples, in the spec's order,
+    with the same selection, caps and interreduction but an independent
+    pruning of S-pairs: the product criterion, and the chain criterion tried
+    only with the newest element k and on the old queued pairs (i, j),
+    dropping one when lm_k | lcm(lm_i, lm_j) and lc_k | lcm(lc_i, lc_j),
+    with no condition on the lcms; M and F are not used.  No pair is ever
+    dropped on the strength of a pair that was dropped on its strength, since
+    each drop leans on pairs with the newer element k, which only a still
+    newer element can drop.  The reduced strong basis is unique, so the
+    engine's basis must equal this one."""
     key = spec.monomial_key()
     hkey = heap_key(spec)
     start = [_normalize_sign(dict(g), key) for g in gens if g]
@@ -1362,3 +1372,48 @@ def counterexample_brute_force(m: int) -> tuple[int, int]:
             if sa == (a, b):
                 fixed += 1
     return fixed, m
+
+
+def twisted_point_count(rd: RootDatum, p: int, levi_weyl_order: int) -> int:
+    """The rank of R(L)/I R(L) counted from the Weyl group: the sum over w in W
+    of |det(p tau - w)| on X*(T), divided by |W_L|, with tau the twist of rd
+    (the identity if split).  It counts the pairs (t, w) in T(C) x W with
+    F(t) = w t, F = p tau."""
+    tau = rd.twist if rd.twist is not None else identity_matrix(rd.rank)
+    total = sum(
+        abs(determinant([[p * a - b for a, b in zip(row_tau, row_w)]
+                         for row_tau, row_w in zip(tau, w)]))
+        for w in rd.weyl.elements
+    )
+    count, rest = divmod(total, levi_weyl_order)
+    if rest:
+        raise ValueError(f"|W_L| = {levi_weyl_order} does not divide the count {total}")
+    return count
+
+
+def standard_monomial_count(leading_monomials: Sequence[Monomial], nvars: int) -> int:
+    """The monomials in nvars variables that no leading monomial divides,
+    counted by walking up from 1; the ideal must be zero-dimensional."""
+    for i in range(nvars):
+        if not any(m[i] and sum(m) == m[i] for m in leading_monomials):
+            raise ValueError(f"variable {i} has no pure power among the leading monomials")
+    count, level = 0, {(0,) * nvars}
+    while level:
+        count += len(level)
+        level = {
+            m[:i] + (m[i] + 1,) + m[i + 1:] for m in level for i in range(nvars)
+        }
+        level = {m for m in level if not any(all(map(le, lm, m)) for lm in leading_monomials)}
+    return count
+
+
+def sympy_quotient_dimension(polys: Sequence[Poly], nvars: int, modulus: Optional[int] = None) -> int:
+    """dim of Q[y]/(polys), or of GF(modulus)[y]/(polys), from sympy's reduced
+    grevlex Groebner basis: an oracle independent of the library's engine."""
+    import sympy
+
+    gens = sympy.symbols(f"y1:{nvars + 1}")
+    exprs = [sympy.Poly.from_dict(f, gens).as_expr() for f in polys]
+    options = {"modulus": modulus} if modulus is not None else {}
+    gb = sympy.groebner(exprs, *gens, order="grevlex", **options)
+    return standard_monomial_count([g.monoms(order="grevlex")[0] for g in gb.polys], nvars)

@@ -189,8 +189,9 @@ def test_a_job_whose_levi_is_t_completes_once(capsys, monkeypatch, group, mu):
 
 def test_pair_pruning_bounds_reductions(capsys, monkeypatch):
     # GL3 at mu = (2,1,0), p = 2 takes 1032 strong reductions with every
-    # pair reduced and 329 with the product and chain criteria; the bound
-    # fails if the pruning is lost.
+    # pair reduced, 329 with the product criterion and the update-only chain
+    # criterion, and 199 with the Gebauer-Moeller update; the bound fails if
+    # the pruning is lost.
     import zipk0.groebner
 
     calls = []
@@ -305,6 +306,17 @@ def test_k0_sl2_report_values(capsys):
     assert rep["levi"]["weyl_order"] == 1
     assert rep["presentation"]["variables"] == ["y1", "y2"]
     assert rep["flags"]["one_nonzero"] is True
+
+
+def test_negative_first_mu_entry(capsys):
+    # argparse reads "--mu -1,2" as a missing value followed by an option;
+    # the attached and the bracketed forms pass the same cocharacter.
+    code, _, err = run(capsys, "k0", "--group", "SL3", "--mu", "-1,2", "--p", "3")
+    assert code == 2 and "--mu: expected one argument" in err
+    code, out, _ = run(capsys, "k0", "--group", "SL3", "--mu=-1,2", "--p", "3")
+    assert code == 0
+    assert json.loads(out)["job"]["mu"] == [-1, 2]
+    assert run(capsys, "k0", "--group", "SL3", "--mu", "[-1,2]", "--p", "3") == (0, out, "")
 
 
 def test_k0_torus_gm_rank(capsys):

@@ -5,15 +5,16 @@ import random
 import pytest
 
 from zipk0 import groebner
+from zipk0.cli import main
 from zipk0.groebner import (
     PolyRingSpec,
     ResourceCapError,
-    _chain_criterion,
     _interreduce,
     _leading,
     _Packing,
     _reduce,
     _reducer_table,
+    _update,
     normal_form_gb,
     poly_to_string,
     quotient_z_module,
@@ -209,28 +210,79 @@ def test_product_criterion_needs_coprime_coefficients():
 
 
 def test_chain_criterion_conditions():
-    # S-pair (i, j) of x*y and y*z, big = x*y*z; k is tried against it.
+    # The Gebauer-Moeller update on hand-made packed leading terms in
+    # Z[x, y, z]: B_k on a live pair, then M and F among the pairs of k.
     pk = _Packing(3, 6)
 
     def lt(m, c):
         return pk.pack(m), c
 
-    def chain(lt_k, lt_i, lt_j):
-        return _chain_criterion(lt_k, lt_i, lt_j, pk.lcm(lt_i[0], lt_j[0]), pk)
+    def update(leads, lt_k, live=None):
+        live = dict(live or {})
+        new = _update(live, [lt(*t) for t in leads], lt(*lt_k), pk)
+        return live, [(i, (pk.unpack(m), c)) for i, (m, c) in new]
 
-    lt_i, lt_j = lt((1, 1, 0), 1), lt((0, 1, 1), 1)
-    assert pk.lcm(lt_i[0], lt_j[0]) == pk.pack((1, 1, 1))
-    assert chain(lt((0, 1, 0), 1), lt_i, lt_j)
-    # lm_k must divide big.
-    assert not chain(lt((0, 2, 0), 1), lt_i, lt_j)
-    # lc_k must divide lcm(lc_i, lc_j).
-    assert not chain(lt((0, 1, 0), 2), lt_i, lt_j)
-    assert chain(lt((0, 1, 0), 2), lt((1, 1, 0), 2), lt((0, 1, 1), 3))
-    # No strictness: lcm(lm_i, lm_k) = big or lcm(lm_j, lm_k) = big drops
-    # the pair too, since only a newer element k is ever tried.
-    assert chain(lt((0, 0, 1), 1), lt_i, lt_j)
-    assert chain(lt((1, 0, 0), 1), lt_i, lt_j)
-    assert chain(lt((1, 1, 1), 1), lt_i, lt_j)
+    # B_k: the live pair (0, 1) of x*y and y*z has L = (x*y*z, lcm of the lcs).
+    xy, yz = (1, 1, 0), (0, 1, 1)
+    pair = {(0, 1): lt((1, 1, 1), 1)}
+    assert update([(xy, 1), (yz, 1)], ((0, 1, 0), 1), pair)[0] == {}
+    # It stays when L_ik or L_jk equals L_ij, or lt_k does not divide L_ij.
+    for lt_k in [((0, 0, 1), 1), ((1, 0, 0), 1), ((1, 1, 1), 1), ((0, 2, 0), 1), ((0, 1, 0), 2)]:
+        assert update([(xy, 1), (yz, 1)], lt_k, pair)[0] == pair
+    # The coefficients count: lc_k = 2 divides lcm(2, 3) = 6.
+    pair6 = {(0, 1): lt((1, 1, 1), 6)}
+    assert update([(xy, 2), (yz, 3)], ((0, 1, 0), 2), pair6)[0] == {}
+    assert update([(xy, 2), (yz, 3)], ((0, 1, 0), 4), pair6)[0] == pair6
+    # M: L_1k = (x^2, 1) properly divides L_0k = (x^2*y, 1).
+    x = (1, 0, 0)
+    assert update([((2, 1, 0), 1), ((2, 0, 0), 1)], (x, 1))[1] == [(1, ((2, 0, 0), 1))]
+    # ... and when only the coefficient differs: (x*y, 2) properly divides
+    # (x*y, 6); (x*y, 6) and (x*y, 10) divide neither way.
+    assert update([(xy, 3), (xy, 1)], (x, 2))[1] == [(1, (xy, 2))]
+    assert update([(xy, 3), (xy, 5)], (x, 2))[1] == [(0, (xy, 6)), (1, (xy, 10))]
+    # F: one pair of a class with one L, the least i ...
+    assert update([(x, 1), ((0, 1, 0), 1)], (xy, 1))[1] == [(0, (xy, 1))]
+    # ... and none when a pair of the class passes the product criterion:
+    # (y, x) has coprime monomials and coefficients.
+    assert update([(xy, 1), ((0, 1, 0), 1)], (x, 1))[1] == []
+    # That pair still prunes the classes its L properly divides under M.
+    assert update([((0, 1, 0), 1), ((1, 2, 0), 1)], (x, 1))[1] == []
+
+
+# The `quotient` benchmark jobs of seed 1: (group, mu, p).
+SEED1_QUOTIENT_JOBS = [
+    ("GL3", "2,1,0", "2"), ("SL4", "3,3,0", "2"), ("GL2", "1,0", "7"), ("Sp4", "2,2", "5"),
+    ("GL3", "2,0,0", "5"), ("SL2", "2", "11"), ("SL3", "1,0", "3"), ("Sp4", "4,2", "3"),
+    ("SL3", "3,0", "5"), ("GL2", "2,0", "11"),
+]
+
+
+def test_few_s_pairs_reduce_to_zero_on_quotient_ladder(capsys, monkeypatch):
+    # The update prunes most S-pairs that would reduce to zero: the update-only
+    # chain criterion reduced 1651 to zero on these ten jobs, the
+    # Gebauer-Moeller update 452.
+    last, counts = [None], {"reduced": 0, "zero": 0}  # last: the newest S-polynomial
+    pair, reduce = groebner._pair, groebner._reduce
+
+    def counted_pair(kind, *args):
+        out = pair(kind, *args)
+        last[0] = out if kind == 0 else None
+        return out
+
+    def counted_reduce(f, *args):
+        out = reduce(f, *args)
+        if f is last[0]:
+            counts["reduced"] += 1
+            counts["zero"] += not out
+        return out
+
+    monkeypatch.setattr(groebner, "_pair", counted_pair)
+    monkeypatch.setattr(groebner, "_reduce", counted_reduce)
+    for group, mu, p in SEED1_QUOTIENT_JOBS:
+        assert main(["k0", "--group", group, "--mu", mu, "--p", p]) == 0
+    capsys.readouterr()
+    assert counts["reduced"] > 0
+    assert counts["zero"] <= 550
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -325,9 +377,9 @@ def test_soundness_random_ideals(seed):
 @pytest.mark.parametrize("chunk", range(5))
 def test_pruned_completion_is_strong_on_random_rings(chunk, monkeypatch):
     # Ideals in Z[x, y] and Z[x, y, z] whose coefficients share factors, so
-    # that the coefficient conditions of the product and chain criteria
-    # decide: pruning a pair that either criterion does not cover leaves a
-    # basis with an S- or G-polynomial that does not reduce to zero.  The
+    # that the coefficient conditions of the product criterion and of the
+    # update's lcm terms decide: pruning a pair that no criterion covers leaves
+    # a basis with an S- or G-polynomial that does not reduce to zero.  The
     # rare ideal whose basis grows past 40 elements is skipped.
     rings = (PolyRingSpec(("x", "y")), PolyRingSpec(("x", "y", "z")))
     monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 40)

@@ -5,8 +5,9 @@ The jobs cover the report fields that the lattice layer feeds: `validate`'s
 `fundamental_group`, theta's `invariant_directions` and the generator weights
 in `k0` with every check, `hecke-check`, `demo-counterexample`, and an explicit
 datum; the check sections are pinned in text as well as JSON.  The ten
-`quotient` and nine `levi` benchmark jobs of seed 1 cover the Groebner
-engine's bases and quotient modules.  A change that moves a report on purpose
+`quotient` and nine `levi` benchmark jobs of seed 1, four heavier completions
+(SL4 at a regular mu, the SL4 torus, Sp4 at p=11) and a unitary GL3 job cover
+the Groebner engine's bases and quotient modules.  A change that moves a report on purpose
 records the new digests here and says why.
 """
 
@@ -22,6 +23,7 @@ from zipk0.cli import main
 CHECKS = "kunneth,theta,hecke,steinberg"
 GL2_DATUM = json.dumps({"rank": 2, "roots": [[1, -1], [-1, 1]], "coroots": [[1, -1], [-1, 1]],
                         "simple_roots": [[1, -1]]})
+U3_TWIST = "[[0,0,-1],[0,-1,0],[-1,0,0]]"
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr)
@@ -140,6 +142,23 @@ RECORDED = [
      EMPTY),
     (("k0", "--group", "SL4", "--mu", "0,0,0", "--p", "2"),
      0, "24b6036f771f2b6518d5b20c1678d59ef6c7f6f45a79a0defb975d3197e19f38",
+     EMPTY),
+    # Heavy completions outside the ladders, and one twisted job: unitary GL3,
+    # whose Frobenius is p times tau = -w0.
+    (("k0", "--group", "SL4", "--mu", "1,3,7", "--p", "2"),
+     0, "90f11a7d3228acc1aead884fc98ea9af704763b2b97d613ac45f291503507b30",
+     EMPTY),
+    (("k0-torus", "--group", "SL4", "--p", "2"),
+     0, "a6ac3a47085df87531f0c2dc689780c155e45e700a2f8f72f7f89eaffc210141",
+     EMPTY),
+    (("k0", "--group", "Sp4", "--mu", "0,0", "--p", "11"),
+     0, "3dd15e8e7b4d1dbb8294c682f83a4cc3250de85594d76f132a4c84e763cabcb1",
+     EMPTY),
+    (("k0", "--group", "SL4", "--mu", "1,0,0", "--p", "5"),
+     0, "b3fbd71dafc18b1acb3ee4258c3b19241b890448b85f0fe37a2639c5cbd029bf",
+     EMPTY),
+    (("k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2", "--twist", U3_TWIST),
+     0, "ea48ed0b63c4501d7f47262de952437613877f2023bd1219f55fdb155cbaa5d5",
      EMPTY),
 ]
 

@@ -57,9 +57,11 @@ from oracles import (
     rename_variables,
     root_coefficients,
     substitution_soundness,
+    sympy_quotient_dimension,
     to_poly,
     torus_ring_spec,
     torus_variable_renaming,
+    twisted_point_count,
     verify_strong_groebner,
     weyl_rows_by_elements,
 )
@@ -736,3 +738,86 @@ def test_weyl_rows_match_element_builder(rd):
         assert kernel == kernel_basis(old, len(box))
         if len(box) <= 49:
             assert kernel == dense_kernel_basis(old, len(box))
+
+
+# Split presets with a simply connected derived group: (semisimple rank s, |W|).
+SPLIT_SHAPES = {
+    "SL2": (1, 2), "SL3": (2, 6), "SL4": (3, 24), "GL2": (1, 2), "GL3": (2, 6),
+    "Sp4": (2, 8), "A1xA1": (2, 4), "Gm": (0, 1), "Gm^2": (0, 1),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", sorted(SPLIT_SHAPES))
+def test_point_count_is_the_split_closed_form(name, p):
+    # Sum over W of det(p - w) is |W| p^s (p - 1)^z when split (Solomon), so
+    # the count the freeness tests compare with is not its own oracle.
+    s, weyl_order = SPLIT_SHAPES[name]
+    z = preset(name).rank - s
+    assert twisted_point_count(preset(name), p, 1) == p**s * (p - 1) ** z * weyl_order
+
+
+def assert_free_of_counted_rank(datum):
+    kz = compute_k0(datum)
+    report = kz.module_report
+    assert report.finite and report.torsion == ()
+    levi_weyl_order = len(kz.presentation_pres.rd.weyl)
+    assert report.rank == twisted_point_count(datum.rd, datum.p, levi_weyl_order)
+    return report.rank
+
+
+def test_random_reports_are_free_of_the_counted_rank():
+    # K0 is free of rank sum_w |det(p tau - w)| / |W_L| (ROADMAP direction 1)
+    # at random mu in [-3, 3]^r and p <= 7, p <= 5 on SL4.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(SPLIT_SHAPES)))
+        rd = preset(name)
+        mu = data.draw(st.lists(st.integers(-3, 3), min_size=rd.rank, max_size=rd.rank))
+        p = data.draw(st.sampled_from((2, 3, 5) if name == "SL4" else (2, 3, 5, 7)))
+        assert_free_of_counted_rank(CocharacterDatum(rd, tuple(mu), p))
+
+    check()
+
+
+U3_TWIST = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
+SWAP2 = ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("name,tau,mu,p,rank", [
+    ("GL3", U3_TWIST, (2, 1, 0), 2, 72),
+    ("GL3", U3_TWIST, (2, 1, 0), 3, 216),
+    ("GL3", U3_TWIST, (1, 0, 0), 2, None),
+    ("GL2", ((0, -1), (-1, 0)), (1, 0), 3, None),
+    ("SL3", SWAP2, (1, 1), 2, None),
+    ("SL3", SWAP2, (0, 0), 3, None),
+    ("SL4", ((0, 0, 1), (0, 1, 0), (1, 0, 0)), (1, 0, 1), 2, None),
+    ("A1xA1", SWAP2, (1, 1), 3, None),
+])
+def test_twisted_reports_are_free_of_the_counted_rank(name, tau, mu, p, rank):
+    # Unitary GL2 and GL3 (tau = -w0), SL3 and SL4 with the diagram swap, and
+    # A1xA1 with its factors swapped.
+    rd0 = preset(name)
+    rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name=name)
+    validate(rd)
+    got = assert_free_of_counted_rank(CocharacterDatum(rd, mu, p))
+    assert rank is None or got == rank
+
+
+@pytest.mark.parametrize("name,mu,p", [
+    ("SL2", (1,), 3), ("GL2", (1, 0), 3), ("SL3", (1, 0), 2), ("SL3", (1, 2), 2),
+    ("Sp4", (1, 1), 2), ("GL3", (1, 0, 0), 2),
+])
+def test_sympy_dimension_equals_rank(name, mu, p):
+    # sympy completes the report's relations over QQ and over GF(p); a free
+    # module has the same dimension in both, its rank.
+    pytest.importorskip("sympy")
+    kz = compute_k0(CocharacterDatum(preset(name), mu, p))
+    relations = kz.syzygy_relations + kz.frobenius_relations
+    nvars = kz.groebner.spec.nvars
+    assert sympy_quotient_dimension(relations, nvars) == kz.module_report.rank
+    assert sympy_quotient_dimension(relations, nvars, modulus=p) == kz.module_report.rank
