@@ -6,17 +6,10 @@ isomorphic to R(L)/IR(L), where L is the Levi centralising the cocharacter
 and I is the Frobenius-difference ideal of R(G), together with its
 Z-module invariants; :mod:`zipk0.checks` holds a battery of structural
 cross-checks.
+
+The package root imports no submodule: `python -m zipk0.cli` imports the
+package before the CLI, and each command loads only the layers it runs.
+Import names from their modules, e.g. `from zipk0.zipk import compute_k0`.
 """
 
 __version__ = "0.1.0"
-
-from .rootdata import (  # noqa: F401
-    RootDatum,
-    RootDatumError,
-    levi_from_cocharacter,
-    make_root_datum,
-    preset,
-    validate,
-    weyl_enumerate,
-)
-from .zipk import CocharacterDatum, compute_k0  # noqa: F401

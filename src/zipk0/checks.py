@@ -19,7 +19,8 @@ import math
 import random
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, normal_form_gb
+from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
+from .groebner import normal_form_gb
 from .grpalg import frobenius, monomial
 from .invariants import InvariantRingPresentation
 from .lattice import determinant, hermite_row_basis, kernel_basis, span_members

@@ -4,7 +4,10 @@ Commands: validate, k0, k0-torus, hecke-check, demo-counterexample.
 A job is described by a JSON or TOML file plus flag overrides; reports are
 emitted as JSON (schema 1) or as a text rendering of the same data.  Exit
 codes: 0 ok, 2 parse or output error, 3 validation failure, 4 resource cap.
-The cross-checks (zipk0.checks) are imported only by a job that runs them.
+Each command imports the layers it runs when it runs: `validate` needs only
+the root datum and the lattice, the Groebner pipeline (zipk0.zipk and what
+it imports) loads for k0, k0-torus and hecke-check, and the cross-checks
+(zipk0.checks) only for a job that runs them.
 """
 
 from __future__ import annotations
@@ -13,22 +16,24 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ._record import record
-from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError, poly_to_string
+from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
+from .lattice import require_prime
 from .rootdata import (
     PRESET_NAMES,
     RootDatum,
     RootDatumError,
-    WeylSizeCapError,
     fundamental_group,
     make_root_datum,
     pairing,
     preset,
     validate,
 )
-from .zipk import CocharacterDatum, KZeroPresentation, compute_k0
+
+if TYPE_CHECKING:
+    from .zipk import CocharacterDatum, KZeroPresentation
 
 SCHEMA_VERSION = 1
 VALID_CHECKS = ("kunneth", "theta", "hecke", "steinberg", "counterexample")
@@ -116,7 +121,10 @@ def _load_job_file(path: str) -> dict:
             raw = fh.read()
     except OSError as exc:
         raise JobParseError(f"cannot read job file {path}: {exc}") from exc
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise JobParseError(f"job file {path} is not UTF-8: {exc}") from exc
     if path.endswith(".toml"):
         return _parse_toml(text, path)
     if path.endswith(".json"):
@@ -158,7 +166,7 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
         spec_value = json.loads(spec_value)
     if isinstance(spec_value, dict):
         try:
-            rank = _parse_int(spec_value["rank"], "rank")
+            rank = _parse_int(spec_value["rank"], "rank", minimum=0)
             roots = [_parse_int_vector(r, "root") for r in spec_value.get("roots", [])]
             coroots = [_parse_int_vector(r, "coroot") for r in spec_value.get("coroots", [])]
             simples = [_parse_int_vector(r, "simple root") for r in spec_value.get("simple_roots", [])]
@@ -300,7 +308,7 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) ->
 def cmd_validate(job: JobSpec) -> dict:
     validate(job.rd)
     job.rd.weight_lift  # the simply-connectedness gate, as in k0
-    CocharacterDatum(job.rd, job.mu, job.p)  # the primality gate, as in k0
+    require_prime(job.p)  # the primality gate, as in k0
     return {
         "schema": SCHEMA_VERSION,
         "command": "validate",
@@ -312,6 +320,9 @@ def cmd_validate(job: JobSpec) -> dict:
 
 
 def cmd_k0(job: JobSpec) -> dict:
+    from .groebner import poly_to_string
+    from .zipk import CocharacterDatum, compute_k0
+
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
     kz = compute_k0(datum, job.max_degree)
@@ -346,6 +357,7 @@ def cmd_k0(job: JobSpec) -> dict:
 
 def cmd_k0_torus(job: JobSpec) -> dict:
     from .checks import compute_k0_torus
+    from .zipk import CocharacterDatum
 
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
@@ -365,6 +377,7 @@ def cmd_k0_torus(job: JobSpec) -> dict:
 
 def cmd_hecke_check(job: JobSpec) -> dict:
     from .checks import hecke_check
+    from .zipk import CocharacterDatum
 
     validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
@@ -522,7 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ResourceCapError, WeylSizeCapError) as exc:
+    except ResourceCapError as exc:
         capped = exc
         report = {
             "schema": SCHEMA_VERSION,

@@ -39,6 +39,7 @@ import math
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import record
+from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
 from .lattice import cokernel_torsion
 
 Monomial = tuple[int, ...]
@@ -47,11 +48,6 @@ Packed = dict[int, int]  # {packed monomial: nonzero int}
 Term = tuple[int, int]  # (packed monomial, coefficient): a leading or an lcm term
 
 
-class ResourceCapError(RuntimeError):
-    """A configured degree or basis-size cap was exceeded (never silent)."""
-
-
-DEFAULT_MAX_DEGREE = 60
 DEFAULT_MAX_BASIS = 20000
 TRUNCATION_BOUND = 12  # degree cap of a quotient report that is not module-finite
 MIN_FIELD_BITS = 8  # so that every degree up to 127 shares one width and one table

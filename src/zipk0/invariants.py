@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._record import record
-from .groebner import DEFAULT_MAX_DEGREE, ResourceCapError
+from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
 from .grpalg import GroupAlgebraElement, one, orbit_sum, weyl_act
 from .rootdata import (
     RootDatum,

@@ -8,12 +8,15 @@ cokernel here comes from one elimination on sparse rows, _echelon, its
 canonical form _hermite and the reduction _reduce: the kernel and the image
 of A both sit in one Hermite basis of the rows (column j of A | e_j) (Cohen,
 "A Course in Computational Algebraic Number Theory", GTM 138, section 2.4).
+The primality gate of every job (deterministic Miller-Rabin) lives here too.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Optional, Sequence, Union
+
+from .caps import ResourceCapError
 
 
 Vector = tuple[int, ...]
@@ -44,6 +47,50 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# Miller-Rabin to the prime bases up to 41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin.  An n at or above
+    MILLER_RABIN_BOUND raises ResourceCapError: no test here is exact there."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ResourceCapError(
+            f"p = {n} is at or above {MILLER_RABIN_BOUND}, the bound below which "
+            f"primality is decided exactly"
+        )
+    if n < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
+    return True
+
+
+def require_prime(p: int) -> None:
+    """The primality gate of every job: a p that is not prime raises
+    ValueError, and one at or above MILLER_RABIN_BOUND ResourceCapError."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from ._record import record
+from .caps import ResourceCapError
 from .lattice import cokernel_invariants, determinant, kernel_basis, solve_linear_diophantine
 
 Vector = tuple[int, ...]
@@ -30,7 +31,7 @@ class RootDatumError(ValueError):
         self.kind = kind
 
 
-class WeylSizeCapError(RuntimeError):
+class WeylSizeCapError(ResourceCapError):
     """Weyl group enumeration exceeded WEYL_SIZE_CAP elements."""
 
 

@@ -19,61 +19,24 @@ from functools import cached_property
 from typing import Sequence
 
 from ._record import record
+from .caps import DEFAULT_MAX_DEGREE
 from .groebner import (
-    DEFAULT_MAX_DEGREE,
     GroebnerBasis,
     Poly,
     PolyRingSpec,
-    ResourceCapError,
     quotient_z_module,
     QuotientReport,
     strong_groebner,
 )
 from .grpalg import GroupAlgebraElement, frobenius, orbit_sum
 from .invariants import InvariantRingPresentation, express_invariant
+from .lattice import require_prime
 from .rootdata import (
     Cocharacter,
     RootDatum,
     dominant_hilbert_basis,
     levi_from_cocharacter,
 )
-
-
-# Miller-Rabin to the prime bases up to 41 is exact below this bound, the
-# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-def is_prime(n: int) -> bool:
-    """Whether n is prime, by deterministic Miller-Rabin.  An n at or above
-    MILLER_RABIN_BOUND raises ResourceCapError: no test here is exact there."""
-    if n >= MILLER_RABIN_BOUND:
-        raise ResourceCapError(
-            f"p = {n} is at or above {MILLER_RABIN_BOUND}, the bound below which "
-            f"primality is decided exactly"
-        )
-    if n < 2:
-        return False
-    for a in MILLER_RABIN_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False  # a witnesses that n is composite
-    return True
 
 
 @record
@@ -85,8 +48,7 @@ class CocharacterDatum:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        require_prime(self.p)
 
     @cached_property
     def frobenius_gens(self) -> tuple[GroupAlgebraElement, ...]:

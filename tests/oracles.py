@@ -23,14 +23,13 @@ from typing import Iterable, Optional, Sequence
 
 from zipk0 import groebner
 from zipk0._record import record
+from zipk0.caps import DEFAULT_MAX_DEGREE, ResourceCapError
 from zipk0.groebner import (
-    DEFAULT_MAX_DEGREE,
     GroebnerBasis,
     Monomial,
     Poly,
     PolyRingSpec,
     QuotientReport,
-    ResourceCapError,
     _leading,
     _normalize_sign,
     normal_form_gb,

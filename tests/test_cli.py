@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from zipk0.cli import main, render_text
-from zipk0.groebner import DEFAULT_MAX_DEGREE
+from zipk0.caps import DEFAULT_MAX_DEGREE
 from zipk0.rootdata import levi_from_cocharacter, preset
 
 
@@ -146,6 +146,54 @@ def test_bad_module_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error: ")
+
+
+NOT_UTF8 = b'\xff\xfe{"group": "SL2"}'
+
+# (id, argv, job files to write, exit code, text the stderr line contains).
+# In argv, {tmp} is the directory that holds the job files.
+MALFORMED = [
+    ("k0 non-UTF-8 file", ["k0", "{tmp}/job.json"], {"job.json": NOT_UTF8}, 2, "is not UTF-8"),
+    ("validate non-UTF-8 file", ["validate", "{tmp}/job.json"], {"job.json": NOT_UTF8}, 2,
+     "is not UTF-8"),
+    ("negative rank", ["validate", "--group", '{"rank": -1}'], {}, 2,
+     "rank must be at least 0, got -1"),
+    ("array job file", ["k0", "{tmp}/job.json"], {"job.json": b"[1, 2]"}, 2,
+     "must contain an object"),
+    ("directory job file", ["k0", "{tmp}"], {}, 2, "cannot read job file"),
+    ("infinite rank", ["validate", "--group", '{"rank": 1e400}'], {}, 2, "cannot parse rank"),
+    ("NaN mu", ["k0", "--group", "SL2", "--mu", "[NaN]"], {}, 2, "cannot parse cocharacter"),
+    ("NaN twist", ["k0", "--group", "SL2", "--twist", "[[NaN]]"], {}, 2, "cannot parse twist"),
+    ("scalar twist", ["k0", "--group", "SL2", "--twist", "3"], {}, 2, "cannot parse twist"),
+    ("twist of wrong shape", ["k0", "--group", "SL2", "--twist", "[[1,0]]"], {}, 3,
+     "twist has wrong shape"),
+    ("fewer coroots than roots", ["validate", "--group",
+      '{"rank": 1, "roots": [[2], [-2]], "coroots": [[1]], "simple_roots": [[2]]}'],
+     {}, 3, "roots and coroots must be paired"),
+]
+
+
+@pytest.mark.parametrize("argv,files,code,text", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_keeps_the_exit_code_contract(capsys, tmp_path, argv, files, code, text):
+    # Exit 2 or 3 with one stderr line, never a traceback (exit 1).
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    got, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    prefix = "parse error: " if code == 2 else "validation error: "
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert text in err and "Traceback" not in err
+
+
+def test_non_utf8_job_file_exits_2_as_a_process(capsys, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_bytes(NOT_UTF8)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "zipk0.cli", "k0", str(job)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, "k0", str(job))
+    assert done.returncode == 2 and done.stderr.startswith("parse error: ")
 
 
 ALL_CHECKS = "kunneth,theta,hecke,steinberg,counterexample"
@@ -461,7 +509,7 @@ def test_huge_prime_is_decided_at_once():
 
 @pytest.mark.parametrize("command", [["validate"], ["k0", "--mu", "1"]])
 def test_prime_at_the_primality_bound_exits_4(capsys, command):
-    from zipk0.zipk import MILLER_RABIN_BOUND
+    from zipk0.lattice import MILLER_RABIN_BOUND
     code, out, err = run(capsys, *command, "--group", "SL2", "--p", str(MILLER_RABIN_BOUND))
     assert code == 4
     rep = json.loads(out)

@@ -18,6 +18,9 @@ from zipk0.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULE = ["-m", "zipk0.cli"]
+# Development mode with every warning an error: a command that imports the
+# pipeline as it runs must not write a compile-time warning into its stderr.
+DEV_MODULE = ["-X", "dev", "-W", "error", *MODULE]
 SCRIPT = ["-c", "from zipk0.cli import console_entry; console_entry()"]  # as the installed script
 
 # (argv, exit code): JSON and text reports, a parse error, a validation
@@ -46,6 +49,13 @@ def _in_process(capsys, argv):
 @pytest.mark.parametrize("argv,code", JOBS, ids=[" ".join(j[0]) for j in JOBS])
 def test_process_matches_in_process(capsys, argv, code):
     done = _process(MODULE, argv, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == _in_process(capsys, argv)
+    assert done.returncode == code
+
+
+@pytest.mark.parametrize("argv,code", JOBS, ids=[" ".join(j[0]) for j in JOBS])
+def test_dev_mode_process_matches_in_process(capsys, argv, code):
+    done = _process(DEV_MODULE, argv, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == _in_process(capsys, argv)
     assert done.returncode == code
 

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from zipk0 import groebner
+from zipk0.caps import ResourceCapError
 from zipk0.cli import main
 from zipk0.groebner import (
     PolyRingSpec,
-    ResourceCapError,
     _interreduce,
     _leading,
     _Packing,

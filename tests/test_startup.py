@@ -1,6 +1,8 @@
 """Start-up diet: `import zipk0.cli` loads none of the standard-library
-modules that the library's value classes and rounding once pulled in, and
-a job loads the cross-checks (zipk0.checks) only when it runs one."""
+modules that the library's value classes and rounding once pulled in, the
+package root loads no submodule, `validate` loads no module of the Groebner
+pipeline, and a job loads the cross-checks (zipk0.checks) only when it runs
+one."""
 
 from __future__ import annotations
 
@@ -28,6 +30,30 @@ def test_cli_import_loads_no_avoided_module():
     added = _loaded_modules("import zipk0.cli") - _loaded_modules("")
     assert "zipk0.cli" in added
     assert sorted(AVOIDED & added) == []
+
+
+ROOT_DATUM_LAYER = {"zipk0", "zipk0._record", "zipk0.caps", "zipk0.cli", "zipk0.lattice",
+                    "zipk0.rootdata"}
+PIPELINE = {"zipk0.groebner", "zipk0.grpalg", "zipk0.invariants", "zipk0.zipk"}
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (None, {"zipk0"}),
+        (["validate", "--group", "SL2"], ROOT_DATUM_LAYER),
+        (["k0", "--group", "SL2", "--mu", "1", "--p", "3"], ROOT_DATUM_LAYER | PIPELINE),
+    ],
+    ids=["package", "validate", "k0"],
+)
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
+    # The package root imports no submodule, validate compiles no module of
+    # the Groebner pipeline, and k0 without checks compiles no cross-check.
+    code = "import zipk0"
+    if argv is not None:
+        argv = [*argv, "--out", str(tmp_path / "report.json")]
+        code = f"import zipk0.cli\nassert zipk0.cli.main({argv!r}) == 0"
+    assert {m for m in _loaded_modules(code) if m.split(".")[0] == "zipk0"} == loaded
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ import itertools
 import json
 import random
 
-from zipk0.groebner import ResourceCapError, normal_form_gb, poly_to_string, strong_groebner
+from zipk0.caps import ResourceCapError
+from zipk0.groebner import normal_form_gb, poly_to_string, strong_groebner
 from zipk0.checks import (
     _weyl_rows,
     compute_k0_torus,
@@ -18,7 +19,7 @@ from zipk0.checks import (
 )
 from zipk0.grpalg import monomial, one
 from zipk0.invariants import InvariantRingPresentation, express_invariant
-from zipk0.lattice import _prime_factors, kernel_basis
+from zipk0.lattice import MILLER_RABIN_BOUND, _prime_factors, is_prime, kernel_basis
 from zipk0.rootdata import (
     PRESET_NAMES,
     RootDatum,
@@ -31,10 +32,8 @@ from zipk0.rootdata import (
     weyl_enumerate,
 )
 from zipk0.zipk import (
-    MILLER_RABIN_BOUND,
     CocharacterDatum,
     compute_k0,
-    is_prime,
     levi_presentation_ring,
     unit_relations,
 )
