@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
 from .groebner import normal_form_gb
-from .grpalg import frobenius, monomial
+from .grpalg import frobenius, subtract
 from .invariants import InvariantRingPresentation
 from .lattice import determinant, hermite_row_basis, kernel_basis, span_members
 from .rootdata import (
@@ -110,8 +110,8 @@ def theta_map_check(datum: CocharacterDatum, torus: KZeroPresentation) -> dict:
     coordinates = torus.presentation_pres.coordinates
 
     def vanishes(chi: Vector) -> bool:
-        f = monomial(rd.rank, chi) - frobenius(monomial(rd.rank, chi), datum.p, rd.twist)
-        poly = {coordinates(e): c for e, c in f.terms.items()}
+        f = subtract({chi: 1}, frobenius({chi: 1}, datum.p, rd.twist))
+        poly = {coordinates(e): c for e, c in f.items()}
         return not normal_form_gb(poly, torus.groebner)
 
     gen_ok = all(not normal_form_gb(r, torus.groebner) for r in torus.frobenius_relations)

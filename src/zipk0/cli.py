@@ -179,11 +179,7 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
         for vec in list(roots) + list(coroots) + list(simples):
             if len(vec) != rank:
                 raise JobParseError(f"vector {list(vec)} does not have length rank={rank}")
-        try:
-            rd = make_root_datum(rank, roots, coroots, simples, tw, name="explicit")
-        except RootDatumError as exc:
-            raise JobParseError(str(exc)) from exc
-        return spec_value, rd
+        return spec_value, make_root_datum(rank, roots, coroots, simples, tw, name="explicit")
     if not isinstance(spec_value, str):
         raise JobParseError(f"group must be a preset name or an object, got {spec_value!r}")
     name = spec_value.strip()
@@ -522,12 +518,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         job = load_job(args)
-    except JobParseError as exc:
+    except (JobParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except RootDatumError as exc:  # an explicit datum's simple root outside its roots
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     capped = None
     try:
         report = COMMANDS[args.command](job)

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from ._record import record
 from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
-from .grpalg import GroupAlgebraElement, one, orbit_sum, weyl_act
+from .grpalg import Element, multiply, orbit_sum, weyl_act
 from .rootdata import (
     RootDatum,
     Vector,
@@ -44,7 +44,7 @@ class InvariantRingPresentation:
         return tuple(dominant_hilbert_basis(self.rd))
 
     @cached_property
-    def generator_elements(self) -> tuple[GroupAlgebraElement, ...]:
+    def generator_elements(self) -> tuple[Element, ...]:
         return tuple(orbit_sum(self.rd.weyl, w) for w in self.generator_weights)
 
     @cached_property
@@ -99,12 +99,12 @@ class InvariantRingPresentation:
         return coordinates
 
 
-def is_invariant(f: GroupAlgebraElement, pres: InvariantRingPresentation) -> bool:
+def is_invariant(f: Element, pres: InvariantRingPresentation) -> bool:
     return all(weyl_act(g, f) == f for g in pres.rd.weyl.generators)
 
 
 def express_invariant(
-    f: GroupAlgebraElement,
+    f: Element,
     pres: InvariantRingPresentation,
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> GeneratorPolynomial:
@@ -114,9 +114,11 @@ def express_invariant(
     generator product has coefficient one, so each step eliminates it exactly.
     The generator products and the dominance of each term are kept for the
     call: each new exponent costs one multiplication of a known product by
-    one generator.  Each step's product is a term of the result, so a step
-    whose product has total degree above max_degree raises ResourceCapError
-    before that product is built.
+    one generator.  The descent subtracts each step's multiple of a product
+    in place from its own copy of f, so f and the products stay as they are.
+    Each step's product is a term of the result, so a step whose product has
+    total degree above max_degree raises ResourceCapError before that product
+    is built.
     """
     if not is_invariant(f, pres):
         raise NotInvariantError("element is not invariant under the given Weyl group")
@@ -124,9 +126,9 @@ def express_invariant(
     hv = pres.rd.coroot_sum
     gens = pres.generator_elements
     coordinates = pres.coordinates
-    products = {(0,) * len(gens): one(pres.rd.rank)}
+    products = {(0,) * len(gens): {(0,) * pres.rd.rank: 1}}
 
-    def product(expt: GeneratorExponent) -> GroupAlgebraElement:
+    def product(expt: GeneratorExponent) -> Element:
         degree = sum(expt)
         if degree > max_degree:
             raise ResourceCapError(
@@ -139,34 +141,39 @@ def express_invariant(
             expt = expt[:i] + (expt[i] - 1,) + expt[i + 1:]
         prod = products[expt]
         for expt, i in reversed(chain):
-            prod = products[expt] = prod * gens[i]
+            prod = products[expt] = multiply(prod, gens[i])
         return prod
 
     def hkey(e: Vector):
         return (pairing(e, hv), e)
 
     dominance: dict[Vector, bool] = {}  # terms recur from step to step
-    work = f
+    work = dict(f)
     out: GeneratorPolynomial = {}
     guard = 0
-    while not work.is_zero():
+    while work:
         guard += 1
         if guard >= 10000:
             raise RuntimeError("descent failed to terminate: internal error")
-        for e in work.terms:
+        for e in work:
             if e not in dominance:
                 dominance[e] = weights_dominant(e, cosimples)
-        dominant_terms = [e for e in work.terms if dominance[e]]
+        dominant_terms = [e for e in work if dominance[e]]
         if not dominant_terms:
             raise RuntimeError("invariant element with no dominant term: internal error")
         lead = max(dominant_terms, key=hkey)
-        c = work.terms[lead]
+        c = work[lead]
         expt = coordinates(lead)
         prod = product(expt)
-        if prod.coefficient(lead) != 1:
+        if prod.get(lead) != 1:
             raise RuntimeError("leading coefficient not 1: internal error")
-        work = work - prod * c
-        if work.coefficient(lead) != 0:
+        for e, d in prod.items():
+            left = work.get(e, 0) - c * d
+            if left:
+                work[e] = left
+            else:
+                del work[e]
+        if lead in work:
             raise RuntimeError("leading term survived the descent step: internal error")
         out[expt] = out.get(expt, 0) + c
     return {e: c for e, c in out.items() if c}

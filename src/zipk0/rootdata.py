@@ -142,7 +142,7 @@ def make_root_datum(
     for s in simple_roots:
         s = tuple(int(x) for x in s)
         if s not in rts:
-            raise RootDatumError("pairing-violation", f"simple root {s} is not a root")
+            raise RootDatumError("simple-root-not-a-root", f"simple root {s} is not a root")
         simples.append(rts.index(s))
     tw = tuple(tuple(int(x) for x in row) for row in twist) if twist is not None else None
     return RootDatum(rank, rts, crts, tuple(simples), tw, name)
@@ -300,14 +300,10 @@ class WeylGroup:
         return m
 
 
-def enumerate_weyl_group(
-    rank: int,
-    simple_roots: Sequence[Vector],
-    simple_coroots: Sequence[Vector],
-) -> WeylGroup:
+def weyl_enumerate(rd: RootDatum) -> WeylGroup:
     """BFS closure of the simple reflections; BFS depth gives reduced words."""
-    gens = tuple(reflection_matrix(a, av) for a, av in zip(simple_roots, simple_coroots))
-    ident = identity_matrix(rank)
+    gens = tuple(reflection_matrix(a, av) for a, av in zip(rd.simple_roots, rd.simple_coroots))
+    ident = identity_matrix(rd.rank)
     elements: list[Matrix] = [ident]
     words: list[tuple[int, ...]] = [()]
     seen = {ident: 0}
@@ -327,11 +323,7 @@ def enumerate_weyl_group(
                             f"Weyl group larger than cap {WEYL_SIZE_CAP}"
                         )
         frontier = nxt
-    return WeylGroup(rank, gens, tuple(elements), tuple(words))
-
-
-def weyl_enumerate(rd: RootDatum) -> WeylGroup:
-    return enumerate_weyl_group(rd.rank, rd.simple_roots, rd.simple_coroots)
+    return WeylGroup(rd.rank, gens, tuple(elements), tuple(words))
 
 
 def weyl_orbit(weyl: WeylGroup, weight: Sequence[int]) -> tuple[Vector, ...]:

@@ -28,7 +28,7 @@ from .groebner import (
     QuotientReport,
     strong_groebner,
 )
-from .grpalg import GroupAlgebraElement, frobenius, orbit_sum
+from .grpalg import Element, frobenius, orbit_sum, subtract
 from .invariants import InvariantRingPresentation, express_invariant
 from .lattice import require_prime
 from .rootdata import (
@@ -51,7 +51,7 @@ class CocharacterDatum:
         require_prime(self.p)
 
     @cached_property
-    def frobenius_gens(self) -> tuple[GroupAlgebraElement, ...]:
+    def frobenius_gens(self) -> tuple[Element, ...]:
         """m_lambda - phi(m_lambda), one per dominant Hilbert-basis weight of G;
         they generate I R(L) for every Levi L.  The Frobenius twist is the
         root datum's.
@@ -62,11 +62,8 @@ class CocharacterDatum:
         raises SimplyConnectedHypothesisError, before any Weyl group is built.
         """
         rd = self.rd
-        gens = []
-        for lam in dominant_hilbert_basis(rd):
-            m = orbit_sum(rd.weyl, lam)
-            gens.append(m - frobenius(m, self.p, rd.twist))
-        return tuple(gens)
+        orbit_sums = [orbit_sum(rd.weyl, lam) for lam in dominant_hilbert_basis(rd)]
+        return tuple(subtract(m, frobenius(m, self.p, rd.twist)) for m in orbit_sums)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Test oracles: the reference Groebner engine on exponent tuples, the dense
-Hermite elimination and the element-arithmetic builders of the check rows
-that the sparse ones must match, independent re-checks of the packed
+"""Test oracles: the reference Groebner engine on exponent tuples, the
+reference group-algebra arithmetic (GroupAlgebraElement, with its Weyl
+action, orbit sums and Frobenius) that the library's plain {character: int}
+dicts are tested against, the dense Hermite elimination and the
+element-arithmetic builders of the check rows that the sparse ones must
+match, independent re-checks of the packed
 engine, of the quotient module's invariants, of the Steinberg spanning
 evidence, of the closed-form dominant Hilbert basis and of the positive
 roots and generator combinations read off the root datum, the rank counted
@@ -19,7 +22,7 @@ import heapq
 import itertools
 import math
 from operator import add, le, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from zipk0 import groebner
 from zipk0._record import record
@@ -38,7 +41,6 @@ from zipk0.groebner import (
     strong_groebner,
 )
 from zipk0.checks import _demazure_series, _hecke_rows, window_box
-from zipk0.grpalg import GroupAlgebraElement, monomial, one, orbit_sum, weyl_act
 from zipk0.invariants import InvariantRingPresentation
 from zipk0.lattice import determinant, hermite_row_basis, kernel_basis, solve_linear_diophantine
 from zipk0.rootdata import (
@@ -849,7 +851,7 @@ def steinberg_spanning_by_solves(rd, cands, weyl, spanning_radius):
     box_r = spanning_radius + maxc + 2
     dominant_window = [nu for nu in window_box(rd.rank, box_r)
                        if weights_dominant(nu, rd.simple_coroots)]
-    basis_elems = [orbit_sum(weyl, nu) * monomial(rd.rank, lam)
+    basis_elems = [reference_orbit_sum(weyl, nu) * monomial(rd.rank, lam)
                    for lam in cands for nu in dominant_window]
     ok = True
     for mu in window_box(rd.rank, spanning_radius):
@@ -1026,6 +1028,147 @@ def reference_nonneg_combinations(pres: InvariantRingPresentation):
 # Group algebra, Weyl groups and Levis
 
 
+class GroupAlgebraElement:
+    """Element of Z[X*(T)]; immutable, hashable, exact: the reference
+    arithmetic that the library's plain {character: int} dicts are tested
+    against.  `.terms` is such a dict, and the constructor takes one."""
+
+    __slots__ = ("rank", "terms", "_hash")
+
+    def __init__(self, rank: int, terms: Mapping[Vector, int]):
+        self.rank = rank
+        cleaned = {}
+        for e, c in terms.items():
+            if c:
+                e = tuple(int(x) for x in e)
+                if len(e) != rank:
+                    raise ValueError(f"exponent {e} does not have rank {rank}")
+                cleaned[e] = cleaned.get(e, 0) + int(c)
+        self.terms = {e: c for e, c in cleaned.items() if c}
+        self._hash = None
+
+    @classmethod
+    def _trusted(cls, rank: int, terms: Mapping[Vector, int]) -> "GroupAlgebraElement":
+        """An element from terms this module built: distinct exponent tuples of
+        length `rank`, so only the zero coefficients need dropping."""
+        self = object.__new__(cls)
+        self.rank = rank
+        self.terms = {e: c for e, c in terms.items() if c}
+        self._hash = None
+        return self
+
+    # -- basic ring structure ------------------------------------------------
+
+    def _check(self, other: "GroupAlgebraElement") -> None:
+        if self.rank != other.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+
+    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        self._check(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return GroupAlgebraElement._trusted(self.rank, out)
+
+    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        self._check(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) - c
+        return GroupAlgebraElement._trusted(self.rank, out)
+
+    def __neg__(self) -> "GroupAlgebraElement":
+        return GroupAlgebraElement._trusted(self.rank, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return GroupAlgebraElement._trusted(self.rank, {e: c * other for e, c in self.terms.items()})
+        self._check(other)
+        out: dict[Vector, int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return GroupAlgebraElement._trusted(self.rank, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GroupAlgebraElement)
+            and self.rank == other.rank
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.rank, tuple(sorted(self.terms.items()))))
+        return self._hash
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, exponent: Sequence[int]) -> int:
+        return self.terms.get(tuple(exponent), 0)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for e in sorted(self.terms, reverse=True):
+            c = self.terms[e]
+            mono = "*".join(
+                f"e{i}^{k}" if k != 1 else f"e{i}"
+                for i, k in enumerate(e)
+                if k
+            )
+            if not mono:
+                bits.append(f"{c:+d}")
+            elif c == 1:
+                bits.append(f"+{mono}")
+            elif c == -1:
+                bits.append(f"-{mono}")
+            else:
+                bits.append(f"{c:+d}*{mono}")
+        return "".join(bits)
+
+
+def one(rank: int) -> GroupAlgebraElement:
+    return GroupAlgebraElement._trusted(rank, {(0,) * rank: 1})
+
+
+def monomial(rank: int, exponent: Sequence[int]) -> GroupAlgebraElement:
+    return GroupAlgebraElement(rank, {tuple(int(x) for x in exponent): 1})
+
+
+
+def reference_weyl_act(w: Matrix, f: GroupAlgebraElement) -> GroupAlgebraElement:
+    """e^chi -> e^{w chi}, as a sum of scaled monomials."""
+    total = GroupAlgebraElement(f.rank, {})
+    for e, c in f.terms.items():
+        total = total + monomial(f.rank, mat_vec(w, e)) * c
+    return total
+
+
+def reference_orbit_sum(weyl: WeylGroup, weight: Sequence[int]) -> GroupAlgebraElement:
+    """m_lambda: one monomial per distinct image of lambda under the group."""
+    total = GroupAlgebraElement(len(weight), {})
+    for nu in {mat_vec(w, weight) for w in weyl.elements}:
+        total = total + monomial(len(weight), nu)
+    return total
+
+
+def reference_frobenius(
+    f: GroupAlgebraElement, p: int, twist: Optional[Matrix]
+) -> GroupAlgebraElement:
+    """e^chi -> e^{p tau(chi)}, as a sum of scaled monomials."""
+    total = GroupAlgebraElement(f.rank, {})
+    for e, c in f.terms.items():
+        image = mat_vec(twist, e) if twist is not None else e
+        total = total + monomial(f.rank, tuple(p * x for x in image)) * c
+    return total
+
+
 def from_terms(rank: int, items: Iterable[tuple[Sequence[int], int]]) -> GroupAlgebraElement:
     return GroupAlgebraElement(rank, {tuple(e): c for e, c in items})
 
@@ -1051,7 +1194,7 @@ def demazure_by_division(
     alpha = rd.roots[root_idx]
     coroot = rd.coroots[root_idx]
     s = reflection_matrix(alpha, coroot)
-    numerator = f - monomial(f.rank, tuple(-x for x in alpha)) * weyl_act(s, f)
+    numerator = f - monomial(f.rank, tuple(-x for x in alpha)) * reference_weyl_act(s, f)
     if numerator.is_zero():
         return numerator
 
@@ -1129,7 +1272,7 @@ def expand_generator_polynomial(
         term = one(pres.rd.rank) * c
         for g, e in zip(pres.generator_elements, expt):
             for _ in range(e):
-                term = term * g
+                term = term * GroupAlgebraElement(pres.rd.rank, g)
         total = total + term
     return total
 
@@ -1184,7 +1327,7 @@ def hecke_rows_by_elements(rd: RootDatum, box: Sequence[Vector]) -> list[list[in
         d_images = []
         for e in box:
             mono = monomial(rd.rank, e)
-            s_images.append(weyl_act(s, mono) - mono)
+            s_images.append(reference_weyl_act(s, mono) - mono)
             d_images.append(demazure(rd, i, mono) - mono)
         rows += _element_condition_rows(s_images)
         rows += _element_condition_rows(d_images)
@@ -1198,7 +1341,7 @@ def weyl_rows_by_elements(weyl: WeylGroup, rank: int, box: Sequence[Vector]) -> 
         images = []
         for e in box:
             m = monomial(rank, e)
-            images.append(weyl_act(w, m) - m)
+            images.append(reference_weyl_act(w, m) - m)
         rows += _element_condition_rows(images)
     return rows
 
@@ -1206,7 +1349,7 @@ def weyl_rows_by_elements(weyl: WeylGroup, rank: int, box: Sequence[Vector]) -> 
 def steinberg_columns_by_elements(weyl, rank, cands, dominant_window, targets):
     """The support and dense columns of checks._steinberg_columns, from
     one orbit sum times one monomial per (lambda, nu)."""
-    basis_elems = [orbit_sum(weyl, nu) * monomial(rank, lam)
+    basis_elems = [reference_orbit_sum(weyl, nu) * monomial(rank, lam)
                    for lam in cands for nu in dominant_window]
     support = sorted({e for el in basis_elems for e in el.terms} | set(targets))
     idx = {e: i for i, e in enumerate(support)}
@@ -1304,9 +1447,9 @@ def exponent_to_monomial(chi: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def to_poly(f: GroupAlgebraElement) -> Poly:
+def to_poly(f: dict[Vector, int]) -> Poly:
     """Character sum -> polynomial in the split positive/negative variables."""
-    return {exponent_to_monomial(chi): c for chi, c in f.terms.items()}
+    return {exponent_to_monomial(chi): c for chi, c in f.items()}
 
 
 def reference_k0_torus(
@@ -1357,7 +1500,7 @@ def substitution_soundness(datum: CocharacterDatum, kz: KZeroPresentation,
     (torus_gb is the strong basis from reference_k0_torus of the same datum)."""
     for rel in kz.syzygy_relations + kz.frobenius_relations:
         expanded = expand_generator_polynomial(rel, kz.presentation_pres)
-        if normal_form_gb(to_poly(expanded), torus_gb):
+        if normal_form_gb(to_poly(expanded.terms), torus_gb):
             return False
     return True
 

@@ -149,6 +149,7 @@ def test_bad_module_exits_2(capsys, argv):
 
 
 NOT_UTF8 = b'\xff\xfe{"group": "SL2"}'
+NOT_A_ROOT = '{"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "simple_roots": [[4]]}'
 
 # (id, argv, job files to write, exit code, text the stderr line contains).
 # In argv, {tmp} is the directory that holds the job files.
@@ -170,6 +171,12 @@ MALFORMED = [
     ("fewer coroots than roots", ["validate", "--group",
       '{"rank": 1, "roots": [[2], [-2]], "coroots": [[1]], "simple_roots": [[2]]}'],
      {}, 3, "roots and coroots must be paired"),
+    # A simple root must be one of the roots: a root-datum fault like the
+    # others, named for itself.
+    ("validate simple root not a root", ["validate", "--group", NOT_A_ROOT], {}, 3,
+     "simple-root-not-a-root: simple root (4,) is not a root"),
+    ("k0 simple root not a root", ["k0", "--group", NOT_A_ROOT, "--mu", "0", "--p", "3"], {}, 3,
+     "simple-root-not-a-root: simple root (4,) is not a root"),
 ]
 
 

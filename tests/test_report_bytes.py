@@ -7,7 +7,8 @@ in `k0` with every check, `hecke-check`, `demo-counterexample`, and an explicit
 datum; the check sections are pinned in text as well as JSON.  The ten
 `quotient` and nine `levi` benchmark jobs of seed 1, four heavier completions
 (SL4 at a regular mu, the SL4 torus, Sp4 at p=11) and a unitary GL3 job cover
-the Groebner engine's bases and quotient modules.  A change that moves a report on purpose
+the Groebner engine's bases and quotient modules, and a twisted SL3 job pins
+the Kunneth and theta checks under a twist.  A change that moves a report on purpose
 records the new digests here and says why.
 """
 
@@ -24,6 +25,7 @@ CHECKS = "kunneth,theta,hecke,steinberg"
 GL2_DATUM = json.dumps({"rank": 2, "roots": [[1, -1], [-1, 1]], "coroots": [[1, -1], [-1, 1]],
                         "simple_roots": [[1, -1]]})
 U3_TWIST = "[[0,0,-1],[0,-1,0],[-1,0,0]]"
+SWAP_TWIST = "[[0,1],[1,0]]"
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr)
@@ -159,6 +161,12 @@ RECORDED = [
      EMPTY),
     (("k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2", "--twist", U3_TWIST),
      0, "ea48ed0b63c4501d7f47262de952437613877f2023bd1219f55fdb155cbaa5d5",
+     EMPTY),
+    # The Kunneth and theta checks under a twist: SL3 with the diagram swap,
+    # whose theta samples apply the twisted Frobenius to single characters.
+    (("k0", "--group", "SL3", "--mu=1,2", "--p", "3", "--twist", SWAP_TWIST,
+      "--checks", "kunneth,theta"),
+     0, "80b58032c4d70a09e5b2b8e0f53ac0007625d553e531d6e0614ae5e6a55a096f",
      EMPTY),
 ]
 

@@ -6,7 +6,7 @@ import itertools
 import json
 import random
 
-from zipk0.caps import ResourceCapError
+from zipk0.caps import DEFAULT_MAX_DEGREE, ResourceCapError
 from zipk0.groebner import normal_form_gb, poly_to_string, strong_groebner
 from zipk0.checks import (
     _weyl_rows,
@@ -17,7 +17,6 @@ from zipk0.checks import (
     weyl_counterexample_demo,
     window_box,
 )
-from zipk0.grpalg import monomial, one
 from zipk0.invariants import InvariantRingPresentation, express_invariant
 from zipk0.lattice import MILLER_RABIN_BOUND, _prime_factors, is_prime, kernel_basis
 from zipk0.rootdata import (
@@ -34,6 +33,7 @@ from zipk0.rootdata import (
 from zipk0.zipk import (
     CocharacterDatum,
     compute_k0,
+    k0_of_levi,
     levi_presentation_ring,
     unit_relations,
 )
@@ -50,6 +50,8 @@ from oracles import (
     from_terms,
     hermite_remainder,
     mod_l_count_agrees,
+    monomial,
+    one,
     reference_k0_torus,
     reference_normal_form_gb,
     reference_strong_groebner,
@@ -140,7 +142,7 @@ def test_torus_side_ideal_is_principal_product(p):
     datum = CocharacterDatum(preset("SL2"), (1,), p)
     spec = BlockRingSpec(("xb", "x"), ((0,), (1,)))
     f = to_poly(
-        from_terms(1, [((1,), 1), ((-1,), 1), ((p,), -1), ((-p,), -1)])
+        from_terms(1, [((1,), 1), ((-1,), 1), ((p,), -1), ((-p,), -1)]).terms
     )
     gb = reference_strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
     egb = eliminate(gb, (0,))
@@ -187,7 +189,7 @@ def test_sl2_levi_torus_matches_torus_side():
         from_terms(1, [((1,), 1), ((-1,), 1), ((3,), -1), ((-3,), -1)]),
     ]
     for g in fig_polys:
-        poly = express_invariant(g, kz.presentation_pres)
+        poly = express_invariant(g.terms, kz.presentation_pres)
         assert normal_form_gb(poly, kz.groebner) == {}
 
 
@@ -328,7 +330,7 @@ def test_theta_check_sl2():
     assert rep["all_invariant_pass"]
     # x - x^3 is NOT in the ideal: x alone is not a class from R(G).
     f = monomial(1, (1,)) - monomial(1, (3,))
-    assert normal_form_gb(express_invariant(f, torus.presentation_pres), torus.groebner) != {}
+    assert normal_form_gb(express_invariant(f.terms, torus.presentation_pres), torus.groebner) != {}
 
 
 def test_theta_check_gl2_center():
@@ -424,7 +426,7 @@ def test_normal_form_lands_in_standard_monomials():
     # of the six standard monomials.
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     torus = compute_k0_torus(datum)
-    nf = normal_form_gb(express_invariant(monomial(1, (5,)), torus.presentation_pres),
+    nf = normal_form_gb(express_invariant(monomial(1, (5,)).terms, torus.presentation_pres),
                         torus.groebner)
     assert nf != {}
     assert set(nf) <= set(torus.module_report.standard_monomials)
@@ -437,6 +439,32 @@ def test_torus_side_gm2(p):
     assert report.finite and report.rank == (p - 1) ** 2 and report.torsion == ()
 
 
+@pytest.mark.parametrize("name,mu,twist", [
+    ("SL3", (1, 2), None),
+    ("SL3", (1, 2), ((0, 1), (1, 0))),
+    ("GL3", (1, 0, 0), None),
+    ("Sp4", (0, 0), None),
+])
+def test_pipeline_leaves_cached_elements_unchanged(name, mu, twist):
+    # frobenius_gens and generator_elements are cached and shared, so the
+    # completion of R(L) (compute_k0 is k0_of_levi on the Levi's presentation)
+    # and of R(T), and the kunneth and theta checks, must leave every one of
+    # their dicts as it was.
+    rd0 = preset(name)
+    rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, twist)
+    datum = CocharacterDatum(rd, mu, 3)
+    lpres = InvariantRingPresentation(levi_from_cocharacter(rd, mu))
+    tpres = InvariantRingPresentation(RootDatum(rd.rank, (), (), ()))
+    cached = (datum.frobenius_gens, lpres.generator_elements, tpres.generator_elements)
+    before = [[dict(g) for g in group] for group in cached]
+    kz = k0_of_levi(datum, lpres, DEFAULT_MAX_DEGREE)
+    torus = k0_of_levi(datum, tpres, DEFAULT_MAX_DEGREE)
+    assert kunneth_rank_check(kz, torus)["status"] == "PASS"
+    assert theta_map_check(datum, torus)["generator_sanity"]
+    assert compute_k0(datum).module_report == kz.module_report
+    assert [[dict(g) for g in group] for group in cached] == before
+
+
 def test_datum_inherits_twist_from_root_datum():
     rd0 = preset("A1xA1")
     tau = ((0, 1), (1, 0))
@@ -444,7 +472,7 @@ def test_datum_inherits_twist_from_root_datum():
     datum = CocharacterDatum(rd, (0, 0), 2)
     # m_(1,0) - phi(m_(1,0)), with phi(e^chi) = e^{2 tau(chi)}.
     swapped = from_terms(2, [((1, 0), 1), ((-1, 0), 1), ((0, 2), -1), ((0, -2), -1)])
-    assert swapped in datum.frobenius_gens
+    assert swapped.terms in datum.frobenius_gens
 
 
 def test_pipeline_groebner_bases_are_strong():
