@@ -12,7 +12,6 @@ it imports) loads for k0, k0-torus and hecke-check, and the cross-checks
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -44,6 +43,21 @@ EXIT_PARSE = 2
 EXIT_OUTPUT = 2  # the report could not be written
 EXIT_VALIDATION = 3
 EXIT_RESOURCE = 4
+
+# The options, each written --name VALUE or --name=VALUE with "_" as "-", and
+# the keys a job file may set besides "cocharacter", the alias of "mu".
+OPTIONS = {
+    "group": f"preset ({', '.join(PRESET_NAMES)}) or inline JSON datum",
+    "mu": 'cocharacter, e.g. 1,0 or [1,0]; a negative first entry as --mu=-1,2 or --mu "[-1,2]"',
+    "p": "prime",
+    "checks": f"comma list from {','.join(VALID_CHECKS)}",
+    "window": f"exponent box radius for windowed checks (default {DEFAULT_WINDOW})",
+    "format": "report format, json or text (default json)",
+    "out": "write the report to this path instead of stdout",
+    "max_degree": f"Groebner degree cap (default {DEFAULT_MAX_DEGREE})",
+    "twist": "finite-order unimodular matrix as JSON rows",
+    "module": "module for the counterexample demo (Z or Z/<m>)",
+}
 
 
 class JobParseError(ValueError):
@@ -193,38 +207,36 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
     return rd.name, rd
 
 
-def _resolve(flag: Any, data: dict, key: str, default: Any = None) -> Any:
-    """The flag's value, else the job file's under key, else the default."""
-    return flag if flag is not None else data.get(key, default)
-
-
-def load_job(args: argparse.Namespace) -> JobSpec:
-    data: dict = _load_job_file(args.job_file) if args.job_file else {}
-    unknown = set(data) - {
-        "group", "mu", "p", "checks", "window", "format", "out", "max_degree",
-        "twist", "module", "cocharacter",
-    }
+def load_job(args: dict) -> JobSpec:
+    """The job of parse_argv's args: the job file's keys, less those whose value
+    is null, then the options given as flags over them."""
+    data: dict = _load_job_file(args["job_file"]) if args["job_file"] else {}
+    unknown = set(data) - set(OPTIONS) - {"cocharacter"}
     if unknown:
         raise JobParseError(f"unknown job file keys: {sorted(unknown)}")
+    # A null module stays an error, pinned by the job-file field-type tests.
+    values = {k: v for k, v in data.items() if v is not None or k == "module"}
+    if "cocharacter" in values:  # the job file's alias of "mu", which wins over it
+        values["mu"] = values.pop("cocharacter")
+    values.update(args)
 
-    group_value = _resolve(args.group, data, "group")
-    if group_value is None and args.command == "demo-counterexample":
+    group_value = values.get("group")
+    if group_value is None and args["command"] == "demo-counterexample":
         group_value = "SL2"  # the demo lives over the rank-one datum
     if group_value is None:
         raise JobParseError("no group given (preset name or explicit datum)")
-    group, rd = _build_group(group_value, _resolve(args.twist, data, "twist"))
+    group, rd = _build_group(group_value, values.get("twist"))
 
-    # "cocharacter" is the job file's alias of "mu", and wins over it.
-    mu_value = _resolve(args.mu, data, "cocharacter", data.get("mu"))
+    mu_value = values.get("mu")
     mu = _parse_int_vector(mu_value, "cocharacter") if mu_value is not None else (0,) * rd.rank
     if len(mu) != rd.rank:
         raise JobParseError(
             f"cocharacter {list(mu)} has length {len(mu)}, expected rank {rd.rank}"
         )
 
-    p = _parse_int(_resolve(args.p, data, "p", 2), "prime")
+    p = _parse_int(values.get("p", 2), "prime")
 
-    checks_value = _resolve(args.checks, data, "checks", [])
+    checks_value = values.get("checks", [])
     if isinstance(checks_value, str):
         checks_value = [c for c in checks_value.split(",") if c.strip()]
     if not isinstance(checks_value, list) or not all(isinstance(c, str) for c in checks_value):
@@ -234,20 +246,18 @@ def load_job(args: argparse.Namespace) -> JobSpec:
     if bad:
         raise JobParseError(f"unknown checks {bad}; valid: {list(VALID_CHECKS)}")
 
-    window_value = _resolve(args.window, data, "window")
+    window_value = values.get("window")
     window = _parse_int(window_value, "window", minimum=0) if window_value is not None else None
 
-    fmt = _resolve(args.format, data, "format", "json")
+    fmt = values.get("format", "json")
     if fmt not in ("json", "text"):
         raise JobParseError(f"format must be json or text, got {fmt!r}")
 
-    max_degree = _parse_int(
-        _resolve(args.max_degree, data, "max_degree", DEFAULT_MAX_DEGREE), "max_degree", minimum=0
-    )
-    out = _resolve(args.out, data, "out")
+    max_degree = _parse_int(values.get("max_degree", DEFAULT_MAX_DEGREE), "max_degree", minimum=0)
+    out = values.get("out")
     if out is not None and not isinstance(out, str):
         raise JobParseError(f"out must be a path, got {out!r}")
-    module_value = _resolve(args.module, data, "module", "Z/2")
+    module_value = values.get("module", "Z/2")
     name = module_value.strip() if isinstance(module_value, str) else ""
     if name != "Z" and not name.startswith("Z/"):
         raise JobParseError(f"module must be Z or Z/<m>, got {module_value!r}")
@@ -464,43 +474,6 @@ def _output_error(exc: OSError) -> int:
 # Entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zipk0",
-        description=(
-            "Exact presentations of the Grothendieck ring of a stack of G-zips: "
-            "R(L)/IR(L) from a root datum, cocharacter and prime."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "check the root datum axioms and the simply-connectedness gate"),
-        ("k0", "compute the presentation of R(L)/IR(L) with optional cross-checks"),
-        ("k0-torus", "compute the torus-side quotient R(T)/IR(T)"),
-        ("hecke-check", "compare Hecke, Weyl and orbit-span invariants in a window"),
-        ("demo-counterexample", "torsion-module demo: Weyl invariants exceed the image"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("job_file", nargs="?", help="JSON or TOML job description")
-        p.add_argument("--group", help=f"preset ({', '.join(PRESET_NAMES)}) or inline JSON datum")
-        p.add_argument("--mu", help='cocharacter, e.g. 1,0 or [1,0]; a negative first entry '
-                       'as --mu=-1,2 or --mu "[-1,2]"')
-        p.add_argument("--p", help="prime")
-        p.add_argument("--checks", help=f"comma list from {','.join(VALID_CHECKS)}")
-        p.add_argument(
-            "--window", help=f"exponent box radius for windowed checks (default {DEFAULT_WINDOW})"
-        )
-        p.add_argument("--format", choices=("json", "text"), help="report format (default json)")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument(
-            "--max-degree", dest="max_degree",
-            help=f"Groebner degree cap (default {DEFAULT_MAX_DEGREE})",
-        )
-        p.add_argument("--twist", help="finite-order unimodular matrix as JSON rows")
-        p.add_argument("--module", help="module for the counterexample demo (Z or Z/<m>)")
-    return parser
-
-
 COMMANDS = {
     "validate": cmd_validate,
     "k0": cmd_k0,
@@ -510,13 +483,71 @@ COMMANDS = {
 }
 
 
+def parse_argv(argv: Sequence[str]) -> dict:
+    """The command line `COMMAND [JOB_FILE]` with options written --name VALUE
+    or --name=VALUE, as a dict of the command, the job file (or None) and each
+    option given.  A repeated option keeps its last value, and a separate value
+    may start with "-" only as a negative integer.  A malformed line raises
+    JobParseError."""
+    if not argv or argv[0] not in COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise JobParseError(f"{given}; commands: {', '.join(COMMANDS)}")
+    flags = {"--" + key.replace("_", "-"): key for key in OPTIONS}
+    args: dict = {"command": argv[0], "job_file": None}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if args["job_file"] is not None:
+                raise JobParseError(f"unexpected argument {token!r}")
+            args["job_file"] = token
+            continue
+        flag, attached, value = token.partition("=")
+        if flag not in flags:
+            raise JobParseError(f"unknown option {flag}")
+        if not attached:
+            value = next(tokens, "-")  # at the end, as if an option followed
+            if value.startswith("-") and not value[1:].isdecimal():
+                raise JobParseError(f"argument {flag}: expected one argument")
+        args[flags[flag]] = value
+    return args
+
+
+def _help_text() -> str:
+    import textwrap
+
+    options = [("-h, --help", "print this help and exit")] + [
+        (f"--{key.replace('_', '-')} {key.upper()}", text) for key, text in OPTIONS.items()
+    ]
+    return """usage: zipk0 COMMAND [JOB_FILE] [--option VALUE | --option=VALUE ...]
+
+Exact presentations of the Grothendieck ring of a stack of G-zips: R(L)/IR(L)
+from a root datum, cocharacter and prime.
+
+commands:
+  validate             check the root datum axioms and the simply-connectedness gate
+  k0                   compute the presentation of R(L)/IR(L) with optional cross-checks
+  k0-torus             compute the torus-side quotient R(T)/IR(T)
+  hecke-check          compare Hecke, Weyl and orbit-span invariants in a window
+  demo-counterexample  torsion-module demo: Weyl invariants exceed the image
+
+JOB_FILE is a JSON or TOML job description whose keys are the options below
+(max_degree for --max-degree; "cocharacter" is an alias of "mu").  A flag
+overrides the file.
+
+options:
+""" + "".join(
+        textwrap.fill(text, 79, initial_indent=f"  {name:<25} ", subsequent_indent=" " * 28) + "\n"
+        for name, text in options
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help_text())
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
-    try:
+        args = parse_argv(argv)
         job = load_job(args)
     except (JobParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -526,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     capped = None
     try:
-        report = COMMANDS[args.command](job)
+        report = COMMANDS[args["command"]](job)
     # RootDatumError and SimplyConnectedHypothesisError are ValueErrors.
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -535,7 +566,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         capped = exc
         report = {
             "schema": SCHEMA_VERSION,
-            "command": args.command,
+            "command": args["command"],
             "job": job.echo(),
             "error": "resource-cap",
             "detail": str(exc),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zipk0.cli import main, render_text
+from zipk0.cli import COMMANDS, OPTIONS, main, render_text
 from zipk0.caps import DEFAULT_MAX_DEGREE
 from zipk0.rootdata import levi_from_cocharacter, preset
 
@@ -708,9 +708,80 @@ def test_cocharacter_key_alias(capsys, tmp_path):
     assert json.loads(out)["job"]["mu"] == [1]
 
 
+@pytest.mark.parametrize("key", [*OPTIONS, "cocharacter"])
+def test_a_null_job_file_value_counts_as_absent(capsys, tmp_path, key):
+    # A null "cocharacter" must not override "mu" with the zero cocharacter.
+    absent = {k: v for k, v in {"group": "SL2", "mu": [1], "p": 3}.items() if k != key}
+    outcomes = []
+    for job in (absent, {**absent, key: None}):
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        outcomes.append(run(capsys, "k0", str(tmp_path / "job.json")))
+    if key == "module":  # pinned as a parse error by test_job_file_field_types_exit_2
+        code, out, err = outcomes[1]
+        assert (code, out) == (2, "") and err.startswith("parse error: ")
+    else:
+        assert outcomes[1] == outcomes[0]
+
+
 def test_text_format_from_job_file(capsys, tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"group": "Gm", "p": 3, "format": "text"}))
     code, out, _ = run(capsys, "k0", str(job))
     assert code == 0
     assert "command: k0" in out.splitlines()
+
+
+# Command lines that are not COMMAND [JOB_FILE] and options with values.
+MALFORMED_ARGV = [
+    ("unknown flag", ["k0", "--group", "SL2", "--bogus", "1"]),
+    ("unknown command", ["bogus", "--group", "SL2"]),
+    ("no command", []),
+    ("second positional", ["k0", "job.json", "other.json"]),
+    ("format TEXT", ["k0", "--group", "SL2", "--format", "TEXT"]),
+    ("trailing mu", ["k0", "--group", "SL2", "--mu"]),
+    ("negative mu list", ["k0", "--group", "SL3", "--mu", "-1,2", "--p", "3"]),
+]
+
+
+@pytest.mark.parametrize("argv", [case[1] for case in MALFORMED_ARGV],
+                         ids=[case[0] for case in MALFORMED_ARGV])
+def test_malformed_command_line_is_one_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# One value per option for a k0 job that reads them all.
+FLAG_VALUES = {"group": "GL2", "mu": "1,0", "p": "3", "checks": "hecke,counterexample",
+               "window": "2", "format": "text", "max_degree": "20", "twist": "[[0,-1],[-1,0]]",
+               "module": "Z/3"}
+
+
+@pytest.mark.parametrize("key", OPTIONS)
+def test_attached_value_equals_separate_value(capsys, tmp_path, key):
+    values = {**FLAG_VALUES, "out": str(tmp_path / "report")}
+    outcomes = []
+    for attached in (False, True):
+        argv = ["k0"]
+        for k, v in values.items():
+            flag = "--" + k.replace("_", "-")
+            argv += [f"{flag}={v}"] if attached and k == key else [flag, v]
+        outcomes.append((*run(capsys, *argv), (tmp_path / "report").read_bytes()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:3] == (0, "", "") and b"counterexample:" in outcomes[0][3]
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    expected = run(capsys, "validate", "--group", "SL3", "--p", "3")
+    assert expected[0] == 0
+    assert run(capsys, "validate", "--group", "SL2", "--group=SL3", "--p", "4", "--p", "3") == expected
+    assert run(capsys, "validate", "--group=SL2", "--p=4", "--group", "SL3", "--p=3") == expected
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["k0", "-h"]], ids=["--help", "k0 -h"])
+def test_help_names_every_command_and_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert all(name in out for name in COMMANDS)
+    assert all("--" + key.replace("_", "-") in out for key in OPTIONS)

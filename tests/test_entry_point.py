@@ -24,7 +24,7 @@ DEV_MODULE = ["-X", "dev", "-W", "error", *MODULE]
 SCRIPT = ["-c", "from zipk0.cli import console_entry; console_entry()"]  # as the installed script
 
 # (argv, exit code): JSON and text reports, a parse error, a validation
-# failure and a resource cap with its partial report.
+# failure, a resource cap with its partial report, an unknown flag and help.
 JOBS = [
     (["k0", "--group", "SL3", "--mu", "1,0", "--p", "3"], 0),
     (["k0", "--group", "GL2", "--mu", "1,0", "--p", "3", "--checks", "kunneth,hecke",
@@ -32,6 +32,8 @@ JOBS = [
     (["k0", "--group", "SL2", "--mu", "1,0", "--p", "3"], 2),
     (["validate", "--group", "PGL2"], 3),
     (["k0", "--group", "SL2", "--mu", "1", "--p", "5", "--max-degree", "3"], 4),
+    (["k0", "--group", "SL2", "--bogus", "1"], 2),
+    (["k0", "--help"], 0),
 ]
 
 

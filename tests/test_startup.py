@@ -1,8 +1,8 @@
-"""Start-up diet: `import zipk0.cli` loads none of the standard-library
-modules that the library's value classes and rounding once pulled in, the
-package root loads no submodule, `validate` loads no module of the Groebner
-pipeline, and a job loads the cross-checks (zipk0.checks) only when it runs
-one."""
+"""Start-up diet: `import zipk0.cli`, `validate` and `k0` load none of the
+standard-library modules that the library's value classes, rounding and
+command-line parsing once pulled in, the package root loads no submodule,
+`validate` loads no module of the Groebner pipeline, and a job loads the
+cross-checks (zipk0.checks) only when it runs one."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-AVOIDED = {"dataclasses", "inspect", "fractions", "decimal"}
+AVOIDED = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext"}
 
 
 def _loaded_modules(code: str) -> set[str]:
@@ -30,6 +30,17 @@ def test_cli_import_loads_no_avoided_module():
     added = _loaded_modules("import zipk0.cli") - _loaded_modules("")
     assert "zipk0.cli" in added
     assert sorted(AVOIDED & added) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--group", "SL2"], ["k0", "--group", "SL2", "--mu", "1", "--p", "3"]],
+    ids=["validate", "k0"],
+)
+def test_a_command_loads_no_avoided_module(tmp_path, argv):
+    argv = [*argv, "--out", str(tmp_path / "report.json")]
+    loaded = _loaded_modules(f"import zipk0.cli\nassert zipk0.cli.main({argv!r}) == 0")
+    assert sorted(AVOIDED & (loaded - _loaded_modules(""))) == []
 
 
 ROOT_DATUM_LAYER = {"zipk0", "zipk0._record", "zipk0.caps", "zipk0.cli", "zipk0.lattice",
