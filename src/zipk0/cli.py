@@ -199,8 +199,8 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
     name = spec_value.strip()
     try:
         rd = preset(name)
-    except KeyError as exc:
-        raise JobParseError(str(exc)) from exc
+    except KeyError as exc:  # str() of a KeyError would quote the message
+        raise JobParseError(exc.args[0]) from exc
     if twist_override is not None:
         tw = _parse_matrix(twist_override, "twist")
         rd = RootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices, tw, rd.name)
@@ -209,13 +209,13 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
 
 def load_job(args: dict) -> JobSpec:
     """The job of parse_argv's args: the job file's keys, less those whose value
-    is null, then the options given as flags over them."""
+    is null, then the options given as flags over them.  Its root datum has
+    passed validate: a datum that fails raises RootDatumError."""
     data: dict = _load_job_file(args["job_file"]) if args["job_file"] else {}
     unknown = set(data) - set(OPTIONS) - {"cocharacter"}
     if unknown:
         raise JobParseError(f"unknown job file keys: {sorted(unknown)}")
-    # A null module stays an error, pinned by the job-file field-type tests.
-    values = {k: v for k, v in data.items() if v is not None or k == "module"}
+    values = {k: v for k, v in data.items() if v is not None}
     if "cocharacter" in values:  # the job file's alias of "mu", which wins over it
         values["mu"] = values.pop("cocharacter")
     values.update(args)
@@ -262,6 +262,7 @@ def load_job(args: dict) -> JobSpec:
     if name != "Z" and not name.startswith("Z/"):
         raise JobParseError(f"module must be Z or Z/<m>, got {module_value!r}")
     module = 0 if name == "Z" else _parse_int(name[2:], "module modulus", minimum=1)
+    validate(rd)  # last, so that every parse error takes precedence
     return JobSpec(group, rd, mu, p, checks, window, fmt, out, max_degree, module)
 
 
@@ -312,7 +313,6 @@ def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) ->
 
 
 def cmd_validate(job: JobSpec) -> dict:
-    validate(job.rd)
     job.rd.weight_lift  # the simply-connectedness gate, as in k0
     require_prime(job.p)  # the primality gate, as in k0
     return {
@@ -329,7 +329,6 @@ def cmd_k0(job: JobSpec) -> dict:
     from .groebner import poly_to_string
     from .zipk import CocharacterDatum, compute_k0
 
-    validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
     kz = compute_k0(datum, job.max_degree)
     spec = kz.groebner.spec
@@ -365,7 +364,6 @@ def cmd_k0_torus(job: JobSpec) -> dict:
     from .checks import compute_k0_torus
     from .zipk import CocharacterDatum
 
-    validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
     torus = compute_k0_torus(datum, job.max_degree)
     return {
@@ -385,7 +383,6 @@ def cmd_hecke_check(job: JobSpec) -> dict:
     from .checks import hecke_check
     from .zipk import CocharacterDatum
 
-    validate(job.rd)
     datum = CocharacterDatum(job.rd, job.mu, job.p)
     return {
         "schema": SCHEMA_VERSION,
@@ -552,7 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (JobParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except RootDatumError as exc:  # an explicit datum's simple root outside its roots
+    except RootDatumError as exc:  # from make_root_datum or validate
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     capped = None

@@ -167,32 +167,14 @@ def validate(rd: RootDatum) -> None:
             raise RootDatumError("pairing-violation", f"vector {v} does not have rank {n}")
     if len(set(rd.roots)) != len(rd.roots):
         raise RootDatumError("pairing-violation", "duplicate roots")
-    for i, (a, av) in enumerate(zip(rd.roots, rd.coroots)):
+    for a, av in zip(rd.roots, rd.coroots):
         val = pairing(a, av)
         if val != 2:
             raise RootDatumError(
                 "pairing-violation", f"<alpha, alpha^vee> = {val} != 2 for root {a}"
             )
-    root_set = set(rd.roots)
-    root_index = {r: i for i, r in enumerate(rd.roots)}
-    for i, (a, av) in enumerate(zip(rd.roots, rd.coroots)):
-        s = reflection_matrix(a, av)
-        for j, b in enumerate(rd.roots):
-            img = mat_vec(s, b)
-            if img not in root_set:
-                raise RootDatumError(
-                    "reflection-not-permuting",
-                    f"s_{a} sends root {b} to {img}, not a root",
-                )
-            # Duality: the coroot of s(b) must be the dual reflection of b's coroot.
-            k = root_index[img]
-            bv = rd.coroots[j]
-            img_cov = tuple(bv[t] - pairing(a, bv) * av[t] for t in range(n))
-            if rd.coroots[k] != img_cov:
-                raise RootDatumError(
-                    "reflection-not-permuting",
-                    f"coroot pairing not equivariant under s_{a} at root {b}",
-                )
+    for a, av in zip(rd.roots, rd.coroots):
+        _check_automorphism(rd, reflection_matrix(a, av), "reflection-not-permuting", f"s_{a}")
     # Simple system: distinct, and the Cartan matrix has finite type.
     if len(set(rd.simple_indices)) != len(rd.simple_indices):
         raise RootDatumError("non-finite-type-cartan", "duplicate simple roots")
@@ -227,7 +209,7 @@ def validate(rd: RootDatum) -> None:
                     orbit.add(w)
                     nxt.append(w)
         frontier = nxt
-    if orbit != root_set:
+    if orbit != set(rd.roots):
         raise RootDatumError(
             "reflection-not-permuting",
             "roots are not a single Weyl orbit closure of the simple system",
@@ -263,22 +245,22 @@ def _validate_twist(rd: RootDatum) -> None:
             "twist-not-preserving-simple-roots",
             "twist does not permute the simple roots",
         )
-    # Pairing preservation: the coroot of tau(alpha) must be (tau^T)^{-1}(alpha^vee),
-    # equivalently tau^T applied to the image coroot returns the original coroot.
-    taut = mat_transpose(tau)
-    root_index = {r: i for i, r in enumerate(rd.roots)}
-    for i, a in enumerate(rd.roots):
-        img = mat_vec(tau, a)
-        if img not in root_index:
-            raise RootDatumError(
-                "twist-not-preserving-simple-roots", f"twist sends root {a} outside the root set"
-            )
-        k = root_index[img]
-        if mat_vec(taut, rd.coroots[k]) != rd.coroots[i]:
-            raise RootDatumError(
-                "twist-not-preserving-simple-roots",
-                f"twist does not preserve the pairing at root {a}",
-            )
+    _check_automorphism(rd, tau, "twist-not-preserving-simple-roots", "twist")
+
+
+def _check_automorphism(rd: RootDatum, g: Matrix, kind: str, name: str) -> None:
+    """Raise RootDatumError(kind) unless g is an automorphism of the root
+    datum (Springer, Linear Algebraic Groups, 7.4): g permutes the roots, and
+    g^T maps the coroot of g(alpha) back to alpha^vee, so that the pairing is
+    preserved."""
+    index = {r: i for i, r in enumerate(rd.roots)}
+    gt = mat_transpose(g)
+    for a, av in zip(rd.roots, rd.coroots):
+        img = mat_vec(g, a)
+        if img not in index:
+            raise RootDatumError(kind, f"{name} sends root {a} to {img}, not a root")
+        if mat_vec(gt, rd.coroots[index[img]]) != av:
+            raise RootDatumError(kind, f"{name} does not preserve the pairing at root {a}")
 
 
 @record
@@ -505,88 +487,41 @@ def weights_dominant(weight: Sequence[int], cosimples: Sequence[Vector]) -> bool
 # Presets
 
 
-def _sl2() -> RootDatum:
-    return make_root_datum(1, [(2,), (-2,)], [(1,), (-1,)], [(2,)], name="SL2")
+def _signed(*positive: Vector) -> tuple[Vector, ...]:
+    """The given vectors, then their negatives in the same order."""
+    return positive + tuple(tuple(-x for x in v) for v in positive)
 
 
-def _pgl2() -> RootDatum:
-    return make_root_datum(1, [(1,), (-1,)], [(2,), (-2,)], [(1,)], name="PGL2")
+_GL3_ROOTS = _signed((1, -1, 0), (0, 1, -1), (1, 0, -1))
 
-
-def _gl2() -> RootDatum:
-    return make_root_datum(2, [(1, -1), (-1, 1)], [(1, -1), (-1, 1)], [(1, -1)], name="GL2")
-
-
-def _gl3() -> RootDatum:
-    pos = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-    roots = pos + [tuple(-x for x in r) for r in pos]
-    return make_root_datum(3, roots, roots, [(1, -1, 0), (0, 1, -1)], name="GL3")
-
-
-def _sl3() -> RootDatum:
+# name: (rank, roots, coroots paired with them by index, simple roots)
+PRESETS = {
+    "SL2": (1, _signed((2,)), _signed((1,)), [(2,)]),
     # Fundamental weight coordinates: X*(T) is the weight lattice.
-    pos_roots = [(2, -1), (-1, 2), (1, 1)]
-    pos_coroots = [(1, 0), (0, 1), (1, 1)]
-    roots = pos_roots + [tuple(-x for x in r) for r in pos_roots]
-    coroots = pos_coroots + [tuple(-x for x in r) for r in pos_coroots]
-    return make_root_datum(2, roots, coroots, [(2, -1), (-1, 2)], name="SL3")
-
-
-def _sl4() -> RootDatum:
-    pos_roots = [(2, -1, 0), (-1, 2, -1), (0, -1, 2), (1, 1, -1), (-1, 1, 1), (1, 0, 1)]
-    pos_coroots = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
-    roots = pos_roots + [tuple(-x for x in r) for r in pos_roots]
-    coroots = pos_coroots + [tuple(-x for x in r) for r in pos_coroots]
-    return make_root_datum(3, roots, coroots, [(2, -1, 0), (-1, 2, -1), (0, -1, 2)], name="SL4")
-
-
-def _sp4() -> RootDatum:
+    "SL3": (2, _signed((2, -1), (-1, 2), (1, 1)), _signed((1, 0), (0, 1), (1, 1)),
+            [(2, -1), (-1, 2)]),
+    "SL4": (3, _signed((2, -1, 0), (-1, 2, -1), (0, -1, 2), (1, 1, -1), (-1, 1, 1), (1, 0, 1)),
+            _signed((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)),
+            [(2, -1, 0), (-1, 2, -1), (0, -1, 2)]),
+    "GL2": (2, _signed((1, -1)), _signed((1, -1)), [(1, -1)]),
+    "GL3": (3, _GL3_ROOTS, _GL3_ROOTS, [(1, -1, 0), (0, 1, -1)]),
     # Type C2 in the standard symplectic coordinates; also serves as the
     # B2 Weyl group preset.
-    pos_roots = [(1, -1), (0, 2), (1, 1), (2, 0)]
-    pos_coroots = [(1, -1), (0, 1), (1, 1), (1, 0)]
-    roots = pos_roots + [tuple(-x for x in r) for r in pos_roots]
-    coroots = pos_coroots + [tuple(-x for x in r) for r in pos_coroots]
-    return make_root_datum(2, roots, coroots, [(1, -1), (0, 2)], name="Sp4")
-
-
-def _gm() -> RootDatum:
-    return RootDatum(1, (), (), (), name="Gm")
-
-
-def _gm2() -> RootDatum:
-    return RootDatum(2, (), (), (), name="Gm^2")
-
-
-def _a1xa1() -> RootDatum:
-    return make_root_datum(
-        2,
-        [(2, 0), (-2, 0), (0, 2), (0, -2)],
-        [(1, 0), (-1, 0), (0, 1), (0, -1)],
-        [(2, 0), (0, 2)],
-        name="A1xA1",
-    )
-
-
-_PRESETS = {
-    "sl2": _sl2,
-    "sl3": _sl3,
-    "sl4": _sl4,
-    "gl2": _gl2,
-    "gl3": _gl3,
-    "sp4": _sp4,
-    "pgl2": _pgl2,
-    "gm": _gm,
-    "gm^2": _gm2,
-    "a1xa1": _a1xa1,
+    "Sp4": (2, _signed((1, -1), (0, 2), (1, 1), (2, 0)), _signed((1, -1), (0, 1), (1, 1), (1, 0)),
+            [(1, -1), (0, 2)]),
+    "PGL2": (1, _signed((1,)), _signed((2,)), [(1,)]),
+    "Gm": (1, (), (), ()),
+    "Gm^2": (2, (), (), ()),
+    "A1xA1": (2, ((2, 0), (-2, 0), (0, 2), (0, -2)), ((1, 0), (-1, 0), (0, 1), (0, -1)),
+              [(2, 0), (0, 2)]),
 }
 
-PRESET_NAMES = ("SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "PGL2", "Gm", "Gm^2", "A1xA1")
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str) -> RootDatum:
-    """Named root datum; see PRESET_NAMES."""
-    key = name.lower()
-    if key not in _PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return _PRESETS[key]()
+    """Named root datum, the name in any case; see PRESET_NAMES."""
+    for key, (rank, roots, coroots, simple_roots) in PRESETS.items():
+        if key.lower() == name.lower():
+            return make_root_datum(rank, roots, coroots, simple_roots, name=key)
+    raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

@@ -61,6 +61,8 @@ def test_malformed_vector_length(capsys):
 def test_unknown_preset(capsys):
     code, _, err = run(capsys, "validate", "--group", "E8")
     assert code == 2
+    assert err == ("parse error: unknown preset 'E8'; available: "
+                   "SL2, SL3, SL4, GL2, GL3, Sp4, PGL2, Gm, Gm^2, A1xA1\n")
 
 
 def test_nonprime_p_rejected(capsys):
@@ -116,7 +118,6 @@ def test_bad_integer_options_exit_2(capsys, tmp_path, flags, job):
         {"checks": [1]},
         {"checks": {"kunneth": True}},
         {"module": 5, "checks": ["counterexample"]},
-        {"module": None, "checks": ["counterexample"]},
         {"out": ["x"]},
         # An integer is not a file descriptor to write to.
         {"out": 1},
@@ -150,6 +151,9 @@ def test_bad_module_exits_2(capsys, argv):
 
 NOT_UTF8 = b'\xff\xfe{"group": "SL2"}'
 NOT_A_ROOT = '{"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "simple_roots": [[4]]}'
+A1XA1_SWAP = json.dumps({"rank": 2, "roots": [[2, 0], [-2, 0], [0, 2], [0, -2]],
+                         "coroots": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                         "simple_roots": [[2, 0], [0, 2]], "twist": [[0, 1], [1, 0]]})
 
 # (id, argv, job files to write, exit code, text the stderr line contains).
 # In argv, {tmp} is the directory that holds the job files.
@@ -177,6 +181,20 @@ MALFORMED = [
      "simple-root-not-a-root: simple root (4,) is not a root"),
     ("k0 simple root not a root", ["k0", "--group", NOT_A_ROOT, "--mu", "0", "--p", "3"], {}, 3,
      "simple-root-not-a-root: simple root (4,) is not a root"),
+    ("invalid JSON job file", ["k0", "{tmp}/job.json"], {"job.json": b'{"group": '}, 2,
+     "invalid JSON in"),
+    ("invalid TOML job file", ["k0", "{tmp}/job.toml"], {"job.toml": b"group = "}, 2,
+     "invalid TOML in"),
+    ("explicit group without rank", ["validate", "--group", '{"roots": []}'], {}, 2,
+     "explicit group is missing fields"),
+    ("group neither name nor object", ["k0", "{tmp}/job.json"], {"job.json": b'{"group": 5}'}, 2,
+     "group must be a preset name or an object, got 5"),
+    ("unknown check", ["k0", "--group", "SL2", "--checks", "kunneth,bogus"], {}, 2,
+     "unknown checks ['bogus']"),
+    # --twist replaces the explicit datum's own twist, the swap, which is valid.
+    ("twist flag over the datum's twist", ["validate", "--group", A1XA1_SWAP,
+                                           "--twist", "[[1,1],[0,1]]"], {}, 3,
+     "twist is not of finite (small) order"),
 ]
 
 
@@ -700,6 +718,15 @@ def test_explicit_group_in_toml_job(capsys, tmp_path):
     assert json.loads(out)["module"]["rank"] == 6
 
 
+@pytest.mark.parametrize("text", ['{"group": "SL2", "mu": [1], "p": 3}',
+                                  'group = "SL2"\nmu = [1]\np = 3\n'], ids=["JSON", "TOML"])
+def test_a_job_file_without_suffix_is_read_as_json_else_toml(capsys, tmp_path, text):
+    (tmp_path / "job").write_text(text)
+    flags = run(capsys, "validate", "--group", "SL2", "--mu", "1", "--p", "3")
+    assert run(capsys, "validate", str(tmp_path / "job")) == flags
+    assert flags[0] == 0
+
+
 def test_cocharacter_key_alias(capsys, tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"group": "SL2", "cocharacter": [1], "p": 2}))
@@ -716,11 +743,7 @@ def test_a_null_job_file_value_counts_as_absent(capsys, tmp_path, key):
     for job in (absent, {**absent, key: None}):
         (tmp_path / "job.json").write_text(json.dumps(job))
         outcomes.append(run(capsys, "k0", str(tmp_path / "job.json")))
-    if key == "module":  # pinned as a parse error by test_job_file_field_types_exit_2
-        code, out, err = outcomes[1]
-        assert (code, out) == (2, "") and err.startswith("parse error: ")
-    else:
-        assert outcomes[1] == outcomes[0]
+    assert outcomes[1] == outcomes[0]
 
 
 def test_text_format_from_job_file(capsys, tmp_path):

@@ -50,6 +50,17 @@ def test_coefficient_gcd_combination():
     assert gb.to_strings() == ["x"]
 
 
+def test_unit_ideal_quotient_is_zero():
+    # 2x - 1 and x together contain 1.
+    spec = PolyRingSpec(("x",))
+    gb = strong_groebner([{(1,): 2, (0,): -1}, {(1,): 1}], spec)
+    assert gb.to_strings() == ["1"]
+    report = quotient_z_module(gb)
+    assert (report.finite, report.rank, report.torsion) == (True, 0, ())
+    assert report.standard_monomials == () and report.note == "unit ideal"
+    assert poly_to_string({}, spec) == "0"
+
+
 def test_laurent_pair_rank_two():
     # (x^2 - 1, x*xbar - 1): normal forms {1, x} span; rank 2, no torsion.
     spec = PolyRingSpec(("xbar", "x"))

@@ -7,6 +7,7 @@ import pytest
 from zipk0.lattice import (
     cokernel_invariants,
     cokernel_torsion,
+    determinant,
     hermite_row_basis,
     kernel_basis,
     solve_linear_diophantine,
@@ -170,6 +171,14 @@ def test_diophantine_random(seed):
     s, _, _ = smith_normal_form(m)
     rank = sum(1 for d in diagonal_of(s) if d != 0)
     assert len(ker) == nc - rank
+
+
+def test_determinant_of_singular_and_non_square_matrices():
+    # A zero pivot with no nonzero entry below it ends the elimination at 0.
+    assert determinant([[0, 1, 2], [0, 3, 4], [0, 6, 7]]) == 0
+    assert determinant([[1, 2], [2, 4]]) == 0
+    with pytest.raises(ValueError, match="non-square"):
+        determinant([[1, 2, 3], [4, 5, 6]])
 
 
 def test_kernel_basis_spans_kernel():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zipk0.rootdata import (
+    PRESET_NAMES,
     RootDatum,
     RootDatumError,
     SimplyConnectedHypothesisError,
@@ -40,6 +41,12 @@ ALL_PRESETS = ["SL2", "SL3", "SL4", "GL2", "GL3", "Sp4", "PGL2", "Gm", "Gm^2", "
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_presets_validate(name):
     validate(preset(name))
+    assert preset(name.lower()) == preset(name.upper()) == preset(name)
+
+
+def test_preset_names_keep_their_order():
+    # The order of the --help text and of every test that walks the presets.
+    assert PRESET_NAMES == tuple(ALL_PRESETS)
 
 
 def test_bad_pairing_rejected():
@@ -322,6 +329,65 @@ def test_twist_validation_swap_a1xa1():
     with pytest.raises(RootDatumError) as exc:
         validate(RootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices, bad))
     assert exc.value.kind == "twist-not-preserving-simple-roots"
+
+
+# GL4 on Z^4, with the root e2 - e4 listed first.
+_GL4_ROOTS = [(0, 1, 0, -1)] + [
+    r for i, j in itertools.permutations(range(4), 2)
+    if (r := tuple((k == i) - (k == j) for k in range(4))) != (0, 1, 0, -1)
+]
+_SL3 = preset("SL3")
+_A1XA1 = preset("A1xA1")
+
+# (id, datum, kind, text of the message): one datum for each validation
+# branch, each passing every earlier check.  An asymmetric zero pattern in the Cartan matrix cannot pass
+# the earlier checks: they make the roots a root system with a Weyl-invariant
+# inner product, in which <b, a^vee> = 0 exactly when <a, b^vee> = 0.
+INVALID_DATA = [
+    ("vector of the wrong length",
+     RootDatum(1, ((2,), (-2,)), ((1,), (-1, 0)), (0,)), "pairing-violation",
+     "does not have rank 1"),
+    ("duplicate roots", RootDatum(1, ((2,), (2,)), ((1,), (1,)), (0,)), "pairing-violation",
+     "duplicate roots"),
+    # Both reflections swap the two roots, but the coroot of -alpha is not -alpha^vee.
+    ("coroot not equivariant", RootDatum(2, ((1, -1), (-1, 1)), ((1, -1), (0, 2)), (0,)),
+     "reflection-not-permuting", "pairing"),
+    ("duplicate simple root",
+     RootDatum(_SL3.rank, _SL3.roots, _SL3.coroots, (0, 0)), "non-finite-type-cartan",
+     "duplicate simple roots"),
+    # alpha_1 and alpha_1 + alpha_2 pair to 1.
+    ("positive off-diagonal Cartan entry",
+     RootDatum(_SL3.rank, _SL3.roots, _SL3.coroots, (0, 2)), "non-finite-type-cartan",
+     "off-diagonal Cartan entry 1 > 0"),
+    ("roots outside the simple orbit",
+     RootDatum(_A1XA1.rank, _A1XA1.roots, _A1XA1.coroots, (0,)), "reflection-not-permuting",
+     "Weyl orbit"),
+    ("twist not unimodular",
+     RootDatum(_A1XA1.rank, _A1XA1.roots, _A1XA1.coroots, _A1XA1.simple_indices,
+               ((2, 0), (0, 1))), "twist-not-preserving-simple-roots", "not unimodular"),
+    ("twist not permuting the simple roots",
+     RootDatum(_A1XA1.rank, _A1XA1.roots, _A1XA1.coroots, _A1XA1.simple_indices,
+               ((-1, 0), (0, 1))), "twist-not-preserving-simple-roots",
+     "does not permute the simple roots"),
+    # Swaps alpha_1 and alpha_2 and fixes alpha_3, which is no diagram
+    # automorphism of A3: e2 - e4 = alpha_2 + alpha_3 goes to alpha_1 + alpha_3.
+    ("twist sending a root outside the roots",
+     make_root_datum(4, _GL4_ROOTS, _GL4_ROOTS, [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)],
+                     [(1, 1, 0, 0), (0, -1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)]),
+     "twist-not-preserving-simple-roots", "twist sends root (0, 1, 0, -1)"),
+    ("twist not preserving the pairing",
+     make_root_datum(2, [(1, -1), (-1, 1)], [(1, -1), (-1, 1)], [(1, -1)], [(1, 0), (-2, -1)]),
+     "twist-not-preserving-simple-roots", "does not preserve the pairing"),
+]
+
+
+@pytest.mark.parametrize("rd,kind,text", [case[1:] for case in INVALID_DATA],
+                         ids=[case[0] for case in INVALID_DATA])
+def test_each_validation_branch_names_its_kind(rd, kind, text):
+    with pytest.raises(RootDatumError) as exc:
+        validate(rd)
+    assert exc.value.kind == kind
+    assert text in str(exc.value)
 
 
 def test_weyl_size_cap(monkeypatch):
