@@ -3,13 +3,13 @@
 The answer is zipk.compute_k0, the presentation of R(L)/IR(L).  The checks
 here mirror the structural facts the construction rests on: the torus-side
 quotient R(T)/IR(T) and the Kunneth/freeness rank factorisation, the
-untwisting identity, Hecke-versus-Weyl invariants in a window, the empirical
-Steinberg-basis freeness certificate, and the failure of naive Weyl descent
-on a torsion module.  Each check returns its own report section: a dict of
-lists, ints, bools and strings.  The CLI imports this module only for a job
-that runs a check or one of the k0-torus, hecke-check and
-demo-counterexample commands, so a plain k0 or validate job does not compile
-it.
+untwisting identity, Hecke-versus-Weyl invariants in a window, the exact
+independence of Steinberg's basis of R(T) over R(G), whose spanning is his
+theorem, and the failure of naive Weyl descent on a torsion module.  Each
+check returns its own report section: a dict of lists, ints, bools and
+strings.  The CLI imports this module only for a job that runs a check or
+one of the k0-torus, hecke-check and demo-counterexample commands, so a
+plain k0 or validate job does not compile it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
 from .groebner import normal_form_gb
 from .grpalg import frobenius, subtract
 from .invariants import InvariantRingPresentation
-from .lattice import determinant, hermite_row_basis, kernel_basis, span_members
+from .lattice import determinant, hermite_row_basis, kernel_basis
 from .rootdata import (
     RootDatum,
     Vector,
@@ -48,11 +48,9 @@ THETA_SEED = 20250901
 HECKE_WINDOW_CAP = 2048
 _SPECIALIZATION_PRIME = (1 << 61) - 1  # Mersenne prime; huge unit group
 # steinberg_freeness_check: how many random specializations test independence
-# (the same ones every run), and the radius of the box of monomials tested
-# for spanning.
+# (the same ones every run).
 STEINBERG_DRAWS = 3
 STEINBERG_SEED = 20250901
-STEINBERG_SPANNING_RADIUS = 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +248,10 @@ def hecke_check(datum: CocharacterDatum, window: int) -> dict:
 
 def steinberg_candidate_weights(rd: RootDatum) -> list[Vector]:
     """lambda_w = w^{-1}(sum of eta_alpha over simple alpha with w^{-1} alpha < 0),
-    with eta_alpha the integral fundamental weights of rd.weight_lift.
+    with eta_alpha the integral fundamental weights of rd.weight_lift, one
+    weight per Weyl element in the order of rd.weyl.
 
-    Candidate free basis of R(T) over R(G), one weight per Weyl element;
-    validated empirically by steinberg_freeness_check.
+    Steinberg's basis of R(T) over R(G) (see steinberg_freeness_check).
     """
     etas = rd.weight_lift[1]
     pos = frozenset(rd.roots[i] for i in rd.positive_indices)
@@ -270,86 +268,47 @@ def steinberg_candidate_weights(rd: RootDatum) -> list[Vector]:
     return out
 
 
-def steinberg_freeness_check(
-    rd: RootDatum, candidate_weights: Sequence[Sequence[int]]
-) -> dict:
-    """Independence via random unit specializations; spanning via one echelon basis.
+def steinberg_freeness_check(rd: RootDatum) -> dict:
+    """Steinberg's basis {e^lambda_w} of R(T) over R(G), with an exact test
+    of its independence.
 
-    The |W| x |W| matrix (e^{v(lambda_w)}) is evaluated at random torus units
-    over a large prime field: any nonzero determinant certifies linear
-    independence over R(G).  Spanning evidence expresses every monomial e^mu
-    in the box of radius STEINBERG_SPANNING_RADIUS as an R(G)-combination of
-    the candidates: e^mu passes when its unit vector reduces to zero against
-    one echelon basis of the products (orbit sum over a dominant window) *
-    e^lambda.  Spanning holds vacuously when independence fails.
+    With a simply connected derived group the e^lambda_w are a basis of R(T)
+    over R(G) (Steinberg, "On a theorem of Pittie", Topology 14, 1975);
+    rd.weight_lift raises SimplyConnectedHypothesisError otherwise.  The
+    check evaluates the |W| x |W| matrix (e^{v(lambda_w)}), v in W, at random
+    torus units over a large prime field: a nonzero determinant at one point
+    proves the e^lambda_w independent over R(G), and equal weights give equal
+    columns, so a zero one.  Weights that fail are not Steinberg's, so
+    spanning_ok is independent.
     """
     weyl = rd.weyl
-    cands = [tuple(int(x) for x in w) for w in candidate_weights]
-    distinct = len(set(cands)) == len(cands) and len(cands) == len(weyl)
+    cands = steinberg_candidate_weights(rd)
     q = _SPECIALIZATION_PRIME
     rng = random.Random(STEINBERG_SEED)
     independent = False
-    if distinct:
-        for _ in range(STEINBERG_DRAWS):
-            units = [rng.randrange(2, q - 1) for _ in range(rd.rank)]
-            mat = []
-            for v in weyl.elements:
-                row = []
-                for lam in cands:
-                    img = mat_vec(v, lam)
-                    val = 1
-                    for x, e in zip(units, img):
-                        val = (val * pow(x, e, q)) % q
-                    row.append(val)
-                mat.append(row)
-            if determinant(mat) % q:
-                independent = True
-                break
-
-    spanning_ok = True
-    if independent:
-        maxc = max((max(abs(x) for x in lam) for lam in cands if any(lam)), default=0)
-        box_r = STEINBERG_SPANNING_RADIUS + maxc + 2
-        dominant_window = [
-            nu
-            for nu in window_box(rd.rank, box_r)
-            if weights_dominant(nu, rd.simple_coroots)
-        ]
-        targets = window_box(rd.rank, STEINBERG_SPANNING_RADIUS)
-        idx, cols = _steinberg_columns(weyl, cands, dominant_window, targets)
-        spanning_ok = all(span_members(cols, [{idx[mu]: 1} for mu in targets]))
+    for _ in range(STEINBERG_DRAWS):
+        units = [rng.randrange(2, q - 1) for _ in range(rd.rank)]
+        mat = []
+        for v in weyl.elements:
+            row = []
+            for lam in cands:
+                img = mat_vec(v, lam)
+                val = 1
+                for x, e in zip(units, img):
+                    val = (val * pow(x, e, q)) % q
+                row.append(val)
+            mat.append(row)
+        if determinant(mat) % q:
+            independent = True
+            break
     return {
         "candidates": [list(c) for c in cands],
         "independent": independent,
-        "spanning_ok": spanning_ok,
-        "note": "empirical certificate: candidates validated numerically, not by construction",
+        "spanning_ok": independent,
+        "note": "independence tested exactly; spanning by Steinberg, On a theorem of Pittie "
+                "(Topology 14, 1975): with a simply connected derived group the e^lambda_w "
+                "are a basis of R(T) over R(G)",
     }
-
-
-def _steinberg_columns(
-    weyl: WeylGroup,
-    cands: Sequence[Vector],
-    dominant_window: Sequence[Vector],
-    targets: Sequence[Vector],
-) -> tuple[dict[Vector, int], list[dict[int, int]]]:
-    """The products (orbit sum m_nu) * e^lambda, for lambda in the candidates
-    and then nu in the dominant window, as sparse columns over one sorted
-    support that also holds the targets, with the support's index.  Rows
-    that are zero in every column and in every target do not change whether
-    a target lies in the span.
-
-    Each orbit is computed once and shifted by lambda on exponents; a shift
-    is injective, so every coefficient is one.
-    """
-    orbits = [weyl_orbit(weyl, nu) for nu in dominant_window]
-    shifted = [
-        [tuple(a + b for a, b in zip(e, lam)) for e in orbit]
-        for lam in cands
-        for orbit in orbits
-    ]
-    support = sorted({e for col in shifted for e in col} | set(targets))
-    idx = {e: i for i, e in enumerate(support)}
-    return idx, [{idx[e]: 1 for e in col} for col in shifted]
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +372,7 @@ def check_sections(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation,
         elif check == "hecke":
             out[check] = hecke_check(datum, window)
         elif check == "steinberg":
-            out[check] = steinberg_freeness_check(datum.rd, steinberg_candidate_weights(datum.rd))
+            out[check] = steinberg_freeness_check(datum.rd)
         elif check == "counterexample":
             out[check] = weyl_counterexample_demo(job.module)
     return out

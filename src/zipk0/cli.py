@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ._record import record
 from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
@@ -173,9 +173,12 @@ def _parse_toml(text: str, path: str) -> dict:
         raise JobParseError(f"invalid TOML in {path}: {exc}") from exc
 
 
-def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
+def _build_group(
+    spec_value: Any, twist_override: Any
+) -> tuple[Any, int, Callable[[], RootDatum]]:
     """Preset name or explicit {rank, roots, coroots, simple_roots, twist}, as
-    (the preset's name or the explicit dict, root datum)."""
+    (the preset's name or the explicit dict, its rank, its root datum's
+    builder, which may raise RootDatumError and which load_job calls last)."""
     if isinstance(spec_value, str) and spec_value.strip().startswith("{"):
         spec_value = json.loads(spec_value)
     if isinstance(spec_value, dict):
@@ -193,7 +196,9 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
         for vec in list(roots) + list(coroots) + list(simples):
             if len(vec) != rank:
                 raise JobParseError(f"vector {list(vec)} does not have length rank={rank}")
-        return spec_value, make_root_datum(rank, roots, coroots, simples, tw, name="explicit")
+        return spec_value, rank, lambda: make_root_datum(
+            rank, roots, coroots, simples, tw, name="explicit"
+        )
     if not isinstance(spec_value, str):
         raise JobParseError(f"group must be a preset name or an object, got {spec_value!r}")
     name = spec_value.strip()
@@ -204,7 +209,7 @@ def _build_group(spec_value: Any, twist_override: Any) -> tuple[Any, RootDatum]:
     if twist_override is not None:
         tw = _parse_matrix(twist_override, "twist")
         rd = RootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices, tw, rd.name)
-    return rd.name, rd
+    return rd.name, rd.rank, lambda: rd
 
 
 def load_job(args: dict) -> JobSpec:
@@ -225,13 +230,13 @@ def load_job(args: dict) -> JobSpec:
         group_value = "SL2"  # the demo lives over the rank-one datum
     if group_value is None:
         raise JobParseError("no group given (preset name or explicit datum)")
-    group, rd = _build_group(group_value, values.get("twist"))
+    group, rank, build_datum = _build_group(group_value, values.get("twist"))
 
     mu_value = values.get("mu")
-    mu = _parse_int_vector(mu_value, "cocharacter") if mu_value is not None else (0,) * rd.rank
-    if len(mu) != rd.rank:
+    mu = _parse_int_vector(mu_value, "cocharacter") if mu_value is not None else (0,) * rank
+    if len(mu) != rank:
         raise JobParseError(
-            f"cocharacter {list(mu)} has length {len(mu)}, expected rank {rd.rank}"
+            f"cocharacter {list(mu)} has length {len(mu)}, expected rank {rank}"
         )
 
     p = _parse_int(values.get("p", 2), "prime")
@@ -262,7 +267,8 @@ def load_job(args: dict) -> JobSpec:
     if name != "Z" and not name.startswith("Z/"):
         raise JobParseError(f"module must be Z or Z/<m>, got {module_value!r}")
     module = 0 if name == "Z" else _parse_int(name[2:], "module modulus", minimum=1)
-    validate(rd)  # last, so that every parse error takes precedence
+    rd = build_datum()  # last, so that every parse error takes precedence
+    validate(rd)
     return JobSpec(group, rd, mu, p, checks, window, fmt, out, max_degree, module)
 
 

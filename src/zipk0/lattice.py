@@ -3,11 +3,11 @@ bases, kernels, Diophantine solves and cokernel invariants.
 
 Vectors are tuples of Python ints (arbitrary precision) and a matrix is the
 list of its rows.  A row may also be given sparse, as a dict from column to
-nonzero entry; results are dense.  Every kernel, solve, span membership and
-cokernel here comes from one elimination on sparse rows, _echelon, its
-canonical form _hermite and the reduction _reduce: the kernel and the image
-of A both sit in one Hermite basis of the rows (column j of A | e_j) (Cohen,
-"A Course in Computational Algebraic Number Theory", GTM 138, section 2.4).
+nonzero entry; results are dense.  Every kernel, solve and cokernel here
+comes from one elimination on sparse rows, _hermite, and the reduction
+_reduce: the kernel and the image of A both sit in one Hermite basis of the
+rows (column j of A | e_j) (Cohen, "A Course in Computational Algebraic
+Number Theory", GTM 138, section 2.4).
 The primality gate of every job (deterministic Miller-Rabin) lives here too.
 """
 
@@ -199,13 +199,15 @@ def _reduce(w: SparseRow, basis: dict[int, SparseRow], start: int) -> None:
             _add_multiple(w, -q, piv)
 
 
-def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Row echelon basis of the Z-span of sparse rows, which it consumes,
-    keyed by pivot (leading) column in ascending order, each pivot positive.
+def _hermite(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Row-style Hermite basis of the Z-span of sparse rows, which it consumes,
+    keyed by pivot (leading) column in ascending order: an echelon basis with
+    positive pivots and the entries above each pivot reduced into [0, pivot).
+    That form of a lattice is unique, so it serves to compare sublattices.
 
-    Any such basis decides membership: _reduce by it leaves zero exactly when
-    a vector lies in the span, since the remainder's leading entry would be a
-    nonzero multiple of its pivot in [0, pivot).
+    _reduce by it leaves zero exactly when a vector lies in the span, since
+    the remainder's leading entry would be a nonzero multiple of its pivot in
+    [0, pivot).
     """
     pivots: dict[int, SparseRow] = {}  # leading column -> row with that pivot
     for w in rows:
@@ -224,16 +226,6 @@ def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     for j in sorted(pivots):
         row = pivots[j]
         basis[j] = row if row[j] > 0 else {k: -x for k, x in row.items()}
-    return basis
-
-
-def _hermite(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Row-style Hermite basis of the Z-span of sparse rows, which it consumes,
-    keyed by pivot column in ascending order: the echelon basis with the
-    entries above each pivot reduced into [0, pivot).  That form of a lattice
-    is unique, so it serves to compare sublattices.
-    """
-    basis = _echelon(rows)
     # Bottom up: the rows below are reduced already, and reducing by one of
     # them leaves the columns left of its pivot alone.
     for j in reversed(basis):
@@ -248,18 +240,6 @@ def hermite_row_basis(vectors: Sequence[Row], ncols: int) -> tuple[Vector, ...]:
     Used to compare sublattices of Z^ncols for equality.
     """
     return tuple(_dense(r, ncols) for r in _hermite(_sparse(v) for v in vectors).values())
-
-
-def span_members(vectors: Sequence[Row], targets: Sequence[Row]) -> list[bool]:
-    """Whether each target lies in the Z-span of the vectors, all given dense
-    or sparse, by reduction against one echelon basis."""
-    basis = _echelon(_sparse(v) for v in vectors)
-    members = []
-    for t in targets:
-        w = _sparse(t)
-        _reduce(w, basis, -1)
-        members.append(not w)
-    return members
 
 
 def _augmented_basis(rows: Sequence[Row], ncols: int) -> dict[int, SparseRow]:

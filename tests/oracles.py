@@ -4,8 +4,8 @@ action, orbit sums and Frobenius) that the library's plain {character: int}
 dicts are tested against, the dense Hermite elimination and the
 element-arithmetic builders of the check rows that the sparse ones must
 match, independent re-checks of the packed
-engine, of the quotient module's invariants, of the Steinberg spanning
-evidence, of the closed-form dominant Hilbert basis and of the positive
+engine, of the quotient module's invariants, of Steinberg's weights and
+their spanning, of the closed-form dominant Hilbert basis and of the positive
 roots and generator combinations read off the root datum, the rank counted
 from the Weyl group (twisted_point_count) and from sympy's Groebner bases over
 QQ and GF(p) (sympy_quotient_dimension), and the general code
@@ -842,11 +842,34 @@ def mod_l_count_agrees(gb: GroebnerBasis, rank: int, torsion, ell: int) -> bool:
     return mod_l_dimension(gb, ell, want) == want
 
 
+def steinberg_weights_by_elements(rd: RootDatum) -> list[Vector]:
+    """checks.steinberg_candidate_weights from the Weyl group's matrices
+    instead of its reduced words: for each w in rd.weyl.elements, w^{-1} is
+    the element whose product with w is the identity, and the simple root
+    alpha_i is a descent of w^{-1} when w^{-1} alpha_i has a negative
+    coefficient over the simple roots.  lambda_w is w^{-1} of the sum of the
+    fundamental weights of those descents."""
+    elements = rd.weyl.elements
+    ident = identity_matrix(rd.rank)
+    etas = rd.weight_lift[1]
+    out = []
+    for w in elements:
+        winv = next(v for v in elements if mat_mul(w, v) == ident)
+        total = (0,) * rd.rank
+        for alpha, eta in zip(rd.simple_roots, etas):
+            if min(root_coefficients(mat_vec(winv, alpha), rd.simple_roots)) < 0:
+                total = tuple(map(add, total, eta))
+        out.append(mat_vec(winv, total))
+    return out
+
+
 def steinberg_spanning_by_solves(rd, cands, weyl, spanning_radius):
-    """spanning_ok by one Smith-form solve per target: for
-    each e^mu in the box, rebuild the matrix of the products (orbit sum over
-    the dominant window) * e^lambda on their support plus mu, and solve
-    M*x = e^mu over Z."""
+    """Whether the e^lambda, lambda in cands, span the box of radius
+    spanning_radius over R(G), by one Smith-form solve per target: for each
+    e^mu in the box, build the matrix of the products (orbit sum over a
+    dominant window) * e^lambda on their support plus mu, and solve
+    M*x = e^mu over Z.  The box oracle of Steinberg's theorem, which the
+    library's check takes on trust."""
     maxc = max((max(abs(x) for x in lam) for lam in cands if any(lam)), default=0)
     box_r = spanning_radius + maxc + 2
     dominant_window = [nu for nu in window_box(rd.rank, box_r)
@@ -1344,22 +1367,6 @@ def weyl_rows_by_elements(weyl: WeylGroup, rank: int, box: Sequence[Vector]) -> 
             images.append(reference_weyl_act(w, m) - m)
         rows += _element_condition_rows(images)
     return rows
-
-
-def steinberg_columns_by_elements(weyl, rank, cands, dominant_window, targets):
-    """The support and dense columns of checks._steinberg_columns, from
-    one orbit sum times one monomial per (lambda, nu)."""
-    basis_elems = [reference_orbit_sum(weyl, nu) * monomial(rank, lam)
-                   for lam in cands for nu in dominant_window]
-    support = sorted({e for el in basis_elems for e in el.terms} | set(targets))
-    idx = {e: i for i, e in enumerate(support)}
-    cols = []
-    for el in basis_elems:
-        col = [0] * len(support)
-        for e, c in el.terms.items():
-            col[idx[e]] = c
-        cols.append(col)
-    return support, cols
 
 
 def inversion_length(w: Matrix, positive_roots: Sequence[Vector], positive_set: frozenset) -> int:

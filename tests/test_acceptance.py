@@ -35,6 +35,7 @@ from oracles import (
     monomial,
     one,
     reference_strong_groebner,
+    steinberg_spanning_by_solves,
     to_poly,
 )
 from test_groebner import laurent_box_invariants
@@ -175,15 +176,18 @@ def test_criterion_9_simply_connectedness_gate():
 
 
 def test_criterion_10_steinberg_freeness_evidence():
+    rd = preset("SL2")
+    assert steinberg_spanning_by_solves(rd, [(0,), (1,)], rd.weyl, 4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "STEINBERG_SPANNING_RADIUS", 4)
-        rd = preset("SL2")
-        rep_sl2 = steinberg_freeness_check(rd, [(0,), (1,)])
+        mp.setattr(checks, "steinberg_candidate_weights", lambda rd: [(0,), (1,)])
+        rep_sl2 = steinberg_freeness_check(rd)
     assert rep_sl2["independent"] and rep_sl2["spanning_ok"]
     rd = preset("SL3")
-    rep_sl3 = steinberg_freeness_check(rd, steinberg_candidate_weights(rd))
+    rep_sl3 = steinberg_freeness_check(rd)
     assert rep_sl3["independent"] and rep_sl3["spanning_ok"]
-    report(10, "SL2 basis {1, x} certified; SL3 recipe passes determinant and spanning checks")
+    assert steinberg_spanning_by_solves(rd, steinberg_candidate_weights(rd), rd.weyl, 1)
+    report(10, "SL2 basis {1, x} independent and spanning; SL3 Steinberg weights independent "
+               "by determinant, spanning the radius-1 box")
 
 
 def test_criterion_11_determinism(capsys):

@@ -181,6 +181,11 @@ MALFORMED = [
      "simple-root-not-a-root: simple root (4,) is not a root"),
     ("k0 simple root not a root", ["k0", "--group", NOT_A_ROOT, "--mu", "0", "--p", "3"], {}, 3,
      "simple-root-not-a-root: simple root (4,) is not a root"),
+    ("validate simple root not a root, prime 2", ["validate", "--group", NOT_A_ROOT, "--p", "2"],
+     {}, 3, "simple-root-not-a-root: simple root (4,) is not a root"),
+    # It is found when the datum is built, after every field has parsed.
+    ("simple root not a root, bad prime", ["validate", "--group", NOT_A_ROOT, "--p", "x"], {}, 2,
+     "cannot parse prime from 'x'"),
     ("invalid JSON job file", ["k0", "{tmp}/job.json"], {"job.json": b'{"group": '}, 2,
      "invalid JSON in"),
     ("invalid TOML job file", ["k0", "{tmp}/job.toml"], {"job.toml": b"group = "}, 2,
@@ -652,10 +657,11 @@ def test_steinberg_check_via_cli(capsys):
     st = rep["checks"]["steinberg"]
     assert st["independent"] is True
     assert st["spanning_ok"] is True
+    assert "Steinberg" in st["note"] and "simply connected" in st["note"]
 
 
 def test_steinberg_check_gl3_via_cli(capsys):
-    # GL3's window lattice is about 1000 x 1000; one Hermite basis decides all 27 targets.
+    # GL3's |W| = 6: one 6 x 6 determinant modulo a prime; spanning is Steinberg's theorem.
     code, out, _ = run(
         capsys, "k0", "--group", "GL3", "--mu", "1,0,0", "--p", "5", "--checks", "steinberg"
     )

@@ -6,19 +6,13 @@ import random
 import pytest
 
 from zipk0 import checks
-from zipk0.checks import (
-    _steinberg_columns,
-    steinberg_candidate_weights,
-    steinberg_freeness_check,
-    window_box,
-)
+from zipk0.checks import steinberg_candidate_weights, steinberg_freeness_check
 from zipk0.grpalg import frobenius, orbit_sum, weyl_act
 from zipk0.invariants import (
     InvariantRingPresentation,
     NotInvariantError,
     express_invariant,
 )
-from zipk0.lattice import hermite_row_basis, span_members
 from zipk0.rootdata import (
     PRESET_NAMES,
     SimplyConnectedHypothesisError,
@@ -35,17 +29,14 @@ from zipk0.zipk import CocharacterDatum
 from oracles import (
     GroupAlgebraElement,
     all_presets,
-    dense_hermite_row_basis,
-    densify,
     expand_generator_polynomial,
     from_terms,
-    hermite_remainder,
     reference_nonneg_combinations,
     monomial,
     one,
     restrict_to_levi,
-    steinberg_columns_by_elements,
     steinberg_spanning_by_solves,
+    steinberg_weights_by_elements,
 )
 
 
@@ -286,64 +277,64 @@ def test_steinberg_candidates_distinct():
 
 
 def test_steinberg_check_sl2_explicit_basis(monkeypatch):
-    # The radius-4 box of 9 monomials lies in the span.
+    # {1, e^1} spans the radius-4 box of 9 monomials, and the check's
+    # determinant proves it independent.
     rd = preset("SL2")
-    monkeypatch.setattr(checks, "STEINBERG_SPANNING_RADIUS", 4)
-    report = steinberg_freeness_check(rd, [(0,), (1,)])
-    assert report["independent"]
-    assert report["spanning_ok"]
-    assert report["spanning_ok"] == steinberg_spanning_by_solves(rd, [(0,), (1,)], rd.weyl, 4)
+    assert steinberg_spanning_by_solves(rd, [(0,), (1,)], rd.weyl, 4)
+    monkeypatch.setattr(checks, "steinberg_candidate_weights", lambda rd: [(0,), (1,)])
+    report = steinberg_freeness_check(rd)
+    assert report["independent"] and report["spanning_ok"]
 
 
-def test_steinberg_check_rejects_duplicates():
+def test_steinberg_check_rejects_duplicates(monkeypatch):
+    # Equal columns give a zero determinant, and spanning is then not claimed:
+    # {1, 1} spans only R(SL2) itself, which misses e^1.
     rd = preset("SL2")
-    report = steinberg_freeness_check(rd, [(0,), (0,)])
+    assert not steinberg_spanning_by_solves(rd, [(0,), (0,)], rd.weyl, 1)
+    monkeypatch.setattr(checks, "steinberg_candidate_weights", lambda rd: [(0,), (0,)])
+    report = steinberg_freeness_check(rd)
     assert not report["independent"]
+    assert not report["spanning_ok"]
 
 
 def test_steinberg_check_sl3_recipe():
     rd = preset("SL3")
-    report = steinberg_freeness_check(rd, steinberg_candidate_weights(rd))
+    report = steinberg_freeness_check(rd)
+    assert report["candidates"] == [list(c) for c in steinberg_candidate_weights(rd)]
     assert report["independent"]
     assert report["spanning_ok"]
+    assert "Steinberg" in report["note"]
 
 
 @pytest.mark.parametrize("name", ["SL2", "GL2", "A1xA1", "SL3", "Sp4"])
 def test_steinberg_spanning_matches_per_target_solves(name):
+    # The theorem the check rests on, tested on the radius-1 box.
     rd = preset(name)
-    cands = steinberg_candidate_weights(rd)
-    report = steinberg_freeness_check(rd, cands)
-    assert report["independent"]
-    assert report["spanning_ok"] == steinberg_spanning_by_solves(rd, cands, rd.weyl, 1)
+    report = steinberg_freeness_check(rd)
+    assert report["independent"] and report["spanning_ok"]
+    assert steinberg_spanning_by_solves(rd, steinberg_candidate_weights(rd), rd.weyl, 1)
 
 
-def test_steinberg_check_independent_but_not_spanning():
+def test_steinberg_check_independent_but_not_spanning(monkeypatch):
     # {1, e^2} is independent over R(SL2) but misses e^1: R(T) needs {1, e^1}.
+    # Only the box oracle sees that these are not Steinberg's weights.
     rd = preset("SL2")
-    report = steinberg_freeness_check(rd, [(0,), (2,)])
-    assert report["independent"]
-    assert not report["spanning_ok"]
-    assert report["spanning_ok"] == steinberg_spanning_by_solves(rd, [(0,), (2,)], rd.weyl, 1)
+    assert not steinberg_spanning_by_solves(rd, [(0,), (2,)], rd.weyl, 1)
+    monkeypatch.setattr(checks, "steinberg_candidate_weights", lambda rd: [(0,), (2,)])
+    assert steinberg_freeness_check(rd)["independent"]
 
 
 @pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)
-def test_steinberg_columns_match_element_builder(rd):
-    # The shifted-orbit columns are those of (orbit sum) * (monomial) products,
-    # over the same support, so the spans and the memberships of the targets
-    # agree; on the smaller supports the dense elimination agrees too.
-    weyl = weyl_enumerate(rd)
-    cands = window_box(rd.rank, 1)[:4]
-    targets = window_box(rd.rank, 1)
-    for radius in range(4):
-        window = [nu for nu in window_box(rd.rank, radius) if weights_dominant(nu, rd.simple_coroots)]
-        idx, cols = _steinberg_columns(weyl, cands, window, targets)
-        support, old = steinberg_columns_by_elements(weyl, rd.rank, cands, window, targets)
-        assert list(idx) == support
-        assert densify(cols, len(support)) == [tuple(c) for c in old]
-        units = [{idx[mu]: 1} for mu in targets]
-        assert hermite_row_basis(cols, len(support)) == hermite_row_basis(old, len(support))
-        members = span_members(cols, units)
-        assert members == span_members(old, units)
-        if len(support) <= 200:
-            h = dense_hermite_row_basis(old, len(support))
-            assert members == [not any(hermite_remainder(h, u)) for u in densify(units, len(support))]
+def test_steinberg_weights_match_element_builder(rd):
+    # One lambda_w per Weyl element, in the same order, whether w^{-1} and its
+    # descents come from reduced words or from the group's matrices; without
+    # a simply connected derived group both refuse, and so does the check.
+    try:
+        rd.weight_lift
+    except SimplyConnectedHypothesisError:
+        for build in (steinberg_candidate_weights, steinberg_weights_by_elements,
+                      steinberg_freeness_check):
+            with pytest.raises(SimplyConnectedHypothesisError):
+                build(rd)
+        return
+    assert steinberg_candidate_weights(rd) == steinberg_weights_by_elements(rd)

@@ -11,7 +11,6 @@ from zipk0.lattice import (
     hermite_row_basis,
     kernel_basis,
     solve_linear_diophantine,
-    span_members,
 )
 
 from oracles import (
@@ -330,8 +329,8 @@ def sparse_test_matrix(rng):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_sparse_elimination_matches_dense_oracle(seed):
-    # The same Hermite bases, kernels, solves and memberships as the dense
-    # elimination, whether the rows come dense or as {column: entry} dicts.
+    # The same Hermite bases, kernels and solves as the dense elimination,
+    # whether the rows come dense or as {column: entry} dicts.
     rng = random.Random(4000 + seed)
     for _ in range(150):
         rows, nc = sparse_test_matrix(rng)
@@ -346,7 +345,3 @@ def test_sparse_elimination_matches_dense_oracle(seed):
         for b in (solvable, arbitrary):
             want = dense_solve_linear_diophantine(rows, b, nc)
             assert solve_linear_diophantine(rows, b, nc) == solve_linear_diophantine(sparse, b, nc) == want
-        targets = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(3)] + rows[:2]
-        members = [not any(hermite_remainder(h, t)) for t in targets]
-        assert span_members(sparse, targets) == span_members(rows, targets) == members
-        assert all(members[3:])

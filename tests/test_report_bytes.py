@@ -43,16 +43,16 @@ RECORDED = [
      3, EMPTY,
      "064c6e196f5b571ceb124fed73244dceb9a9b0e344c1403d7cd2fa8d6719842c"),
     (("k0", "--group", "SL3", "--mu", "1,0", "--p", "2", "--checks", CHECKS),
-     0, "7c01420b8a3ba957d4250ced0241498bb0964c411285c6bc1e3892db0a4ed793",
+     0, "0a51aa4b2163951124edc567d2d337a2407dc6f17748de6620662e33f1a2d65b",
      EMPTY),
     (("k0", "--group", "GL2", "--mu", "0,0", "--p", "3", "--checks", CHECKS),
-     0, "75560599b6d6a4a9f8e8c947968a91f5ca47535baa8f18dc5e2876ff051fc425",
+     0, "c751bb242f5cea06e2cb35499e5f0fada87c1649020eaaf01018e4e99cde6dae",
      EMPTY),
     (("k0", "--group", "Gm^2", "--mu", "0,0", "--p", "2", "--checks", CHECKS),
-     0, "930e691a216ac00b7806b31cfc8cefad21f57078b525712f25d2c32bc1776edb",
+     0, "6ff3afba2d3d35f6e9faae9d91fd7c90270d61574df57e7d3e87d9f0a4ee7213",
      EMPTY),
     (("k0", "--group", "SL2", "--mu", "1", "--p", "3", "--checks", CHECKS),
-     0, "8f1551825e4326c4a10cd71cd431a3c6538c5c5be39b2d0a1133f966ff0a03a3",
+     0, "01073743d47668280630a884636390a09064864bd6fb88ace071bc93735c0e55",
      EMPTY),
     (("k0", "--group", "Sp4", "--mu", "1,0", "--p", "3"),
      0, "7ba7c2a54736e7bcfe9ef35bb9f35957cbb8415117ed49e4ad21f720ad27c8ff",
@@ -75,7 +75,7 @@ RECORDED = [
     # other job renders.
     (("k0", "--group", "SL3", "--mu", "1,0", "--p", "2", "--checks", CHECKS + ",counterexample",
       "--format", "text"),
-     0, "7e112864d59118184fb9d6e8007a9a6ed9b23c2170d06a3675d0e451615c0f4e",
+     0, "351d93583e2cee3087158a9ea97069e19ed578dd1049eb9dde70eb22ff6a6cd9",
      EMPTY),
     (("hecke-check", "--group", "Sp4", "--format", "text"),
      0, "d9df79b9685d4f462ad5fdae01763ac5d6986e9e02741f4434f167426d9a9edc",

@@ -340,9 +340,11 @@ _SL3 = preset("SL3")
 _A1XA1 = preset("A1xA1")
 
 # (id, datum, kind, text of the message): one datum for each validation
-# branch, each passing every earlier check.  An asymmetric zero pattern in the Cartan matrix cannot pass
-# the earlier checks: they make the roots a root system with a Weyl-invariant
-# inner product, in which <b, a^vee> = 0 exactly when <a, b^vee> = 0.
+# branch, each passing every earlier check.  validate has no branch for an
+# asymmetric zero pattern in the Cartan matrix: the earlier checks make
+# (x, y) = sum over roots c of <x, c^vee><y, c^vee> invariant under each s_a,
+# whence <b, a^vee>(a, a) = 2(b, a), so <b, a^vee> = 0 exactly when
+# <a, b^vee> = 0.
 INVALID_DATA = [
     ("vector of the wrong length",
      RootDatum(1, ((2,), (-2,)), ((1,), (-1, 0)), (0,)), "pairing-violation",

@@ -48,7 +48,6 @@ from oracles import (
     densify,
     eliminate,
     from_terms,
-    hermite_remainder,
     mod_l_count_agrees,
     monomial,
     one,
@@ -695,13 +694,6 @@ def test_packed_engine_matches_reference_on_ladder(monkeypatch, capsys, name, mu
     assert compared
 
 
-def _dense_span_members(vectors, targets):
-    columns = [j for r in [*vectors, *targets] for j in (r if isinstance(r, dict) else range(len(r)))]
-    ncols = max(columns, default=-1) + 1
-    basis = dense_hermite_row_basis(densify(vectors, ncols), ncols)
-    return [not any(hermite_remainder(basis, t)) for t in densify(targets, ncols)]
-
-
 # Each public elimination of the lattice layer, and its dense oracle on the
 # same arguments, rows made dense.
 LATTICE_ORACLES = {
@@ -709,7 +701,6 @@ LATTICE_ORACLES = {
     "kernel_basis": lambda rows, ncols: dense_kernel_basis(densify(rows, ncols), ncols),
     "solve_linear_diophantine":
         lambda rows, b, ncols: dense_solve_linear_diophantine(densify(rows, ncols), b, ncols),
-    "span_members": _dense_span_members,
 }
 
 
@@ -720,8 +711,8 @@ LATTICE_ORACLES = {
     + [(*case, True) for case in CHECKS_LADDER],
 )
 def test_sparse_lattice_matches_dense_oracle_on_ladder(monkeypatch, capsys, name, mu, p, checks):
-    # Every Hermite basis, kernel, solve and span membership of a ladder job
-    # equals the dense elimination's, wherever the library calls it from.
+    # Every Hermite basis, kernel and solve of a ladder job equals the dense
+    # elimination's, wherever the library calls it from.
     import sys
 
     from zipk0 import lattice
