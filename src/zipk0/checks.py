@@ -3,21 +3,19 @@
 The answer is zipk.compute_k0, the presentation of R(L)/IR(L).  The checks
 here mirror the structural facts the construction rests on: the torus-side
 quotient R(T)/IR(T) and the Kunneth/freeness rank factorisation, the
-untwisting identity, Hecke-versus-Weyl invariants in a window, the exact
-independence of Steinberg's basis of R(T) over R(G), whose spanning is his
-theorem, and the failure of naive Weyl descent on a torsion module.  Each
-check returns its own report section: a dict of lists, ints, bools and
-strings.  The CLI imports this module only for a job that runs a check or
-one of the k0-torus, hecke-check and demo-counterexample commands, so a
-plain k0 or validate job does not compile it.
+untwisting identity, Hecke-versus-Weyl invariants in a window, and the
+exact independence of Steinberg's basis of R(T) over R(G), whose spanning is
+his theorem.  Each check returns its own report section: a dict of lists,
+ints, bools and strings.  The CLI imports this module only for a k0 job that
+runs a check and for k0-torus, so a plain k0 or validate job does not
+compile it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
 from .groebner import normal_form_gb
@@ -34,9 +32,6 @@ from .rootdata import (
     weyl_orbit,
 )
 from .zipk import CocharacterDatum, KZeroPresentation, k0_of_levi
-
-if TYPE_CHECKING:
-    from .cli import JobSpec
 
 
 # theta_map_check tests this many random directions, the same ones every run.
@@ -312,59 +307,21 @@ def steinberg_freeness_check(rd: RootDatum) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The Weyl-invariants counterexample (torsion module demo)
-
-
-def weyl_counterexample_demo(m: int) -> dict:
-    """The rank-one zip-adjacent module demo: for M with 2-torsion the Weyl
-    invariants of M + M x strictly contain M.  M is Z/m, and Z for m = 0.
-
-    The reflection acts by s(a + b x) = (a + 2b) - b x since s(x) = x^{-1} =
-    (x + x^{-1}) - x acts through the augmentation value 2 on M.  Invariance
-    is exactly 2b = 0 (equivalently (x + x^{-1}) b = 0).  The orders are
-    strings, "infinite" for Z.
-    """
-    if m == 0:
-        image_order = invariant_order = "infinite"
-        name = structure = "Z"
-        strictly_larger = False
-    else:
-        # a is free and b ranges over the 2-torsion of Z/m, which has
-        # gcd(2, m) elements.
-        ann2 = math.gcd(2, m)
-        name = f"Z/{m}"
-        image_order, invariant_order = str(m), str(m * ann2)
-        structure_parts = [name] if m > 1 else []
-        if ann2 > 1:
-            structure_parts.append(f"Z/{ann2}")
-        structure = " + ".join(structure_parts) if structure_parts else "0"
-        strictly_larger = ann2 > 1
-    return {
-        "module": name,
-        "image_order": image_order,
-        "invariant_order": invariant_order,
-        "invariant_structure": structure,
-        "strictly_larger": strictly_larger,
-        "verdict": (f"invariants {structure} strictly contain image {name}"
-                    if strictly_larger else "no excess invariants"),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Report sections
 
 
-def check_sections(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation,
-                   window: int) -> dict:
-    """The `checks` section of a k0 report: one entry per check the job
-    lists, the Hecke check over the given window."""
+def check_sections(checks: Sequence[str], datum: CocharacterDatum, kz: KZeroPresentation,
+                   max_degree: int, window: int) -> dict:
+    """The `checks` section of a k0 report: one entry per name in checks,
+    the Hecke check over the given window.  R(T)/IR(T) is completed under
+    max_degree at most once, by the first check needing it, and not at all
+    when the Levi is T: kz is then already that quotient."""
     out: dict[str, Any] = {}
-    torus = None  # R(T)/IR(T), built by the first check needing it
-    for check in job.checks:
+    torus = None
+    for check in checks:
         if check in ("kunneth", "theta") and torus is None:
-            # A Levi without roots is T, and kz is already that quotient.
             levi_is_torus = not kz.presentation_pres.rd.roots
-            torus = kz if levi_is_torus else compute_k0_torus(datum, job.max_degree)
+            torus = kz if levi_is_torus else compute_k0_torus(datum, max_degree)
         if check == "kunneth":
             out[check] = kunneth_rank_check(kz, torus)
         elif check == "theta":
@@ -373,6 +330,4 @@ def check_sections(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation,
             out[check] = hecke_check(datum, window)
         elif check == "steinberg":
             out[check] = steinberg_freeness_check(datum.rd)
-        elif check == "counterexample":
-            out[check] = weyl_counterexample_demo(job.module)
     return out

@@ -1,13 +1,13 @@
 """Command-line surface: declarative job files, deterministic reports.
 
-Commands: validate, k0, k0-torus, hecke-check, demo-counterexample.
+Commands: validate, k0, k0-torus.
 A job is described by a JSON or TOML file plus flag overrides; reports are
 emitted as JSON (schema 1) or as a text rendering of the same data.  Exit
 codes: 0 ok, 2 parse or output error, 3 validation failure, 4 resource cap.
 Each command imports the layers it runs when it runs: `validate` needs only
 the root datum and the lattice, the Groebner pipeline (zipk0.zipk and what
-it imports) loads for k0, k0-torus and hecke-check, and the cross-checks
-(zipk0.checks) only for a job that runs them.
+it imports) loads for k0 and k0-torus, and the cross-checks (zipk0.checks)
+only for a k0 job that runs them and for k0-torus.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ if TYPE_CHECKING:
     from .zipk import CocharacterDatum, KZeroPresentation
 
 SCHEMA_VERSION = 1
-VALID_CHECKS = ("kunneth", "theta", "hecke", "steinberg", "counterexample")
+VALID_CHECKS = ("kunneth", "theta", "hecke", "steinberg")
 DEFAULT_WINDOW = 3  # exponent box radius of the Hecke check when the job sets none
 
 EXIT_OK = 0
@@ -51,12 +51,11 @@ OPTIONS = {
     "mu": 'cocharacter, e.g. 1,0 or [1,0]; a negative first entry as --mu=-1,2 or --mu "[-1,2]"',
     "p": "prime",
     "checks": f"comma list from {','.join(VALID_CHECKS)}",
-    "window": f"exponent box radius for windowed checks (default {DEFAULT_WINDOW})",
+    "window": f"exponent box radius of the hecke check (default {DEFAULT_WINDOW})",
     "format": "report format, json or text (default json)",
     "out": "write the report to this path instead of stdout",
     "max_degree": f"Groebner degree cap (default {DEFAULT_MAX_DEGREE})",
     "twist": "finite-order unimodular matrix as JSON rows",
-    "module": "module for the counterexample demo (Z or Z/<m>)",
 }
 
 
@@ -77,7 +76,6 @@ class JobSpec:
     fmt: str
     out: Optional[str]
     max_degree: int
-    module: int                # m of the demo's module Z/m; 0 for Z
 
     def echo(self) -> dict:
         twist = self.rd.twist
@@ -226,8 +224,6 @@ def load_job(args: dict) -> JobSpec:
     values.update(args)
 
     group_value = values.get("group")
-    if group_value is None and args["command"] == "demo-counterexample":
-        group_value = "SL2"  # the demo lives over the rank-one datum
     if group_value is None:
         raise JobParseError("no group given (preset name or explicit datum)")
     group, rank, build_datum = _build_group(group_value, values.get("twist"))
@@ -262,14 +258,9 @@ def load_job(args: dict) -> JobSpec:
     out = values.get("out")
     if out is not None and not isinstance(out, str):
         raise JobParseError(f"out must be a path, got {out!r}")
-    module_value = values.get("module", "Z/2")
-    name = module_value.strip() if isinstance(module_value, str) else ""
-    if name != "Z" and not name.startswith("Z/"):
-        raise JobParseError(f"module must be Z or Z/<m>, got {module_value!r}")
-    module = 0 if name == "Z" else _parse_int(name[2:], "module modulus", minimum=1)
     rd = build_datum()  # last, so that every parse error takes precedence
     validate(rd)
-    return JobSpec(group, rd, mu, p, checks, window, fmt, out, max_degree, module)
+    return JobSpec(group, rd, mu, p, checks, window, fmt, out, max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +297,13 @@ def _levi_dict(datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
     }
 
 
-def _window(job: JobSpec) -> int:
-    return job.window if job.window is not None else DEFAULT_WINDOW
-
-
 def _run_checks(job: JobSpec, datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
     if not job.checks:
         return {}
     from .checks import check_sections
 
-    return check_sections(job, datum, kz, _window(job))
+    window = job.window if job.window is not None else DEFAULT_WINDOW
+    return check_sections(job.checks, datum, kz, job.max_degree, window)
 
 
 def cmd_validate(job: JobSpec) -> dict:
@@ -382,31 +370,6 @@ def cmd_k0_torus(job: JobSpec) -> dict:
         },
         "module": _module_dict(torus.module_report),
         "flags": {"experimental_twist": job.rd.twist is not None},
-    }
-
-
-def cmd_hecke_check(job: JobSpec) -> dict:
-    from .checks import hecke_check
-    from .zipk import CocharacterDatum
-
-    datum = CocharacterDatum(job.rd, job.mu, job.p)
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "hecke-check",
-        "job": job.echo(),
-        "hecke": hecke_check(datum, _window(job)),
-    }
-
-
-def cmd_demo_counterexample(job: JobSpec) -> dict:
-    from .checks import weyl_counterexample_demo
-
-    section = weyl_counterexample_demo(job.module)
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "demo-counterexample",
-        "module": section["module"],
-        "counterexample": section,
     }
 
 
@@ -481,8 +444,6 @@ COMMANDS = {
     "validate": cmd_validate,
     "k0": cmd_k0,
     "k0-torus": cmd_k0_torus,
-    "hecke-check": cmd_hecke_check,
-    "demo-counterexample": cmd_demo_counterexample,
 }
 
 
@@ -527,11 +488,9 @@ Exact presentations of the Grothendieck ring of a stack of G-zips: R(L)/IR(L)
 from a root datum, cocharacter and prime.
 
 commands:
-  validate             check the root datum axioms and the simply-connectedness gate
-  k0                   compute the presentation of R(L)/IR(L) with optional cross-checks
-  k0-torus             compute the torus-side quotient R(T)/IR(T)
-  hecke-check          compare Hecke, Weyl and orbit-span invariants in a window
-  demo-counterexample  torsion-module demo: Weyl invariants exceed the image
+  validate  check the root datum axioms and the simply-connectedness gate
+  k0        compute the presentation of R(L)/IR(L) with optional cross-checks
+  k0-torus  compute the torus-side quotient R(T)/IR(T)
 
 JOB_FILE is a JSON or TOML job description whose keys are the options below
 (max_degree for --max-degree; "cocharacter" is an alias of "mu").  A flag

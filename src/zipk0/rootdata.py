@@ -36,6 +36,10 @@ class WeylSizeCapError(ResourceCapError):
 
 
 WEYL_SIZE_CAP = 10**6
+# fundamental_weight_lift refuses a lineality lattice whose search box holds
+# more points.  The box has 5^z points for lineality rank z; on a 2-vCPU host
+# validating SL2 x G_m^7 (z = 7) takes about 1.8 s, and each rank adds x5.
+LIFT_BOX_CAP = 5**7
 
 
 def pairing(chi: Sequence[int], cochar: Sequence[int]) -> int:
@@ -427,6 +431,11 @@ def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
 
     best = tuple(cur)
     radius = 2
+    size = (2 * radius + 1) ** len(lineality)
+    if size > LIFT_BOX_CAP:
+        raise ResourceCapError(
+            f"fundamental-weight lift box spans {size} points, over the cap {LIFT_BOX_CAP}"
+        )
     for combo in itertools.product(range(-radius, radius + 1), repeat=len(lineality)):
         cand = tuple(
             c + sum(t * z[i] for t, z in zip(combo, lineality))

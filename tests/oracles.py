@@ -1513,7 +1513,10 @@ def substitution_soundness(datum: CocharacterDatum, kz: KZeroPresentation,
 
 
 def counterexample_brute_force(m: int) -> tuple[int, int]:
-    """Enumerate M + Mx for M = Z/m and count fixed points of the reflection."""
+    """(order of the Weyl invariants of M + Mx, order of the image M) for
+    M = Z/m, by enumerating M + Mx and counting the fixed points of the
+    reflection.  It acts by s(a + b x) = (a + 2b) - b x, since s(x) = x^{-1} =
+    (x + x^{-1}) - x and x + x^{-1} acts on M through its augmentation 2."""
     fixed = 0
     for a in range(m):
         for b in range(m):

@@ -8,6 +8,7 @@ independent oracle computed here, or a structural identity checked exactly.
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -19,16 +20,17 @@ from zipk0.checks import (
     kunneth_rank_check,
     steinberg_candidate_weights,
     steinberg_freeness_check,
-    weyl_counterexample_demo,
 )
 from zipk0.cli import main
 from zipk0.groebner import PolyRingSpec, strong_groebner, quotient_z_module
+from zipk0.lattice import kernel_basis
 from zipk0.rootdata import SimplyConnectedHypothesisError, preset, weyl_enumerate
 from zipk0.zipk import CocharacterDatum, compute_k0, unit_relations
 
 from oracles import (
     BlockRingSpec,
     all_reduced_words,
+    counterexample_brute_force,
     demazure_character,
     demazure_word,
     eliminate,
@@ -155,12 +157,15 @@ def test_criterion_7_hecke_invariants_at_point():
 
 
 def test_criterion_8_counterexample_reproduction():
-    rep = weyl_counterexample_demo(2)
-    assert rep["strictly_larger"]
-    assert rep["invariant_order"] == "4"
-    assert rep["image_order"] == "2"
-    assert not weyl_counterexample_demo(0)["strictly_larger"]
-    assert not weyl_counterexample_demo(3)["strictly_larger"]
+    # Weyl descent fails on a torsion module: for M = Z/2 the invariants of
+    # M + Mx have order 4 and strictly contain the image M of order 2.
+    assert counterexample_brute_force(2) == (4, 2)
+    assert counterexample_brute_force(3) == (3, 3)
+    # b lies in the 2-torsion of Z/m, which has gcd(2, m) elements.
+    for m in range(1, 61):
+        assert counterexample_brute_force(m)[0] == m * math.gcd(2, m)
+    # For M = Z, s - 1 sends a + b x to 2b - 2b x: the invariants are the image.
+    assert kernel_basis([[0, 2], [0, -2]], 2) == ((1, 0),)
     report(8, "invariants of order 4 strictly contain the order-2 image; no excess for Z, Z/3")
 
 

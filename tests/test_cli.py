@@ -11,7 +11,7 @@ import pytest
 
 from zipk0.cli import COMMANDS, OPTIONS, main, render_text
 from zipk0.caps import DEFAULT_MAX_DEGREE
-from zipk0.rootdata import levi_from_cocharacter, preset
+from zipk0.rootdata import levi_from_cocharacter, make_root_datum, preset
 
 
 def run(capsys, *argv):
@@ -50,6 +50,41 @@ def test_validate_factors_no_huge_pivot():
     assert time.perf_counter() - start < 2
     assert done.returncode == 0
     assert json.loads(done.stdout)["fundamental_group"] == [1, 0]
+
+
+def sl2_times_torus(rank: int) -> dict:
+    """SL2 x G_m^(rank-1): one root pair on e1, with coroots +-e1, so the
+    lineality lattice has rank rank-1."""
+    e1 = [1] + [0] * (rank - 1)
+    return {"rank": rank, "roots": [[2 * x for x in e1], [-2 * x for x in e1]],
+            "coroots": [e1, [-x for x in e1]], "simple_roots": [[2 * x for x in e1]]}
+
+
+def test_a_large_centre_hits_the_lift_cap(capsys):
+    # The fundamental-weight lift searches a box of 5^11 points here, about
+    # 20 minutes of work before the cap.  The subprocess bounds the wait.
+    argv = ["validate", "--group", json.dumps(sl2_times_torus(12))]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "zipk0.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "resource-cap"
+    assert "fundamental-weight lift" in rep["detail"] and "48828125 points" in rep["detail"]
+    assert "resource cap" in err
+
+
+def test_a_small_centre_keeps_its_lift(capsys):
+    datum = sl2_times_torus(4)
+    code, out, _ = run(capsys, "validate", "--group", json.dumps(datum))
+    assert code == 0
+    assert json.loads(out)["fundamental_group"] == [1, 0, 0, 0]
+    rd = make_root_datum(4, datum["roots"], datum["coroots"], datum["simple_roots"])
+    assert rd.weight_lift[1] == ((1, 0, 0, 0),)
 
 
 def test_malformed_vector_length(capsys):
@@ -117,7 +152,7 @@ def test_bad_integer_options_exit_2(capsys, tmp_path, flags, job):
         {"checks": 5},
         {"checks": [1]},
         {"checks": {"kunneth": True}},
-        {"module": 5, "checks": ["counterexample"]},
+        {"module": "Z/2"},
         {"out": ["x"]},
         # An integer is not a file descriptor to write to.
         {"out": 1},
@@ -128,22 +163,6 @@ def test_job_file_field_types_exit_2(capsys, tmp_path, job):
     job_file = tmp_path / "job.json"
     job_file.write_text(json.dumps({"group": "SL2", "mu": [1], "p": 3, **job}))
     code, out, err = run(capsys, "k0", str(job_file))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("parse error: ")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("demo-counterexample", "--module", "Z/x"),
-        ("demo-counterexample", "--module", "Z/0"),
-        # A job parses its module whether or not it runs the demo.
-        ("k0", "--group", "SL2", "--module", "Q"),
-    ],
-)
-def test_bad_module_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("parse error: ")
@@ -200,6 +219,18 @@ MALFORMED = [
     ("twist flag over the datum's twist", ["validate", "--group", A1XA1_SWAP,
                                            "--twist", "[[1,1],[0,1]]"], {}, 3,
      "twist is not of finite (small) order"),
+    # Retired inputs: the Hecke check runs as `k0 --checks hecke`, and the
+    # torsion-module demo is gone.
+    ("hecke-check command", ["hecke-check", "--group", "SL2"], {}, 2,
+     "unknown command 'hecke-check'"),
+    ("demo-counterexample command", ["demo-counterexample", "--module", "Z/2"], {}, 2,
+     "unknown command 'demo-counterexample'"),
+    ("module option", ["k0", "--group", "SL2", "--module", "Z/2"], {}, 2,
+     "unknown option --module"),
+    ("counterexample check", ["k0", "--group", "SL2", "--checks", "counterexample"], {}, 2,
+     "unknown checks ['counterexample']"),
+    ("module job file key", ["k0", "{tmp}/job.json"],
+     {"job.json": b'{"group": "SL2", "module": "Z/2"}'}, 2, "unknown job file keys: ['module']"),
 ]
 
 
@@ -226,7 +257,7 @@ def test_non_utf8_job_file_exits_2_as_a_process(capsys, tmp_path):
     assert done.returncode == 2 and done.stderr.startswith("parse error: ")
 
 
-ALL_CHECKS = "kunneth,theta,hecke,steinberg,counterexample"
+ALL_CHECKS = "kunneth,theta,hecke,steinberg"
 
 
 def count_completions(capsys, monkeypatch, *argv):
@@ -366,14 +397,6 @@ def test_only_the_weight_lift_solves(capsys, monkeypatch, argv):
     assert callers and set(callers) == {"fundamental_weight_lift"}
 
 
-def test_hecke_check_runs_on_pgl2(capsys):
-    # The Hecke comparison does not need a simply connected derived group,
-    # unlike the dominant Hilbert basis.
-    code, out, _ = run(capsys, "hecke-check", "--group", "PGL2")
-    assert code == 0
-    assert json.loads(out)["hecke"]["all_equal"] is True
-
-
 def test_k0_sl2_report_values(capsys):
     code, out, _ = run(capsys, "k0", "--group", "SL2", "--mu", "1", "--p", "3")
     assert code == 0
@@ -432,10 +455,8 @@ def test_determinism_byte_identical(capsys):
         # GL2 at mu = 0 has the theta invariant direction (1, 1), so every
         # list of vectors in the check sections is nonempty.
         ("k0", "--group", "GL2", "--mu", "0,0", "--p", "3", "--checks", ALL_CHECKS),
-        ("hecke-check", "--group", "Sp4"),
-        ("demo-counterexample", "--module", "Z/6"),
     ],
-    ids=["k0-plain", "k0-all-checks", "hecke-check", "demo-counterexample"],
+    ids=["k0-plain", "k0-all-checks"],
 )
 def test_json_roundtrip_to_text(capsys, args):
     # A tuple in a report section renders as (1, 2) in text but as [1, 2] in
@@ -492,40 +513,6 @@ def test_explicit_group_inline(capsys):
     assert rep["job"]["group"]["rank"] == 1
 
 
-def test_demo_counterexample_default(capsys):
-    code, out, _ = run(capsys, "demo-counterexample")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["counterexample"]["verdict"] == "invariants Z/2 + Z/2 strictly contain image Z/2"
-    assert rep["counterexample"]["strictly_larger"] is True
-
-
-@pytest.mark.parametrize("module", ["Z", "Z/3"])
-def test_demo_counterexample_no_excess(capsys, module):
-    code, out, _ = run(capsys, "demo-counterexample", "--module", module)
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["counterexample"]["verdict"] == "no excess invariants"
-
-
-@pytest.mark.parametrize("m", [10**19 + 1, 10**19 + 2])
-def test_demo_counterexample_huge_modulus(capsys, m):
-    # The invariant count is m * gcd(2, m) in closed form; a 20-digit modulus
-    # once meant a loop over every residue.  The subprocess bounds the wait.
-    argv = ["demo-counterexample", "--module", f"Z/{m}"]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-m", "zipk0.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=20)
-    assert done.returncode == 0
-    start = time.perf_counter()
-    code, out, _ = run(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (0, done.stdout)
-    rep = json.loads(out)["counterexample"]
-    assert rep["invariant_order"] == str(m * (2 - m % 2))
-    assert rep["strictly_larger"] is (m % 2 == 0)
-
-
 def test_huge_prime_is_decided_at_once():
     # 10^18 + 3 is prime; trial division once ran past a 10 s kill on it.
     # The subprocess bounds the wait.
@@ -565,9 +552,11 @@ def test_frobenius_degree_over_the_cap_exits_4_at_once(capsys, command, p):
 
 
 def test_hecke_check_command(capsys):
-    code, out, _ = run(capsys, "hecke-check", "--group", "SL2", "--window", "6")
+    # `k0 --checks hecke` is the command that runs the Hecke check.
+    code, out, _ = run(capsys, "k0", "--group", "SL2", "--mu", "1", "--p", "2",
+                       "--checks", "hecke", "--window", "6")
     assert code == 0
-    rep = json.loads(out)
+    rep = json.loads(out)["checks"]
     assert rep["hecke"]["all_equal"] is True
     assert rep["hecke"]["hecke_rank"] == 7
 
@@ -597,7 +586,8 @@ def test_weyl_size_cap_exits_4(capsys, monkeypatch):
 
 def test_hecke_window_cap_exits_4(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, "hecke-check", "--group", "SL2", "--window", "10000")
+    code, out, err = run(capsys, "k0", "--group", "SL2", "--mu", "1", "--p", "2",
+                         "--checks", "hecke", "--window", "10000")
     assert time.perf_counter() - start < 5
     assert code == 4
     rep = json.loads(out)
@@ -669,17 +659,6 @@ def test_steinberg_check_gl3_via_cli(capsys):
     st = json.loads(out)["checks"]["steinberg"]
     assert st["independent"] is True
     assert st["spanning_ok"] is True
-
-
-def test_counterexample_check_inside_k0(capsys):
-    code, out, _ = run(
-        capsys,
-        "k0", "--group", "SL2", "--mu", "1", "--p", "2",
-        "--checks", "counterexample", "--module", "Z/2",
-    )
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["checks"]["counterexample"]["strictly_larger"] is True
 
 
 def test_twisted_preset_via_flag(capsys):
@@ -782,9 +761,8 @@ def test_malformed_command_line_is_one_parse_error(capsys, argv):
 
 
 # One value per option for a k0 job that reads them all.
-FLAG_VALUES = {"group": "GL2", "mu": "1,0", "p": "3", "checks": "hecke,counterexample",
-               "window": "2", "format": "text", "max_degree": "20", "twist": "[[0,-1],[-1,0]]",
-               "module": "Z/3"}
+FLAG_VALUES = {"group": "GL2", "mu": "1,0", "p": "3", "checks": "hecke", "window": "2",
+               "format": "text", "max_degree": "20", "twist": "[[0,-1],[-1,0]]"}
 
 
 @pytest.mark.parametrize("key", OPTIONS)
@@ -798,7 +776,7 @@ def test_attached_value_equals_separate_value(capsys, tmp_path, key):
             argv += [f"{flag}={v}"] if attached and k == key else [flag, v]
         outcomes.append((*run(capsys, *argv), (tmp_path / "report").read_bytes()))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][:3] == (0, "", "") and b"counterexample:" in outcomes[0][3]
+    assert outcomes[0][:3] == (0, "", "") and b"hecke:" in outcomes[0][3]
 
 
 def test_a_repeated_flag_keeps_its_last_value(capsys):

@@ -3,7 +3,7 @@ stdout and stderr and their exit codes must equal the recorded values.
 
 The jobs cover the report fields that the lattice layer feeds: `validate`'s
 `fundamental_group`, theta's `invariant_directions` and the generator weights
-in `k0` with every check, `hecke-check`, `demo-counterexample`, and an explicit
+in `k0` with every check, the Hecke check on Sp4 and GL3, and an explicit
 datum; the check sections are pinned in text as well as JSON.  The ten
 `quotient` and nine `levi` benchmark jobs of seed 1, four heavier completions
 (SL4 at a regular mu, the SL4 torus, Sp4 at p=11) and a unitary GL3 job cover
@@ -57,11 +57,11 @@ RECORDED = [
     (("k0", "--group", "Sp4", "--mu", "1,0", "--p", "3"),
      0, "7ba7c2a54736e7bcfe9ef35bb9f35957cbb8415117ed49e4ad21f720ad27c8ff",
      EMPTY),
-    (("hecke-check", "--group", "Sp4"),
-     0, "844de21a4bce5576fe7666832634d5aa728cc2604c69b373e10fdc5709e6d711",
+    (("k0", "--group", "Sp4", "--mu", "1,0", "--p", "3", "--checks", "hecke"),
+     0, "a568f3dcc360788913499889a8892f7d15d0c3220142cdb49cb25a348ab7bf5c",
      EMPTY),
-    (("hecke-check", "--group", "GL3", "--window", "1"),
-     0, "3a9b99d2e92960df8f1e52d6866e20fa91054891369b057996c48e80871d60d3",
+    (("k0", "--group", "GL3", "--mu", "0,0,0", "--p", "2", "--window", "1", "--checks", "hecke"),
+     0, "dae70094ee59c3caeac6f324573de5348a2302c4b1569b4775f3f61218ad7ef4",
      EMPTY),
     (("k0", "--group", GL2_DATUM, "--mu", "1,0", "--p", "3"),
      0, "c5c899f5211b1fa174ad1dd4742355a29c5d5d76ca5bad6d6a1ee327296ab60c",
@@ -71,20 +71,9 @@ RECORDED = [
     (("k0-torus", "--group", "GL2", "--p", "2"),
      0, "713e54198b99449d40395884f1f90c290c7b27cd1dd4d85f926155a48d67621b",
      EMPTY),
-    # Every check's section in text, and the counterexample demo, which no
-    # other job renders.
-    (("k0", "--group", "SL3", "--mu", "1,0", "--p", "2", "--checks", CHECKS + ",counterexample",
-      "--format", "text"),
-     0, "351d93583e2cee3087158a9ea97069e19ed578dd1049eb9dde70eb22ff6a6cd9",
-     EMPTY),
-    (("hecke-check", "--group", "Sp4", "--format", "text"),
-     0, "d9df79b9685d4f462ad5fdae01763ac5d6986e9e02741f4434f167426d9a9edc",
-     EMPTY),
-    (("demo-counterexample", "--module", "Z/6", "--format", "text"),
-     0, "2c8351fa7e3d7069ed4731db2dd6f6130bc5d1d44eef7b09510b7d6e813ac3ef",
-     EMPTY),
-    (("demo-counterexample", "--module", "Z"),
-     0, "ad51f24856dc4296463a0eec96689c908bacc6df18d01aca7e4371eb129b1c76",
+    # Every check's section in text.
+    (("k0", "--group", "SL3", "--mu", "1,0", "--p", "2", "--checks", CHECKS, "--format", "text"),
+     0, "6182c436fe0a56fbaacd44febbb1132f724634256a98be156e563ed1f8678a70",
      EMPTY),
     # The `quotient` ladder, seed 1.
     (("k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2"),

@@ -14,7 +14,6 @@ from zipk0.checks import (
     hecke_check,
     kunneth_rank_check,
     theta_map_check,
-    weyl_counterexample_demo,
     window_box,
 )
 from zipk0.invariants import InvariantRingPresentation, express_invariant
@@ -41,7 +40,6 @@ from zipk0.zipk import (
 from oracles import (
     BlockRingSpec,
     all_presets,
-    counterexample_brute_force,
     dense_hermite_row_basis,
     dense_kernel_basis,
     dense_solve_linear_diophantine,
@@ -375,31 +373,6 @@ def test_hecke_check_sl3():
     rep = hecke_check(datum, 2)
     assert rep["all_equal"]
     assert rep["hecke_rank"] == 6
-
-
-def test_counterexample_z2():
-    rep = weyl_counterexample_demo(2)
-    assert rep["strictly_larger"]
-    assert rep["invariant_order"] == "4"
-    assert rep["image_order"] == "2"
-    assert rep["invariant_structure"] == "Z/2 + Z/2"
-    fixed, m = counterexample_brute_force(2)
-    assert fixed == 4 and m == 2
-
-
-def test_counterexample_no_excess():
-    assert not weyl_counterexample_demo(0)["strictly_larger"]
-    rep3 = weyl_counterexample_demo(3)
-    assert not rep3["strictly_larger"]
-    assert rep3["invariant_order"] == rep3["image_order"] == "3"
-    assert counterexample_brute_force(3) == (3, 3)
-
-
-def test_counterexample_matches_brute_force():
-    for m in range(1, 61):
-        rep = weyl_counterexample_demo(m)
-        fixed, _ = counterexample_brute_force(m)
-        assert int(rep["invariant_order"]) == fixed
 
 
 def test_twisted_pipeline_runs_and_flags():
