@@ -4,6 +4,7 @@ import pytest
 
 import itertools
 import json
+import math
 import random
 
 from zipk0.caps import DEFAULT_MAX_DEGREE, ResourceCapError
@@ -17,7 +18,13 @@ from zipk0.checks import (
     window_box,
 )
 from zipk0.invariants import InvariantRingPresentation, express_invariant
-from zipk0.lattice import MILLER_RABIN_BOUND, _prime_factors, is_prime, kernel_basis
+from zipk0.lattice import (
+    MILLER_RABIN_BOUND,
+    _prime_factors,
+    cokernel_invariants,
+    is_prime,
+    kernel_basis,
+)
 from zipk0.rootdata import (
     PRESET_NAMES,
     RootDatum,
@@ -40,6 +47,7 @@ from zipk0.zipk import (
 from oracles import (
     BlockRingSpec,
     all_presets,
+    counterexample_brute_force,
     dense_hermite_row_basis,
     dense_kernel_basis,
     dense_solve_linear_diophantine,
@@ -373,6 +381,35 @@ def test_hecke_check_sl3():
     rep = hecke_check(datum, 2)
     assert rep["all_equal"]
     assert rep["hecke_rank"] == 6
+
+
+def _reflection_fixed_part(m: int) -> list[int]:
+    """Invariant factors > 1 of the fixed points of s(a + b x) = (a + 2b) - b x
+    on M + Mx, M = Z/m.  Over Z/m a square matrix's kernel has the invariant
+    factors of its cokernel (Smith form), so this is Z^2 modulo the columns
+    of s - 1, namely (0, 0) and (2, -2), and of m Z^2."""
+    factors = cokernel_invariants([(0, 0), (2, -2), (m, 0), (0, m)], 2)
+    return [d for d in factors if d > 1]
+
+
+def test_counterexample_z2():
+    # The invariants Z/2 + Z/2 (order 4) strictly contain the image M = Z/2.
+    assert _reflection_fixed_part(2) == [2, 2]
+    fixed, m = counterexample_brute_force(2)
+    assert fixed == 4 and m == 2
+
+
+def test_counterexample_no_excess():
+    # For M = Z the kernel of s - 1, (a, b) -> (2b, -2b), is the image a.
+    assert kernel_basis([[0, 2], [0, -2]], 2) == ((1, 0),)
+    assert _reflection_fixed_part(3) == [3]
+    assert counterexample_brute_force(3) == (3, 3)
+
+
+def test_counterexample_matches_brute_force():
+    for m in range(1, 61):
+        fixed, _ = counterexample_brute_force(m)
+        assert math.prod(_reflection_fixed_part(m)) == fixed
 
 
 def test_twisted_pipeline_runs_and_flags():
