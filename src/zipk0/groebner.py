@@ -288,42 +288,39 @@ def _pair(kind: int, f: Packed, lt_f: Term, g: Packed, lt_g: Term, big: int) -> 
 
 
 def _interreduce(basis: list[Packed], pk: _Packing) -> list[Packed]:
+    """The reduced strong basis of the ideal of the strong basis `basis`, in
+    (grevlex key of lm, lc) order, from one pass in that order.
+
+    An element g whose leading term a kept one's strongly divides
+    (_term_divides) is dropped; the rest are reduced by the table of the
+    kept, finished elements, which they then join.  Only a smaller leading
+    monomial divides a term below lm(g), so no later element reduces g's
+    tail.  Nor does any element reduce lt(g): the leading coefficients of
+    the ideal's elements with leading monomial m form an ideal d_m Z, with
+    d_m | d_m' when m' | m, and the basis is strong, so some h in it has
+    lm(h) | lm(g) and lc(h) = d_lm(g).  Unless lt(h) = lt(g), h comes first,
+    and h or the kept element that strongly divides lt(h) drops g.  So a
+    kept g has lc(g) = d_lm(g), which properly divides lc(s) for each kept s
+    with lm(s) | lm(g).  The result is the unique reduced strong basis
+    (Adams & Loustaunau, "An Introduction to Groebner Bases", Section 4.5),
+    and a leading term that moves or vanishes proves the input not strong.
+    """
     key = pk.key
-    basis = [_normalize_sign(dict(g), key) for g in basis if g]
-    changed = True
-    while changed:
-        changed = False
-        # Minimality: drop g whose leading term an earlier element's strongly
-        # divides.  In (leading monomial, lc) order a later element's
-        # leading term can divide g's only when the two are equal, and then
-        # the earlier one is kept.
-        leads = [_leading(g, key) for g in basis]
-        order = sorted(range(len(basis)), key=lambda t: (key(leads[t][0]), leads[t][1]))
-        kept = [t for i, t in enumerate(order) if not any(
-            pk.divides(leads[s][0], leads[t][0]) and leads[t][1] % leads[s][1] == 0
-            for s in order[:i])]
-        if len(kept) != len(basis):
-            changed = True
-        basis = [basis[t] for t in kept]
-        kept_leads = [leads[t] for t in kept]
-        # Full tail reduction of each element by the others, in order, with
-        # one reducer table for the pass: element i leaves the table while it
-        # is reduced and returns in its reduced form.  Positions are the
-        # indices in `basis`, so the others keep the order they would have
-        # in a table built from basis[:i] + basis[i + 1:].
-        table = sorted(_entry(g, i, pk) for i, g in enumerate(basis))
-        for i, (g, (lm, lc)) in enumerate(zip(basis, kept_leads)):
-            del table[bisect.bisect_left(table, (lc, key(lm), i))]
-            red = _normalize_sign(_reduce(g, table, pk), key)
-            if red != g:
-                basis[i] = red
-                changed = True
-            if red:
-                bisect.insort(table, _entry(red, i, pk))
-        basis = [g for g in basis if g]
-    # The last pass kept every element, so no two share (lm, lc).
-    basis.sort(key=lambda g: (key(_leading(g, key)[0]), _leading(g, key)[1]))
-    return basis
+    signed = [_normalize_sign(g, key) for g in basis if g]
+    lts = [_leading(g, key) for g in signed]
+    table: list[ReducerEntry] = []
+    kept: list[Packed] = []
+    leads: list[Term] = []
+    for i in sorted(range(len(signed)), key=lambda i: (key(lts[i][0]), lts[i][1])):
+        if any(_term_divides(t, lts[i], pk) for t in leads):
+            continue
+        red = _reduce(signed[i], table, pk)
+        if red.get(lts[i][0]) != lts[i][1]:
+            raise RuntimeError("interreduction moved a leading term: not a strong basis")
+        bisect.insort(table, _entry(red, len(kept), pk))
+        kept.append(red)
+        leads.append(lts[i])
+    return kept
 
 
 def _product_criterion(lt_f: Term, lt_g: Term, big: int) -> bool:
@@ -407,7 +404,8 @@ def strong_groebner(
     """Buchberger completion with S- and G-polynomials over Z.
 
     Deterministic: fixed input normalization, normal (smallest-lcm-first)
-    selection, canonical interreduction at the end.  As each element joins,
+    selection, and at the end one ordered pass (_interreduce) that turns the
+    strong basis into the unique reduced one.  As each element joins,
     one Gebauer-Moeller update on lcm terms (_update) drops the queued
     S-pairs it makes redundant and queues the pairs of the new element that
     no criterion prunes; G-pairs are never pruned.  The generators are taken

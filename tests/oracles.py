@@ -514,8 +514,12 @@ def _gpair(f: Poly, lt_f, g: Poly, lt_g) -> Optional[Poly]:
 
 
 def reference_interreduce(basis: list[Poly], spec: PolyRingSpec) -> list[Poly]:
-    """zipk0.groebner._interreduce on exponent tuples: one reducer table per
-    pass, updated as elements change."""
+    """The interreduction run until nothing changes, on exponent tuples and
+    in the spec's order: each pass drops the elements whose leading term
+    another's strongly divides and reduces each by the others through one
+    reducer table, updated as elements change.  The library's
+    zipk0.groebner._interreduce is one ordered pass that takes only strong
+    bases; this fixpoint takes any set and is the reference for it."""
     key = spec.monomial_key()
     hkey = heap_key(spec)
     basis = [_normalize_sign(dict(g), key) for g in basis if g]

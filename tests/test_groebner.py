@@ -507,33 +507,108 @@ def test_normal_form_matches_linear_scan(ring, seed):
 
 @pytest.mark.parametrize("ring", sorted(REDUCTION_RINGS))
 @pytest.mark.parametrize("seed", range(4))
-def test_interreduce_matches_per_element_tables(ring, seed):
-    # One reducer table per pass, updated as elements change, against a
-    # fresh table per element: the same bases, term for term.  The inputs
-    # are random sets with shared leading monomials and coefficients, and
-    # the same sets with some of their interreduced elements mixed back in.
+def test_interreduce_matches_per_element_tables(ring, seed, monkeypatch):
+    # The one-pass interreduction against a fresh table per element, run
+    # until nothing changes.  Its input must be a strong basis.  A random set
+    # with shared leading monomials and coefficients, mostly not strong,
+    # gives the oracle's basis or raises RuntimeError, and so does the set
+    # with some of the oracle's elements mixed back in.  A strong basis made
+    # unreduced -- multiples of smaller elements added into the tails, more
+    # ideal elements appended, the order shuffled -- never raises and gives
+    # the reduced strong basis.
     rng = random.Random(seed)
     spec, pairs = REDUCTION_RINGS[ring]
     key = spec.monomial_key()
     n = spec.nvars
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 40)
+
+    def rand_mono(deg):
+        return tuple(rng.randint(0, deg) for _ in range(n))
 
     def rand_poly(lm_pool):
         lm = rng.choice(lm_pool)
         g = {lm: rng.choice((1, 2, 3, -2, 6))}
         for _ in range(rng.randint(0, 3)):
-            m = tuple(rng.randint(0, 2) for _ in range(n))
+            m = rand_mono(2)
             if key(m) < key(lm):
                 g[m] = rng.randint(-5, 5) or 1
         return g
 
-    lm_pool = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(4)]
+    def matches_or_raises(basis) -> bool:
+        try:
+            got = engine_interreduce(basis, spec)
+        except RuntimeError as e:
+            assert "not a strong basis" in str(e)
+            return False
+        assert got == interreduce_per_element(basis, spec)
+        return True
+
+    def unreduced(reduced):
+        out = []
+        for g in reduced:
+            g, lm = dict(g), _leading(g, key)[0]
+            for s in reduced:
+                shift = rand_mono(1)
+                if key(tuple(map(sum, zip(_leading(s, key)[0], shift)))) < key(lm):
+                    _sub_scaled_shifted(g, s, rng.choice((-2, -1, 1, 3)), shift)
+            out.append(g)
+        for _ in range(rng.randint(1, 3)):
+            h = {}
+            for s in rng.sample(reduced, min(2, len(reduced))):
+                _sub_scaled_shifted(h, s, rng.choice((-3, -1, 2, 5)), rand_mono(1))
+            out.append(h)
+        rng.shuffle(out)
+        return out
+
+    lm_pool = [rand_mono(2) for _ in range(4)]
+    accepted = strong = 0
     for _ in range(10):
         basis = [rand_poly(lm_pool) for _ in range(rng.randint(1, 6))] + unit_relations(pairs, n)
         rng.shuffle(basis)
-        assert engine_interreduce(basis, spec) == interreduce_per_element(basis, spec)
-        grown = basis + [p for p in engine_interreduce(basis, spec) if rng.random() < 0.5]
+        accepted += matches_or_raises(basis)
+        grown = basis + [p for p in interreduce_per_element(basis, spec) if rng.random() < 0.5]
         rng.shuffle(grown)
-        assert engine_interreduce(grown, spec) == interreduce_per_element(grown, spec)
+        accepted += matches_or_raises(grown)
+        try:
+            reduced = reference_strong_groebner(basis, spec).as_dicts()
+        except ResourceCapError:
+            continue
+        unred = unreduced(reduced)
+        assert engine_interreduce(unred, spec) == interreduce_per_element(unred, spec) == reduced
+        strong += 1
+    assert accepted and strong
+
+
+def test_interreduce_rejects_a_basis_that_is_not_strong():
+    # (2x, 3x) = (x): reducing 3x by 2x leaves x, a new leading term.
+    with pytest.raises(RuntimeError, match="not a strong basis"):
+        engine_interreduce([{(1,): 2}, {(1,): 3}], PolyRingSpec(("x",)))
+
+
+def test_interreduce_matches_per_element_tables_on_real_jobs(capsys, monkeypatch):
+    # Every completed basis that light k0 jobs interreduce, the twisted SL3
+    # job of the report-bytes guard among them, against the oracle.
+    seen = []
+    interreduce = groebner._interreduce
+
+    def captured(basis, pk):
+        out = interreduce(basis, pk)
+        seen.append((basis, pk, out))
+        return out
+
+    monkeypatch.setattr(groebner, "_interreduce", captured)
+    for argv in (["--group", "SL3", "--mu", "1,0", "--p", "3"],
+                 ["--group", "Sp4", "--mu", "0,0", "--p", "5"],
+                 ["--group", "GL3", "--mu", "2,1,0", "--p", "2"],
+                 ["--group", "SL3", "--mu=1,2", "--p", "3", "--twist", "[[0,1],[1,0]]",
+                  "--checks", "kunneth,theta"]):
+        assert main(["k0", *argv]) == 0
+    capsys.readouterr()
+    assert len(seen) >= 4
+    for basis, pk, out in seen:
+        spec = PolyRingSpec(tuple(f"x{i}" for i in range(len(pk.shifts))))
+        want = interreduce_per_element([pk.unpack_poly(g) for g in basis], spec)
+        assert [pk.unpack_poly(g) for g in out] == want
 
 
 @pytest.mark.parametrize("ring", sorted(REDUCTION_RINGS))
