@@ -7,8 +7,7 @@ untwisting identity, Hecke-versus-Weyl invariants in a window, and the
 exact independence of Steinberg's basis of R(T) over R(G), whose spanning is
 his theorem.  Each check returns its own report section: a dict of lists,
 ints, bools and strings.  The CLI imports this module only for a k0 job that
-runs a check and for k0-torus, so a plain k0 or validate job does not
-compile it.
+runs a check, so a plain k0 or validate job does not compile it.
 """
 
 from __future__ import annotations

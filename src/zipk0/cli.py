@@ -1,13 +1,13 @@
 """Command-line surface: declarative job files, deterministic reports.
 
-Commands: validate, k0, k0-torus.
+Commands: validate, k0.
 A job is described by a JSON or TOML file plus flag overrides; reports are
 emitted as JSON (schema 1) or as a text rendering of the same data.  Exit
 codes: 0 ok, 2 parse or output error, 3 validation failure, 4 resource cap.
 Each command imports the layers it runs when it runs: `validate` needs only
 the root datum and the lattice, the Groebner pipeline (zipk0.zipk and what
-it imports) loads for k0 and k0-torus, and the cross-checks (zipk0.checks)
-only for a k0 job that runs them and for k0-torus.
+it imports) loads for k0, and the cross-checks (zipk0.checks) only for a k0
+job that runs them.
 """
 
 from __future__ import annotations
@@ -354,25 +354,6 @@ def cmd_k0(job: JobSpec) -> dict:
     return report
 
 
-def cmd_k0_torus(job: JobSpec) -> dict:
-    from .checks import compute_k0_torus
-    from .zipk import CocharacterDatum
-
-    datum = CocharacterDatum(job.rd, job.mu, job.p)
-    torus = compute_k0_torus(datum, job.max_degree)
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "k0-torus",
-        "job": job.echo(),
-        "groebner": {
-            "variables": list(torus.groebner.spec.names),
-            "basis": torus.groebner.to_strings(),
-        },
-        "module": _module_dict(torus.module_report),
-        "flags": {"experimental_twist": job.rd.twist is not None},
-    }
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 
@@ -443,7 +424,6 @@ def _output_error(exc: OSError) -> int:
 COMMANDS = {
     "validate": cmd_validate,
     "k0": cmd_k0,
-    "k0-torus": cmd_k0_torus,
 }
 
 
@@ -490,7 +470,6 @@ from a root datum, cocharacter and prime.
 commands:
   validate  check the root datum axioms and the simply-connectedness gate
   k0        compute the presentation of R(L)/IR(L) with optional cross-checks
-  k0-torus  compute the torus-side quotient R(T)/IR(T)
 
 JOB_FILE is a JSON or TOML job description whose keys are the options below
 (max_degree for --max-degree; "cocharacter" is an alias of "mu").  A flag

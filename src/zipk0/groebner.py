@@ -287,9 +287,12 @@ def _pair(kind: int, f: Packed, lt_f: Term, g: Packed, lt_g: Term, big: int) -> 
     return out
 
 
-def _interreduce(basis: list[Packed], pk: _Packing) -> list[Packed]:
+def _interreduce(
+    basis: list[Packed], pk: _Packing
+) -> tuple[list[Packed], list[ReducerEntry]]:
     """The reduced strong basis of the ideal of the strong basis `basis`, in
-    (grevlex key of lm, lc) order, from one pass in that order.
+    (grevlex key of lm, lc) order, from one pass in that order, and its
+    reducer table, which the pass builds as it goes.
 
     An element g whose leading term a kept one's strongly divides
     (_term_divides) is dropped; the rest are reduced by the table of the
@@ -320,7 +323,7 @@ def _interreduce(basis: list[Packed], pk: _Packing) -> list[Packed]:
         bisect.insort(table, _entry(red, len(kept), pk))
         kept.append(red)
         leads.append(lts[i])
-    return kept
+    return kept, table
 
 
 def _product_criterion(lt_f: Term, lt_g: Term, big: int) -> bool:
@@ -463,11 +466,11 @@ def strong_groebner(
         if red:
             add(red)
 
-    reduced = _interreduce(basis, pk)
+    reduced, reduced_table = _interreduce(basis, pk)
     gb = GroebnerBasis(spec, tuple(
         tuple((pk.unpack(m), g[m]) for m in sorted(g, key=pk.key, reverse=True)) for g in reduced
     ))
-    vars(gb)["_tables"] = {pk.width: _reducer_table(reduced, pk)}
+    vars(gb)["_tables"] = {pk.width: reduced_table}
     return gb
 
 

@@ -29,6 +29,8 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of non-square matrix")
+    if n == 0:
+        return 1  # the empty product
     a = [list(r) for r in rows]
     sign = 1
     prev = 1

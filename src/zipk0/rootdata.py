@@ -152,15 +152,6 @@ def make_root_datum(
     return RootDatum(rank, rts, crts, tuple(simples), tw, name)
 
 
-def _principal_minors_positive(c: Sequence[Sequence[int]]) -> bool:
-    n = len(c)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            if determinant([[c[i][j] for j in subset] for i in subset]) <= 0:
-                return False
-    return True
-
-
 def validate(rd: RootDatum) -> None:
     """Check all root datum axioms; raise RootDatumError otherwise."""
     n = rd.rank
@@ -183,15 +174,20 @@ def validate(rd: RootDatum) -> None:
     if len(set(rd.simple_indices)) != len(rd.simple_indices):
         raise RootDatumError("non-finite-type-cartan", "duplicate simple roots")
     # Its zero pattern is symmetric already: the checks above make
-    # (x, y) = sum over roots b of <x, b^vee><y, b^vee> invariant under each
-    # s_a, whence <x, a^vee>(a, a) = 2(x, a) with (a, a) >= 4, so
-    # <b, a^vee> = 0 exactly when <a, b^vee> = 0.
+    # (x, y) = sum over roots b of <x, b^vee><y, b^vee> a positive
+    # semidefinite form invariant under each s_a, whence
+    # <x, a^vee>(a, a) = 2(x, a) with (a, a) >= 4, so <b, a^vee> = 0 exactly
+    # when <a, b^vee> = 0.  For the same reason C = D^-1 S, with
+    # D = diag((a_i, a_i) / 2) > 0 and S the positive semidefinite Gram
+    # matrix ((a_i, a_j)) of the simple roots.  So every principal minor of C
+    # is positive <=> S is positive definite <=> det S > 0 <=> det C > 0, and
+    # one determinant decides finite type.
     cartan = rd.cartan_matrix()
     for i, row in enumerate(cartan):
         for j, c in enumerate(row):
             if i != j and c > 0:
                 raise RootDatumError("non-finite-type-cartan", f"off-diagonal Cartan entry {c} > 0")
-    if not _principal_minors_positive(cartan):
+    if determinant(cartan) <= 0:
         raise RootDatumError(
             "non-finite-type-cartan", "Cartan matrix has a non-positive principal minor"
         )

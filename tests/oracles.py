@@ -6,7 +6,8 @@ element-arithmetic builders of the check rows that the sparse ones must
 match, independent re-checks of the packed
 engine, of the quotient module's invariants, of Steinberg's weights and
 their spanning, of the closed-form dominant Hilbert basis and of the positive
-roots and generator combinations read off the root datum, the rank counted
+roots and generator combinations read off the root datum, the principal
+minors of a finite-type Cartan matrix, the rank counted
 from the Weyl group (twisted_point_count) and from sympy's Groebner bases over
 QQ and GF(p) (sympy_quotient_dimension), and the general code
 that the library itself does not need: the Smith normal form with its
@@ -999,6 +1000,18 @@ def reference_positive_root_indices(rd: RootDatum) -> tuple[int, ...]:
         if coeffs is not None and all(c >= 0 for c in coeffs):
             out.append(i)
     return tuple(out)
+
+
+def principal_minors_positive(c: Sequence[Sequence[int]]) -> bool:
+    """The textbook finite-type test of a Cartan matrix that rootdata.validate
+    replaces by one determinant: each of its 2^s - 1 principal minors is
+    positive."""
+    n = len(c)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if determinant([[c[i][j] for j in subset] for i in subset]) <= 0:
+                return False
+    return True
 
 
 def reference_nonneg_combinations(pres: InvariantRingPresentation):

@@ -35,6 +35,17 @@ def test_validate_pgl2_rejected(capsys):
     assert "Z/2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--group", '{"rank": 0}', "--twist", "[]"],
+    ["k0", "--group", '{"rank": 0, "twist": []}', "--p", "3"],
+])
+def test_rank_0_with_the_empty_twist_exits_0(capsys, argv):
+    # The empty twist of the trivial group is the identity, of determinant 1.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["job"]["twist"] == []
+
+
 def test_validate_factors_no_huge_pivot():
     # The coroot lattice of this datum has the Hermite pivot N = 10^30 + 57
     # and no torsion; trial division of N once ran past a 20 s kill.  The
@@ -219,10 +230,13 @@ MALFORMED = [
     ("twist flag over the datum's twist", ["validate", "--group", A1XA1_SWAP,
                                            "--twist", "[[1,1],[0,1]]"], {}, 3,
      "twist is not of finite (small) order"),
-    # Retired inputs: the Hecke check runs as `k0 --checks hecke`, and the
-    # torsion-module demo is gone.
+    # Retired inputs: the Hecke check runs as `k0 --checks hecke`, the torus
+    # quotient as `k0` at a regular cocharacter, and the torsion-module demo
+    # is gone.
     ("hecke-check command", ["hecke-check", "--group", "SL2"], {}, 2,
      "unknown command 'hecke-check'"),
+    ("k0-torus command", ["k0-torus", "--group", "SL2", "--p", "3"], {}, 2,
+     "unknown command 'k0-torus'; commands: validate, k0"),
     ("demo-counterexample command", ["demo-counterexample", "--module", "Z/2"], {}, 2,
      "unknown command 'demo-counterexample'"),
     ("module option", ["k0", "--group", "SL2", "--module", "Z/2"], {}, 2,
@@ -421,7 +435,9 @@ def test_negative_first_mu_entry(capsys):
 
 
 def test_k0_torus_gm_rank(capsys):
-    code, out, _ = run(capsys, "k0-torus", "--group", "Gm", "--p", "5")
+    # K0 of the torus Gm: every cocharacter is regular, so L = T and the
+    # quotient is R(T)/IR(T).
+    code, out, _ = run(capsys, "k0", "--group", "Gm", "--p", "5")
     assert code == 0
     rep = json.loads(out)
     assert rep["module"]["rank"] == 4
@@ -536,7 +552,7 @@ def test_prime_at_the_primality_bound_exits_4(capsys, command):
 
 
 @pytest.mark.parametrize("p", ["100003", "1000000000000000003"])
-@pytest.mark.parametrize("command", [["k0", "--mu", "1"], ["k0-torus"]])
+@pytest.mark.parametrize("command", [["k0", "--mu", "1"]])
 def test_frobenius_degree_over_the_cap_exits_4_at_once(capsys, command, p):
     # SL2's Frobenius relation has degree p in the Levi's variables.  Its
     # expression stops at the degree cap, before it builds a chain of about p

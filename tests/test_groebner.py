@@ -459,7 +459,7 @@ def engine_interreduce(basis, spec):
     if isinstance(spec, BlockRingSpec):
         return reference_interreduce(basis, spec)
     pk = _Packing(spec.nvars, max(sum(m) for g in basis for m in g))
-    return [pk.unpack_poly(g) for g in _interreduce(list(map(pk.pack_poly, basis)), pk)]
+    return [pk.unpack_poly(g) for g in _interreduce(list(map(pk.pack_poly, basis)), pk)[0]]
 
 
 # Ring and the inverse pairs whose unit relations join every basis.
@@ -587,14 +587,17 @@ def test_interreduce_rejects_a_basis_that_is_not_strong():
 
 def test_interreduce_matches_per_element_tables_on_real_jobs(capsys, monkeypatch):
     # Every completed basis that light k0 jobs interreduce, the twisted SL3
-    # job of the report-bytes guard among them, against the oracle.
+    # job of the report-bytes guard among them, against the oracle; and the
+    # reducer table the pass returns, which seeds the basis's tables, is the
+    # one _reducer_table builds from the result.
     seen = []
     interreduce = groebner._interreduce
 
     def captured(basis, pk):
-        out = interreduce(basis, pk)
+        out, table = interreduce(basis, pk)
+        assert table == _reducer_table(out, pk)
         seen.append((basis, pk, out))
-        return out
+        return out, table
 
     monkeypatch.setattr(groebner, "_interreduce", captured)
     for argv in (["--group", "SL3", "--mu", "1,0", "--p", "3"],

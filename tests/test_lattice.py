@@ -180,6 +180,10 @@ def test_determinant_of_singular_and_non_square_matrices():
         determinant([[1, 2, 3], [4, 5, 6]])
 
 
+def test_determinant_of_the_empty_matrix_is_one():
+    assert determinant([]) == 1  # the empty product
+
+
 def test_kernel_basis_spans_kernel():
     m = IntegerMatrix.from_rows([[1, 2, 3]])
     ker = kernel_basis(m.entries, 3)

@@ -5,10 +5,11 @@ The jobs cover the report fields that the lattice layer feeds: `validate`'s
 `fundamental_group`, theta's `invariant_directions` and the generator weights
 in `k0` with every check, the Hecke check on Sp4 and GL3, and an explicit
 datum; the check sections are pinned in text as well as JSON.  The ten
-`quotient` and nine `levi` benchmark jobs of seed 1, four heavier completions
-(SL4 at a regular mu, the SL4 torus, Sp4 at p=11) and a unitary GL3 job cover
-the Groebner engine's bases and quotient modules, and a twisted SL3 job pins
-the Kunneth and theta checks under a twist.  A change that moves a report on purpose
+`quotient` and nine `levi` benchmark jobs of seed 1, the GL2 torus quotient
+(k0 at the coroot sum), three heavier completions (SL4 at a regular mu, Sp4
+at p=11, SL4 at mu=(1,0,0)) and a unitary GL3 job cover the Groebner
+engine's bases and quotient modules, and a twisted SL3 job pins the Kunneth
+and theta checks under a twist.  A change that moves a report on purpose
 records the new digests here and says why.
 """
 
@@ -68,8 +69,8 @@ RECORDED = [
      EMPTY),
     # R(T)/IR(T) is compute_k0 at the coroot sum: variables y1..y4 on the
     # weights -e1, -e2, e2, e1.
-    (("k0-torus", "--group", "GL2", "--p", "2"),
-     0, "713e54198b99449d40395884f1f90c290c7b27cd1dd4d85f926155a48d67621b",
+    (("k0", "--group", "GL2", "--mu", "1,-1", "--p", "2"),
+     0, "ae7f7383aa063cd1c841e09f4bf37781810fe22837cb2dd5bda24fe9c91be166",
      EMPTY),
     # Every check's section in text.
     (("k0", "--group", "SL3", "--mu", "1,0", "--p", "2", "--checks", CHECKS, "--format", "text"),
@@ -138,9 +139,6 @@ RECORDED = [
     # whose Frobenius is p times tau = -w0.
     (("k0", "--group", "SL4", "--mu", "1,3,7", "--p", "2"),
      0, "90f11a7d3228acc1aead884fc98ea9af704763b2b97d613ac45f291503507b30",
-     EMPTY),
-    (("k0-torus", "--group", "SL4", "--p", "2"),
-     0, "a6ac3a47085df87531f0c2dc689780c155e45e700a2f8f72f7f89eaffc210141",
      EMPTY),
     (("k0", "--group", "Sp4", "--mu", "0,0", "--p", "11"),
      0, "3dd15e8e7b4d1dbb8294c682f83a4cc3250de85594d76f132a4c84e763cabcb1",

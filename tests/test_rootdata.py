@@ -30,6 +30,7 @@ from zipk0.rootdata import (
 from oracles import (
     all_reduced_words,
     general_dominant_hilbert_basis,
+    principal_minors_positive,
     reference_positive_root_indices,
     weyl_lengths,
 )
@@ -351,6 +352,8 @@ INVALID_DATA = [
      "does not have rank 1"),
     ("duplicate roots", RootDatum(1, ((2,), (2,)), ((1,), (1,)), (0,)), "pairing-violation",
      "duplicate roots"),
+    ("root pairing with its coroot to 4", RootDatum(1, ((2,), (-2,)), ((2,), (-2,)), (0,)),
+     "pairing-violation", "<alpha, alpha^vee> = 4 != 2"),
     # Both reflections swap the two roots, but the coroot of -alpha is not -alpha^vee.
     ("coroot not equivariant", RootDatum(2, ((1, -1), (-1, 1)), ((1, -1), (0, 2)), (0,)),
      "reflection-not-permuting", "pairing"),
@@ -361,6 +364,9 @@ INVALID_DATA = [
     ("positive off-diagonal Cartan entry",
      RootDatum(_SL3.rank, _SL3.roots, _SL3.coroots, (0, 2)), "non-finite-type-cartan",
      "off-diagonal Cartan entry 1 > 0"),
+    # The simple system {alpha, -alpha}: Cartan matrix [[2, -2], [-2, 2]].
+    ("Cartan matrix not of finite type", RootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0, 1)),
+     "non-finite-type-cartan", "non-positive principal minor"),
     ("roots outside the simple orbit",
      RootDatum(_A1XA1.rank, _A1XA1.roots, _A1XA1.coroots, (0,)), "reflection-not-permuting",
      "Weyl orbit"),
@@ -390,6 +396,31 @@ def test_each_validation_branch_names_its_kind(rd, kind, text):
         validate(rd)
     assert exc.value.kind == kind
     assert text in str(exc.value)
+
+
+# Data that reach validate's finite-type test, with a simple system of
+# affine type A1 or A2 among them.
+_SIMPLE_SYSTEM_DATA = (
+    [preset(name) for name in ALL_PRESETS]
+    + [levi_from_cocharacter(preset(name), mu) for name in ALL_PRESETS
+       for mu in itertools.product((-1, 0, 1), repeat=preset(name).rank)]
+    + [RootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0, 1)),
+       RootDatum(_SL3.rank, _SL3.roots, _SL3.coroots, (0, 1, 5))]
+)
+
+
+def test_one_determinant_decides_finite_type_as_the_principal_minors_do():
+    rejected = 0
+    for rd in _SIMPLE_SYSTEM_DATA:
+        finite = principal_minors_positive(rd.cartan_matrix())
+        try:
+            validate(rd)
+        except RootDatumError as exc:
+            assert (exc.kind, finite) == ("non-finite-type-cartan", False), rd
+            rejected += 1
+        else:
+            assert finite, rd
+    assert rejected == 2
 
 
 def test_weyl_size_cap(monkeypatch):

@@ -836,6 +836,23 @@ def test_twisted_reports_are_free_of_the_counted_rank(name, tau, mu, p, rank):
     assert rank is None or got == rank
 
 
+@pytest.mark.parametrize("name,tau,p", [
+    *((name, None, p) for name in PRESET_NAMES if name != "PGL2" for p in (2, 3)),
+    pytest.param("GL3", U3_TWIST, 2, id="unitary GL3-2"),
+])
+def test_torus_quotient_is_k0_at_the_coroot_sum(name, tau, p):
+    # 2 rho^vee is regular, so its Levi is T and compute_k0 there is the
+    # torus-side quotient R(T)/IR(T): the CLI's one way to it.
+    rd0 = preset(name)
+    rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name=name)
+    datum = CocharacterDatum(rd, rd.coroot_sum, p)
+    torus, kz = compute_k0_torus(datum), compute_k0(datum)
+    assert len(kz.presentation_pres.rd.weyl) == 1
+    assert torus.groebner == kz.groebner
+    assert torus.module_report == kz.module_report
+    assert torus.frobenius_relations == kz.frobenius_relations
+
+
 @pytest.mark.parametrize("name,mu,p", [
     ("SL2", (1,), 3), ("GL2", (1, 0), 3), ("SL3", (1, 0), 2), ("SL3", (1, 2), 2),
     ("Sp4", (1, 1), 2), ("GL3", (1, 0, 0), 2),
