@@ -1,11 +1,12 @@
 """Cross-checks of the pipeline: supporting evidence, not the answer.
 
 The answer is zipk.compute_k0, the presentation of R(L)/IR(L).  The checks
-here mirror the structural facts the construction rests on: the torus-side
-quotient R(T)/IR(T) and the Kunneth/freeness rank factorisation, the
-untwisting identity, Hecke-versus-Weyl invariants in a window, and the
-exact independence of Steinberg's basis of R(T) over R(G), whose spanning is
-his theorem.  Each check returns its own report section: a dict of lists,
+here mirror the structural facts the construction rests on: the
+Kunneth/freeness rank factorisation and the untwisting identity on the
+torus-side quotient R(T)/IR(T) (compute_k0 at the regular cocharacter
+rd.coroot_sum), Hecke-versus-Weyl invariants in a window, and the exact
+independence of Steinberg's basis of R(T) over R(G), whose spanning is his
+theorem.  Each check returns its own report section: a dict of lists,
 ints, bools and strings.  The CLI imports this module only for a k0 job that
 runs a check, so a plain k0 or validate job does not compile it.
 """
@@ -16,10 +17,9 @@ import itertools
 import random
 from typing import Any, Sequence
 
-from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
+from .caps import ResourceCapError
 from .groebner import normal_form_gb
 from .grpalg import frobenius, subtract
-from .invariants import InvariantRingPresentation
 from .lattice import determinant, hermite_row_basis, kernel_basis
 from .rootdata import (
     RootDatum,
@@ -30,7 +30,7 @@ from .rootdata import (
     weights_dominant,
     weyl_orbit,
 )
-from .zipk import CocharacterDatum, KZeroPresentation, k0_of_levi
+from .zipk import CocharacterDatum, KZeroPresentation, compute_k0
 
 
 # theta_map_check tests this many random directions, the same ones every run.
@@ -48,28 +48,15 @@ STEINBERG_SEED = 20250901
 
 
 # ---------------------------------------------------------------------------
-# The torus-side quotient R(T)/IR(T)
-
-
-def compute_k0_torus(
-    datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
-) -> KZeroPresentation:
-    """R(T)/IR(T): the datum's Frobenius generators over T, the root datum
-    on the same lattice without roots (the Levi of a regular cocharacter)."""
-    rd = datum.rd
-    return k0_of_levi(datum, InvariantRingPresentation(RootDatum(rd.rank, (), (), ())), max_degree)
-
-
-# ---------------------------------------------------------------------------
 # Kunneth rank factorisation and the untwisting identity
 
 
 def kunneth_rank_check(kz: KZeroPresentation, torus: KZeroPresentation) -> dict:
     """rank of R(T)/IR(T) must equal |W_L| times rank of R(L)/IR(L).
 
-    kz and torus are compute_k0 and compute_k0_torus of the same datum.  The
-    status is PASS, FAIL, or INCONCLUSIVE when a rank is None: that quotient
-    is not module-finite.
+    kz is compute_k0 of a datum and torus of the same datum at a regular
+    cocharacter, whose Levi is T.  The status is PASS, FAIL, or INCONCLUSIVE
+    when a rank is None: that quotient is not module-finite.
     """
     wl = len(kz.presentation_pres.rd.weyl)
     torus_report = torus.module_report
@@ -90,8 +77,8 @@ def kunneth_rank_check(kz: KZeroPresentation, torus: KZeroPresentation) -> dict:
 def theta_map_check(datum: CocharacterDatum, torus: KZeroPresentation) -> dict:
     """The untwisting identity, concretely: e^chi = e^{p tau(chi)} holds in the
     torus-side quotient exactly for Weyl-invariant directions (where e^chi is a
-    class from R(G)), and generically fails otherwise.  torus is
-    compute_k0_torus of the same datum.
+    class from R(G)), and generically fails otherwise.  torus is compute_k0
+    of the same group and prime at a regular cocharacter, whose Levi is T.
 
     s_alpha(chi) = chi - <chi, alpha^vee> alpha fixes chi exactly when
     <chi, alpha^vee> = 0, so the Weyl-invariant directions are the lineality
@@ -160,23 +147,18 @@ def _condition_rows(images: Sequence[dict[Vector, int]]) -> list[dict[int, int]]
 
 
 def _hecke_rows(rd: RootDatum, box: Sequence[Vector]) -> list[dict[int, int]]:
-    """For each simple root alpha, the rows of (s_alpha - 1) e^x = 0 and then
-    of (delta_alpha - 1) e^x = 0 over the box monomials e^x."""
+    """For each simple root alpha, the rows of (delta_alpha - 1) e^x = 0 over
+    the box monomials e^x."""
     rows: list[dict[int, int]] = []
     for idx in rd.simple_indices:
         alpha, coroot = rd.roots[idx], rd.coroots[idx]
-        s_images = []
-        d_images = []
+        images = []
         for x in box:
-            n = pairing(x, coroot)
-            sx = tuple(a - n * b for a, b in zip(x, alpha))
-            s_images.append({sx: 1, x: -1} if n else {})
-            terms, sign = _demazure_series(x, alpha, n)
+            terms, sign = _demazure_series(x, alpha, pairing(x, coroot))
             img = dict.fromkeys(terms, sign)
             img[x] = img.get(x, 0) - 1
-            d_images.append(img)
-        rows += _condition_rows(s_images)
-        rows += _condition_rows(d_images)
+            images.append(img)
+        rows += _condition_rows(images)
     return rows
 
 
@@ -199,10 +181,13 @@ def hecke_check(datum: CocharacterDatum, window: int) -> dict:
     whole orbit sums inside the window.  A window whose box holds more than
     HECKE_WINDOW_CAP monomials raises ResourceCapError.
 
-    The Hecke conditions generate the annihilator of the augmentation left
-    ideal in its finite presentation {delta_alpha - 1} plus Weyl invariance.
-    Each span is a Hermite basis, kernel_basis's own or hermite_row_basis's,
-    so equal lattices give equal bases."""
+    The Hecke conditions are delta_alpha f = f for each simple root alpha,
+    the annihilator of the augmentation left ideal in its finite
+    presentation {delta_alpha - 1}.  They need no Weyl rows of their own:
+    (delta_alpha - 1) f = (e^{-alpha} / (1 - e^{-alpha})) (f - s_alpha f),
+    and 1 - e^{-alpha} is not a zero-divisor, so delta_alpha f = f exactly
+    when s_alpha f = f.  Each span is a Hermite basis, kernel_basis's own or
+    hermite_row_basis's, so equal lattices give equal bases."""
     rd = datum.rd
     size = (2 * window + 1) ** rd.rank
     if size > HECKE_WINDOW_CAP:
@@ -312,15 +297,18 @@ def steinberg_freeness_check(rd: RootDatum) -> dict:
 def check_sections(checks: Sequence[str], datum: CocharacterDatum, kz: KZeroPresentation,
                    max_degree: int, window: int) -> dict:
     """The `checks` section of a k0 report: one entry per name in checks,
-    the Hecke check over the given window.  R(T)/IR(T) is completed under
-    max_degree at most once, by the first check needing it, and not at all
-    when the Levi is T: kz is then already that quotient."""
+    the Hecke check over the given window.  R(T)/IR(T), compute_k0 at the
+    regular cocharacter rd.coroot_sum, is completed under max_degree at most
+    once, by the first check needing it, and not at all when the Levi is T:
+    kz is then already that quotient."""
     out: dict[str, Any] = {}
     torus = None
     for check in checks:
         if check in ("kunneth", "theta") and torus is None:
+            rd = datum.rd
             levi_is_torus = not kz.presentation_pres.rd.roots
-            torus = kz if levi_is_torus else compute_k0_torus(datum, max_degree)
+            torus = kz if levi_is_torus else compute_k0(
+                CocharacterDatum(rd, rd.coroot_sum, datum.p), max_degree)
         if check == "kunneth":
             out[check] = kunneth_rank_check(kz, torus)
         elif check == "theta":

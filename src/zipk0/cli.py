@@ -249,6 +249,13 @@ def load_job(args: dict) -> JobSpec:
 
     window_value = values.get("window")
     window = _parse_int(window_value, "window", minimum=0) if window_value is not None else None
+    # An option that the command would echo but never read is refused.
+    if args["command"] == "validate":
+        unread = [k for k in ("mu", "checks", "window", "max_degree") if k in values]
+        if unread:
+            raise JobParseError(f"validate does not read {', '.join(unread)}")
+    elif window is not None and "hecke" not in checks:
+        raise JobParseError("window is read only by the hecke check")
 
     fmt = values.get("format", "json")
     if fmt not in ("json", "text"):

@@ -410,8 +410,6 @@ def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
         changed = False
         for z in lineality:
             zz = sum(x * x for x in z)
-            if zz == 0:
-                continue
             num = sum(a * b for a, b in zip(cur, z))
             q = _round_div(num, zz)
             if q:

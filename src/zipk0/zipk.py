@@ -28,15 +28,10 @@ from .groebner import (
     QuotientReport,
     strong_groebner,
 )
-from .grpalg import Element, frobenius, orbit_sum, subtract
+from .grpalg import Element, frobenius, subtract
 from .invariants import InvariantRingPresentation, express_invariant
 from .lattice import require_prime
-from .rootdata import (
-    Cocharacter,
-    RootDatum,
-    dominant_hilbert_basis,
-    levi_from_cocharacter,
-)
+from .rootdata import Cocharacter, RootDatum, levi_from_cocharacter
 
 
 @record
@@ -61,9 +56,8 @@ class CocharacterDatum:
         difference ideal to these finitely many generators): the Hilbert basis
         raises SimplyConnectedHypothesisError, before any Weyl group is built.
         """
-        rd = self.rd
-        orbit_sums = [orbit_sum(rd.weyl, lam) for lam in dominant_hilbert_basis(rd)]
-        return tuple(subtract(m, frobenius(m, self.p, rd.twist)) for m in orbit_sums)
+        orbit_sums = InvariantRingPresentation(self.rd).generator_elements
+        return tuple(subtract(m, frobenius(m, self.p, self.rd.twist)) for m in orbit_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +110,11 @@ def levi_presentation_ring(
 def compute_k0(
     datum: CocharacterDatum, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> KZeroPresentation:
-    """Presentation of R(L)/IR(L) for the Levi of the cocharacter."""
+    """Presentation of R(L)/IR(L) for the Levi L of the cocharacter: the
+    Frobenius generators written in R(L)'s presentation, completed to a
+    strong Groebner basis together with the syzygies.  At a regular
+    cocharacter, such as rd.coroot_sum, L is T and this is R(T)/IR(T)."""
     lpres = InvariantRingPresentation(levi_from_cocharacter(datum.rd, datum.mu))
-    return k0_of_levi(datum, lpres, max_degree)
-
-
-def k0_of_levi(
-    datum: CocharacterDatum, lpres: InvariantRingPresentation, max_degree: int
-) -> KZeroPresentation:
-    """Presentation of R(L)/IR(L) for the Levi presentation lpres, a Levi
-    of datum's group: its Frobenius generators written in lpres, completed to
-    a strong Groebner basis together with the syzygies."""
     frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
     y_spec, syzygies = levi_presentation_ring(lpres)
     frob_polys = [express_invariant(g, lpres, max_degree) for g in frobenius_gens]

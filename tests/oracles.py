@@ -62,7 +62,7 @@ from zipk0.rootdata import (
     weyl_enumerate,
     weyl_orbit,
 )
-from zipk0.zipk import CocharacterDatum, KZeroPresentation, unit_relations
+from zipk0.zipk import CocharacterDatum, KZeroPresentation, compute_k0, unit_relations
 
 
 # ---------------------------------------------------------------------------
@@ -1358,19 +1358,22 @@ def _element_condition_rows(images: Sequence[GroupAlgebraElement]) -> list[list[
 
 
 def hecke_rows_by_elements(rd: RootDatum, box: Sequence[Vector]) -> list[list[int]]:
-    """The rows of checks._hecke_rows: (s_alpha - 1) e^x and (delta_alpha - 1) e^x."""
+    """The rows of checks._hecke_rows: (delta_alpha - 1) e^x for each simple
+    root alpha."""
+    mono = [monomial(rd.rank, e) for e in box]
     rows: list[list[int]] = []
     for i in range(len(rd.simple_indices)):
-        idx = rd.simple_indices[i]
+        rows += _element_condition_rows([demazure(rd, i, m) - m for m in mono])
+    return rows
+
+
+def reflection_rows_by_elements(rd: RootDatum, box: Sequence[Vector]) -> list[list[int]]:
+    """The rows of (s_alpha - 1) e^x for each simple root alpha."""
+    mono = [monomial(rd.rank, e) for e in box]
+    rows: list[list[int]] = []
+    for idx in rd.simple_indices:
         s = reflection_matrix(rd.roots[idx], rd.coroots[idx])
-        s_images = []
-        d_images = []
-        for e in box:
-            mono = monomial(rd.rank, e)
-            s_images.append(reference_weyl_act(s, mono) - mono)
-            d_images.append(demazure(rd, i, mono) - mono)
-        rows += _element_condition_rows(s_images)
-        rows += _element_condition_rows(d_images)
+        rows += _element_condition_rows([reference_weyl_act(s, m) - m for m in mono])
     return rows
 
 
@@ -1487,10 +1490,16 @@ def reference_k0_torus(
     return gb, quotient_z_module(gb)
 
 
+def torus_k0(datum: CocharacterDatum) -> KZeroPresentation:
+    """R(T)/IR(T) for datum's group and prime: compute_k0 at the coroot sum
+    2 rho^vee, a regular cocharacter, whose Levi is T."""
+    return compute_k0(CocharacterDatum(datum.rd, datum.rd.coroot_sum, datum.p))
+
+
 def torus_variable_renaming(torus: KZeroPresentation) -> tuple[int, ...]:
-    """For each variable y_j of compute_k0_torus, the index of its reference
-    variable: y(-e_i) is x_ib, y(e_i) is x_i.  Raises ValueError when the
-    generator weights are not exactly the +-e_i."""
+    """For each variable y_j of a torus_k0 quotient, the index of its
+    reference variable: y(-e_i) is x_ib, y(e_i) is x_i.  Raises ValueError
+    when the generator weights are not exactly the +-e_i."""
     rank = torus.presentation_pres.rd.rank
     index = {}
     for i in range(rank):

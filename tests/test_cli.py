@@ -245,6 +245,30 @@ MALFORMED = [
      "unknown checks ['counterexample']"),
     ("module job file key", ["k0", "{tmp}/job.json"],
      {"job.json": b'{"group": "SL2", "module": "Z/2"}'}, 2, "unknown job file keys: ['module']"),
+    ("twist not JSON", ["k0", "--group", "SL2", "--twist", "[[1,"], {}, 2,
+     "parse error: cannot parse twist: Expecting value"),
+    ("explicit vector of wrong length", ["validate", "--group",
+      '{"rank": 2, "roots": [[1, -1, 0], [-1, 1, 0]], "coroots": [[1, -1], [-1, 1]], '
+      '"simple_roots": [[1, -1]]}'], {}, 2, "vector [1, -1, 0] does not have length rank=2"),
+    # An option that the command would echo and ignore is refused.
+    ("validate mu", ["validate", "--group", "SL2", "--mu", "1"], {}, 2,
+     "validate does not read mu"),
+    ("validate checks", ["validate", "--group", "SL2", "--checks", "kunneth"], {}, 2,
+     "validate does not read checks"),
+    ("validate window", ["validate", "--group", "SL2", "--window", "2"], {}, 2,
+     "validate does not read window"),
+    ("validate max_degree", ["validate", "--group", "SL2", "--max-degree", "5"], {}, 2,
+     "validate does not read max_degree"),
+    ("validate cocharacter key", ["validate", "{tmp}/job.json"],
+     {"job.json": b'{"group": "SL2", "cocharacter": [1]}'}, 2, "validate does not read mu"),
+    ("validate job file keys", ["validate", "{tmp}/job.json"],
+     {"job.json": b'{"group": "SL2", "checks": ["hecke"], "window": 2, "max_degree": 5}'}, 2,
+     "validate does not read checks, window, max_degree"),
+    ("k0 window without hecke", ["k0", "--group", "SL2", "--mu", "1", "--checks", "kunneth",
+                                 "--window", "2"], {}, 2, "window is read only by the hecke check"),
+    ("k0 window key without checks", ["k0", "{tmp}/job.json"],
+     {"job.json": b'{"group": "SL2", "mu": [1], "window": 2}'}, 2,
+     "window is read only by the hecke check"),
 ]
 
 
@@ -365,8 +389,8 @@ def test_one_weyl_group_per_job(capsys, monkeypatch):
 
 def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
     # The coordinate map is built once per presentation, the Levi's and T's,
-    # and T's quotient is completed from the job's own datum, so the
-    # Frobenius generators are built once.
+    # and the Frobenius generators once per datum: the job's, and the one at
+    # the coroot sum whose compute_k0 is T's quotient.
     from functools import cached_property
 
     from zipk0.invariants import InvariantRingPresentation
@@ -385,7 +409,7 @@ def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "3",
                      "--checks", "kunneth,theta")
     assert code == 0
-    assert builds == {"coordinates": 2, "frobenius_gens": 1}
+    assert builds == {"coordinates": 2, "frobenius_gens": 2}
 
 
 @pytest.mark.parametrize("argv", [
@@ -723,8 +747,8 @@ def test_explicit_group_in_toml_job(capsys, tmp_path):
                                   'group = "SL2"\nmu = [1]\np = 3\n'], ids=["JSON", "TOML"])
 def test_a_job_file_without_suffix_is_read_as_json_else_toml(capsys, tmp_path, text):
     (tmp_path / "job").write_text(text)
-    flags = run(capsys, "validate", "--group", "SL2", "--mu", "1", "--p", "3")
-    assert run(capsys, "validate", str(tmp_path / "job")) == flags
+    flags = run(capsys, "k0", "--group", "SL2", "--mu", "1", "--p", "3")
+    assert run(capsys, "k0", str(tmp_path / "job")) == flags
     assert flags[0] == 0
 
 

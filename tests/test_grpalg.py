@@ -34,6 +34,7 @@ from oracles import (
     reference_frobenius,
     reference_orbit_sum,
     reference_weyl_act,
+    reflection_rows_by_elements,
 )
 
 
@@ -510,3 +511,15 @@ def test_hecke_rows_match_element_builder(rd):
         assert kernel == kernel_basis(old, len(box))
         if len(box) <= 49:
             assert kernel == dense_kernel_basis(old, len(box))
+
+
+@pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)
+def test_hecke_kernel_is_unchanged_by_reflection_rows(rd):
+    # (delta_alpha - 1) f = e^{-alpha} (f - s_alpha f) / (1 - e^{-alpha}) and
+    # 1 - e^{-alpha} is not a zero-divisor, so the Demazure conditions already
+    # hold f = s_alpha f and the (s_alpha - 1) rows add nothing.
+    for radius in range(4):
+        box = window_box(rd.rank, radius)
+        rows = _hecke_rows(rd, box)
+        with_reflections = rows + reflection_rows_by_elements(rd, box)
+        assert kernel_basis(with_reflections, len(box)) == kernel_basis(rows, len(box))

@@ -11,7 +11,7 @@ from zipk0.caps import DEFAULT_MAX_DEGREE, ResourceCapError
 from zipk0.groebner import normal_form_gb, poly_to_string, strong_groebner
 from zipk0.checks import (
     _weyl_rows,
-    compute_k0_torus,
+    check_sections,
     hecke_check,
     kunneth_rank_check,
     theta_map_check,
@@ -39,7 +39,6 @@ from zipk0.rootdata import (
 from zipk0.zipk import (
     CocharacterDatum,
     compute_k0,
-    k0_of_levi,
     levi_presentation_ring,
     unit_relations,
 )
@@ -65,6 +64,7 @@ from oracles import (
     substitution_soundness,
     sympy_quotient_dimension,
     to_poly,
+    torus_k0,
     torus_ring_spec,
     torus_variable_renaming,
     twisted_point_count,
@@ -74,7 +74,7 @@ from oracles import (
 
 
 def kunneth(datum):
-    return kunneth_rank_check(compute_k0(datum), compute_k0_torus(datum))
+    return kunneth_rank_check(compute_k0(datum), torus_k0(datum))
 
 
 def test_is_prime():
@@ -134,7 +134,7 @@ def test_datum_validation():
 @pytest.mark.parametrize("p,rank", [(2, 4), (3, 6), (5, 10)])
 def test_torus_side_sl2(p, rank):
     datum = CocharacterDatum(preset("SL2"), (1,), p)
-    report = compute_k0_torus(datum).module_report
+    report = torus_k0(datum).module_report
     assert report.finite
     assert report.rank == rank
     assert report.torsion == ()
@@ -164,7 +164,7 @@ def test_torus_side_ideal_is_principal_product(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_torus_golden_gm(p):
     datum = CocharacterDatum(preset("Gm"), (0,), p)
-    report = compute_k0_torus(datum).module_report
+    report = torus_k0(datum).module_report
     assert report.finite and report.rank == p - 1 and report.torsion == ()
     kz = compute_k0(datum)
     assert kz.module_report.rank == p - 1
@@ -319,7 +319,7 @@ def test_one_nonzero_everywhere(capsys):
 
 def test_theta_check_torus_all_directions():
     datum = CocharacterDatum(preset("Gm"), (0,), 3)
-    rep = theta_map_check(datum, compute_k0_torus(datum))
+    rep = theta_map_check(datum, torus_k0(datum))
     assert rep["generator_sanity"]
     assert rep["invariant_directions"] == [[1]]
     assert rep["all_invariant_pass"]
@@ -328,7 +328,7 @@ def test_theta_check_torus_all_directions():
 
 def test_theta_check_sl2():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
-    torus = compute_k0_torus(datum)
+    torus = torus_k0(datum)
     rep = theta_map_check(datum, torus)
     assert rep["generator_sanity"]
     assert rep["invariant_directions"] == []      # X*(T)^W = 0 for SL2
@@ -340,7 +340,7 @@ def test_theta_check_sl2():
 
 def test_theta_check_gl2_center():
     datum = CocharacterDatum(preset("GL2"), (1, 0), 2)
-    rep = theta_map_check(datum, compute_k0_torus(datum))
+    rep = theta_map_check(datum, torus_k0(datum))
     # The center of GL2 gives the invariant direction (1, 1).
     assert rep["invariant_directions"] == [[1, 1]]
     assert rep["all_invariant_pass"]
@@ -434,7 +434,7 @@ def test_normal_form_lands_in_standard_monomials():
     # Reducing x^5 against the SL2 p=3 torus-side basis gives a Z-combination
     # of the six standard monomials.
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
-    torus = compute_k0_torus(datum)
+    torus = torus_k0(datum)
     nf = normal_form_gb(express_invariant(monomial(1, (5,)).terms, torus.presentation_pres),
                         torus.groebner)
     assert nf != {}
@@ -444,7 +444,7 @@ def test_normal_form_lands_in_standard_monomials():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_torus_side_gm2(p):
     datum = CocharacterDatum(preset("Gm^2"), (0, 0), p)
-    report = compute_k0_torus(datum).module_report
+    report = torus_k0(datum).module_report
     assert report.finite and report.rank == (p - 1) ** 2 and report.torsion == ()
 
 
@@ -456,22 +456,18 @@ def test_torus_side_gm2(p):
 ])
 def test_pipeline_leaves_cached_elements_unchanged(name, mu, twist):
     # frobenius_gens and generator_elements are cached and shared, so the
-    # completion of R(L) (compute_k0 is k0_of_levi on the Levi's presentation)
-    # and of R(T), and the kunneth and theta checks, must leave every one of
-    # their dicts as it was.
+    # completions of R(L) and of R(T), and the kunneth and theta checks, must
+    # leave every one of their dicts as it was: equal to a fresh computation.
     rd0 = preset(name)
     rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, twist)
     datum = CocharacterDatum(rd, mu, 3)
-    lpres = InvariantRingPresentation(levi_from_cocharacter(rd, mu))
-    tpres = InvariantRingPresentation(RootDatum(rd.rank, (), (), ()))
-    cached = (datum.frobenius_gens, lpres.generator_elements, tpres.generator_elements)
-    before = [[dict(g) for g in group] for group in cached]
-    kz = k0_of_levi(datum, lpres, DEFAULT_MAX_DEGREE)
-    torus = k0_of_levi(datum, tpres, DEFAULT_MAX_DEGREE)
+    before = [dict(g) for g in datum.frobenius_gens]
+    kz, torus = compute_k0(datum), torus_k0(datum)
     assert kunneth_rank_check(kz, torus)["status"] == "PASS"
     assert theta_map_check(datum, torus)["generator_sanity"]
-    assert compute_k0(datum).module_report == kz.module_report
-    assert [[dict(g) for g in group] for group in cached] == before
+    assert [dict(g) for g in datum.frobenius_gens] == before
+    for pres in (kz.presentation_pres, torus.presentation_pres):
+        assert pres.generator_elements == InvariantRingPresentation(pres.rd).generator_elements
 
 
 def test_datum_inherits_twist_from_root_datum():
@@ -488,7 +484,7 @@ def test_pipeline_groebner_bases_are_strong():
     # Re-check the Buchberger criterion on actual pipeline outputs.
     for name, mu, p in [("SL2", (1,), 3), ("SL3", (1, 2), 2), ("Sp4", (1, 1), 2)]:
         datum = CocharacterDatum(preset(name), mu, p)
-        assert verify_strong_groebner(compute_k0_torus(datum).groebner), (name, "torus")
+        assert verify_strong_groebner(torus_k0(datum).groebner), (name, "torus")
         kz = compute_k0(datum)
         assert verify_strong_groebner(kz.groebner), (name, "levi")
 
@@ -511,7 +507,7 @@ def test_rank_matches_semisimple_class_count(p):
     for name, (w, s, z) in cases.items():
         rd = preset(name)
         datum = CocharacterDatum(rd, (0,) * rd.rank, p)
-        rep = compute_k0_torus(datum).module_report
+        rep = torus_k0(datum).module_report
         assert rep.finite, name
         assert rep.rank == w * p**s * (p - 1) ** z, (name, rep.rank)
         assert rep.torsion == (), name
@@ -531,22 +527,29 @@ TORUS_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "name,p",
-    [(name, p) for name in TORUS_CASES for p in (2, 3, 5) if (name, p) != ("GL3", 5)],
-)
-def test_torus_quotient_matches_reference_torus_ring(name, p):
+U3_TWIST = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
+
+
+@pytest.mark.parametrize("name,tau,p", [
+    *(pytest.param(name, None, p, id=f"{name}-{p}")
+      for name in TORUS_CASES for p in (2, 3, 5) if (name, p) != ("GL3", 5)),
+    pytest.param("GL3", U3_TWIST, 2, id="unitary GL3-2"),
+])
+def test_torus_quotient_matches_reference_torus_ring(name, tau, p):
     # R(T)/IR(T) as compute_k0 at the coroot sum equals the quotient of the
-    # reference torus ring: the same module, of rank p^s (p-1)^z |W|, and
-    # the same ideal under the renaming y(-e_i) <-> x_ib, y(e_i) <-> x_i.
+    # reference torus ring: the same module, of rank p^s (p-1)^z |W| when
+    # split and of the Weyl-group count when twisted, and the same ideal
+    # under the renaming y(-e_i) <-> x_ib, y(e_i) <-> x_i.
     w, s, z = TORUS_CASES[name]
-    rd = preset(name)
+    rd0 = preset(name)
+    rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name=name)
     datum = CocharacterDatum(rd, (0,) * rd.rank, p)
-    torus = compute_k0_torus(datum)
+    torus = torus_k0(datum)
     ref_gb, ref = reference_k0_torus(datum)
     got = torus.module_report
     assert (got.finite, got.rank, got.torsion) == (ref.finite, ref.rank, ref.torsion)
-    assert got.finite and got.rank == p**s * (p - 1) ** z * w
+    count = twisted_point_count(rd, p, 1) if tau else p**s * (p - 1) ** z * w
+    assert got.finite and got.rank == count
     target = torus_variable_renaming(torus)
     back = tuple(target.index(i) for i in range(len(target)))
     for g in torus.groebner.as_dicts():
@@ -575,7 +578,7 @@ def test_kunneth_torsion_and_rank_on_every_levi(p):
             continue
         datum = CocharacterDatum(preset(name), mu, p)
         if name not in tori:
-            tori[name] = compute_k0_torus(datum)
+            tori[name] = torus_k0(datum)
         torus, kz = tori[name].module_report, compute_k0(datum).module_report
         assert torus.finite and kz.finite, (name, mu)
         assert torus.torsion == kz.torsion == (), (name, mu)
@@ -812,7 +815,6 @@ def test_random_reports_are_free_of_the_counted_rank():
     check()
 
 
-U3_TWIST = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
 SWAP2 = ((0, 1), (1, 0))
 
 
@@ -842,15 +844,19 @@ def test_twisted_reports_are_free_of_the_counted_rank(name, tau, mu, p, rank):
 ])
 def test_torus_quotient_is_k0_at_the_coroot_sum(name, tau, p):
     # 2 rho^vee is regular, so its Levi is T and compute_k0 there is the
-    # torus-side quotient R(T)/IR(T): the CLI's one way to it.
+    # torus-side quotient R(T)/IR(T).  check_sections completes it for a job
+    # at mu = 0, whose Levi is G (unless G is a torus), and takes the job's
+    # own answer at 2 rho^vee: both give one torus rank and one theta section.
     rd0 = preset(name)
     rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name=name)
-    datum = CocharacterDatum(rd, rd.coroot_sum, p)
-    torus, kz = compute_k0_torus(datum), compute_k0(datum)
-    assert len(kz.presentation_pres.rd.weyl) == 1
-    assert torus.groebner == kz.groebner
-    assert torus.module_report == kz.module_report
-    assert torus.frobenius_relations == kz.frobenius_relations
+    regular, central = (CocharacterDatum(rd, mu, p) for mu in (rd.coroot_sum, (0,) * rd.rank))
+    kz = compute_k0(regular)
+    assert kz.presentation_pres.rd.roots == ()
+    on_t = check_sections(("kunneth", "theta"), regular, kz, DEFAULT_MAX_DEGREE, 0)
+    on_g = check_sections(("kunneth", "theta"), central, compute_k0(central), DEFAULT_MAX_DEGREE, 0)
+    assert on_t["theta"] == on_g["theta"]
+    assert on_t["kunneth"]["torus_rank"] == on_g["kunneth"]["torus_rank"] == kz.module_report.rank
+    assert on_t["kunneth"]["status"] == on_g["kunneth"]["status"] == "PASS"
 
 
 @pytest.mark.parametrize("name,mu,p", [
