@@ -98,6 +98,8 @@ def _parse_int_vector(value: Any, what: str) -> tuple[int, ...]:
         else:
             value = [v for v in value.split(",") if v.strip() != ""]
     try:
+        if isinstance(value, dict):  # iterating it would read its keys
+            raise TypeError(value)
         return tuple(_parse_int(v, what) for v in value)
     except (TypeError, ValueError) as exc:
         raise JobParseError(f"cannot parse {what} from {value!r}") from exc
@@ -121,7 +123,9 @@ def _parse_matrix(value: Any, what: str) -> tuple[tuple[int, ...], ...]:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise JobParseError(f"cannot parse {what}: {exc}") from exc
-    try:
+    try:  # neither a mapping's keys nor a string row's characters are entries
+        if isinstance(value, dict) or not all(isinstance(row, list) for row in value):
+            raise TypeError(value)
         return tuple(tuple(_parse_int(x, what) for x in row) for row in value)
     except (TypeError, ValueError) as exc:
         raise JobParseError(f"cannot parse {what} from {value!r}") from exc
@@ -182,9 +186,9 @@ def _build_group(
     if isinstance(spec_value, dict):
         try:
             rank = _parse_int(spec_value["rank"], "rank", minimum=0)
-            roots = [_parse_int_vector(r, "root") for r in spec_value.get("roots", [])]
-            coroots = [_parse_int_vector(r, "coroot") for r in spec_value.get("coroots", [])]
-            simples = [_parse_int_vector(r, "simple root") for r in spec_value.get("simple_roots", [])]
+            roots = _parse_matrix(spec_value.get("roots", []), "roots")
+            coroots = _parse_matrix(spec_value.get("coroots", []), "coroots")
+            simples = _parse_matrix(spec_value.get("simple_roots", []), "simple roots")
         except (KeyError, TypeError) as exc:
             raise JobParseError(f"explicit group is missing fields: {exc}") from exc
         twist = spec_value.get("twist")
@@ -280,12 +284,12 @@ def _vec(v) -> list:
 
 def _module_dict(report) -> dict:
     return {
-        "finite": report.finite,
+        "finite": True,  # K0 is module-finite; schema 1 keeps this key and note
         "rank": report.rank,
         "torsion": list(report.torsion),
         "bound": report.bound,
         "standard_monomials": [list(m) for m in report.standard_monomials],
-        "note": report.note,
+        "note": "",
     }
 
 

@@ -49,7 +49,6 @@ Term = tuple[int, int]  # (packed monomial, coefficient): a leading or an lcm te
 
 
 DEFAULT_MAX_BASIS = 20000
-TRUNCATION_BOUND = 12  # degree cap of a quotient report that is not module-finite
 MIN_FIELD_BITS = 8  # so that every degree up to 127 shares one width and one table
 
 
@@ -482,53 +481,53 @@ def strong_groebner(
 class QuotientReport:
     """Z-module shape of Z[x]/I read from a strong Groebner basis."""
 
-    finite: bool
     rank: int
     torsion: tuple[int, ...]            # invariant factors > 1, divisibility chain
     standard_monomials: tuple[Monomial, ...]
-    bound: int
-    note: str = ""
+    bound: int                          # highest degree of a cell
 
 
 def quotient_z_module(gb: GroebnerBasis) -> QuotientReport:
     """Rank and torsion of the quotient as a Z-module, exactly.
 
-    The cells are the monomials that no unit-coefficient leading monomial
-    divides.  Reduction by the unit-leading elements U alone divides by
-    leading coefficient 1 and picks each reducer by the monomial only, so it
-    is Z-linear; it sends every polynomial to a combination of cells
-    congruent to it modulo (U), and the quotient is Z^cells modulo the image
-    of the ideal.  That image is spanned by one column per cell m that some
-    non-unit leading monomial divides: the U-reduction of X^(m - lm g)*g for
-    the element g that reduction would use at m (least leading coefficient
-    d_m).  Its leading term d_m*X^m survives, since m is a cell, and since
-    the basis is strong d_m divides the leading coefficient at m of every
-    image, so subtracting multiples of these echelon columns takes any image
-    to zero.  The columns are independent, so the rank is the number of
-    cells without a column: the standard monomials, which no leading
-    monomial divides.  The torsion is that of the cokernel of the cells x
-    columns matrix (lattice.cokernel_torsion), whose square block on the
-    pivot cells is triangular with determinant the product of the d_m.  A
-    carry such as 2x = 3y merges a cell into the free part, which reading
-    off Z/d_m per cell would miss.
+    The quotient must be module-finite: every variable has a pure power
+    among the unit-coefficient leading monomials, 1 counting as the zeroth
+    power of each; a basis without them raises RuntimeError.  Every basis
+    that zipk.compute_k0 completes has them: K0 is a free Z-module of finite
+    rank N (README, "Why K0 is free"), so each y_i satisfies the monic
+    characteristic polynomial of multiplication by y_i, and a strong basis
+    divides its leading term y_i^N.
 
-    The quotient is module-finite iff every variable has a pure power among
-    the unit leading monomials; then the cells are finite.  Otherwise the
-    cells and columns are those of total degree <= TRUNCATION_BOUND.  The
-    order is graded, so every column then lies on those cells, and the report
-    is exactly the rank and torsion of the submodule spanned by the monomials
-    of degree <= TRUNCATION_BOUND, as its note says.
+    The cells are the monomials that no unit-coefficient leading monomial
+    divides, finitely many.  Reduction by the unit-leading elements U alone
+    divides by leading coefficient 1 and picks each reducer by the monomial
+    only, so it is Z-linear; it sends every polynomial to a combination of
+    cells congruent to it modulo (U), and the quotient is Z^cells modulo the
+    image of the ideal.  That image is spanned by one column per cell m that
+    some non-unit leading monomial divides: the U-reduction of
+    X^(m - lm g)*g for the element g that reduction would use at m (least
+    leading coefficient d_m).  Its leading term d_m*X^m survives, since m is
+    a cell, and since the basis is strong d_m divides the leading coefficient
+    at m of every image, so subtracting multiples of these echelon columns
+    takes any image to zero.  The columns are independent, so the rank is the
+    number of cells without a column: the standard monomials, which no
+    leading monomial divides.  The torsion is that of the cokernel of the
+    cells x columns matrix (lattice.cokernel_torsion), whose square block on
+    the pivot cells is triangular with determinant the product of the d_m.
+    A carry such as 2x = 3y merges a cell into the free part, which reading
+    off Z/d_m per cell would miss.  With 1 among the leading monomials
+    there is no cell, and the quotient is zero.
     """
     n = gb.spec.nvars
     unit_lms = [m for m, c in gb.leading_terms() if abs(c) == 1]
-    if (0,) * n in unit_lms:
-        return QuotientReport(True, 0, (), (), 0, "unit ideal")
-    powers = [[m[i] for m in unit_lms if m[i] and sum(m) == m[i]] for i in range(n)]
-    finite = all(powers)
-    bound = TRUNCATION_BOUND
+    powers = [[m[i] for m in unit_lms if sum(m) == m[i]] for i in range(n)]
+    missing = [name for name, pw in zip(gb.spec.names, powers) if not pw]
+    if missing:
+        raise RuntimeError(f"no unit-coefficient pure power of {', '.join(missing)}: the "
+                           f"quotient has infinitely many cells (README, \"Why K0 is free\")")
     # A cell has exponent i below the least pure power of variable i, so the
     # walk's last level, all of it outside the cells, has degree at most:
-    reach = sum(min(pw) - 1 for pw in powers) + 1 if finite else bound + 1
+    reach = sum(min(pw) - 1 for pw in powers) + 1
     pk = _Packing(n, max([reach] + [sum(m) for m, _ in gb.leading_terms()]))
     top, guard = pk.top, pk.guard
     unit = [e for e in gb._table(pk) if abs(e[0]) == 1]
@@ -538,11 +537,11 @@ def quotient_z_module(gb: GroebnerBasis) -> QuotientReport:
     # The cells are closed under division, so each one is a cell of the
     # previous degree times a variable.
     cells: list[int] = []
-    level = [0]
-    while level and (finite or level[0] >> top <= bound):
+    level = {0}
+    while level:
+        level = sorted(m for m in level if not any((m + e[3]) & guard == guard for e in unit))
         cells.extend(level)
-        step = {m + x for m in level for x in variables}
-        level = sorted(m for m in step if not any((m + e[3]) & guard == guard for e in unit))
+        level = {m + x for m in level for x in variables}
     index = {m: r for r, m in enumerate(cells)}
 
     standard, columns, pivots = [], [], []
@@ -562,13 +561,5 @@ def quotient_z_module(gb: GroebnerBasis) -> QuotientReport:
             col[index[t]] = c
         columns.append(col)
         pivots.append(lc)
-    torsion = cokernel_torsion(columns, pivots)
-    if finite:
-        used_bound = max(m >> top for m in cells)
-        note = ""
-    else:
-        used_bound = bound
-        note = (f"not module-finite; truncated to the submodule spanned by the "
-                f"monomials of degree <= {bound}")
-    return QuotientReport(finite, len(standard), torsion, tuple(sorted(standard)),
-                          used_bound, note)
+    return QuotientReport(len(standard), cokernel_torsion(columns, pivots),
+                          tuple(sorted(standard)), max((m >> top for m in cells), default=0))

@@ -82,7 +82,8 @@ class KZeroPresentation:
     """Finitely presented ring isomorphic to the Grothendieck ring of the stack:
     Z[y] on the ring of groebner.spec, one y_j per generator of
     presentation_pres, modulo the syzygy and then the Frobenius relations.
-    The ring is nonzero exactly when module_report has rank or torsion."""
+    It is never zero: e^lambda -> 1 kills every f - phi(f), so it maps onto
+    Z, and it is a free Z-module (README, "Why K0 is free")."""
 
     syzygy_relations: tuple[Poly, ...]       # kernel of Z[y] -> R(L)
     frobenius_relations: tuple[Poly, ...]    # images of the ideal generators

@@ -8,7 +8,8 @@ engine, of the quotient module's invariants, of Steinberg's weights and
 their spanning, of the closed-form dominant Hilbert basis and of the positive
 roots and generator combinations read off the root datum, the principal
 minors of a finite-type Cartan matrix, the rank counted
-from the Weyl group (twisted_point_count) and from sympy's Groebner bases over
+from the Weyl group (twisted_point_count), in closed form
+(closed_form_rank) and from sympy's Groebner bases over
 QQ and GF(p) (sympy_quotient_dimension), and the general code
 that the library itself does not need: the Smith normal form with its
 transforms, block elimination orders and elimination ideals, the Demazure
@@ -1563,6 +1564,29 @@ def twisted_point_count(rd: RootDatum, p: int, levi_weyl_order: int) -> int:
                          for row_tau, row_w in zip(tau, w)]))
         for w in rd.weyl.elements
     )
+    count, rest = divmod(total, levi_weyl_order)
+    if rest:
+        raise ValueError(f"|W_L| = {levi_weyl_order} does not divide the count {total}")
+    return count
+
+
+def closed_form_rank(rd: RootDatum, p: int, levi_weyl_order: int) -> int:
+    """The rank of R(L)/I R(L) in closed form (README, "Why K0 is free"):
+    p^s |det(p tau - 1 on the lineality lattice)| |W| / |W_L|, with s the
+    semisimple rank and tau the twist of rd (the identity if split).  tau
+    maps the lineality lattice to itself; its matrix is taken on the Hermite
+    basis rd.weight_lift[0], column k the coordinates of tau(z_k)."""
+    lin, etas = rd.weight_lift
+    tau = rd.twist if rd.twist is not None else identity_matrix(rd.rank)
+    basis_columns = [list(column) for column in zip(*lin)]
+    columns = []
+    for z in lin:
+        x = solve_linear_diophantine(basis_columns, mat_vec(tau, z), len(lin))
+        if x is None:
+            raise ValueError(f"the twist maps {z} out of the lineality lattice")
+        columns.append(x)
+    minus_one = [[p * columns[k][i] - (i == k) for k in range(len(lin))] for i in range(len(lin))]
+    total = p ** len(etas) * abs(determinant(minus_one)) * len(rd.weyl)
     count, rest = divmod(total, levi_weyl_order)
     if rest:
         raise ValueError(f"|W_L| = {levi_weyl_order} does not divide the count {total}")

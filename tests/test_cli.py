@@ -163,6 +163,11 @@ def test_bad_integer_options_exit_2(capsys, tmp_path, flags, job):
         {"checks": 5},
         {"checks": [1]},
         {"checks": {"kunneth": True}},
+        # A mapping's keys and a string row's characters are not entries:
+        # these ran SL2 at mu = (1) and SL3 with the diagram swap.
+        {"mu": {"1": 5}},
+        {"group": "SL3", "mu": [0, 0], "twist": ["01", "10"]},
+        {"group": "SL3", "mu": [0, 0], "twist": {"01": 0, "10": 0}},
         {"module": "Z/2"},
         {"out": ["x"]},
         # An integer is not a file descriptor to write to.
@@ -250,6 +255,10 @@ MALFORMED = [
     ("explicit vector of wrong length", ["validate", "--group",
       '{"rank": 2, "roots": [[1, -1, 0], [-1, 1, 0]], "coroots": [[1, -1], [-1, 1]], '
       '"simple_roots": [[1, -1]]}'], {}, 2, "vector [1, -1, 0] does not have length rank=2"),
+    # A mapping's keys are not vectors: this validated as SL2.
+    ("explicit roots as a mapping", ["validate", "--group",
+      '{"rank": 1, "roots": {"2": 0, "-2": 0}, "coroots": [[1], [-1]], "simple_roots": [[2]]}'],
+     {}, 2, "cannot parse roots from {'2': 0, '-2': 0}"),
     # An option that the command would echo and ignore is refused.
     ("validate mu", ["validate", "--group", "SL2", "--mu", "1"], {}, 2,
      "validate does not read mu"),

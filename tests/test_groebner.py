@@ -56,8 +56,7 @@ def test_unit_ideal_quotient_is_zero():
     gb = strong_groebner([{(1,): 2, (0,): -1}, {(1,): 1}], spec)
     assert gb.to_strings() == ["1"]
     report = quotient_z_module(gb)
-    assert (report.finite, report.rank, report.torsion) == (True, 0, ())
-    assert report.standard_monomials == () and report.note == "unit ideal"
+    assert (report.rank, report.torsion, report.standard_monomials) == (0, (), ())
     assert poly_to_string({}, spec) == "0"
 
 
@@ -67,7 +66,6 @@ def test_laurent_pair_rank_two():
     gb = strong_groebner([{(0, 2): 1, (0, 0): -1}] + unit_relations([(0, 1)], 2), spec)
     assert verify_strong_groebner(gb)
     report = quotient_z_module(gb)
-    assert report.finite
     assert report.rank == 2
     assert report.torsion == ()
     assert set(report.standard_monomials) == {(0, 0), (0, 1)}
@@ -80,7 +78,7 @@ def test_laurent_frobenius_difference_rank_six():
     gb = strong_groebner([f] + unit_relations([(0, 1)], 2), spec)
     assert verify_strong_groebner(gb)
     report = quotient_z_module(gb)
-    assert report.finite and report.rank == 6 and report.torsion == ()
+    assert report.rank == 6 and report.torsion == ()
 
 
 def test_normal_form_membership_and_units():
@@ -159,20 +157,17 @@ def test_quotient_frobenius_rewriting_rank():
     ]
     gb = strong_groebner(gens + unit_relations([(0, 1)], 2), spec)
     rep = quotient_z_module(gb)
-    assert rep.finite and rep.rank == 2 and rep.torsion == ()
+    assert rep.rank == 2 and rep.torsion == ()
 
 
-def test_quotient_not_module_finite(monkeypatch):
-    # Ideal (2) in Z[x]: every monomial survives with Z/2 coefficients.
+def test_quotient_not_module_finite():
+    # Ideal (2) in Z[x]: every power of x is a cell, so the quotient is not
+    # module-finite, which K0 never is; the report refuses it rather than
+    # truncate.
     spec = PolyRingSpec(("x",))
     gb = strong_groebner([{(0,): 2}], spec)
-    monkeypatch.setattr(groebner, "TRUNCATION_BOUND", 6)
-    rep = quotient_z_module(gb)
-    assert not rep.finite
-    assert rep.rank == 0
-    # One Z/2 per surviving monomial up to the bound.
-    assert rep.torsion == (2,) * 7
-    assert "truncated" in rep.note
+    with pytest.raises(RuntimeError, match=r"pure power of x: .*Why K0 is free"):
+        quotient_z_module(gb)
 
 
 def test_quotient_mixed_free_and_torsion():
@@ -180,7 +175,6 @@ def test_quotient_mixed_free_and_torsion():
     spec = PolyRingSpec(("x",))
     gb = strong_groebner([{(2,): 1, (0,): -1}, {(1,): 2, (0,): -2}], spec)
     rep = quotient_z_module(gb)
-    assert rep.finite
     assert rep.rank == 1
     assert rep.torsion == (2,)
 
@@ -206,7 +200,7 @@ def test_quotient_torsion_carry_merges_into_free_part():
     gb = strong_groebner([{(1, 0): 2, (0, 1): -3}, {(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}], spec)
     assert ((1, 0), 2) in gb.leading_terms()
     rep = quotient_z_module(gb)
-    assert (rep.finite, rep.rank, rep.torsion) == (True, 2, ())
+    assert (rep.rank, rep.torsion) == (2, ())
     assert mod_l_count_agrees(gb, rep.rank, rep.torsion, 2)
     assert not mod_l_count_agrees(gb, 2, (2,), 2)
 
@@ -758,7 +752,6 @@ def test_oracle_matches_quotient_gm(p):
     gb = strong_groebner(gens + unit_relations([(0, 1)], 2), spec)
     rep = quotient_z_module(gb)
     free, torsion = laurent_box_invariants([{1: 1, p: -1}], box_radius=3 * p)
-    assert rep.finite
     assert (rep.rank, rep.torsion) == (free, torsion) == (p - 1, ())
 
 
@@ -771,7 +764,6 @@ def test_oracle_matches_quotient_sl2_tside(p):
     free, torsion = laurent_box_invariants(
         [{1: 1, -1: 1, p: -1, -p: -1}], box_radius=3 * p
     )
-    assert rep.finite
     assert (rep.rank, rep.torsion) == (free, torsion) == (2 * p, ())
 
 

@@ -37,9 +37,8 @@ def test_equal_fields_give_equal_objects_and_hashes():
 
 def test_repr_names_the_fields():
     assert repr(PolyRingSpec(("x", "y"))) == "PolyRingSpec(names=('x', 'y'))"
-    assert repr(QuotientReport(True, 1, (), ((0,),), 0)) == (
-        "QuotientReport(finite=True, rank=1, torsion=(), standard_monomials=((0,),), "
-        "bound=0, note='')"
+    assert repr(QuotientReport(1, (), ((0,),), 0)) == (
+        "QuotientReport(rank=1, torsion=(), standard_monomials=((0,),), bound=0)"
     )
 
 
@@ -48,13 +47,12 @@ def test_defaults_and_keyword_construction():
     assert rd.twist is None and rd.name == ""
     assert rd == RootDatum(1, (), (), (), None, "")
     assert RootDatum(1, (), (), (), name="Gm") == preset("Gm")
-    report = QuotientReport(finite=True, rank=0, torsion=(), standard_monomials=(), bound=0)
-    assert report.note == ""
-    assert QuotientReport(True, 0, (), (), 0, note="unit ideal").note == "unit ideal"
+    assert RootDatum(1, (), (), (), name="Gm").twist is None
+    assert RootDatum(1, (), (), (), ((-1,),)).name == ""
     with pytest.raises(TypeError):
-        QuotientReport(True, 0, (), ())
+        RootDatum(1, (), ())
     with pytest.raises(TypeError):
-        QuotientReport(True, 0, (), (), 0, rank=0)
+        RootDatum(1, (), (), (), None, "Gm", rank=1)
     with pytest.raises(TypeError):
         PolyRingSpec(("x",), ("y",))
 

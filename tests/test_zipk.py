@@ -46,6 +46,7 @@ from zipk0.zipk import (
 from oracles import (
     BlockRingSpec,
     all_presets,
+    closed_form_rank,
     counterexample_brute_force,
     dense_hermite_row_basis,
     dense_kernel_basis,
@@ -135,7 +136,6 @@ def test_datum_validation():
 def test_torus_side_sl2(p, rank):
     datum = CocharacterDatum(preset("SL2"), (1,), p)
     report = torus_k0(datum).module_report
-    assert report.finite
     assert report.rank == rank
     assert report.torsion == ()
 
@@ -165,7 +165,7 @@ def test_torus_side_ideal_is_principal_product(p):
 def test_torus_golden_gm(p):
     datum = CocharacterDatum(preset("Gm"), (0,), p)
     report = torus_k0(datum).module_report
-    assert report.finite and report.rank == p - 1 and report.torsion == ()
+    assert report.rank == p - 1 and report.torsion == ()
     kz = compute_k0(datum)
     assert kz.module_report.rank == p - 1
     assert kz.module_report.torsion == ()
@@ -175,7 +175,6 @@ def test_torus_golden_gm(p):
 def test_torus_golden_gm2(p):
     datum = CocharacterDatum(preset("Gm^2"), (0, 0), p)
     kz = compute_k0(datum)
-    assert kz.module_report.finite
     assert kz.module_report.rank == (p - 1) ** 2
     assert kz.module_report.torsion == ()
 
@@ -418,7 +417,7 @@ def test_twisted_pipeline_runs_and_flags():
     rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name="A1xA1.swap")
     datum = CocharacterDatum(rd, (0, 0), 2)
     kz = compute_k0(datum)
-    assert kz.module_report.finite
+    assert kz.module_report.rank == closed_form_rank(rd, 2, 4)
     rep = kunneth(datum)
     assert rep["status"] == "PASS"
 
@@ -445,7 +444,7 @@ def test_normal_form_lands_in_standard_monomials():
 def test_torus_side_gm2(p):
     datum = CocharacterDatum(preset("Gm^2"), (0, 0), p)
     report = torus_k0(datum).module_report
-    assert report.finite and report.rank == (p - 1) ** 2 and report.torsion == ()
+    assert report.rank == (p - 1) ** 2 and report.torsion == ()
 
 
 @pytest.mark.parametrize("name,mu,twist", [
@@ -508,7 +507,6 @@ def test_rank_matches_semisimple_class_count(p):
         rd = preset(name)
         datum = CocharacterDatum(rd, (0,) * rd.rank, p)
         rep = torus_k0(datum).module_report
-        assert rep.finite, name
         assert rep.rank == w * p**s * (p - 1) ** z, (name, rep.rank)
         assert rep.torsion == (), name
 
@@ -541,15 +539,14 @@ def test_torus_quotient_matches_reference_torus_ring(name, tau, p):
     # split and of the Weyl-group count when twisted, and the same ideal
     # under the renaming y(-e_i) <-> x_ib, y(e_i) <-> x_i.
     w, s, z = TORUS_CASES[name]
-    rd0 = preset(name)
-    rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name=name)
+    rd = twisted(name, tau)
     datum = CocharacterDatum(rd, (0,) * rd.rank, p)
     torus = torus_k0(datum)
     ref_gb, ref = reference_k0_torus(datum)
     got = torus.module_report
-    assert (got.finite, got.rank, got.torsion) == (ref.finite, ref.rank, ref.torsion)
+    assert (got.rank, got.torsion) == (ref.rank, ref.torsion)
     count = twisted_point_count(rd, p, 1) if tau else p**s * (p - 1) ** z * w
-    assert got.finite and got.rank == count
+    assert got.rank == count == closed_form_rank(rd, p, 1)
     target = torus_variable_renaming(torus)
     back = tuple(target.index(i) for i in range(len(target)))
     for g in torus.groebner.as_dicts():
@@ -580,7 +577,6 @@ def test_kunneth_torsion_and_rank_on_every_levi(p):
         if name not in tori:
             tori[name] = torus_k0(datum)
         torus, kz = tori[name].module_report, compute_k0(datum).module_report
-        assert torus.finite and kz.finite, (name, mu)
         assert torus.torsion == kz.torsion == (), (name, mu)
         assert torus.rank == len(levi.weyl) * kz.rank, (name, mu)
 
@@ -605,7 +601,6 @@ QUOTIENT_LADDER = [
 def test_rank_matches_closed_form(name, mu, p, w, s, z, wl):
     # rank R(L)/I R(L) = p^s (p-1)^z |W| / |W_L| for an untwisted datum.
     kz = compute_k0(CocharacterDatum(preset(name), mu, p))
-    assert kz.module_report.finite
     assert kz.module_report.rank == p**s * (p - 1) ** z * w // wl
 
 
@@ -623,7 +618,7 @@ def test_sp4_central_mu_is_free(p):
     # cells whose least leading coefficient is p or a multiple of it.
     kz = compute_k0(CocharacterDatum(preset("Sp4"), (0, 0), p))
     report = kz.module_report
-    assert (report.finite, report.rank, report.torsion) == (True, p * p, ())
+    assert (report.rank, report.torsion) == (p * p, ())
     for ell in sorted({2, 3, p}):
         assert mod_l_count_agrees(kz.groebner, report.rank, report.torsion, ell)
     # The torsion the cell-by-cell reading used to report is refuted.
@@ -778,28 +773,61 @@ SPLIT_SHAPES = {
 }
 
 
+SWAP2 = ((0, 1), (1, 0))
+
+# The twists the tests take, each on a preset: unitary GL2 and GL3
+# (tau = -w0), SL3 and SL4 with the diagram swap, A1xA1 and Gm^2 with their
+# factors swapped, and Gm inverted.
+TWISTS = {
+    "GL2.unitary": ("GL2", ((0, -1), (-1, 0))),
+    "GL3.unitary": ("GL3", U3_TWIST),
+    "SL3.swap": ("SL3", SWAP2),
+    "SL4.swap": ("SL4", ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+    "A1xA1.swap": ("A1xA1", SWAP2),
+    "Gm^2.swap": ("Gm^2", SWAP2),
+    "Gm.inverse": ("Gm", ((-1,),)),
+}
+
+
+def twisted(name, tau):
+    """The preset `name` with twist tau (split when tau is None)."""
+    rd0 = preset(name)
+    return RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name=name)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("name", sorted(SPLIT_SHAPES))
+@pytest.mark.parametrize("name", sorted(SPLIT_SHAPES) + list(TWISTS))
 def test_point_count_is_the_split_closed_form(name, p):
-    # Sum over W of det(p - w) is |W| p^s (p - 1)^z when split (Solomon), so
-    # the count the freeness tests compare with is not its own oracle.
-    s, weyl_order = SPLIT_SHAPES[name]
-    z = preset(name).rank - s
-    assert twisted_point_count(preset(name), p, 1) == p**s * (p - 1) ** z * weyl_order
+    # Sum over W of |det(p tau - w)| is p^s |det(p tau - 1 on the lineality
+    # lattice)| |W| (README, "Why K0 is free"), which is |W| p^s (p - 1)^z when
+    # split (Solomon), so the two counts the freeness tests compare with
+    # check each other.
+    if name in TWISTS:
+        rd = twisted(*TWISTS[name])
+        validate(rd)
+    else:
+        rd = preset(name)
+        s, weyl_order = SPLIT_SHAPES[name]
+        z = rd.rank - s
+        assert closed_form_rank(rd, p, 1) == p**s * (p - 1) ** z * weyl_order
+    assert closed_form_rank(rd, p, 1) == twisted_point_count(rd, p, 1)
 
 
 def assert_free_of_counted_rank(datum):
     kz = compute_k0(datum)
     report = kz.module_report
-    assert report.finite and report.torsion == ()
+    assert report.torsion == ()
     levi_weyl_order = len(kz.presentation_pres.rd.weyl)
+    assert report.rank == closed_form_rank(datum.rd, datum.p, levi_weyl_order)
     assert report.rank == twisted_point_count(datum.rd, datum.p, levi_weyl_order)
     return report.rank
 
 
 def test_random_reports_are_free_of_the_counted_rank():
-    # K0 is free of rank sum_w |det(p tau - w)| / |W_L| (ROADMAP direction 1)
-    # at random mu in [-3, 3]^r and p <= 7, p <= 5 on SL4.
+    # K0 is free of rank p^s |det(p tau - 1 on the lineality lattice)|
+    # |W| / |W_L| = sum_w |det(p tau - w)| / |W_L| (README, "Why K0 is free")
+    # at random mu in [-3, 3]^r and p <= 7, split or with one of the
+    # preset's TWISTS; p <= 5 on SL4, and p <= 3 on twisted GL3 and SL4.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -807,15 +835,17 @@ def test_random_reports_are_free_of_the_counted_rank():
     @hypothesis.given(st.data())
     def check(data):
         name = data.draw(st.sampled_from(sorted(SPLIT_SHAPES)))
-        rd = preset(name)
+        tau = data.draw(st.sampled_from([None] + [t for base, t in TWISTS.values() if base == name]))
+        rd = twisted(name, tau)
         mu = data.draw(st.lists(st.integers(-3, 3), min_size=rd.rank, max_size=rd.rank))
-        p = data.draw(st.sampled_from((2, 3, 5) if name == "SL4" else (2, 3, 5, 7)))
+        if tau is not None and name in ("GL3", "SL4"):
+            primes = (2, 3)
+        else:
+            primes = (2, 3, 5) if name == "SL4" else (2, 3, 5, 7)
+        p = data.draw(st.sampled_from(primes))
         assert_free_of_counted_rank(CocharacterDatum(rd, tuple(mu), p))
 
     check()
-
-
-SWAP2 = ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("name,tau,mu,p,rank", [
@@ -831,8 +861,7 @@ SWAP2 = ((0, 1), (1, 0))
 def test_twisted_reports_are_free_of_the_counted_rank(name, tau, mu, p, rank):
     # Unitary GL2 and GL3 (tau = -w0), SL3 and SL4 with the diagram swap, and
     # A1xA1 with its factors swapped.
-    rd0 = preset(name)
-    rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name=name)
+    rd = twisted(name, tau)
     validate(rd)
     got = assert_free_of_counted_rank(CocharacterDatum(rd, mu, p))
     assert rank is None or got == rank
@@ -847,8 +876,7 @@ def test_torus_quotient_is_k0_at_the_coroot_sum(name, tau, p):
     # torus-side quotient R(T)/IR(T).  check_sections completes it for a job
     # at mu = 0, whose Levi is G (unless G is a torus), and takes the job's
     # own answer at 2 rho^vee: both give one torus rank and one theta section.
-    rd0 = preset(name)
-    rd = RootDatum(rd0.rank, rd0.roots, rd0.coroots, rd0.simple_indices, tau, name=name)
+    rd = twisted(name, tau)
     regular, central = (CocharacterDatum(rd, mu, p) for mu in (rd.coroot_sum, (0,) * rd.rank))
     kz = compute_k0(regular)
     assert kz.presentation_pres.rd.roots == ()
