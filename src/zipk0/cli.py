@@ -96,7 +96,7 @@ def _parse_int_vector(value: Any, what: str) -> tuple[int, ...]:
         if value.startswith("["):
             value = json.loads(value)
         else:
-            value = [v for v in value.split(",") if v.strip() != ""]
+            value = value.split(",") if value else []  # an empty entry is refused
     try:
         if isinstance(value, dict):  # iterating it would read its keys
             raise TypeError(value)

@@ -348,28 +348,25 @@ class SimplyConnectedHypothesisError(ValueError):
         self.torsion = torsion
 
 
-def _lex_positive(v: Vector) -> bool:
-    for x in v:
-        if x != 0:
-            return x > 0
-    return False
-
-
 def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int]) -> RootDatum:
-    """The Levi centralising the cocharacter, as a root datum on the same lattice.
+    """The Levi L centralising the cocharacter, as a root datum on the same lattice.
 
     Its roots are the roots with <alpha, mu> = 0, in their order in rd, each
-    with its coroot.  Its simple system is the set of indecomposable
-    lex-positive Levi roots (positivity by the sign of the first nonzero
-    coordinate); when mu is dominant this recovers a subset of any
-    ambient-positive system.
+    with its coroot.  Its positive roots are those of rd among them: B cap L
+    is a Borel subgroup of L for a Borel B of G containing T (Humphreys,
+    Linear Algebraic Groups, 22.4).  They are the Levi roots that pair
+    positively with rd.coroot_sum, and the indecomposable ones are their base
+    (Humphreys, Introduction to Lie Algebras, 10.1): the simple system.  A
+    central mu, with which every root pairs to zero, has L = G: rd is returned.
     """
     mu = tuple(int(x) for x in mu)
     if len(mu) != rd.rank:
         raise RootDatumError("pairing-violation", f"cocharacter {mu} does not have rank {rd.rank}")
     kept = [i for i, a in enumerate(rd.roots) if pairing(a, mu) == 0]
+    if len(kept) == len(rd.roots):
+        return rd
     roots = tuple(rd.roots[i] for i in kept)
-    pos = [r for r in roots if _lex_positive(r)]
+    pos = [rd.roots[i] for i in rd.positive_indices if i in kept]
     pos_set = set(pos)
     simples = tuple(
         roots.index(r)

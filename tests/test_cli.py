@@ -38,9 +38,11 @@ def test_validate_pgl2_rejected(capsys):
 @pytest.mark.parametrize("argv", [
     ["validate", "--group", '{"rank": 0}', "--twist", "[]"],
     ["k0", "--group", '{"rank": 0, "twist": []}', "--p", "3"],
+    ["k0", "--group", '{"rank": 0, "twist": []}', "--mu", "", "--p", "3"],
 ])
 def test_rank_0_with_the_empty_twist_exits_0(capsys, argv):
-    # The empty twist of the trivial group is the identity, of determinant 1.
+    # The empty twist of the trivial group is the identity, of determinant 1,
+    # and the empty --mu is its cocharacter.
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert json.loads(out)["job"]["twist"] == []
@@ -275,6 +277,13 @@ MALFORMED = [
      "validate does not read checks, window, max_degree"),
     ("k0 window without hecke", ["k0", "--group", "SL2", "--mu", "1", "--checks", "kunneth",
                                  "--window", "2"], {}, 2, "window is read only by the hecke check"),
+    # An empty entry of a comma vector is refused, not dropped: these ran mu = (1, 2).
+    ("empty inner mu entry", ["k0", "--group", "SL3", "--mu", "1,,2"], {}, 2,
+     "cannot parse cocharacter from ['1', '', '2']"),
+    ("empty trailing mu entry", ["k0", "--group", "SL3", "--mu", "1,2,"], {}, 2,
+     "cannot parse cocharacter from ['1', '2', '']"),
+    ("empty leading mu entry", ["k0", "--group", "SL3", "--mu", ",1,2"], {}, 2,
+     "cannot parse cocharacter from ['', '1', '2']"),
     ("k0 window key without checks", ["k0", "{tmp}/job.json"],
      {"job.json": b'{"group": "SL2", "mu": [1], "window": 2}'}, 2,
      "window is read only by the hecke check"),
@@ -365,13 +374,13 @@ def test_pair_pruning_bounds_reductions(capsys, monkeypatch):
 
 def test_one_weyl_group_per_job(capsys, monkeypatch):
     # An all-checks job computes each root datum's Weyl group, positive roots
-    # and weight lift once: G's, the Levi's and T's, three each.  The
+    # and weight lift once: G's, the Levi's and T's, three each.  At a central
+    # mu the Levi is G itself, so there are two each, G's and T's.  The
     # simply-connectedness gate runs in the weight lift, which needs the
     # fundamental group only to name the torsion of a failing datum.
     import zipk0.rootdata as rootdata
 
     g = preset("SL3")
-    levi = levi_from_cocharacter(g, (1, 2))
     torus = levi_from_cocharacter(g, g.coroot_sum)
     counted = ("weyl_enumerate", "positive_root_indices", "fundamental_weight_lift",
                "fundamental_group")
@@ -388,12 +397,16 @@ def test_one_weyl_group_per_job(capsys, monkeypatch):
 
     for name in counted:
         monkeypatch.setattr(rootdata, name, counting(name))
-    code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "2",
-                     "--checks", "kunneth,theta,hecke,steinberg")
-    assert code == 0
-    for name in counted[:3]:
-        assert sorted(calls[name], key=repr) == sorted([g, levi, torus], key=repr), name
-    assert calls["fundamental_group"] == []
+    for mu, datums in (("1,2", [g, levi_from_cocharacter(g, (1, 2)), torus]),
+                       ("0,0", [g, torus])):
+        for name in counted:
+            calls[name].clear()
+        code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", mu, "--p", "2",
+                         "--checks", "kunneth,theta,hecke,steinberg")
+        assert code == 0
+        for name in counted[:3]:
+            assert sorted(calls[name], key=repr) == sorted(datums, key=repr), (mu, name)
+        assert calls["fundamental_group"] == []
 
 
 def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):

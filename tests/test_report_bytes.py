@@ -11,6 +11,9 @@ at p=11, SL4 at mu=(1,0,0)) and a unitary GL3 job cover the Groebner
 engine's bases and quotient modules, and a twisted SL3 job pins the Kunneth
 and theta checks under a twist.  A change that moves a report on purpose
 records the new digests here and says why.
+The Levi's positive roots are G's positive roots among its roots, so the
+Levi's simple roots and generator weights of SL3 and SL4 at mu = 0 and of
+SL4 at mu = (3,3,0) and (1,0,0) are those of that positive system.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ RECORDED = [
      0, "8e0edacb783f5eaa1d3e98141eba309425f4d9c8d935af2734198f4175e9d96b",
      EMPTY),
     (("k0", "--group", "SL4", "--mu", "3,3,0", "--p", "2"),
-     0, "5ec028a246e03be74dcdbefbaa7f2cc7cd445cb0645aa84af7b88d2be89a94ac",
+     0, "ecf06b05cd5f43a037964cc78de755a45c03213c5e9ab25b52da0f55d7d32a2a",
      EMPTY),
     (("k0", "--group", "GL2", "--mu", "1,0", "--p", "7"),
      0, "6974016a3fc18b2ca4b891d603d786564b549a53d0710eda8cfb550eb65c6cb6",
@@ -118,10 +121,10 @@ RECORDED = [
      0, "5fe9b42ea85715b48efe98587deefedc7c99f07de74fa88587f5f08b73b55ab8",
      EMPTY),
     (("k0", "--group", "SL3", "--mu", "0,0", "--p", "5"),
-     0, "9464c65dbc79fa8b06db414812d0c81e727610f668f3a43448da983d5eaf8f57",
+     0, "38a4c36d2dbc153e7a39f656790856435ed619b19ecacc527a458414679fedac",
      EMPTY),
     (("k0", "--group", "SL4", "--mu", "0,0,0", "--p", "5"),
-     0, "941c5170b48876309c79ade85ee50203c716f6c0193eb4161fa3f1ade921d7b1",
+     0, "7eec1179f24f42f7803117c373841314184b4632148b3dc26a96e06916c07fff",
      EMPTY),
     (("k0", "--group", "GL3", "--mu", "0,0,0", "--p", "2"),
      0, "4ea5a7889788d4493b2de1a90ea4f2926da05dd0b12da245f9307bc638d70b45",
@@ -133,7 +136,7 @@ RECORDED = [
      0, "d0f80890e1abfda6cd4060228f49f8b4bde1b562ba71ce27c0fd323f43f8acb2",
      EMPTY),
     (("k0", "--group", "SL4", "--mu", "0,0,0", "--p", "2"),
-     0, "24b6036f771f2b6518d5b20c1678d59ef6c7f6f45a79a0defb975d3197e19f38",
+     0, "44171669959c1b4cee67882e9330d515718f6f0c7a08ed68de0bf2a3eec82bb4",
      EMPTY),
     # Heavy completions outside the ladders, and one twisted job: unitary GL3,
     # whose Frobenius is p times tau = -w0.
@@ -144,7 +147,7 @@ RECORDED = [
      0, "3dd15e8e7b4d1dbb8294c682f83a4cc3250de85594d76f132a4c84e763cabcb1",
      EMPTY),
     (("k0", "--group", "SL4", "--mu", "1,0,0", "--p", "5"),
-     0, "b3fbd71dafc18b1acb3ee4258c3b19241b890448b85f0fe37a2639c5cbd029bf",
+     0, "741c3fceb65a60c9f20d6e3a2c2d2c50b5ede1793256d6d2690a4fceca09303f",
      EMPTY),
     (("k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2", "--twist", U3_TWIST),
      0, "ea48ed0b63c4501d7f47262de952437613877f2023bd1219f55fdb155cbaa5d5",

@@ -171,10 +171,16 @@ def test_levi_sl3_alpha1():
 
 
 def test_levi_mu_zero_is_whole_group():
-    rd = preset("SL3")
-    levi = levi_from_cocharacter(rd, (0, 0))
-    assert len(levi.roots) == len(rd.roots)
-    assert len(weyl_enumerate(levi)) == 6
+    # A cocharacter with which every root pairs to zero centralises G, so the
+    # Levi is the datum itself, with its Weyl group, positive roots and lift.
+    assert len(weyl_enumerate(levi_from_cocharacter(preset("SL3"), (0, 0)))) == 6
+    for name in ALL_PRESETS:
+        rd = preset(name)
+        central = [mu for mu in itertools.product(range(-2, 3), repeat=rd.rank)
+                   if all(pairing(a, mu) == 0 for a in rd.roots)]
+        assert (0,) * rd.rank in central
+        for mu in central:
+            assert levi_from_cocharacter(rd, mu) is rd, (name, mu)
 
 
 def test_levi_roots_weyl_stable():
@@ -200,6 +206,57 @@ def test_levi_is_the_root_datum_of_mu(name):
         kept = [i for i, a in enumerate(rd.roots) if pairing(a, mu) == 0]
         assert levi.roots == tuple(rd.roots[i] for i in kept), (name, mu)
         assert levi.coroots == tuple(rd.coroots[i] for i in kept), (name, mu)
+
+
+@pytest.mark.parametrize("name", SC_PRESETS)
+def test_levi_positive_roots_are_those_of_g(name):
+    # B_L = B cap L: the Levi's positive roots are its roots that are
+    # positive in G.
+    rd = preset(name)
+    positive = {rd.roots[i] for i in rd.positive_indices}
+    for mu in itertools.product(range(-2, 3), repeat=rd.rank):
+        levi = levi_from_cocharacter(rd, mu)
+        got = {levi.roots[i] for i in levi.positive_indices}
+        assert got == set(levi.roots) & positive, (name, mu)
+
+
+@pytest.mark.parametrize("name", SC_PRESETS)
+def test_levi_of_dominant_mu_is_standard(name):
+    # For a G-dominant mu the Levi is standard: its simple roots are the
+    # simple roots of G that pair to zero with mu.
+    rd = preset(name)
+    for mu in itertools.product(range(-2, 3), repeat=rd.rank):
+        if all(pairing(a, mu) >= 0 for a in rd.simple_roots):
+            levi = levi_from_cocharacter(rd, mu)
+            assert set(levi.simple_roots) == {a for a in rd.simple_roots
+                                              if pairing(a, mu) == 0}, (name, mu)
+
+
+UNIMODULAR_2X2 = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)),
+                  ((2, 1), (1, 1)), ((1, -2), (0, -1))]
+
+
+def _inverse_transpose_2x2(g):
+    (a, b), (c, d) = g
+    det = a * d - b * c
+    assert det in (1, -1)
+    return ((d * det, -c * det), (-b * det, a * det))
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "GL2", "A1xA1"])
+@pytest.mark.parametrize("g", UNIMODULAR_2X2)
+def test_levi_follows_a_change_of_coordinates(name, g):
+    # Characters change by g, cocharacters by g^-T, so pairings are kept; the
+    # Levi's simple roots must move by g, whatever basis X*(T) is written in.
+    rd = preset(name)
+    h = _inverse_transpose_2x2(g)
+    moved = make_root_datum(rd.rank, [mat_vec(g, a) for a in rd.roots],
+                            [mat_vec(h, av) for av in rd.coroots],
+                            [mat_vec(g, a) for a in rd.simple_roots])
+    for mu in itertools.product(range(-2, 3), repeat=rd.rank):
+        levi = levi_from_cocharacter(rd, mu)
+        got = levi_from_cocharacter(moved, mat_vec(h, mu)).simple_roots
+        assert got == tuple(mat_vec(g, a) for a in levi.simple_roots), (name, g, mu)
 
 
 @pytest.mark.parametrize("name", SC_PRESETS)
