@@ -293,16 +293,17 @@ def check_sections(checks: Sequence[str], datum: CocharacterDatum, kz: KZeroPres
     """The `checks` section of a k0 report: one entry per name in checks,
     the Hecke check over the given window.  R(T)/IR(T), compute_k0 at the
     regular cocharacter rd.coroot_sum, is completed under max_degree at most
-    once, by the first check needing it, and not at all when the Levi is T:
-    kz is then already that quotient."""
+    once, by the first check needing it, on the job's Frobenius generators,
+    and not at all when the Levi is T: kz is then already that quotient."""
     out: dict[str, Any] = {}
     torus = None
     for check in checks:
         if check in ("kunneth", "theta") and torus is None:
-            rd = datum.rd
-            levi_is_torus = not kz.presentation_pres.rd.roots
-            torus = kz if levi_is_torus else compute_k0(
-                CocharacterDatum(rd, rd.coroot_sum, datum.p), max_degree)
+            torus = kz  # when the Levi is T
+            if kz.presentation_pres.rd.roots:
+                torus_datum = CocharacterDatum(datum.rd, datum.rd.coroot_sum, datum.p)
+                vars(torus_datum)["frobenius_gens"] = datum.frobenius_gens  # G's, for any mu
+                torus = compute_k0(torus_datum, max_degree)
         if check == "kunneth":
             out[check] = kunneth_rank_check(kz, torus)
         elif check == "theta":

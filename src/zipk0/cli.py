@@ -242,8 +242,8 @@ def load_job(args: dict) -> JobSpec:
     p = _parse_int(values.get("p", 2), "prime")
 
     checks_value = values.get("checks", [])
-    if isinstance(checks_value, str):
-        checks_value = [c for c in checks_value.split(",") if c.strip()]
+    if isinstance(checks_value, str):  # an empty entry is an empty name, refused below
+        checks_value = checks_value.split(",") if checks_value.strip() else []
     if not isinstance(checks_value, list) or not all(isinstance(c, str) for c in checks_value):
         raise JobParseError(f"checks must be a list of names or a comma list, got {checks_value!r}")
     checks = tuple(sorted({c.strip() for c in checks_value}))

@@ -10,7 +10,6 @@ characters as column vectors.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -36,10 +35,6 @@ class WeylSizeCapError(ResourceCapError):
 
 
 WEYL_SIZE_CAP = 10**6
-# fundamental_weight_lift refuses a lineality lattice whose search box holds
-# more points.  The box has 5^z points for lineality rank z; on a 2-vCPU host
-# validating SL2 x G_m^7 (z = 7) takes about 1.8 s, and each rank adds x5.
-LIFT_BOX_CAP = 5**7
 
 
 def pairing(chi: Sequence[int], cochar: Sequence[int]) -> int:
@@ -388,53 +383,18 @@ def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int]) -> RootDatum:
 # Dominant monoids
 
 
-def _round_div(num: int, den: int) -> int:
-    """num / den rounded to the nearest integer, ties to even, for den > 0,
-    in integer arithmetic."""
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2):
-        q += 1
-    return q
-
-
 def _canonical_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
-    """Deterministic small representative of v modulo the lineality lattice."""
-    if not lineality:
-        return v
-    cur = list(v)
-    # Rounding passes along each lineality direction, then a local box search.
-    for _ in range(4):
-        changed = False
-        for z in lineality:
-            zz = sum(x * x for x in z)
-            num = sum(a * b for a, b in zip(cur, z))
-            q = _round_div(num, zz)
-            if q:
-                cur = [a - q * b for a, b in zip(cur, z)]
-                changed = True
-        if not changed:
-            break
-
-    def key(vec):
-        return (max(abs(x) for x in vec) if vec else 0,
-                sum(abs(x) for x in vec),
-                tuple(-x for x in vec))
-
-    best = tuple(cur)
-    radius = 2
-    size = (2 * radius + 1) ** len(lineality)
-    if size > LIFT_BOX_CAP:
-        raise ResourceCapError(
-            f"fundamental-weight lift box spans {size} points, over the cap {LIFT_BOX_CAP}"
-        )
-    for combo in itertools.product(range(-radius, radius + 1), repeat=len(lineality)):
-        cand = tuple(
-            c + sum(t * z[i] for t, z in zip(combo, lineality))
-            for i, c in enumerate(cur)
-        )
-        if key(cand) < key(best):
-            best = cand
-    return best
+    """A small representative of v modulo the lineality lattice: one pass down
+    its Hermite rows z subtracts q z, q the integer nearest to <v, z> / <z, z>,
+    a tie rounded down to the lexicographically larger vector (a Hermite row
+    is zero left of its positive pivot).  Every representative presents the
+    same R(L), as m_{eta + z} = e^z m_eta with e^z a unit."""
+    cur = v
+    for z in lineality:
+        zz = sum(x * x for x in z)
+        q = (2 * sum(a * b for a, b in zip(cur, z)) + zz - 1) // (2 * zz)
+        cur = tuple(a - q * b for a, b in zip(cur, z))
+    return cur
 
 
 def fundamental_weight_lift(rd: RootDatum) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -442,10 +402,10 @@ def fundamental_weight_lift(rd: RootDatum) -> tuple[tuple[Vector, ...], tuple[Ve
 
     lin is the Hermite basis of the lineality lattice (the characters pairing
     to zero with every simple coroot); etas[k] is an integral fundamental
-    weight, <eta_k, alpha_j^vee> = delta_kj, chosen canonically small modulo
-    lin.  They exist exactly when chi -> (<chi, alpha_j^vee>)_j maps X*(T)
-    onto Z^s, that is when the derived group is simply connected; otherwise
-    SimplyConnectedHypothesisError is raised.
+    weight, <eta_k, alpha_j^vee> = delta_kj, rounded along each row of lin
+    (_canonical_preimage).  They exist exactly when chi -> (<chi, alpha_j^vee>)_j
+    maps X*(T) onto Z^s, that is when the derived group is simply connected;
+    otherwise SimplyConnectedHypothesisError is raised.
     """
     cosimples = rd.simple_coroots
     s = len(cosimples)

@@ -46,6 +46,11 @@ class CocharacterDatum:
         require_prime(self.p)
 
     @cached_property
+    def group_presentation(self) -> InvariantRingPresentation:
+        """R(G) on G's orbit sums, which is R(L) too at a central mu."""
+        return InvariantRingPresentation(self.rd)
+
+    @cached_property
     def frobenius_gens(self) -> tuple[Element, ...]:
         """m_lambda - phi(m_lambda), one per dominant Hilbert-basis weight of G;
         they generate I R(L) for every Levi L.  The Frobenius twist is the
@@ -56,7 +61,7 @@ class CocharacterDatum:
         difference ideal to these finitely many generators): the Hilbert basis
         raises SimplyConnectedHypothesisError, before any Weyl group is built.
         """
-        orbit_sums = InvariantRingPresentation(self.rd).generator_elements
+        orbit_sums = self.group_presentation.generator_elements
         return tuple(subtract(m, frobenius(m, self.p, self.rd.twist)) for m in orbit_sums)
 
 
@@ -115,7 +120,8 @@ def compute_k0(
     Frobenius generators written in R(L)'s presentation, completed to a
     strong Groebner basis together with the syzygies.  At a regular
     cocharacter, such as rd.coroot_sum, L is T and this is R(T)/IR(T)."""
-    lpres = InvariantRingPresentation(levi_from_cocharacter(datum.rd, datum.mu))
+    levi = levi_from_cocharacter(datum.rd, datum.mu)
+    lpres = datum.group_presentation if levi is datum.rd else InvariantRingPresentation(levi)
     frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
     y_spec, syzygies = levi_presentation_ring(lpres)
     frob_polys = [express_invariant(g, lpres, max_degree) for g in frobenius_gens]

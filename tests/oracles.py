@@ -5,7 +5,8 @@ dicts are tested against, the dense Hermite elimination and the
 element-arithmetic builders of the check rows that the sparse ones must
 match, independent re-checks of the packed
 engine, of the quotient module's invariants, of Steinberg's weights and
-their spanning, of the closed-form dominant Hilbert basis and of the positive
+their spanning, of the closed-form dominant Hilbert basis, of the
+fundamental-weight lift's rounding (box_search_preimage) and of the positive
 roots and generator combinations read off the root datum, the principal
 minors of a finite-type Cartan matrix, the rank counted
 from the Weyl group (twisted_point_count), in closed form
@@ -51,7 +52,6 @@ from zipk0.rootdata import (
     RootDatum,
     Vector,
     WeylGroup,
-    _canonical_preimage,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -925,6 +925,50 @@ def _extreme_rays(ineq: list[list[int]], dim: int) -> list[tuple[int, ...]]:
     return sorted(rays)
 
 
+def _round_div(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, ties to even, for den > 0,
+    in integer arithmetic."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
+
+
+def box_search_preimage(v: Vector, lineality: Sequence[Vector]) -> Vector:
+    """A small representative of v modulo the lineality lattice by search,
+    the reference for rootdata._canonical_preimage's one rounding pass: up to
+    four rounding passes along each row (ties to even), then the least point
+    of the box of 5^z points around the result, z the number of rows, under
+    (max |x_i|, sum |x_i|, the lexicographically largest vector)."""
+    if not lineality:
+        return v
+    cur = list(v)
+    for _ in range(4):
+        changed = False
+        for z in lineality:
+            q = _round_div(sum(a * b for a, b in zip(cur, z)), sum(x * x for x in z))
+            if q:
+                cur = [a - q * b for a, b in zip(cur, z)]
+                changed = True
+        if not changed:
+            break
+
+    def key(vec):
+        return (max(abs(x) for x in vec) if vec else 0,
+                sum(abs(x) for x in vec),
+                tuple(-x for x in vec))
+
+    best = tuple(cur)
+    for combo in itertools.product(range(-2, 3), repeat=len(lineality)):
+        cand = tuple(
+            c + sum(t * z[i] for t, z in zip(combo, lineality))
+            for i, c in enumerate(cur)
+        )
+        if key(cand) < key(best):
+            best = cand
+    return best
+
+
 def general_dominant_hilbert_basis(rd):
     """Generators of the monoid of dominant weights, by a general search that
     does not assume a simply connected derived group.  For a Levi, pass its
@@ -981,7 +1025,7 @@ def general_dominant_hilbert_basis(rd):
             sol = smith_solve(bmat, y)
             if sol is None:
                 raise RuntimeError("image point must lift to the weight lattice")
-            out.append(_canonical_preimage(sol[0], lin))
+            out.append(box_search_preimage(sol[0], lin))
     return sorted(set(out))
 
 

@@ -48,6 +48,15 @@ def test_rank_0_with_the_empty_twist_exits_0(capsys, argv):
     assert json.loads(out)["job"]["twist"] == []
 
 
+def test_empty_checks_run_no_check(capsys):
+    # A wholly empty --checks is the empty list; an empty entry in a longer
+    # list is refused (MALFORMED).
+    code, out, err = run(capsys, "k0", "--group", "SL2", "--mu", "1", "--p", "2", "--checks", "")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["job"]["checks"] == [] and rep["checks"] == {}
+
+
 def test_validate_factors_no_huge_pivot():
     # The coroot lattice of this datum has the Hermite pivot N = 10^30 + 57
     # and no torsion; trial division of N once ran past a 20 s kill.  The
@@ -73,22 +82,21 @@ def sl2_times_torus(rank: int) -> dict:
             "coroots": [e1, [-x for x in e1]], "simple_roots": [[2 * x for x in e1]]}
 
 
-def test_a_large_centre_hits_the_lift_cap(capsys):
-    # The fundamental-weight lift searches a box of 5^11 points here, about
-    # 20 minutes of work before the cap.  The subprocess bounds the wait.
-    argv = ["validate", "--group", json.dumps(sl2_times_torus(12))]
+def test_a_large_centre_is_answered(capsys):
+    # The fundamental-weight lift rounds once along each of the 11 lineality
+    # rows; a search over a box of 5^11 points would take about 20 minutes.
+    datum = json.dumps(sl2_times_torus(12))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-m", "zipk0.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=20)
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
+    done = subprocess.run([sys.executable, "-m", "zipk0.cli", "validate", "--group", datum],
+                          env=env, capture_output=True, text=True, timeout=20)
     assert time.perf_counter() - start < 1.0
-    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
-    assert code == 4
-    rep = json.loads(out)
-    assert rep["error"] == "resource-cap"
-    assert "fundamental-weight lift" in rep["detail"] and "48828125 points" in rep["detail"]
-    assert "resource cap" in err
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, "validate", "--group", datum)
+    assert done.returncode == 0
+    # The closed form p^s (p - 1)^z |W| / |W_L| at mu = 0: 2 * 1^11.
+    code, out, _ = run(capsys, "k0", "--group", datum, "--p", "2")
+    assert code == 0
+    assert json.loads(out)["module"]["rank"] == 2
 
 
 def test_a_small_centre_keeps_its_lift(capsys):
@@ -233,6 +241,13 @@ MALFORMED = [
      "group must be a preset name or an object, got 5"),
     ("unknown check", ["k0", "--group", "SL2", "--checks", "kunneth,bogus"], {}, 2,
      "unknown checks ['bogus']"),
+    # An empty entry in the comma list is an empty name, not a skipped one.
+    ("empty inner check entry", ["k0", "--group", "SL2", "--mu", "1", "--p", "2",
+                                 "--checks", "kunneth,,theta"], {}, 2, "unknown checks ['']"),
+    ("empty trailing check entry", ["k0", "--group", "SL2", "--checks", "kunneth,"], {}, 2,
+     "unknown checks ['']"),
+    ("empty leading check entry", ["k0", "--group", "SL2", "--checks", ",theta"], {}, 2,
+     "unknown checks ['']"),
     # --twist replaces the explicit datum's own twist, the swap, which is valid.
     ("twist flag over the datum's twist", ["validate", "--group", A1XA1_SWAP,
                                            "--twist", "[[1,1],[0,1]]"], {}, 3,
@@ -411,14 +426,19 @@ def test_one_weyl_group_per_job(capsys, monkeypatch):
 
 def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
     # The coordinate map is built once per presentation, the Levi's and T's,
-    # and the Frobenius generators once per datum: the job's, and the one at
-    # the coroot sum whose compute_k0 is T's quotient.
+    # and the Frobenius generators once per job: the torus quotient at the
+    # coroot sum takes the job's.  So G's orbit sums are built once, and at a
+    # central mu they present R(L) too.  SL4 at mu = 0 builds G's 3.  SL3 at
+    # mu = 0 builds G's 2 and T's 4; at mu = (1, 2) it adds L's 3.  Sp4 at
+    # mu = (1, 0) builds G's 2, L's 3 and T's 4.  (Before the sharing the
+    # four jobs built 11, 6, 10 and 11.)
     from functools import cached_property
 
+    import zipk0.invariants
     from zipk0.invariants import InvariantRingPresentation
     from zipk0.zipk import CocharacterDatum
 
-    builds = {"coordinates": 0, "frobenius_gens": 0}
+    builds = {}
     for cls, name in ((InvariantRingPresentation, "coordinates"),
                       (CocharacterDatum, "frobenius_gens")):
         def counting(self, real=vars(cls)[name].func, name=name):
@@ -428,10 +448,25 @@ def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
         prop = cached_property(counting)
         prop.__set_name__(cls, name)
         monkeypatch.setattr(cls, name, prop)
-    code, _, _ = run(capsys, "k0", "--group", "SL3", "--mu", "1,2", "--p", "3",
-                     "--checks", "kunneth,theta")
-    assert code == 0
-    assert builds == {"coordinates": 2, "frobenius_gens": 2}
+
+    def orbit_sum(weyl, weight, real=zipk0.invariants.orbit_sum):
+        builds["orbit_sum"] += 1
+        return real(weyl, weight)
+
+    monkeypatch.setattr(zipk0.invariants, "orbit_sum", orbit_sum)
+    jobs = [
+        (("SL3", "1,2", "3", "kunneth,theta"), 2, 9),
+        (("SL4", "0,0,0", "2", ""), 1, 3),
+        (("SL3", "0,0", "2", "kunneth"), 2, 6),
+        (("Sp4", "1,0", "3", "kunneth,theta"), 2, 9),
+    ]
+    for (group, mu, p, checks), coordinates, orbit_sums in jobs:
+        builds.update(coordinates=0, frobenius_gens=0, orbit_sum=0)
+        code, _, _ = run(capsys, "k0", "--group", group, "--mu", mu, "--p", p,
+                         "--checks", checks)
+        assert code == 0
+        assert builds == {"coordinates": coordinates, "frobenius_gens": 1,
+                          "orbit_sum": orbit_sums}, group
 
 
 @pytest.mark.parametrize("argv", [

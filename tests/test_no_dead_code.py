@@ -1,6 +1,7 @@
 """Every public function of the library is referenced by the library or the
 benchmark: a name that `src/` and `perfbench/` never use is dead code, or, if
-only tests call it, a test oracle that belongs in `tests/oracles.py`.  Every
+only tests call it, a test oracle that belongs in `tests/oracles.py`.  So is
+a private function or class that nothing there uses but its own body.  Every
 field of a library value class is read there too: a field that nothing reads
 is dead weight on every instance.  And every default of a public parameter or
 value-class field is overridden by some call there: a value nothing overrides
@@ -35,6 +36,31 @@ def test_every_public_function_is_referenced():
                 elif isinstance(node, ast.alias):
                     used.add(node.name.rsplit(".", 1)[-1])
     assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used) == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    defined = []  # (name, file, first line, last line)
+    for path in sorted((ROOT / "src" / "zipk0").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined.append((node.name, path, node.lineno, node.end_lineno))
+    used = []  # (name, file, line)
+    for folder in ("src", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    used.append((node.id, path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    used.append((node.attr, path, node.lineno))
+                elif isinstance(node, ast.alias):
+                    used.append((node.name.rsplit(".", 1)[-1], path, node.lineno))
+    unused = [
+        f"{path.name}:{first} {name}"
+        for name, path, first, last in defined
+        if not any(n == name and not (p == path and first <= line <= last) for n, p, line in used)
+    ]
+    assert sorted(unused) == []
 
 
 def test_every_record_field_is_read():

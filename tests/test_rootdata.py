@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from zipk0.rootdata import (
     RootDatum,
     RootDatumError,
     SimplyConnectedHypothesisError,
-    _round_div,
+    _canonical_preimage,
     dominant_hilbert_basis,
     fundamental_group,
     levi_from_cocharacter,
@@ -27,8 +28,11 @@ from zipk0.rootdata import (
     weyl_orbit,
 )
 
+from zipk0.lattice import solve_linear_diophantine
+
 from oracles import (
     all_reduced_words,
+    box_search_preimage,
     general_dominant_hilbert_basis,
     principal_minors_positive,
     reference_positive_root_indices,
@@ -305,11 +309,52 @@ def test_hilbert_basis_matches_general_search(name):
         assert dominant_hilbert_basis(datum) == general_dominant_hilbert_basis(datum)
 
 
-def test_round_div_matches_fraction_rounding():
-    # Every tie of both parities occurs: num / den = k + 1/2 for even den.
+def test_lift_rounds_to_the_nearest_multiple_with_ties_down():
+    # On the row z = (den,), <v, z> / <z, z> = num / den for v = (num,), so the
+    # lift subtracts q den, q the integer nearest to num / den.  Negative
+    # numerators and exact halves (num / den = k + 1/2 for even den) occur.
     for den in range(1, 13):
         for num in range(-60, 61):
-            assert _round_div(num, den) == round(Fraction(num, den)), (num, den)
+            q = math.ceil(Fraction(num, den) - Fraction(1, 2))
+            assert _canonical_preimage((num,), [(den,)]) == (num - q * den,), (num, den)
+
+
+def general_linear(n: int) -> RootDatum:
+    """GL_n on Z^n as explicit data: roots e_i - e_j, each its own coroot."""
+    roots = [tuple((k == i) - (k == j) for k in range(n))
+             for i, j in itertools.permutations(range(n), 2)]
+    simple = [tuple((k == i) - (k == i + 1) for k in range(n)) for i in range(n - 1)]
+    return make_root_datum(n, roots, roots, simple)
+
+
+def sl2_times_torus(rank: int) -> RootDatum:
+    """SL2 x G_m^(rank-1): the root pair +-2e1 with coroots +-e1."""
+    e1 = (1,) + (0,) * (rank - 1)
+    return make_root_datum(rank, [tuple(2 * x for x in e1), tuple(-2 * x for x in e1)],
+                           [e1, tuple(-x for x in e1)], [tuple(2 * x for x in e1)])
+
+
+def test_rounded_lift_matches_the_box_search():
+    # Each fundamental weight of each distinct Levi, G's own included, is the
+    # one that the search over a box of 5^z points picks from the same solve.
+    family = ([(preset(name), 3) for name in SC_PRESETS]
+              + [(general_linear(4), 2), (general_linear(5), 1)]
+              + [(sl2_times_torus(k + 1), 0) for k in range(1, 5)])
+    count = 0
+    for rd, radius in family:
+        levis = {}
+        for mu in itertools.product(range(-radius, radius + 1), repeat=rd.rank):
+            levi = levi_from_cocharacter(rd, mu)
+            levis.setdefault(levi.simple_roots, levi)
+        for levi in levis.values():
+            lin, etas = levi.weight_lift
+            cosimples = levi.simple_coroots
+            for k, eta in enumerate(etas):
+                unit = [1 if j == k else 0 for j in range(len(cosimples))]
+                x = solve_linear_diophantine(cosimples, unit, levi.rank)
+                assert eta == box_search_preimage(x, lin), (rd, levi.simple_roots, k)
+                count += 1
+    assert count == 171
 
 
 def test_hilbert_basis_matches_general_search_explicit_datum():
