@@ -430,8 +430,7 @@ def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
     # coroot sum takes the job's.  So G's orbit sums are built once, and at a
     # central mu they present R(L) too.  SL4 at mu = 0 builds G's 3.  SL3 at
     # mu = 0 builds G's 2 and T's 4; at mu = (1, 2) it adds L's 3.  Sp4 at
-    # mu = (1, 0) builds G's 2, L's 3 and T's 4.  (Before the sharing the
-    # four jobs built 11, 6, 10 and 11.)
+    # mu = (1, 0) builds G's 2, L's 3 and T's 4.
     from functools import cached_property
 
     import zipk0.invariants
