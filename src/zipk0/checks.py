@@ -2,13 +2,14 @@
 
 The answer is zipk.compute_k0, the presentation of R(L)/IR(L).  The checks
 here mirror the structural facts the construction rests on: the
-Kunneth/freeness rank factorisation and the untwisting identity on the
-torus-side quotient R(T)/IR(T) (compute_k0 at the regular cocharacter
-rd.coroot_sum), Hecke-versus-Weyl invariants in a window, and the exact
-independence of Steinberg's basis of R(T) over R(G), whose spanning is his
-theorem.  Each check returns its own report section: a dict of lists,
-ints, bools and strings.  The CLI imports this module only for a k0 job that
-runs a check, so a plain k0 or validate job does not compile it.
+Kunneth/freeness rank factorisation against the closed-form rank of
+R(T)/IR(T), the untwisting identity on that torus-side quotient (compute_k0
+at the regular cocharacter rd.coroot_sum), Hecke-versus-Weyl invariants in
+a window, and the exact independence of Steinberg's basis of R(T) over
+R(G), whose spanning is his theorem.  Each check returns its own report
+section: a dict of lists, ints, bools and strings.  The CLI imports this
+module only for a k0 job that runs a check, so a plain k0 or validate job
+does not compile it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .rootdata import (
     weights_dominant,
     weyl_orbit,
 )
-from .zipk import CocharacterDatum, KZeroPresentation, compute_k0
+from .zipk import CocharacterDatum, KZeroPresentation, closed_form_rank, compute_k0
 
 
 # theta_map_check tests this many random directions, the same ones every run.
@@ -51,15 +52,15 @@ STEINBERG_SEED = 20250901
 # Kunneth rank factorisation and the untwisting identity
 
 
-def kunneth_rank_check(kz: KZeroPresentation, torus: KZeroPresentation) -> dict:
+def kunneth_rank_check(datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
     """rank of R(T)/IR(T) must equal |W_L| times rank of R(L)/IR(L).
 
-    kz is compute_k0 of a datum and torus of the same datum at a regular
-    cocharacter, whose Levi is T.  Both are free of finite rank (README,
-    "Why K0 is free"), so the status is PASS or FAIL.
+    kz is compute_k0 of datum.  Both quotients are free of finite rank
+    (README, "Why K0 is free"), that of R(T)/IR(T) the closed form
+    closed_form_rank(rd, p, 1), so the status is PASS or FAIL.
     """
-    wl = len(kz.presentation_pres.rd.weyl)
-    torus_rank, levi_rank = torus.module_report.rank, kz.module_report.rank
+    wl = len(kz.levi.weyl)
+    torus_rank, levi_rank = closed_form_rank(datum.rd, datum.p, 1), kz.module_report.rank
     return {
         "status": "PASS" if torus_rank == wl * levi_rank else "FAIL",
         "torus_rank": torus_rank,
@@ -80,7 +81,7 @@ def theta_map_check(datum: CocharacterDatum, torus: KZeroPresentation) -> dict:
     its own orbit sum, so e^chi is the monomial y^a with a the generator
     coordinates of chi."""
     rd = datum.rd
-    coordinates = torus.presentation_pres.coordinates
+    coordinates = torus.levi.coordinates
 
     def vanishes(chi: Vector) -> bool:
         f = subtract({chi: 1}, frobenius({chi: 1}, datum.p, rd.twist))
@@ -291,22 +292,20 @@ def steinberg_freeness_check(rd: RootDatum) -> dict:
 def check_sections(checks: Sequence[str], datum: CocharacterDatum, kz: KZeroPresentation,
                    max_degree: int, window: int) -> dict:
     """The `checks` section of a k0 report: one entry per name in checks,
-    the Hecke check over the given window.  R(T)/IR(T), compute_k0 at the
-    regular cocharacter rd.coroot_sum, is completed under max_degree at most
-    once, by the first check needing it, on the job's Frobenius generators,
-    and not at all when the Levi is T: kz is then already that quotient."""
+    the Hecke check over the given window.  Only theta completes R(T)/IR(T),
+    compute_k0 at the regular cocharacter rd.coroot_sum, under max_degree
+    and on the job's Frobenius generators, and not when the Levi is T: kz is
+    then already that quotient."""
     out: dict[str, Any] = {}
-    torus = None
     for check in checks:
-        if check in ("kunneth", "theta") and torus is None:
+        if check == "kunneth":
+            out[check] = kunneth_rank_check(datum, kz)
+        elif check == "theta":
             torus = kz  # when the Levi is T
-            if kz.presentation_pres.rd.roots:
+            if kz.levi.roots:
                 torus_datum = CocharacterDatum(datum.rd, datum.rd.coroot_sum, datum.p)
                 vars(torus_datum)["frobenius_gens"] = datum.frobenius_gens  # G's, for any mu
                 torus = compute_k0(torus_datum, max_degree)
-        if check == "kunneth":
-            out[check] = kunneth_rank_check(kz, torus)
-        elif check == "theta":
             out[check] = theta_map_check(datum, torus)
         elif check == "hecke":
             out[check] = hecke_check(datum, window)

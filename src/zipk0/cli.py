@@ -184,6 +184,9 @@ def _build_group(
     if isinstance(spec_value, str) and spec_value.strip().startswith("{"):
         spec_value = json.loads(spec_value)
     if isinstance(spec_value, dict):
+        unknown = set(spec_value) - {"rank", "roots", "coroots", "simple_roots", "twist"}
+        if unknown:
+            raise JobParseError(f"unknown explicit group keys: {sorted(unknown)}")
         try:
             rank = _parse_int(spec_value["rank"], "rank", minimum=0)
             roots = _parse_matrix(spec_value.get("roots", []), "roots")
@@ -297,7 +300,7 @@ def _levi_dict(datum: CocharacterDatum, kz: KZeroPresentation) -> dict:
     """The Levi's roots and Weyl order, and the roots of the parabolics
     P^- (<alpha, mu> <= 0) and P^+ (<alpha, mu> >= 0)."""
     rd = datum.rd
-    levi = kz.presentation_pres.rd
+    levi = kz.levi
     heights = [pairing(a, datum.mu) for a in rd.roots]
     return {
         "roots": [_vec(r) for r in levi.roots],
@@ -346,7 +349,7 @@ def cmd_k0(job: JobSpec) -> dict:
         "levi": _levi_dict(datum, kz),
         "presentation": {
             "variables": list(spec.names),
-            "generator_weights": [_vec(w) for w in kz.presentation_pres.generator_weights],
+            "generator_weights": [_vec(w) for w in kz.levi.generator_weights],
             "relations": syzygies + frobenius,
             "syzygy_relations": syzygies,
             "frobenius_relations": frobenius,

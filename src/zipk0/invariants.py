@@ -1,25 +1,17 @@
-"""Presentations of the Weyl-invariant subrings R(G) = R(T)^W and R(L).
+"""Expression of Weyl invariants in R(G) = R(T)^W and R(L).
 
-Generators are orbit sums of the dominant Hilbert basis; expressing an
-invariant in them walks down the dominance order (the leading dominant term
-of a product of orbit sums is the sum of the highest weights, with
-coefficient one).
+A root datum presents its own invariant ring (RootDatum.generator_weights,
+generator_elements, laurent_pairs and coordinates): the generators are orbit
+sums of the dominant Hilbert basis.  Expressing an invariant in them walks
+down the dominance order (the leading dominant term of a product of orbit
+sums is the sum of the highest weights, with coefficient one).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from ._record import record
 from .caps import DEFAULT_MAX_DEGREE, ResourceCapError
-from .grpalg import Element, multiply, orbit_sum, weyl_act
-from .rootdata import (
-    RootDatum,
-    Vector,
-    dominant_hilbert_basis,
-    pairing,
-    weights_dominant,
-)
+from .grpalg import Element, multiply, weyl_act
+from .rootdata import RootDatum, Vector, pairing, weights_dominant
 
 GeneratorExponent = tuple[int, ...]
 GeneratorPolynomial = dict[GeneratorExponent, int]
@@ -29,86 +21,17 @@ class NotInvariantError(ValueError):
     pass
 
 
-@record
-class InvariantRingPresentation:
-    """R(T)^W presented by orbit sums over the dominant Hilbert basis of rd,
-    the Levi's datum (levi_from_cocharacter) for R(L).  The basis is the
-    lineality rows z, their negatives and the fundamental weights of
-    rd.weight_lift, so rd fixes the generators, their +/- pairs and each
-    weight's coordinates: each is computed on first use and kept."""
-
-    rd: RootDatum
-
-    @cached_property
-    def generator_weights(self) -> tuple[Vector, ...]:
-        return tuple(dominant_hilbert_basis(self.rd))
-
-    @cached_property
-    def generator_elements(self) -> tuple[Element, ...]:
-        return tuple(orbit_sum(self.rd.weyl, w) for w in self.generator_weights)
-
-    @cached_property
-    def laurent_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(index of z, index of -z) among the generator weights, one pair per
-        lineality row z: the generators that are units, each pair inverse."""
-        weights = self.generator_weights
-        return tuple(
-            (weights.index(z), weights.index(tuple(-x for x in z)))
-            for z in self.rd.weight_lift[0]
-        )
-
-    @cached_property
-    def coordinates(self):
-        """The map from a dominant weight to its generator coordinates, the
-        exponents that write it as an N-combination of the generator weights.
-
-        The fundamental weight eta_k pairs to delta_kj with the simple
-        coroots, so a dominant target takes <target, alpha_k^vee> copies of
-        it.  What remains lies in the lineality lattice, whose Hermite basis
-        row z_j is the only row from j down that is nonzero at its pivot
-        column: working down from the top row, the coefficient on z_j is read
-        there, and a negative one goes on -z_j.
-        """
-        rd = self.rd
-        lin, etas = rd.weight_lift
-        weights = self.generator_weights
-        pointed = [(weights.index(eta), eta, cv) for eta, cv in zip(etas, rd.simple_coroots)]
-        lineal = [
-            (z, next(j for j, x in enumerate(z) if x), plus, minus)
-            for z, (plus, minus) in zip(lin, self.laurent_pairs)
-        ]
-
-        def coordinates(target: Vector) -> GeneratorExponent:
-            counts = [0] * len(weights)
-            remainder = list(target)
-            for i, eta, cv in pointed:
-                c = counts[i] = pairing(target, cv)
-                if c < 0:
-                    raise RuntimeError(f"dominant weight {target} not in the generator monoid")
-                remainder = [t - c * x for t, x in zip(remainder, eta)]
-            for z, pivot, plus, minus in lineal:
-                c, r = divmod(remainder[pivot], z[pivot])
-                if r:
-                    break
-                remainder = [t - c * x for t, x in zip(remainder, z)]
-                counts[plus if c >= 0 else minus] += abs(c)
-            if any(remainder):
-                raise RuntimeError(f"remainder {tuple(remainder)} outside the lineality lattice")
-            return tuple(counts)
-
-        return coordinates
-
-
-def is_invariant(f: Element, pres: InvariantRingPresentation) -> bool:
-    return all(weyl_act(g, f) == f for g in pres.rd.weyl.generators)
+def is_invariant(f: Element, rd: RootDatum) -> bool:
+    return all(weyl_act(g, f) == f for g in rd.weyl.generators)
 
 
 def express_invariant(
     f: Element,
-    pres: InvariantRingPresentation,
+    rd: RootDatum,
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> GeneratorPolynomial:
-    """Integer polynomial in the generators expanding to f.
+    """Integer polynomial in the generators of rd (G, or a Levi for R(L))
+    expanding to f.
 
     Dominance-triangular descent: the leading dominant term of the matched
     generator product has coefficient one, so each step eliminates it exactly.
@@ -120,13 +43,13 @@ def express_invariant(
     total degree above max_degree raises ResourceCapError before that product
     is built.
     """
-    if not is_invariant(f, pres):
+    if not is_invariant(f, rd):
         raise NotInvariantError("element is not invariant under the given Weyl group")
-    cosimples = pres.rd.simple_coroots
-    hv = pres.rd.coroot_sum
-    gens = pres.generator_elements
-    coordinates = pres.coordinates
-    products = {(0,) * len(gens): {(0,) * pres.rd.rank: 1}}
+    cosimples = rd.simple_coroots
+    hv = rd.coroot_sum
+    gens = rd.generator_elements
+    coordinates = rd.coordinates
+    products = {(0,) * len(gens): {(0,) * rd.rank: 1}}
 
     def product(expt: GeneratorExponent) -> Element:
         degree = sum(expt)

@@ -58,11 +58,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
-
-
 def reflection_matrix(root: Vector, coroot: Vector) -> Matrix:
     """s(chi) = chi - <chi, coroot> root, as a matrix on the character lattice."""
     n = len(root)
@@ -78,7 +73,9 @@ class RootDatum:
 
     What the datum determines and the pipeline reads more than once, its Weyl
     group, positive roots, positive-coroot sum and fundamental-weight lift,
-    is computed on first use and kept on the instance.
+    and the presentation of its invariant ring R(T)^W on orbit sums, is
+    computed on first use and kept on the instance.  A Levi
+    (levi_from_cocharacter) is a datum too, so it presents R(L).
     """
 
     rank: int
@@ -125,6 +122,72 @@ class RootDatum:
         without a simply connected derived group."""
         return fundamental_weight_lift(self)
 
+    @cached_property
+    def generator_weights(self) -> tuple[Vector, ...]:
+        """The dominant Hilbert basis in closed form, sorted: with a simply
+        connected derived group (which Levis inherit) the dominant cone is
+        the orthant plus the lineality lattice in the coordinates
+        chi -> (<chi, alpha_k^vee>)_k, so its monoid is generated by the
+        integral fundamental weights and +/- the lineality basis of
+        weight_lift (Steinberg, "On a theorem of Pittie", 1975)."""
+        lin, etas = self.weight_lift
+        return tuple(sorted(set(lin) | {tuple(-x for x in z) for z in lin} | set(etas)))
+
+    @cached_property
+    def generator_elements(self) -> tuple[dict[Vector, int], ...]:
+        """The orbit sums m_lambda of the generator weights: R(T)^W's generators."""
+        from .grpalg import orbit_sum  # grpalg imports this module
+        return tuple(orbit_sum(self.weyl, w) for w in self.generator_weights)
+
+    @cached_property
+    def laurent_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(index of z, index of -z) among the generator weights, one pair per
+        lineality row z: the generators that are units, each pair inverse."""
+        weights = self.generator_weights
+        return tuple(
+            (weights.index(z), weights.index(tuple(-x for x in z))) for z in self.weight_lift[0]
+        )
+
+    @cached_property
+    def coordinates(self):
+        """The map from a dominant weight to its generator coordinates, the
+        exponents that write it as an N-combination of the generator weights.
+
+        The fundamental weight eta_k pairs to delta_kj with the simple
+        coroots, so a dominant target takes <target, alpha_k^vee> copies of
+        it.  What remains lies in the lineality lattice, whose Hermite basis
+        row z_j is the only row from j down that is nonzero at its pivot
+        column: working down from the top row, the coefficient on z_j is read
+        there, and a negative one goes on -z_j.
+        """
+        lin, etas = self.weight_lift
+        weights = self.generator_weights
+        pointed = [(weights.index(eta), eta, cv) for eta, cv in zip(etas, self.simple_coroots)]
+        lineal = [
+            (z, next(j for j, x in enumerate(z) if x), plus, minus)
+            for z, (plus, minus) in zip(lin, self.laurent_pairs)
+        ]
+
+        def coordinates(target: Vector) -> Vector:
+            counts = [0] * len(weights)
+            remainder = list(target)
+            for i, eta, cv in pointed:
+                c = counts[i] = pairing(target, cv)
+                if c < 0:
+                    raise RuntimeError(f"dominant weight {target} not in the generator monoid")
+                remainder = [t - c * x for t, x in zip(remainder, eta)]
+            for z, pivot, plus, minus in lineal:
+                # Not divisible: the rest stays at the pivot, where later rows
+                # are zero, and the check below raises.
+                c = remainder[pivot] // z[pivot]
+                remainder = [t - c * x for t, x in zip(remainder, z)]
+                counts[plus if c >= 0 else minus] += abs(c)
+            if any(remainder):
+                raise RuntimeError(f"remainder {tuple(remainder)} outside the lineality lattice")
+            return tuple(counts)
+
+        return coordinates
+
 
 def make_root_datum(
     rank: int,
@@ -134,17 +197,15 @@ def make_root_datum(
     twist: Optional[Sequence[Sequence[int]]] = None,
     name: str = "",
 ) -> RootDatum:
-    """Build a RootDatum from explicit vectors, resolving simple roots to indices."""
-    rts = tuple(tuple(int(x) for x in r) for r in roots)
-    crts = tuple(tuple(int(x) for x in r) for r in coroots)
-    simples = []
-    for s in simple_roots:
-        s = tuple(int(x) for x in s)
+    """Build a RootDatum from explicit integer vectors (the CLI parses its
+    input to integers), resolving simple roots to indices."""
+    rts, simples = tuple(map(tuple, roots)), tuple(map(tuple, simple_roots))
+    for s in simples:
         if s not in rts:
             raise RootDatumError("simple-root-not-a-root", f"simple root {s} is not a root")
-        simples.append(rts.index(s))
-    tw = tuple(tuple(int(x) for x in row) for row in twist) if twist is not None else None
-    return RootDatum(rank, rts, crts, tuple(simples), tw, name)
+    tw = tuple(map(tuple, twist)) if twist is not None else None
+    crts = tuple(map(tuple, coroots))
+    return RootDatum(rank, rts, crts, tuple(map(rts.index, simples)), tw, name)
 
 
 def validate(rd: RootDatum) -> None:
@@ -244,7 +305,7 @@ def _check_automorphism(rd: RootDatum, g: Matrix, kind: str, name: str) -> None:
     g^T maps the coroot of g(alpha) back to alpha^vee, so that the pairing is
     preserved."""
     index = {r: i for i, r in enumerate(rd.roots)}
-    gt = mat_transpose(g)
+    gt = tuple(zip(*g))
     for a, av in zip(rd.roots, rd.coroots):
         img = mat_vec(g, a)
         if img not in index:
@@ -417,21 +478,6 @@ def fundamental_weight_lift(rd: RootDatum) -> tuple[tuple[Vector, ...], tuple[Ve
             raise SimplyConnectedHypothesisError(cokernel_invariants(cosimples, rd.rank))
         etas.append(_canonical_preimage(x, lin))
     return lin, tuple(etas)
-
-
-def dominant_hilbert_basis(rd: RootDatum) -> list[Vector]:
-    """Generators of the monoid of dominant weights, in closed form.
-
-    With a simply connected derived group (which Levis inherit),
-    chi -> (<chi, alpha_k^vee>)_k maps X*(T) onto Z^s, so in those
-    coordinates the dominant cone is the orthant plus the lineality lattice.
-    The monoid is generated by one integral fundamental weight per simple
-    coroot and +/- a basis of the lineality lattice (Steinberg, "On a theorem
-    of Pittie", 1975).  Raises SimplyConnectedHypothesisError without the
-    hypothesis.
-    """
-    lin, etas = rd.weight_lift
-    return sorted(set(lin) | {tuple(-x for x in z) for z in lin} | set(etas))
 
 
 def weights_dominant(weight: Sequence[int], cosimples: Sequence[Vector]) -> bool:

@@ -29,9 +29,9 @@ from .groebner import (
     strong_groebner,
 )
 from .grpalg import Element, frobenius, subtract
-from .invariants import InvariantRingPresentation, express_invariant
-from .lattice import require_prime
-from .rootdata import Cocharacter, RootDatum, levi_from_cocharacter
+from .invariants import express_invariant
+from .lattice import determinant, require_prime
+from .rootdata import Cocharacter, RootDatum, identity_matrix, levi_from_cocharacter, mat_vec
 
 
 @record
@@ -46,11 +46,6 @@ class CocharacterDatum:
         require_prime(self.p)
 
     @cached_property
-    def group_presentation(self) -> InvariantRingPresentation:
-        """R(G) on G's orbit sums, which is R(L) too at a central mu."""
-        return InvariantRingPresentation(self.rd)
-
-    @cached_property
     def frobenius_gens(self) -> tuple[Element, ...]:
         """m_lambda - phi(m_lambda), one per dominant Hilbert-basis weight of G;
         they generate I R(L) for every Levi L.  The Frobenius twist is the
@@ -61,7 +56,7 @@ class CocharacterDatum:
         difference ideal to these finitely many generators): the Hilbert basis
         raises SimplyConnectedHypothesisError, before any Weyl group is built.
         """
-        orbit_sums = self.group_presentation.generator_elements
+        orbit_sums = self.rd.generator_elements
         return tuple(subtract(m, frobenius(m, self.p, self.rd.twist)) for m in orbit_sums)
 
 
@@ -85,8 +80,8 @@ def unit_relations(pairs: Sequence[tuple[int, int]], nvars: int) -> list[Poly]:
 @record
 class KZeroPresentation:
     """Finitely presented ring isomorphic to the Grothendieck ring of the stack:
-    Z[y] on the ring of groebner.spec, one y_j per generator of
-    presentation_pres, modulo the syzygy and then the Frobenius relations.
+    Z[y] on the ring of groebner.spec, one y_j per generator weight of the
+    Levi, modulo the syzygy and then the Frobenius relations.
     It is never zero: e^lambda -> 1 kills every f - phi(f), so it maps onto
     Z, and it is a free Z-module (README, "Why K0 is free")."""
 
@@ -94,22 +89,20 @@ class KZeroPresentation:
     frobenius_relations: tuple[Poly, ...]    # images of the ideal generators
     groebner: GroebnerBasis
     module_report: QuotientReport
-    presentation_pres: InvariantRingPresentation   # R(L); its rd is the Levi
+    levi: RootDatum                          # presents R(L)
 
 
-def levi_presentation_ring(
-    lpres: InvariantRingPresentation,
-) -> tuple[PolyRingSpec, tuple[Poly, ...]]:
+def levi_presentation_ring(levi: RootDatum) -> tuple[PolyRingSpec, tuple[Poly, ...]]:
     """Present R(L) on one variable y_j per orbit-sum generator, in closed form.
 
     With a simply connected derived group, R(L) is a polynomial ring on the
     fundamental orbit sums tensored with a Laurent ring on the central
     characters (Steinberg, "On a theorem of Pittie").  The kernel of
     Z[y] -> R(L) is therefore generated by y_a*y_b - 1, one for each Laurent
-    pair (a, b) of lpres taken with a < b, in that order.
+    pair (a, b) of the Levi taken with a < b, in that order.
     """
-    k = len(lpres.generator_weights)
-    pairs = sorted(tuple(sorted(pair)) for pair in lpres.laurent_pairs)
+    k = len(levi.generator_weights)
+    pairs = sorted(tuple(sorted(pair)) for pair in levi.laurent_pairs)
     return PolyRingSpec(tuple(f"y{j + 1}" for j in range(k))), tuple(unit_relations(pairs, k))
 
 
@@ -119,12 +112,29 @@ def compute_k0(
     """Presentation of R(L)/IR(L) for the Levi L of the cocharacter: the
     Frobenius generators written in R(L)'s presentation, completed to a
     strong Groebner basis together with the syzygies.  At a regular
-    cocharacter, such as rd.coroot_sum, L is T and this is R(T)/IR(T)."""
+    cocharacter, such as rd.coroot_sum, L is T and this is R(T)/IR(T).  At a
+    central one L is rd itself, so G's orbit sums present R(L)."""
     levi = levi_from_cocharacter(datum.rd, datum.mu)
-    lpres = datum.group_presentation if levi is datum.rd else InvariantRingPresentation(levi)
     frobenius_gens = datum.frobenius_gens  # first: runs the simply-connectedness gate
-    y_spec, syzygies = levi_presentation_ring(lpres)
-    frob_polys = [express_invariant(g, lpres, max_degree) for g in frobenius_gens]
+    y_spec, syzygies = levi_presentation_ring(levi)
+    frob_polys = [express_invariant(g, levi, max_degree) for g in frobenius_gens]
 
     gb = strong_groebner(list(syzygies) + frob_polys, y_spec, max_degree=max_degree)
-    return KZeroPresentation(syzygies, tuple(frob_polys), gb, quotient_z_module(gb), lpres)
+    return KZeroPresentation(syzygies, tuple(frob_polys), gb, quotient_z_module(gb), levi)
+
+
+def closed_form_rank(rd: RootDatum, p: int, levi_weyl_order: int) -> int:
+    """The rank of R(L)/I R(L) in closed form (README, "Why K0 is free"):
+    p^s |det(p tau - 1 on the lineality lattice)| |W| / |W_L|, with s the
+    semisimple rank and tau the twist of rd (the identity if split).  tau(z)
+    pairs to zero with every simple coroot, so it is dominant, and its
+    generator coordinates hold its coefficients on the lineality rows."""
+    lin, etas = rd.weight_lift
+    tau = rd.twist if rd.twist is not None else identity_matrix(rd.rank)
+    columns = [rd.coordinates(mat_vec(tau, z)) for z in lin]
+    minus_one = [[p * (c[plus] - c[minus]) - (i == k) for k, c in enumerate(columns)]
+                 for i, (plus, minus) in enumerate(rd.laurent_pairs)]
+    total = p ** len(etas) * abs(determinant(minus_one)) * len(rd.weyl)
+    if total % levi_weyl_order:
+        raise ValueError(f"|W_L| = {levi_weyl_order} does not divide the count {total}")
+    return total // levi_weyl_order

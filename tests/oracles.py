@@ -9,8 +9,7 @@ their spanning, of the closed-form dominant Hilbert basis, of the
 fundamental-weight lift's rounding (box_search_preimage) and of the positive
 roots and generator combinations read off the root datum, the principal
 minors of a finite-type Cartan matrix, the rank counted
-from the Weyl group (twisted_point_count), in closed form
-(closed_form_rank) and from sympy's Groebner bases over
+from the Weyl group (twisted_point_count) and from sympy's Groebner bases over
 QQ and GF(p) (sympy_quotient_dimension), and the general code
 that the library itself does not need: the Smith normal form with its
 transforms, block elimination orders and elimination ideals, the Demazure
@@ -44,7 +43,6 @@ from zipk0.groebner import (
     strong_groebner,
 )
 from zipk0.checks import _demazure_series, _hecke_rows, window_box
-from zipk0.invariants import InvariantRingPresentation
 from zipk0.lattice import determinant, hermite_row_basis, kernel_basis, solve_linear_diophantine
 from zipk0.rootdata import (
     PRESET_NAMES,
@@ -1059,8 +1057,8 @@ def principal_minors_positive(c: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def reference_nonneg_combinations(pres: InvariantRingPresentation):
-    """InvariantRingPresentation.coordinates by a Diophantine solve per target: the
+def reference_nonneg_combinations(rd: RootDatum):
+    """RootDatum.coordinates by a Diophantine solve per target: the
     function that writes a dominant weight as an N-combination of the
     generator weights, with the generators' pairings computed once.
 
@@ -1069,12 +1067,12 @@ def reference_nonneg_combinations(pres: InvariantRingPresentation):
     <target, alpha_j^vee> times; what remains lies in the lineality lattice
     and is expressed through the +/- generator pairs.
     """
-    cosimples = pres.rd.simple_coroots
-    weights = pres.generator_weights
+    cosimples = rd.simple_coroots
+    weights = rd.generator_weights
     imgs = [tuple(pairing(w, cv) for cv in cosimples) for w in weights]
     pointed = [(i, cosimples[im.index(1)]) for i, im in enumerate(imgs) if any(im)]
     lineal = [i for i, im in enumerate(imgs) if not any(im)]
-    lin_rows = [[weights[i][j] for i in lineal] for j in range(pres.rd.rank)]
+    lin_rows = [[weights[i][j] for i in lineal] for j in range(rd.rank)]
     # The opposite generator of each lineality generator.
     neg_index = {}
     for a in lineal:
@@ -1349,15 +1347,15 @@ def demazure_character(
 
 
 def expand_generator_polynomial(
-    poly: dict[tuple[int, ...], int], pres: InvariantRingPresentation
+    poly: dict[tuple[int, ...], int], rd: RootDatum
 ) -> GroupAlgebraElement:
-    """Substitute the orbit-sum generators into a polynomial in them."""
-    total = GroupAlgebraElement(pres.rd.rank, {})
+    """Substitute the orbit-sum generators of rd into a polynomial in them."""
+    total = GroupAlgebraElement(rd.rank, {})
     for expt, c in poly.items():
-        term = one(pres.rd.rank) * c
-        for g, e in zip(pres.generator_elements, expt):
+        term = one(rd.rank) * c
+        for g, e in zip(rd.generator_elements, expt):
             for _ in range(e):
-                term = term * GroupAlgebraElement(pres.rd.rank, g)
+                term = term * GroupAlgebraElement(rd.rank, g)
         total = total + term
     return total
 
@@ -1545,13 +1543,13 @@ def torus_variable_renaming(torus: KZeroPresentation) -> tuple[int, ...]:
     """For each variable y_j of a torus_k0 quotient, the index of its
     reference variable: y(-e_i) is x_ib, y(e_i) is x_i.  Raises ValueError
     when the generator weights are not exactly the +-e_i."""
-    rank = torus.presentation_pres.rd.rank
+    rank = torus.levi.rank
     index = {}
     for i in range(rank):
         unit = tuple(1 if j == i else 0 for j in range(rank))
         index[tuple(-x for x in unit)] = 2 * i
         index[unit] = 2 * i + 1
-    weights = torus.presentation_pres.generator_weights
+    weights = torus.levi.generator_weights
     if sorted(weights) != sorted(index):
         raise ValueError(f"torus generator weights {weights} are not the +-e_i")
     return tuple(index[w] for w in weights)
@@ -1577,7 +1575,7 @@ def substitution_soundness(datum: CocharacterDatum, kz: KZeroPresentation,
     """Every relation, expanded back into Z[X*(T)], lies in the torus-side ideal
     (torus_gb is the strong basis from reference_k0_torus of the same datum)."""
     for rel in kz.syzygy_relations + kz.frobenius_relations:
-        expanded = expand_generator_polynomial(rel, kz.presentation_pres)
+        expanded = expand_generator_polynomial(rel, kz.levi)
         if normal_form_gb(to_poly(expanded.terms), torus_gb):
             return False
     return True
@@ -1608,29 +1606,6 @@ def twisted_point_count(rd: RootDatum, p: int, levi_weyl_order: int) -> int:
                          for row_tau, row_w in zip(tau, w)]))
         for w in rd.weyl.elements
     )
-    count, rest = divmod(total, levi_weyl_order)
-    if rest:
-        raise ValueError(f"|W_L| = {levi_weyl_order} does not divide the count {total}")
-    return count
-
-
-def closed_form_rank(rd: RootDatum, p: int, levi_weyl_order: int) -> int:
-    """The rank of R(L)/I R(L) in closed form (README, "Why K0 is free"):
-    p^s |det(p tau - 1 on the lineality lattice)| |W| / |W_L|, with s the
-    semisimple rank and tau the twist of rd (the identity if split).  tau
-    maps the lineality lattice to itself; its matrix is taken on the Hermite
-    basis rd.weight_lift[0], column k the coordinates of tau(z_k)."""
-    lin, etas = rd.weight_lift
-    tau = rd.twist if rd.twist is not None else identity_matrix(rd.rank)
-    basis_columns = [list(column) for column in zip(*lin)]
-    columns = []
-    for z in lin:
-        x = solve_linear_diophantine(basis_columns, mat_vec(tau, z), len(lin))
-        if x is None:
-            raise ValueError(f"the twist maps {z} out of the lineality lattice")
-        columns.append(x)
-    minus_one = [[p * columns[k][i] - (i == k) for k in range(len(lin))] for i in range(len(lin))]
-    total = p ** len(etas) * abs(determinant(minus_one)) * len(rd.weyl)
     count, rest = divmod(total, levi_weyl_order)
     if rest:
         raise ValueError(f"|W_L| = {levi_weyl_order} does not divide the count {total}")

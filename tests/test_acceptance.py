@@ -84,10 +84,10 @@ def test_criterion_2_torus_golden():
 def test_criterion_3_kunneth_freeness_sl3():
     for p in (2, 3):
         datum = CocharacterDatum(preset("SL3"), (1, 2), p)
-        rep = kunneth_rank_check(compute_k0(datum), torus_k0(datum))
+        rep = kunneth_rank_check(datum, compute_k0(datum))
         assert rep["levi_weyl_order"] == 2
         assert rep["status"] == "PASS"
-        assert rep["torus_rank"] == 2 * rep["levi_rank"]
+        assert rep["torus_rank"] == 2 * rep["levi_rank"] == torus_k0(datum).module_report.rank
     report(3, "SL3 with |W_L| = 2: rank_T = 2 * rank_L exactly for p in {2,3}")
 
 

@@ -196,6 +196,8 @@ def test_job_file_field_types_exit_2(capsys, tmp_path, job):
 
 NOT_UTF8 = b'\xff\xfe{"group": "SL2"}'
 NOT_A_ROOT = '{"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "simple_roots": [[4]]}'
+# GL2's roots and coroots as an explicit group, with the given further keys.
+GL2_WITH = '{"rank": 2, "roots": [[1, -1], [-1, 1]], "coroots": [[1, -1], [-1, 1]], %s}'
 A1XA1_SWAP = json.dumps({"rank": 2, "roots": [[2, 0], [-2, 0], [0, 2], [0, -2]],
                          "coroots": [[1, 0], [-1, 0], [0, 1], [0, -1]],
                          "simple_roots": [[2, 0], [0, 2]], "twist": [[0, 1], [1, 0]]})
@@ -237,6 +239,17 @@ MALFORMED = [
      "invalid TOML in"),
     ("explicit group without rank", ["validate", "--group", '{"roots": []}'], {}, 2,
      "explicit group is missing fields"),
+    # An explicit group takes only its five keys: a misspelt twist ran split
+    # GL2, a misspelt simple_roots failed validation, and a name was ignored.
+    ("explicit group with a misspelt twist",
+     ["k0", "--group", GL2_WITH % '"simple_roots": [[1, -1]], "twsit": [[0, 1], [1, 0]]',
+      "--mu", "1,0", "--p", "3"], {}, 2, "parse error: unknown explicit group keys: ['twsit']"),
+    ("explicit group with a misspelt simple_roots",
+     ["k0", "--group", GL2_WITH % '"simple_root": [[1, -1]]', "--mu", "1,0", "--p", "3"], {}, 2,
+     "parse error: unknown explicit group keys: ['simple_root']"),
+    ("explicit group with a name",
+     ["k0", "--group", GL2_WITH % '"simple_roots": [[1, -1]], "name": "GL2"',
+      "--mu", "1,0", "--p", "3"], {}, 2, "parse error: unknown explicit group keys: ['name']"),
     ("group neither name nor object", ["k0", "{tmp}/job.json"], {"job.json": b'{"group": 5}'}, 2,
      "group must be a preset name or an object, got 5"),
     ("unknown check", ["k0", "--group", "SL2", "--checks", "kunneth,bogus"], {}, 2,
@@ -425,21 +438,23 @@ def test_one_weyl_group_per_job(capsys, monkeypatch):
 
 
 def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
-    # The coordinate map is built once per presentation, the Levi's and T's,
-    # and the Frobenius generators once per job: the torus quotient at the
-    # coroot sum takes the job's.  So G's orbit sums are built once, and at a
-    # central mu they present R(L) too.  SL4 at mu = 0 builds G's 3.  SL3 at
-    # mu = 0 builds G's 2 and T's 4; at mu = (1, 2) it adds L's 3.  Sp4 at
-    # mu = (1, 0) builds G's 2, L's 3 and T's 4.
+    # A root datum presents its own invariant ring, so the coordinate map is
+    # built once per datum, the Levi's and, for theta, T's, and G's orbit
+    # sums once per job; at a central mu the Levi is G's datum, so they
+    # present R(L) too.  The Frobenius generators are built once per job:
+    # theta's torus quotient at the coroot sum takes the job's.  SL4 at
+    # mu = 0 builds G's 3 orbit sums.  SL3 at mu = 0 builds G's 2 (kunneth
+    # reads the torus rank in closed form); at mu = (1, 2) with theta it
+    # builds G's 2, L's 3 and T's 4.  Sp4 at mu = (1, 0) builds G's 2, L's 3
+    # and T's 4.
     from functools import cached_property
 
-    import zipk0.invariants
-    from zipk0.invariants import InvariantRingPresentation
+    import zipk0.grpalg
+    from zipk0.rootdata import RootDatum
     from zipk0.zipk import CocharacterDatum
 
     builds = {}
-    for cls, name in ((InvariantRingPresentation, "coordinates"),
-                      (CocharacterDatum, "frobenius_gens")):
+    for cls, name in ((RootDatum, "coordinates"), (CocharacterDatum, "frobenius_gens")):
         def counting(self, real=vars(cls)[name].func, name=name):
             builds[name] += 1
             return real(self)
@@ -448,15 +463,15 @@ def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
         prop.__set_name__(cls, name)
         monkeypatch.setattr(cls, name, prop)
 
-    def orbit_sum(weyl, weight, real=zipk0.invariants.orbit_sum):
+    def orbit_sum(weyl, weight, real=zipk0.grpalg.orbit_sum):
         builds["orbit_sum"] += 1
         return real(weyl, weight)
 
-    monkeypatch.setattr(zipk0.invariants, "orbit_sum", orbit_sum)
+    monkeypatch.setattr(zipk0.grpalg, "orbit_sum", orbit_sum)
     jobs = [
         (("SL3", "1,2", "3", "kunneth,theta"), 2, 9),
         (("SL4", "0,0,0", "2", ""), 1, 3),
-        (("SL3", "0,0", "2", "kunneth"), 2, 6),
+        (("SL3", "0,0", "2", "kunneth"), 1, 2),
         (("Sp4", "1,0", "3", "kunneth,theta"), 2, 9),
     ]
     for (group, mu, p, checks), coordinates, orbit_sums in jobs:
@@ -466,6 +481,25 @@ def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
         assert code == 0
         assert builds == {"coordinates": coordinates, "frobenius_gens": 1,
                           "orbit_sum": orbit_sums}, group
+
+
+@pytest.mark.parametrize("mu", ["0,0", "1,0", "1,2"])
+def test_a_kunneth_job_runs_one_completion(capsys, monkeypatch, mu):
+    # The Kunneth check reads the torus rank in closed form: the job's own
+    # answer is its only completion, whatever the Levi.
+    import zipk0.zipk
+
+    calls = []
+
+    def strong_groebner(*args, real=zipk0.zipk.strong_groebner, **kwargs):
+        calls.append(mu)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zipk0.zipk, "strong_groebner", strong_groebner)
+    code, out, _ = run(capsys, "k0", "--group", "SL3", "--mu", mu, "--p", "2",
+                       "--checks", "kunneth")
+    assert code == 0 and json.loads(out)["checks"]["kunneth"]["status"] == "PASS"
+    assert calls == [mu]
 
 
 @pytest.mark.parametrize("argv", [

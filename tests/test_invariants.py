@@ -9,7 +9,6 @@ from zipk0 import checks
 from zipk0.checks import steinberg_candidate_weights, steinberg_freeness_check
 from zipk0.grpalg import frobenius, orbit_sum, weyl_act
 from zipk0.invariants import (
-    InvariantRingPresentation,
     NotInvariantError,
     express_invariant,
 )
@@ -50,7 +49,7 @@ def as_elements(rank, dicts):
 
 
 def test_invariant_ring_sl2():
-    pres = InvariantRingPresentation(preset("SL2"))
+    pres = preset("SL2")
     assert pres.generator_weights == ((1,),)
     assert pres.generator_elements == ((x(1) + x(-1)).terms,)
 
@@ -58,13 +57,12 @@ def test_invariant_ring_sl2():
 def test_invariant_ring_sl2_levi_torus():
     rd = preset("SL2")
     levi = levi_from_cocharacter(rd, (1,))
-    pres = InvariantRingPresentation(levi)
-    assert sorted(pres.generator_weights) == [(-1,), (1,)]
-    assert as_elements(1, pres.generator_elements) == {x(1), x(-1)}
+    assert sorted(levi.generator_weights) == [(-1,), (1,)]
+    assert as_elements(1, levi.generator_elements) == {x(1), x(-1)}
 
 
 def test_invariant_ring_gl2():
-    pres = InvariantRingPresentation(preset("GL2"))
+    pres = preset("GL2")
     expected = {
         from_terms(2, [((1, 0), 1), ((0, 1), 1)]),       # x1 + x2
         from_terms(2, [((1, 1), 1)]),                     # x1 x2
@@ -78,8 +76,8 @@ def test_generators_are_orbit_sums(name):
     # Generator i is m_lambda for lambda = generator_weights[i]: coefficient 1
     # on exactly the closure of lambda under the simple reflections, with
     # |W| / |Stab_W(lambda)| terms, the stabiliser counted over weyl.elements.
-    pres = InvariantRingPresentation(preset(name))
-    weyl = pres.rd.weyl
+    pres = preset(name)
+    weyl = pres.weyl
     for lam, el in zip(pres.generator_weights, pres.generator_elements):
         orbit, frontier = {lam}, [lam]
         while frontier:
@@ -97,21 +95,20 @@ def test_generators_are_orbit_sums(name):
 
 def test_express_invariant_square():
     rd = preset("SL2")
-    pres = InvariantRingPresentation(rd)
     f = from_terms(1, [((2,), 1), ((0,), 2), ((-2,), 1)])  # x^2 + 2 + x^-2
-    poly = express_invariant(f.terms, pres)
+    poly = express_invariant(f.terms, rd)
     assert poly == {(2,): 1}
-    assert expand_generator_polynomial(poly, pres) == f
+    assert expand_generator_polynomial(poly, rd) == f
 
 
 def test_express_invariant_constant():
-    pres = InvariantRingPresentation(preset("SL2"))
+    pres = preset("SL2")
     assert express_invariant(one(1).terms, pres) == {(0,): 1}
 
 
 def test_express_invariant_orbit_sum_two():
     # x^2 + 1 + x^-2 = g^2 - 1 where g = x + x^-1.
-    pres = InvariantRingPresentation(preset("SL2"))
+    pres = preset("SL2")
     f = from_terms(1, [((2,), 1), ((0,), 1), ((-2,), 1)])
     poly = express_invariant(f.terms, pres)
     assert poly == {(2,): 1, (0,): -1}
@@ -119,7 +116,7 @@ def test_express_invariant_orbit_sum_two():
 
 
 def test_express_invariant_rejects_noninvariant():
-    pres = InvariantRingPresentation(preset("SL2"))
+    pres = preset("SL2")
     with pytest.raises(NotInvariantError):
         express_invariant(x(1).terms, pres)
 
@@ -130,8 +127,8 @@ def test_express_invariant_rejects_noninvariant():
 ])
 def test_express_invariant_roundtrip_random(name, mu):
     rd = preset(name)
-    pres = InvariantRingPresentation(levi_from_cocharacter(rd, mu) if mu is not None else rd)
-    weyl = pres.rd.weyl
+    pres = levi_from_cocharacter(rd, mu) if mu is not None else rd
+    weyl = pres.weyl
     rng = random.Random(f"{name}{mu}".__hash__() % 2**32)
     for _ in range(100):
         f = GroupAlgebraElement(rd.rank, {})
@@ -253,9 +250,8 @@ def test_combination_matches_reference_solve():
             if levi.roots in seen:
                 continue
             seen.add(levi.roots)
-            pres = InvariantRingPresentation(levi)
-            combination = pres.coordinates
-            reference = reference_nonneg_combinations(pres)
+            combination = levi.coordinates
+            reference = reference_nonneg_combinations(levi)
             for target in itertools.product(range(-3, 4), repeat=rd.rank):
                 if weights_dominant(target, levi.simple_coroots):
                     targets += 1

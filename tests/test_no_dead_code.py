@@ -1,6 +1,7 @@
-"""Every public function of the library is referenced by the library or the
-benchmark: a name that `src/` and `perfbench/` never use is dead code, or, if
-only tests call it, a test oracle that belongs in `tests/oracles.py`.  So is
+"""Every public function and class of the library is referenced by the
+library or the benchmark: a name that `src/` and `perfbench/` never use is
+dead code, or, if only tests call it, a test oracle that belongs in
+`tests/oracles.py`, and a class kept only for tests is a wrapper.  So is
 a private function or class that nothing there uses but its own body.  Every
 field of a library value class is read there too: a field that nothing reads
 is dead weight on every instance.  And every default of a public parameter or
@@ -23,7 +24,8 @@ def test_every_public_function_is_referenced():
     defined = {}
     for path in sorted((ROOT / "src" / "zipk0").glob("*.py")):
         for node in ast.walk(_parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
     used = set()
     for folder in ("src", "perfbench"):

@@ -12,7 +12,6 @@ from zipk0.rootdata import (
     RootDatumError,
     SimplyConnectedHypothesisError,
     _canonical_preimage,
-    dominant_hilbert_basis,
     fundamental_group,
     levi_from_cocharacter,
     make_root_datum,
@@ -274,21 +273,21 @@ def test_levi_of_sc_datum_has_sc_derived_group(name):
 
 
 def test_hilbert_basis_sl2():
-    assert dominant_hilbert_basis(preset("SL2")) == [(1,)]
+    assert list(preset("SL2").generator_weights) == [(1,)]
 
 
 def test_hilbert_basis_gl2():
-    assert sorted(dominant_hilbert_basis(preset("GL2"))) == sorted([(1, 0), (1, 1), (-1, -1)])
+    assert sorted(preset("GL2").generator_weights) == sorted([(1, 0), (1, 1), (-1, -1)])
 
 
 def test_hilbert_basis_levi_torus():
     rd = preset("GL2")
     levi = levi_from_cocharacter(rd, (1, 0))  # generic: L = T
-    assert sorted(dominant_hilbert_basis(levi)) == sorted([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    assert sorted(levi.generator_weights) == sorted([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
 def test_hilbert_basis_sl3():
-    assert sorted(dominant_hilbert_basis(preset("SL3"))) == sorted([(1, 0), (0, 1)])
+    assert sorted(preset("SL3").generator_weights) == sorted([(1, 0), (0, 1)])
 
 
 def group_and_levis(rd):
@@ -306,7 +305,7 @@ def test_hilbert_basis_matches_general_search(name):
     # the extreme-ray and box search on G and on each of its Levis.
     rd = preset(name)
     for datum in group_and_levis(rd):
-        assert dominant_hilbert_basis(datum) == general_dominant_hilbert_basis(datum)
+        assert list(datum.generator_weights) == general_dominant_hilbert_basis(datum)
 
 
 def test_lift_rounds_to_the_nearest_multiple_with_ties_down():
@@ -363,14 +362,14 @@ def test_hilbert_basis_matches_general_search_explicit_datum():
     rd = make_root_datum(3, [(1, -1, 1), (-1, 1, -1)], [(1, -1, 0), (-1, 1, 0)], [(1, -1, 1)])
     validate(rd)
     rd.weight_lift
-    assert dominant_hilbert_basis(rd) == [(-1, -1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
+    assert list(rd.generator_weights) == [(-1, -1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
     for datum in group_and_levis(rd):
-        assert dominant_hilbert_basis(datum) == general_dominant_hilbert_basis(datum)
+        assert list(datum.generator_weights) == general_dominant_hilbert_basis(datum)
 
 
 def test_hilbert_basis_rejects_pgl2():
     with pytest.raises(SimplyConnectedHypothesisError) as exc:
-        dominant_hilbert_basis(preset("PGL2"))
+        preset("PGL2").generator_weights
     assert exc.value.torsion == [2]
 
 
@@ -378,7 +377,7 @@ def test_hilbert_basis_rejects_pgl2():
 def test_hilbert_basis_generates_box(name):
     # Every dominant lattice point in a test box is an N-combination of the basis.
     rd = preset(name)
-    basis = dominant_hilbert_basis(rd)
+    basis = rd.generator_weights
     cosimples = rd.simple_coroots
     box = 2
     points = {

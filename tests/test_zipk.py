@@ -8,7 +8,7 @@ import math
 import random
 
 from zipk0.caps import DEFAULT_MAX_DEGREE, ResourceCapError
-from zipk0.groebner import normal_form_gb, poly_to_string, strong_groebner
+from zipk0.groebner import QuotientReport, normal_form_gb, poly_to_string, strong_groebner
 from zipk0.checks import (
     _weyl_rows,
     check_sections,
@@ -17,7 +17,7 @@ from zipk0.checks import (
     theta_map_check,
     window_box,
 )
-from zipk0.invariants import InvariantRingPresentation, express_invariant
+from zipk0.invariants import express_invariant
 from zipk0.lattice import (
     MILLER_RABIN_BOUND,
     _prime_factors,
@@ -38,6 +38,8 @@ from zipk0.rootdata import (
 )
 from zipk0.zipk import (
     CocharacterDatum,
+    KZeroPresentation,
+    closed_form_rank,
     compute_k0,
     levi_presentation_ring,
     unit_relations,
@@ -46,7 +48,6 @@ from zipk0.zipk import (
 from oracles import (
     BlockRingSpec,
     all_presets,
-    closed_form_rank,
     counterexample_brute_force,
     dense_hermite_row_basis,
     dense_kernel_basis,
@@ -75,7 +76,7 @@ from oracles import (
 
 
 def kunneth(datum):
-    return kunneth_rank_check(compute_k0(datum), torus_k0(datum))
+    return kunneth_rank_check(datum, compute_k0(datum))
 
 
 def test_is_prime():
@@ -184,7 +185,7 @@ def test_sl2_levi_torus_matches_torus_side():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     torus_gb, torus_report = reference_k0_torus(datum)
     kz = compute_k0(datum)
-    assert len(kz.presentation_pres.rd.weyl) == 1
+    assert len(kz.levi.weyl) == 1
     assert kz.module_report.rank == torus_report.rank == 6
     assert kz.module_report.torsion == torus_report.torsion == ()
     # Mutual containment of the ideals under the renaming y <-> monomials.
@@ -193,7 +194,7 @@ def test_sl2_levi_torus_matches_torus_side():
         from_terms(1, [((1,), 1), ((-1,), 1), ((3,), -1), ((-3,), -1)]),
     ]
     for g in fig_polys:
-        poly = express_invariant(g.terms, kz.presentation_pres)
+        poly = express_invariant(g.terms, kz.levi)
         assert normal_form_gb(poly, kz.groebner) == {}
 
 
@@ -208,7 +209,7 @@ def test_presentation_fields_sl2():
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     kz = compute_k0(datum)
     assert kz.groebner.spec.names == ("y1", "y2")
-    assert kz.presentation_pres.generator_weights == ((-1,), (1,))
+    assert kz.levi.generator_weights == ((-1,), (1,))
     assert ["y1*y2 - 1"] == [poly_to_string(r, kz.groebner.spec) for r in kz.syzygy_relations]
     assert len(kz.frobenius_relations) == 1
     assert normal_form_gb({(0, 0): 1}, kz.groebner)
@@ -223,23 +224,23 @@ def test_levi_gr_presentation_l_equals_g():
     assert len(kz.frobenius_relations) == 1
     assert kz.module_report.rank == 3
     # Direct construction through the full invariant ring.
-    pres = InvariantRingPresentation(preset("SL2"))
-    direct = express_invariant(CocharacterDatum(preset("SL2"), (0,), 3).frobenius_gens[0], pres)
+    rd = preset("SL2")
+    direct = express_invariant(CocharacterDatum(rd, (0,), 3).frobenius_gens[0], rd)
     assert dict(kz.frobenius_relations[0]) == direct
 
 
-def eliminated_levi_presentation(rd: RootDatum, lpres: InvariantRingPresentation):
+def eliminated_levi_presentation(levi: RootDatum):
     """Oracle for levi_presentation_ring: eliminate the torus block from the
     graph ideal (y_j - generator_j) in Z[x, x^-1, y] under a block order."""
-    n = 2 * rd.rank
-    k = len(lpres.generator_elements)
-    tspec, units = torus_ring_spec(rd.rank)
+    n = 2 * levi.rank
+    k = len(levi.generator_elements)
+    tspec, units = torus_ring_spec(levi.rank)
     big_spec = BlockRingSpec(
         tspec.names + tuple(f"y{j + 1}" for j in range(k)),
         (tuple(range(n)), tuple(range(n, n + k))),
     )
     gens = [{m + (0,) * k: c for m, c in u.items()} for u in units]
-    for j, el in enumerate(lpres.generator_elements):
+    for j, el in enumerate(levi.generator_elements):
         g = {m + (0,) * k: -c for m, c in to_poly(el).items()}
         yj = (0,) * n + tuple(1 if i == j else 0 for i in range(k))
         g[yj] = g.get(yj, 0) + 1
@@ -269,9 +270,7 @@ def test_levi_presentation_closed_form_matches_elimination():
     cases = distinct_simply_connected_levis()
     assert len(cases) == 33
     for name, mu, levi in cases:
-        lpres = InvariantRingPresentation(levi)
-        expected = eliminated_levi_presentation(levi, lpres)
-        assert levi_presentation_ring(lpres) == expected, (name, mu)
+        assert levi_presentation_ring(levi) == eliminated_levi_presentation(levi), (name, mu)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -295,6 +294,29 @@ def test_kunneth_torus():
     datum = CocharacterDatum(preset("Gm"), (0,), 5)
     report = kunneth(datum)
     assert report["status"] == "PASS" and report["levi_weyl_order"] == 1
+
+
+def test_kunneth_fails_on_a_levi_rank_off_by_one():
+    # The torus rank is the closed form, so a Levi rank that is off fails.
+    datum = CocharacterDatum(preset("SL3"), (1, 2), 2)
+    kz = compute_k0(datum)
+    good = kz.module_report
+    assert kunneth_rank_check(datum, kz)["status"] == "PASS"
+    for off in (-1, 1):
+        wrong = QuotientReport(good.rank + off, good.torsion, good.standard_monomials, good.bound)
+        altered = KZeroPresentation(kz.syzygy_relations, kz.frobenius_relations, kz.groebner,
+                                    wrong, kz.levi)
+        rep = kunneth_rank_check(datum, altered)
+        assert rep == {"status": "FAIL", "torus_rank": 2 * good.rank,
+                       "levi_rank": good.rank + off, "levi_weyl_order": 2}
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "PGL2"])
+def test_a_central_mu_presents_r_l_on_the_group_datum(name):
+    # At a central mu the Levi is rd itself, so G's orbit sums present R(L).
+    rd = preset(name)
+    datum = CocharacterDatum(rd, (0,) * rd.rank, 2)
+    assert compute_k0(datum).levi is datum.rd
 
 
 def test_substitution_soundness_sl3():
@@ -334,7 +356,7 @@ def test_theta_check_sl2():
     assert rep["all_invariant_pass"]
     # x - x^3 is NOT in the ideal: x alone is not a class from R(G).
     f = monomial(1, (1,)) - monomial(1, (3,))
-    assert normal_form_gb(express_invariant(f.terms, torus.presentation_pres), torus.groebner) != {}
+    assert normal_form_gb(express_invariant(f.terms, torus.levi), torus.groebner) != {}
 
 
 def test_theta_check_gl2_center():
@@ -434,7 +456,7 @@ def test_normal_form_lands_in_standard_monomials():
     # of the six standard monomials.
     datum = CocharacterDatum(preset("SL2"), (1,), 3)
     torus = torus_k0(datum)
-    nf = normal_form_gb(express_invariant(monomial(1, (5,)).terms, torus.presentation_pres),
+    nf = normal_form_gb(express_invariant(monomial(1, (5,)).terms, torus.levi),
                         torus.groebner)
     assert nf != {}
     assert set(nf) <= set(torus.module_report.standard_monomials)
@@ -462,11 +484,12 @@ def test_pipeline_leaves_cached_elements_unchanged(name, mu, twist):
     datum = CocharacterDatum(rd, mu, 3)
     before = [dict(g) for g in datum.frobenius_gens]
     kz, torus = compute_k0(datum), torus_k0(datum)
-    assert kunneth_rank_check(kz, torus)["status"] == "PASS"
+    assert kunneth_rank_check(datum, kz)["status"] == "PASS"
     assert theta_map_check(datum, torus)["generator_sanity"]
     assert [dict(g) for g in datum.frobenius_gens] == before
-    for pres in (kz.presentation_pres, torus.presentation_pres):
-        assert pres.generator_elements == InvariantRingPresentation(pres.rd).generator_elements
+    for levi in (kz.levi, torus.levi):
+        fresh = RootDatum(levi.rank, levi.roots, levi.coroots, levi.simple_indices)
+        assert levi.generator_elements == fresh.generator_elements
 
 
 def test_datum_inherits_twist_from_root_datum():
@@ -576,9 +599,12 @@ def test_kunneth_torsion_and_rank_on_every_levi(p):
         datum = CocharacterDatum(preset(name), mu, p)
         if name not in tori:
             tori[name] = torus_k0(datum)
-        torus, kz = tori[name].module_report, compute_k0(datum).module_report
+        answer = compute_k0(datum)
+        torus, kz = tori[name].module_report, answer.module_report
         assert torus.torsion == kz.torsion == (), (name, mu)
         assert torus.rank == len(levi.weyl) * kz.rank, (name, mu)
+        # The check's closed form is the completed torus rank.
+        assert kunneth_rank_check(datum, answer)["torus_rank"] == torus.rank, (name, mu)
 
 
 # The ten `quotient` ladder cases: (group, mu, p, |W|, s, z, |W_L|), with s
@@ -817,7 +843,7 @@ def assert_free_of_counted_rank(datum):
     kz = compute_k0(datum)
     report = kz.module_report
     assert report.torsion == ()
-    levi_weyl_order = len(kz.presentation_pres.rd.weyl)
+    levi_weyl_order = len(kz.levi.weyl)
     assert report.rank == closed_form_rank(datum.rd, datum.p, levi_weyl_order)
     assert report.rank == twisted_point_count(datum.rd, datum.p, levi_weyl_order)
     return report.rank
@@ -879,7 +905,7 @@ def test_torus_quotient_is_k0_at_the_coroot_sum(name, tau, p):
     rd = twisted(name, tau)
     regular, central = (CocharacterDatum(rd, mu, p) for mu in (rd.coroot_sum, (0,) * rd.rank))
     kz = compute_k0(regular)
-    assert kz.presentation_pres.rd.roots == ()
+    assert kz.levi.roots == ()
     on_t = check_sections(("kunneth", "theta"), regular, kz, DEFAULT_MAX_DEGREE, 0)
     on_g = check_sections(("kunneth", "theta"), central, compute_k0(central), DEFAULT_MAX_DEGREE, 0)
     assert on_t["theta"] == on_g["theta"]
