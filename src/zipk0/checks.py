@@ -221,24 +221,22 @@ def hecke_check(datum: CocharacterDatum, window: int) -> dict:
 
 
 def steinberg_candidate_weights(rd: RootDatum) -> list[Vector]:
-    """lambda_w = w^{-1}(sum of eta_alpha over simple alpha with w^{-1} alpha < 0),
-    with eta_alpha the integral fundamental weights of rd.weight_lift, one
-    weight per Weyl element in the order of rd.weyl.
+    """lambda = v(sum of eta_alpha over simple alpha with v alpha < 0), with
+    eta_alpha the integral fundamental weights of rd.weight_lift, one weight
+    per Weyl element v in the order of rd.weyl.
 
-    Steinberg's basis of R(T) over R(G) (see steinberg_freeness_check).
+    With v = w^{-1} this is Steinberg's lambda_w, so the list is his basis of
+    R(T) over R(G) (see steinberg_freeness_check), indexed by inverses.
     """
     etas = rd.weight_lift[1]
     pos = frozenset(rd.roots[i] for i in rd.positive_indices)
-    weyl = rd.weyl
     out = []
-    for word in weyl.reduced_words:
-        # Simple reflections are involutions: the reversed word gives w^{-1}.
-        winv = weyl.word_matrix(word[::-1])
+    for v in rd.weyl.elements:
         total = (0,) * rd.rank
-        for i, alpha in enumerate(rd.simple_roots):
-            if mat_vec(winv, alpha) not in pos:
-                total = tuple(a + b for a, b in zip(total, etas[i]))
-        out.append(mat_vec(winv, total))
+        for alpha, eta in zip(rd.simple_roots, etas):
+            if mat_vec(v, alpha) not in pos:
+                total = tuple(a + b for a, b in zip(total, eta))
+        out.append(mat_vec(v, total))
     return out
 
 

@@ -3,17 +3,18 @@
 An element is a dict from exponent vectors (characters) to nonzero integers,
 the same sparse shape as groebner.Poly.  This is the representation ring of
 the torus; the Weyl action and the Frobenius endomorphism below make it the
-workhorse ring for everything downstream.  Every function here returns a new
-dict and leaves its arguments as they are, since callers cache and share
-elements.
+workhorse ring for everything downstream.  Its Weyl-invariant orbit sums
+are built with the Weyl group (rootdata.orbit_sum).  Every function here
+returns a new dict and leaves its arguments as they are, since callers cache
+and share elements.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Optional, Sequence
+from typing import Optional
 
-from .rootdata import Matrix, Vector, WeylGroup, mat_vec, weyl_orbit
+from .rootdata import Matrix, Vector, mat_vec
 
 Element = dict[Vector, int]  # {character: nonzero int}
 
@@ -43,11 +44,6 @@ def subtract(f: Element, g: Element) -> Element:
 def weyl_act(w: Matrix, f: Element) -> Element:
     """e^chi -> e^{w chi}, extended Z-linearly; a ring automorphism."""
     return {mat_vec(w, e): c for e, c in f.items()}
-
-
-def orbit_sum(weyl: WeylGroup, weight: Sequence[int]) -> Element:
-    """m_lambda: the sum of e^nu over the orbit (each orbit element once)."""
-    return {nu: 1 for nu in weyl_orbit(weyl, weight)}
 
 
 def frobenius(f: Element, p: int, twist: Optional[Matrix] = None) -> Element:

@@ -136,7 +136,6 @@ class RootDatum:
     @cached_property
     def generator_elements(self) -> tuple[dict[Vector, int], ...]:
         """The orbit sums m_lambda of the generator weights: R(T)^W's generators."""
-        from .grpalg import orbit_sum  # grpalg imports this module
         return tuple(orbit_sum(self.weyl, w) for w in self.generator_weights)
 
     @cached_property
@@ -247,26 +246,36 @@ def validate(rd: RootDatum) -> None:
         raise RootDatumError(
             "non-finite-type-cartan", "Cartan matrix has a non-positive principal minor"
         )
-    # Every root is in the orbit of the simple system.
-    orbit = set(rd.simple_roots)
-    frontier = list(rd.simple_roots)
-    gens = [reflection_matrix(rd.roots[i], rd.coroots[i]) for i in rd.simple_indices]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = mat_vec(g, v)
-                if w not in orbit:
-                    orbit.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    if orbit != set(rd.roots):
+    _check_base(rd)
+    if rd.twist is not None:
+        _validate_twist(rd)
+
+
+def _check_base(rd: RootDatum) -> None:
+    """Raise RootDatumError("reflection-not-permuting") unless the roots are
+    the Weyl orbit of the simple system: half of them lie in
+    rd.positive_indices, and no root is twice another.
+
+    After the pairing, automorphism and finite-type Cartan checks the roots
+    form a root system, possibly not reduced, and the simple roots are
+    linearly independent (det C > 0, see validate).  So the roots that adding
+    simple roots reaches, which lie in N Delta, are disjoint from their
+    negatives, and they are half of the roots only when Phi lies in
+    +-N Delta.  "Phi in +-N Delta and reduced" says that Delta is a base, and
+    then Phi = W Delta; conversely W Delta is the reduced root system with
+    base Delta, and adding simple roots reaches each of its positive roots
+    (Humphreys, Introduction to Lie Algebras, 10.1-10.3).  So the test holds
+    exactly when Phi = W Delta.  The roots +-1, +-2 with simple system {1}
+    pass the first clause and fail the second.
+    """
+    roots = set(rd.roots)
+    if 2 * len(rd.positive_indices) != len(roots) or any(
+        tuple(2 * x for x in a) in roots for a in roots
+    ):
         raise RootDatumError(
             "reflection-not-permuting",
             "roots are not a single Weyl orbit closure of the simple system",
         )
-    if rd.twist is not None:
-        _validate_twist(rd)
 
 
 def _validate_twist(rd: RootDatum) -> None:
@@ -316,53 +325,42 @@ def _check_automorphism(rd: RootDatum, g: Matrix, kind: str, name: str) -> None:
 
 @record
 class WeylGroup:
-    """Finite Weyl group as explicit matrices with one reduced word each."""
+    """Finite Weyl group as explicit matrices."""
 
     rank: int
     generators: tuple[Matrix, ...]          # simple reflections, in simple-root order
     elements: tuple[Matrix, ...]
-    reduced_words: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def word_matrix(self, word: Sequence[int]) -> Matrix:
-        m = identity_matrix(self.rank)
-        for i in word:
-            m = mat_mul(m, self.generators[i])
-        return m
-
 
 def weyl_enumerate(rd: RootDatum) -> WeylGroup:
-    """BFS closure of the simple reflections; BFS depth gives reduced words."""
+    """Breadth-first closure of the simple reflections, from the identity."""
     gens = tuple(reflection_matrix(a, av) for a, av in zip(rd.simple_roots, rd.simple_coroots))
-    ident = identity_matrix(rd.rank)
-    elements: list[Matrix] = [ident]
-    words: list[tuple[int, ...]] = [()]
-    seen = {ident: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for i, g in enumerate(gens):
-                m = mat_mul(elements[idx], g)
-                if m not in seen:
-                    seen[m] = len(elements)
-                    elements.append(m)
-                    words.append(words[idx] + (i,))
-                    nxt.append(seen[m])
-                    if len(elements) > WEYL_SIZE_CAP:
-                        raise WeylSizeCapError(
-                            f"Weyl group larger than cap {WEYL_SIZE_CAP}"
-                        )
-        frontier = nxt
-    return WeylGroup(rd.rank, gens, tuple(elements), tuple(words))
+    elements = [identity_matrix(rd.rank)]
+    seen = set(elements)
+    for w in elements:  # the list grows as the walk finds elements
+        for g in gens:
+            m = mat_mul(w, g)
+            if m not in seen:
+                seen.add(m)
+                elements.append(m)
+                if len(elements) > WEYL_SIZE_CAP:
+                    raise WeylSizeCapError(f"Weyl group larger than cap {WEYL_SIZE_CAP}")
+    return WeylGroup(rd.rank, gens, tuple(elements))
 
 
 def weyl_orbit(weyl: WeylGroup, weight: Sequence[int]) -> tuple[Vector, ...]:
     """The orbit of a weight, sorted for determinism (each element once)."""
     v = tuple(int(x) for x in weight)
     return tuple(sorted({mat_vec(m, v) for m in weyl.elements}))
+
+
+def orbit_sum(weyl: WeylGroup, weight: Sequence[int]) -> dict[Vector, int]:
+    """m_lambda: the sum of e^nu over the orbit (each orbit element once), as
+    an element of the group algebra (grpalg)."""
+    return {nu: 1 for nu in weyl_orbit(weyl, weight)}
 
 
 def positive_root_indices(rd: RootDatum) -> tuple[int, ...]:
@@ -430,13 +428,7 @@ def levi_from_cocharacter(rd: RootDatum, mu: Sequence[int]) -> RootDatum:
         if not any(tuple(x - y for x, y in zip(r, b)) in pos_set for b in pos if b != r)
     )
     levi = RootDatum(rd.rank, roots, tuple(rd.coroots[i] for i in kept), simples)
-    # Sanity: the Levi roots are closed under negation, so they are a
-    # +-N-combination of the simple system exactly when half are positive.
-    if 2 * len(levi.positive_indices) != len(roots):
-        raise RootDatumError(
-            "reflection-not-permuting",
-            "Levi roots are not signed combinations of the Levi simple system",
-        )
+    _check_base(levi)  # a sanity check: B cap L is a Borel of L
     return levi
 
 

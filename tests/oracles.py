@@ -14,8 +14,9 @@ QQ and GF(p) (sympy_quotient_dimension), and the general code
 that the library itself does not need: the Smith normal form with its
 transforms, block elimination orders and elimination ideals, the Demazure
 operator on elements and by pseudo-division, Demazure characters, the
-substitution of generators into a polynomial, Levi restrictions and
-reduced-word counts."""
+substitution of generators into a polynomial, Levi restrictions, Weyl
+lengths counted as inversions and as words, reduced-word counts, and the
+walk of the simple roots' orbit that validate's base test replaces."""
 
 from __future__ import annotations
 
@@ -847,23 +848,19 @@ def mod_l_count_agrees(gb: GroebnerBasis, rank: int, torsion, ell: int) -> bool:
 
 
 def steinberg_weights_by_elements(rd: RootDatum) -> list[Vector]:
-    """checks.steinberg_candidate_weights from the Weyl group's matrices
-    instead of its reduced words: for each w in rd.weyl.elements, w^{-1} is
-    the element whose product with w is the identity, and the simple root
-    alpha_i is a descent of w^{-1} when w^{-1} alpha_i has a negative
-    coefficient over the simple roots.  lambda_w is w^{-1} of the sum of the
-    fundamental weights of those descents."""
-    elements = rd.weyl.elements
-    ident = identity_matrix(rd.rank)
+    """checks.steinberg_candidate_weights with its own descent test: for each
+    v in rd.weyl.elements, the simple root alpha_i is a descent of v when
+    v alpha_i has a negative coefficient over the simple roots, and lambda is
+    v of the sum of the fundamental weights of those descents (Steinberg's
+    lambda_w for w = v^{-1})."""
     etas = rd.weight_lift[1]
     out = []
-    for w in elements:
-        winv = next(v for v in elements if mat_mul(w, v) == ident)
+    for v in rd.weyl.elements:
         total = (0,) * rd.rank
         for alpha, eta in zip(rd.simple_roots, etas):
-            if min(root_coefficients(mat_vec(winv, alpha), rd.simple_roots)) < 0:
+            if min(root_coefficients(mat_vec(v, alpha), rd.simple_roots)) < 0:
                 total = tuple(map(add, total, eta))
-        out.append(mat_vec(winv, total))
+        out.append(mat_vec(v, total))
     return out
 
 
@@ -1043,6 +1040,25 @@ def reference_positive_root_indices(rd: RootDatum) -> tuple[int, ...]:
         if coeffs is not None and all(c >= 0 for c in coeffs):
             out.append(i)
     return tuple(out)
+
+
+def simple_orbit_is_the_roots(rd: RootDatum) -> bool:
+    """The base test that rootdata.validate replaces by a count of positive
+    roots: the orbit of the simple roots under the simple reflections, walked
+    breadth-first, is the set of roots."""
+    orbit = set(rd.simple_roots)
+    frontier = list(rd.simple_roots)
+    gens = [reflection_matrix(rd.roots[i], rd.coroots[i]) for i in rd.simple_indices]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = mat_vec(g, v)
+                if w not in orbit:
+                    orbit.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return orbit == set(rd.roots)
 
 
 def principal_minors_positive(c: Sequence[Sequence[int]]) -> bool:
@@ -1342,7 +1358,8 @@ def demazure_character(
         raise ValueError(f"weight {tuple(weight)} is not dominant")
     if weyl is None:
         weyl = weyl_enumerate(rd)
-    word = max(weyl.reduced_words, key=len)  # the longest element's
+    lengths = weyl_lengths(rd, weyl)
+    word = all_reduced_words(weyl, lengths.index(max(lengths)), lengths)[0]  # w0's
     return demazure_word(rd, word, monomial(rd.rank, weight))
 
 
@@ -1437,10 +1454,31 @@ def inversion_length(w: Matrix, positive_roots: Sequence[Vector], positive_set: 
 
 
 def weyl_lengths(rd: RootDatum, weyl: WeylGroup) -> tuple[int, ...]:
-    """l(w) as inversion counts; should match reduced word lengths."""
+    """l(w) = #{alpha > 0 : w alpha < 0}, the inversion count, for each
+    element of the Weyl group in its order."""
     pos = [rd.roots[i] for i in positive_root_indices(rd)]
     pos_set = frozenset(pos)
     return tuple(inversion_length(w, pos, pos_set) for w in weyl.elements)
+
+
+def word_lengths(weyl: WeylGroup) -> tuple[int, ...]:
+    """The length of a shortest word in the simple reflections for each
+    element of the Weyl group in its order: the distance from the identity
+    in its Cayley graph, walked breadth-first."""
+    index = {m: k for k, m in enumerate(weyl.elements)}
+    lengths: list[Optional[int]] = [None] * len(weyl)
+    frontier = [index[identity_matrix(weyl.rank)]]
+    lengths[frontier[0]] = 0
+    while frontier:
+        nxt = []
+        for k in frontier:
+            for g in weyl.generators:
+                j = index[mat_mul(weyl.elements[k], g)]
+                if lengths[j] is None:
+                    lengths[j] = lengths[k] + 1
+                    nxt.append(j)
+        frontier = nxt
+    return tuple(lengths)
 
 
 def all_reduced_words(weyl: WeylGroup, index: int, lengths: Sequence[int]) -> list[tuple[int, ...]]:

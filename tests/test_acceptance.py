@@ -39,6 +39,7 @@ from oracles import (
     steinberg_spanning_by_solves,
     to_poly,
     torus_k0,
+    weyl_lengths,
 )
 from test_groebner import laurent_box_invariants
 from test_grpalg import random_element, weyl_dimension
@@ -120,7 +121,7 @@ def test_criterion_5_demazure_word_independence():
     for name in ("SL3", "Sp4"):  # Weyl types A2 and B2
         rd = preset(name)
         weyl = weyl_enumerate(rd)
-        lengths = [len(w) for w in weyl.reduced_words]
+        lengths = weyl_lengths(rd, weyl)
         pool = [random_element(rng, rd.rank, nterms=3) for _ in range(100)]
         compared = 0
         for k in range(len(weyl)):

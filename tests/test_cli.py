@@ -449,7 +449,7 @@ def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
     # and T's 4.
     from functools import cached_property
 
-    import zipk0.grpalg
+    import zipk0.rootdata
     from zipk0.rootdata import RootDatum
     from zipk0.zipk import CocharacterDatum
 
@@ -463,11 +463,11 @@ def test_presentation_and_frobenius_generators_built_once(capsys, monkeypatch):
         prop.__set_name__(cls, name)
         monkeypatch.setattr(cls, name, prop)
 
-    def orbit_sum(weyl, weight, real=zipk0.grpalg.orbit_sum):
+    def orbit_sum(weyl, weight, real=zipk0.rootdata.orbit_sum):
         builds["orbit_sum"] += 1
         return real(weyl, weight)
 
-    monkeypatch.setattr(zipk0.grpalg, "orbit_sum", orbit_sum)
+    monkeypatch.setattr(zipk0.rootdata, "orbit_sum", orbit_sum)
     jobs = [
         (("SL3", "1,2", "3", "kunneth,theta"), 2, 9),
         (("SL4", "0,0,0", "2", ""), 1, 3),

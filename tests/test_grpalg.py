@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from zipk0.checks import _hecke_rows, window_box
-from zipk0.grpalg import frobenius, multiply, orbit_sum, subtract, weyl_act
+from zipk0.grpalg import frobenius, multiply, subtract, weyl_act
 from zipk0.lattice import hermite_row_basis, kernel_basis
 from zipk0.rootdata import (
+    identity_matrix,
+    orbit_sum,
     pairing,
     positive_root_indices,
     preset,
@@ -35,6 +37,7 @@ from oracles import (
     reference_orbit_sum,
     reference_weyl_act,
     reflection_rows_by_elements,
+    weyl_lengths,
 )
 
 
@@ -183,7 +186,7 @@ def test_weyl_act_sl2():
 def test_weyl_act_identity():
     rd = preset("SL3")
     weyl = weyl_enumerate(rd)
-    ident = weyl.elements[weyl.elements.index(weyl.word_matrix(()))]
+    ident = weyl.elements[weyl.elements.index(identity_matrix(2))]
     f = from_terms(2, [((1, 2), 3), ((0, -1), -2)]).terms
     assert weyl_act(ident, f) == f
 
@@ -317,7 +320,7 @@ def test_demazure_word_independence(name, nrand):
     # All pairs of reduced words of all Weyl elements agree (A2 and B2).
     rd = preset(name)
     weyl = weyl_enumerate(rd)
-    lengths = [len(w) for w in weyl.reduced_words]
+    lengths = weyl_lengths(rd, weyl)
     rng = random.Random(23)
     pool = [random_element(rng, rd.rank, nterms=3) for _ in range(nrand)]
     checked = 0

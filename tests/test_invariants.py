@@ -7,7 +7,7 @@ import pytest
 
 from zipk0 import checks
 from zipk0.checks import steinberg_candidate_weights, steinberg_freeness_check
-from zipk0.grpalg import frobenius, orbit_sum, weyl_act
+from zipk0.grpalg import frobenius, weyl_act
 from zipk0.invariants import (
     NotInvariantError,
     express_invariant,
@@ -18,6 +18,7 @@ from zipk0.rootdata import (
     fundamental_group,
     levi_from_cocharacter,
     mat_vec,
+    orbit_sum,
     pairing,
     preset,
     weights_dominant,
@@ -324,8 +325,9 @@ def test_steinberg_check_independent_but_not_spanning(monkeypatch):
 
 @pytest.mark.parametrize("rd", all_presets(), ids=lambda rd: rd.name)
 def test_steinberg_weights_match_element_builder(rd):
-    # One lambda_w per Weyl element, in the same order, whether w^{-1} and its
-    # descents come from reduced words or from the group's matrices; without
+    # One lambda per Weyl element v, in the same order, whether the descents
+    # of v come from the positive roots or from coefficients over the simple
+    # roots; without
     # a simply connected derived group both refuse, and so does the check.
     try:
         rd.weight_lift

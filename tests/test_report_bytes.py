@@ -46,8 +46,10 @@ RECORDED = [
     (("validate", "--group", "PGL2"),
      3, EMPTY,
      "064c6e196f5b571ceb124fed73244dceb9a9b0e344c1403d7cd2fa8d6719842c"),
+    # Steinberg's candidates are listed by v = w^-1 over the Weyl group's
+    # elements, so on SL3 the two 3-cycles' weights trade places.
     (("k0", "--group", "SL3", "--mu", "1,0", "--p", "2", "--checks", CHECKS),
-     0, "0a51aa4b2163951124edc567d2d337a2407dc6f17748de6620662e33f1a2d65b",
+     0, "2daf0367ded5f03a1efb2eec00c0fcec681a439e5945b248f200282e1fd539c6",
      EMPTY),
     (("k0", "--group", "GL2", "--mu", "0,0", "--p", "3", "--checks", CHECKS),
      0, "c751bb242f5cea06e2cb35499e5f0fada87c1649020eaaf01018e4e99cde6dae",
@@ -77,7 +79,7 @@ RECORDED = [
      EMPTY),
     # Every check's section in text.
     (("k0", "--group", "SL3", "--mu", "1,0", "--p", "2", "--checks", CHECKS, "--format", "text"),
-     0, "6182c436fe0a56fbaacd44febbb1132f724634256a98be156e563ed1f8678a70",
+     0, "12b86aab419a86c4d745f6f193ec72ece71eb77888f88d2b457cb874fa89ab1b",
      EMPTY),
     # The `quotient` ladder, seed 1.
     (("k0", "--group", "GL3", "--mu", "2,1,0", "--p", "2"),

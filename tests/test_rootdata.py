@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from zipk0.rootdata import (
     PRESET_NAMES,
+    Matrix,
     RootDatum,
     RootDatumError,
     SimplyConnectedHypothesisError,
@@ -35,7 +37,9 @@ from oracles import (
     general_dominant_hilbert_basis,
     principal_minors_positive,
     reference_positive_root_indices,
+    simple_orbit_is_the_roots,
     weyl_lengths,
+    word_lengths,
 )
 
 
@@ -108,17 +112,18 @@ def test_lengths_match_words_and_roots_permuted(name):
     rd = preset(name)
     weyl = weyl_enumerate(rd)
     lengths = weyl_lengths(rd, weyl)
+    words = word_lengths(weyl)
     for k, w in enumerate(weyl.elements):
-        assert lengths[k] == len(weyl.reduced_words[k])
+        assert lengths[k] == words[k]
         assert {mat_vec(w, a) for a in rd.roots} == set(rd.roots)
-    longest = max(range(len(weyl)), key=lambda k: len(weyl.reduced_words[k]))
+    longest = max(range(len(weyl)), key=lambda k: words[k])
     assert lengths[longest] == max(lengths)
 
 
 def test_all_reduced_words_b2_longest():
     rd = preset("Sp4")
     weyl = weyl_enumerate(rd)
-    lengths = [len(w) for w in weyl.reduced_words]
+    lengths = weyl_lengths(rd, weyl)
     words = all_reduced_words(weyl, lengths.index(max(lengths)), lengths)
     assert sorted(words) == [(0, 1, 0, 1), (1, 0, 1, 0)]
 
@@ -487,6 +492,11 @@ INVALID_DATA = [
     ("twist not preserving the pairing",
      make_root_datum(2, [(1, -1), (-1, 1)], [(1, -1), (-1, 1)], [(1, -1)], [(1, 0), (-2, -1)]),
      "twist-not-preserving-simple-roots", "does not preserve the pairing"),
+    # BC1: the roots +-1 and +-2 are all reached from the base {1} by adding
+    # it, so half are positive, but its Weyl orbit is only +-1.
+    ("non-reduced roots",
+     make_root_datum(1, [(1,), (-1,), (2,), (-2,)], [(2,), (-2,), (1,), (-1,)], [(1,)]),
+     "reflection-not-permuting", "Weyl orbit"),
 ]
 
 
@@ -497,6 +507,70 @@ def test_each_validation_branch_names_its_kind(rd, kind, text):
         validate(rd)
     assert exc.value.kind == kind
     assert text in str(exc.value)
+
+
+def _unimodular(rank: int, rng: random.Random) -> tuple[Matrix, Matrix]:
+    """(g, g^-T) for g a random sign diagonal times elementary integer
+    matrices: a random unimodular change of character coordinates and the
+    change of cocharacter coordinates that keeps the pairing."""
+    g = [[rng.choice((-1, 1)) * (i == j) for j in range(rank)] for i in range(rank)]
+    h = [row[:] for row in g]
+    for _ in range(3 * rank if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]  # g = E g: row_i += c row_j
+        h[j] = [a - c * b for a, b in zip(h[j], h[i])]  # h = E^-T h: row_j -= c row_i
+    return tuple(map(tuple, g)), tuple(map(tuple, h))
+
+
+def _moved(rd: RootDatum, rng: random.Random) -> RootDatum:
+    """rd in new coordinates: characters by g, cocharacters by g^-T and the
+    twist by conjugation."""
+    g, h = _unimodular(rd.rank, rng)
+    g_inv = tuple(zip(*h))
+    assert mat_mul(g_inv, g) == tuple(tuple(int(i == j) for j in range(rd.rank))
+                                      for i in range(rd.rank))
+    twist = mat_mul(mat_mul(g, rd.twist), g_inv) if rd.twist is not None else None
+    return RootDatum(rd.rank, tuple(mat_vec(g, a) for a in rd.roots),
+                     tuple(mat_vec(h, av) for av in rd.coroots), rd.simple_indices, twist)
+
+
+def _verdict(rd: RootDatum):
+    try:
+        validate(rd)
+    except RootDatumError as exc:
+        return str(exc)
+    return None
+
+
+def test_base_test_agrees_with_the_simple_orbit_walk(monkeypatch):
+    # validate's count of positive roots, with its reducedness clause, gives
+    # the verdict, kind and message that the walk of the simple roots' orbit
+    # gives in its place: on every preset and every invalid datum, on each
+    # preset with its last simple root dropped, and on random unimodular
+    # changes of coordinates of all of these.
+    import zipk0.rootdata as rootdata
+
+    rng = random.Random(35)
+    presets = [preset(name) for name in ALL_PRESETS]
+    data = presets + [case[1] for case in INVALID_DATA]
+    data += [RootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices[:-1])
+             for rd in presets if len(rd.simple_indices) > 1]
+    data += [_moved(rd, rng) for rd in data for _ in range(5)
+             if all(len(v) == rd.rank for v in rd.roots + rd.coroots)]
+    counted = [_verdict(rd) for rd in data]
+
+    def walk(rd):
+        if not simple_orbit_is_the_roots(rd):
+            raise RootDatumError("reflection-not-permuting",
+                                 "roots are not a single Weyl orbit closure of the simple system")
+
+    monkeypatch.setattr(rootdata, "_check_base", walk)
+    assert [_verdict(rd) for rd in data] == counted
+    # Refused by the base test: two invalid data and five presets with a
+    # simple root dropped, each as given and in five other coordinates.
+    assert sum(v is not None and "Weyl orbit" in v for v in counted) == 7 * 6
+    assert counted.count(None) == len(ALL_PRESETS) * 6
 
 
 # Data that reach validate's finite-type test, with a simple system of

@@ -1,8 +1,9 @@
 """Start-up diet: `import zipk0.cli`, `validate` and `k0` load none of the
 standard-library modules that the library's value classes, rounding and
 command-line parsing once pulled in, the package root loads no submodule,
-`validate` loads no module of the Groebner pipeline, and a job loads the
-cross-checks (zipk0.checks) only when it runs one."""
+`validate` loads no module of the Groebner pipeline, a job loads the
+cross-checks (zipk0.checks) only when it runs one, and a root datum builds
+its invariant ring's generators without the group algebra (zipk0.grpalg)."""
 
 from __future__ import annotations
 
@@ -83,3 +84,11 @@ def test_checks_load_only_for_a_check(tmp_path, argv, loaded):
         argv = [*argv, "--out", str(tmp_path / "report.json")]
         code += f"\nassert zipk0.cli.main({argv!r}) == 0"
     assert ("zipk0.checks" in _loaded_modules(code)) is loaded
+
+
+def test_orbit_sums_load_no_group_algebra():
+    # rootdata builds its orbit sums itself: no import cycle with grpalg.
+    loaded = _loaded_modules("from zipk0.rootdata import preset\n"
+                             "assert len(preset('SL3').generator_elements) == 2")
+    assert "zipk0.rootdata" in loaded
+    assert "zipk0.grpalg" not in loaded
